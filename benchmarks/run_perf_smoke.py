@@ -18,25 +18,20 @@ paths, rows in RunReport form — persisted to ``BENCH_PR5.json``), and
 the ``bench_p6_faults`` pass (PR 6: the fault-injection layer — a run
 with an empty ``FaultSchedule`` within 5% of one with none, plus
 degradation curves for the robustness protocol variants — persisted
-to ``BENCH_PR6.json``), and the ``bench_p7_kernels`` pass (PR 7:
-residual-graph delivery + compiled chunk kernels — small-n
-bit-identity of every accelerated leg, then the restricted-MIS
-speedup gates at scale — persisted to ``BENCH_PR7.json``), and the
+to ``BENCH_PR6.json``), and the
 ``bench_p8_corpus`` pass (PR 8: the graph corpus layer — cell-grid
 CSR generation bit-compatible with the reference generators and at
 least 10x faster, metadata-only mmap loads, and zero-copy
 shared-memory trial workers with flat per-worker RSS — persisted to
-``BENCH_PR8.json``), and the ``bench_p9_pipeline`` pass (PR 9: the
-fused coin+fault+delivery pipeline — small-n bit-identity of the
-fused pass against the unfused chunk paths (faulted legs included),
-the fused-vs-unfused speedup gate at scale, and optionally the
-end-to-end n = 10^6 corpus-store MIS — persisted to
-``BENCH_PR9.json``), and the ``bench_p10_service`` pass (PR 10: the
+``BENCH_PR8.json``), and the
+``bench_p10_service`` pass (the
 experiment service — resubmitting a completed MIS campaign at least
 50x faster than its cold run via the content-addressed report store,
 store-backed aggregates bit-identical to the serial harness, and the
 HTTP front end within 10% of driving the campaign engine directly on
 a 200-trial decay campaign — persisted to ``BENCH_PR10.json``).
+The residual-restriction and fused-pipeline gates timed code that
+keyed transmitter sampling replaced; their records stay as history.
 Every bench record carries ``peak_mem_bytes`` alongside its wall
 times. The ``BENCH_*.json`` records are the perf trajectory future
 PRs compare themselves against.
@@ -44,11 +39,10 @@ PRs compare themselves against.
 Usage::
 
     python benchmarks/run_perf_smoke.py [--skip-tests] [--skip-p1]
-        [--skip-p4] [--skip-p5] [--skip-p6] [--skip-p7] [--skip-p8]
-        [--skip-p9] [--skip-p10] [--n 2000] [--p4-n 100000]
-        [--p5-n 100000] [--p6-n 1200] [--p7-n 100000]
-        [--p8-n 100000] [--p9-n 100000] [--p9-e2e] [--p10-n 2000]
-        [--p10-trials 200] [--p10-mis-trials 8]
+        [--skip-p4] [--skip-p5] [--skip-p6] [--skip-p8] [--skip-p10]
+        [--n 2000] [--p4-n 100000] [--p5-n 100000] [--p6-n 1200]
+        [--p8-n 100000] [--p10-n 2000] [--p10-trials 200]
+        [--p10-mis-trials 8]
 
 Exit status is nonzero if the test suite fails or a speedup/memory
 floor is missed, so this doubles as a CI gate.
@@ -147,19 +141,6 @@ def main(argv: list[str] | None = None) -> int:
         "(default 1200)",
     )
     parser.add_argument(
-        "--skip-p7",
-        action="store_true",
-        help="skip the PR 7 residual/kernels bench (BENCH_PR7.json "
-        "untouched)",
-    )
-    parser.add_argument(
-        "--p7-n",
-        type=int,
-        default=100000,
-        help="scale of the PR 7 restricted-MIS gate (default 100000; "
-        "CI uses 30000)",
-    )
-    parser.add_argument(
         "--skip-p8",
         action="store_true",
         help="skip the PR 8 corpus bench (BENCH_PR8.json untouched)",
@@ -170,24 +151,6 @@ def main(argv: list[str] | None = None) -> int:
         default=100000,
         help="scale of the PR 8 corpus gates (default 100000; CI uses "
         "30000)",
-    )
-    parser.add_argument(
-        "--skip-p9",
-        action="store_true",
-        help="skip the PR 9 pipeline bench (BENCH_PR9.json untouched)",
-    )
-    parser.add_argument(
-        "--p9-n",
-        type=int,
-        default=100000,
-        help="scale of the PR 9 fused-pipeline gate (default 100000; "
-        "CI uses 30000)",
-    )
-    parser.add_argument(
-        "--p9-e2e",
-        action="store_true",
-        help="also run the PR 9 end-to-end n=10^6 corpus-store MIS "
-        "(minutes of wall clock; the smoke default skips it)",
     )
     parser.add_argument(
         "--skip-p10",
@@ -223,9 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     import bench_p4_streaming
     import bench_p5_api
     import bench_p6_faults
-    import bench_p7_kernels
     import bench_p8_corpus
-    import bench_p9_pipeline
     import bench_p10_service
 
     tier1 = None if args.skip_tests else run_tier1()
@@ -331,28 +292,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"persisted to {bench_p6_faults.RESULT_PATH}")
         ok = ok and p6["passes_floors"]
 
-    if not args.skip_p7:
-        p7 = bench_p7_kernels.run_bench(n=args.p7_n)
-        if tier1 is not None:
-            p7["tier1"] = tier1
-        bench_p7_kernels.write_results(p7)
-
-        legs = p7["mis_legs"]
-        gate = (
-            f"(floor {legs['numba_floor']}x)"
-            if legs["numba_floor"] is not None
-            else "(no numba: floor waived)"
-        )
-        print(
-            f"residual MIS n={legs['n']}: restricted numpy "
-            f"{legs['restrict_speedup']:.2f}x "
-            f"(floor {legs['restrict_floor']}x), accelerated "
-            f"[{legs['accelerated_kernel']}] "
-            f"{legs['numba_speedup']:.2f}x {gate}"
-        )
-        print(f"persisted to {bench_p7_kernels.RESULT_PATH}")
-        ok = ok and p7["passes_floors"]
-
     if not args.skip_p8:
         p8 = bench_p8_corpus.run_bench(n=args.p8_n)
         if tier1 is not None:
@@ -371,41 +310,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"persisted to {bench_p8_corpus.RESULT_PATH}")
         ok = ok and p8["passes_floors"]
-
-    if not args.skip_p9:
-        p9 = bench_p9_pipeline.run_bench(
-            n=args.p9_n, skip_e2e=not args.p9_e2e
-        )
-        if tier1 is not None:
-            p9["tier1"] = tier1
-        bench_p9_pipeline.write_results(p9)
-
-        legs = p9["pipeline_legs"]
-        gate = (
-            f"(floor {legs['numba_floor']}x)"
-            if legs["numba_floor"] is not None
-            else "(no numba: forced pipeline refuses by name)"
-        )
-        numba_part = (
-            f"{legs['numba_speedup']:.2f}x "
-            if legs["numba_speedup"] is not None
-            else ""
-        )
-        print(
-            f"fused pipeline n={legs['n']}: fused numpy "
-            f"{legs['pipeline_speedup']:.2f}x "
-            f"(floor {legs['pipeline_floor']}x), pipeline-numba "
-            f"{numba_part}{gate}"
-        )
-        if p9["e2e_million"] is not None:
-            e2e = p9["e2e_million"]
-            print(
-                f"e2e n={e2e['n']}: MIS {e2e['mis_s']:.1f}s, peak "
-                f"{e2e['peak_mem_bytes'] / 2**30:.2f} GiB (ceiling "
-                f"{e2e['peak_ceiling_bytes'] / 2**30:.1f} GiB)"
-            )
-        print(f"persisted to {bench_p9_pipeline.RESULT_PATH}")
-        ok = ok and p9["passes_floors"]
 
     if not args.skip_p10:
         p10 = bench_p10_service.run_bench(

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..engine.kernels import compiled_kernel_name
 from ..engine.policy import ExecutionPolicy
+from ..engine.sampler import STREAM_VERSION
 from ..radio.errors import ProtocolError
 from ..radio.network import RadioNetwork
 from .registry import ProtocolSpec, get_protocol
@@ -232,14 +233,12 @@ def run(
     )
 
     if network is not None:
-        # Per-run accounting: kernel_use, residual_stats, and
-        # phase_timing describe THIS run. On a reused network they
-        # would otherwise accumulate across runs (over-counting
-        # residual rebuilds, mixing timing buckets); steps/trace are
-        # different — they are lifetime counters the report deltas.
+        # Per-run accounting: kernel_use and phase_timing describe
+        # THIS run. On a reused network they would otherwise
+        # accumulate across runs (mixing kernel counts and timing
+        # buckets); steps/trace are different — they are lifetime
+        # counters the report deltas.
         network.kernel_use.clear()
-        for key in network.residual_stats:
-            network.residual_stats[key] = 0
         for key in network.phase_timing:
             network.phase_timing[key] = 0.0
 
@@ -290,17 +289,14 @@ def run(
             "events": schedule.event_counts(),
             "realized": realized,
         }
-    # Delivery provenance: which chunk kernels actually ran, and how
-    # much of the run executed on a residual (active-set-restricted)
-    # world — so a report names the code that produced it.
+    # Delivery provenance: which chunk kernels actually ran — so a
+    # report names the code that produced it.
     delivery_prov: dict[str, Any] = {
         "mode": resolved.delivery,
-        "restrict": resolved.restrict,
         "kernel": compiled_kernel_name(resolved.delivery),
     }
     if network is not None:
         delivery_prov["kernel_use"] = dict(network.kernel_use)
-        delivery_prov["residual"] = dict(network.residual_stats)
     if network is not None:
         steps = network.steps_elapsed - steps_before
         trace = {
@@ -332,11 +328,7 @@ def run(
             "corpus": _corpus_facts(graph),
             "faults": faults_prov,
             "delivery": delivery_prov,
-            "residual": (
-                dict(network.residual_stats)
-                if network is not None
-                else None
-            ),
+            "stream": STREAM_VERSION,
             "timing": (
                 {
                     k: round(v, 6)

@@ -68,7 +68,6 @@ from .engine.policy import (
     validate_chunk_steps,
 )
 from .engine.kernels import ALL_DELIVERY_MODES
-from .engine.residual import RESTRICT_MODES
 from .radio.errors import ProtocolError
 
 
@@ -179,27 +178,17 @@ def _add_policy_options(
     group.add_argument(
         "--delivery",
         default="auto",
-        choices=list(ALL_DELIVERY_MODES),
+        metavar="MODE",
         help=(
-            "window execution strategy (bit-identical; auto routes per "
-            "window row on mask density and COO output size, and runs "
-            "the fused coin+fault+delivery pass on plans that declare "
-            "a separable form; pipeline forces that pass compiled; "
-            "numba/cupy/pipeline need their optional package installed "
-            "and refuse by name otherwise)"
+            f"window execution strategy, one of {ALL_DELIVERY_MODES} "
+            "(bit-identical; auto routes per window row on transmitter "
+            "density and COO output size; numba/cupy need their "
+            "optional package installed and refuse by name otherwise)"
         ),
     )
-    group.add_argument(
-        "--restrict",
-        default="auto",
-        choices=list(RESTRICT_MODES),
-        help=(
-            "active-set-restricted (residual-graph) delivery for "
-            "streamed plans that declare a transmit support "
-            "(bit-identical; auto restricts when the live set is small "
-            "enough to pay)"
-        ),
-    )
+    # Knobs earlier versions accepted: still parsed, so that naming one
+    # reaches the policy's uniform refusal instead of argparse's.
+    group.add_argument("--restrict", default=None, help=argparse.SUPPRESS)
     group.add_argument(
         "--chunk-steps",
         type=_parse_chunk_steps_arg,
@@ -329,13 +318,14 @@ def _emit(args: argparse.Namespace, report: dict[str, Any]) -> None:
 
 def _policy_from_args(args: argparse.Namespace) -> api.ExecutionPolicy:
     """The shared flag group, folded into one policy value."""
+    removed = {} if args.restrict is None else {"restrict": args.restrict}
     return api.ExecutionPolicy(
         engine=args.engine,
         delivery=args.delivery,
         chunk_steps=args.chunk_steps,
         mem_budget=args.mem_budget,
         validate=args.validate,
-        restrict=args.restrict,
+        **removed,
     )
 
 

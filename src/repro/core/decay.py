@@ -14,18 +14,16 @@ the convenience :func:`run_decay` wrapper used by Radio MIS and
 intra-cluster propagation.
 
 Performance: a Decay block is *oblivious* — the transmit mask of every
-step depends only on the fixed active set and fresh coin flips, never on
-what was heard — so :func:`decay_block_schedule` emits whole blocks as
-:class:`~repro.engine.segments.ObliviousWindow` segments, which the
-:class:`~repro.engine.runner.WindowedRunner` executes through
-:meth:`~repro.radio.network.RadioNetwork.deliver_window` (one sparse
-matrix-matrix product per chunk of steps instead of one matvec plus
-Python dispatch per step). The emitter draws the same random numbers in
-the same order and folds receptions in step order, so results, trace
-totals, and the post-call rng state are all bit-identical to driving
-the :class:`Decay` protocol step by step — which
-:func:`run_decay_reference` still does, as the executable specification
-the equivalence suite compares against.
+step depends only on the fixed active set and the block's randomness,
+never on what was heard — so :func:`decay_block_schedule` emits the
+whole block as one streamed window whose rows are sampled transmitter
+lists (:class:`~repro.engine.sampler.RowSampler`, keyed by one block
+key drawn from the protocol rng): the engine's cost follows the
+transmissions, not ``n`` times the steps. The :class:`Decay` protocol
+samples its rows from the same key, one step at a time, so results,
+trace totals, and the post-call rng state are all bit-identical to
+driving it step by step — which :func:`run_decay_reference` still does,
+as the executable specification the equivalence suite compares against.
 """
 
 from __future__ import annotations
@@ -36,15 +34,14 @@ from typing import Any
 
 import numpy as np
 
-from ..engine.pcg import CoinField
 from ..engine.policy import ExecutionPolicy, legacy_policy
-from ..engine.segments import ProtocolSchedule, StreamedWindow
-from ..radio.network import (
-    NO_SENDER,
-    PipelineForm,
-    RadioNetwork,
-    TransmitPlan,
+from ..engine.sampler import RowSampler, draw_block_key
+from ..engine.segments import (
+    ProtocolSchedule,
+    StreamedWindow,
+    TransmitterPlan,
 )
+from ..radio.network import NO_SENDER, RadioNetwork
 from ..radio.protocol import Protocol, run_steps
 from .resulteq import ArrayEqMixin
 
@@ -146,60 +143,37 @@ class Decay(Protocol):
         self.heard = np.zeros(self.n, dtype=bool)
         self.heard_from = np.full(self.n, NO_SENDER, dtype=np.int64)
         self._finished = self.total_steps == 0
+        self._sampler: RowSampler | None = None
+
+    def bind_key(self, rng: np.random.Generator) -> None:
+        """Draw the block key (once per block, at its first step)."""
+        if self._sampler is None:
+            # Step t transmits with probability 2^-i, i = (t mod span) + 1.
+            steps = np.arange(self.total_steps)
+            ladder = 2.0 ** -((steps % self.span) + 1.0)
+            self._sampler = RowSampler(
+                draw_block_key(rng), self.active, ladder
+            )
+
+    def transmitters(
+        self, start: int, stop: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Transmitter pairs of block steps ``[start, stop)`` (see
+        :meth:`RowSampler.sample`). Needs :meth:`bind_key` first."""
+        return self._sampler.sample(start, stop)
 
     def transmit_mask(self, rng: np.random.Generator) -> np.ndarray:
-        i = (self._step % self.span) + 1  # i = 1 .. span
-        prob = 2.0**-i
-        coins = rng.random(self.n) < prob
-        return self.active & coins
+        self.bind_key(rng)
+        _, nodes = self.transmitters(self._step, self._step + 1)
+        mask = np.zeros(self.n, dtype=bool)
+        mask[nodes] = True
+        return mask
 
     def observe(self, hear_from: np.ndarray) -> None:
         new = (hear_from != NO_SENDER) & ~self.heard
         self.heard_from[new] = hear_from[new]
         self.heard |= new
         self._step += 1
-        if self._step >= self.total_steps:
-            self._finished = True
-
-    def _absorb_window(self, hear_window: np.ndarray) -> None:
-        """Fold a ``(k, n)`` window of receptions, in step order.
-
-        Equivalent to ``k`` sequential :meth:`observe` calls: for every
-        node not yet served, the *first* step of the window on which it
-        heard someone determines its ``heard_from`` entry.
-        """
-        k = hear_window.shape[0]
-        got = hear_window != NO_SENDER
-        fresh = got.any(axis=0) & ~self.heard
-        if fresh.any():
-            cols = np.nonzero(fresh)[0]
-            first = got[:, cols].argmax(axis=0)
-            self.heard_from[cols] = hear_window[first, cols]
-            self.heard[cols] = True
-        self._step += k
-        if self._step >= self.total_steps:
-            self._finished = True
-
-    def _absorb_window_at(
-        self, hear_window: np.ndarray, cols: np.ndarray
-    ) -> None:
-        """Column-restricted twin of :meth:`_absorb_window`.
-
-        ``hear_window`` is ``(k, len(cols))`` with senders already
-        translated to global ids; every node outside ``cols`` heard
-        silence (the residual support invariant), so folding the member
-        columns folds the whole window.
-        """
-        k = hear_window.shape[0]
-        got = hear_window != NO_SENDER
-        fresh = got.any(axis=0) & ~self.heard[cols]
-        if fresh.any():
-            local = np.nonzero(fresh)[0]
-            gcols = cols[local]
-            first = got[:, local].argmax(axis=0)
-            self.heard_from[gcols] = hear_window[first, local]
-            self.heard[gcols] = True
-        self._step += k
         if self._step >= self.total_steps:
             self._finished = True
 
@@ -210,11 +184,11 @@ class Decay(Protocol):
         nodes: np.ndarray,
         senders: np.ndarray,
     ) -> None:
-        """Reception-triple twin of :meth:`_absorb_window`.
+        """Fold a ``k``-step chunk of receptions, in step order.
 
-        Folds ``(step, node, sender)`` triples for a ``k``-step chunk,
-        in arbitrary order: among a node's receptions the earliest step
-        wins, matching the first-hit scan of the slab form (the radio
+        Equivalent to ``k`` sequential :meth:`observe` calls: the
+        ``(step, node, sender)`` triples arrive in arbitrary order, and
+        among a node's receptions the earliest step wins (the radio
         model delivers at most one sender per node per step, so the
         earliest step pins a unique sender).
         """
@@ -255,15 +229,15 @@ def decay_block_schedule(
     """Schedule emitter for one full Decay block.
 
     Emits the block as a single
-    :class:`~repro.engine.segments.StreamedWindow` — every mask is the
-    fixed active set gated by fresh coins, so the whole block is
-    oblivious, and the runner executes it in bounded ``(chunk_steps,
-    n)`` slabs (its memory knob; the legacy coin-budget granularity by
-    default). Coins are drawn lazily inside the plan, chunk-row-major,
-    which is stream-identical to the per-step draws of the
-    :class:`Decay` protocol whatever the slab height; receptions fold
-    in step order through :meth:`Decay._absorb_window`. Returns the
-    block's :class:`DecayResult`.
+    :class:`~repro.engine.segments.StreamedWindow` over a
+    :class:`~repro.engine.segments.TransmitterPlan` — every row is the
+    fixed active set thinned by the ladder probability, so the whole
+    block is oblivious, and the runner executes it in bounded chunks
+    (its memory knob). The block key is drawn here, where the step-wise
+    :class:`Decay` draws it at its first step, and every row is a pure
+    function of it, so any chunking reproduces the per-step rows;
+    receptions fold in step order through :meth:`Decay._absorb_coo`.
+    Returns the block's :class:`DecayResult`.
     """
     protocol = Decay(
         network,
@@ -274,37 +248,9 @@ def decay_block_schedule(
     )
     total = protocol.total_steps
     if total:
-        n = network.n
-        # Per-step transmission probabilities of the sweep ladder.
-        probs = 2.0 ** -((np.arange(total) % protocol.span) + 1.0)
-        coins = CoinField(rng, n)
-
-        def masks(start: int, stop: int) -> np.ndarray:
-            flips = coins.draw(start, stop) < probs[start:stop, None]
-            return flips & protocol.active[None, :]
-
-        def masks_at(
-            start: int, stop: int, cols: np.ndarray
-        ) -> np.ndarray:
-            flips = coins.draw_at(start, stop, cols)
-            return (
-                flips < probs[start:stop, None]
-            ) & protocol.active[cols][None, :]
-
-        # Separable form for the fused pipeline: the ladder probability
-        # is a pure row factor and the fixed active set a 0/1 column
-        # factor, so ``coin < prob * active`` reproduces the slab mask
-        # exactly (a 0 column prob can never exceed a [0, 1) coin).
-        col = protocol.active.astype(np.float64)
-
+        protocol.bind_key(rng)
         yield StreamedWindow(
-            TransmitPlan(
-                total, masks,
-                support=protocol.active, masks_at=masks_at,
-                pipeline=PipelineForm(coins, probs, lambda start: col),
-            ),
-            consume=protocol._absorb_window,
-            consume_at=protocol._absorb_window_at,
+            TransmitterPlan(total, protocol.transmitters),
             consume_coo=protocol._absorb_coo,
         )
     return protocol.result()

@@ -17,14 +17,15 @@ algorithm) and a listener counting its own hears.
 
 Performance: Algorithm 6 is *fully oblivious* — every transmit mask
 depends only on the fixed desire levels, the step's density guess, and
-fresh coins, never on what was heard (receptions only update counters).
-:func:`effective_degree_schedule` therefore emits the entire
-``O(log^2 n)``-step block as
-:class:`~repro.engine.segments.ObliviousWindow` segments, executed as a
-handful of sparse matrix-matrix products by the windowed engine. The
-step-wise drive is retained as
-:func:`estimate_effective_degree_reference`; results, trace totals, and
-rng consumption are bit-identical.
+the block's randomness, never on what was heard (receptions only
+update counters). :func:`effective_degree_schedule` therefore emits the
+entire ``O(log^2 n)``-step block as one streamed window of sampled
+transmitter lists (:class:`~repro.engine.sampler.RowSampler`, with the
+desire levels as column factors), so the engine's cost follows the
+transmissions. The step-wise drive is retained as
+:func:`estimate_effective_degree_reference`; it samples the same rows
+from the same block key, so results, trace totals, and rng consumption
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -34,15 +35,15 @@ import math
 
 import numpy as np
 
-from ..engine.pcg import CoinField
 from ..engine.policy import ExecutionPolicy, legacy_policy
-from ..engine.segments import PlanSection, ProtocolSchedule, StreamedWindow
-from ..radio.network import (
-    NO_SENDER,
-    PipelineForm,
-    RadioNetwork,
-    TransmitPlan,
+from ..engine.sampler import RowSampler, draw_block_key
+from ..engine.segments import (
+    PlanSection,
+    ProtocolSchedule,
+    StreamedWindow,
+    TransmitterPlan,
 )
+from ..radio.network import NO_SENDER, RadioNetwork
 from ..radio.protocol import Protocol, run_steps
 from .resulteq import ArrayEqMixin
 
@@ -119,57 +120,41 @@ class EstimateEffectiveDegree(Protocol):
         self.counts = np.zeros((self.levels, self.n), dtype=np.int64)
         self._step = 0
         self._finished = self.total_steps == 0
+        self._sampler: RowSampler | None = None
 
     def _level(self) -> int:
         return self._step // self.steps_per_level
 
+    def bind_key(self, rng: np.random.Generator) -> None:
+        """Draw the block key (once per block, at its first step)."""
+        if self._sampler is None:
+            # Step t transmits with probability p(v) / 2^i,
+            # i = t // steps_per_level.
+            steps = np.arange(self.total_steps)
+            guess = 2.0 ** -(steps // self.steps_per_level)
+            self._sampler = RowSampler(
+                draw_block_key(rng), self.active, guess, self.p
+            )
+
+    def transmitters(
+        self, start: int, stop: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Transmitter pairs of block steps ``[start, stop)`` (see
+        :meth:`RowSampler.sample`). Needs :meth:`bind_key` first."""
+        return self._sampler.sample(start, stop)
+
     def transmit_mask(self, rng: np.random.Generator) -> np.ndarray:
-        i = self._level()
-        prob = self.p / (2.0**i)
-        return self.active & (rng.random(self.n) < prob)
+        self.bind_key(rng)
+        _, nodes = self.transmitters(self._step, self._step + 1)
+        mask = np.zeros(self.n, dtype=bool)
+        mask[nodes] = True
+        return mask
 
     def observe(self, hear_from: np.ndarray) -> None:
         i = self._level()
         heard = (hear_from != NO_SENDER) & self.active
         self.counts[i, heard] += 1
         self._step += 1
-        if self._step >= self.total_steps:
-            self._finished = True
-
-    def _absorb_window(self, hear_window: np.ndarray) -> None:
-        """Fold a ``(k, n)`` window of receptions, in step order.
-
-        Equivalent to ``k`` sequential :meth:`observe` calls: each row's
-        hears increment the counter of that step's density level. A
-        chunk may straddle level boundaries, so rows are grouped by
-        level before the (order-independent) per-level sums.
-        """
-        k = hear_window.shape[0]
-        heard = (hear_window != NO_SENDER) & self.active[None, :]
-        levels = (self._step + np.arange(k)) // self.steps_per_level
-        for lev in np.unique(levels):
-            rows = heard[levels == lev]
-            self.counts[lev] += rows.sum(axis=0)
-        self._step += k
-        if self._step >= self.total_steps:
-            self._finished = True
-
-    def _absorb_window_at(
-        self, hear_window: np.ndarray, cols: np.ndarray
-    ) -> None:
-        """Column-restricted twin of :meth:`_absorb_window`.
-
-        ``hear_window`` is ``(k, len(cols))``; nodes outside ``cols``
-        heard silence (residual support invariant), so their counters
-        are unchanged by construction.
-        """
-        k = hear_window.shape[0]
-        heard = (hear_window != NO_SENDER) & self.active[cols][None, :]
-        levels = (self._step + np.arange(k)) // self.steps_per_level
-        for lev in np.unique(levels):
-            rows = heard[levels == lev]
-            self.counts[lev, cols] += rows.sum(axis=0)
-        self._step += k
         if self._step >= self.total_steps:
             self._finished = True
 
@@ -180,13 +165,14 @@ class EstimateEffectiveDegree(Protocol):
         nodes: np.ndarray,
         senders: np.ndarray,
     ) -> None:
-        """Reception-triple twin of :meth:`_absorb_window`.
+        """Fold a ``k``-step chunk of receptions.
 
-        Folds ``(step, node, sender)`` triples for a ``k``-step chunk:
-        each reception bumps the counter of its step's density level.
-        Hear counts are order-independent sums, so arbitrary triple
-        order is fine; ``np.add.at`` accumulates duplicates (the same
-        node hearing on several steps of one chunk) correctly.
+        Equivalent to ``k`` sequential :meth:`observe` calls: each
+        ``(step, node, sender)`` triple bumps the counter of its step's
+        density level. Hear counts are order-independent sums, so
+        arbitrary triple order is fine; ``np.add.at`` accumulates
+        duplicates (the same node hearing on several steps of one
+        chunk) correctly.
         """
         keep = self.active[nodes]
         if keep.any():
@@ -218,11 +204,12 @@ def effective_degree_schedule(
 
     Step ``t`` of the block transmits with probability
     ``p(v) / 2^(t // steps_per_level)``; the whole block goes out as one
-    :class:`~repro.engine.segments.StreamedWindow`, its coins drawn
-    lazily chunk-row-major inside the plan (stream-identical to the
-    protocol's per-step draws whatever slab height the runner picks) and
-    its receptions folded per chunk through
-    :meth:`EstimateEffectiveDegree._absorb_window`. Returns the block's
+    :class:`~repro.engine.segments.StreamedWindow` over a
+    :class:`~repro.engine.segments.TransmitterPlan` whose rows are
+    sampled from one block key (drawn here, where the step-wise
+    protocol draws it at its first step), so any chunking reproduces
+    the protocol's per-step rows. Receptions fold per chunk through
+    :meth:`EstimateEffectiveDegree._absorb_coo`. Returns the block's
     :class:`EffectiveDegreeResult`.
     """
     protocol = EstimateEffectiveDegree(
@@ -230,66 +217,19 @@ def effective_degree_schedule(
     )
     total = protocol.total_steps
     if total:
-        n = network.n
-        # 2^i is exact, so dividing row-wise reproduces the protocol's
-        # per-step `p / 2**i` values bit-for-bit.
-        pow2 = 2.0 ** (np.arange(total) // protocol.steps_per_level)
-        coins = CoinField(rng, n)
-
-        # ``coin < p / 2^i`` is tested as ``coin * 2^i < p``: scaling a
-        # float by a power of two is exact (exponent arithmetic only),
-        # so the comparison is bit-identical while the per-step
-        # threshold matrix ``p / 2^i`` never materializes — the coin
-        # block (a dead scratch view once thresholded) rescales in
-        # place instead.
-
-        def masks(start: int, stop: int) -> np.ndarray:
-            flips = coins.draw(start, stop)
-            flips *= pow2[start:stop, None]
-            out = flips < protocol.p[None, :]
-            out &= protocol.active[None, :]
-            return out
-
-        def masks_at(
-            start: int, stop: int, cols: np.ndarray
-        ) -> np.ndarray:
-            flips = coins.draw_at(start, stop, cols)
-            flips *= pow2[start:stop, None]
-            out = flips < protocol.p[cols][None, :]
-            out &= protocol.active[cols][None, :]
-            return out
-
-        # Separable form for the fused pipeline: `p * 2^-i` equals the
-        # slab path's `p / 2^i` bit-for-bit (power-of-two scaling is
-        # exact), with the desire level — already zeroed outside the
-        # active set — as the fixed column factor.
-        row_probs = 2.0 ** -(np.arange(total) // protocol.steps_per_level)
-
-        # One unlabeled section per density level. Chunks never
-        # straddle a section boundary, so every fold sees rows of a
-        # single level, and the whole ladder still shares one plan —
-        # one restriction decision (and one ResidualContext) for the
-        # block instead of one per level.
-        sections = tuple(
-            PlanSection(
-                protocol.steps_per_level,
-                None,
-                protocol._absorb_window,
-                protocol._absorb_window_at,
-                protocol._absorb_coo,
-            )
-            for _ in range(protocol.levels)
-        )
-
+        protocol.bind_key(rng)
+        # One unlabeled section per density level: a chunk never spans
+        # two levels, which bounds its working set by one level's rows
+        # while the whole ladder shares one plan.
         yield StreamedWindow(
-            TransmitPlan(
-                total, masks,
-                support=protocol.active, masks_at=masks_at,
-                pipeline=PipelineForm(
-                    coins, row_probs, lambda start: protocol.p
-                ),
+            TransmitterPlan(total, protocol.transmitters),
+            sections=tuple(
+                PlanSection(
+                    protocol.steps_per_level,
+                    consume_coo=protocol._absorb_coo,
+                )
+                for _ in range(protocol.levels)
             ),
-            sections=sections,
         )
     return protocol.result()
 

@@ -29,15 +29,15 @@ from typing import Hashable
 
 import numpy as np
 
-from ..engine.pcg import CoinField
 from ..engine.policy import ExecutionPolicy, legacy_policy
 from ..engine.segments import (
     PlanSection,
     ProtocolSchedule,
     StreamedWindow,
     TracePhase,
+    TransmitterPlan,
 )
-from ..radio.network import PipelineForm, RadioNetwork, TransmitPlan
+from ..radio.network import RadioNetwork
 from .decay import Decay, claim10_iterations, run_decay_reference
 from .resulteq import ArrayEqMixin
 from .effective_degree import (
@@ -188,86 +188,52 @@ def mis_schedule(
 
         # --- both Decay blocks, fused into one streamed plan -----------
         # The two blocks of a round ("did a neighbor mark itself?" and
-        # the MIS-membership announcement) share one TransmitPlan, so
-        # chunk dispatch, fault masking, and density routing run once
-        # per round. The second block's membership (joined = marked
-        # nodes that heard no marked neighbor) depends on the first
-        # block's outcome, which is legal inside one plan because the
-        # runner never lets a chunk straddle the PlanSection boundary:
-        # by the first mask request of section 2, section 1 is fully
-        # folded. Coins come from one CoinField in row order, so the
-        # rng stream equals the two sequential blocks' draws exactly.
+        # the MIS-membership announcement) share one TransmitterPlan, so
+        # chunk dispatch runs once per round. The second block's
+        # membership (joined = marked nodes that heard no marked
+        # neighbor) depends on the first block's outcome, which is
+        # legal inside one plan because the runner never lets a chunk
+        # straddle the PlanSection boundary: by the first request for a
+        # section-2 row, section 1 is fully folded. Each block draws
+        # its key where the step-wise twin's block does — the first at
+        # the plan, the second at its first row — so the rng stream
+        # equals the two sequential blocks' draws exactly.
         d1 = Decay(
             network, marked, iterations=decay_iters, n_estimate=n_est
         )
+        d1.bind_key(rng)
         span = d1.total_steps
-        probs = 2.0 ** -((np.arange(span) % d1.span) + 1.0)
-        coins = CoinField(rng, n)
         second: list[Decay] = []
 
         def _second() -> Decay:
             if not second:
-                second.append(
-                    Decay(
-                        network,
-                        d1.active & ~d1.heard,
-                        iterations=decay_iters,
-                        n_estimate=n_est,
-                    )
+                d2 = Decay(
+                    network,
+                    d1.active & ~d1.heard,
+                    iterations=decay_iters,
+                    n_estimate=n_est,
                 )
+                d2.bind_key(rng)
+                second.append(d2)
             return second[0]
 
-        def masks(start: int, stop: int) -> np.ndarray:
-            flips = coins.draw(start, stop)
+        def transmitters(
+            start: int, stop: int
+        ) -> tuple[np.ndarray, np.ndarray]:
             if stop <= span:
-                return (
-                    flips < probs[start:stop, None]
-                ) & d1.active[None, :]
-            return (
-                flips < probs[start - span:stop - span, None]
-            ) & _second().active[None, :]
-
-        def masks_at(
-            start: int, stop: int, cols: np.ndarray
-        ) -> np.ndarray:
-            flips = coins.draw_at(start, stop, cols)
-            if stop <= span:
-                return (
-                    flips < probs[start:stop, None]
-                ) & d1.active[cols][None, :]
-            return (
-                flips < probs[start - span:stop - span, None]
-            ) & _second().active[cols][None, :]
-
-        def col_probs(start: int) -> np.ndarray:
-            # Separable form: the ladder probability is the row factor
-            # and the block's 0/1 membership the column factor, chosen
-            # by which section's rows the chunk covers (chunks never
-            # straddle the section boundary).
-            block = d1.active if start < span else _second().active
-            return block.astype(np.float64)
+                return d1.transmitters(start, stop)
+            return _second().transmitters(start - span, stop - span)
 
         yield StreamedWindow(
-            TransmitPlan(
-                2 * span, masks,
-                support=active.copy(), masks_at=masks_at,
-                pipeline=PipelineForm(
-                    coins, np.concatenate([probs, probs]), col_probs
-                ),
-            ),
+            TransmitterPlan(2 * span, transmitters),
             sections=(
                 PlanSection(
-                    span, "mis/decay-marked",
-                    d1._absorb_window, d1._absorb_window_at,
-                    d1._absorb_coo,
+                    span, "mis/decay-marked", consume_coo=d1._absorb_coo
                 ),
                 PlanSection(
-                    span, "mis/decay-mis",
-                    lambda slab: _second()._absorb_window(slab),
-                    lambda slab, cols: _second()._absorb_window_at(
-                        slab, cols
-                    ),
-                    lambda k, steps, nodes, senders: (
+                    span,
+                    "mis/decay-mis",
+                    consume_coo=lambda k, steps, nodes, senders: (
                         _second()._absorb_coo(k, steps, nodes, senders)
                     ),
                 ),

@@ -37,14 +37,15 @@ instead of step-at-a-time.
 Orthogonal to both forms is *streaming* execution
 (:mod:`repro.engine.streaming`): a window too wide to materialize is
 carried as a :class:`~repro.engine.segments.StreamedWindow` — a lazy
-:class:`~repro.radio.network.TransmitPlan` plus a per-chunk fold — and
-the runner executes it through
-:meth:`~repro.radio.network.RadioNetwork.deliver_window_chunks` in
-``(chunk_steps, n)`` slabs, with the slab height derived from a peak-
-memory budget. Bit-identical to the monolithic path on shared seeds;
-peak memory becomes a tunable instead of a function of ``w * n``, which
-is what makes ``n >= 10^5`` runs practical (DESIGN.md, "Streaming
-windows").
+plan plus a per-chunk fold — and the runner executes it in bounded
+chunks, with the chunk height derived from a peak-memory budget. A
+mask plan (:class:`~repro.radio.network.TransmitPlan`) runs through
+:meth:`~repro.radio.network.RadioNetwork.deliver_window_chunks`; a
+transmitter-list plan (:class:`~repro.engine.segments.TransmitterPlan`,
+rows sampled by :mod:`repro.engine.sampler`) runs on the COO delivery
+kernels, at a cost that follows the transmissions rather than ``n``
+times the steps (DESIGN.md, "Streaming windows" and "The rng-stream
+contract").
 """
 
 from .kernels import (
@@ -56,7 +57,6 @@ from .kernels import (
     require_delivery_mode,
 )
 from .mux import multiplex
-from .pcg import CoinField
 from .policy import (
     ENGINE_MODES,
     ExecutionPolicy,
@@ -64,7 +64,6 @@ from .policy import (
     legacy_policy,
     parse_mem_budget,
 )
-from .residual import RESTRICT_MODES, ResidualContext
 from .runner import (
     DELIVERY_MODES,
     ProtocolSegmentSource,
@@ -73,6 +72,7 @@ from .runner import (
     run_schedule,
     segment_schedule,
 )
+from .sampler import STREAM_VERSION, RowSampler
 from .segments import (
     COIN_BUDGET,
     DecisionStep,
@@ -84,6 +84,7 @@ from .segments import (
     SegmentProtocol,
     StreamedWindow,
     TracePhase,
+    TransmitterPlan,
     coin_chunk,
 )
 from .streaming import (
@@ -101,15 +102,14 @@ __all__ = [
     "ALL_DELIVERY_MODES",
     "COIN_BUDGET",
     "COMPILED_DELIVERY_MODES",
-    "CoinField",
     "DELIVERY_MODES",
     "DeliveryKernels",
     "ENGINE_MODES",
     "DecisionStep",
     "ExecutionPolicy",
     "PlanSection",
-    "RESTRICT_MODES",
-    "ResidualContext",
+    "RowSampler",
+    "STREAM_VERSION",
     "TRACE_MODES",
     "ObliviousnessViolationError",
     "ObliviousWindow",
@@ -123,6 +123,7 @@ __all__ = [
     "StreamedWindow",
     "StreamingSegmentProtocol",
     "TracePhase",
+    "TransmitterPlan",
     "ValidatingRunner",
     "WindowedRunner",
     "available_delivery_modes",

@@ -4,18 +4,17 @@
 :class:`~repro.radio.RadioNetwork` factored out onto bare
 ``(indptr, indices)`` arrays, so the same density-adaptive routing and
 the same exact integer arithmetic can run against *any* CSR — the full
-adjacency or a residual sub-graph built by
-:meth:`~repro.graphs.context.GraphContext.induced_csr` when a
-protocol's live set has collapsed (:mod:`repro.engine.residual`).
+adjacency or a sub-graph built by
+:meth:`~repro.graphs.context.GraphContext.induced_csr`.
 
 Degree-dependent routing state (max/min degree for the auto router's
 output-size pre-emption, the dense packing bound) is **recomputed from
-the CSR handed in**, never inherited from a parent graph: a residual
+the CSR handed in**, never inherited from a parent graph: an induced
 sub-graph's degrees are what its routing decisions must use (inherited
 extremes would over-route shrunken graphs dense and can violate the
 packing bound's premise in the other direction).
 
-Three optional compiled tiers register here:
+Two optional compiled tiers register here:
 
 * ``"numba"`` — an ``@njit`` CSR scatter kernel (per-row transmitter
   walk, integer collision counts, last-writer sender slots). Every
@@ -27,20 +26,6 @@ Three optional compiled tiers register here:
   componentwise, so it sits in the same exactness tier wherever the
   device's flush-to-zero settings leave exact integer adds alone
   (DESIGN.md §7 documents the tiers).
-* ``"pipeline"`` (ISSUE 9) — the fused coin+fault+delivery chunk pass.
-  Its compiled leg (:func:`pipeline_mask_kernel`, gated on numba)
-  draws PCG64 coins inline per row from
-  :func:`~repro.engine.pcg.row_base_states` launch states — the exact
-  draw-for-draw arithmetic of ``rng.random((k, n))`` — and compares
-  against separable ``row_prob * col_prob`` thresholds in the same
-  loop, never materializing the float coin block. The pure-NumPy
-  blocked fallback (what ``delivery="auto"`` runs by default, see
-  :meth:`~repro.engine.runner.WindowedRunner._pipeline_masks`) keeps
-  the fused *structure* — in-place fault transforms, COO reception
-  delivery via :meth:`DeliveryKernels.execute_coo`, no ``(k, n)``
-  hear slab — with coins still drawn as one block. Forcing
-  ``delivery="pipeline"`` without numba refuses by name; the numpy
-  fused pass is an ``"auto"`` behavior, not an installable mode.
 
 No optional dependency is imported until probed; probing is cached.
 Requesting an absent backend raises the uniform
@@ -50,8 +35,6 @@ alternatives — silent fallback happens only under ``delivery="auto"``
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,20 +51,14 @@ from ..radio.network import (
 )
 
 #: Delivery modes that require an optional compiled dependency.
-COMPILED_DELIVERY_MODES = ("numba", "cupy", "pipeline")
+COMPILED_DELIVERY_MODES = ("numba", "cupy")
 
 #: Every delivery mode the policy layer accepts (availability is a
 #: separate question — see :func:`require_delivery_mode`).
 ALL_DELIVERY_MODES = DELIVERY_MODES + COMPILED_DELIVERY_MODES
 
-#: The package each compiled mode actually needs (the pipeline tier's
-#: compiled leg is a numba kernel, not a package of its own).
-_MODE_PACKAGE = {"numba": "numba", "cupy": "cupy", "pipeline": "numba"}
-
 _probe_cache: dict[str, bool] = {}
 _numba_kernel = None
-_pipeline_kernel = None
-_pipeline_active = True
 
 
 def probe_numba() -> bool:
@@ -112,30 +89,7 @@ def probe_cupy() -> bool:
 _PROBES = {
     "numba": probe_numba,
     "cupy": probe_cupy,
-    "pipeline": probe_numba,
 }
-
-
-def pipeline_enabled() -> bool:
-    """Whether ``delivery="auto"`` may take the fused pipeline pass."""
-    return _pipeline_active
-
-
-@contextlib.contextmanager
-def pipeline_disabled():
-    """Force the unfused (pre-ISSUE-9) chunk paths under ``"auto"``.
-
-    The benchmarks' baseline leg and the pipeline equivalence tests
-    use this to pin the fused pass against the classic slab path on
-    one rng stream.
-    """
-    global _pipeline_active
-    previous = _pipeline_active
-    _pipeline_active = False
-    try:
-        yield
-    finally:
-        _pipeline_active = previous
 
 
 def available_delivery_modes() -> tuple[str, ...]:
@@ -164,9 +118,8 @@ def require_delivery_mode(mode: str) -> None:
             f"(expected one of {ALL_DELIVERY_MODES})"
         )
     if mode in COMPILED_DELIVERY_MODES and not _PROBES[mode]():
-        package = _MODE_PACKAGE[mode]
         raise ProtocolError(
-            f"delivery mode {mode!r} requires the {package!r} package, "
+            f"delivery mode {mode!r} requires the {mode!r} package, "
             f"which is not installed (or has no usable device); "
             f"installed delivery modes: {available_delivery_modes()}"
         )
@@ -176,8 +129,6 @@ def compiled_kernel_name(mode: str) -> str:
     """The chunk-kernel family a resolved ``delivery`` mode will use
     for its (popcount-)sparse rows — recorded in ``RunReport``
     provenance so a run names the code that produced it."""
-    if mode == "pipeline":
-        return "pipeline-numba"
     if mode == "numba" or (mode == "auto" and probe_numba()):
         return "csr-numba"
     if mode == "cupy":
@@ -224,90 +175,6 @@ def _get_numba_kernel():  # pragma: no cover - needs numba installed
     return _numba_kernel
 
 
-def _fused_mask_row(s_hi, s_lo, i_hi, i_lo, m_hi, m_lo, r, cp, out_row):
-    """One row of the fused coin+threshold pass, scalar PCG64 steps.
-
-    ``(s_hi, s_lo)`` is the 128-bit LCG state at the row start (from
-    :func:`~repro.engine.pcg.row_base_states`); each column advances
-    the state once (schoolbook 64x64 limb multiply, exactly
-    :func:`~repro.engine.pcg._mulhi64`'s arithmetic scalarized),
-    applies numpy's XSL-RR output and 53-bit double conversion, and
-    stores ``coin < r * cp[v]`` — the separable threshold the pipeline
-    plan forms guarantee matches the emitter's vectorized mask math
-    bit-for-bit. Written in numba-jittable scalar style but kept plain
-    Python at module level so the arithmetic is pinned by tests without
-    the dependency (run under ``np.errstate(over="ignore")``: uint64
-    wraparound is the point).
-    """
-    mask32 = np.uint64(0xFFFFFFFF)
-    c32 = np.uint64(32)
-    c58 = np.uint64(58)
-    c64 = np.uint64(64)
-    c63 = np.uint64(63)
-    c11 = np.uint64(11)
-    one = np.uint64(1)
-    inv_2_53 = 2.0**-53
-    n = out_row.shape[0]
-    for v in range(n):
-        a0 = s_lo & mask32
-        a1 = s_lo >> c32
-        b0 = m_lo & mask32
-        b1 = m_lo >> c32
-        p00 = a0 * b0
-        p01 = a0 * b1
-        p10 = a1 * b0
-        carry = ((p00 >> c32) + (p01 & mask32) + (p10 & mask32)) >> c32
-        mul_hi = a1 * b1 + (p01 >> c32) + (p10 >> c32) + carry
-        lo = s_lo * m_lo
-        hi = mul_hi + s_hi * m_lo + s_lo * m_hi
-        lo2 = lo + i_lo
-        if lo2 < lo:
-            hi = hi + one
-        s_hi = hi + i_hi
-        s_lo = lo2
-        rot = s_hi >> c58
-        x = s_hi ^ s_lo
-        word = (x >> rot) | (x << ((c64 - rot) & c63))
-        coin = np.float64(word >> c11) * inv_2_53
-        out_row[v] = coin < r * cp[v]
-
-
-def _get_pipeline_kernel():  # pragma: no cover - needs numba
-    """Build (once) the compiled fused coin+mask pipeline kernel.
-
-    Row-parallel: each window row starts from its jump-ahead launch
-    state and runs :func:`_fused_mask_row` compiled — rows are
-    independent PCG64 subsequences, so ``prange`` introduces no
-    ordering hazard and the output is bit-identical to the sequential
-    block draw.
-    """
-    global _pipeline_kernel
-    if _pipeline_kernel is None:
-        import numba
-
-        row = numba.njit(cache=True)(_fused_mask_row)
-
-        @numba.njit(cache=True, parallel=True)
-        def _fused_masks(s_hi, s_lo, i_hi, i_lo, m_hi, m_lo, rp, cp, out):
-            for t in numba.prange(out.shape[0]):
-                row(s_hi[t], s_lo[t], i_hi, i_lo, m_hi, m_lo, rp[t], cp, out[t])
-
-        _pipeline_kernel = _fused_masks
-    return _pipeline_kernel
-
-
-def pipeline_mask_kernel():
-    """The compiled fused mask kernel, or ``None`` without numba.
-
-    The runner's pipeline pass calls this per chunk; ``None`` selects
-    the pure-NumPy blocked fallback (block coin draw + per-row
-    threshold compare), which shares every downstream fused stage.
-    """
-    if not probe_numba():
-        return None
-    return _get_pipeline_kernel()  # pragma: no cover - needs numba
-
-
 class DeliveryKernels:
     """Window-delivery kernels bound to one CSR adjacency.
 
@@ -325,8 +192,8 @@ class DeliveryKernels:
     :class:`~repro.radio.RadioNetwork` exactly (same popcount
     thresholds, same output-size pre-emption, same packed-modulus dense
     product), so executing a mask block here is bit-identical to
-    executing it there — the property the residual path's equivalence
-    tests pin.
+    executing it there — the property the COO kernel tests and the
+    validating runner pin.
     """
 
     def __init__(
@@ -335,10 +202,10 @@ class DeliveryKernels:
         self.n = int(n)
         self.indptr = np.ascontiguousarray(indptr)
         self.indices = np.ascontiguousarray(indices)
-        # Satellite fix (ISSUE 7): degree extremes are *recomputed* from
-        # this CSR. Residual sub-graphs routed on a parent's cached
-        # extremes would mis-route (stale max_degree over-triggers the
-        # spmm pre-emption; a stale packing bound is unsound upward).
+        # Degree extremes are *recomputed* from this CSR. Sub-graphs
+        # routed on a parent's cached extremes would mis-route (stale
+        # max_degree over-triggers the spmm pre-emption; a stale
+        # packing bound is unsound upward).
         self.degrees = np.diff(self.indptr).astype(np.int64)
         self.max_degree = int(self.degrees.max()) if self.n else 0
         self.min_degree = int(self.degrees.min()) if self.n else 0
@@ -478,47 +345,42 @@ class DeliveryKernels:
             return self._gather(masks, hear_from)
         return self._spmm(masks, hear_from)
 
-    # -- COO kernels (the fused pipeline's reception form) ------------
+    # -- COO kernels (the transmitter-list reception form) ------------
     #
-    # Same routing, same exact arithmetic as the slab kernels above,
-    # but clean receptions come back as ``(step, node, sender)`` int64
-    # triples instead of being scattered into a ``(w, n)`` hear slab —
-    # receptions are sparse, so the pipeline pass skips both the slab
-    # allocation and the consumer's full-width re-scan. Triple order is
+    # Same routing, same exact arithmetic as the slab kernels above, but
+    # the block arrives as its ``(tx_step, tx_node)`` transmitter pairs
+    # (row-major, nodes ascending within a step) and clean receptions
+    # leave as ``(step, node, sender)`` int64 triples instead of a
+    # ``(w, n)`` hear slab — transmissions and receptions are sparse,
+    # so neither a mask block nor a hear slab is ever built (the dense
+    # kernel's right-hand side is dense by nature). Triple order is
     # unspecified; the ``consume_coo`` folds are order-independent.
-    # The transmitter scan runs ONCE per block (``_transmitters``) and
-    # threads through routing and kernels — the slab path's layered
-    # ``any`` + popcount + per-kernel ``nonzero`` re-scans were a
-    # visible slice of fused wall time at n = 10^5.
 
     @staticmethod
     def _empty_coo() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
 
-    def _transmitters(
-        self, masks: np.ndarray, cols: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The block's ``(tx_step, tx_node)`` transmitter pairs.
-
-        ``cols`` — sorted global column indices outside which the
-        caller guarantees every row is False (the fused pipeline's
-        active set; fault transforms only ever *clear* bits, so the
-        guarantee survives them) — restricts the scan to a compact
-        column gather when that is meaningfully narrower than the full
-        width. Pair order matches the full-width ``np.nonzero``:
-        row-major, columns ascending within a row.
-        """
-        if cols is not None and 2 * cols.size <= self.n:
-            tx_step, tx_local = np.nonzero(masks[:, cols])
-            return tx_step, cols[tx_local]
-        return np.nonzero(masks)
+    def _listening(
+        self,
+        step: np.ndarray,
+        node: np.ndarray,
+        tx_step: np.ndarray,
+        tx_node: np.ndarray,
+    ) -> np.ndarray:
+        """Half-duplex from the pairs: which ``(step, node)`` cells are
+        not themselves transmitting. Transmitter keys are sorted (the
+        pairs are row-major), so membership is one ``searchsorted``."""
+        tx_key = tx_step * self.n + tx_node
+        key = step * self.n + node
+        at = np.minimum(np.searchsorted(tx_key, key), tx_key.size - 1)
+        return tx_key[at] != key
 
     def _dense_rows_tx(
         self, w: int, tx_step: np.ndarray, tx_node: np.ndarray
     ) -> np.ndarray:
-        """:meth:`dense_rows` recomputed from a transmitter list —
-        identical routing decisions, no re-scan of the mask block."""
+        """:meth:`dense_rows` computed from a transmitter list —
+        identical routing decisions, no mask block."""
         row_counts = np.bincount(tx_step, minlength=w)
         dense = row_counts >= DENSE_ROW_DENSITY * max(1, self.n)
         sparse = ~dense
@@ -546,13 +408,8 @@ class DeliveryKernels:
         return dense
 
     def _gather_coo(
-        self,
-        masks: np.ndarray,
-        tx: tuple[np.ndarray, np.ndarray] | None = None,
+        self, w: int, tx_step: np.ndarray, tx_node: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        tx_step, tx_node = (
-            tx if tx is not None else np.nonzero(masks)
-        )
         starts = self.indptr[tx_node].astype(np.int64)
         lens = self.indptr[tx_node + 1].astype(np.int64) - starts
         total = int(lens.sum())
@@ -576,20 +433,12 @@ class DeliveryKernels:
         senders = np.repeat(tx_node, lens)[order[single]]
         step = keys // self.n
         node = keys - step * self.n
-        keep = ~masks[step, node]
+        keep = self._listening(step, node, tx_step, tx_node)
         return step[keep], node[keep], senders[keep]
 
     def _spmm_coo(
-        self,
-        masks: np.ndarray,
-        tx: tuple[np.ndarray, np.ndarray] | None = None,
+        self, w: int, tx_step: np.ndarray, tx_node: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        w = masks.shape[0]
-        tx_step, tx_node = (
-            tx if tx is not None else np.nonzero(masks)
-        )
-        if not tx_node.size:
-            return self._empty_coo()
         if self.dense_pack_ok:
             # The dense kernel's packed-modulus trick on the sparse
             # product: one float64 spmm instead of a complex128 one
@@ -617,14 +466,8 @@ class DeliveryKernels:
             )
             out = (rhs_t @ self._matrix()).tocoo()
             step, node = out.coords
-            counts = np.remainder(out.data, modulus)
-            clean = (counts == 1.0) & ~masks[step, node]
-            sender = (
-                np.rint((out.data[clean] - 1.0) / modulus).astype(
-                    np.int64
-                )
-                - 1
-            )
+            clean = np.flatnonzero(np.remainder(out.data, modulus) == 1.0)
+            idsum1 = (out.data[clean] - 1.0) / modulus
         else:  # pragma: no cover - needs a graph beyond the 2^53 bound
             data = np.empty(tx_node.size, dtype=np.complex128)
             data.real = 1.0
@@ -634,19 +477,18 @@ class DeliveryKernels:
             )
             out = (self._complex_matrix() @ rhs).tocoo()
             node, step = out.coords
-            counts = out.data.real
-            clean = (counts == 1.0) & ~masks[step, node]
-            sender = np.rint(out.data.imag[clean]).astype(np.int64) - 1
-        return (
-            step[clean].astype(np.int64, copy=False),
-            node[clean].astype(np.int64, copy=False),
-            sender,
-        )
+            clean = np.flatnonzero(out.data.real == 1.0)
+            idsum1 = out.data.imag[clean]
+        # Half-duplex only on the single-sender cells.
+        step = step[clean].astype(np.int64)
+        node = node[clean].astype(np.int64)
+        keep = self._listening(step, node, tx_step, tx_node)
+        sender = np.rint(idsum1[keep]).astype(np.int64) - 1
+        return step[keep], node[keep], sender
 
     def _dense_coo(
-        self, masks: np.ndarray
+        self, w: int, tx_step: np.ndarray, tx_node: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        masks_t = masks.T
         if self.dense_pack_ok:
             modulus = float(self.n + 1)
             vals = self._packed_vals
@@ -654,40 +496,37 @@ class DeliveryKernels:
                 vals = 1.0 + self._ids1 * modulus
                 self._packed_vals = vals
             view = self._dense_rhs
-            if view is None or view.shape[1] != masks.shape[0]:
+            if view is None or view.shape[1] != w:
                 # Exact width: a sliced column view would lose C
                 # contiguity and the spmm would copy it right back.
-                view = np.empty(
-                    (self.n, masks.shape[0]), dtype=np.float64
-                )
+                view = np.empty((self.n, w), dtype=np.float64)
                 self._dense_rhs = view
-            np.multiply(masks_t, vals[:, None], out=view)
+            view.fill(0.0)
+            view[tx_node, tx_step] = vals[tx_node]
             out = self._matrix() @ view
             # Peak trimming: the remainder lands back in the rhs slab.
             counts = np.remainder(out, modulus, out=view)
             heard = counts == 1.0
-            heard &= ~masks_t
+            heard[tx_node, tx_step] = False
             node, step = np.nonzero(heard)
             idsum1 = (out[node, step] - 1.0) / modulus
         else:  # pragma: no cover - needs a graph beyond the 2^53 bound
-            rhs = np.where(
-                masks_t, (1.0 + 1j * self._ids1)[:, None], 0.0
-            )
+            rhs = np.zeros((self.n, w), dtype=np.complex128)
+            rhs[tx_node, tx_step] = 1.0 + 1j * self._ids1[tx_node]
             out = self._complex_matrix() @ rhs
-            heard = (~masks_t) & (out.real == 1.0)
+            heard = out.real == 1.0
+            heard[tx_node, tx_step] = False
             node, step = np.nonzero(heard)
             idsum1 = out.imag[node, step]
         sender = np.rint(idsum1).astype(np.int64) - 1
         return step, node, sender
 
     def _sparse_coo(
-        self,
-        masks: np.ndarray,
-        tx: tuple[np.ndarray, np.ndarray] | None = None,
+        self, w: int, tx_step: np.ndarray, tx_node: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if masks.shape[0] <= GATHER_WINDOW_WIDTH:
-            return self._gather_coo(masks, tx)
-        return self._spmm_coo(masks, tx)
+        if w <= GATHER_WINDOW_WIDTH:
+            return self._gather_coo(w, tx_step, tx_node)
+        return self._spmm_coo(w, tx_step, tx_node)
 
     # -- compiled kernels ---------------------------------------------
 
@@ -702,10 +541,13 @@ class DeliveryKernels:
             )
         )
 
-    def _numba_coo(self, masks):  # pragma: no cover - needs numba
-        """COO form of the compiled CSR walk: run the slab kernel,
-        then lift its (sparse) receptions out — still far cheaper than
-        the uncompiled products, and zero new compiled surface."""
+    def _numba_coo(
+        self, w, tx_step, tx_node
+    ):  # pragma: no cover - needs numba
+        """COO form of the compiled CSR walk: run the slab kernel on
+        the expanded masks, then lift its (sparse) receptions out."""
+        masks = np.zeros((w, self.n), dtype=bool)
+        masks[tx_step, tx_node] = True
         hear_from = np.full(masks.shape, NO_SENDER, dtype=np.int64)
         self._numba(masks, hear_from)
         step, node = np.nonzero(hear_from != NO_SENDER)
@@ -759,10 +601,7 @@ class DeliveryKernels:
         accepts every member of :data:`ALL_DELIVERY_MODES`; ``"auto"``
         routes per row — dense rows to the packed matmul, sparse rows
         to the compiled CSR kernel when numba is installed, the
-        gather/spmm pair otherwise (``"pipeline"`` falls through to the
-        same auto routing here: blocks that are not pipeline-capable —
-        decision steps, plans without a separable form — still execute
-        under a forced pipeline policy). ``counters`` (when given) is
+        gather/spmm pair otherwise. ``counters`` (when given) is
         bumped per kernel leg with the number of rows it executed,
         feeding ``RunReport`` delivery provenance.
         """
@@ -825,89 +664,74 @@ class DeliveryKernels:
 
     def execute_coo(
         self,
-        masks: np.ndarray,
+        w: int,
+        tx_step: np.ndarray,
+        tx_node: np.ndarray,
         mode: str,
         counters: dict[str, int] | None = None,
-        cols: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Execute one ``(w, n)`` mask block to a reception triple.
+        """Execute a ``w``-step block given as transmitter pairs.
 
-        The pipeline pass's delivery stage: same per-row routing and
-        the same exact kernels as :meth:`execute`, returning clean
-        receptions as ``(step, node, sender)`` int64 arrays (arbitrary
-        order) instead of scattering a hear slab. ``mode`` ``"auto"``
-        and ``"pipeline"`` route per row (the compiled CSR walk serves
-        the sparse side when numba is installed); ``"sparse"`` and
-        ``"dense"`` force those kernels. ``cols`` (optional, sorted
-        global indices) promises every mask column outside it is
-        False, letting the single up-front transmitter scan
-        (:meth:`_transmitters`) run compact. Counter names carry a
-        ``coo-`` prefix so ``kernel_use`` provenance distinguishes the
-        fused tier from slab execution.
+        ``(tx_step, tx_node)`` are int64, row-major with nodes
+        ascending within a step. Same per-row routing and the same
+        exact kernels as :meth:`execute`, returning clean receptions as
+        ``(step, node, sender)`` int64 arrays (arbitrary order) instead
+        of scattering a hear slab. ``mode`` ``"auto"`` routes per row
+        (the compiled CSR walk serves the sparse side when numba is
+        installed); ``"sparse"`` and ``"dense"`` force those kernels.
+        Counter names carry a ``coo-`` prefix so ``kernel_use``
+        provenance distinguishes this form from slab execution.
         """
 
         def bump(name: str, rows: int) -> None:
             if counters is not None:
                 counters[name] = counters.get(name, 0) + rows
 
-        w = masks.shape[0]
         if w == 0:
             return self._empty_coo()
-        tx = self._transmitters(masks, cols)
-        if not tx[0].size:
+        if not tx_step.size:
             bump("skip-empty", w)
             return self._empty_coo()
         if mode == "dense":
             bump("coo-dense", w)
-            return self._dense_coo(masks)
+            return self._dense_coo(w, tx_step, tx_node)
         if mode == "sparse":
             bump(
                 "coo-gather" if w <= GATHER_WINDOW_WIDTH else "coo-spmm",
                 w,
             )
-            return self._sparse_coo(masks, tx)
-        dense_rows = self._dense_rows_tx(w, tx[0], tx[1])
+            return self._sparse_coo(w, tx_step, tx_node)
+        dense_rows = self._dense_rows_tx(w, tx_step, tx_node)
         if probe_numba():  # pragma: no cover - needs numba
-            numba_sparse = True
+            sparse_exec = self._numba_coo
             sparse_name = "coo-csr-numba"
         else:
-            numba_sparse = False
+            sparse_exec = self._sparse_coo
             sparse_name = None
         if not dense_rows.any():
-            if sparse_name is None:
-                bump(
-                    "coo-gather"
-                    if w <= GATHER_WINDOW_WIDTH
-                    else "coo-spmm",
-                    w,
-                )
-                return self._sparse_coo(masks, tx)
-            bump(sparse_name, w)  # pragma: no cover - needs numba
-            return self._numba_coo(masks)
+            bump(
+                sparse_name
+                or ("coo-gather" if w <= GATHER_WINDOW_WIDTH else "coo-spmm"),
+                w,
+            )
+            return sparse_exec(w, tx_step, tx_node)
         if dense_rows.all():
             bump("coo-dense", w)
-            return self._dense_coo(masks)
-        tx_step, tx_node = tx
+            return self._dense_coo(w, tx_step, tx_node)
         parts = []
-        for rows, name in (
-            (dense_rows, "coo-dense"),
-            (~dense_rows, sparse_name or "coo-sparse-mixed"),
+        for rows, execute, name in (
+            (dense_rows, self._dense_coo, "coo-dense"),
+            (~dense_rows, sparse_exec, sparse_name or "coo-sparse-mixed"),
         ):
-            idx = np.nonzero(rows)[0]
+            # Re-key the sub-block's transmitters onto its own row
+            # numbering; pairs stay row-major.
+            idx = np.flatnonzero(rows)
             bump(name, idx.size)
-            if rows is dense_rows:
-                step, node, sender = self._dense_coo(masks[idx])
-            elif numba_sparse:  # pragma: no cover - needs numba
-                step, node, sender = self._numba_coo(masks[idx])
-            else:
-                # Re-key the precomputed transmitters onto the
-                # sub-block's row numbering instead of re-scanning.
-                sel = rows[tx_step]
-                renum = np.cumsum(rows) - 1
-                step, node, sender = self._sparse_coo(
-                    masks[idx],
-                    (renum[tx_step[sel]], tx_node[sel]),
-                )
+            sel = rows[tx_step]
+            renum = np.cumsum(rows) - 1
+            step, node, sender = execute(
+                idx.size, renum[tx_step[sel]], tx_node[sel]
+            )
             parts.append((idx[step], node, sender))
         return (
             np.concatenate([p[0] for p in parts]),
@@ -922,9 +746,6 @@ __all__ = [
     "DeliveryKernels",
     "available_delivery_modes",
     "compiled_kernel_name",
-    "pipeline_disabled",
-    "pipeline_enabled",
-    "pipeline_mask_kernel",
     "probe_cupy",
     "probe_numba",
     "require_delivery_mode",

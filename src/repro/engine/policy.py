@@ -43,7 +43,6 @@ from .kernels import (
     available_delivery_modes,
     require_delivery_mode,
 )
-from .residual import RESTRICT_MODES, validate_restrict
 from .streaming import memory_budget, resolve_chunk_steps
 
 #: Every engine variant any protocol accepts. ``"auto"`` defers to the
@@ -207,15 +206,6 @@ class ExecutionPolicy:
         ``"default"`` (full :class:`~repro.radio.trace.StepTrace`) or
         ``"cheap"`` (totals only). Networks the caller built keep the
         trace they were built with.
-    restrict:
-        Active-set restriction mode for streamed plans that declare a
-        transmit support (``"auto"``/``"off"``/``"force"``, see
-        :mod:`repro.engine.residual`). ``"auto"`` (default) switches to
-        residual-graph delivery when the live set is small enough to
-        pay; ``"off"`` never restricts; ``"force"`` restricts whenever
-        a plan allows it (equivalence tests pin the restricted path
-        with it). A performance knob: results are bit-identical either
-        way.
     faults:
         A :class:`~repro.faults.FaultSchedule` to install on the
         network the run executes over (``None`` = unset; :meth:`resolve`
@@ -238,7 +228,18 @@ class ExecutionPolicy:
     validate: bool = False
     trace: str = "default"
     faults: FaultSchedule | None = None
-    restrict: str = "auto"
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> "ExecutionPolicy":
+        # Unknown keywords (including knobs earlier versions accepted,
+        # like ``restrict``) get the uniform refusal naming the
+        # accepted fields, not the dataclass constructor's TypeError.
+        unknown = sorted(set(kwargs) - set(POLICY_FIELDS))
+        if unknown:
+            raise ProtocolError(
+                f"unknown ExecutionPolicy field(s) {unknown} "
+                f"(accepted fields: {POLICY_FIELDS})"
+            )
+        return super().__new__(cls)
 
     def __post_init__(self) -> None:
         validate_engine(self.engine)
@@ -247,7 +248,6 @@ class ExecutionPolicy:
         validate_mem_budget(self.mem_budget)
         validate_trace(self.trace)
         validate_faults(self.faults)
-        validate_restrict(self.restrict)
 
     def engine_for(
         self, allowed: tuple[str, ...], default: str
@@ -366,7 +366,6 @@ class ExecutionPolicy:
             delivery=self.delivery,
             chunk_steps=self.chunk_steps,
             mem_budget=self.mem_budget,
-            restrict=self.restrict,
         )
 
     def run_schedule(
@@ -377,6 +376,11 @@ class ExecutionPolicy:
     ):
         """Execute a schedule under this policy (one-shot runner)."""
         return self.runner(network, max_steps=max_steps).run(schedule)
+
+
+#: The policy's field names, in declaration order — the accepted set
+#: every refusal of an unknown field names.
+POLICY_FIELDS = tuple(f.name for f in dataclasses.fields(ExecutionPolicy))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +437,7 @@ __all__ = [
     "ALL_DELIVERY_MODES",
     "ENGINE_MODES",
     "ExecutionPolicy",
-    "RESTRICT_MODES",
+    "POLICY_FIELDS",
     "TRACE_MODES",
     "available_delivery_modes",
     "legacy_policy",
@@ -442,6 +446,5 @@ __all__ = [
     "validate_delivery",
     "validate_engine",
     "validate_mem_budget",
-    "validate_restrict",
     "validate_trace",
 ]

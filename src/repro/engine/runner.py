@@ -48,20 +48,10 @@ from ..radio.errors import BudgetExceededError, ProtocolError
 from ..radio.network import (
     DELIVERY_MODES,
     NO_SENDER,
-    PipelineForm,
     RadioNetwork,
     TransmitPlan,
-    as_transmit_plan,
 )
-from . import kernels
 from .kernels import require_delivery_mode
-from .residual import (
-    REBUILD_FACTOR,
-    RESIDUAL_MAX_FRACTION,
-    RESTRICT_LIVE_FRACTION,
-    ResidualContext,
-    validate_restrict,
-)
 from .segments import (
     DecisionStep,
     ObliviousWindow,
@@ -70,6 +60,7 @@ from .segments import (
     SegmentProtocol,
     StreamedWindow,
     TracePhase,
+    TransmitterPlan,
 )
 from .streaming import default_stream_chunk, resolve_chunk_steps
 
@@ -120,13 +111,11 @@ class WindowedRunner:
         delivery: str = "auto",
         chunk_steps: int | None = None,
         mem_budget: int | None = None,
-        restrict: str = "auto",
     ) -> None:
         # All delivery modes (including the compiled numba/cupy
         # backends) validate through the kernel registry: unknown names
         # and absent dependencies are refused here, before any run.
         require_delivery_mode(delivery)
-        validate_restrict(restrict)
         # Validate the streaming knobs eagerly (resolution also consults
         # the process-wide default, so it happens per execution).
         resolve_chunk_steps(network.n, chunk_steps, mem_budget)
@@ -135,28 +124,12 @@ class WindowedRunner:
         self.delivery = delivery
         self.chunk_steps = chunk_steps
         self.mem_budget = mem_budget
-        self.restrict = restrict
         self.steps_executed = 0
-        # Residual-delivery cache: the current ResidualContext, plus
-        # the live count at which auto last declined one (so the
-        # closure test is only retried after the live set halves again).
-        self._residual_cache: ResidualContext | None = None
-        self._residual_declined_live: int | None = None
-        # Reused (n,) threshold row for the non-binary pipeline mask
-        # fallback (see _pipeline_masks).
-        self._pipeline_thresh: np.ndarray | None = None
 
-    def _resolved_chunk_steps(self, width: int | None = None) -> int | None:
-        """The configured streaming bound, or ``None`` when unset.
-
-        ``width`` re-resolves a ``mem_budget`` against a restricted
-        column width: the same byte cap buys proportionally taller
-        slabs on a residual world.
-        """
+    def _resolved_chunk_steps(self) -> int | None:
+        """The configured streaming bound, or ``None`` when unset."""
         return resolve_chunk_steps(
-            self.network.n if width is None else max(1, width),
-            self.chunk_steps,
-            self.mem_budget,
+            self.network.n, self.chunk_steps, self.mem_budget
         )
 
     def _charge(self, steps: int) -> None:
@@ -205,8 +178,8 @@ class WindowedRunner:
         """The section list of a streamed window.
 
         Fused windows carry their own sections; a plain window becomes
-        one anonymous section wrapping its ``consume``/``consume_at``
-        callbacks, so there is exactly one streaming loop either way.
+        one anonymous section wrapping its ``consume``/``consume_coo``
+        callbacks, so there is exactly one loop per plan form.
         """
         if segment.sections is not None:
             total = sum(s.width for s in segment.sections)
@@ -221,113 +194,31 @@ class WindowedRunner:
                 segment.plan.total_steps,
                 None,
                 segment.consume,
-                segment.consume_at,
                 segment.consume_coo,
             ),
         )
 
-    def _restriction_for(
-        self, plan: TransmitPlan, sections: tuple[PlanSection, ...]
-    ) -> ResidualContext | None:
-        """Decide (and cache) the residual context for one plan.
-
-        ``None`` means execute full-width. Restriction needs the plan's
-        opt-in surface (``support`` + ``masks_at``) and every section's
-        ``consume_at``. Under ``"auto"``, it also needs to be worth it:
-        the live fraction at or below
-        :data:`~repro.engine.residual.RESTRICT_LIVE_FRACTION` and the
-        one-hop closure below
-        :data:`~repro.engine.residual.RESIDUAL_MAX_FRACTION` of ``n``.
-        Contexts are reused while the support stays inside the cached
-        member set and the live count has not halved since the build
-        (:data:`~repro.engine.residual.REBUILD_FACTOR`); ``"force"``
-        restricts whenever the plan allows, which is how the
-        equivalence suites pin the restricted path at any scale.
-        """
-        if self.restrict == "off":
-            return None
-        if plan.support is None or plan.masks_at is None:
-            return None
-        if any(s.consume_at is None for s in sections):
-            return None
-        network = self.network
-        support = np.asarray(plan.support, dtype=bool)
-        live = int(support.sum())
-        if self.restrict == "auto":
-            if live > RESTRICT_LIVE_FRACTION * network.n:
-                return None
-            declined = self._residual_declined_live
-            if declined is not None and live > REBUILD_FACTOR * declined:
-                return None
-        cached = self._residual_cache
-        if cached is not None and cached.covers(support):
-            if (
-                self.restrict == "force"
-                or live >= REBUILD_FACTOR * cached.live_at_build
-            ):
-                return cached
-        ctx = ResidualContext(network, support)
-        if (
-            self.restrict == "auto"
-            and ctx.k > RESIDUAL_MAX_FRACTION * network.n
-        ):
-            self._residual_declined_live = live
-            return None
-        self._residual_declined_live = None
-        self._residual_cache = ctx
-        network.residual_stats["rebuilds"] += 1
-        return ctx
-
-    def _coo_fold_ok(self, sections: tuple[PlanSection, ...]) -> bool:
-        """Whether the fused COO reception path may serve this plan.
-
-        Needs every section's ``consume_coo`` fold and a delivery mode
-        that routes per row (``"auto"``, gated on the module toggle so
-        benchmarks can pin the unfused baseline, or a forced
-        ``"pipeline"``). The validating runner overrides this to
-        ``False``: its replay machinery compares the *slab* paths, and
-        the pipeline itself is pinned by its own equivalence suite.
-        """
-        if self.delivery == "auto":
-            if not kernels.pipeline_enabled():
-                return False
-        elif self.delivery != "pipeline":
-            return False
-        return all(s.consume_coo is not None for s in sections)
-
-    def _pipeline_for(
-        self, plan: TransmitPlan, sections: tuple[PlanSection, ...]
-    ) -> PipelineForm | None:
-        """The plan's separable form when the fused pass may run."""
-        if plan.pipeline is None or not self._coo_fold_ok(sections):
-            return None
-        return plan.pipeline
-
     def _execute_stream(self, segment: StreamedWindow) -> None:
         """Execute one streamed window, folding chunks as they arrive.
 
-        Budget charges land per chunk, after its masks are produced and
+        Budget charges land per chunk, after its rows are produced and
         before it executes — the granularity (and rng consumption on an
         aborted run) of the pre-streaming emitters, which drew each
-        chunk's coins before yielding it. Per-slab processing goes
-        through :meth:`_consume_stream_slab`, the hook the validating
-        runner interposes on — there is exactly one streaming loop.
+        chunk's coins before yielding it. Fused windows execute section
+        by section (chunks never straddle a section boundary; each
+        section may enter its own trace phase).
 
-        Fused windows execute section by section (chunks never straddle
-        a section boundary; each section may enter its own trace
-        phase), and plans that opt in may run column-restricted on a
-        residual context (:meth:`_restriction_for`) — both reduce to
-        the classic single-loop behavior when unused.
+        A :class:`~repro.engine.segments.TransmitterPlan` runs on the
+        transmitter-list loop (:meth:`_execute_stream_coo`); a mask
+        :class:`~repro.radio.network.TransmitPlan` runs here, through
+        ``deliver_window_chunks``, with per-slab processing in
+        :meth:`_consume_stream_slab`, the hook the validating runner
+        interposes on.
         """
         plan = segment.plan
         sections = self._plan_sections(segment)
-        ctx = self._restriction_for(plan, sections)
-        if ctx is not None:
-            self._execute_stream_restricted(plan, sections, ctx)
-            return
-        form = self._pipeline_for(plan, sections)
-        if form is not None:
-            self._execute_stream_pipeline(plan, sections, form)
+        if isinstance(plan, TransmitterPlan):
+            self._execute_stream_coo(plan, sections)
             return
         timing = self.network.phase_timing
         chunk = default_stream_chunk(
@@ -362,8 +253,9 @@ class WindowedRunner:
             while True:
                 # "deliver" is the chunk's wall time minus its mask
                 # production (timed inside `charged`); with faults
-                # installed the classic path's transform time lands in
-                # "deliver" too — only the fused pass separates it.
+                # installed the mask path's transform time lands in
+                # "deliver" too — only the transmitter-list loop
+                # separates it.
                 coin_spent[0] = 0.0
                 t0 = perf_counter()
                 slab = next(stream, None)
@@ -376,326 +268,84 @@ class WindowedRunner:
                     slab, current.pop(), section.consume
                 )
                 timing["commit"] += perf_counter() - t0
-            self.network.residual_stats["full_steps"] += section.width
             base += section.width
 
-    def _pipeline_masks(
+    def _execute_stream_coo(
+        self, plan: TransmitterPlan, sections: tuple[PlanSection, ...]
+    ) -> None:
+        """The transmitter-list loop: sample, filter, deliver, fold.
+
+        Per chunk: the plan samples the chunk's transmitter pairs
+        (``coins`` bucket), the fault layer filters them
+        (:meth:`~repro.faults.state.FaultState.filter_coo`, keyed on
+        global ids and the global clock), the COO kernels deliver
+        straight from the pairs (:meth:`_deliver_coo`), and the
+        section's ``consume_coo`` folds the reception triples. No
+        ``(k, n)`` mask block or hear slab exists on this path.
+        """
+        network = self.network
+        timing = network.phase_timing
+        chunk = default_stream_chunk(network.n, self._resolved_chunk_steps())
+        base = 0
+        for section in sections:
+            if section.consume_coo is None:
+                raise ProtocolError(
+                    "a TransmitterPlan section needs a consume_coo fold"
+                )
+            if section.phase is not None:
+                network.trace.enter_phase(section.phase)
+            done = 0
+            while done < section.width:
+                k = min(chunk, section.width - done)
+                start = base + done
+                t0 = perf_counter()
+                steps, nodes = plan.transmitters(start, start + k)
+                timing["coins"] += perf_counter() - t0
+                self._charge(k)
+                self._deliver_coo(k, steps, nodes, section.consume_coo)
+                done += k
+            base += section.width
+
+    def _deliver_coo(
         self,
-        form: PipelineForm,
-        start: int,
         k: int,
-        col_probs: np.ndarray,
-        binary_cols: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Produce chunk rows ``[start, start + k)`` of a pipeline plan.
-
-        The compiled leg draws the PCG64 coins inline from per-row
-        jump-ahead launch states and writes the threshold bits in the
-        same loop — the float coin block never exists — then advances
-        the generator past the block (:meth:`CoinField.skip`), leaving
-        the rng exactly where the block draw would. The numpy fallback
-        draws the block (into the coin field's reused scratch) and
-        thresholds it without a ``(k, n)`` float threshold matrix:
-        when ``binary_cols`` is given — the section's column factor is
-        0/1, the Decay/MIS case — the whole block compares against the
-        row probabilities alone and masks with one boolean AND
-        (``coin < rp * col`` with ``col`` in {0, 1} *is* ``(coin <
-        rp) & col``: a [0, 1) coin is never below 0); otherwise one
-        reused ``(n,)`` threshold row per step. Both produce the
-        emitter's mask bits exactly (see
-        :class:`~repro.radio.network.PipelineForm`).
-        """
-        coins = form.coins
-        rp = np.ascontiguousarray(
-            form.row_probs[start : start + k], dtype=np.float64
-        )
-        out = np.empty((k, self.network.n), dtype=bool)
-        kern = kernels.pipeline_mask_kernel()
-        if kern is not None and coins.offset_ok:  # pragma: no cover
-            s_hi, s_lo, i_hi, i_lo, m_hi, m_lo = coins.launch_states(
-                start, start + k
-            )
-            kern(s_hi, s_lo, i_hi, i_lo, m_hi, m_lo, rp, col_probs, out)
-            coins.skip(k)
-            self.network._bump_kernel("pipeline-numba", k)
-        else:
-            block = coins.draw(start, start + k)
-            if binary_cols is not None:
-                np.less(block, rp[:, None], out=out)
-                out &= binary_cols[None, :]
-            else:
-                thresh = self._pipeline_thresh
-                if thresh is None or thresh.shape[0] != self.network.n:
-                    thresh = np.empty(self.network.n, dtype=np.float64)
-                    self._pipeline_thresh = thresh
-                for t in range(k):
-                    np.multiply(col_probs, rp[t], out=thresh)
-                    np.less(block[t], thresh, out=out[t])
-            self.network._bump_kernel("pipeline-numpy", k)
-        return out
-
-    def _execute_stream_pipeline(
-        self,
-        plan: TransmitPlan,
-        sections: tuple[PlanSection, ...],
-        form: PipelineForm,
+        steps: np.ndarray,
+        nodes: np.ndarray,
+        consume_coo: Any,
     ) -> None:
-        """The fused coin+fault+delivery twin of :meth:`_execute_stream`.
-
-        Per chunk: produce the mask bits straight from the separable
-        thresholds (:meth:`_pipeline_masks`), apply the fault transform
-        **in place** on the one mask array
-        (:meth:`~repro.faults.state.FaultState.transform_window_inplace`),
-        deliver to a sparse ``(step, node, sender)`` reception triple
-        (:meth:`~repro.engine.kernels.DeliveryKernels.execute_coo` — no
-        ``(k, n)`` hear slab), silence deaf receptions point-wise, and
-        fold through the section's ``consume_coo``. Charging, trace
-        accounting, fault counters, and rng consumption are identical
-        to the classic path chunk for chunk — the pipeline equivalence
-        suite pins all of it bit-for-bit. Each stage feeds its own
-        ``phase_timing`` bucket.
-        """
+        """Execute and fold one ``k``-step chunk of intended
+        transmitter pairs (hook for the validator)."""
         network = self.network
         timing = network.phase_timing
         fault_state = network._fault_state
-        delivery = network._delivery_kernels()
-        mode = "auto" if self.delivery == "pipeline" else self.delivery
-        chunk = default_stream_chunk(
-            network.n, self._resolved_chunk_steps()
-        )
-        base = 0
-        for section in sections:
-            if section.phase is not None:
-                network.trace.enter_phase(section.phase)
-            t0 = perf_counter()
-            col_probs = np.ascontiguousarray(
-                form.col_probs(base), dtype=np.float64
-            )
-            # Per-section column analysis, both optional fast paths:
-            # a 0/1 column factor lets the mask stage threshold the
-            # whole block at once, and the active index list lets the
-            # delivery stage scan transmitters compact (faults only
-            # clear bits, so the promise survives the transform).
-            active = col_probs != 0.0
-            binary_cols = (
-                active if bool((col_probs[active] == 1.0).all()) else None
-            )
-            cols = (
-                np.flatnonzero(active)
-                if 2 * int(active.sum()) <= network.n
-                else None
-            )
-            timing["plan"] += perf_counter() - t0
-            done = 0
-            while done < section.width:
-                k = min(chunk, section.width - done)
-                start = base + done
-                t0 = perf_counter()
-                masks = self._pipeline_masks(
-                    form, start, k, col_probs, binary_cols
-                )
-                timing["coins"] += perf_counter() - t0
-                self._charge(k)
-                t1 = perf_counter()
-                if fault_state is not None:
-                    fault_state.transform_window_inplace(
-                        masks, network.steps_elapsed
-                    )
-                t2 = perf_counter()
-                timing["faults"] += t2 - t1
-                steps, nodes, senders = delivery.execute_coo(
-                    masks, mode, counters=network.kernel_use, cols=cols
-                )
-                receptions = int(steps.size)
-                if fault_state is not None and receptions:
-                    deaf = fault_state.deaf_at(
-                        steps + network.steps_elapsed, nodes
-                    )
-                    dropped = int(np.count_nonzero(deaf))
-                    if dropped:
-                        keep = ~deaf
-                        steps = steps[keep]
-                        nodes = nodes[keep]
-                        senders = senders[keep]
-                        receptions -= dropped
-                        fault_state.note_silenced(dropped)
-                t3 = perf_counter()
-                timing["deliver"] += t3 - t2
-                network._account_window(masks, receptions)
-                section.consume_coo(k, steps, nodes, senders)
-                timing["commit"] += perf_counter() - t3
-                done += k
-            network.residual_stats["full_steps"] += section.width
-            base += section.width
-
-    def _execute_stream_restricted(
-        self,
-        plan: TransmitPlan,
-        sections: tuple[PlanSection, ...],
-        ctx: ResidualContext,
-    ) -> None:
-        """The column-restricted twin of :meth:`_execute_stream`.
-
-        Chunks are produced compact (``plan.masks_at`` over the member
-        columns — same rng consumption as the full draw), fault-masked
-        compact (global-id-keyed transforms), executed on the residual
-        kernels, and folded compact through each section's
-        ``consume_at`` — with senders translated back to global ids
-        first, so protocol state never sees a local index. Accounting
-        is identical to the full path: intended masks are False outside
-        the members, so compact popcounts *are* the global popcounts.
-        """
-        network = self.network
-        timing = network.phase_timing
-        members = ctx.members
-        k_r = ctx.k
-        chunk = default_stream_chunk(
-            max(1, k_r), self._resolved_chunk_steps(k_r)
-        )
-        stats = network.residual_stats
-        use_coo = self._coo_fold_ok(sections)
-        base = 0
-        for section in sections:
-            if section.phase is not None:
-                network.trace.enter_phase(section.phase)
-            done = 0
-            while done < section.width:
-                k = min(chunk, section.width - done)
-                start = base + done
-                t0 = perf_counter()
-                intended = np.asarray(
-                    plan.masks_at(start, start + k, members)
-                )
-                timing["coins"] += perf_counter() - t0
-                if intended.shape != (k, k_r) or (
-                    intended.dtype != np.bool_
-                ):
-                    raise ProtocolError(
-                        f"masks_at produced shape {intended.shape} "
-                        f"dtype {intended.dtype} for steps "
-                        f"[{start}, {start + k}) over {k_r} members; "
-                        f"expected bool ({k}, {k_r})"
-                    )
-                self._charge(k)
-                if use_coo:
-                    self._execute_restricted_chunk_coo(
-                        intended, ctx, section
-                    )
-                    stats["restricted_steps"] += k
-                    done += k
-                    continue
-                t0 = perf_counter()
-                slab = self._execute_restricted_chunk(intended, ctx)
-                timing["deliver"] += perf_counter() - t0
-                stats["restricted_steps"] += k
-                t0 = perf_counter()
-                self._consume_restricted_slab(
-                    slab, intended, ctx, section
-                )
-                timing["commit"] += perf_counter() - t0
-                done += k
-            base += section.width
-
-    def _execute_restricted_chunk(
-        self, intended: np.ndarray, ctx: ResidualContext
-    ) -> np.ndarray:
-        """Fault transform + kernels + deaf silencing + sender
-        translation + accounting for one compact chunk; returns the
-        compact hear slab with **global** sender ids."""
-        network = self.network
-        k = intended.shape[0]
-        hear = np.full((k, ctx.k), NO_SENDER, dtype=np.int64)
-        fault_state = network._fault_state
-        if fault_state is None:
-            effective = intended
-            receptions = ctx.kernels.execute(
-                intended, hear, self.delivery,
-                counters=network.kernel_use,
-            )
-        else:
-            effective, deaf = fault_state.transform_window(
-                intended, network.steps_elapsed, cols=ctx.members
-            )
-            receptions = ctx.kernels.execute(
-                effective, hear, self.delivery,
-                counters=network.kernel_use,
-            )
-            silenced = deaf & (hear != NO_SENDER)
-            n_silenced = int(np.count_nonzero(silenced))
-            if n_silenced:
-                hear[silenced] = NO_SENDER
-                receptions -= n_silenced
-                fault_state.note_silenced(n_silenced)
-        got = hear != NO_SENDER
-        if got.any():
-            hear[got] = ctx.members[hear[got]]
-        network._account_window(effective, receptions)
-        return hear
-
-    def _execute_restricted_chunk_coo(
-        self,
-        intended: np.ndarray,
-        ctx: ResidualContext,
-        section: PlanSection,
-    ) -> None:
-        """Fused (COO) twin of :meth:`_execute_restricted_chunk`.
-
-        Same compact chunk, but: the fault transform mutates the
-        intended masks in place, the residual kernels return the
-        receptions as a ``(step, local, sender_local)`` triple instead
-        of filling a compact hear slab, local ids translate to global
-        through ``ctx.members`` (the restricted closure guarantees
-        every hearer of a member transmission is itself a member, so
-        the compact triple covers *all* receptions — trace totals
-        match the full path), and the fold is the section's
-        ``consume_coo``. Deaf silencing is point-wise on the global
-        ``(step, node)`` pairs — identical drops, identical counters.
-        """
-        network = self.network
-        timing = network.phase_timing
-        fault_state = network._fault_state
-        k = intended.shape[0]
         t0 = perf_counter()
         if fault_state is not None:
-            fault_state.transform_window_inplace(
-                intended, network.steps_elapsed, cols=ctx.members
+            steps, nodes = fault_state.filter_coo(
+                steps, nodes, network.steps_elapsed, k
             )
         t1 = perf_counter()
         timing["faults"] += t1 - t0
-        mode = "auto" if self.delivery == "pipeline" else self.delivery
-        steps, local, senders_local = ctx.kernels.execute_coo(
-            intended, mode, counters=network.kernel_use
+        rx_steps, rx_nodes, senders = network._delivery_kernels().execute_coo(
+            k, steps, nodes, self.delivery, counters=network.kernel_use
         )
-        nodes = ctx.members[local]
-        senders = ctx.members[senders_local]
-        receptions = int(steps.size)
+        receptions = int(rx_steps.size)
         if fault_state is not None and receptions:
             deaf = fault_state.deaf_at(
-                steps + network.steps_elapsed, nodes
+                rx_steps + network.steps_elapsed, rx_nodes
             )
             dropped = int(np.count_nonzero(deaf))
             if dropped:
                 keep = ~deaf
-                steps = steps[keep]
-                nodes = nodes[keep]
+                rx_steps = rx_steps[keep]
+                rx_nodes = rx_nodes[keep]
                 senders = senders[keep]
                 receptions -= dropped
                 fault_state.note_silenced(dropped)
+        network._account_steps(k, int(steps.size), receptions)
         t2 = perf_counter()
         timing["deliver"] += t2 - t1
-        network._account_window(intended, receptions)
-        section.consume_coo(k, steps, nodes, senders)
+        consume_coo(k, rx_steps, rx_nodes, senders)
         timing["commit"] += perf_counter() - t2
-
-    def _consume_restricted_slab(
-        self,
-        slab: np.ndarray,
-        intended: np.ndarray,
-        ctx: ResidualContext,
-        section: PlanSection,
-    ) -> None:
-        """Fold one restricted slab (hook for the validator)."""
-        section.consume_at(slab, ctx.members)
 
     def _consume_stream_slab(
         self,
@@ -734,7 +384,11 @@ class WindowedRunner:
                 reply = self._execute_window(segment.masks)
                 timing["deliver"] += perf_counter() - t0
             elif isinstance(segment, StreamedWindow):
-                if segment.consume is None and segment.sections is None:
+                if (
+                    segment.consume is None
+                    and segment.consume_coo is None
+                    and segment.sections is None
+                ):
                     raise ProtocolError(
                         "schedule yielded a StreamedWindow without a "
                         "consume callback; generator-form emitters must "
@@ -770,7 +424,6 @@ def run_schedule(
     delivery: str = "auto",
     chunk_steps: int | None = None,
     mem_budget: int | None = None,
-    restrict: str = "auto",
 ) -> Any:
     """One-shot convenience: ``WindowedRunner(network, ...).run(...)``."""
     return WindowedRunner(
@@ -779,7 +432,6 @@ def run_schedule(
         delivery=delivery,
         chunk_steps=chunk_steps,
         mem_budget=mem_budget,
-        restrict=restrict,
     ).run(schedule)
 
 

@@ -25,11 +25,12 @@ Yielding an :class:`ObliviousWindow` is a *promise*: none of the
 window's masks depends on anything heard inside the window. Every mask
 may (and usually does) depend on receptions from segments already
 completed, and on randomness drawn while building the window. Emitters
-that draw coins for a window must draw them in the same order the
-step-wise reference implementation draws them (numpy's row-major
+must consume the protocol generator in the same order as the step-wise
+reference implementation — coin blocks row-major (numpy's
 ``rng.random((w, n))`` equals ``w`` consecutive ``rng.random(n)``
-calls), which is what keeps engine and reference runs on one seed
-bit-identical.
+calls), keyed blocks one key per block at the block's first step
+(:mod:`repro.engine.sampler`) — which is what keeps engine and
+reference runs on one seed bit-identical.
 
 Plan/commit form
 ----------------
@@ -99,25 +100,42 @@ class DecisionStep:
 
 
 @dataclasses.dataclass
+class TransmitterPlan:
+    """A lazily sampled window of transmitter sets (COO form).
+
+    ``transmitters(start, stop)`` returns the transmitters of window
+    steps ``start .. stop - 1`` as int64 ``(steps, nodes)`` pairs —
+    ``steps`` relative to ``start``, row-major, nodes ascending within
+    a step — instead of ``(stop - start, n)`` boolean masks. The
+    runner calls it for consecutive, non-overlapping intervals covering
+    ``[0, total_steps)`` in order, exactly once each, like
+    :class:`~repro.radio.network.TransmitPlan`; emitters whose rows are
+    keyed samples (:class:`~repro.engine.sampler.RowSampler`) produce
+    the same pairs whatever the interval boundaries.
+    """
+
+    total_steps: int
+    transmitters: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+
+
+@dataclasses.dataclass
 class PlanSection:
     """One phase-labeled span of a fused :class:`StreamedWindow`.
 
     A fused plan concatenates what used to be several back-to-back
-    streamed windows (the two Decay blocks of a Radio MIS round) into
-    one :class:`~repro.radio.network.TransmitPlan`, so chunk dispatch,
-    fault masking, and density routing run once per round. Sections
-    keep the pieces' identities: ``width`` rows of the plan, an
-    optional trace ``phase`` the runner enters when the section starts,
-    and the section's own fold callbacks.
-
-    ``consume(hear_chunk)`` folds a full-width hear slab;
-    ``consume_at(hear_chunk, cols)`` is its column-restricted twin for
-    residual delivery (``cols`` are sorted global ids; senders in the
-    compact slab are already translated to global ids). A section whose
-    plan opts into restriction must provide both.
+    streamed windows (the two Decay blocks of a Radio MIS round, the
+    density levels of an EED block) into one plan. Sections keep the
+    pieces' identities: ``width`` rows of the plan, an optional trace
+    ``phase`` the runner enters when the section starts, and the
+    section's own fold callback — ``consume(hear_chunk)`` for a
+    :class:`~repro.radio.network.TransmitPlan` (a full-width hear
+    slab), ``consume_coo(k, steps, nodes, senders)`` for a
+    :class:`TransmitterPlan` (the ``k``-step chunk's clean receptions
+    as parallel int64 arrays: ``steps`` chunk-relative, ``nodes`` and
+    ``senders`` global ids, arbitrary order).
 
     The runner never lets an executed chunk straddle a section
-    boundary, so a section's callbacks see exactly the rows of its own
+    boundary, so a section's callback sees exactly the rows of its own
     span — which is what lets a fused emitter switch per-section state
     (the second Decay block's membership depends on the first's
     outcome) inside one plan.
@@ -126,13 +144,6 @@ class PlanSection:
     width: int
     phase: str | None = None
     consume: Callable[[np.ndarray], None] | None = None
-    consume_at: Callable[[np.ndarray, np.ndarray], None] | None = None
-    #: Fused-pipeline fold: ``consume_coo(k, steps, nodes, senders)``
-    #: receives the chunk height and the chunk's clean receptions as
-    #: parallel int64 arrays — ``steps`` chunk-relative, ``nodes`` and
-    #: ``senders`` **global** ids, arbitrary order. Required (on every
-    #: section) for the plan's :class:`~repro.radio.network
-    #: .PipelineForm` to be taken.
     consume_coo: (
         Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None
     ) = None
@@ -144,17 +155,20 @@ class StreamedWindow:
 
     The out-of-core form of :class:`ObliviousWindow`: instead of
     materializing ``(w, n)`` masks and receiving a ``(w, n)``
-    ``hear_from`` reply, the segment carries a lazy
-    :class:`~repro.radio.network.TransmitPlan` and the runner executes
-    it through
-    :meth:`~repro.radio.network.RadioNetwork.deliver_window_chunks`,
-    delivering each ``(w_chunk, n)`` hear slab to ``consume`` as it is
-    produced. The runner's reply to the segment is ``None`` — by the
-    time the generator resumes, every chunk has already been folded.
+    ``hear_from`` reply, the segment carries a lazy plan and the runner
+    executes it chunk by chunk, folding each chunk as it is produced.
+    The runner's reply to the segment is ``None`` — by the time the
+    generator resumes, every chunk has already been folded.
 
-    ``consume`` is the per-chunk folding callback. Generator-form
-    emitters bind it to their own state (e.g. ``Decay._absorb_window``);
-    a plan/commit source in streaming form
+    Two plan forms exist. A :class:`~repro.radio.network.TransmitPlan`
+    produces ``(w_chunk, n)`` masks, executes through
+    :meth:`~repro.radio.network.RadioNetwork.deliver_window_chunks` and
+    folds hear slabs through ``consume``. A :class:`TransmitterPlan`
+    produces transmitter pairs, executes on the COO delivery kernels
+    and folds reception triples through ``consume_coo``.
+
+    ``consume`` is the per-chunk slab fold. Generator-form emitters
+    bind it to their own state; a plan/commit source in streaming form
     (:class:`~repro.engine.streaming.StreamingSegmentProtocol`) leaves
     it ``None`` and the driving :func:`~repro.engine.runner
     .segment_schedule` routes chunks to the source's
@@ -166,24 +180,19 @@ class StreamedWindow:
     unchanged: no mask row may depend on anything heard inside the
     window. The chunk size is the *runner's* choice (its
     ``chunk_steps`` / ``mem_budget`` knobs) — a memory knob, never a
-    semantics knob, because plans draw randomness lazily in row order
-    (see :class:`~repro.radio.network.TransmitPlan`).
+    semantics knob, because plans produce rows lazily in row order.
     """
 
-    plan: TransmitPlan
+    plan: "TransmitPlan | TransmitterPlan"
     consume: Callable[[np.ndarray], None] | None = None
-    #: Column-restricted fold for residual delivery:
-    #: ``consume_at(hear_chunk, cols)`` receives the member columns of
-    #: the full hear slab (senders already global ids). Optional — a
-    #: window without it simply never restricts.
-    consume_at: Callable[[np.ndarray, np.ndarray], None] | None = None
-    #: Fused-pipeline fold (see :class:`PlanSection.consume_coo`).
+    #: Reception-triple fold of a :class:`TransmitterPlan` (see
+    #: :class:`PlanSection`).
     consume_coo: (
         Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None
     ) = None
     #: Fused multi-phase form: when set, a tuple of
     #: :class:`PlanSection` whose widths sum to ``plan.total_steps``;
-    #: the sections' callbacks replace ``consume``/``consume_at``.
+    #: the sections' callbacks replace ``consume``/``consume_coo``.
     sections: tuple[PlanSection, ...] | None = None
 
 
@@ -346,5 +355,6 @@ __all__ = [
     "SegmentProtocol",
     "StreamedWindow",
     "TracePhase",
+    "TransmitterPlan",
     "coin_chunk",
 ]

@@ -64,7 +64,6 @@ class ValidatingRunner(WindowedRunner):
         delivery: str = "auto",
         chunk_steps: int | None = None,
         mem_budget: int | None = None,
-        restrict: str = "auto",
     ) -> None:
         super().__init__(
             network,
@@ -72,7 +71,6 @@ class ValidatingRunner(WindowedRunner):
             delivery=delivery,
             chunk_steps=chunk_steps,
             mem_budget=mem_budget,
-            restrict=restrict,
         )
         self.shadow_step = RadioNetwork(network.graph, trace=CheapTrace())
         self.shadow_sparse = RadioNetwork(network.graph, trace=CheapTrace())
@@ -154,14 +152,6 @@ class ValidatingRunner(WindowedRunner):
                     f"{other[step, node]}"
                 )
 
-    def _coo_fold_ok(self, sections) -> bool:
-        """Pin the slab paths: the validator's replay machinery
-        compares full and compact hear slabs, which the fused COO
-        pipeline never materializes. The pipeline is validated by its
-        own equivalence suite (tests/test_pipeline.py) against the
-        slab paths this runner certifies."""
-        return False
-
     def _execute_window(self, masks: np.ndarray) -> np.ndarray:
         batched = super()._execute_window(masks)
         self._compare(batched, masks)
@@ -184,29 +174,32 @@ class ValidatingRunner(WindowedRunner):
         self.steps_checked += slab.shape[0]
         consume(slab)
 
-    def _consume_restricted_slab(self, slab, intended, ctx, section) -> None:
-        """Cross-check one restricted slab before folding it.
+    def _deliver_coo(self, k, steps, nodes, consume_coo) -> None:
+        """Cross-check one transmitter-list chunk before folding it.
 
-        The compact slab is expanded back to full width — intended
-        masks are False and receptions absent outside the member
-        columns by the residual support invariant — and compared
-        against the step replay and both forced full-width strategies.
-        This is the direct assertion that active-set restriction (and
-        its interplay with an installed fault schedule) realizes
-        exactly the unrestricted channel.
+        The chunk executes on the primary's COO path; its intended
+        transmitter pairs are then expanded to ``(k, n)`` masks and its
+        reception triples to a hear slab — the only place either is
+        built — and compared against the step replay and both forced
+        strategies, whose shadows realize the same fault pattern
+        through the mask transforms. This is the direct assertion that
+        the transmitter-list path (sampling aside) delivers exactly
+        the mask paths' channel.
         """
         n = self.network.n
-        members = ctx.members
-        full_masks = np.zeros((intended.shape[0], n), dtype=bool)
-        full_masks[:, members] = intended
-        full_slab = np.full(
-            (slab.shape[0], n), NO_SENDER, dtype=np.int64
+        masks = np.zeros((k, n), dtype=bool)
+        masks[steps, nodes] = True
+        received = []
+        super()._deliver_coo(
+            k, steps, nodes, lambda *triple: received.append(triple)
         )
-        full_slab[:, members] = slab
-        self._compare(full_slab, full_masks)
+        _, rx_steps, rx_nodes, senders = received[0]
+        slab = np.full((k, n), NO_SENDER, dtype=np.int64)
+        slab[rx_steps, rx_nodes] = senders
+        self._compare(slab, masks)
         self.windows_checked += 1
-        self.steps_checked += slab.shape[0]
-        section.consume_at(slab, members)
+        self.steps_checked += k
+        consume_coo(k, rx_steps, rx_nodes, senders)
 
     def _execute_step(self, mask: np.ndarray) -> np.ndarray:
         hear_from = super()._execute_step(mask)

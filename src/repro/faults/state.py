@@ -56,36 +56,15 @@ def _hash_uniform(
 ) -> np.ndarray:
     """Uniform [0, 1) floats keyed on (seed, step, node), stateless.
 
-    ``steps`` is a (w, 1) and ``nodes`` a (1, k) uint64 array; the
-    result broadcasts to (w, k). Counter-based, so any chunking of the
-    step axis reproduces the same coins.
+    ``steps`` and ``nodes`` are uint64 arrays that broadcast together —
+    a (w, 1) by (1, k) grid for the window form, parallel pair lists
+    for the transmitter-list form. Counter-based, so any chunking of
+    the step axis, and either form, reproduces the same coins.
     """
     with np.errstate(over="ignore"):
         key = _splitmix(steps * _GOLDEN + nodes)
         key = _splitmix(key ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
     return (key >> np.uint64(11)).astype(np.float64) * _INV_2_53
-
-
-def _positions_in(
-    cols: np.ndarray, nodes
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local positions in sorted ``cols`` of the global ids in
-    ``nodes`` that are present, paired with those global ids.
-
-    The index translation behind every column-restricted fault
-    transform: fault events stay keyed on **global** node ids (so
-    coins, ledgers, and counters are identical however the runner
-    restricts), and only events naming a member column touch the
-    compact window.
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if cols.size == 0 or nodes.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    pos = np.searchsorted(cols, nodes)
-    ok = pos < cols.size
-    ok &= cols[np.minimum(pos, cols.size - 1)] == nodes
-    return pos[ok], nodes[ok]
 
 
 class FaultState:
@@ -138,9 +117,12 @@ class FaultState:
         self._energy_init = energy
         self.energy_remaining = energy.copy()
         self._budgeted = np.nonzero(energy >= 0)[0]
-        # Nodes with any lifetime bound — the only columns the fused
-        # in-place transform must visit for the crash/join clears.
-        self._bounded = np.nonzero((join > 0) | (crash < NEVER))[0]
+        # Sleep intervals sorted by node, for the point-wise lookups of
+        # the transmitter-list forms (filter_coo, deaf_at).
+        sleeps = sorted(self.sleeps)
+        self._sleep_node = np.array([s[0] for s in sleeps], dtype=np.int64)
+        self._sleep_start = np.array([s[1] for s in sleeps], dtype=np.int64)
+        self._sleep_stop = np.array([s[2] for s in sleeps], dtype=np.int64)
 
         self.realized = {
             "steps_faulted": 0,
@@ -161,43 +143,25 @@ class FaultState:
         return twin
 
     # ------------------------------------------------------------------
-    def alive_window(
-        self, start: int, width: int, cols: np.ndarray | None = None
-    ) -> np.ndarray:
-        """(width, k) bool: node up (joined, not crashed, not asleep)
-        at each global step in ``[start, start + width)``.
-
-        ``cols`` (sorted global node ids) restricts the columns to a
-        member subset — same per-node values, compact layout.
-        """
+    def alive_window(self, start: int, width: int) -> np.ndarray:
+        """(width, n) bool: node up (joined, not crashed, not asleep)
+        at each global step in ``[start, start + width)``."""
         steps = np.arange(start, start + width, dtype=np.int64)[:, None]
-        join = self.join_step if cols is None else self.join_step[cols]
-        crash = (
-            self.crash_step if cols is None else self.crash_step[cols]
+        alive = (steps >= self.join_step[None, :]) & (
+            steps < self.crash_step[None, :]
         )
-        alive = (steps >= join[None, :]) & (steps < crash[None, :])
         stop_w = start + width
         for node, s0, s1 in self.sleeps:
             lo, hi = max(s0, start), min(s1, stop_w)
             if lo < hi:
-                if cols is None:
-                    alive[lo - start : hi - start, node] = False
-                else:
-                    loc, _ = _positions_in(cols, [node])
-                    if loc.size:
-                        alive[lo - start : hi - start, loc[0]] = False
+                alive[lo - start : hi - start, node] = False
         return alive
 
     def deaf_window(
-        self,
-        start: int,
-        width: int,
-        alive: np.ndarray,
-        cols: np.ndarray | None = None,
+        self, start: int, width: int, alive: np.ndarray
     ) -> np.ndarray:
-        """(width, k) bool: listeners forced to silence — down nodes
-        plus jammed regions in ``[start, start + width)``; ``cols``
-        restricts columns as in :meth:`alive_window`."""
+        """(width, n) bool: listeners forced to silence — down nodes
+        plus jammed regions in ``[start, start + width)``."""
         deaf = ~alive
         stop_w = start + width
         for jam in self.jams:
@@ -206,45 +170,28 @@ class FaultState:
                 rows = slice(lo - start, hi - start)
                 if jam.nodes is None:
                     deaf[rows, :] = True
-                elif cols is None:
-                    deaf[rows, list(jam.nodes)] = True
                 else:
-                    loc, _ = _positions_in(cols, list(jam.nodes))
-                    if loc.size:
-                        deaf[rows, loc] = True
+                    deaf[rows, list(jam.nodes)] = True
         return deaf
 
     # ------------------------------------------------------------------
     def transform_window(
-        self, masks: np.ndarray, start: int, cols: np.ndarray | None = None
+        self, masks: np.ndarray, start: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Intended (w, k) masks at global step ``start`` → effective
+        """Intended (w, n) masks at global step ``start`` → effective
         masks + deaf mask; commits energy depletion and counters.
 
         Call exactly once per executed window/chunk, in execution
         order — energy carries across calls, everything else is
         stateless in the step index.
-
-        ``cols`` (sorted global node ids) is the column-restricted
-        form used by residual delivery: masks cover only the member
-        columns, but every fault quantity stays keyed on **global**
-        ids — suppression coins hash the global node id, the energy
-        ledger debits global slots, jams and sleeps translate through
-        member positions. A restricted window therefore realizes
-        exactly the fault pattern of its full-width twin, provided the
-        full-width intended masks are False outside ``cols`` (the
-        residual support invariant — transmitters are always members).
         """
         width = masks.shape[0]
-        alive = self.alive_window(start, width, cols)
+        alive = self.alive_window(start, width)
         effective = masks & alive
 
         if self._scaled.size:
-            if cols is None:
-                loc = gids = self._scaled
-            else:
-                loc, gids = _positions_in(cols, self._scaled)
-            sub = effective[:, loc]
+            gids = self._scaled
+            sub = effective[:, gids]
             if sub.any():
                 steps = np.arange(
                     start, start + width, dtype=np.uint64
@@ -252,27 +199,24 @@ class FaultState:
                 coins = _hash_uniform(
                     self.schedule.seed, steps, gids.astype(np.uint64)[None, :]
                 )
-                effective[:, loc] = sub & (
+                effective[:, gids] = sub & (
                     coins < self.tx_scale[gids][None, :]
                 )
 
         if self._budgeted.size:
-            if cols is None:
-                loc = gids = self._budgeted
-            else:
-                loc, gids = _positions_in(cols, self._budgeted)
-            sub = effective[:, loc]
+            gids = self._budgeted
+            sub = effective[:, gids]
             if sub.any():
                 used = np.cumsum(sub, axis=0, dtype=np.int64)
                 allowed = sub & (
                     used <= self.energy_remaining[gids][None, :]
                 )
-                effective[:, loc] = allowed
+                effective[:, gids] = allowed
                 self.energy_remaining[gids] -= allowed.sum(
                     axis=0, dtype=np.int64
                 )
 
-        deaf = self.deaf_window(start, width, alive, cols)
+        deaf = self.deaf_window(start, width, alive)
         self.realized["steps_faulted"] += int(width)
         self.realized["suppressed_transmissions"] += int(
             masks.sum() - effective.sum()
@@ -287,94 +231,82 @@ class FaultState:
         return effective[0], deaf[0]
 
     # ------------------------------------------------------------------
-    def transform_window_inplace(
-        self, masks: np.ndarray, start: int, cols: np.ndarray | None = None
-    ) -> None:
-        """Fused-transform twin of :meth:`transform_window` (ISSUE 9).
+    def _asleep(self, steps: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Point-wise: node asleep at global step (bool per pair)."""
+        asleep = np.zeros(nodes.shape, dtype=bool)
+        if not self._sleep_node.size or not nodes.size:
+            return asleep
+        lo = np.searchsorted(self._sleep_node, nodes, side="left")
+        hi = np.searchsorted(self._sleep_node, nodes, side="right")
+        count = hi - lo
+        if not count.any():
+            return asleep
+        # One (pair, interval) row per sleep interval of the pair's node.
+        pair = np.repeat(np.arange(nodes.size), count)
+        interval = np.arange(pair.size) - np.repeat(
+            np.cumsum(count) - count - lo, count
+        )
+        inside = (steps[pair] >= self._sleep_start[interval]) & (
+            steps[pair] < self._sleep_stop[interval]
+        )
+        asleep[pair[inside]] = True
+        return asleep
 
-        Turns the intended ``(w, k)`` masks into the effective masks
-        **in place**, visiting only fault-affected columns — no alive
-        mask, no ``masks & alive`` temporary, no second ``(w, k)``
-        array. Same global-id + global-clock keying, same transform
-        order (lifetime/sleep clears, then suppression coins, then
-        energy), same energy ledger debit, and byte-identical realized
-        counters: each stage only ever *clears* bits, so summing the
-        bits each stage clears equals ``masks.sum() - effective.sum()``
-        of the out-of-place form. The deaf side has no window-shaped
-        output here — the pipeline path tests its (sparse) receptions
-        point-wise with :meth:`deaf_at` instead. Call once per executed
-        chunk, in execution order, exactly like
-        :meth:`transform_window`.
+    def filter_coo(
+        self, steps: np.ndarray, nodes: np.ndarray, start: int, width: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Transmitter-list form of :meth:`transform_window`.
+
+        ``(steps, nodes)`` are the intended transmitters of a ``width``
+        step chunk starting at global step ``start`` (``steps``
+        chunk-relative, row-major). Returns the effective pairs — the
+        same transforms in the same order, each keyed on global ids and
+        the global clock: lifetime and sleep lookups, the ``tx_prob``
+        hash coin per transmitter, then the energy budget as a per-node
+        running count in step order. Commits the energy ledger and the
+        realized counters exactly as the window form would.
         """
-        width = masks.shape[0]
-        suppressed = 0
-
-        if self._bounded.size:
-            if cols is None:
-                loc = gids = self._bounded
-            else:
-                loc, gids = _positions_in(cols, self._bounded)
-            for c, g in zip(loc, gids):
-                lo = min(max(int(self.join_step[g]) - start, 0), width)
-                hi = max(min(int(self.crash_step[g]) - start, width), 0)
-                if lo > 0:
-                    suppressed += int(masks[:lo, c].sum())
-                    masks[:lo, c] = False
-                if hi < width:
-                    suppressed += int(masks[hi:, c].sum())
-                    masks[hi:, c] = False
-
-        stop_w = start + width
-        for node, s0, s1 in self.sleeps:
-            lo, hi = max(s0, start), min(s1, stop_w)
-            if lo < hi:
-                rows = slice(lo - start, hi - start)
-                if cols is None:
-                    c = node
-                else:
-                    pos, _ = _positions_in(cols, [node])
-                    if not pos.size:
-                        continue
-                    c = pos[0]
-                suppressed += int(masks[rows, c].sum())
-                masks[rows, c] = False
-
-        if self._scaled.size:
-            if cols is None:
-                loc = gids = self._scaled
-            else:
-                loc, gids = _positions_in(cols, self._scaled)
-            sub = masks[:, loc]
-            if sub.any():
-                steps = np.arange(
-                    start, start + width, dtype=np.uint64
-                )[:, None]
-                coins = _hash_uniform(
-                    self.schedule.seed, steps, gids.astype(np.uint64)[None, :]
-                )
-                kept = sub & (coins < self.tx_scale[gids][None, :])
-                suppressed += int(sub.sum() - kept.sum())
-                masks[:, loc] = kept
-
-        if self._budgeted.size:
-            if cols is None:
-                loc = gids = self._budgeted
-            else:
-                loc, gids = _positions_in(cols, self._budgeted)
-            sub = masks[:, loc]
-            if sub.any():
-                used = np.cumsum(sub, axis=0, dtype=np.int64)
-                allowed = sub & (
-                    used <= self.energy_remaining[gids][None, :]
-                )
-                suppressed += int(sub.sum() - allowed.sum())
-                masks[:, loc] = allowed
-                self.energy_remaining[gids] -= allowed.sum(
-                    axis=0, dtype=np.int64
-                )
-
+        intended = int(steps.size)
+        if intended:
+            clock = steps + start
+            keep = (clock >= self.join_step[nodes]) & (
+                clock < self.crash_step[nodes]
+            )
+            keep &= ~self._asleep(clock, nodes)
+            if self._scaled.size:
+                scaled = keep & (self.tx_scale[nodes] < 1.0)
+                if scaled.any():
+                    coins = _hash_uniform(
+                        self.schedule.seed,
+                        clock[scaled].astype(np.uint64),
+                        nodes[scaled].astype(np.uint64),
+                    )
+                    keep[scaled] = coins < self.tx_scale[nodes[scaled]]
+            steps, nodes = steps[keep], nodes[keep]
+            if self._budgeted.size:
+                budgeted = np.flatnonzero(self._energy_init[nodes] >= 0)
+                if budgeted.size:
+                    who = nodes[budgeted]
+                    # Stable sort by node keeps each node's transmissions
+                    # in step order: its rank is its running count.
+                    order = np.argsort(who, kind="stable")
+                    sorted_who = who[order]
+                    first = np.searchsorted(sorted_who, sorted_who)
+                    used = np.empty(who.size, dtype=np.int64)
+                    used[order] = np.arange(who.size) - first + 1
+                    allowed = used <= self.energy_remaining[who]
+                    np.subtract.at(
+                        self.energy_remaining, who[allowed], 1
+                    )
+                    if not allowed.all():
+                        keep = np.ones(steps.size, dtype=bool)
+                        keep[budgeted[~allowed]] = False
+                        steps, nodes = steps[keep], nodes[keep]
         self.realized["steps_faulted"] += int(width)
-        self.realized["suppressed_transmissions"] += suppressed
+        self.realized["suppressed_transmissions"] += intended - int(
+            steps.size
+        )
+        return steps, nodes
 
     def deaf_at(
         self, steps: np.ndarray, nodes: np.ndarray
@@ -383,16 +315,15 @@ class FaultState:
         sparse set of ``(global step, global node)`` reception pairs.
 
         Returns the bool drop mask (True = listener hears silence).
-        The pipeline path filters its COO receptions with this and
-        reports the drop count through :meth:`note_silenced`; the
+        The transmitter-list path filters its COO receptions with this
+        and reports the drop count through :meth:`note_silenced`; the
         result matches indexing the window form —
         ``deaf_window(...)[steps - start, nodes]`` — entry for entry.
         """
         deaf = (steps < self.join_step[nodes]) | (
             steps >= self.crash_step[nodes]
         )
-        for node, s0, s1 in self.sleeps:
-            deaf |= (nodes == node) & (steps >= s0) & (steps < s1)
+        deaf |= self._asleep(steps, nodes)
         for jam in self.jams:
             in_window = (steps >= jam.start) & (steps < jam.stop)
             if jam.nodes is None:

@@ -118,37 +118,6 @@ GATHER_WINDOW_WIDTH = 32
 
 
 @dataclasses.dataclass
-class PipelineForm:
-    """Separable threshold form of a plan's masks (fused pipeline).
-
-    Declares that the plan's mask math factors as
-    ``mask[t, v] = coins[t, v] < row_probs[t] * col_probs(base)[v]``
-    over each section (``base`` is the section's first plan row) —
-    which is exactly what lets one fused pass draw the coin and decide
-    the bit in the same loop, without the emitter's intermediate
-    arrays. The product must reproduce the emitter's vectorized mask
-    arithmetic **bit-for-bit**; the two emitter families that opt in
-    satisfy that exactly:
-
-    * Decay: ``(coins < p_t) & active`` ⟺ ``coins < p_t * float(active)``
-      (the factor is 0.0 or 1.0 — multiplying by it is exact, and
-      ``coin < 0.0`` is False for every coin);
-    * EED: ``coins < p_v / 2^i`` ⟺ ``coins < p_v * 2^-i`` (a power-of-two
-      scale changes only the exponent, exact away from subnormals).
-
-    ``coins`` is the plan's own :class:`~repro.engine.pcg.CoinField` —
-    shared with ``masks``/``masks_at``, so whichever producer the
-    runner picks consumes the one rng stream identically.
-    ``col_probs`` is called once per section start and must return a
-    length-``n`` float64 vector.
-    """
-
-    coins: Any
-    row_probs: np.ndarray
-    col_probs: Callable[[int], np.ndarray]
-
-
-@dataclasses.dataclass
 class TransmitPlan:
     """A lazily produced window of oblivious transmit masks.
 
@@ -162,38 +131,13 @@ class TransmitPlan:
     row-major draw, whatever chunk size the executor picks. The chunk
     size is therefore a memory knob, never a semantics knob.
 
-    Two optional fields opt a plan into **active-set-restricted
-    delivery** (:mod:`repro.engine.residual`):
-
-    * ``support`` — a global length-``n`` bool mask covering every node
-      that could transmit at *any* step of the plan (e.g. a protocol's
-      live set when the plan was emitted). The runner may then execute
-      the plan on the residual graph induced by ``support`` and its
-      neighborhood instead of all of ``n``.
-    * ``masks_at(start, stop, cols)`` — the ``cols`` columns of
-      ``masks(start, stop)``, produced while consuming the plan's coin
-      stream exactly as the full call would (see
-      :class:`~repro.engine.pcg.CoinField`). The same
-      consecutive-intervals contract applies; per plan the runner
-      commits to one of the two producers and never mixes them within
-      an interval.
-
-    Plans without these fields (or runners with restriction off)
-    execute exactly as before — both are pure opt-in accelerators,
-    bit-identical by construction and pinned by the residual test
-    suite.
+    Emitters whose rows are Bernoulli draws over a fixed member set
+    use the transmitter-list form instead
+    (:class:`~repro.engine.segments.TransmitterPlan`).
     """
 
     total_steps: int
     masks: Callable[[int, int], np.ndarray]
-    support: np.ndarray | None = None
-    masks_at: Callable[[int, int, np.ndarray], np.ndarray] | None = None
-    #: Optional separable form for the fused pipeline pass (ISSUE 9):
-    #: a :class:`PipelineForm` proving the masks factor into per-row ×
-    #: per-column thresholds over the plan's coin field. Pure opt-in
-    #: accelerator like ``support``/``masks_at`` — plans without it
-    #: (or runs with the pipeline disabled) execute exactly as before.
-    pipeline: PipelineForm | None = None
 
 
 def as_transmit_plan(plan: TransmitPlan | np.ndarray) -> TransmitPlan:
@@ -279,15 +223,9 @@ class RadioNetwork:
         )
         self.trace = trace if trace is not None else StepTrace()
         self.steps_elapsed = 0
-        # Delivery provenance: per-kernel executed-row counters and
-        # residual-restriction statistics, filled by the window router
-        # and the restricted runner, surfaced through RunReport.
+        # Delivery provenance: per-kernel executed-row counters, filled
+        # by the window router, surfaced through RunReport.
         self.kernel_use: dict[str, int] = {}
-        self.residual_stats: dict[str, int] = {
-            "rebuilds": 0,
-            "restricted_steps": 0,
-            "full_steps": 0,
-        }
         # Per-phase wall-clock buckets (seconds), filled by the
         # windowed runner: planning/emitter time, coin generation,
         # fault transforms, delivery kernels, and reception folds.
@@ -905,18 +843,30 @@ class RadioNetwork:
 
     def _account_window(self, masks: np.ndarray, receptions: int) -> None:
         """Advance ``steps_elapsed`` and the trace for one executed block."""
-        w = masks.shape[0]
-        self.steps_elapsed += w
+        # The exact popcount is only paid for when the trace keeps it;
+        # cheap-trace bulk workloads skip the extra mask scan.
+        self._account_steps(
+            masks.shape[0],
+            int(np.count_nonzero(masks)) if self.trace.wants_detail else 0,
+            receptions,
+        )
+
+    def _account_steps(
+        self, steps: int, transmissions: int, receptions: int
+    ) -> None:
+        """Advance ``steps_elapsed`` and the trace by ``steps`` executed
+        steps with these transmission and reception totals."""
+        self.steps_elapsed += steps
         if self.trace.wants_detail:
-            # The exact popcount is only paid for when the trace keeps
-            # it; cheap-trace bulk workloads skip the extra mask scan.
             self.trace.record_window(
-                steps=w,
-                transmissions=int(np.count_nonzero(masks)),
+                steps=steps,
+                transmissions=transmissions,
                 receptions=receptions,
             )
         else:
-            self.trace.record_window(steps=w, transmissions=0, receptions=0)
+            self.trace.record_window(
+                steps=steps, transmissions=0, receptions=0
+            )
 
     def deliver_window_chunks(
         self,

@@ -280,7 +280,7 @@ def _policy_from_plain(entry: Any) -> ExecutionPolicy:
         kwargs["mem_budget"] = parse_mem_budget(budget)
     try:
         return ExecutionPolicy(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ProtocolError) as exc:
         raise ProtocolError(f"bad policy field dict: {exc}") from None
 
 

@@ -35,6 +35,7 @@ from typing import Any, Iterator
 from ..api.report import RunReport
 from ..api.wire import decode_value, encode_value
 from ..engine.policy import ExecutionPolicy
+from ..engine.sampler import STREAM_VERSION
 from ..radio.errors import ProtocolError
 
 __all__ = [
@@ -97,7 +98,7 @@ def config_digest(config: Any) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class JobKey:
-    """The six coordinates that determine one seeded run exactly.
+    """The coordinates that determine one seeded run exactly.
 
     ``seed`` and ``trial`` together name the rng stream: trial ``t`` of
     a campaign runs on ``np.random.SeedSequence(seed).spawn(n)[t]`` —
@@ -140,8 +141,18 @@ class JobKey:
 
     @property
     def digest(self) -> str:
-        """sha256 over the canonical key document (the entry address)."""
-        doc = json.dumps(dataclasses.asdict(self), sort_keys=True)
+        """sha256 over the canonical key document (the entry address).
+
+        The document also names the random stream
+        (:data:`~repro.engine.sampler.STREAM_VERSION`): the same
+        coordinates run on another stream give other numbers, so a
+        store written under one stream must miss, never answer, under
+        the next.
+        """
+        doc = json.dumps(
+            {**dataclasses.asdict(self), "stream": STREAM_VERSION},
+            sort_keys=True,
+        )
         return hashlib.sha256(doc.encode()).hexdigest()
 
     def asdict(self) -> dict[str, Any]:

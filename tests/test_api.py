@@ -491,6 +491,61 @@ class TestUniformRefusals:
         assert "contradicts" in capsys.readouterr().err
 
 
+class TestRemovedKnobs:
+    """``restrict`` and ``delivery="pipeline"`` are gone: naming either
+    at any entry point is the uniform refusal naming what is accepted."""
+
+    def test_policy_refuses_removed_knobs(self):
+        from repro.engine.policy import POLICY_FIELDS
+
+        assert "restrict" not in POLICY_FIELDS
+        with pytest.raises(ProtocolError) as err:
+            ExecutionPolicy(restrict="auto")
+        assert "restrict" in str(err.value)
+        assert str(POLICY_FIELDS) in str(err.value)
+        with pytest.raises(ProtocolError) as err:
+            ExecutionPolicy(delivery="pipeline")
+        assert "pipeline" in str(err.value)
+        assert "'sparse'" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "flags,named,accepted",
+        [
+            (["--restrict", "off"], "restrict", "chunk_steps"),
+            (["--delivery", "pipeline"], "pipeline", "sparse"),
+        ],
+    )
+    def test_cli_refuses_removed_knobs(self, capsys, flags, named, accepted):
+        from repro.cli import main
+
+        assert main(["mis", "--n", "10"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert named in err and accepted in err
+
+    @pytest.mark.parametrize(
+        "entry,named,accepted",
+        [
+            ({"restrict": "force"}, "restrict", "chunk_steps"),
+            ({"delivery": "pipeline"}, "pipeline", "sparse"),
+        ],
+    )
+    def test_plain_campaign_spec_refuses_removed_knobs(
+        self, entry, named, accepted
+    ):
+        from repro.service import CampaignSpec
+
+        document = {
+            "protocol": "decay",
+            "corpus": ["0" * 64],
+            "n_trials": 1,
+            "policies": [entry],
+        }
+        with pytest.raises(ProtocolError) as err:
+            CampaignSpec.from_json(json.dumps(document))
+        assert named in str(err.value) and accepted in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # 5. Deprecation shims.
 # ---------------------------------------------------------------------------

@@ -320,12 +320,12 @@ class TestFaultState:
         assert whole.realized["suppressed_transmissions"] > 0
 
     def test_column_restricted_transform_matches_full(self):
-        # Residual delivery feeds the transforms only the member
-        # columns; every transform is keyed on GLOBAL node ids and the
-        # global step clock, so the restricted call must equal the
-        # same columns of the full-width call — including the hash
-        # coins (tx_prob), the energy ledger, and the realized
-        # counters for masks that are False outside the columns.
+        # The transmitter-list form sees only the transmitters' columns;
+        # every transform is keyed on GLOBAL node ids and the global
+        # step clock, so filtering the pairs must equal the full-width
+        # window transform — including the hash coins (tx_prob), the
+        # energy ledger, and the realized counters — and the point-wise
+        # deafness test must equal the deaf window on those columns.
         n, width = 12, 24
         schedule = FaultSchedule(
             crashes=((0, 9),),
@@ -343,30 +343,27 @@ class TestFaultState:
         full = FaultState(schedule, n)
         eff_full, deaf_full = full.transform_window(masks.copy(), 0)
         restricted = FaultState(schedule, n)
-        eff_r, deaf_r = restricted.transform_window(
-            masks[:, cols].copy(), 0, cols=cols
-        )
-        np.testing.assert_array_equal(eff_r, eff_full[:, cols])
-        np.testing.assert_array_equal(deaf_r, deaf_full[:, cols])
+        steps, nodes = np.nonzero(masks)
+        steps, nodes = restricted.filter_coo(steps, nodes, 0, width)
+        kept = np.zeros_like(masks)
+        kept[steps, nodes] = True
+        np.testing.assert_array_equal(kept, eff_full)
         np.testing.assert_array_equal(
             restricted.energy_remaining, full.energy_remaining
         )
         assert restricted.realized == full.realized
-        # Same for the helper windows the runner uses directly.
-        np.testing.assert_array_equal(
-            restricted.alive_window(0, width, cols=cols),
-            full.alive_window(0, width)[:, cols],
+        grid_steps, grid_nodes = np.meshgrid(
+            np.arange(width), cols, indexing="ij"
         )
-        alive = full.alive_window(0, width)
         np.testing.assert_array_equal(
-            restricted.deaf_window(0, width, alive[:, cols], cols=cols),
-            full.deaf_window(0, width, alive)[:, cols],
+            restricted.deaf_at(grid_steps.ravel(), grid_nodes.ravel()),
+            deaf_full[:, cols].ravel(),
         )
 
     def test_column_restricted_transform_is_chunk_invariant(self):
-        # Crashes and late-joins landing mid-window while restricted:
-        # splitting the restricted window at arbitrary points realizes
-        # the identical fault masks and ledger.
+        # Crashes and late-joins landing mid-window on the transmitter
+        # list: splitting it at arbitrary points realizes the identical
+        # effective transmitters and ledger.
         n, width = 10, 20
         schedule = FaultSchedule(
             crashes=((0, 7),), joins=((3, 11),), energy=((5, 4),),
@@ -374,25 +371,28 @@ class TestFaultState:
         )
         cols = np.array([0, 2, 3, 5, 8], dtype=np.int64)
         rng = np.random.default_rng(8)
-        compact = rng.random((width, cols.size)) < 0.7
+        masks = np.zeros((width, n), dtype=bool)
+        masks[:, cols] = rng.random((width, cols.size)) < 0.7
         whole = FaultState(schedule, n)
-        eff_whole, deaf_whole = whole.transform_window(
-            compact.copy(), 0, cols=cols
-        )
+        steps, nodes = np.nonzero(masks)
+        eff_whole = whole.filter_coo(steps, nodes, 0, width)
         for bounds in ([6, 13], [1, 2, 3, 19], [10]):
             chunked = FaultState(schedule, n)
-            effs, deafs = [], []
+            parts = []
             for lo, hi in zip([0] + bounds, bounds + [width]):
-                e, d = chunked.transform_window(
-                    compact[lo:hi].copy(), lo, cols=cols
-                )
-                effs.append(e)
-                deafs.append(d)
-            np.testing.assert_array_equal(np.vstack(effs), eff_whole)
-            np.testing.assert_array_equal(np.vstack(deafs), deaf_whole)
+                s, v = np.nonzero(masks[lo:hi])
+                s, v = chunked.filter_coo(s, v, lo, hi - lo)
+                parts.append((s + lo, v))
+            np.testing.assert_array_equal(
+                np.concatenate([p[0] for p in parts]), eff_whole[0]
+            )
+            np.testing.assert_array_equal(
+                np.concatenate([p[1] for p in parts]), eff_whole[1]
+            )
             np.testing.assert_array_equal(
                 chunked.energy_remaining, whole.energy_remaining
             )
+            assert chunked.realized == whole.realized
 
     def test_transform_step_is_the_one_row_form(self):
         schedule = FaultSchedule(sleeps=((0, 2, 4),), seed=3)

@@ -383,10 +383,12 @@ class TestFaultTwins:
             self._assert_realized_equal(net_w, net_r)
 
     def test_mis_restricted_under_faults(self, fuzz_rounds):
-        # Active-set restriction × faults: a run forced onto residual
-        # contexts realizes the identical fault masks (crashes, jams,
-        # sleeps, energy debits land on the same global (step, node)
-        # cells) as the unrestricted engine and the step-wise twin.
+        # Transmitter-list execution × faults: the engine's blocks touch
+        # only their sampled transmitters (work restricted to the live
+        # set by construction), yet realize the identical fault pattern
+        # (crashes, jams, sleeps, energy debits land on the same global
+        # (step, node) cells) as the step-wise twin — whether chunks are
+        # whole sections or three steps that straddle every boundary.
         for r in range(fuzz_rounds):
             g = _fuzz_graph(r, "fault-mis-restrict")
             seed = _seed(r, "fault-mis-restrict")
@@ -394,28 +396,24 @@ class TestFaultTwins:
             schedule = _fuzz_schedule(g.number_of_nodes(), seed)
             nets = [RadioNetwork(g, faults=schedule) for _ in range(3)]
             rngs = [np.random.default_rng(seed) for _ in range(3)]
-            forced = compute_mis(
-                nets[0], rngs[0], config,
-                policy=ExecutionPolicy(restrict="force"),
-            )
-            off = compute_mis(
+            whole = compute_mis(nets[0], rngs[0], config)
+            chunked = compute_mis(
                 nets[1], rngs[1], config,
-                policy=ExecutionPolicy(restrict="off"),
+                policy=ExecutionPolicy(chunk_steps=3),
             )
             ref = compute_mis_reference(nets[2], rngs[2], config)
-            assert forced.mis == off.mis == ref.mis
-            assert forced.steps_used == off.steps_used == ref.steps_used
-            assert forced.history == off.history == ref.history
+            assert whole.mis == chunked.mis == ref.mis
+            assert whole.steps_used == chunked.steps_used == ref.steps_used
+            assert whole.history == chunked.history == ref.history
             _assert_trace_equal(nets[0], nets[1])
             _assert_trace_equal(nets[0], nets[2])
             _assert_rng_equal(*rngs)
             self._assert_realized_equal(nets[0], nets[1])
             self._assert_realized_equal(nets[0], nets[2])
-            assert nets[0].residual_stats["restricted_steps"] > 0
 
     def test_decay_restricted_under_faults(self, fuzz_rounds):
-        # Same property at the single-block level, where the support
-        # (the Decay active set) is sparse from step 0.
+        # Same property at the single-block level, where the active set
+        # is sparse from step 0.
         for r in range(fuzz_rounds):
             g = _fuzz_graph(r, "fault-decay-restrict")
             n = g.number_of_nodes()
@@ -427,7 +425,7 @@ class TestFaultTwins:
             rng_r = np.random.default_rng(seed + 1)
             a = run_decay(
                 net_f, active, rng_f, iterations=5,
-                policy=ExecutionPolicy(restrict="force"),
+                policy=ExecutionPolicy(chunk_steps=4),
             )
             b = run_decay_reference(net_r, active, rng_r, iterations=5)
             assert (a.heard == b.heard).all()
@@ -436,7 +434,6 @@ class TestFaultTwins:
             _assert_trace_equal(net_f, net_r)
             _assert_rng_equal(rng_f, rng_r)
             self._assert_realized_equal(net_f, net_r)
-            assert net_f.residual_stats["restricted_steps"] > 0
 
     def test_bgi_broadcast_under_faults(self, fuzz_rounds):
         # Crashed nodes can never be informed, so both twins run the

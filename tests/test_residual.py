@@ -1,28 +1,30 @@
-"""Residual delivery + compiled chunk kernels (ISSUE 7).
+"""Keyed row draws, delivery kernels, the mode registry, live-set work.
 
 Four layers, each pinned independently:
 
-* **PCG64 jump-ahead coins** (:mod:`repro.engine.pcg`) — the offset
-  draws must reproduce numpy's own stream value-for-value *and* leave
-  the generator in the exact state the full block draw would have.
-  numpy's PCG64 conventions (one uint64 per double, post-advance
-  output, XSL-RR, 53-bit mantissa) are pinned against numpy itself, so
-  a numpy whose stream changes fails here instead of silently
-  diverging downstream.
+* **Offset draws** (:mod:`repro.engine.sampler`) — a block's rows are
+  drawn from one block key, so any row interval can be drawn on its
+  own, at any offset, without drawing what precedes it: a sub-interval
+  equals the same rows of the whole block, empty intervals are empty,
+  the key is the only value taken from the protocol generator (one raw
+  draw, whatever its bit generator), and sampling never touches the
+  generator.
 * **Delivery kernels** (:mod:`repro.engine.kernels`) — every mode is
   bit-identical to a brute-force dense reference on the same CSR, and
   degree-dependent routing state is recomputed from the CSR handed in
-  (the satellite-2 regression: residual sub-graphs must not inherit a
-  parent's degree extremes).
+  (an induced sub-graph must not inherit a parent's degree extremes);
+  kernels over an induced sub-graph deliver exactly what the full graph
+  delivers on its members.
 * **Mode registry** — ``available_delivery_modes`` reports what this
   process can run; explicit requests for absent compiled backends are
   refused with the uniform :class:`ProtocolError` naming the installed
-  alternatives (silent fallback is reserved for ``"auto"``).
-* **Restricted execution** (:mod:`repro.engine.residual` + runner) —
-  member-set closure, context reuse, and full bit-identity (result,
-  steps, per-phase trace totals, final rng state) of
-  ``restrict="force"``/``"auto"`` against ``"off"`` and the step-wise
-  references, including under :class:`ValidatingRunner`.
+  alternatives (silent fallback is reserved for ``"auto"``), and the
+  removed ``restrict`` knob is refused naming the accepted fields.
+* **Live-set execution** — Decay, EED and Radio MIS blocks over sparse
+  active sets run on the transmitter-list path, whose work is confined to the
+  sampled transmitters; results, steps, per-phase trace totals and the
+  final rng state are bit-identical to the step-wise references,
+  including under :class:`ValidatingRunner`.
 """
 
 from __future__ import annotations
@@ -50,20 +52,9 @@ from repro.engine.kernels import (
     probe_numba,
     require_delivery_mode,
 )
-from repro.engine.pcg import (
-    CoinField,
-    OFFSET_COST_FACTOR,
-    jump_transform,
-    peek_uniform_block,
-    supports_offset_draws,
-)
-from repro.engine.policy import ExecutionPolicy
-from repro.engine.residual import (
-    RESTRICT_MODES,
-    ResidualContext,
-    validate_restrict,
-)
+from repro.engine.policy import POLICY_FIELDS, ExecutionPolicy
 from repro.engine.runner import run_schedule
+from repro.engine.sampler import RowSampler, draw_block_key
 from repro.engine.segments import PlanSection, StreamedWindow
 from repro.radio import RadioNetwork
 from repro.radio.errors import ProtocolError
@@ -73,8 +64,6 @@ from repro.radio.network import (
     NO_SENDER,
     TransmitPlan,
 )
-
-_MASK128 = (1 << 128) - 1
 
 
 def _assert_trace_equal(a: RadioNetwork, b: RadioNetwork) -> None:
@@ -96,109 +85,160 @@ def _rng_state(rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# PCG64 jump-ahead draws
+# Offset draws: keyed rows at any interval
 # ---------------------------------------------------------------------------
+
+
+#: Rows per chunk in the interval tests.
+_BLOCK = 64
+
+
+def _ladder(rows: int, span: int = 5) -> np.ndarray:
+    """Decay's row factors: ``2^-((t mod span) + 1)``."""
+    return 2.0 ** -((np.arange(rows) % span) + 1.0)
+
+
+def _draw(sampler: RowSampler, start: int, stop: int):
+    steps, nodes = sampler.sample(start, stop)
+    return steps + start, nodes
+
+
+def _concat(parts):
+    return (
+        np.concatenate([p[0] for p in parts]),
+        np.concatenate([p[1] for p in parts]),
+    )
 
 
 class TestOffsetDraws:
     def test_jump_transform_matches_bit_generator_advance(self):
-        # The closed-form (A_d, C_d) must advance the raw LCG state to
-        # exactly where numpy's own ``advance`` puts it.
-        for seed, delta in [(0, 1), (7, 13), (123, 4096), (5, 10**6)]:
+        # A block key is exactly one raw output of the protocol
+        # generator: drawing it lands where numpy's own ``advance(1)``
+        # puts a twin, and a Decay block (engine or step-wise) takes
+        # exactly that one draw however many steps it runs.
+        for seed in (0, 7, 123):
             rng = np.random.default_rng(seed)
-            state = rng.bit_generator.state["state"]
-            s, inc = int(state["state"]), int(state["inc"])
-            mult, plus = jump_transform(delta, inc)
-            expected = (mult * s + plus) & _MASK128
-            rng.bit_generator.advance(delta)
-            assert rng.bit_generator.state["state"]["state"] == expected
+            twin = np.random.default_rng(seed)
+            draw_block_key(rng)
+            twin.bit_generator.advance(1)
+            assert _rng_state(rng) == _rng_state(twin)
+        g = nx.path_graph(30)
+        for runner in (run_decay, run_decay_reference):
+            rng = np.random.default_rng(4)
+            twin = np.random.default_rng(4)
+            runner(RadioNetwork(g), np.ones(30, dtype=bool), rng,
+                   iterations=6)
+            twin.bit_generator.advance(1)
+            assert _rng_state(rng) == _rng_state(twin)
 
     def test_jump_transform_refuses_negative(self):
-        with pytest.raises(ValueError, match="jump delta"):
-            jump_transform(-1, 0)
+        members = np.ones(6, dtype=bool)
+        with pytest.raises(ValueError, match="row factors"):
+            RowSampler(1, members, np.array([0.5, -0.25]))
+        with pytest.raises(ValueError, match="column factors"):
+            RowSampler(1, members, _ladder(4), np.full(6, -0.5))
+        with pytest.raises(ValueError, match="column factors"):
+            RowSampler(1, members, _ladder(4), np.full(6, 1.5))
 
     def test_peek_matches_numpy_block_and_leaves_state(self):
-        rows, stride = 9, 57
-        cols = np.array([0, 3, 11, 12, 40, 56], dtype=np.int64)
+        # Sampling is a pure read of the key: the protocol generator is
+        # never touched, and a second sampler on the same key redraws
+        # the identical rows.
         rng = np.random.default_rng(2024)
-        twin = np.random.default_rng(2024)
+        key = draw_block_key(rng)
         before = _rng_state(rng)
-        vals = peek_uniform_block(rng, rows, stride, cols)
-        # Peek is a pure read: the generator has not moved.
+        members = np.arange(57) % 3 != 0
+        weights = np.linspace(0.0, 1.0, 57)
+        first = RowSampler(key, members, _ladder(90), weights)
+        second = RowSampler(key, members, _ladder(90), weights)
+        a = _draw(first, 0, 90)
+        b = _draw(second, 0, 90)
         assert _rng_state(rng) == before
-        full = twin.random((rows, stride))
-        np.testing.assert_array_equal(vals, full[:, cols])
-        # One advance(rows * stride) lands on the full draw's state.
-        rng.bit_generator.advance(rows * stride)
-        assert _rng_state(rng) == _rng_state(twin)
-
-    def test_supports_offset_draws_is_exact_pcg64_only(self):
-        assert supports_offset_draws(np.random.default_rng(0))
-        assert not supports_offset_draws(
-            np.random.Generator(np.random.PCG64DXSM(0))
-        )
-        assert not supports_offset_draws(
-            np.random.Generator(np.random.Philox(0))
-        )
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+        assert a[0].size > 0
 
     def test_coinfield_draw_at_matches_draw_and_slice(self):
-        n = 97
-        cols = np.array([1, 5, 8, 44, 90], dtype=np.int64)
-        assert cols.size * OFFSET_COST_FACTOR < n  # jump path
-        rng_a = np.random.default_rng(31)
-        rng_b = np.random.default_rng(31)
-        fast = CoinField(rng_a, n)
-        slow = CoinField(rng_b, n)
-        # Consecutive intervals, per the streaming executor's contract.
-        for start, stop in [(0, 4), (4, 5), (5, 12)]:
-            np.testing.assert_array_equal(
-                fast.draw_at(start, stop, cols),
-                slow.draw(start, stop)[:, cols],
-            )
-        assert _rng_state(rng_a) == _rng_state(rng_b)
+        # Any row interval, drawn on its own at any offset, equals the
+        # same rows of the whole block.
+        n, rows = 97, 3 * _BLOCK + 20
+        members = np.zeros(n, dtype=bool)
+        members[[1, 5, 8, 44, 90]] = True
+        whole = _draw(RowSampler(31, members, _ladder(rows)), 0, rows)
+        for start, stop in [(0, 4), (4, 5), (5, 12), (100, 180),
+                            (rows - 3, rows)]:
+            part = _draw(RowSampler(31, members, _ladder(rows)),
+                         start, stop)
+            inside = (whole[0] >= start) & (whole[0] < stop)
+            np.testing.assert_array_equal(part[0], whole[0][inside])
+            np.testing.assert_array_equal(part[1], whole[1][inside])
 
     def test_coinfield_wide_cols_take_fallback(self):
-        # cols wide enough that draw-and-slice is cheaper: same values,
-        # same state, different route.
-        n = 12
-        cols = np.arange(0, n, 2, dtype=np.int64)
-        assert cols.size * OFFSET_COST_FACTOR >= n
-        rng_a = np.random.default_rng(8)
-        rng_b = np.random.default_rng(8)
-        got = CoinField(rng_a, n).draw_at(0, 7, cols)
-        want = CoinField(rng_b, n).draw(0, 7)[:, cols]
-        np.testing.assert_array_equal(got, want)
-        assert _rng_state(rng_a) == _rng_state(rng_b)
+        # Every member of a wide set, on rows whose probability is 1:
+        # each walk's gaps are all 1, so every cell transmits.
+        n, rows = 300, 12
+        members = np.ones(n, dtype=bool)
+        members[::7] = False
+        steps, nodes = RowSampler(8, members, np.ones(rows)).sample(
+            0, rows
+        )
+        expected = np.flatnonzero(members)
+        assert steps.size == rows * expected.size
+        for t in range(rows):
+            np.testing.assert_array_equal(nodes[steps == t], expected)
 
     def test_coinfield_non_pcg64_takes_fallback(self):
-        n = 60
-        cols = np.array([2, 17, 31], dtype=np.int64)
-        rng_a = np.random.Generator(np.random.PCG64DXSM(5))
-        rng_b = np.random.Generator(np.random.PCG64DXSM(5))
-        got = CoinField(rng_a, n).draw_at(0, 6, cols)
-        want = CoinField(rng_b, n).draw(0, 6)[:, cols]
-        np.testing.assert_array_equal(got, want)
-        assert _rng_state(rng_a) == _rng_state(rng_b)
+        # The key draw works on any bit generator: engine and step-wise
+        # Decay agree bit for bit, final generator state included.
+        g = nx.gnp_random_graph(40, 0.15, seed=3)
+        active = np.arange(40) % 2 == 0
+        for bits in (np.random.PCG64DXSM, np.random.MT19937,
+                     np.random.Philox):
+            rng_a = np.random.Generator(bits(5))
+            rng_b = np.random.Generator(bits(5))
+            a = run_decay(RadioNetwork(g), active, rng_a, iterations=3)
+            b = run_decay_reference(
+                RadioNetwork(g), active, rng_b, iterations=3
+            )
+            np.testing.assert_array_equal(a.heard_from, b.heard_from)
+            # (MT19937 states hold arrays: compare the next draws.)
+            np.testing.assert_array_equal(
+                rng_a.integers(0, 2**63, 4), rng_b.integers(0, 2**63, 4)
+            )
 
     def test_coinfield_fallback_blocks_tall_windows(self):
-        # The draw-and-slice fallback must bound its full-width scratch:
-        # a very tall restricted window is drawn in coin_chunk-row
-        # blocks, still value-identical to the monolithic draw.
-        from repro.engine.segments import coin_chunk
-
-        n = 9
-        k = 3 * coin_chunk(n) + 5
-        cols = np.arange(n, dtype=np.int64)  # wide -> fallback
-        rng_a = np.random.default_rng(77)
-        rng_b = np.random.default_rng(77)
-        got = CoinField(rng_a, n).draw_at(0, k, cols)
-        want = rng_b.random((k, n))[:, cols]
-        np.testing.assert_array_equal(got, want)
+        # A tall block with dense rows: walks run past their first
+        # batch and continue in doubling batches; drawing it in one
+        # call, row by row, or chunk by chunk gives the same pairs.
+        n, rows = 400, 2 * _BLOCK + 7
+        members = np.ones(n, dtype=bool)
+        probs = np.full(rows, 0.5)
+        whole = _draw(RowSampler(77, members, probs), 0, rows)
+        single = RowSampler(77, members, probs)
+        by_row = _concat([_draw(single, t, t + 1) for t in range(rows)])
+        chunked = RowSampler(77, members, probs)
+        by_chunk = _concat([
+            _draw(chunked, t, min(t + _BLOCK, rows))
+            for t in range(0, rows, _BLOCK)
+        ])
+        for other in (by_row, by_chunk):
+            np.testing.assert_array_equal(other[0], whole[0])
+            np.testing.assert_array_equal(other[1], whole[1])
 
     def test_coinfield_empty_interval(self):
-        cf = CoinField(np.random.default_rng(0), 10)
-        out = cf.draw_at(5, 5, np.array([1, 2], dtype=np.int64))
-        assert out.shape == (0, 2)
+        sampler = RowSampler(0, np.ones(10, dtype=bool), _ladder(20))
+        steps, nodes = sampler.sample(5, 5)
+        assert steps.size == nodes.size == 0
+        # No member, or only probability-0 columns: nothing transmits.
+        for members, weights in (
+            (np.zeros(10, dtype=bool), None),
+            (np.ones(10, dtype=bool), np.zeros(10)),
+        ):
+            steps, nodes = RowSampler(
+                0, members, _ladder(20), weights
+            ).sample(0, 20)
+            assert steps.size == nodes.size == 0
+            assert steps.dtype == nodes.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +341,7 @@ class TestModeRegistry:
             assert mode in avail
         for mode in COMPILED_DELIVERY_MODES:
             assert mode in ALL_DELIVERY_MODES
-            probe = {
-                "numba": probe_numba,
-                "cupy": probe_cupy,
-                "pipeline": probe_numba,
-            }[mode]
+            probe = {"numba": probe_numba, "cupy": probe_cupy}[mode]
             assert (mode in avail) == probe()
 
     def test_unknown_mode_refused_with_full_inventory(self):
@@ -348,78 +384,58 @@ class TestModeRegistry:
         assert compiled_kernel_name("auto") == expected_auto
 
     def test_restrict_modes_validated(self):
-        for mode in RESTRICT_MODES:
-            validate_restrict(mode)  # must not raise
-        with pytest.raises(ProtocolError, match="unknown restrict"):
-            validate_restrict("maybe")
-        with pytest.raises(ProtocolError, match="unknown restrict"):
-            ExecutionPolicy(restrict="maybe")
+        # The restriction knob is gone: every value, including the
+        # modes it used to accept, is refused naming the accepted
+        # policy fields.
+        for mode in ("auto", "off", "force", "maybe"):
+            with pytest.raises(ProtocolError, match="restrict") as err:
+                ExecutionPolicy(restrict=mode)
+            assert str(POLICY_FIELDS) in str(err.value)
 
 
 # ---------------------------------------------------------------------------
-# Residual contexts
+# Induced sub-graph delivery
 # ---------------------------------------------------------------------------
 
 
 class TestResidualContext:
-    def test_members_are_support_plus_one_hop(self):
-        g = nx.path_graph(7)  # 0-1-2-3-4-5-6
-        net = RadioNetwork(g)
-        support = np.zeros(7, dtype=bool)
-        support[2] = True
-        ctx = ResidualContext(net, support)
-        np.testing.assert_array_equal(ctx.members, [1, 2, 3])
-        assert ctx.k == 3
-        assert ctx.live_at_build == 1
-        # Induced sub-CSR degrees: path 1-2-3 relabeled 0-1-2.
-        np.testing.assert_array_equal(ctx.kernels.degrees, [1, 2, 1])
-
-    def test_covers_is_subset_of_build_support(self):
-        g = nx.cycle_graph(8)
-        net = RadioNetwork(g)
-        support = np.zeros(8, dtype=bool)
-        support[[1, 4]] = True
-        ctx = ResidualContext(net, support)
-        subset = np.zeros(8, dtype=bool)
-        subset[4] = True
-        assert ctx.covers(subset)
-        assert ctx.covers(np.zeros(8, dtype=bool))
-        other = np.zeros(8, dtype=bool)
-        other[6] = True
-        assert not ctx.covers(other)
-
     def test_support_shape_refused(self):
-        net = RadioNetwork(nx.path_graph(5))
-        with pytest.raises(ProtocolError, match="residual support"):
-            ResidualContext(net, np.zeros(4, dtype=bool))
+        # The member mask fixes the column layout: column factors of
+        # another shape are refused.
+        with pytest.raises(ValueError, match="shape"):
+            RowSampler(0, np.ones(10, dtype=bool), _ladder(4), np.ones(7))
 
     def test_restricted_delivery_matches_full_on_members(self):
-        # Executing a support-confined mask block on the residual
-        # kernels, then translating senders back to global ids, equals
-        # the full-graph delivery (non-members hear silence anyway).
+        # Executing a support-confined mask block on the kernels of the
+        # sub-graph induced by the support and its one-hop neighborhood,
+        # then translating senders back to global ids, equals the
+        # full-graph delivery (non-members hear silence anyway).
         g = nx.gnp_random_graph(30, 0.15, seed=6)
         net = RadioNetwork(g)
         rng = np.random.default_rng(3)
         support = rng.random(30) < 0.3
-        ctx = ResidualContext(net, support)
+        reach = net._adj @ support.astype(np.float64)
+        members = np.flatnonzero(support | (reach > 0.0))
+        sub_indptr, sub_indices = net._context.induced_csr(members)
+        kern = DeliveryKernels(sub_indptr, sub_indices, members.size)
         masks = np.zeros((8, 30), dtype=bool)
         masks[:, support] = rng.random((8, int(support.sum()))) < 0.5
         adj = net._context.csr.toarray().astype(np.int64)
         want, _ = _reference_delivery(adj, masks)
-        compact = masks[:, ctx.members]
-        hear = np.full((8, ctx.k), NO_SENDER, dtype=np.int64)
-        ctx.kernels.execute(compact, hear, "auto")
+        compact = masks[:, members]
+        hear = np.full((8, members.size), NO_SENDER, dtype=np.int64)
+        kern.execute(compact, hear, "auto")
         heard = hear != NO_SENDER
-        hear[heard] = ctx.members[hear[heard]]  # local -> global ids
-        np.testing.assert_array_equal(hear, want[:, ctx.members])
+        hear[heard] = members[hear[heard]]  # local -> global ids
+        np.testing.assert_array_equal(hear, want[:, members])
         # And silence everywhere else.
         outside = np.ones(30, dtype=bool)
-        outside[ctx.members] = False
+        outside[members] = False
         assert (want[:, outside] == NO_SENDER).all()
 
 
 # ---------------------------------------------------------------------------
-# Restricted execution: bit-identity end to end
+# Live-set execution: bit-identity end to end
 # ---------------------------------------------------------------------------
 
 
@@ -429,18 +445,18 @@ def _twin_nets(g: nx.Graph, count: int = 2):
 
 class TestRestrictedEquivalence:
     def test_decay_restricted_bit_identical(self):
+        # A quarter of the nodes active: the transmitter-list path
+        # samples and delivers only their transmissions, at any chunk
+        # height, bit-identically to the step-wise reference.
         g = nx.gnp_random_graph(90, 0.07, seed=13)
         active = np.random.default_rng(1).random(90) < 0.25
         active[0] = True
-        net_f, net_o, net_r = _twin_nets(g, 3)
+        net_a, net_b, net_r = _twin_nets(g, 3)
         rngs = [np.random.default_rng(21) for _ in range(3)]
-        a = run_decay(
-            net_f, active, rngs[0], iterations=4,
-            policy=ExecutionPolicy(restrict="force"),
-        )
+        a = run_decay(net_a, active, rngs[0], iterations=4)
         b = run_decay(
-            net_o, active, rngs[1], iterations=4,
-            policy=ExecutionPolicy(restrict="off"),
+            net_b, active, rngs[1], iterations=4,
+            policy=ExecutionPolicy(chunk_steps=3),
         )
         c = run_decay_reference(net_r, active, rngs[2], iterations=4)
         for other in (b, c):
@@ -449,13 +465,14 @@ class TestRestrictedEquivalence:
                 a.heard_from, other.heard_from
             )
             assert a.messages == other.messages
-        _assert_trace_equal(net_f, net_o)
-        _assert_trace_equal(net_f, net_r)
+        _assert_trace_equal(net_a, net_b)
+        _assert_trace_equal(net_a, net_r)
         states = [_rng_state(r) for r in rngs]
         assert states[0] == states[1] == states[2]
-        assert net_f.residual_stats["restricted_steps"] > 0
-        assert net_f.residual_stats["full_steps"] == 0
-        assert net_o.residual_stats["restricted_steps"] == 0
+        assert net_a.kernel_use and all(
+            name.startswith("coo-") or name == "skip-empty"
+            for name in net_a.kernel_use
+        )
 
     def test_eed_restricted_bit_identical(self):
         g = nx.gnp_random_graph(70, 0.1, seed=17)
@@ -467,7 +484,7 @@ class TestRestrictedEquivalence:
         rng_r = np.random.default_rng(6)
         a = estimate_effective_degree(
             net_f, p, active, rng_f, C=4,
-            policy=ExecutionPolicy(restrict="force"),
+            policy=ExecutionPolicy(chunk_steps=5),
         )
         b = estimate_effective_degree_reference(
             net_r, p, active, rng_r, C=4
@@ -476,36 +493,41 @@ class TestRestrictedEquivalence:
         np.testing.assert_array_equal(a.counts, b.counts)
         _assert_trace_equal(net_f, net_r)
         assert _rng_state(rng_f) == _rng_state(rng_r)
-        assert net_f.residual_stats["restricted_steps"] > 0
 
-    @pytest.mark.parametrize("restrict", ["auto", "force"])
-    def test_mis_restricted_bit_identical(self, restrict):
-        g = nx.gnp_random_graph(110, 0.08, seed=23)
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            pytest.param(ExecutionPolicy(), id="auto"),
+            pytest.param(
+                ExecutionPolicy(delivery="sparse", chunk_steps=3),
+                id="force",
+            ),
+        ],
+    )
+    def test_mis_restricted_bit_identical(self, policy):
+        # Radio MIS: the live set shrinks round by round, and every
+        # block touches only its sampled transmitters — at the default
+        # routing, or forced onto the sparse kernels in 3-step chunks
+        # that straddle every section boundary — bit-identically to the
+        # step-wise reference.
+        g = nx.gnp_random_graph(80, 0.08, seed=19)
         config = MISConfig(eed_C=3)
-        net_x, net_r = _twin_nets(g)
-        rng_x = np.random.default_rng(42)
-        rng_r = np.random.default_rng(42)
-        a = compute_mis(
-            net_x, rng_x, config,
-            policy=ExecutionPolicy(restrict=restrict),
-        )
+        net_e, net_r = _twin_nets(g)
+        rng_e = np.random.default_rng(12)
+        rng_r = np.random.default_rng(12)
+        a = compute_mis(net_e, rng_e, config, policy=policy)
         b = compute_mis_reference(net_r, rng_r, config)
         assert a.mis == b.mis
         assert a.steps_used == b.steps_used
         assert a.history == b.history
-        _assert_trace_equal(net_x, net_r)
-        assert _rng_state(rng_x) == _rng_state(rng_r)
-        # Late MIS rounds always collapse the live set far enough for
-        # auto to engage; force engages from round one.
-        assert net_x.residual_stats["restricted_steps"] > 0
-        if restrict == "auto":
-            assert net_x.residual_stats["full_steps"] > 0
+        _assert_trace_equal(net_e, net_r)
+        assert _rng_state(rng_e) == _rng_state(rng_r)
 
     def test_restricted_under_validating_runner(self):
-        # ValidatingRunner re-derives each restricted slab full-width
-        # and compares — restrict="force" under validate=True is the
-        # strongest self-check the engine has; it must also stay
-        # bit-identical to the plain run.
+        # ValidatingRunner expands each transmitter-list chunk back to
+        # masks and compares it against the step replay and both forced
+        # strategies; a validated run must also stay bit-identical to
+        # the plain run.
         g = nx.gnp_random_graph(60, 0.1, seed=29)
         config = MISConfig(eed_C=3)
         net_v, net_p = _twin_nets(g)
@@ -513,27 +535,13 @@ class TestRestrictedEquivalence:
         rng_p = np.random.default_rng(8)
         a = compute_mis(
             net_v, rng_v, config,
-            policy=ExecutionPolicy(restrict="force", validate=True),
+            policy=ExecutionPolicy(validate=True, chunk_steps=7),
         )
         b = compute_mis(net_p, rng_p, config)
         assert a.mis == b.mis
         assert a.steps_used == b.steps_used
         _assert_trace_equal(net_v, net_p)
         assert _rng_state(rng_v) == _rng_state(rng_p)
-        assert net_v.residual_stats["restricted_steps"] > 0
-
-    def test_rebuild_amortization_counters(self):
-        # A full MIS run rebuilds contexts only as the live set
-        # collapses: far fewer rebuilds than rounds.
-        g = nx.gnp_random_graph(120, 0.06, seed=31)
-        net = RadioNetwork(g)
-        res = compute_mis(
-            net, np.random.default_rng(11), MISConfig(eed_C=3),
-            policy=ExecutionPolicy(restrict="force"),
-        )
-        stats = net.residual_stats
-        assert 0 < stats["rebuilds"] <= len(res.history)
-        assert stats["restricted_steps"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -551,37 +559,11 @@ class TestPlanContracts:
             )
             yield StreamedWindow(
                 plan,
-                sections=(
-                    PlanSection(3, None, lambda slab: None, None),
-                ),
+                sections=(PlanSection(3, None, lambda slab: None),),
             )
 
         with pytest.raises(ProtocolError, match="sections cover 3"):
             run_schedule(net, schedule())
-
-    def test_masks_at_shape_refused(self):
-        n = 6
-        net = RadioNetwork(nx.path_graph(n))
-        support = np.zeros(n, dtype=bool)
-        support[2] = True
-
-        def schedule():
-            plan = TransmitPlan(
-                4,
-                lambda s, e: np.zeros((e - s, n), dtype=bool),
-                support=support,
-                masks_at=lambda s, e, cols: np.zeros(
-                    (e - s, cols.size + 1), dtype=bool
-                ),
-            )
-            yield StreamedWindow(
-                plan,
-                consume=lambda slab: None,
-                consume_at=lambda slab, cols: None,
-            )
-
-        with pytest.raises(ProtocolError, match="masks_at produced"):
-            run_schedule(net, schedule(), restrict="force")
 
     def test_window_without_consume_surface_refused(self):
         net = RadioNetwork(nx.path_graph(4))

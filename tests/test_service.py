@@ -41,6 +41,7 @@ from repro.api.wire import decode_value, encode_value
 from repro.corpus.generate import random_udg_csr
 from repro.corpus.store import CorpusStore
 from repro.engine.policy import ExecutionPolicy
+from repro.engine.sampler import STREAM_VERSION
 from repro.faults import FaultSchedule
 from repro.radio.errors import ProtocolError
 from repro.service import (
@@ -418,6 +419,43 @@ class TestCampaign:
         assert status["cached"] == 6 and status["executed"] == 0
         assert again.final_summary() == first.final_summary()
         assert all(a == b for a, b in zip(again.reports, first.reports))
+
+    def test_previous_stream_entries_miss_and_reexecute(
+        self, stores, tmp_path
+    ):
+        # A store written before the random stream changed holds the
+        # same coordinates under a key document without the stream
+        # version. Those entries must miss — never answer with the old
+        # stream's numbers — and every job must re-execute.
+        import hashlib
+        import shutil
+
+        corpus, digest, _ = stores
+        spec = CampaignSpec(protocol="decay", corpus=(digest,),
+                            n_trials=3, seed=42)
+        fresh = run_campaign(spec, ReportStore(tmp_path / "fresh"),
+                             corpus=corpus)
+        old_store = ReportStore(tmp_path / "old")
+        for job in fresh.jobs:
+            legacy = hashlib.sha256(
+                json.dumps(dataclasses.asdict(job.key), sort_keys=True)
+                .encode()
+            ).hexdigest()
+            assert legacy != job.key.digest
+            target = old_store.path_for(legacy)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(
+                ReportStore(tmp_path / "fresh").path_for(job.key), target
+            )
+            assert legacy in old_store
+            assert job.key not in old_store
+        again = run_campaign(spec, old_store, corpus=corpus)
+        status = again.status()
+        assert status["cached"] == 0 and status["executed"] == 3
+        assert all(a == b for a, b in zip(again.reports, fresh.reports))
+        assert all(
+            r.provenance["stream"] == STREAM_VERSION for r in again.reports
+        )
 
     def test_distinct_configs_occupy_distinct_store_cells(
         self, stores, tmp_path

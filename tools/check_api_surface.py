@@ -3,9 +3,11 @@
 Two checks, both cheap enough for every CI run (wired next to the
 engine coverage floor):
 
-1. **Pinned ``repro.api.__all__``** — the public surface is an explicit
-   contract. Adding or removing a name must edit the pin here, in the
-   same commit, on purpose; silent drift fails.
+1. **Pinned surfaces** — ``repro.api.__all__``, ``repro.service.__all__``
+   and ``repro.engine.__all__``, the :class:`ExecutionPolicy` fields and
+   the delivery modes are an explicit contract. Adding or removing a
+   name, a policy knob or a mode must edit the pin here, in the same
+   commit, on purpose; silent drift fails.
 
 2. **No deep imports in user-facing material** — ``examples/`` scripts
    and the fenced Python snippets in ``README.md`` / ``EXPERIMENTS.md``
@@ -81,6 +83,69 @@ EXPECTED_SERVICE_ALL = [
     "start_in_thread",
 ]
 
+#: The pinned public surface of repro.engine.
+EXPECTED_ENGINE_ALL = [
+    "ALL_DELIVERY_MODES",
+    "COIN_BUDGET",
+    "COMPILED_DELIVERY_MODES",
+    "DELIVERY_MODES",
+    "DeliveryKernels",
+    "ENGINE_MODES",
+    "DecisionStep",
+    "ExecutionPolicy",
+    "PlanSection",
+    "RowSampler",
+    "STREAM_VERSION",
+    "TRACE_MODES",
+    "ObliviousnessViolationError",
+    "ObliviousWindow",
+    "ProtocolSchedule",
+    "ProtocolSegmentSource",
+    "STREAM_CELL_BYTES",
+    "ScheduleSegmentAdapter",
+    "Segment",
+    "SegmentProtocol",
+    "StreamedCommitAdapter",
+    "StreamedWindow",
+    "StreamingSegmentProtocol",
+    "TracePhase",
+    "TransmitterPlan",
+    "ValidatingRunner",
+    "WindowedRunner",
+    "available_delivery_modes",
+    "chunk_steps_for_budget",
+    "coin_chunk",
+    "compiled_kernel_name",
+    "legacy_policy",
+    "memory_budget",
+    "multiplex",
+    "parse_mem_budget",
+    "protocol_schedule",
+    "require_delivery_mode",
+    "resolve_chunk_steps",
+    "run_schedule",
+    "segment_schedule",
+    "set_memory_budget",
+]
+
+#: The pinned ExecutionPolicy fields, in declaration order.
+EXPECTED_POLICY_FIELDS = [
+    "engine",
+    "delivery",
+    "chunk_steps",
+    "mem_budget",
+    "validate",
+    "trace",
+    "faults",
+]
+
+#: The pinned delivery modes: the numpy strategies and the optional
+#: compiled backends.
+EXPECTED_DELIVERY_MODES = {
+    "repro/radio/network.py": ("DELIVERY_MODES", ["auto", "sparse", "dense"]),
+    "repro/engine/kernels.py": ("COMPILED_DELIVERY_MODES", ["numba", "cupy"]),
+}
+
 #: Package surfaces user-facing material may import from. One level
 #: below ``repro`` only — anything deeper is an internal module.
 ALLOWED_ROOTS = {
@@ -134,9 +199,47 @@ def _check_all_pin(package: str, expected: list[str]) -> list[str]:
 def check_api_all() -> list[str]:
     """Pin the public ``__all__`` of every supported import root that
     declares one explicitly."""
-    return _check_all_pin("repro.api", EXPECTED_API_ALL) + _check_all_pin(
-        "repro.service", EXPECTED_SERVICE_ALL
+    return (
+        _check_all_pin("repro.api", EXPECTED_API_ALL)
+        + _check_all_pin("repro.service", EXPECTED_SERVICE_ALL)
+        + _check_all_pin("repro.engine", EXPECTED_ENGINE_ALL)
     )
+
+
+def check_policy_and_modes() -> list[str]:
+    """Pin the ExecutionPolicy fields and the delivery-mode tuples,
+    parsed from source like the ``__all__`` pins."""
+    problems = []
+    tree = ast.parse((SRC / "repro/engine/policy.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "ExecutionPolicy":
+            fields = [
+                stmt.target.id
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+            ]
+            if fields != EXPECTED_POLICY_FIELDS:
+                problems.append(
+                    f"ExecutionPolicy fields {fields} drifted from the "
+                    f"pin {EXPECTED_POLICY_FIELDS}"
+                )
+    for module, (name, expected) in EXPECTED_DELIVERY_MODES.items():
+        tree = ast.parse((SRC / module).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name
+                for t in node.targets
+            ):
+                actual = [
+                    elt.value
+                    for elt in node.value.elts  # type: ignore[attr-defined]
+                ]
+                if actual != expected:
+                    problems.append(
+                        f"{name} {actual} drifted from the pin {expected}"
+                    )
+    return problems
 
 
 def _imported_modules(tree: ast.AST) -> list[tuple[str, str]]:
@@ -200,7 +303,12 @@ def check_doc_snippets() -> list[str]:
 
 def main() -> int:
     """Run all surface checks; list every violation; nonzero on any."""
-    problems = check_api_all() + check_examples() + check_doc_snippets()
+    problems = (
+        check_api_all()
+        + check_policy_and_modes()
+        + check_examples()
+        + check_doc_snippets()
+    )
     if problems:
         print("public API surface violations:")
         for problem in problems:
@@ -209,7 +317,9 @@ def main() -> int:
     print(
         "api surface OK: __all__ pinned "
         f"({len(EXPECTED_API_ALL)} api + {len(EXPECTED_SERVICE_ALL)} "
-        "service names), examples and doc snippets import public "
+        f"service + {len(EXPECTED_ENGINE_ALL)} engine names), "
+        f"{len(EXPECTED_POLICY_FIELDS)} policy fields and the delivery "
+        "modes pinned, examples and doc snippets import public "
         "surfaces only"
     )
     return 0
