@@ -11,17 +11,18 @@ the bench before any timing is reported:
   the decision-point engine path. Acceptance floor: **3x** vs the
   reference.
 
-* **Dense-window delivery** on the EstimateEffectiveDegree ``p ~ 0.5``
-  regime (dense UDG, all nodes active at desire level 0.5): the block's
-  low density levels light up most (listener, step) pairs, which is
-  where ``deliver_window``'s sparse product degrades into COO
-  materialization. Recorded: the full block under ``delivery="auto"``
-  (per-row density routing) vs forced-``sparse``, floor **1.05x**
-  (measured ~1.3x; only the ladder's low levels are dense, so the
-  block-level margin is structurally thin and the floor asserts
-  strictly-faster with noise headroom), and a single level-0 window
+* **Dense EED delivery** on the EstimateEffectiveDegree ``p ~ 0.5``
+  regime (dense UDG, all nodes active at desire level 0.5). Block
+  leg: the block's sampled rows as transmitter pairs through the
+  transmitter-list product (``DeliveryKernels.execute_coo``, the path
+  EED runs on) against the same rows as masks through the mask path's
+  ``deliver_window(mode="auto")``, floor **1.2x** (measured ~1.85x;
+  best-of-3 on both sides). Window leg: a single level-0 window
   forced-``dense`` vs forced-``sparse``, floor **1.5x** (measured
-  ~3.5x).
+  ~3.5x). Until the transmitter-list path had one kernel, the block
+  leg compared ``delivery="auto"`` with forced-``sparse`` routing of
+  the whole EED block; the committed ``BENCH_PR3.json`` keeps that
+  record (``block_speedup``) as history.
 
 Results persist to ``BENCH_PR3.json``. Run directly::
 
@@ -47,7 +48,7 @@ RESULT_PATH = REPO_ROOT / "BENCH_PR3.json"
 #: Acceptance floors from the PR 3 issue (CI margins are wide: the
 #: measured fused-ICP speedup is ~3x the floor on a quiet host).
 FUSED_ICP_FLOOR = 3.0
-DENSE_BLOCK_FLOOR = 1.05
+COO_BLOCK_FLOOR = 1.2
 DENSE_WINDOW_FLOOR = 1.5
 
 
@@ -108,37 +109,66 @@ def bench_fused_icp(n: int = 2000, seed: int = 404, ell: int = 6) -> dict:
     }
 
 
+def _best_of(repeats: int, fn) -> float:
+    """Best wall time of ``repeats`` calls of ``fn``."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def bench_dense_window(n: int = 2000, seed: int = 505) -> dict:
-    """The EstimateEffectiveDegree ``p ~ 0.5`` dense regime: auto (per-
-    row density routing) vs forced-sparse over the whole block, plus a
-    single level-0 window forced-dense vs forced-sparse."""
-    from repro.core import (
-        estimate_effective_degree,
-    )
+    """The EstimateEffectiveDegree ``p ~ 0.5`` dense regime.
+
+    Block leg: the block's sampled rows, drawn from its block key and
+    chunked per density level as a run executes them, delivered as
+    transmitter pairs through ``DeliveryKernels.execute_coo`` against
+    the same rows as masks through the mask path's
+    ``deliver_window(mode="auto")``. Window leg: a single level-0
+    window forced-dense vs forced-sparse.
+    """
+    from repro.core import EstimateEffectiveDegree
+    from repro.engine import coin_chunk
     from repro.radio import CheapTrace, RadioNetwork
+    from repro.radio.network import NO_SENDER
 
     g = _udg(n, (n / 80.0) ** 0.5, seed)  # avg degree ~200 at n = 2000
-    p = np.full(n, 0.5)
-    active = np.ones(n, dtype=bool)
+    net = RadioNetwork(g, trace=CheapTrace())
+    eed = EstimateEffectiveDegree(
+        net, np.full(n, 0.5), np.ones(n, dtype=bool), C=24
+    )
+    eed.bind_key(np.random.default_rng(seed + 1))
+    height = min(eed.steps_per_level, coin_chunk(n))
+    chunks = []
+    for level in range(eed.levels):
+        start = level * eed.steps_per_level
+        for lo in range(start, start + eed.steps_per_level, height):
+            w = min(height, start + eed.steps_per_level - lo)
+            steps, nodes = eed.transmitters(lo, lo + w)
+            masks = np.zeros((w, n), dtype=bool)
+            masks[steps, nodes] = True
+            chunks.append((w, steps, nodes, masks))
+    kern = net._delivery_kernels()
 
-    block: dict[str, float] = {}
-    counts = {}
-    for delivery in ("sparse", "auto", "dense"):
-        best = float("inf")
-        # Best-of-3: this ratio has the thinnest structural margin of
-        # the gated floors, so it gets the most noise suppression.
-        for _ in range(3):
-            net = RadioNetwork(g, trace=CheapTrace())
-            t0 = time.perf_counter()
-            res = estimate_effective_degree(
-                net, p, active, np.random.default_rng(seed + 1),
-                C=24, delivery=delivery,
-            )
-            best = min(best, time.perf_counter() - t0)
-        block[delivery] = best
-        counts[delivery] = res.counts
-    assert (counts["auto"] == counts["sparse"]).all()
-    assert (counts["dense"] == counts["sparse"]).all()
+    # Bit-identity first: both legs deliver the same channel.
+    for w, steps, nodes, masks in chunks:
+        step, node, sender = kern.execute_coo(w, steps, nodes)
+        hear = np.full((w, n), NO_SENDER, dtype=np.int64)
+        hear[step, node] = sender
+        assert (hear == net.deliver_window(masks, mode="auto")).all()
+
+    # Best-of-3: this ratio has the thinnest structural margin of the
+    # gated floors, so it gets the most noise suppression.
+    block_coo = _best_of(
+        3,
+        lambda: [kern.execute_coo(w, s, v) for w, s, v, _ in chunks],
+    )
+    block_mask = _best_of(
+        3,
+        lambda: [net.deliver_window(m, mode="auto") for *_, m in chunks],
+    )
 
     # One pure level-0 window: every active node transmits with
     # probability 0.5 — the regime the ROADMAP flagged.
@@ -158,16 +188,18 @@ def bench_dense_window(n: int = 2000, seed: int = 505) -> dict:
 
     return {
         "workload": (
-            "EstimateEffectiveDegree p=0.5 dense regime: density-"
-            "adaptive window delivery"
+            "EstimateEffectiveDegree p=0.5 dense regime: transmitter-"
+            "list product vs mask-path delivery of the block's rows, "
+            "and the dense vs sparse window kernels"
         ),
         "n": n,
         "edges": g.number_of_edges(),
-        "block_sparse_s": block["sparse"],
-        "block_auto_s": block["auto"],
-        "block_dense_s": block["dense"],
-        "block_speedup": block["sparse"] / block["auto"],
-        "block_floor": DENSE_BLOCK_FLOOR,
+        "block_rows": eed.total_steps,
+        "block_transmitters": int(sum(c[1].size for c in chunks)),
+        "block_mask_s": block_mask,
+        "block_coo_s": block_coo,
+        "coo_block_speedup": block_mask / block_coo,
+        "coo_block_floor": COO_BLOCK_FLOOR,
         "window_sparse_s": single["sparse"],
         "window_dense_s": single["dense"],
         "window_speedup": single["sparse"] / single["dense"],
@@ -220,7 +252,7 @@ def run_bench(n: int = 2000) -> dict:
         "dense_window": dense,
         "passes_floors": bool(
             icp["speedup"] >= icp["floor"]
-            and dense["block_speedup"] >= dense["block_floor"]
+            and dense["coo_block_speedup"] >= dense["coo_block_floor"]
             and dense["window_speedup"] >= dense["window_floor"]
         ),
     }
@@ -243,9 +275,10 @@ def main() -> int:
     )
     dense = results["dense_window"]
     print(
-        f"dense EED block    n={dense['n']}: "
-        f"{dense['block_sparse_s']:.2f}s -> {dense['block_auto_s']:.2f}s "
-        f"= {dense['block_speedup']:.2f}x (floor {dense['block_floor']}x)"
+        f"dense EED block    n={dense['n']}: mask path "
+        f"{dense['block_mask_s']:.2f}s -> transmitter list "
+        f"{dense['block_coo_s']:.2f}s = {dense['coo_block_speedup']:.2f}x "
+        f"(floor {dense['coo_block_floor']}x)"
     )
     print(
         f"dense p=0.5 window n={dense['n']}: "

@@ -233,8 +233,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"fused ICP speedup: {icp['speedup']:.1f}x "
         f"(floor {icp['floor']}x); "
-        f"dense EED block: {dense['block_speedup']:.2f}x "
-        f"(floor {dense['block_floor']}x); "
+        f"dense EED block: {dense['coo_block_speedup']:.2f}x "
+        f"(floor {dense['coo_block_floor']}x); "
         f"dense p=0.5 window: {dense['window_speedup']:.2f}x "
         f"(floor {dense['window_floor']}x)"
     )

@@ -291,12 +291,13 @@ def run(
         }
     # Delivery provenance: which chunk kernels actually ran — so a
     # report names the code that produced it.
+    kernel_use = dict(network.kernel_use) if network is not None else {}
     delivery_prov: dict[str, Any] = {
         "mode": resolved.delivery,
-        "kernel": compiled_kernel_name(resolved.delivery),
+        "kernel": compiled_kernel_name(kernel_use),
     }
     if network is not None:
-        delivery_prov["kernel_use"] = dict(network.kernel_use)
+        delivery_prov["kernel_use"] = kernel_use
     if network is not None:
         steps = network.steps_elapsed - steps_before
         trace = {

@@ -1,20 +1,31 @@
-"""Registered chunk-delivery kernels over raw CSR adjacency.
+"""Chunk-delivery kernels over raw CSR adjacency.
 
-:class:`DeliveryKernels` is the window-execution engine of
-:class:`~repro.radio.RadioNetwork` factored out onto bare
-``(indptr, indices)`` arrays, so the same density-adaptive routing and
-the same exact integer arithmetic can run against *any* CSR — the full
-adjacency or a sub-graph built by
-:meth:`~repro.graphs.context.GraphContext.induced_csr`.
+:class:`DeliveryKernels` serves the engine's two chunk forms on bare
+``(indptr, indices)`` arrays, so the same exact integer arithmetic can
+run against *any* CSR — the full adjacency or a sub-graph built by
+:meth:`~repro.graphs.context.GraphContext.induced_csr`:
 
-Degree-dependent routing state (max/min degree for the auto router's
-output-size pre-emption, the dense packing bound) is **recomputed from
-the CSR handed in**, never inherited from a parent graph: an induced
-sub-graph's degrees are what its routing decisions must use (inherited
-extremes would over-route shrunken graphs dense and can violate the
-packing bound's premise in the other direction).
+* **Transmitter pairs** (:meth:`DeliveryKernels.execute_coo`) — the
+  form Decay, EstimateEffectiveDegree and Radio MIS blocks run in. One
+  exact sparse product of the chunk's ``(w, n)`` transmitter matrix
+  with the all-ones adjacency, every row alike: no routing, no mask
+  block, no hear slab, and a cost that follows the transmitters'
+  degree sum. Its packing bound (:func:`coo_pack_shift`) holds for
+  every graph under ``2^26`` nodes; beyond it the kernel refuses.
+* **Mask slabs** (:meth:`DeliveryKernels.execute`) — the mask path's
+  windows (ICP's Decay background, BGI, Compete) under a compiled
+  backend or when called directly: the
+  :class:`~repro.radio.RadioNetwork` window kernels with their
+  density-adaptive per-row routing, selected by the ``delivery`` mode.
 
-Two optional compiled tiers register here:
+Degree-dependent state (max/min degree for the mask router's
+output-size pre-emption, both packing bounds) is **recomputed from the
+CSR handed in**, never inherited from a parent graph: an induced
+sub-graph's degrees are what its decisions must use (inherited extremes
+would over-route shrunken graphs dense and can violate a packing
+bound's premise in the other direction).
+
+Two optional compiled tiers register for the mask path:
 
 * ``"numba"`` — an ``@njit`` CSR scatter kernel (per-row transmitter
   walk, integer collision counts, last-writer sender slots). Every
@@ -31,13 +42,17 @@ No optional dependency is imported until probed; probing is cached.
 Requesting an absent backend raises the uniform
 :class:`~repro.radio.errors.ProtocolError` naming the installed
 alternatives — silent fallback happens only under ``delivery="auto"``
-(:func:`require_delivery_mode`, satellite of ISSUE 7).
+(:func:`require_delivery_mode`). Provenance names the compiled family
+only when its counters show it ran (:func:`compiled_kernel_name`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matmat
 
 from ..radio.errors import ProtocolError
 from ..radio.network import (
@@ -52,6 +67,9 @@ from ..radio.network import (
 
 #: Delivery modes that require an optional compiled dependency.
 COMPILED_DELIVERY_MODES = ("numba", "cupy")
+
+#: The ``kernel_use`` counters of the compiled kernel legs.
+COMPILED_KERNELS = ("csr-numba", "spmm-cupy")
 
 #: Every delivery mode the policy layer accepts (availability is a
 #: separate question — see :func:`require_delivery_mode`).
@@ -125,15 +143,37 @@ def require_delivery_mode(mode: str) -> None:
         )
 
 
-def compiled_kernel_name(mode: str) -> str:
-    """The chunk-kernel family a resolved ``delivery`` mode will use
-    for its (popcount-)sparse rows — recorded in ``RunReport``
-    provenance so a run names the code that produced it."""
-    if mode == "numba" or (mode == "auto" and probe_numba()):
-        return "csr-numba"
-    if mode == "cupy":
-        return "spmm-cupy"
-    return "numpy"
+def compiled_kernel_name(kernel_use: Mapping[str, int]) -> str:
+    """The compiled kernel family a run actually executed, read from its
+    per-kernel row counters (``RadioNetwork.kernel_use``): a compiled
+    family (``"csr-numba"``, ``"spmm-cupy"``) only when one of its
+    counters is non-zero, ``"numpy"`` otherwise — recorded in
+    ``RunReport`` provenance so a run names the code that produced it,
+    not the code its mode could have reached."""
+    return next(
+        (name for name in COMPILED_KERNELS if kernel_use.get(name)), "numpy"
+    )
+
+
+def coo_pack_shift(n: int, max_degree: int) -> int:
+    """The packing exponent ``K`` of :meth:`DeliveryKernels.execute_coo`.
+
+    ``K`` is the smallest exponent with ``2^K > n``, so the 1-based id
+    sum of ``count`` transmitters stays below ``count * 2^K``. Every
+    partial sum of the product is then an integer below
+    ``max_degree * 2^(K+1)``, and float64 adds them exactly while
+    ``max_degree * 2^(K+1) <= 2^53`` — true for every graph under
+    ``2^26`` nodes (``K <= 26``, ``max_degree < 2^26``). Beyond the
+    bound the ``coo-spmm`` kernel refuses rather than round.
+    """
+    shift = int(n).bit_length()
+    if int(max_degree) << (shift + 1) > 1 << 53:
+        raise ProtocolError(
+            f"the coo-spmm delivery kernel is not exact on {n} nodes at "
+            f"maximum degree {max_degree}: its packing needs "
+            f"max_degree * 2^{shift + 1} <= 2^53"
+        )
+    return shift
 
 
 def _get_numba_kernel():  # pragma: no cover - needs numba installed
@@ -188,12 +228,13 @@ class DeliveryKernels:
     n:
         Node count; ``indptr`` has ``n + 1`` entries.
 
-    All routing constants and kernel arithmetic mirror
+    The mask path's routing constants and kernel arithmetic mirror
     :class:`~repro.radio.RadioNetwork` exactly (same popcount
     thresholds, same output-size pre-emption, same packed-modulus dense
     product), so executing a mask block here is bit-identical to
-    executing it there — the property the COO kernel tests and the
-    validating runner pin.
+    executing it there; :meth:`execute_coo` delivers the same channel
+    from transmitter pairs. The kernel contract tests and the
+    validating runner pin both.
     """
 
     def __init__(
@@ -216,11 +257,6 @@ class DeliveryKernels:
         self._adj: sp.csr_array | None = None
         self._adj_complex: sp.csr_array | None = None
         self._cupy_adj = None
-        # Scratch for the packed-modulus dense COO kernel: the value
-        # vector is a pure function of n, the rhs slab is reused
-        # across chunks (contents are fully rewritten every call).
-        self._packed_vals: np.ndarray | None = None
-        self._dense_rhs: np.ndarray | None = None
 
     # -- lazy matrix forms --------------------------------------------
 
@@ -345,189 +381,6 @@ class DeliveryKernels:
             return self._gather(masks, hear_from)
         return self._spmm(masks, hear_from)
 
-    # -- COO kernels (the transmitter-list reception form) ------------
-    #
-    # Same routing, same exact arithmetic as the slab kernels above, but
-    # the block arrives as its ``(tx_step, tx_node)`` transmitter pairs
-    # (row-major, nodes ascending within a step) and clean receptions
-    # leave as ``(step, node, sender)`` int64 triples instead of a
-    # ``(w, n)`` hear slab — transmissions and receptions are sparse,
-    # so neither a mask block nor a hear slab is ever built (the dense
-    # kernel's right-hand side is dense by nature). Triple order is
-    # unspecified; the ``consume_coo`` folds are order-independent.
-
-    @staticmethod
-    def _empty_coo() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-
-    def _listening(
-        self,
-        step: np.ndarray,
-        node: np.ndarray,
-        tx_step: np.ndarray,
-        tx_node: np.ndarray,
-    ) -> np.ndarray:
-        """Half-duplex from the pairs: which ``(step, node)`` cells are
-        not themselves transmitting. Transmitter keys are sorted (the
-        pairs are row-major), so membership is one ``searchsorted``."""
-        tx_key = tx_step * self.n + tx_node
-        key = step * self.n + node
-        at = np.minimum(np.searchsorted(tx_key, key), tx_key.size - 1)
-        return tx_key[at] != key
-
-    def _dense_rows_tx(
-        self, w: int, tx_step: np.ndarray, tx_node: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`dense_rows` computed from a transmitter list —
-        identical routing decisions, no mask block."""
-        row_counts = np.bincount(tx_step, minlength=w)
-        dense = row_counts >= DENSE_ROW_DENSITY * max(1, self.n)
-        sparse = ~dense
-        n_sparse = int(sparse.sum())
-        if n_sparse:
-            sparse_tx = int(row_counts[sparse].sum())
-            flip_entries = (
-                SPARSE_PREEMPT_FACTOR
-                * n_sparse
-                * self.n
-                * (DENSE_WINDOW_CELL_BYTES / SPARSE_COO_ENTRY_BYTES)
-            )
-            if sparse_tx * self.max_degree >= flip_entries:
-                if sparse_tx * self.min_degree >= flip_entries:
-                    degree_sum = float(flip_entries)
-                else:
-                    nodes = (
-                        tx_node
-                        if n_sparse == w
-                        else tx_node[sparse[tx_step]]
-                    )
-                    degree_sum = float(self.degrees[nodes].sum())
-                if degree_sum >= flip_entries:
-                    dense = np.ones(w, dtype=bool)
-        return dense
-
-    def _gather_coo(
-        self, w: int, tx_step: np.ndarray, tx_node: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        starts = self.indptr[tx_node].astype(np.int64)
-        lens = self.indptr[tx_node + 1].astype(np.int64) - starts
-        total = int(lens.sum())
-        if total == 0:
-            return self._empty_coo()
-        offsets = np.repeat(np.cumsum(lens) - lens - starts, lens)
-        neighbors = self.indices[
-            np.arange(total, dtype=np.int64) - offsets
-        ]
-        flat = np.repeat(tx_step, lens) * self.n + neighbors
-        # Clean ⟺ the (step, listener) key occurs exactly once, found
-        # by sorting instead of the slab kernel's w*n bincount.
-        order = np.argsort(flat, kind="stable")
-        flat = flat[order]
-        boundary = np.empty(flat.size, dtype=bool)
-        boundary[0] = True
-        np.not_equal(flat[1:], flat[:-1], out=boundary[1:])
-        single = boundary.copy()
-        single[:-1] &= boundary[1:]
-        keys = flat[single]
-        senders = np.repeat(tx_node, lens)[order[single]]
-        step = keys // self.n
-        node = keys - step * self.n
-        keep = self._listening(step, node, tx_step, tx_node)
-        return step[keep], node[keep], senders[keep]
-
-    def _spmm_coo(
-        self, w: int, tx_step: np.ndarray, tx_node: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.dense_pack_ok:
-            # The dense kernel's packed-modulus trick on the sparse
-            # product: one float64 spmm instead of a complex128 one
-            # (half the data traffic, a quarter of the multiplies).
-            # Every per-listener sum is ``count + modulus * idsum1``
-            # with exact-integer float terms, and ``dense_pack_ok`` is
-            # precisely the bound keeping the worst such sum below
-            # 2^53 — same remainder/unpack arithmetic, same exactness
-            # argument, as ``_dense``.
-            #
-            # The product runs transposed — ``rhs_T @ A`` with the
-            # adjacency's symmetry — because the transmitter pairs
-            # arrive row-major (step ascending, node ascending within
-            # a step), which IS the canonical CSR layout of the
-            # ``(w, n)`` transmitter matrix: three array wraps replace
-            # the COO sort-and-convert of the ``(n, w)`` orientation.
-            modulus = float(self.n + 1)
-            indptr = np.zeros(w + 1, dtype=np.int64)
-            np.cumsum(
-                np.bincount(tx_step, minlength=w), out=indptr[1:]
-            )
-            rhs_t = sp.csr_array(
-                (1.0 + self._ids1[tx_node] * modulus, tx_node, indptr),
-                shape=(w, self.n),
-            )
-            out = (rhs_t @ self._matrix()).tocoo()
-            step, node = out.coords
-            clean = np.flatnonzero(np.remainder(out.data, modulus) == 1.0)
-            idsum1 = (out.data[clean] - 1.0) / modulus
-        else:  # pragma: no cover - needs a graph beyond the 2^53 bound
-            data = np.empty(tx_node.size, dtype=np.complex128)
-            data.real = 1.0
-            data.imag = self._ids1[tx_node]
-            rhs = sp.csr_array(
-                (data, (tx_node, tx_step)), shape=(self.n, w)
-            )
-            out = (self._complex_matrix() @ rhs).tocoo()
-            node, step = out.coords
-            clean = np.flatnonzero(out.data.real == 1.0)
-            idsum1 = out.data.imag[clean]
-        # Half-duplex only on the single-sender cells.
-        step = step[clean].astype(np.int64)
-        node = node[clean].astype(np.int64)
-        keep = self._listening(step, node, tx_step, tx_node)
-        sender = np.rint(idsum1[keep]).astype(np.int64) - 1
-        return step[keep], node[keep], sender
-
-    def _dense_coo(
-        self, w: int, tx_step: np.ndarray, tx_node: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.dense_pack_ok:
-            modulus = float(self.n + 1)
-            vals = self._packed_vals
-            if vals is None:
-                vals = 1.0 + self._ids1 * modulus
-                self._packed_vals = vals
-            view = self._dense_rhs
-            if view is None or view.shape[1] != w:
-                # Exact width: a sliced column view would lose C
-                # contiguity and the spmm would copy it right back.
-                view = np.empty((self.n, w), dtype=np.float64)
-                self._dense_rhs = view
-            view.fill(0.0)
-            view[tx_node, tx_step] = vals[tx_node]
-            out = self._matrix() @ view
-            # Peak trimming: the remainder lands back in the rhs slab.
-            counts = np.remainder(out, modulus, out=view)
-            heard = counts == 1.0
-            heard[tx_node, tx_step] = False
-            node, step = np.nonzero(heard)
-            idsum1 = (out[node, step] - 1.0) / modulus
-        else:  # pragma: no cover - needs a graph beyond the 2^53 bound
-            rhs = np.zeros((self.n, w), dtype=np.complex128)
-            rhs[tx_node, tx_step] = 1.0 + 1j * self._ids1[tx_node]
-            out = self._complex_matrix() @ rhs
-            heard = out.real == 1.0
-            heard[tx_node, tx_step] = False
-            node, step = np.nonzero(heard)
-            idsum1 = out.imag[node, step]
-        sender = np.rint(idsum1).astype(np.int64) - 1
-        return step, node, sender
-
-    def _sparse_coo(
-        self, w: int, tx_step: np.ndarray, tx_node: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if w <= GATHER_WINDOW_WIDTH:
-            return self._gather_coo(w, tx_step, tx_node)
-        return self._spmm_coo(w, tx_step, tx_node)
-
     # -- compiled kernels ---------------------------------------------
 
     def _numba(self, masks, hear_from):  # pragma: no cover - needs numba
@@ -540,18 +393,6 @@ class DeliveryKernels:
                 hear_from,
             )
         )
-
-    def _numba_coo(
-        self, w, tx_step, tx_node
-    ):  # pragma: no cover - needs numba
-        """COO form of the compiled CSR walk: run the slab kernel on
-        the expanded masks, then lift its (sparse) receptions out."""
-        masks = np.zeros((w, self.n), dtype=bool)
-        masks[tx_step, tx_node] = True
-        hear_from = np.full(masks.shape, NO_SENDER, dtype=np.int64)
-        self._numba(masks, hear_from)
-        step, node = np.nonzero(hear_from != NO_SENDER)
-        return step, node, hear_from[step, node]
 
     def _cupy(self, masks, hear_from):  # pragma: no cover - needs cupy
         import cupy
@@ -667,77 +508,90 @@ class DeliveryKernels:
         w: int,
         tx_step: np.ndarray,
         tx_node: np.ndarray,
-        mode: str,
         counters: dict[str, int] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Execute a ``w``-step block given as transmitter pairs.
 
         ``(tx_step, tx_node)`` are int64, row-major with nodes
-        ascending within a step. Same per-row routing and the same
-        exact kernels as :meth:`execute`, returning clean receptions as
-        ``(step, node, sender)`` int64 arrays (arbitrary order) instead
-        of scattering a hear slab. ``mode`` ``"auto"`` routes per row
-        (the compiled CSR walk serves the sparse side when numba is
-        installed); ``"sparse"`` and ``"dense"`` force those kernels.
-        Counter names carry a ``coo-`` prefix so ``kernel_use``
-        provenance distinguishes this form from slab execution.
+        ascending within a step — which is already the canonical CSR
+        layout of the block's ``(w, n)`` transmitter matrix. Valuing
+        transmitter ``u`` at ``2^K + (u + 1)`` (:func:`coo_pack_shift`),
+        one sparse product of that matrix with the all-ones adjacency
+        gives every listener within reach of a transmitter the exact
+        entry ``count * 2^K + idsum``: the listener hears cleanly
+        exactly when the entry is below ``2^(K+1)``, and its sender is
+        the entry minus ``2^K + 1``. Half-duplex drops listeners that
+        transmit in the same step, read from a ``(w, n)`` transmitter
+        bitmap. Every row runs this one kernel: no per-row routing, no
+        mask block, no hear slab. Peak memory per chunk is the
+        product's output (at most ``w * n`` entries, and at most the
+        transmitters' degree sum) plus the one-byte-per-cell bitmap.
+
+        Returns the clean receptions as ``(step, node, sender)`` int64
+        arrays, step ascending (node order within a step is
+        unspecified; the ``consume_coo`` folds are order-independent).
+        ``counters`` (when given) is bumped by the non-empty rows under
+        ``"coo-spmm"`` and by the empty ones under ``"skip-empty"``.
         """
-
-        def bump(name: str, rows: int) -> None:
-            if counters is not None:
-                counters[name] = counters.get(name, 0) + rows
-
-        if w == 0:
-            return self._empty_coo()
-        if not tx_step.size:
-            bump("skip-empty", w)
-            return self._empty_coo()
-        if mode == "dense":
-            bump("coo-dense", w)
-            return self._dense_coo(w, tx_step, tx_node)
-        if mode == "sparse":
-            bump(
-                "coo-gather" if w <= GATHER_WINDOW_WIDTH else "coo-spmm",
-                w,
+        row_counts = np.bincount(tx_step, minlength=w)
+        busy = int(np.count_nonzero(row_counts))
+        if counters is not None:
+            for name, rows in (("coo-spmm", busy), ("skip-empty", w - busy)):
+                if rows:
+                    counters[name] = counters.get(name, 0) + rows
+        if not busy:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty
+        if tx_node.min() < 0 or tx_node.max() >= self.n:
+            # The native product below indexes the adjacency unchecked.
+            raise ValueError(
+                f"transmitter node ids must lie in [0, {self.n})"
             )
-            return self._sparse_coo(w, tx_step, tx_node)
-        dense_rows = self._dense_rows_tx(w, tx_step, tx_node)
-        if probe_numba():  # pragma: no cover - needs numba
-            sparse_exec = self._numba_coo
-            sparse_name = "coo-csr-numba"
-        else:
-            sparse_exec = self._sparse_coo
-            sparse_name = None
-        if not dense_rows.any():
-            bump(
-                sparse_name
-                or ("coo-gather" if w <= GATHER_WINDOW_WIDTH else "coo-spmm"),
-                w,
-            )
-            return sparse_exec(w, tx_step, tx_node)
-        if dense_rows.all():
-            bump("coo-dense", w)
-            return self._dense_coo(w, tx_step, tx_node)
-        parts = []
-        for rows, execute, name in (
-            (dense_rows, self._dense_coo, "coo-dense"),
-            (~dense_rows, sparse_exec, sparse_name or "coo-sparse-mixed"),
-        ):
-            # Re-key the sub-block's transmitters onto its own row
-            # numbering; pairs stay row-major.
-            idx = np.flatnonzero(rows)
-            bump(name, idx.size)
-            sel = rows[tx_step]
-            renum = np.cumsum(rows) - 1
-            step, node, sender = execute(
-                idx.size, renum[tx_step[sel]], tx_node[sel]
-            )
-            parts.append((idx[step], node, sender))
-        return (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-            np.concatenate([p[2] for p in parts]),
+        shift = coo_pack_shift(self.n, self.max_degree)
+        base = float(1 << shift)
+        adj = self._matrix()
+        # Each output entry is a distinct (step, listener) cell reached
+        # by at least one transmitter, so the transmitters' degree sum
+        # (capped at w * n) bounds the output. Sized up front, the
+        # product is one pass of ``csr_matmat``, the kernel behind
+        # scipy's own CSR ``@``, called directly: scipy's ``@`` would
+        # add a counting pass and its per-call wrapping.
+        bound = min(int(self.degrees[tx_node].sum()), w * self.n)
+        # Index arrays take the adjacency's own dtype, so the product
+        # reads its index arrays as they are instead of an upcast copy;
+        # int64 only when a chunk's pairs or output outgrow it.
+        itype = adj.indices.dtype
+        if max(tx_node.size, bound) > np.iinfo(itype).max:
+            itype = np.dtype(np.int64)
+        indptr = np.zeros(w + 1, dtype=itype)
+        np.cumsum(row_counts, out=indptr[1:])
+        values = self._ids1[tx_node]
+        values += base
+        out_indptr = np.empty(w + 1, dtype=itype)
+        out_indices = np.empty(bound, dtype=itype)
+        out_data = np.empty(bound, dtype=np.float64)
+        csr_matmat(
+            w,
+            self.n,
+            indptr,
+            tx_node.astype(itype),
+            values,
+            adj.indptr.astype(itype, copy=False),
+            adj.indices.astype(itype, copy=False),
+            adj.data,
+            out_indptr,
+            out_indices,
+            out_data,
         )
+        data = out_data[: out_indptr[w]]
+        heard = np.flatnonzero(data < 2.0 * base)
+        step = np.searchsorted(out_indptr[1:], heard, side="right")
+        node = out_indices[heard].astype(np.int64)
+        transmitting = np.zeros((w, self.n), dtype=bool)
+        transmitting[tx_step, tx_node] = True
+        keep = ~transmitting[step, node]
+        sender = data[heard[keep]].astype(np.int64) - ((1 << shift) + 1)
+        return step[keep], node[keep], sender
 
 
 __all__ = [
@@ -746,6 +600,7 @@ __all__ = [
     "DeliveryKernels",
     "available_delivery_modes",
     "compiled_kernel_name",
+    "coo_pack_shift",
     "probe_cupy",
     "probe_numba",
     "require_delivery_mode",

@@ -185,9 +185,15 @@ class ExecutionPolicy:
         window-multiplexed path where one exists. Protocols refuse
         engines they do not implement, naming the ones they do.
     delivery:
-        Window execution strategy (``"auto"``/``"sparse"``/
-        ``"dense"``), forwarded to
-        :meth:`~repro.radio.network.RadioNetwork.deliver_window`.
+        Execution strategy of mask-path windows (``"auto"``/
+        ``"sparse"``/``"dense"``, or an installed compiled backend),
+        forwarded to
+        :meth:`~repro.radio.network.RadioNetwork.deliver_window`: the
+        windows of ICP's Decay background, BGI and Compete. Decay, EED
+        and Radio MIS blocks run as transmitter-list chunks, which
+        always take the one sparse product of
+        :meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`;
+        this knob does not reach them.
     chunk_steps, mem_budget:
         The streaming knobs: slab height directly, or derived from a
         peak-bytes target through the

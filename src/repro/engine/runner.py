@@ -86,7 +86,10 @@ class WindowedRunner:
         :meth:`~repro.radio.network.RadioNetwork.deliver_window`:
         ``"auto"`` (default) routes each window by its estimated
         density, ``"sparse"``/``"dense"`` force one path. All three are
-        bit-identical; this is a performance knob only.
+        bit-identical; this is a performance knob only. It routes mask
+        windows only: transmitter-list chunks always run the one
+        sparse product of
+        :meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`.
     chunk_steps, mem_budget:
         The streaming knobs — memory knobs only, never semantics knobs
         (streamed execution is bit-identical whatever the slab height).
@@ -278,7 +281,7 @@ class WindowedRunner:
         Per chunk: the plan samples the chunk's transmitter pairs
         (``coins`` bucket), the fault layer filters them
         (:meth:`~repro.faults.state.FaultState.filter_coo`, keyed on
-        global ids and the global clock), the COO kernels deliver
+        global ids and the global clock), one sparse product delivers
         straight from the pairs (:meth:`_deliver_coo`), and the
         section's ``consume_coo`` folds the reception triples. No
         ``(k, n)`` mask block or hear slab exists on this path.
@@ -326,7 +329,7 @@ class WindowedRunner:
         t1 = perf_counter()
         timing["faults"] += t1 - t0
         rx_steps, rx_nodes, senders = network._delivery_kernels().execute_coo(
-            k, steps, nodes, self.delivery, counters=network.kernel_use
+            k, steps, nodes, counters=network.kernel_use
         )
         receptions = int(rx_steps.size)
         if fault_state is not None and receptions:

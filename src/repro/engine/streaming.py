@@ -71,12 +71,14 @@ from .segments import (
 #: dense — see :meth:`repro.radio.network.RadioNetwork
 #: .dense_window_rows`), so only a forced ``delivery="sparse"`` can
 #: still exceed the model on very dense graphs.
-#: The fused pipeline pass (:mod:`repro.engine.kernels`) stays *under*
-#: this model — it drops the int64 hear slab entirely (receptions come
-#: back as sparse COO triples) — but chunk heights are deliberately
-#: NOT raised for it: the model is a ceiling shared by every delivery
-#: path of the same plan, and the pipeline's savings are banked as
-#: headroom rather than spent on taller chunks.
+#: Those are mask-path chunks. A transmitter-list chunk stays *under*
+#: this model: no coin block, mask slab or hear slab exists, its
+#: product's output is at most one 12-byte entry per cell (capped at
+#: ``k * n`` entries whatever the degrees), its half-duplex bitmap is
+#: one byte per cell, and reception triples exist only for clean
+#: cells. Chunk heights are deliberately NOT raised for it: the model
+#: is a ceiling shared by both chunk forms, and the savings are banked
+#: as headroom rather than spent on taller chunks.
 STREAM_CELL_BYTES = 64
 
 #: Process-wide default memory budget in bytes (None = no budget).

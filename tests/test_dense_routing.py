@@ -1,13 +1,15 @@
 """Pre-emptive dense routing: the COO output-size estimate (PR 5).
 
-The ``auto`` window router always sent popcount-dense rows to the
-packed dense kernel; this suite pins the PR 5 addition — rows that are
-popcount-*sparse* but whose transmitters' degree sum predicts a COO
-output heavier than the dense kernel's packed cells (few transmitters,
-huge degrees: the ``p ~ 0.5`` G(n, p) regime) route dense **before**
-the sparse product can blow a ``mem_budget``. Routing is a
-performance/memory decision only: every kernel computes the same exact
-integer sums, re-checked here and by the contract suite.
+The mask path's ``auto`` window router always sent popcount-dense
+rows to the packed dense kernel; this suite pins the PR 5 addition —
+rows that are popcount-*sparse* but whose transmitters' degree sum
+predicts a COO output heavier than the dense kernel's packed cells
+(few transmitters, huge degrees: the ``p ~ 0.5`` G(n, p) regime) route
+dense **before** the sparse product can blow a ``mem_budget``. Routing
+is a performance/memory decision only: every kernel computes the same
+exact integer sums, re-checked here and by the contract suite. The memory
+ceilings cover both chunk forms: streamed masks through the
+pre-emption, and a streamed EED block on the transmitter-list product.
 """
 
 from __future__ import annotations
@@ -19,12 +21,15 @@ import pytest
 from repro import graphs
 from repro.analysis.experiments import measure_peak
 from repro.api import EEDConfig, ExecutionPolicy, run
+from repro.engine.streaming import chunk_steps_for_budget
 from repro.radio.network import (
     DENSE_ROW_DENSITY,
     DENSE_WINDOW_CELL_BYTES,
+    NO_SENDER,
     SPARSE_COO_ENTRY_BYTES,
     SPARSE_PREEMPT_FACTOR,
     RadioNetwork,
+    TransmitPlan,
 )
 
 N_DENSE = 1000
@@ -105,17 +110,17 @@ class TestOutputSizeRouting:
 
 class TestMemBudgetRegression:
     def test_streamed_eed_at_half_density_respects_budget(self, dense_net):
-        """The ROADMAP gap, closed: a streamed EED block at p ~ 0.5
-        under a tight budget stays near the cost model instead of
-        blowing through it via the sparse product's COO output.
+        """A streamed EED block at p ~ 0.5 under a tight budget stays
+        near the cost model instead of blowing through it.
 
         The desire ladder's high-``i`` levels are exactly the
-        popcount-sparse / degree-dense rows: without pre-emption their
-        chunks ran the sparse product with output ~ degree-sum entries
-        (tens of bytes per *edge* of every transmitter), not the
+        popcount-sparse / degree-dense rows whose sparse-product output
+        scales with the transmitters' degree sum (tens of bytes per
+        *edge* of every transmitter), not with the
         ~``STREAM_CELL_BYTES`` per (step, node) cell the budget model
-        assumes. Routed dense, the kernel working set is the model's —
-        the peak stays within a small multiple of the budget.
+        assumes. EED runs on the transmitter-list product, whose output
+        is capped at one entry per (step, listener) cell, so its
+        working set is the model's whatever the degrees.
         """
         budget = 512 << 10  # 512 KiB: 8-row chunks at n = 1000
         report, peak = measure_peak(
@@ -128,13 +133,48 @@ class TestMemBudgetRegression:
             )
         )
         assert int(report.result.high.sum()) > 0
-        # Measured: ~2.1x the budget with pre-emption, ~7.4x without
-        # (the mid-ladder chunks' COO output — hundreds of entries per
-        # transmitter at mean degree n/2 — is what blew the model;
-        # the levels under the pre-emption factor still run sparse,
-        # hence the margin above 1x). The 3x ceiling cleanly separates
-        # the two while leaving slack for numpy-version drift.
+        # Measured: ~1.05x the budget. The 3x ceiling leaves slack for
+        # numpy-version drift.
         assert peak <= 3 * budget, (
             f"streamed EED peak {peak} bytes blew the {budget}-byte "
-            "budget's margin; dense pre-emption regressed?"
+            "budget's margin; transmitter-list product regressed?"
         )
+
+    def test_streamed_masks_respect_budget_through_preemption(
+        self, dense_net
+    ):
+        """The mask path's twin: ICP's Decay background, BGI and
+        Compete still stream masks through ``deliver_window_chunks``,
+        so the output-size pre-emption is what keeps their chunks near
+        the cost model on very dense graphs. Degree-heavy,
+        popcount-sparse masks (16 transmitters a row, ~n/2 neighbors
+        each) at the 512 KiB budget's chunk height must stay under the
+        same 3x ceiling; without the pre-emption those chunks run the
+        sparse kernels, whose working set follows the transmitters'
+        degree sum instead (measured: ~0.7x the budget with the
+        pre-emption, ~3.9x without).
+        """
+        budget = 512 << 10
+        chunk = chunk_steps_for_budget(N_DENSE, budget)
+        rows = 8 * chunk
+        plan = TransmitPlan(
+            rows,
+            lambda start, stop: _sparse_popcount_masks(
+                N_DENSE, stop - start, 16, seed=start
+            ),
+        )
+        net = RadioNetwork(dense_net.graph)
+
+        def stream() -> int:
+            heard = 0
+            for slab in net.deliver_window_chunks(plan, chunk_steps=chunk):
+                heard += int(np.count_nonzero(slab != NO_SENDER))
+            return heard
+
+        heard, peak = measure_peak(stream)
+        assert peak <= 3 * budget, (
+            f"streamed mask peak {peak} bytes blew the {budget}-byte "
+            "budget's margin; mask-path pre-emption regressed?"
+        )
+        assert heard > 0
+        assert net.kernel_use == {"dense": rows}

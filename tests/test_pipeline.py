@@ -1,10 +1,10 @@
-"""The transmitter-list chunk path: fault filter, COO kernels, end to end.
+"""The transmitter-list chunk path: fault filter, product kernel, end to end.
 
 Decay, EstimateEffectiveDegree and Radio MIS blocks execute as
 :class:`~repro.engine.segments.TransmitterPlan` chunks: sampled
-transmitter pairs, filtered by the fault layer, delivered by the COO
-kernels, folded as reception triples. Every surface is pinned against
-a mask-materializing twin:
+transmitter pairs, filtered by the fault layer, delivered by one
+sparse product, folded as reception triples. Every surface is pinned
+against a mask-materializing twin:
 
 * keyed rows: drawn one at a time they equal the whole-block draw, and
   drawing never touches the protocol generator;
@@ -12,15 +12,16 @@ a mask-materializing twin:
   (:meth:`~repro.faults.state.FaultState.filter_coo`) and the point-wise
   deafness test (:meth:`~repro.faults.state.FaultState.deaf_at`)
   against the window forms, including realized counters;
-* the COO delivery kernels
+* the transmitter-list product
   (:meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`) against
-  the slab kernels on every routing regime;
+  step-wise delivery and the slab kernels on every regime the routed
+  COO kernels used to split between, and its packing bound at its edge;
 * end to end: Decay and full Radio MIS on the transmitter-list path
   bit-identical to their step-wise references — across arbitrary
   ``chunk_steps`` splits, delivery modes, and fault schedules whose jam
   windows straddle chunk and section boundaries — plus the refusal of
-  the removed ``"pipeline"`` delivery mode and the per-run reset of the
-  provenance counters.
+  the removed ``"pipeline"`` delivery mode, the per-run reset of the
+  provenance counters, and a kernel name that follows what ran.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from repro.core import (
 from repro.engine import kernels
 from repro.engine.kernels import (
     DeliveryKernels,
-    probe_numba,
+    coo_pack_shift,
     require_delivery_mode,
 )
 from repro.engine.sampler import (
@@ -54,7 +55,7 @@ from repro.engine.sampler import (
 from repro.faults.schedule import FaultSchedule, Jam
 from repro.faults.state import FaultState
 from repro.radio.errors import ProtocolError
-from repro.radio.network import NO_SENDER, RadioNetwork
+from repro.radio.network import GATHER_WINDOW_WIDTH, NO_SENDER, RadioNetwork
 from repro.radio.trace import CheapTrace
 
 
@@ -189,22 +190,101 @@ class TestFusedFaultTransform:
 
 
 # ---------------------------------------------------------------------------
-# COO delivery kernels against the slab kernels
+# The transmitter-list product against step-wise delivery and the slabs
 # ---------------------------------------------------------------------------
 
 
+def _product(kern, masks, counters=None):
+    """Run ``masks`` through ``execute_coo`` as transmitter pairs and
+    scatter the reception triples back into a hear slab."""
+    w, n = masks.shape
+    tx_step, tx_node = np.nonzero(masks)
+    step, node, sender = kern.execute_coo(w, tx_step, tx_node, counters)
+    assert step.dtype == node.dtype == sender.dtype == np.int64
+    hear = np.full((w, n), NO_SENDER, dtype=np.int64)
+    hear[step, node] = sender
+    return hear
+
+
+def _step_wise(g, masks):
+    """The step-wise reference: one ``RadioNetwork.deliver`` per row."""
+    net = RadioNetwork(g)
+    return np.stack([net.deliver(m) for m in masks])
+
+
+def _regime(name):
+    """``(graph, masks)`` for one of the regimes the routed COO kernels
+    used to split between."""
+    rng = np.random.default_rng(len(name))
+    if name == "half-duplex":
+        # Adjacent transmitters on a path each have exactly one
+        # transmitting neighbor, the other, yet hear nothing: a node
+        # never listens in a step it transmits.
+        g = nx.path_graph(12)
+        masks = np.zeros((4, 12), dtype=bool)
+        masks[0, [3, 4]] = True
+        masks[1, [3, 4, 5]] = True
+        masks[2, [0, 1, 10, 11]] = True
+        masks[3, ::2] = True
+        return g, masks
+    if name == "star-hub":
+        # The hub sits at maximum degree: it hears a lone leaf, collides
+        # on two, and is deaf while it transmits itself.
+        g = nx.star_graph(40)
+        masks = np.zeros((5, 41), dtype=bool)
+        masks[0, 7] = True
+        masks[1, [7, 8]] = True
+        masks[2, 0] = True
+        masks[3, [0, 9]] = True
+        masks[4, 1:] = True
+        return g, masks
+    if name == "isolated":
+        # Isolated transmitters reach nobody: one row's product is
+        # empty, another mixes them with a connected pair.
+        g = nx.empty_graph(30)
+        g.add_edges_from([(0, 1), (1, 2), (20, 21)])
+        masks = np.zeros((3, 30), dtype=bool)
+        masks[0, [5, 9, 14]] = True
+        masks[1, [0, 5, 20]] = True
+        masks[2, [2, 29]] = True
+        return g, masks
+    if name == "w1":
+        return _udg(120, 13), rng.random((1, 120)) < 0.1
+    if name == "wide":
+        width = GATHER_WINDOW_WIDTH + 9
+        return _udg(120, 13), rng.random((width, 120)) < 0.1
+    if name == "empty-rows":
+        # Quiet rows between busy ones, at both ends and in the middle.
+        masks = np.zeros((11, 120), dtype=bool)
+        for row in (1, 2, 6, 9):
+            masks[row] = rng.random(120) < 0.1
+        return _udg(120, 13), masks
+    assert name == "gnp-half"
+    # At p = 0.5 every listener collides; a lone transmitter and a
+    # pair lead the block so the dense graph's clean cells show too.
+    g = nx.gnp_random_graph(200, 0.5, seed=17)
+    masks = rng.random((6, 200)) < 0.5
+    masks[:2] = False
+    masks[0, 4] = True
+    masks[1, [4, 5]] = True
+    return g, masks
+
+
 class TestCooKernels:
-    @pytest.mark.parametrize("mode", ["auto", "sparse", "dense"])
+    @pytest.mark.parametrize("slab_mode", ["auto", "sparse", "dense"])
     @pytest.mark.parametrize(
         "family,width,density",
         [
-            ("udg", 2, 0.1),    # narrow: gather regime
-            ("udg", 12, 0.1),   # wide: spmm regime
-            ("gnp", 6, 0.5),    # dense rows
-            ("udg", 5, 0.0),    # all-empty: skip regime
+            ("udg", 2, 0.1),
+            ("udg", 12, 0.1),
+            ("gnp", 6, 0.5),
+            ("udg", 5, 0.0),
         ],
     )
-    def test_coo_matches_slab(self, mode, family, width, density):
+    def test_coo_matches_slab(self, slab_mode, family, width, density):
+        """The product equals every slab kernel (``slab_mode``) and the
+        step-wise reference on random blocks; its counters account
+        every row, busy rows as ``coo-spmm``."""
         n = 120
         if family == "udg":
             g = _udg(n, 13)
@@ -216,19 +296,60 @@ class TestCooKernels:
         masks = rng.random((width, n)) < density
 
         slab = np.full((width, n), NO_SENDER, dtype=np.int64)
-        slab_counters: dict[str, int] = {}
-        kern.execute(masks, slab, mode, slab_counters)
+        kern.execute(masks, slab, slab_mode)
 
-        coo_counters: dict[str, int] = {}
-        tx_step, tx_node = np.nonzero(masks)
-        step, node, sender = kern.execute_coo(
-            width, tx_step, tx_node, mode, coo_counters
-        )
+        counters: dict[str, int] = {}
+        hear = _product(kern, masks, counters)
+        assert (hear == slab).all()
+        assert (hear == _step_wise(g, masks)).all()
+        busy = int(masks.any(axis=1).sum())
+        assert counters.get("coo-spmm", 0) == busy
+        assert counters.get("skip-empty", 0) == width - busy
 
-        rebuilt = np.full((width, n), NO_SENDER, dtype=np.int64)
-        rebuilt[step, node] = sender
-        assert (rebuilt == slab).all()
-        assert sum(coo_counters.values()) == masks.shape[0]
+    @pytest.mark.parametrize(
+        "regime",
+        [
+            "half-duplex",
+            "star-hub",
+            "isolated",
+            "w1",
+            "wide",
+            "empty-rows",
+            "gnp-half",
+        ],
+    )
+    def test_product_regimes(self, regime):
+        """Each regime the routed kernels used to split between: the
+        product equals step-wise delivery and all three slab kernels,
+        on a network's shared adjacency and on kernels built from bare
+        CSR arrays."""
+        g, masks = _regime(regime)
+        net = RadioNetwork(g)
+        want = _step_wise(g, masks)
+        assert (want != NO_SENDER).any()
+        for kern in (
+            net._delivery_kernels(),
+            DeliveryKernels(net._adj.indptr, net._adj.indices, net.n),
+        ):
+            counters: dict[str, int] = {}
+            assert (_product(kern, masks, counters) == want).all()
+            busy = int(masks.any(axis=1).sum())
+            assert counters.get("coo-spmm", 0) == busy
+            assert sum(counters.values()) == masks.shape[0]
+            for mode in ("auto", "sparse", "dense"):
+                slab = np.full(masks.shape, NO_SENDER, dtype=np.int64)
+                kern.execute(masks, slab, mode)
+                assert (slab == want).all(), mode
+
+    def test_shares_the_network_adjacency(self):
+        """The network's kernels multiply by its own adjacency: no
+        per-network copy."""
+        net = RadioNetwork(_udg(90, 5))
+        kern = net._delivery_kernels()
+        assert kern._matrix() is net._adj
+        masks = np.random.default_rng(2).random((9, net.n)) < 0.2
+        _product(kern, masks)
+        assert kern._matrix() is net._adj
 
     def test_coo_triples_are_int64_and_clean(self):
         g = _udg(90, 5)
@@ -236,12 +357,60 @@ class TestCooKernels:
         kern = DeliveryKernels(net._adj.indptr, net._adj.indices, net.n)
         rng = np.random.default_rng(1)
         masks = rng.random((9, net.n)) < 0.2
-        step, node, sender = kern.execute_coo(
-            9, *np.nonzero(masks), "auto", {}
-        )
+        step, node, sender = kern.execute_coo(9, *np.nonzero(masks), {})
         assert step.dtype == node.dtype == sender.dtype == np.int64
         # Clean receptions never land on a transmitter.
         assert not masks[step, node].any()
+        # Triples come step-ascending.
+        assert (np.diff(step) >= 0).all()
+
+    @pytest.mark.parametrize("bad", [-1, 40])
+    def test_out_of_range_nodes_refused(self, bad):
+        kern = RadioNetwork(_udg(40, 3))._delivery_kernels()
+        with pytest.raises(ValueError, match="node ids"):
+            kern.execute_coo(
+                1,
+                np.zeros(2, dtype=np.int64),
+                np.array([3, bad], dtype=np.int64),
+            )
+
+    def test_zero_width_and_pairless_blocks(self):
+        kern = RadioNetwork(_udg(40, 3))._delivery_kernels()
+        empty = np.empty(0, dtype=np.int64)
+        counters: dict[str, int] = {}
+        for w in (0, 4):
+            step, node, sender = kern.execute_coo(w, empty, empty, counters)
+            assert step.size == node.size == sender.size == 0
+        assert counters == {"skip-empty": 4}
+
+
+class TestPackingBound:
+    @pytest.mark.parametrize("degree", [0, 1, 2**20, 2**25, 2**26 - 2])
+    def test_holds_below_two_to_the_26_nodes(self, degree):
+        """n = 2^26 - 1 packs with K = 26 at any degree below n:
+        degree * 2^27 < 2^53."""
+        assert coo_pack_shift(2**26 - 1, degree) == 26
+
+    def test_edge_of_the_bound(self):
+        # 2^26 nodes need K = 27: degree 2^25 sits exactly on
+        # max_degree * 2^28 = 2^53, one more breaks it.
+        assert coo_pack_shift(2**26, 2**25) == 27
+        with pytest.raises(ProtocolError, match="coo-spmm"):
+            coo_pack_shift(2**26, 2**25 + 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 1000, 1023, 1024])
+    def test_shift_exceeds_node_count(self, n):
+        shift = coo_pack_shift(n, n - 1)
+        assert 2**shift > n >= 2 ** (shift - 1)
+
+    def test_kernel_refuses_beyond_the_bound(self):
+        """A kernel whose degrees break the bound refuses by name
+        instead of rounding."""
+        kern = RadioNetwork(nx.path_graph(10))._delivery_kernels()
+        kern.max_degree = 2**50
+        tx = np.array([3], dtype=np.int64)
+        with pytest.raises(ProtocolError, match="coo-spmm"):
+            kern.execute_coo(1, np.zeros(1, dtype=np.int64), tx)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +635,21 @@ class TestProvenanceCounters:
         assert first.provenance["delivery"]["kernel_use"] == (
             second.provenance["delivery"]["kernel_use"]
         )
+
+    @pytest.mark.parametrize("protocol", ["decay", "mis"])
+    def test_kernel_names_what_ran_not_what_was_probed(
+        self, protocol, monkeypatch
+    ):
+        """With the numba probe forced true, a Decay or MIS report still
+        says ``numpy``: their blocks ran the transmitter-list product,
+        and no compiled leg's counter moved. (Runs without numba
+        installed: nothing on these paths imports it.)"""
+        monkeypatch.setitem(kernels._probe_cache, "numba", True)
+        report = api.run(protocol, _udg(120, 73), seed=8)
+        delivery = report.provenance["delivery"]
+        assert delivery["kernel"] == "numpy"
+        assert delivery["kernel_use"]["coo-spmm"] > 0
+        assert "csr-numba" not in delivery["kernel_use"]
 
     def test_report_equality_ignores_timing(self):
         g = _udg(80, 95)

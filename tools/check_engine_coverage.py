@@ -75,7 +75,7 @@ TEST_FILES = [
     # fan-out) and the result-equality mixin it leans on — ISSUE 8.
     "tests/test_corpus.py",
     "tests/test_result_equality.py",
-    # The transmitter-list chunk path (fault filter, COO kernels,
+    # The transmitter-list chunk path (fault filter, product kernel,
     # per-phase timing, provenance counters).
     "tests/test_pipeline.py",
     # The experiment service (report store, campaign engine, HTTP
