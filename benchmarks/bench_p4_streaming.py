@@ -81,6 +81,7 @@ def _udg(n: int, seed: int):
 
 def _assert_small_scale_identity(seed: int = 901) -> None:
     """Streamed == reference at a small n, before timing anything big."""
+    from repro.api import ExecutionPolicy
     from repro.core.decay import run_decay, run_decay_reference
     from repro.core.effective_degree import (
         estimate_effective_degree,
@@ -89,11 +90,12 @@ def _assert_small_scale_identity(seed: int = 901) -> None:
     from repro.radio import RadioNetwork
 
     g = _udg(500, seed)
+    chunked = ExecutionPolicy(chunk_steps=13)
     p = np.full(500, 0.5)
     active = np.ones(500, dtype=bool)
     rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
     a = estimate_effective_degree(
-        RadioNetwork(g), p, active, rng_a, C=2, chunk_steps=13
+        RadioNetwork(g), p, active, rng_a, C=2, policy=chunked
     )
     b = estimate_effective_degree_reference(
         RadioNetwork(g), p, active, rng_b, C=2
@@ -102,7 +104,7 @@ def _assert_small_scale_identity(seed: int = 901) -> None:
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
     rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
     da = run_decay(RadioNetwork(g), active, rng_a, iterations=4,
-                   chunk_steps=13)
+                   policy=chunked)
     db = run_decay_reference(RadioNetwork(g), active, rng_b, iterations=4)
     assert (da.heard_from == db.heard_from).all()
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -113,6 +115,7 @@ def bench_streamed_eed(
 ) -> dict:
     """One streamed EstimateEffectiveDegree block at scale ``n``."""
     from repro.analysis.experiments import measure_peak
+    from repro.api import ExecutionPolicy
     from repro.core.effective_degree import (
         EstimateEffectiveDegree,
         estimate_effective_degree,
@@ -129,7 +132,7 @@ def bench_streamed_eed(
     def workload():
         return estimate_effective_degree(
             net, p, active, np.random.default_rng(seed + 1), C=C,
-            mem_budget=mem_budget,
+            policy=ExecutionPolicy(mem_budget=mem_budget),
         )
 
     # Two passes: wall time untraced (tracemalloc taxes allocations),
@@ -164,6 +167,7 @@ def bench_streamed_decay(
 ) -> dict:
     """One streamed Claim-10 Decay block at scale ``n``."""
     from repro.analysis.experiments import measure_peak
+    from repro.api import ExecutionPolicy
     from repro.core.decay import claim10_iterations, run_decay
     from repro.engine import resolve_chunk_steps
     from repro.radio import CheapTrace, RadioNetwork
@@ -176,7 +180,8 @@ def bench_streamed_decay(
     def workload():
         return run_decay(
             net, active, np.random.default_rng(seed + 1),
-            iterations=iterations, mem_budget=mem_budget,
+            iterations=iterations,
+            policy=ExecutionPolicy(mem_budget=mem_budget),
         )
 
     # Two passes: wall time untraced (tracemalloc taxes allocations),

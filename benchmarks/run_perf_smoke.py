@@ -7,8 +7,9 @@ persisted to ``BENCH_PR1.json``), the ``bench_p2_engine`` pass
 EstimateEffectiveDegree against their step-wise references, plus the
 E1/E6 trial slices through ``run_trials_parallel`` — persisted to
 ``BENCH_PR2.json``), the ``bench_p3_engine`` pass (PR 3: the
-window-multiplexed fused ICP path and the density-adaptive dense
-window delivery — persisted to ``BENCH_PR3.json``), and the
+window-multiplexed fused ICP path and the dense-regime window
+product against the step-wise replay — persisted to
+``BENCH_PR3.json``), and the
 ``bench_p4_streaming`` pass (PR 4: streamed window execution at
 ``n = 10^5``, wall time *and* tracemalloc peak against the monolithic
 ``(w, n)`` footprint — persisted to ``BENCH_PR4.json``), and the
@@ -233,9 +234,11 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"fused ICP speedup: {icp['speedup']:.1f}x "
         f"(floor {icp['floor']}x); "
-        f"dense EED block: {dense['coo_block_speedup']:.2f}x "
+        f"dense EED block vs step replay: "
+        f"{dense['coo_block_speedup']:.1f}x "
         f"(floor {dense['coo_block_floor']}x); "
-        f"dense p=0.5 window: {dense['window_speedup']:.2f}x "
+        f"dense p=0.5 window vs step replay: "
+        f"{dense['window_speedup']:.1f}x "
         f"(floor {dense['window_floor']}x)"
     )
     print(f"persisted to {bench_p3_engine.RESULT_PATH}")

@@ -7,7 +7,7 @@ to say *how*, and ``run()`` to execute and get a structured
 
 1. discover every registered protocol and print its declared engines;
 2. run Radio MIS plainly, then re-run it under increasingly opinionated
-   policies (forced reference engine, forced dense delivery, contract
+   policies (forced reference engine, 16-step chunks, contract
    validation) and check the seeded results never change — the knobs
    are performance/diagnostics knobs only;
 3. run a larger MIS *streamed* under a tight peak-memory budget — the
@@ -44,7 +44,7 @@ def tour_policies() -> tuple[int, int]:
     policies = {
         "auto": api.ExecutionPolicy(),
         "reference engine": api.ExecutionPolicy(engine="reference"),
-        "forced dense": api.ExecutionPolicy(delivery="dense"),
+        "16-step chunks": api.ExecutionPolicy(chunk_steps=16),
         "validated": api.ExecutionPolicy(validate=True),
     }
     sizes, steps = set(), set()

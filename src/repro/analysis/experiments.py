@@ -14,8 +14,9 @@ Trials that simulate protocols run on the windowed engine by default —
 the packet-level entry points (:func:`repro.core.compute_mis`,
 :func:`repro.core.run_decay`, packet Compete, the baselines) are
 engine-backed, so every experiment inherits the batched delivery path
-without opting in; pass their ``engine="reference"`` knobs to measure
-the step-wise twins (``benchmarks/bench_p2_engine.py`` does exactly
+without opting in; pass them
+``policy=ExecutionPolicy(engine="reference")`` to measure the step-wise
+twins (``benchmarks/bench_p2_engine.py`` does exactly
 that, and threads the E1/E6 slices through
 :func:`run_trials_parallel`, recording wall-clock per PR in
 ``BENCH_PR2.json``).
@@ -77,10 +78,10 @@ def _trial_budget(
     callables, so the only policy fields they can impose process-wide
     are the two with process-wide defaults — ``mem_budget`` and
     ``faults`` — and a policy carrying any other non-default field
-    refuses rather than silently dropping it (set
-    engine/delivery/chunk_steps on the protocol calls inside
-    ``measure``, or use :func:`run_report_trials`, which threads the
-    whole policy through :func:`repro.api.run`).
+    refuses rather than silently dropping it (set engine/chunk_steps
+    on the protocol calls inside ``measure``, or use
+    :func:`run_report_trials`, which threads the whole policy through
+    :func:`repro.api.run`).
     """
     if policy is not None:
         if mem_budget is not None:

@@ -2,9 +2,9 @@
 
 Three pieces, one surface:
 
-* :class:`ExecutionPolicy` — every engine knob (engine variant, window
-  delivery strategy, streaming slab/budget, contract validation, trace
-  grade) as one frozen value, resolved against the process-wide
+* :class:`ExecutionPolicy` — every engine knob (engine variant,
+  streaming slab/budget, contract validation, trace grade) as one
+  frozen value, resolved against the process-wide
   defaults. Performance and diagnostics knobs only — seeded results
   are bit-identical under every policy — except the one semantics
   knob: ``faults``, a :class:`FaultSchedule` of crash/sleep/join/jam
@@ -35,10 +35,7 @@ Quickstart::
     policy = api.ExecutionPolicy(mem_budget=api.parse_mem_budget("64M"))
     report = api.run("mis", g, seed=7, policy=policy)   # identical result
 
-Legacy per-call kwargs (``engine=``, ``delivery=``, ``chunk_steps=``,
-``mem_budget=`` on the :mod:`repro.core` entry points) keep working
-through deprecation shims that construct a policy and delegate — same
-code path, bit-identical, one ``DeprecationWarning`` per entry point.
+The :mod:`repro.core` entry points take the same value as ``policy=``.
 """
 
 from ..core.mis_restart import RestartableMISConfig
@@ -46,7 +43,6 @@ from ..engine.policy import (
     ENGINE_MODES,
     ExecutionPolicy,
     TRACE_MODES,
-    available_delivery_modes,
     parse_mem_budget,
 )
 from ..faults import FaultSchedule, Jam
@@ -92,7 +88,6 @@ __all__ = [
     "TRACE_MODES",
     "UptimeLeaderConfig",
     "WakeupConfig",
-    "available_delivery_modes",
     "get_protocol",
     "list_protocols",
     "parse_mem_budget",

@@ -55,13 +55,13 @@ class RunReport(ArrayEqMixin):
         was not memory-measured (measurement taxes allocations, so it
         is opt-in; see ``run(..., measure_memory=True)``).
     policy:
-        The **resolved** policy echo: the engine selection, delivery
-        mode, and streaming knobs after ``"auto"`` and the
-        process-wide budget default resolved — what a reader needs to
-        reproduce the execution exactly. Protocols consult only the
-        knobs they implement: a round-accounted run simulates no
-        radio steps, so the delivery/streaming fields (and, outside
-        packet mode, the engine) are necessarily inert there.
+        The **resolved** policy echo: the engine selection and
+        streaming knobs after ``"auto"`` and the process-wide budget
+        default resolved — what a reader needs to reproduce the
+        execution exactly. Protocols consult only the knobs they
+        implement: a round-accounted run simulates no radio steps, so
+        the streaming fields (and, outside packet mode, the engine)
+        are necessarily inert there.
     provenance:
         Reproduction facts: ``seed`` (the integer seed, or ``None``
         when the caller passed a live generator), ``graph`` (family /
@@ -141,7 +141,6 @@ class RunReport(ArrayEqMixin):
             "wall_time_s": self.wall_time_s,
             "peak_mem_bytes": self.peak_mem_bytes,
             "engine": self.policy.engine,
-            "delivery": self.policy.delivery,
             "chunk_steps": self.policy.chunk_steps,
             "mem_budget": self.policy.mem_budget,
             "validate": self.policy.validate,

@@ -21,7 +21,6 @@ from typing import Any
 import networkx as nx
 import numpy as np
 
-from ..engine.kernels import compiled_kernel_name
 from ..engine.policy import ExecutionPolicy
 from ..engine.sampler import STREAM_VERSION
 from ..radio.errors import ProtocolError
@@ -289,15 +288,13 @@ def run(
             "events": schedule.event_counts(),
             "realized": realized,
         }
-    # Delivery provenance: which chunk kernels actually ran — so a
-    # report names the code that produced it.
-    kernel_use = dict(network.kernel_use) if network is not None else {}
-    delivery_prov: dict[str, Any] = {
-        "mode": resolved.delivery,
-        "kernel": compiled_kernel_name(kernel_use),
-    }
-    if network is not None:
-        delivery_prov["kernel_use"] = kernel_use
+    # Delivery provenance: rows per kernel counter (``coo-spmm``,
+    # ``skip-empty``) — what the window product actually executed.
+    delivery_prov: dict[str, Any] = (
+        {"kernel_use": dict(network.kernel_use)}
+        if network is not None
+        else {}
+    )
     if network is not None:
         steps = network.steps_elapsed - steps_before
         trace = {

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from ..core.decay import decay_span
-from ..engine.policy import ExecutionPolicy, legacy_policy
+from ..engine.policy import ExecutionPolicy
 from ..engine.segments import ObliviousWindow, ProtocolSchedule, TracePhase
 from ..radio.errors import BudgetExceededError, GraphContractError
 from ..radio.network import NO_SENDER, RadioNetwork
@@ -122,7 +122,6 @@ def bgi_broadcast(
     rng: np.random.Generator,
     sources: list[int] | None = None,
     max_sweeps: int | None = None,
-    engine: str | None = None,
     *,
     best_effort: bool = False,
     policy: ExecutionPolicy | None = None,
@@ -151,15 +150,13 @@ def bgi_broadcast(
         default) executes one sparse product per sweep;
         ``"reference"`` steps through :func:`bgi_broadcast_reference`.
         Seeded results are bit-identical.
-    engine:
-        Deprecated per-call form of ``policy.engine`` (shimmed).
 
     Returns
     -------
     BGIBroadcastResult
         ``steps`` counts actual simulated radio steps.
     """
-    policy = legacy_policy(policy, "bgi_broadcast", engine=engine)
+    policy = policy or ExecutionPolicy()
     policy.bind(network)
     if policy.engine_for(("windowed", "reference"), "windowed") == "reference":
         return bgi_broadcast_reference(

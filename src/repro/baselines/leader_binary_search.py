@@ -19,7 +19,7 @@ import dataclasses
 
 import numpy as np
 
-from ..engine.policy import ExecutionPolicy, legacy_policy
+from ..engine.policy import ExecutionPolicy
 from ..radio.errors import GraphContractError
 from ..radio.network import RadioNetwork
 from .bgi_broadcast import bgi_broadcast
@@ -40,7 +40,6 @@ def binary_search_election(
     network: RadioNetwork,
     rng: np.random.Generator,
     id_bits: int | None = None,
-    engine: str | None = None,
     *,
     policy: ExecutionPolicy | None = None,
 ) -> BinarySearchElectionResult:
@@ -58,8 +57,7 @@ def binary_search_election(
         Execution policy for the per-phase BGI floods —
         ``engine="windowed"`` (the ``"auto"`` default, one sparse
         product per sweep) or ``"reference"`` (step-wise); seeded
-        results are bit-identical. ``engine=`` is the deprecated
-        per-call form (shimmed).
+        results are bit-identical.
 
     Notes
     -----
@@ -71,7 +69,7 @@ def binary_search_election(
     of zero steps, which only *under*-counts this baseline's steps,
     keeping the comparison conservative.
     """
-    policy = legacy_policy(policy, "binary_search_election", engine=engine)
+    policy = policy or ExecutionPolicy()
     policy.bind(network)
     if not network.is_connected():
         raise GraphContractError("leader election requires connectivity")

@@ -4,16 +4,15 @@ Every protocol subcommand is **generated from the registry**
 (:mod:`repro.api`): one shared graph flag group, one shared execution
 policy flag group, plus each protocol's own flags from its
 :class:`~repro.api.registry.CLISpec`. No subcommand parses policy
-knobs by hand anymore — ``--engine``, ``--delivery``,
-``--chunk-steps``, ``--mem-budget``, and ``--validate`` are the same
-five flags everywhere, refused the same way everywhere (unknown
-values are named alongside the accepted ones).
+knobs by hand anymore — ``--engine``, ``--chunk-steps``,
+``--mem-budget``, and ``--validate`` are the same four flags
+everywhere, refused the same way everywhere (unknown values are named
+alongside the accepted ones).
 
 .. code-block:: bash
 
     python -m repro mis --graph udg --n 150 --seed 7
     python -m repro mis --n 150 --engine reference   # step-wise twin
-    python -m repro mis --n 150 --delivery dense     # force dense windows
     python -m repro mis --n 100000 --mem-budget 256M # stream big runs
     python -m repro broadcast --graph grid --rows 3 --cols 40
     python -m repro broadcast --graph udg --n 80 --packet
@@ -34,9 +33,9 @@ Every subcommand accepts ``--seed`` (default 0) and prints a short
 human-readable report; machine-readable output is available with
 ``--json``. Protocol runs go through :func:`repro.api.run`, so the
 printed report is a view of the same :class:`~repro.api.report
-.RunReport` the library returns — engine, delivery, radio steps, wall
-time, and the protocol's own fields. All engine/delivery/streaming
-flags are performance or memory knobs only: seeded results are
+.RunReport` the library returns — engine, radio steps, wall time,
+and the protocol's own fields. All engine/streaming flags are
+performance or memory knobs only: seeded results are
 bit-identical whatever the policy (``--validate`` re-checks exactly
 that at runtime, slowly). ``--mem-budget 256M`` is what makes
 ``n >= 10^5`` runs practical on a laptop.
@@ -67,7 +66,6 @@ from .engine.policy import (
     parse_mem_budget,
     validate_chunk_steps,
 )
-from .engine.kernels import ALL_DELIVERY_MODES
 from .radio.errors import ProtocolError
 
 
@@ -155,6 +153,10 @@ def _parse_chunk_steps_arg(text: str) -> int:
         ) from None
 
 
+#: Policy knobs earlier versions accepted, kept as hidden flags.
+_REMOVED_POLICY_FLAGS = ("restrict", "delivery")
+
+
 def _add_policy_options(
     parser: argparse.ArgumentParser, spec: api.ProtocolSpec
 ) -> None:
@@ -175,20 +177,12 @@ def _add_policy_options(
             "verified path; all variants are bit-identical on a seed)"
         ),
     )
-    group.add_argument(
-        "--delivery",
-        default="auto",
-        metavar="MODE",
-        help=(
-            f"window execution strategy, one of {ALL_DELIVERY_MODES} "
-            "(bit-identical; auto routes per window row on transmitter "
-            "density and COO output size; numba/cupy need their "
-            "optional package installed and refuse by name otherwise)"
-        ),
-    )
     # Knobs earlier versions accepted: still parsed, so that naming one
     # reaches the policy's uniform refusal instead of argparse's.
-    group.add_argument("--restrict", default=None, help=argparse.SUPPRESS)
+    for removed in _REMOVED_POLICY_FLAGS:
+        group.add_argument(
+            f"--{removed}", default=None, help=argparse.SUPPRESS
+        )
     group.add_argument(
         "--chunk-steps",
         type=_parse_chunk_steps_arg,
@@ -214,7 +208,7 @@ def _add_policy_options(
         "--validate",
         action="store_true",
         help=(
-            "re-execute every window step-by-step on shadow networks "
+            "re-execute every window step-by-step on a shadow network "
             "and assert bit-identical delivery (slow; diagnostics)"
         ),
     )
@@ -318,10 +312,13 @@ def _emit(args: argparse.Namespace, report: dict[str, Any]) -> None:
 
 def _policy_from_args(args: argparse.Namespace) -> api.ExecutionPolicy:
     """The shared flag group, folded into one policy value."""
-    removed = {} if args.restrict is None else {"restrict": args.restrict}
+    removed = {
+        name: getattr(args, name)
+        for name in _REMOVED_POLICY_FLAGS
+        if getattr(args, name) is not None
+    }
     return api.ExecutionPolicy(
         engine=args.engine,
-        delivery=args.delivery,
         chunk_steps=args.chunk_steps,
         mem_budget=args.mem_budget,
         validate=args.validate,
@@ -365,7 +362,6 @@ def _run_protocol(spec: api.ProtocolSpec, args: argparse.Namespace) -> int:
         payload["graph"] = graph.graph.get("family")
         payload["n"] = graph.number_of_nodes()
     payload["engine"] = report.policy.engine
-    payload["delivery"] = report.policy.delivery
     payload.update(spec.cli.report_fields(report, graph, config))
     _emit(args, payload)
     return spec.cli.exit_code(report, payload)

@@ -34,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from ..engine.policy import ExecutionPolicy, legacy_policy
+from ..engine.policy import ExecutionPolicy
 from ..engine.sampler import RowSampler, draw_block_key
 from ..engine.segments import (
     ProtocolSchedule,
@@ -263,8 +263,6 @@ def run_decay(
     messages: list[Any] | None = None,
     iterations: int = 1,
     n_estimate: int | None = None,
-    chunk_steps: int | None = None,
-    mem_budget: int | None = None,
     *,
     policy: ExecutionPolicy | None = None,
 ) -> DecayResult:
@@ -277,15 +275,9 @@ def run_decay(
     The block executes :func:`decay_block_schedule` under ``policy``
     (see the module docstring) — ``engine="reference"`` dispatches to
     :func:`run_decay_reference`; results and rng consumption are
-    identical either way, the engine path just much faster. The
-    deprecated per-call ``chunk_steps``/``mem_budget`` kwargs fold
-    into a policy through the usual shim (memory knobs only —
-    bit-identical at any setting).
+    identical either way, the engine path just much faster.
     """
-    policy = legacy_policy(
-        policy, "run_decay",
-        chunk_steps=chunk_steps, mem_budget=mem_budget,
-    )
+    policy = policy or ExecutionPolicy()
     policy.bind(network)
     if policy.engine_for(("windowed", "reference"), "windowed") == "reference":
         return run_decay_reference(

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from ..engine.policy import ExecutionPolicy, legacy_policy
+from ..engine.policy import ExecutionPolicy
 from ..engine.sampler import RowSampler, draw_block_key
 from ..engine.segments import (
     PlanSection,
@@ -241,32 +241,19 @@ def estimate_effective_degree(
     rng: np.random.Generator,
     C: int = 24,
     n_estimate: int | None = None,
-    delivery: str | None = None,
-    chunk_steps: int | None = None,
-    mem_budget: int | None = None,
     *,
     policy: ExecutionPolicy | None = None,
 ) -> EffectiveDegreeResult:
     """Run one full EstimateEffectiveDegree block under ``policy``.
 
-    The policy's ``delivery`` selects the window execution strategy
-    (``"auto"``, ``"sparse"``, ``"dense"``) — a performance knob only,
-    all three are bit-identical. Desire levels near ``p = 0.5`` on
-    dense graphs are the regime where ``"auto"`` routes the low-``i``
-    density levels through the dense matmul (most (listener, step)
-    pairs hear energy, so the sparse product's output stops being
-    sparse). ``chunk_steps``/``mem_budget`` bound the streamed slab
-    height (memory knobs only — bit-identical at any setting); this
-    block is the canonical out-of-core workload, since its
+    The policy's ``chunk_steps``/``mem_budget`` bound the streamed
+    chunk height (memory knobs only — bit-identical at any setting);
+    this block is the canonical out-of-core workload, since its
     ``O(log^2 n)`` steps are what stalled ``n >= 10^5`` runs when
     materialized whole. ``engine="reference"`` dispatches to
-    :func:`estimate_effective_degree_reference`; the deprecated
-    per-call kwargs fold into a policy through the usual shim.
+    :func:`estimate_effective_degree_reference`.
     """
-    policy = legacy_policy(
-        policy, "estimate_effective_degree", delivery=delivery,
-        chunk_steps=chunk_steps, mem_budget=mem_budget,
-    )
+    policy = policy or ExecutionPolicy()
     policy.bind(network)
     if policy.engine_for(("windowed", "reference"), "windowed") == "reference":
         return estimate_effective_degree_reference(

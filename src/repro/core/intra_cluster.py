@@ -49,7 +49,7 @@ import math
 import numpy as np
 
 from ..engine.mux import multiplex
-from ..engine.policy import ExecutionPolicy, legacy_policy
+from ..engine.policy import ExecutionPolicy
 from ..engine.runner import (
     ProtocolSegmentSource,
     protocol_schedule,
@@ -435,10 +435,6 @@ def intra_cluster_propagation(
     ell: int,
     rng: np.random.Generator,
     with_background: bool = True,
-    engine: str | None = None,
-    delivery: str | None = None,
-    chunk_steps: int | None = None,
-    mem_budget: int | None = None,
     *,
     policy: ExecutionPolicy | None = None,
 ) -> ICPResult:
@@ -467,21 +463,15 @@ def intra_cluster_propagation(
     * ``engine="reference"`` — the step-wise executable specification
       through :func:`~repro.radio.protocol.run_steps`.
 
-    The policy's ``delivery`` routes the engine paths' window
-    execution (``"auto"``, ``"sparse"``, ``"dense"``); the reference
-    path ignores it. Without a background there is nothing to
-    multiplex: ``engine="fused"`` runs the slot passes exactly as
-    ``"windowed"`` does. ``chunk_steps``/``mem_budget`` bound the
-    engine paths' streamed slab height (the fused path's joint windows
+    Without a background there is nothing to multiplex:
+    ``engine="fused"`` runs the slot passes exactly as ``"windowed"``
+    does. The policy's ``chunk_steps``/``mem_budget`` bound the engine
+    paths' streamed chunk height (the fused path's joint windows
     stream, so joint hear-windows never materialize whole); memory
     knobs only, bit-identical at any setting, ignored by the reference
-    path. The deprecated per-call kwargs fold into a policy through
-    the usual shim.
+    path.
     """
-    policy = legacy_policy(
-        policy, "intra_cluster_propagation", engine=engine,
-        delivery=delivery, chunk_steps=chunk_steps, mem_budget=mem_budget,
-    )
+    policy = policy or ExecutionPolicy()
     policy.bind(network)
     engine = policy.engine_for(("windowed", "reference", "fused"), "windowed")
     knowledge = np.asarray(knowledge, dtype=np.int64).copy()

@@ -29,7 +29,7 @@ from typing import Hashable
 
 import numpy as np
 
-from ..engine.policy import ExecutionPolicy, legacy_policy
+from ..engine.policy import ExecutionPolicy
 from ..engine.segments import (
     PlanSection,
     ProtocolSchedule,
@@ -293,10 +293,6 @@ def compute_mis(
     rng: np.random.Generator,
     config: MISConfig | None = None,
     n_estimate: int | None = None,
-    engine: str | None = None,
-    delivery: str | None = None,
-    chunk_steps: int | None = None,
-    mem_budget: int | None = None,
     *,
     policy: ExecutionPolicy | None = None,
 ) -> MISResult:
@@ -319,15 +315,10 @@ def compute_mis(
         ``engine="windowed"`` (the ``"auto"`` default) runs
         :func:`mis_schedule` on the batched engine, ``"reference"``
         the retained step-wise loop — bit-identical seeded results;
-        ``delivery``/``chunk_steps``/``mem_budget`` route and stream
-        the engine path's windows (performance/memory knobs only —
-        the whole round loop streams, so peak memory is bounded by the
-        slab instead of growing with ``log^2 n * n``).
-    engine, delivery, chunk_steps, mem_budget:
-        Deprecated per-call forms of the policy fields; a shim folds
-        them into a policy (bit-identical) with one
-        ``DeprecationWarning`` per entry point. Incompatible with
-        ``policy=``.
+        ``chunk_steps``/``mem_budget`` stream the engine path's
+        windows (memory knobs only — the whole round loop streams, so
+        peak memory is bounded by the chunk instead of growing with
+        ``log^2 n * n``).
 
     Returns
     -------
@@ -336,10 +327,7 @@ def compute_mis(
         maximal independent set and ``all_removed`` is true; tests
         validate both via :func:`repro.graphs.is_maximal_independent_set`.
     """
-    policy = legacy_policy(
-        policy, "compute_mis", engine=engine, delivery=delivery,
-        chunk_steps=chunk_steps, mem_budget=mem_budget,
-    )
+    policy = policy or ExecutionPolicy()
     policy.bind(network)
     if policy.engine_for(("windowed", "reference"), "windowed") == "reference":
         return compute_mis_reference(network, rng, config, n_estimate)

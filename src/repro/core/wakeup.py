@@ -169,7 +169,6 @@ def mis_as_wakeup_strategy(
     n: int,
     k: int,
     rng: np.random.Generator,
-    engine: str | None = None,
     *,
     policy: "ExecutionPolicy | None" = None,
 ) -> WakeupResult:
@@ -190,14 +189,13 @@ def mis_as_wakeup_strategy(
     remainder of its final coin chunk, so the *post-call rng state*
     differs from the reference's — pass each engine its own seeded
     generator (rather than one shared across calls) when comparing
-    multi-trial sequences across engines. The deprecated per-call
-    ``engine`` kwarg folds into a policy through the usual shim.
+    multi-trial sequences across engines.
     """
-    from ..engine.policy import legacy_policy
+    from ..engine.policy import ExecutionPolicy
 
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    policy = legacy_policy(policy, "mis_as_wakeup_strategy", engine=engine)
+    policy = policy or ExecutionPolicy()
     schedule = policy.fault_schedule()
     if schedule is not None and not schedule.is_empty:
         from ..radio.errors import ProtocolError

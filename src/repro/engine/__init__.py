@@ -16,9 +16,10 @@ stream of :mod:`segments <repro.engine.segments>` —
   switch (no radio step).
 
 and the :class:`~repro.engine.runner.WindowedRunner` executes the
-stream: oblivious windows through the batched, density-routed
-:meth:`~repro.radio.network.RadioNetwork.deliver_window` product,
-decision points through the fused single-step
+stream: oblivious windows as transmitter pairs through the one exact
+sparse product of
+:meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`, decision
+points through the fused single-step
 :meth:`~repro.radio.network.RadioNetwork.deliver` path. The runner
 preserves the exact rng stream, ``steps_elapsed`` count, and trace
 totals of the step-wise loops it replaces — the contract every
@@ -38,34 +39,25 @@ Orthogonal to both forms is *streaming* execution
 (:mod:`repro.engine.streaming`): a window too wide to materialize is
 carried as a :class:`~repro.engine.segments.StreamedWindow` — a lazy
 plan plus a per-chunk fold — and the runner executes it in bounded
-chunks, with the chunk height derived from a peak-memory budget. A
-mask plan (:class:`~repro.radio.network.TransmitPlan`) runs through
-:meth:`~repro.radio.network.RadioNetwork.deliver_window_chunks`; a
-transmitter-list plan (:class:`~repro.engine.segments.TransmitterPlan`,
-rows sampled by :mod:`repro.engine.sampler`) runs on the COO delivery
-kernels, at a cost that follows the transmissions rather than ``n``
-times the steps (DESIGN.md, "Streaming windows" and "The rng-stream
-contract").
+chunks, with the chunk height derived from a peak-memory budget. Both
+plan forms run on the runner's one chunk loop: a mask plan
+(:class:`~repro.radio.network.TransmitPlan`) has each chunk's masks
+read off as transmitter pairs, a transmitter-list plan
+(:class:`~repro.engine.segments.TransmitterPlan`, rows sampled by
+:mod:`repro.engine.sampler`) produces the pairs directly, at a cost
+that follows the transmissions rather than ``n`` times the steps
+(DESIGN.md, "Streaming windows" and "The rng-stream contract").
 """
 
-from .kernels import (
-    ALL_DELIVERY_MODES,
-    COMPILED_DELIVERY_MODES,
-    DeliveryKernels,
-    available_delivery_modes,
-    compiled_kernel_name,
-    require_delivery_mode,
-)
+from .kernels import DeliveryKernels
 from .mux import multiplex
 from .policy import (
     ENGINE_MODES,
     ExecutionPolicy,
     TRACE_MODES,
-    legacy_policy,
     parse_mem_budget,
 )
 from .runner import (
-    DELIVERY_MODES,
     ProtocolSegmentSource,
     WindowedRunner,
     protocol_schedule,
@@ -99,10 +91,7 @@ from .streaming import (
 from .validate import ObliviousnessViolationError, ValidatingRunner
 
 __all__ = [
-    "ALL_DELIVERY_MODES",
     "COIN_BUDGET",
-    "COMPILED_DELIVERY_MODES",
-    "DELIVERY_MODES",
     "DeliveryKernels",
     "ENGINE_MODES",
     "DecisionStep",
@@ -126,16 +115,12 @@ __all__ = [
     "TransmitterPlan",
     "ValidatingRunner",
     "WindowedRunner",
-    "available_delivery_modes",
     "chunk_steps_for_budget",
     "coin_chunk",
-    "compiled_kernel_name",
-    "legacy_policy",
     "memory_budget",
     "multiplex",
     "parse_mem_budget",
     "protocol_schedule",
-    "require_delivery_mode",
     "resolve_chunk_steps",
     "run_schedule",
     "segment_schedule",

@@ -11,7 +11,7 @@ both protocols' upcoming windows at once. The plan/commit split
 limitation, and :func:`multiplex` is the payoff: it *zips* the
 streams' planned mask rows into joint
 :class:`~repro.engine.segments.ObliviousWindow` segments, which the
-runner executes as (mostly sparse, density-routed) window products.
+runner executes as transmitter-pair window products.
 ICP's Decay background is the motivating case: its sweeps are planned
 span-wide, so the fused run executes ~half as many delivery calls, each
 a cheap sparse product over the few transmitters of a slot or a sweep
@@ -342,8 +342,8 @@ def _multiplex(
                 decision[s] = isinstance(segment, DecisionStep)
                 if masks.shape[0] == 0:
                     # A zero-step segment executes nothing; commit its
-                    # empty reply immediately (what the plain runner's
-                    # deliver_window would have returned) and plan on.
+                    # empty reply immediately (what the plain runner
+                    # would have replied) and plan on.
                     streams[s].commit(
                         np.empty((0, n), dtype=np.int64)
                     )

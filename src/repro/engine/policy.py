@@ -1,23 +1,21 @@
 """Execution policy: the one object that carries every engine knob.
 
-Four PRs of engine growth left each protocol entry point threading its
-own copy of ``engine=``, ``delivery=``, ``chunk_steps=``, and
-``mem_budget=`` keyword arguments, and every consumer (CLI, experiment
-harness, benchmarks, the validating runner) re-parsing them
-independently. :class:`ExecutionPolicy` replaces that: a frozen record
-of *how* to execute a protocol — which engine variant, which window
-delivery strategy, how to stream, whether to interpose the contract
-checker, and which trace grade to record — that travels as one value
-through :func:`repro.api.run`, the CLI's shared flag group, and
-``run_trials*``.
+:class:`ExecutionPolicy` is a frozen record of *how* to execute a
+protocol — which engine variant, how to stream, whether to interpose
+the contract checker, which trace grade to record, and which fault
+schedule to realize — that travels as one value through
+:func:`repro.api.run`, every protocol entry point's ``policy=``, the
+CLI's shared flag group, and ``run_trials*``.
 
-Every knob here is a **performance or diagnostics knob, never a
-semantics knob**: seeded protocol results are bit-identical whatever
-policy executes them (the engine equivalence suites and the
+Every knob except ``faults`` is a **performance or diagnostics knob,
+never a semantics knob**: seeded protocol results are bit-identical
+whatever policy executes them (the engine equivalence suites and the
 :class:`~repro.engine.validate.ValidatingRunner` pin exactly that).
 
-Refusals are uniform by construction: unknown ``engine``/``delivery``
-strings and malformed ``chunk_steps``/``mem_budget`` values raise
+Refusals are uniform by construction: unknown ``engine`` strings,
+unknown fields (including knobs earlier versions accepted, like
+``delivery`` and ``restrict``), and malformed
+``chunk_steps``/``mem_budget`` values raise
 :class:`~repro.radio.errors.ProtocolError` naming the accepted values,
 from one shared set of validators — the API, the CLI (via thin argparse
 wrappers), and the experiment harness all refuse the same way.
@@ -30,7 +28,6 @@ home is :mod:`repro.api`.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Any
 
 import numpy as np
@@ -38,11 +35,6 @@ import numpy as np
 from ..faults.schedule import FaultSchedule, default_faults, validate_faults
 from ..radio.errors import ProtocolError
 from ..radio.network import RadioNetwork
-from .kernels import (
-    ALL_DELIVERY_MODES,
-    available_delivery_modes,
-    require_delivery_mode,
-)
 from .streaming import memory_budget, resolve_chunk_steps
 
 #: Every engine variant any protocol accepts. ``"auto"`` defers to the
@@ -76,20 +68,6 @@ def validate_engine(
             f"unknown engine: {engine!r} (expected one of {allowed})"
         )
     return engine
-
-
-def validate_delivery(delivery: str) -> str:
-    """Check a window delivery mode, naming the accepted values.
-
-    Beyond the always-available numpy strategies
-    (:data:`~repro.radio.network.DELIVERY_MODES`), the compiled
-    backends ``"numba"`` and ``"cupy"`` are accepted exactly when their
-    optional dependency is importable and usable — an explicit request
-    for an absent backend refuses by name, listing the installed
-    alternatives (:func:`~repro.engine.kernels.available_delivery_modes`);
-    ``"auto"`` is the only mode that silently adapts.
-    """
-    return require_delivery_mode(delivery)
 
 
 def validate_chunk_steps(chunk_steps: int | None) -> int | None:
@@ -184,16 +162,6 @@ class ExecutionPolicy:
         ``"reference"`` the retained step-wise twin, ``"fused"`` the
         window-multiplexed path where one exists. Protocols refuse
         engines they do not implement, naming the ones they do.
-    delivery:
-        Execution strategy of mask-path windows (``"auto"``/
-        ``"sparse"``/``"dense"``, or an installed compiled backend),
-        forwarded to
-        :meth:`~repro.radio.network.RadioNetwork.deliver_window`: the
-        windows of ICP's Decay background, BGI and Compete. Decay, EED
-        and Radio MIS blocks run as transmitter-list chunks, which
-        always take the one sparse product of
-        :meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`;
-        this knob does not reach them.
     chunk_steps, mem_budget:
         The streaming knobs: slab height directly, or derived from a
         peak-bytes target through the
@@ -204,9 +172,9 @@ class ExecutionPolicy:
     validate:
         Interpose the contract-checking
         :class:`~repro.engine.validate.ValidatingRunner` — every
-        window re-executed step-wise and through the forced strategies
-        on shadow networks, asserting bit-identical delivery. A
-        diagnostics knob (slow; results are unchanged by construction).
+        delivered window replayed step-wise on a shadow network,
+        asserting bit-identical delivery. A diagnostics knob (slow;
+        results are unchanged by construction).
     trace:
         Trace grade for networks the executor constructs:
         ``"default"`` (full :class:`~repro.radio.trace.StepTrace`) or
@@ -228,7 +196,6 @@ class ExecutionPolicy:
     """
 
     engine: str = "auto"
-    delivery: str = "auto"
     chunk_steps: int | None = None
     mem_budget: int | None = None
     validate: bool = False
@@ -237,9 +204,12 @@ class ExecutionPolicy:
 
     def __new__(cls, *args: Any, **kwargs: Any) -> "ExecutionPolicy":
         # Unknown keywords (including knobs earlier versions accepted,
-        # like ``restrict``) get the uniform refusal naming the
-        # accepted fields, not the dataclass constructor's TypeError.
-        unknown = sorted(set(kwargs) - set(POLICY_FIELDS))
+        # like ``restrict`` and ``delivery``) get the uniform refusal
+        # naming the accepted fields, not the dataclass constructor's
+        # TypeError.
+        unknown = {
+            k: kwargs[k] for k in sorted(set(kwargs) - set(POLICY_FIELDS))
+        }
         if unknown:
             raise ProtocolError(
                 f"unknown ExecutionPolicy field(s) {unknown} "
@@ -249,7 +219,6 @@ class ExecutionPolicy:
 
     def __post_init__(self) -> None:
         validate_engine(self.engine)
-        validate_delivery(self.delivery)
         validate_chunk_steps(self.chunk_steps)
         validate_mem_budget(self.mem_budget)
         validate_trace(self.trace)
@@ -355,7 +324,7 @@ class ExecutionPolicy:
         contract-checking
         :class:`~repro.engine.validate.ValidatingRunner` when
         :attr:`validate` is set; either way carrying this policy's
-        delivery and streaming knobs.
+        streaming knobs.
         """
         from .runner import WindowedRunner
 
@@ -369,7 +338,6 @@ class ExecutionPolicy:
         return cls(
             network,
             max_steps=max_steps,
-            delivery=self.delivery,
             chunk_steps=self.chunk_steps,
             mem_budget=self.mem_budget,
         )
@@ -389,67 +357,13 @@ class ExecutionPolicy:
 POLICY_FIELDS = tuple(f.name for f in dataclasses.fields(ExecutionPolicy))
 
 
-# ---------------------------------------------------------------------------
-# Legacy-kwarg deprecation shims.
-# ---------------------------------------------------------------------------
-
-#: Entry points that already warned about legacy kwargs this process
-#: (the "warning emitted once" contract; tests clear it to re-assert).
-_warned_legacy: set[str] = set()
-
-
-def legacy_policy(
-    policy: ExecutionPolicy | None,
-    entry: str,
-    **kwargs: Any,
-) -> ExecutionPolicy:
-    """Fold legacy per-call kwargs into an :class:`ExecutionPolicy`.
-
-    The shim behind every migrated entry point: callers that pass the
-    old ``engine=``/``delivery=``/``chunk_steps=``/``mem_budget=``
-    keywords get a policy constructed from them (with one
-    ``DeprecationWarning`` per entry point per process), callers that
-    pass ``policy=`` use it directly, and passing both refuses loudly —
-    a silent merge would make precedence ambiguous.
-
-    ``kwargs`` holds the legacy values with ``None`` meaning "not
-    given" (the migrated signatures' defaults); the constructed policy
-    is bit-identical in effect to the old kwargs, so old and new call
-    forms produce identical runs (pinned by
-    ``tests/test_api.py``).
-    """
-    given = {k: v for k, v in kwargs.items() if v is not None}
-    if policy is not None:
-        if given:
-            raise ProtocolError(
-                f"{entry}() got both policy= and legacy keyword(s) "
-                f"{sorted(given)}; pass the policy alone "
-                f"(dataclasses.replace() to override fields)"
-            )
-        return policy
-    if given and entry not in _warned_legacy:
-        _warned_legacy.add(entry)
-        warnings.warn(
-            f"{entry}(): per-call {sorted(given)} keywords are "
-            f"deprecated; pass policy=ExecutionPolicy(...) (see "
-            f"repro.api)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return ExecutionPolicy(**given)
-
-
 __all__ = [
-    "ALL_DELIVERY_MODES",
     "ENGINE_MODES",
     "ExecutionPolicy",
     "POLICY_FIELDS",
     "TRACE_MODES",
-    "available_delivery_modes",
-    "legacy_policy",
     "parse_mem_budget",
     "validate_chunk_steps",
-    "validate_delivery",
     "validate_engine",
     "validate_mem_budget",
     "validate_trace",

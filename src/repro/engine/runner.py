@@ -1,23 +1,22 @@
 """Execution of protocol schedules on a radio network.
 
 :class:`WindowedRunner` is the single place where protocol schedules
-meet the simulator: :class:`~repro.engine.segments.ObliviousWindow`
-segments execute through the batched
-:meth:`~repro.radio.network.RadioNetwork.deliver_window` product,
-:class:`~repro.engine.segments.DecisionStep` segments through the fused
-single-step :meth:`~repro.radio.network.RadioNetwork.deliver` path.
-Because both network entry points are bit-identical per step, a schedule
-executed here produces exactly the receptions, trace totals and
-``steps_elapsed`` of the step-wise loop it replaced — only faster.
-
-Delivery routing: ``deliver_window`` has two internally equivalent
-execution strategies — the sparse product and, for windows whose masks
-light up most (listener, step) pairs, an exact dense matmul. The
-runner's ``delivery`` knob (``"auto"`` by default) selects between them
-per window from the masks' popcounts; both are exact small-integer
-sums, so the choice can never change a single ``hear_from`` bit (the
-contract ``tests/test_schedule_contract.py`` re-verifies on every
-window of every in-tree emitter).
+meet the simulator. Every window — a materialized
+:class:`~repro.engine.segments.ObliviousWindow`, a streamed mask
+:class:`~repro.radio.network.TransmitPlan`, or a sampled
+:class:`~repro.engine.segments.TransmitterPlan` — runs through one
+chunk loop: the chunk's transmitter pairs are produced (sampled, or
+read off its masks with ``np.nonzero``), the fault layer filters them,
+the one exact sparse product delivers them
+(:meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`), and the
+reception triples are folded into what the segment expects.
+:class:`~repro.engine.segments.DecisionStep` segments run through the
+fused single-step :meth:`~repro.radio.network.RadioNetwork.deliver`.
+Both are bit-identical per step, so a schedule executed here produces
+exactly the receptions, trace totals and ``steps_elapsed`` of the
+step-wise loop it replaced — only faster (the contract suite
+``tests/test_schedule_contract.py`` re-verifies every window of every
+in-tree emitter against the step-wise replay).
 
 Two adapters bridge the older protocol forms onto the engine:
 
@@ -44,14 +43,12 @@ from typing import Any
 
 import numpy as np
 
-from ..radio.errors import BudgetExceededError, ProtocolError
-from ..radio.network import (
-    DELIVERY_MODES,
-    NO_SENDER,
-    RadioNetwork,
-    TransmitPlan,
+from ..radio.errors import (
+    BudgetExceededError,
+    InvalidActionError,
+    ProtocolError,
 )
-from .kernels import require_delivery_mode
+from ..radio.network import NO_SENDER, RadioNetwork, TransmitPlan
 from .segments import (
     DecisionStep,
     ObliviousWindow,
@@ -78,22 +75,13 @@ class WindowedRunner:
         :class:`~repro.radio.errors.BudgetExceededError` *before*
         executing, so a bounded run never overshoots — the engine
         counterpart of :func:`repro.radio.protocol.run_protocol`'s
-        budget check. Budget charges are per radio step regardless of
-        execution strategy: a ``w``-row window costs ``w`` whether it
-        runs sparse, dense, or as a multiplexed joint window.
-    delivery:
-        Window execution strategy, forwarded to
-        :meth:`~repro.radio.network.RadioNetwork.deliver_window`:
-        ``"auto"`` (default) routes each window by its estimated
-        density, ``"sparse"``/``"dense"`` force one path. All three are
-        bit-identical; this is a performance knob only. It routes mask
-        windows only: transmitter-list chunks always run the one
-        sparse product of
-        :meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`.
+        budget check. Budget charges are per radio step: a ``w``-row
+        window costs ``w`` whether it runs whole, chunked, or as a
+        multiplexed joint window.
     chunk_steps, mem_budget:
         The streaming knobs — memory knobs only, never semantics knobs
-        (streamed execution is bit-identical whatever the slab height).
-        ``chunk_steps`` fixes the slab height directly; ``mem_budget``
+        (chunked execution is bit-identical whatever the chunk height).
+        ``chunk_steps`` fixes the chunk height directly; ``mem_budget``
         derives it from a target peak-bytes cap through
         :func:`~repro.engine.streaming.chunk_steps_for_budget`; with
         neither set, the process-wide default budget
@@ -102,29 +90,23 @@ class WindowedRunner:
         plans stream at the legacy
         :func:`~repro.engine.segments.coin_chunk` granularity while
         materialized :class:`~repro.engine.segments.ObliviousWindow`
-        segments execute unchunked (the pre-streaming behavior). When a
-        bound *is* configured, materialized windows wider than it are
-        executed slab-wise too, bounding the kernels' working set.
+        segments execute unchunked. When a bound *is* configured,
+        materialized windows wider than it are executed chunk-wise too,
+        bounding the product's working set.
     """
 
     def __init__(
         self,
         network: RadioNetwork,
         max_steps: int | None = None,
-        delivery: str = "auto",
         chunk_steps: int | None = None,
         mem_budget: int | None = None,
     ) -> None:
-        # All delivery modes (including the compiled numba/cupy
-        # backends) validate through the kernel registry: unknown names
-        # and absent dependencies are refused here, before any run.
-        require_delivery_mode(delivery)
         # Validate the streaming knobs eagerly (resolution also consults
         # the process-wide default, so it happens per execution).
         resolve_chunk_steps(network.n, chunk_steps, mem_budget)
         self.network = network
         self.max_steps = max_steps
-        self.delivery = delivery
         self.chunk_steps = chunk_steps
         self.mem_budget = mem_budget
         self.steps_executed = 0
@@ -146,29 +128,34 @@ class WindowedRunner:
             )
         self.steps_executed += steps
 
-    # The execution hooks exist so the contract-checking
-    # ValidatingRunner (repro.engine.validate) can interpose replay
-    # checks without duplicating the dispatch loop.
     def _execute_window(self, masks: np.ndarray) -> np.ndarray:
-        """Execute one charged oblivious window.
+        """Execute one charged oblivious window; return its ``(w, n)``
+        ``hear_from`` reply.
 
-        When a streaming bound is configured and the window is wider,
-        the kernels run slab-wise through ``deliver_window_chunks`` into
-        one preallocated reply — identical results, trace, and step
-        accounting (the trace keeps aggregates), with the kernels'
-        working set bounded by the slab height.
+        The window runs through the chunk loop as one span — whole, or
+        chunk-wise when a streaming bound is configured and the window
+        is wider — and each chunk's reception triples land in the one
+        preallocated reply.
         """
-        chunk = self._resolved_chunk_steps()
+        network = self.network
+        masks = network._validate_window_masks(np.asarray(masks))
         w = masks.shape[0]
-        if chunk is None or w <= chunk:
-            return self.network.deliver_window(masks, mode=self.delivery)
-        hear_from = np.full((w, self.network.n), NO_SENDER, dtype=np.int64)
+        hear_from = np.full((w, network.n), NO_SENDER, dtype=np.int64)
         done = 0
-        for slab in self.network.deliver_window_chunks(
-            masks, chunk_steps=chunk, mode=self.delivery
-        ):
-            hear_from[done : done + slab.shape[0]] = slab
-            done += slab.shape[0]
+
+        def fold(k: int, steps, nodes, senders) -> None:
+            nonlocal done
+            hear_from[steps + done, nodes] = senders
+            done += k
+
+        self._run_chunks(
+            0,
+            w,
+            self._resolved_chunk_steps() or w,
+            lambda start, stop: np.nonzero(masks[start:stop]),
+            fold,
+            charge=False,
+        )
         return hear_from
 
     def _execute_step(self, mask: np.ndarray) -> np.ndarray:
@@ -182,132 +169,124 @@ class WindowedRunner:
 
         Fused windows carry their own sections; a plain window becomes
         one anonymous section wrapping its ``consume``/``consume_coo``
-        callbacks, so there is exactly one loop per plan form.
+        callbacks, so there is exactly one loop for every plan.
         """
-        if segment.sections is not None:
-            total = sum(s.width for s in segment.sections)
-            if total != segment.plan.total_steps:
-                raise ProtocolError(
-                    f"fused StreamedWindow sections cover {total} steps "
-                    f"but the plan has {segment.plan.total_steps}"
-                )
-            return tuple(segment.sections)
-        return (
-            PlanSection(
-                segment.plan.total_steps,
-                None,
-                segment.consume,
-                segment.consume_coo,
-            ),
-        )
-
-    def _execute_stream(self, segment: StreamedWindow) -> None:
-        """Execute one streamed window, folding chunks as they arrive.
-
-        Budget charges land per chunk, after its rows are produced and
-        before it executes — the granularity (and rng consumption on an
-        aborted run) of the pre-streaming emitters, which drew each
-        chunk's coins before yielding it. Fused windows execute section
-        by section (chunks never straddle a section boundary; each
-        section may enter its own trace phase).
-
-        A :class:`~repro.engine.segments.TransmitterPlan` runs on the
-        transmitter-list loop (:meth:`_execute_stream_coo`); a mask
-        :class:`~repro.radio.network.TransmitPlan` runs here, through
-        ``deliver_window_chunks``, with per-slab processing in
-        :meth:`_consume_stream_slab`, the hook the validating runner
-        interposes on.
-        """
-        plan = segment.plan
-        sections = self._plan_sections(segment)
-        if isinstance(plan, TransmitterPlan):
-            self._execute_stream_coo(plan, sections)
-            return
-        timing = self.network.phase_timing
-        chunk = default_stream_chunk(
-            self.network.n, self._resolved_chunk_steps()
-        )
-        inner = plan.masks
-        # Plans are one-shot (lazy coin draws cannot be replayed), so
-        # the charging wrapper also stashes each chunk's masks for the
-        # per-slab hook; exactly one chunk is in flight at a time.
-        current: list[np.ndarray] = []
-        coin_spent = [0.0]
-        base = 0
-        for section in sections:
-            if section.phase is not None:
-                self.network.trace.enter_phase(section.phase)
-
-            def charged(
-                start: int, stop: int, _base: int = base
-            ) -> np.ndarray:
-                t0 = perf_counter()
-                masks = np.asarray(inner(_base + start, _base + stop))
-                coin_spent[0] += perf_counter() - t0
-                self._charge(stop - start)
-                current.append(masks)
-                return masks
-
-            stream = self.network.deliver_window_chunks(
-                TransmitPlan(section.width, charged),
-                chunk_steps=chunk,
-                mode=self.delivery,
+        total = segment.plan.total_steps
+        if total < 0:
+            raise InvalidActionError(
+                f"transmit plan has negative total_steps: {total}"
             )
-            while True:
-                # "deliver" is the chunk's wall time minus its mask
-                # production (timed inside `charged`); with faults
-                # installed the mask path's transform time lands in
-                # "deliver" too — only the transmitter-list loop
-                # separates it.
-                coin_spent[0] = 0.0
-                t0 = perf_counter()
-                slab = next(stream, None)
-                if slab is None:
-                    break
-                timing["deliver"] += perf_counter() - t0 - coin_spent[0]
-                timing["coins"] += coin_spent[0]
-                t0 = perf_counter()
-                self._consume_stream_slab(
-                    slab, current.pop(), section.consume
+        if segment.sections is None:
+            return (
+                PlanSection(total, None, segment.consume, segment.consume_coo),
+            )
+        covered = sum(s.width for s in segment.sections)
+        if covered != total:
+            raise ProtocolError(
+                f"fused StreamedWindow sections cover {covered} steps "
+                f"but the plan has {total}"
+            )
+        return tuple(segment.sections)
+
+    def _mask_pairs(self, plan: TransmitPlan):
+        """A mask plan as a transmitter-pair producer: each chunk's
+        masks are checked (row count, shape, dtype) and read off with
+        ``np.nonzero`` — row-major, nodes ascending, the product's
+        layout."""
+        validate = self.network._validate_window_masks
+
+        def pairs(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+            masks = validate(np.asarray(plan.masks(start, stop)))
+            if masks.shape[0] != stop - start:
+                raise InvalidActionError(
+                    f"transmit plan produced {masks.shape[0]} rows for "
+                    f"steps [{start}, {stop}), expected {stop - start}"
                 )
-                timing["commit"] += perf_counter() - t0
-            base += section.width
+            return np.nonzero(masks)
 
-    def _execute_stream_coo(
-        self, plan: TransmitterPlan, sections: tuple[PlanSection, ...]
-    ) -> None:
-        """The transmitter-list loop: sample, filter, deliver, fold.
+        return pairs
 
-        Per chunk: the plan samples the chunk's transmitter pairs
-        (``coins`` bucket), the fault layer filters them
-        (:meth:`~repro.faults.state.FaultState.filter_coo`, keyed on
-        global ids and the global clock), one sparse product delivers
-        straight from the pairs (:meth:`_deliver_coo`), and the
-        section's ``consume_coo`` folds the reception triples. No
-        ``(k, n)`` mask block or hear slab exists on this path.
+    def _section_fold(self, plan, section: PlanSection):
+        """The reception-triple fold of one streamed section.
+
+        A transmitter plan's section folds the triples directly
+        (``consume_coo``); a mask plan's section gets the ``(k, n)``
+        hear slab its ``consume`` expects, built from the triples.
         """
-        network = self.network
-        timing = network.phase_timing
-        chunk = default_stream_chunk(network.n, self._resolved_chunk_steps())
-        base = 0
-        for section in sections:
+        if isinstance(plan, TransmitterPlan):
             if section.consume_coo is None:
                 raise ProtocolError(
                     "a TransmitterPlan section needs a consume_coo fold"
                 )
+            return section.consume_coo
+        consume = section.consume
+        if consume is None:
+            raise ProtocolError(
+                "a TransmitPlan section needs a consume fold"
+            )
+        n = self.network.n
+
+        def fold(k: int, steps, nodes, senders) -> None:
+            slab = np.full((k, n), NO_SENDER, dtype=np.int64)
+            slab[steps, nodes] = senders
+            consume(slab)
+
+        return fold
+
+    def _execute_stream(self, segment: StreamedWindow) -> None:
+        """Execute one streamed window, folding chunks as they arrive.
+
+        Budget charges land per chunk, after its transmitters are
+        produced and before it executes — the granularity (and rng
+        consumption on an aborted run) of the pre-streaming emitters,
+        which drew each chunk's coins before yielding it. Fused windows
+        execute section by section (chunks never straddle a section
+        boundary; each section may enter its own trace phase).
+        """
+        plan = segment.plan
+        sections = self._plan_sections(segment)
+        pairs = (
+            plan.transmitters
+            if isinstance(plan, TransmitterPlan)
+            else self._mask_pairs(plan)
+        )
+        chunk = default_stream_chunk(
+            self.network.n, self._resolved_chunk_steps()
+        )
+        base = 0
+        for section in sections:
+            fold = self._section_fold(plan, section)
             if section.phase is not None:
-                network.trace.enter_phase(section.phase)
-            done = 0
-            while done < section.width:
-                k = min(chunk, section.width - done)
-                start = base + done
-                t0 = perf_counter()
-                steps, nodes = plan.transmitters(start, start + k)
-                timing["coins"] += perf_counter() - t0
-                self._charge(k)
-                self._deliver_coo(k, steps, nodes, section.consume_coo)
-                done += k
+                self.network.trace.enter_phase(section.phase)
+            self._run_chunks(
+                base, base + section.width, chunk, pairs, fold, charge=True
+            )
             base += section.width
+
+    def _run_chunks(
+        self, start: int, stop: int, chunk: int, pairs, fold, charge: bool
+    ) -> None:
+        """The chunk loop every window runs on: steps ``start`` to
+        ``stop`` of a plan, at most ``chunk`` at a time.
+
+        Per ``k``-step chunk: ``pairs(lo, hi)`` produces its intended
+        transmitter pairs (``coins`` bucket: sampling, or reading them
+        off masks), the chunk is charged when ``charge`` is set
+        (materialized windows are charged whole, up front), and
+        :meth:`_deliver_coo` delivers it and hands the reception
+        triples to ``fold(k, steps, nodes, senders)``.
+        """
+        timing = self.network.phase_timing
+        done = start
+        while done < stop:
+            k = min(chunk, stop - done)
+            t0 = perf_counter()
+            steps, nodes = pairs(done, done + k)
+            timing["coins"] += perf_counter() - t0
+            if charge:
+                self._charge(k)
+            self._deliver_coo(k, steps, nodes, fold)
+            done += k
 
     def _deliver_coo(
         self,
@@ -316,48 +295,13 @@ class WindowedRunner:
         nodes: np.ndarray,
         consume_coo: Any,
     ) -> None:
-        """Execute and fold one ``k``-step chunk of intended
-        transmitter pairs (hook for the validator)."""
+        """Deliver one ``k``-step chunk of intended transmitter pairs
+        and fold its reception triples (hook for the validator)."""
         network = self.network
-        timing = network.phase_timing
-        fault_state = network._fault_state
+        rx_steps, rx_nodes, senders = network._deliver_pairs(k, steps, nodes)
         t0 = perf_counter()
-        if fault_state is not None:
-            steps, nodes = fault_state.filter_coo(
-                steps, nodes, network.steps_elapsed, k
-            )
-        t1 = perf_counter()
-        timing["faults"] += t1 - t0
-        rx_steps, rx_nodes, senders = network._delivery_kernels().execute_coo(
-            k, steps, nodes, counters=network.kernel_use
-        )
-        receptions = int(rx_steps.size)
-        if fault_state is not None and receptions:
-            deaf = fault_state.deaf_at(
-                rx_steps + network.steps_elapsed, rx_nodes
-            )
-            dropped = int(np.count_nonzero(deaf))
-            if dropped:
-                keep = ~deaf
-                rx_steps = rx_steps[keep]
-                rx_nodes = rx_nodes[keep]
-                senders = senders[keep]
-                receptions -= dropped
-                fault_state.note_silenced(dropped)
-        network._account_steps(k, int(steps.size), receptions)
-        t2 = perf_counter()
-        timing["deliver"] += t2 - t1
         consume_coo(k, rx_steps, rx_nodes, senders)
-        timing["commit"] += perf_counter() - t2
-
-    def _consume_stream_slab(
-        self,
-        slab: np.ndarray,
-        masks: np.ndarray,
-        consume: Any,
-    ) -> None:
-        """Fold one executed stream slab (hook for the validator)."""
-        consume(slab)
+        network.phase_timing["commit"] += perf_counter() - t0
 
     def run(self, schedule: ProtocolSchedule) -> Any:
         """Execute ``schedule`` to completion and return its result.
@@ -367,9 +311,10 @@ class WindowedRunner:
 
         Wall time spent *inside* the emitter (mask construction,
         protocol state folds between segments) accrues to the
-        network's ``phase_timing["plan"]`` bucket; segment execution
-        fills the other buckets (streamed windows per stage, decision
-        steps and materialized windows as ``"deliver"``).
+        network's ``phase_timing["plan"]`` bucket; every window's
+        chunks fill the ``coins``/``faults``/``deliver``/``commit``
+        buckets stage by stage, and decision steps count as
+        ``"deliver"``.
         """
         timing = self.network.phase_timing
         reply: Any = None
@@ -383,9 +328,7 @@ class WindowedRunner:
                 timing["plan"] += perf_counter() - t_plan
             if isinstance(segment, ObliviousWindow):
                 self._charge(segment.masks.shape[0])
-                t0 = perf_counter()
                 reply = self._execute_window(segment.masks)
-                timing["deliver"] += perf_counter() - t0
             elif isinstance(segment, StreamedWindow):
                 if (
                     segment.consume is None
@@ -424,7 +367,6 @@ def run_schedule(
     network: RadioNetwork,
     schedule: ProtocolSchedule,
     max_steps: int | None = None,
-    delivery: str = "auto",
     chunk_steps: int | None = None,
     mem_budget: int | None = None,
 ) -> Any:
@@ -432,7 +374,6 @@ def run_schedule(
     return WindowedRunner(
         network,
         max_steps=max_steps,
-        delivery=delivery,
         chunk_steps=chunk_steps,
         mem_budget=mem_budget,
     ).run(schedule)
@@ -572,7 +513,6 @@ class ProtocolSegmentSource(SegmentProtocol):
 
 
 __all__ = [
-    "DELIVERY_MODES",
     "ProtocolSegmentSource",
     "WindowedRunner",
     "protocol_schedule",

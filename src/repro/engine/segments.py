@@ -81,8 +81,8 @@ class ObliviousWindow:
 
     ``masks`` has shape ``(w, n)``; row ``t`` is the transmit mask of
     window step ``t``. The runner answers with the ``(w, n)``
-    ``hear_from`` matrix of
-    :meth:`repro.radio.network.RadioNetwork.deliver_window`.
+    ``hear_from`` matrix — what
+    :meth:`repro.radio.network.RadioNetwork.deliver_window` returns.
     """
 
     masks: np.ndarray
@@ -160,12 +160,12 @@ class StreamedWindow:
     The runner's reply to the segment is ``None`` — by the time the
     generator resumes, every chunk has already been folded.
 
-    Two plan forms exist. A :class:`~repro.radio.network.TransmitPlan`
-    produces ``(w_chunk, n)`` masks, executes through
-    :meth:`~repro.radio.network.RadioNetwork.deliver_window_chunks` and
-    folds hear slabs through ``consume``. A :class:`TransmitterPlan`
-    produces transmitter pairs, executes on the COO delivery kernels
-    and folds reception triples through ``consume_coo``.
+    Two plan forms exist, both executed by the runner's one chunk loop
+    on the transmitter-pair product. A
+    :class:`~repro.radio.network.TransmitPlan` produces ``(w_chunk, n)``
+    masks (read off as pairs) and folds hear slabs through ``consume``.
+    A :class:`TransmitterPlan` produces transmitter pairs directly and
+    folds reception triples through ``consume_coo``.
 
     ``consume`` is the per-chunk slab fold. Generator-form emitters
     bind it to their own state; a plan/commit source in streaming form

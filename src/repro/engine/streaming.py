@@ -5,8 +5,8 @@ The windowed engine's one scaling wall was the dense ``(w, n)``
 hear-window: a protocol block of ``w`` oblivious steps materialized
 ``w * n`` masks, coins, and ``hear_from`` cells at once, so experiments
 stalled around ``n = 10^4`` however fast the kernels were. This module
-is the policy layer of the fix (the mechanism is
-:meth:`~repro.radio.network.RadioNetwork.deliver_window_chunks` and the
+is the policy layer of the fix (the mechanism is the
+:class:`~repro.engine.runner.WindowedRunner` chunk loop and the
 :class:`~repro.engine.segments.StreamedWindow` segment):
 
 * a **cost model** turning a target peak-byte budget into the
@@ -30,8 +30,8 @@ is the policy layer of the fix (the mechanism is
   wrapped source expects.
 
 Bit-identity: chunking never changes results. Window steps are
-independent given their masks, every delivery kernel computes exact
-small-integer sums, plans draw their coins lazily in row order
+independent given their transmitters, the delivery product computes
+exact small-integer sums, plans draw their coins lazily in row order
 (stream-identical to one monolithic draw), and chunks are folded in
 step order — so streamed execution reproduces the monolithic path
 bit-for-bit: results, ``steps_elapsed``, trace totals, and the final
@@ -56,28 +56,16 @@ from .segments import (
 )
 
 #: Cost-model bytes per (window step, node) cell of a streamed chunk.
-#: A chunk of ``k`` rows holds, at peak, the float64 coin draw (8), the
-#: boolean masks (1), the int64 hear slab (8), and the larger of the
-#: kernel intermediates — the dense path's float64 right-hand side,
-#: output, and unpacked counts (24), or the sparse/gather path's count
-#: and id-sum accumulators (16) — plus short-lived temporaries
-#: (comparison masks, the routing popcounts). Measured peaks on the
-#: auto-routed dense regime sit near 44 bytes/cell; 64 keeps the
-#: memory-ceiling regression's margin wide across numpy versions.
-#: The sparse product's COO output scales with the transmitters'
-#: degree sum rather than with ``k * n``; under ``delivery="auto"``
-#: the router pre-empts that blow-up per chunk (popcount-sparse rows
-#: whose estimated COO bytes outweigh the packed dense cells route
-#: dense — see :meth:`repro.radio.network.RadioNetwork
-#: .dense_window_rows`), so only a forced ``delivery="sparse"`` can
-#: still exceed the model on very dense graphs.
-#: Those are mask-path chunks. A transmitter-list chunk stays *under*
-#: this model: no coin block, mask slab or hear slab exists, its
-#: product's output is at most one 12-byte entry per cell (capped at
-#: ``k * n`` entries whatever the degrees), its half-duplex bitmap is
-#: one byte per cell, and reception triples exist only for clean
-#: cells. Chunk heights are deliberately NOT raised for it: the model
-#: is a ceiling shared by both chunk forms, and the savings are banked
+#: Every chunk runs the one transmitter-pair product, whose output is
+#: at most one 12-byte entry per cell (capped at ``k * n`` entries
+#: whatever the degrees) next to a one-byte-per-cell half-duplex
+#: bitmap; reception triples exist only for clean cells. A mask plan's
+#: chunk adds its boolean masks (1), the pairs read off them (16 per
+#: transmitter) and the int64 hear slab its fold expects (8); a
+#: transmitter-list chunk has neither masks nor slab. 64 bytes a cell
+#: keeps the memory-ceiling regressions' margin wide across numpy
+#: versions, and is deliberately NOT lowered for the leaner form: the
+#: model is one ceiling for both plan forms, with the savings banked
 #: as headroom rather than spent on taller chunks.
 STREAM_CELL_BYTES = 64
 

@@ -2,17 +2,22 @@
 
 A :class:`FaultState` is built once per network from a non-empty
 :class:`~repro.faults.schedule.FaultSchedule` and applied by the
-delivery layer (:meth:`RadioNetwork._deliver_core`,
-:meth:`RadioNetwork.deliver_window`,
-:meth:`RadioNetwork.deliver_window_chunks`) between plan and commit:
+delivery layer between plan and commit, in two forms that realize the
+same channel:
 
-* :meth:`transform_window` turns a window of **intended** transmit
-  masks into the **effective** masks the channel sees (dead, sleeping,
+* the mask form, behind the step-wise
+  :meth:`~repro.radio.network.RadioNetwork.deliver`:
+  :meth:`transform_window` turns **intended** transmit masks into the
+  **effective** masks the channel sees (dead, sleeping,
   not-yet-joined, coin-suppressed, and energy-exhausted transmitters
   are cleared) and returns the matching **deaf** mask (listeners that
-  hear silence this step: down nodes plus jammed regions);
-* the delivery layer then forces ``hear_from`` to silence wherever a
-  reception landed on a deaf listener.
+  hear silence: down nodes plus jammed regions), and the step forces
+  ``hear_from`` to silence wherever a reception landed on a deaf
+  listener;
+* the transmitter-pair form, behind every window:
+  :meth:`filter_coo` applies the same transforms to intended
+  ``(step, node)`` pairs and :meth:`deaf_at` drops the receptions
+  that land on deaf listeners.
 
 Determinism contract
 --------------------

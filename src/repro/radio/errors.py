@@ -26,9 +26,10 @@ class ProtocolError(RadioError, ValueError):
     Raised, for instance, when a protocol reports completion but its
     :meth:`~repro.radio.protocol.Protocol.result` raises, when ``step``
     is called after the protocol already finished — and, uniformly
-    across the API/CLI/harness surfaces, when an unknown ``engine=`` or
-    ``delivery=`` string or a malformed ``chunk_steps``/``mem_budget``
-    value is refused (the refusal names the accepted values). Also a
+    across the API/CLI/harness surfaces, when an unknown ``engine=``
+    string, an unknown policy field or a malformed
+    ``chunk_steps``/``mem_budget`` value is refused (the refusal names
+    the accepted values). Also a
     :class:`ValueError`, so callers that predate the unified refusals
     keep catching what they caught.
     """

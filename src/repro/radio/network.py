@@ -26,32 +26,33 @@ one pass over the adjacency yields both the per-listener transmitter
 counts and the unique-sender identities. Oblivious step sequences
 (masks that do not depend on intermediate receptions — Decay sweeps,
 round-robin rotations, the Compete background process) go through
-:meth:`RadioNetwork.deliver_window`, which executes a whole window of
-steps as one matrix-matrix product — density-adaptive between a sparse
-product (sparse masks) and an exact packed dense matmul (rows where a
-large fraction of nodes transmit, the regime where the sparse output
-stops being sparse); packet-level runs of hundreds of thousands of
-steps on graphs with thousands of nodes are practical. For windows too
-wide to materialize (``n >= 10^5`` scaling runs),
-:meth:`RadioNetwork.deliver_window_chunks` streams the same product as
-bounded ``(chunk_steps, n)`` slabs from a lazy :class:`TransmitPlan` —
-bit-identical, with peak memory a tunable instead of a function of
-``w * n``. Pass a :class:`~repro.radio.trace.CheapTrace` to skip
-per-step trace accounting (cheap-trace mode) in bulk workloads.
+:meth:`RadioNetwork.deliver_window`, which turns a whole window's
+transmitters into ``(step, node)`` pairs and delivers them through the
+one exact sparse product of
+:meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`, at a cost
+that follows the transmitters' degree sum; packet-level runs of
+hundreds of thousands of steps on graphs with thousands of nodes are
+practical. The windowed runner streams windows too wide to
+materialize through the same product in bounded chunks. Pass a
+:class:`~repro.radio.trace.CheapTrace` to skip per-step trace
+accounting (cheap-trace mode) in bulk workloads.
 
 Protocols do not call these delivery entry points directly anymore:
 they emit :mod:`repro.engine` schedules (oblivious windows + decision
-points) and the :class:`~repro.engine.runner.WindowedRunner` routes
-each segment to :meth:`RadioNetwork.deliver_window` or
-:meth:`RadioNetwork.deliver` here. Both entry points are bit-identical
-per step, which is what makes the engine's windowed execution exactly
-equivalent to the step-wise reference loops.
+points) and the :class:`~repro.engine.runner.WindowedRunner` delivers
+windows through the transmitter-pair product and decision steps
+through :meth:`RadioNetwork.deliver` here. Both are bit-identical per
+step, which is what makes the engine's windowed execution exactly
+equivalent to the step-wise reference loops — and :meth:`deliver`,
+which shares no code with the product, is the oracle the validating
+runner replays every window against.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
+from time import perf_counter
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 import networkx as nx
 import numpy as np
@@ -64,66 +65,13 @@ from .trace import StepTrace
 #: Sentinel in ``hear_from`` arrays meaning "heard nothing this step".
 NO_SENDER = -1
 
-#: The window execution strategies :meth:`RadioNetwork.deliver_window`
-#: accepts — the single source of truth the runner and the CLI import.
-DELIVERY_MODES = ("auto", "sparse", "dense")
-
-#: Rows whose transmit-mask popcount density (``popcount / n``) reaches
-#: this fraction route through the dense matmul under ``mode="auto"``.
-#: Rationale: the sparse product pays COO materialization and index
-#: juggling per output entry, and its output stops being sparse as soon
-#: as a few percent of nodes transmit on a non-trivial graph — the
-#: measured crossover against the packed one-real-matmul dense path
-#: sits near density 0.03-0.05 across UDG densities at ``n = 2000``
-#: (calibrated in ``bench_p3_engine``; EstimateEffectiveDegree's
-#: ``p ~ 0.5`` levels are the canonical dense-regime rows). Both paths
-#: are exact small-integer sums, so the threshold is a performance
-#: knob, never a semantics knob.
-DENSE_ROW_DENSITY = 0.05
-
-#: Estimated bytes per COO output entry of the sparse window product
-#: (complex128 value plus the coordinate arrays scipy materializes).
-#: Used by the auto router's pre-emptive output-size estimate.
-SPARSE_COO_ENTRY_BYTES = 32
-
-#: Bytes per dense (listener, step) cell of the packed dense kernel at
-#: peak (float64 right-hand side, output, and unpacked counts).
-DENSE_WINDOW_CELL_BYTES = 24
-
-#: The auto router pre-empts the sparse product only when its
-#: estimated COO output would outweigh the packed dense cells by this
-#: factor. Memory parity alone (factor 1) is the wrong flip point:
-#: the sparse product's *time* scales with the transmitters' degree
-#: sum while the dense kernel's scales with the full adjacency, so in
-#: the band just past parity sparse is still several times faster at
-#: comparable memory. At 8x the projected COO output is a genuine
-#: blow-up — the regime the streaming cost model cannot absorb (p ~
-#: 0.5 G(n, p): few transmitters, ~n/2 neighbors each) — and the
-#: measured time gap has closed (calibrated against the
-#: ``bench_p3_engine`` dense-block floor on mid-density graphs and
-#: the ``tests/test_dense_routing.py`` budget regression on dense
-#: ones). Routing is exact either way; this trades only speed for
-#: bounded memory.
-SPARSE_PREEMPT_FACTOR = 8.0
-
-#: Windows at most this wide skip the scipy sparse product and execute
-#: on the index-gather kernel (:meth:`RadioNetwork._deliver_window_gather`):
-#: for narrow windows — the width-1/width-2 joint windows the
-#: multiplexed ICP path emits by the thousand — the sparse product's
-#: cost is pure constructor overhead (csr/coo allocation and index-type
-#: checks dwarf the actual flops), while the gather kernel is a handful
-#: of numpy calls proportional to the transmitters' degree sum. Exact
-#: integer sums either way; a routing knob, never a semantics knob.
-GATHER_WINDOW_WIDTH = 32
-
-
 @dataclasses.dataclass
 class TransmitPlan:
     """A lazily produced window of oblivious transmit masks.
 
     ``masks(start, stop)`` returns the boolean ``(stop - start, n)``
     mask rows for window steps ``start .. stop - 1``. The streaming
-    executor (:meth:`RadioNetwork.deliver_window_chunks`) calls it for
+    executor (:class:`~repro.engine.runner.WindowedRunner`) calls it for
     consecutive, non-overlapping intervals covering ``[0, total_steps)``
     in order, exactly once each — so a producer may draw its coins
     lazily inside ``masks`` and still consume the rng stream in the
@@ -211,20 +159,11 @@ class RadioNetwork:
         # Preallocated (n, 2) right-hand side for the fused per-step
         # product: column 0 the transmit indicator, column 1 id-weighted.
         self._rhs2 = np.empty((self.n, 2), dtype=np.float64)
-        self._adj_complex: sp.csr_array | None = None
         self.degrees = self._context.degrees.copy()
-        # Degree extremes, cached for the auto router's output-size
-        # bounds (dense_window_rows) and the dense packing check.
-        max_degree = int(self.degrees.max()) if self.n else 0
-        self._max_degree = max_degree
-        self._min_degree = int(self.degrees.min()) if self.n else 0
-        self._dense_pack_ok = (
-            max_degree * (1.0 + self.n * (self.n + 1.0)) < 2.0**53
-        )
         self.trace = trace if trace is not None else StepTrace()
         self.steps_elapsed = 0
         # Delivery provenance: per-kernel executed-row counters, filled
-        # by the window router, surfaced through RunReport.
+        # by the window product, surfaced through RunReport.
         self.kernel_use: dict[str, int] = {}
         # Per-phase wall-clock buckets (seconds), filled by the
         # windowed runner: planning/emitter time, coin generation,
@@ -238,8 +177,8 @@ class RadioNetwork:
             "deliver": 0.0,
             "commit": 0.0,
         }
-        # Lazy DeliveryKernels view over this network's own CSR, for
-        # the compiled delivery modes (repro.engine.kernels).
+        # Lazy DeliveryKernels view over this network's own CSR: the
+        # window product (repro.engine.kernels).
         self._kernels = None
         # Fault layer (repro.faults): None until a non-empty schedule is
         # installed — the disabled path is a single attribute check per
@@ -247,7 +186,6 @@ class RadioNetwork:
         self.faults = None
         self._fault_state = None
         self._fault_step: tuple[np.ndarray, np.ndarray] | None = None
-        self._fault_window: tuple[np.ndarray, np.ndarray] | None = None
         if faults is not None:
             self.install_faults(faults)
 
@@ -257,11 +195,11 @@ class RadioNetwork:
     def install_faults(self, schedule) -> None:
         """Install a :class:`~repro.faults.FaultSchedule` on this network.
 
-        The schedule's transmit-/hear-mask transforms are applied between
-        plan and commit inside every delivery entry point
-        (:meth:`deliver`, :meth:`deliver_detect`, :meth:`deliver_window`,
-        :meth:`deliver_window_chunks`), keyed on the global
-        :attr:`steps_elapsed` clock — so the windowed, streamed, fused,
+        The schedule's transforms are applied between plan and commit
+        inside every delivery entry point — as mask transforms in
+        :meth:`deliver` and :meth:`deliver_detect`, as transmitter-pair
+        filters on every window — keyed on the global
+        :attr:`steps_elapsed` clock, so the windowed, streamed, fused,
         validating, and step-wise reference execution paths all realize
         exactly the same fault pattern.
 
@@ -291,35 +229,6 @@ class RadioNetwork:
         self.faults = schedule
         if not schedule.is_empty:
             self._fault_state = FaultState(schedule, self.n)
-
-    def _execute_committed_window(
-        self, masks: np.ndarray, hear_from: np.ndarray, mode: str
-    ) -> tuple[np.ndarray, int]:
-        """Fault transform + kernel execution + hear transform for one
-        committed block; returns ``(effective_masks, receptions)``.
-
-        The shared commit path of :meth:`deliver_window` and each
-        :meth:`deliver_window_chunks` chunk: intended masks become
-        effective masks at the current global step, the routed kernels
-        run on the effective masks, and receptions landing on deaf
-        listeners are forced to silence. Without an active fault state
-        this is exactly :meth:`_execute_window_rows`.
-        """
-        fault_state = self._fault_state
-        if fault_state is None:
-            return masks, self._execute_window_rows(masks, hear_from, mode)
-        effective, deaf = fault_state.transform_window(
-            masks, self.steps_elapsed
-        )
-        receptions = self._execute_window_rows(effective, hear_from, mode)
-        silenced = deaf & (hear_from != NO_SENDER)
-        n_silenced = int(np.count_nonzero(silenced))
-        if n_silenced:
-            hear_from[silenced] = NO_SENDER
-            receptions -= n_silenced
-            fault_state.note_silenced(n_silenced)
-        self._fault_window = (effective, deaf)
-        return effective, receptions
 
     # ------------------------------------------------------------------
     # label <-> index conversion
@@ -473,247 +382,30 @@ class RadioNetwork:
     # ------------------------------------------------------------------
     # the batched radio window
     # ------------------------------------------------------------------
-    def _complex_adj(self) -> sp.csr_array:
-        """Complex-typed adjacency for the fused window product (lazy)."""
-        if self._adj_complex is None:
-            self._adj_complex = self._adj.astype(np.complex128)
-        return self._adj_complex
-
-    def dense_window_rows(self, masks: np.ndarray) -> np.ndarray:
-        """Rows of a window the ``auto`` router sends to the dense path.
-
-        A boolean vector over window rows, combining two criteria:
-
-        * **popcount density** — rows whose transmit popcount density
-          reaches :data:`DENSE_ROW_DENSITY` (most (listener, step)
-          pairs hear energy, so the sparse output stops being sparse);
-        * **output-size pre-emption** — when the remaining
-          popcount-sparse rows' transmitters have a degree sum whose
-          estimated COO output (:data:`SPARSE_COO_ENTRY_BYTES` per
-          entry — the sparse product's output scales with the
-          transmitters' degree sum, not with ``w * n``) would outweigh
-          the dense kernel's :data:`DENSE_WINDOW_CELL_BYTES` packed
-          cells by :data:`SPARSE_PREEMPT_FACTOR`, the whole chunk
-          routes dense. This is what keeps a streamed chunk inside
-          the :data:`~repro.engine.streaming.STREAM_CELL_BYTES` cost
-          model on very dense graphs (few transmitters, huge degrees
-          — the regime where popcount alone under-routes and the COO
-          output would blow a ``mem_budget``); the factor keeps
-          mid-density graphs, where sparse is still faster at
-          comparable memory, on the sparse path.
-
-        Pure arithmetic on popcounts and cached degrees — no graph
-        traversal — so routing costs O(w n) on top of the product it
-        routes. Both paths are exact small-integer sums, so routing is
-        a performance/memory knob, never a semantics knob (the
-        contract suite re-verifies every window). Exposed for
-        introspection (benchmarks, the contract suite, tests).
-        """
-        masks = self._validate_window_masks(np.asarray(masks))
-        row_counts = np.count_nonzero(masks, axis=1)
-        dense = self._dense_row_mask(row_counts)
-        sparse = ~dense
-        n_sparse = int(sparse.sum())
-        if n_sparse:
-            # Output-size pre-emption, cheapest-first: the popcounts
-            # already in hand bracket the transmitters' degree sum
-            # between popcount * min_degree and popcount * max_degree,
-            # so the exact per-transmitter gather (a nonzero scan —
-            # milliseconds per big chunk) only runs in the ambiguous
-            # band between the two bounds. Sparse graphs short-circuit
-            # on the upper bound; very dense graphs flip on the lower
-            # bound; either way the hot path stays O(w n) bit-counting.
-            sparse_tx = int(row_counts[sparse].sum())
-            flip_entries = (
-                SPARSE_PREEMPT_FACTOR
-                * n_sparse
-                * self.n
-                * (DENSE_WINDOW_CELL_BYTES / SPARSE_COO_ENTRY_BYTES)
-            )
-            if sparse_tx * self._max_degree >= flip_entries:
-                if sparse_tx * self._min_degree >= flip_entries:
-                    degree_sum = float(flip_entries)  # certainly heavy
-                else:
-                    sub = (
-                        masks
-                        if n_sparse == masks.shape[0]
-                        else masks[sparse]
-                    )
-                    degree_sum = float(
-                        self.degrees[np.nonzero(sub)[1]].sum()
-                    )
-                if degree_sum >= flip_entries:
-                    dense = np.ones(masks.shape[0], dtype=bool)
-        return dense
-
-    def _dense_row_mask(self, row_counts: np.ndarray) -> np.ndarray:
-        """The dense-route predicate over per-row transmit popcounts —
-        the single definition both :meth:`dense_window_rows` and the
-        auto router apply."""
-        return row_counts >= DENSE_ROW_DENSITY * max(1, self.n)
-
-    def _deliver_window_gather(
-        self, masks: np.ndarray, hear_from: np.ndarray
-    ) -> int:
-        """Index-gather window execution; returns the reception count.
-
-        For narrow windows the sparse product is all constructor
-        overhead, so this kernel computes the same two sums directly:
-        every transmitter's CSR neighbor list is gathered (one ragged
-        vectorized slice), and per-(step, listener) transmitter counts
-        and 1-based id sums come from two ``bincount`` passes over the
-        flattened (step, neighbor) keys. Counts are integer bincounts
-        and id sums are float64 bincounts of exact small integers, so
-        results are bit-identical to every other delivery path.
-        """
-        w = masks.shape[0]
-        tx_step, tx_node = np.nonzero(masks)
-        indptr, indices = self._adj.indptr, self._adj.indices
-        starts = indptr[tx_node].astype(np.int64)
-        lens = indptr[tx_node + 1].astype(np.int64) - starts
-        total = int(lens.sum())
-        if total == 0:
-            return 0
-        offsets = np.repeat(np.cumsum(lens) - lens - starts, lens)
-        neighbors = indices[np.arange(total, dtype=np.int64) - offsets]
-        flat = np.repeat(tx_step, lens) * self.n + neighbors
-        counts = np.bincount(flat, minlength=w * self.n).reshape(
-            w, self.n
-        )
-        idsum1 = np.bincount(
-            flat,
-            weights=np.repeat(self._ids1[tx_node], lens),
-            minlength=w * self.n,
-        ).reshape(w, self.n)
-        clean = (counts == 1) & ~masks
-        hear_from[clean] = np.rint(idsum1[clean]).astype(np.int64) - 1
-        return int(clean.sum())
-
-    def _deliver_window_sparse(
-        self, masks: np.ndarray, hear_from: np.ndarray
-    ) -> int:
-        """Sparse-strategy window execution; returns the reception count.
-
-        Narrow windows (at most :data:`GATHER_WINDOW_WIDTH` rows) route
-        to :meth:`_deliver_window_gather`, the constructor-free kernel
-        computing the same exact sums; wider windows run the sparse
-        matrix product (:meth:`_deliver_window_spmm`).
-        """
-        if masks.shape[0] <= GATHER_WINDOW_WIDTH:
-            return self._deliver_window_gather(masks, hear_from)
-        return self._deliver_window_spmm(masks, hear_from)
-
-    def _deliver_window_spmm(
-        self, masks: np.ndarray, hear_from: np.ndarray
-    ) -> int:
-        """Sparse-product window execution; returns the reception count.
-
-        The window's transmit indicators form a sparse ``(n, w)`` matrix
-        whose entries carry ``1 + i (id + 1)`` — one complex product
-        against the adjacency then yields transmitter counts (real part)
-        and 1-based id sums (imaginary part) for every (listener, step)
-        pair at once.
-        """
-        w = masks.shape[0]
-        tx_step, tx_node = np.nonzero(masks)
-        if not tx_node.size:
-            return 0
-        data = np.empty(tx_node.size, dtype=np.complex128)
-        data.real = 1.0
-        data.imag = self._ids1[tx_node]
-        rhs = sp.csr_array((data, (tx_node, tx_step)), shape=(self.n, w))
-        out = (self._complex_adj() @ rhs).tocoo()
-        node, step = out.coords
-        counts = out.data.real
-        # Clean reception: exactly one transmitting neighbor, and the
-        # node itself was listening at that step.
-        clean = (counts == 1.0) & ~masks[step, node]
-        sender = np.rint(out.data.imag[clean]).astype(np.int64) - 1
-        hear_from[step[clean], node[clean]] = sender
-        return int(clean.sum())
-
-    def _deliver_window_dense(
-        self, masks: np.ndarray, hear_from: np.ndarray
-    ) -> int:
-        """Dense-matmul window execution; returns the reception count.
-
-        One sparse-times-dense product against a ``(n, w)`` right-hand
-        side gives every (listener, step) pair's transmitter count and
-        id-sum without materializing a COO output. When the packing
-        bound allows (all realistic sizes), a transmitting node ``v``
-        contributes the *real* value ``1 + (v + 1) M`` with modulus
-        ``M = n + 1``: a listener's sum then unpacks as
-        ``count = sum mod M`` and ``idsum1 = sum div M`` — one real
-        product instead of a complex one, at half the flops. Every
-        quantity is an exact integer below 2^53 in float64, so
-        accumulation order cannot change a single value — the results
-        are bit-identical to :meth:`_deliver_window_sparse` and to
-        step-wise :meth:`deliver` calls. Graphs too large for the
-        packing bound fall back to the complex-valued product (same
-        exactness argument, componentwise).
-        """
-        masks_t = masks.T  # (n, w) view
-        if self._dense_pack_ok:
-            modulus = float(self.n + 1)
-            vals = 1.0 + self._ids1 * modulus
-            rhs = np.where(masks_t, vals[:, None], 0.0)
-            out = self._adj @ rhs  # dense (n, w) float64
-            counts = np.remainder(out, modulus)
-            heard = (~masks_t) & (counts == 1.0)
-            node, step = np.nonzero(heard)
-            idsum1 = (out[node, step] - 1.0) / modulus
-        else:
-            rhs = np.where(masks_t, (1.0 + 1j * self._ids1)[:, None], 0.0)
-            out = self._complex_adj() @ rhs  # dense (n, w) complex
-            heard = (~masks_t) & (out.real == 1.0)
-            node, step = np.nonzero(heard)
-            idsum1 = out.imag[node, step]
-        hear_from[step, node] = np.rint(idsum1).astype(np.int64) - 1
-        return int(node.size)
-
-    def deliver_window(
-        self, masks: np.ndarray, mode: str = "auto"
-    ) -> np.ndarray:
+    def deliver_window(self, masks: np.ndarray) -> np.ndarray:
         """Execute a window of oblivious radio steps in one product.
 
         Semantically identical to calling :meth:`deliver` once per row of
         ``masks`` — same ``hear_from`` values, same trace totals, same
         ``steps_elapsed`` — but the whole window is computed as a single
-        matrix product, which is what makes long oblivious schedules
+        sparse product, which is what makes long oblivious schedules
         (Decay sweeps, round-robin rotations, background processes)
         fast. *Oblivious* means the caller could fix every mask before
         the first step executes: masks must not depend on what is heard
         inside the window.
 
-        Two execution strategies implement the product, selected by
-        ``mode``:
-
-        * ``"sparse"`` — a sparse-sparse complex product; cost scales
-          with the transmitters' degree sum plus the nonzeros of the
-          output, ideal for the sparse masks of Decay ladders and slot
-          schedules.
-        * ``"dense"`` — an exact sparse-times-dense matmul; cost is
-          ``O(nnz(A) w)`` regardless of density, which wins when most
-          (listener, step) pairs hear energy and the sparse output
-          stops being sparse (EstimateEffectiveDegree near ``p = 0.5``
-          on dense graphs).
-        * ``"auto"`` (default) — routes *per row* on mask popcounts
-          (:meth:`dense_window_rows`): window steps are independent
-          given their masks, so a mixed window (EstimateEffectiveDegree
-          chunks straddle the whole density ladder) splits into a dense
-          sub-window and a sparse sub-window, each on its better path.
-
-        Both strategies compute exact small-integer sums in float64
-        components, so the returned matrix is bit-identical whichever
-        path runs — pinned per window by the contract suite.
+        The window's transmitters become ``(step, node)`` pairs
+        (``np.nonzero`` is row-major, nodes ascending — the product's
+        CSR layout) and run through
+        :meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`, the
+        one kernel every engine window runs on. Its sums are exact
+        integers, so the result is bit-identical to the step-wise path.
 
         Parameters
         ----------
         masks:
             Boolean array of shape ``(w, n)``; row ``t`` is the transmit
             mask of window step ``t``.
-        mode:
-            ``"auto"``, ``"sparse"`` or ``"dense"``.
 
         Returns
         -------
@@ -721,28 +413,61 @@ class RadioNetwork:
             Integer array of shape ``(w, n)``: row ``t`` is exactly what
             :meth:`deliver` would have returned for ``masks[t]``.
         """
-        self._check_delivery_mode(mode)
         masks = self._validate_window_masks(np.asarray(masks))
         w = masks.shape[0]
         hear_from = np.full((w, self.n), NO_SENDER, dtype=np.int64)
-        if w == 0:
-            return hear_from
-        masks, receptions = self._execute_committed_window(
-            masks, hear_from, mode
-        )
-        self._account_window(masks, receptions)
+        if w:
+            steps, nodes = np.nonzero(masks)
+            rx_steps, rx_nodes, senders = self._deliver_pairs(
+                w, steps, nodes
+            )
+            hear_from[rx_steps, rx_nodes] = senders
         return hear_from
 
-    def _check_delivery_mode(self, mode: str) -> None:
-        if mode not in DELIVERY_MODES:
-            # Compiled modes (numba/cupy) are known to the kernel
-            # registry, which refuses absent backends uniformly.
-            from ..engine.kernels import require_delivery_mode
+    def _deliver_pairs(
+        self, w: int, steps: np.ndarray, nodes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Deliver one ``w``-step block of intended transmitter pairs.
 
-            require_delivery_mode(mode)
+        ``(steps, nodes)`` are int64, ``steps`` block-relative,
+        row-major with nodes ascending within a step. With a fault
+        schedule installed the pairs are filtered to the effective
+        transmitters (:meth:`~repro.faults.state.FaultState.filter_coo`)
+        and receptions on deaf listeners dropped
+        (:meth:`~repro.faults.state.FaultState.deaf_at`), both keyed on
+        the global clock; the one product runs in between. Accounts
+        the ``w`` steps and returns the clean receptions as
+        ``(step, node, sender)`` int64 triples, step ascending. Wall
+        time lands in the ``faults`` and ``deliver`` buckets of
+        :attr:`phase_timing`.
+        """
+        timing = self.phase_timing
+        fault_state = self._fault_state
+        t0 = perf_counter()
+        if fault_state is not None:
+            steps, nodes = fault_state.filter_coo(
+                steps, nodes, self.steps_elapsed, w
+            )
+        t1 = perf_counter()
+        timing["faults"] += t1 - t0
+        rx_steps, rx_nodes, senders = self._delivery_kernels().execute_coo(
+            w, steps, nodes, counters=self.kernel_use
+        )
+        if fault_state is not None and rx_steps.size:
+            deaf = fault_state.deaf_at(rx_steps + self.steps_elapsed, rx_nodes)
+            dropped = int(np.count_nonzero(deaf))
+            if dropped:
+                keep = ~deaf
+                rx_steps = rx_steps[keep]
+                rx_nodes = rx_nodes[keep]
+                senders = senders[keep]
+                fault_state.note_silenced(dropped)
+        self._account_steps(w, int(steps.size), int(rx_steps.size))
+        timing["deliver"] += perf_counter() - t1
+        return rx_steps, rx_nodes, senders
 
     def _delivery_kernels(self):
-        """Lazy kernel registry bound to this network's own CSR."""
+        """The window product bound to this network's own CSR (lazy)."""
         if self._kernels is None:
             from ..engine.kernels import DeliveryKernels
 
@@ -751,7 +476,7 @@ class RadioNetwork:
             )
             # Share the already-materialized adjacency (all-ones
             # float64 data over the same indptr/indices) instead of
-            # letting the registry lazily build a duplicate — at mean
+            # letting the kernel lazily build a duplicate — at mean
             # degree n/2 that copy alone is nnz * 8 bytes, enough to
             # blow a tight streamed mem_budget.
             self._kernels._adj = self._adj
@@ -769,88 +494,6 @@ class RadioNetwork:
             )
         return masks
 
-    def _execute_window_rows(
-        self, masks: np.ndarray, hear_from: np.ndarray, mode: str
-    ) -> int:
-        """The chunk kernel: route one block of mask rows to the window
-        execution strategies, writing into ``hear_from``; returns the
-        reception count. No accounting — callers record the steps.
-        """
-        if not masks.any():
-            return 0
-        if mode not in ("sparse", "dense"):
-            # Compiled modes always delegate to the kernel registry;
-            # "auto" delegates when a compiled backend is installed so
-            # the registry can route its sparse rows through it (and
-            # name it in provenance). Without one, auto stays on the
-            # numpy paths below — zero new overhead on the base path.
-            from ..engine import kernels as _kernels
-
-            if mode != "auto" or _kernels.probe_numba():
-                return self._delivery_kernels().execute(
-                    masks, hear_from, mode, counters=self.kernel_use
-                )
-        bump = self._bump_kernel
-        if mode == "dense":
-            bump("dense", masks.shape[0])
-            return self._deliver_window_dense(masks, hear_from)
-        if mode == "sparse":
-            bump(
-                "gather"
-                if masks.shape[0] <= GATHER_WINDOW_WIDTH
-                else "spmm",
-                masks.shape[0],
-            )
-            return self._deliver_window_sparse(masks, hear_from)
-        # auto: route per row on popcount density at *every* width —
-        # dense rows must never reach the sparse/gather kernels, whose
-        # working set scales with the transmitters' degree sum (a
-        # streamed chunk of p ~ 0.5 rows would blow the memory budget
-        # through the gather kernel's flat index arrays) — plus the
-        # chunk-level output-size pre-emption of dense_window_rows:
-        # popcount-sparse rows whose transmitters' degree sum predicts
-        # a COO output heavier than the packed dense cells route dense
-        # wholesale, keeping very dense graphs inside the streaming
-        # cost model. Narrow all-sparse windows (the multiplexer's
-        # width-1/2 joint windows) then take the gather kernel
-        # directly, where constructor overhead dominates both matrix
-        # strategies.
-        dense_rows = self.dense_window_rows(masks)
-        if not dense_rows.any():
-            if masks.shape[0] <= GATHER_WINDOW_WIDTH:
-                bump("gather", masks.shape[0])
-                return self._deliver_window_gather(masks, hear_from)
-            bump("spmm", masks.shape[0])
-            return self._deliver_window_sparse(masks, hear_from)
-        if dense_rows.all():
-            bump("dense", masks.shape[0])
-            return self._deliver_window_dense(masks, hear_from)
-        receptions = 0
-        for rows, execute, name in (
-            (dense_rows, self._deliver_window_dense, "dense"),
-            (~dense_rows, self._deliver_window_sparse, "spmm"),
-        ):
-            idx = np.nonzero(rows)[0]
-            sub = np.full((idx.size, self.n), NO_SENDER, dtype=np.int64)
-            bump(name, idx.size)
-            receptions += execute(masks[idx], sub)
-            hear_from[idx] = sub
-        return receptions
-
-    def _bump_kernel(self, name: str, rows: int) -> None:
-        """Count executed rows per kernel leg (RunReport provenance)."""
-        self.kernel_use[name] = self.kernel_use.get(name, 0) + int(rows)
-
-    def _account_window(self, masks: np.ndarray, receptions: int) -> None:
-        """Advance ``steps_elapsed`` and the trace for one executed block."""
-        # The exact popcount is only paid for when the trace keeps it;
-        # cheap-trace bulk workloads skip the extra mask scan.
-        self._account_steps(
-            masks.shape[0],
-            int(np.count_nonzero(masks)) if self.trace.wants_detail else 0,
-            receptions,
-        )
-
     def _account_steps(
         self, steps: int, transmissions: int, receptions: int
     ) -> None:
@@ -867,79 +510,6 @@ class RadioNetwork:
             self.trace.record_window(
                 steps=steps, transmissions=0, receptions=0
             )
-
-    def deliver_window_chunks(
-        self,
-        plan: TransmitPlan | np.ndarray,
-        *,
-        chunk_steps: int,
-        mode: str = "auto",
-    ) -> Iterator[np.ndarray]:
-        """Execute an oblivious window as a stream of bounded chunks.
-
-        The out-of-core form of :meth:`deliver_window`: instead of
-        materializing the full ``(w, n)`` hear-window, the plan's mask
-        rows are produced, executed, and yielded ``chunk_steps`` rows at
-        a time — each yielded slab is the ``(w_chunk, n)`` ``hear_from``
-        block of its steps, routed through the same density-adaptive
-        kernels (:meth:`_execute_window_rows`) a monolithic call would
-        use. Peak memory is therefore ``O(chunk_steps * n)`` plus kernel
-        intermediates, independent of the window's total width.
-
-        Bit-identity: window steps are independent given their masks and
-        every kernel computes exact small-integer sums, so concatenating
-        the yielded slabs reproduces ``deliver_window(masks)`` exactly —
-        same ``hear_from`` values, same ``steps_elapsed``, and (because
-        :class:`~repro.radio.trace.StepTrace` keeps aggregates) the same
-        trace state, whatever ``chunk_steps`` is. Chunk size is a memory
-        knob, never a semantics knob.
-
-        Accounting is per chunk, as each is executed: a consumer that
-        abandons the stream mid-way leaves ``steps_elapsed`` and the
-        trace reflecting only the chunks actually executed (and the
-        plan's remaining masks unproduced).
-
-        Parameters
-        ----------
-        plan:
-            A :class:`TransmitPlan` (lazy mask producer) or a
-            materialized ``(w, n)`` boolean mask matrix.
-        chunk_steps:
-            Rows per yielded slab; at least 1. The final chunk may be
-            shorter.
-        mode:
-            Window execution strategy per chunk, as in
-            :meth:`deliver_window`.
-        """
-        self._check_delivery_mode(mode)
-        if chunk_steps < 1:
-            raise InvalidActionError(
-                f"chunk_steps must be >= 1, got {chunk_steps}"
-            )
-        plan = as_transmit_plan(plan)
-        total = plan.total_steps
-        if total < 0:
-            raise InvalidActionError(
-                f"transmit plan has negative total_steps: {total}"
-            )
-        done = 0
-        while done < total:
-            k = min(chunk_steps, total - done)
-            masks = self._validate_window_masks(
-                np.asarray(plan.masks(done, done + k))
-            )
-            if masks.shape[0] != k:
-                raise InvalidActionError(
-                    f"transmit plan produced {masks.shape[0]} rows for "
-                    f"steps [{done}, {done + k}), expected {k}"
-                )
-            hear_from = np.full((k, self.n), NO_SENDER, dtype=np.int64)
-            masks, receptions = self._execute_committed_window(
-                masks, hear_from, mode
-            )
-            self._account_window(masks, receptions)
-            yield hear_from
-            done += k
 
     def step(self, actions: Mapping[Hashable, Any]) -> dict[Hashable, Any]:
         """Label-based convenience wrapper around :meth:`deliver`.

@@ -77,9 +77,10 @@ class StepTrace:
     ) -> None:
         """Record a whole batch of steps in one call.
 
-        The vectorized :meth:`~repro.radio.network.RadioNetwork.deliver_window`
-        path uses this instead of ``steps`` individual
-        :meth:`record_step` calls; since the trace only keeps aggregates
+        The window paths (:meth:`~repro.radio.network.RadioNetwork
+        .deliver_window` and the runner's chunk loop) use this instead
+        of ``steps`` individual :meth:`record_step` calls; since the
+        trace only keeps aggregates
         and the current phase cannot change mid-window, the resulting
         trace state is identical to the per-step recording.
         """

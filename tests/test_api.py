@@ -7,20 +7,21 @@ Three layers of pinning:
    on a shared seed: results, radio-step counts, trace totals, and the
    *final rng state* (the strongest stream-equality statement — one
    extra coin anywhere diverges it).
-2. **Uniform refusals** — unknown ``engine``/``delivery`` strings and
-   malformed ``chunk_steps``/``mem_budget`` values raise
+2. **Uniform refusals** — unknown ``engine`` strings, removed knobs
+   (``delivery``, ``restrict``) and malformed ``chunk_steps``/
+   ``mem_budget`` values raise
    :class:`~repro.radio.errors.ProtocolError` naming the accepted
    values, identically across the policy constructor, ``run``, the
-   CLI, and ``run_trials*``.
-3. **Deprecation shims** — the old per-call kwargs still work, produce
-   bit-identical runs, and warn exactly once per entry point.
+   CLI, campaign specs, and ``run_trials*``.
+3. **No per-call shims** — entry points take ``policy=`` only; the
+   packet-Compete config's own ``engine`` field still rides through
+   the front door.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -57,7 +58,6 @@ from repro.core import (
     partition,
     run_decay,
 )
-from repro.engine import policy as policy_module
 from repro.graphs import greedy_independent_set
 from repro.radio import RadioNetwork
 from repro.radio.errors import ProtocolError
@@ -127,19 +127,18 @@ class TestFrontDoorEquivalence:
 
     @pytest.mark.parametrize("delivery", ["auto", "sparse", "dense"])
     def test_eed(self, delivery):
+        # ``delivery`` names the density regime of the desire levels
+        # (the removed router's modes): sparse, dense, and a mix.
         g = _udg()
         n = g.number_of_nodes()
-        p = np.full(n, 0.5)
+        p_level = {"sparse": 0.02, "dense": 0.5, "auto": 0.2}[delivery]
+        p = np.full(n, p_level)
         active = np.ones(n, dtype=bool)
         rng_a, rng_b = _rng_pair(4)
         net = RadioNetwork(g)
-        legacy = estimate_effective_degree(
-            net, p, active, rng_a, C=3,
-            policy=ExecutionPolicy(delivery=delivery),
-        )
+        legacy = estimate_effective_degree(net, p, active, rng_a, C=3)
         report = api.run(
-            "eed", g, rng=rng_b, config=EEDConfig(p=0.5, C=3),
-            policy=ExecutionPolicy(delivery=delivery),
+            "eed", g, rng=rng_b, config=EEDConfig(p=p_level, C=3)
         )
         assert (report.result.counts == legacy.counts).all()
         assert report.trace == _trace_totals(net)
@@ -382,8 +381,13 @@ class TestUniformRefusals:
             ExecutionPolicy(engine="bogus")
 
     def test_policy_names_accepted_deliveries(self):
-        with pytest.raises(ProtocolError, match="sparse"):
+        # No delivery is accepted any more: the refusal names the
+        # accepted policy fields instead.
+        from repro.engine.policy import POLICY_FIELDS
+
+        with pytest.raises(ProtocolError, match="delivery") as err:
             ExecutionPolicy(delivery="bogus")
+        assert str(POLICY_FIELDS) in str(err.value)
 
     @pytest.mark.parametrize("value", [0, -3])
     def test_chunk_steps_bounds(self, value):
@@ -492,27 +496,26 @@ class TestUniformRefusals:
 
 
 class TestRemovedKnobs:
-    """``restrict`` and ``delivery="pipeline"`` are gone: naming either
-    at any entry point is the uniform refusal naming what is accepted."""
+    """``restrict`` and ``delivery`` are gone: naming either at any
+    entry point is the uniform refusal naming the accepted fields."""
 
     def test_policy_refuses_removed_knobs(self):
         from repro.engine.policy import POLICY_FIELDS
 
         assert "restrict" not in POLICY_FIELDS
-        with pytest.raises(ProtocolError) as err:
-            ExecutionPolicy(restrict="auto")
-        assert "restrict" in str(err.value)
-        assert str(POLICY_FIELDS) in str(err.value)
-        with pytest.raises(ProtocolError) as err:
-            ExecutionPolicy(delivery="pipeline")
-        assert "pipeline" in str(err.value)
-        assert "'sparse'" in str(err.value)
+        assert "delivery" not in POLICY_FIELDS
+        assert len(POLICY_FIELDS) == 6
+        for knob, value in (("restrict", "auto"), ("delivery", "dense")):
+            with pytest.raises(ProtocolError) as err:
+                ExecutionPolicy(**{knob: value})
+            assert knob in str(err.value)
+            assert str(POLICY_FIELDS) in str(err.value)
 
     @pytest.mark.parametrize(
         "flags,named,accepted",
         [
             (["--restrict", "off"], "restrict", "chunk_steps"),
-            (["--delivery", "pipeline"], "pipeline", "sparse"),
+            (["--delivery", "dense"], "delivery", "chunk_steps"),
         ],
     )
     def test_cli_refuses_removed_knobs(self, capsys, flags, named, accepted):
@@ -527,7 +530,7 @@ class TestRemovedKnobs:
         "entry,named,accepted",
         [
             ({"restrict": "force"}, "restrict", "chunk_steps"),
-            ({"delivery": "pipeline"}, "pipeline", "sparse"),
+            ({"delivery": "dense"}, "delivery", "chunk_steps"),
         ],
     )
     def test_plain_campaign_spec_refuses_removed_knobs(
@@ -547,54 +550,24 @@ class TestRemovedKnobs:
 
 
 # ---------------------------------------------------------------------------
-# 5. Deprecation shims.
+# 5. Per-call knobs: policy= only; config-carried engines.
 # ---------------------------------------------------------------------------
 class TestDeprecationShims:
-    def test_legacy_kwargs_equal_policy(self):
-        g = _udg(50, 30)
-        rng_a, rng_b = _rng_pair(31)
-        net_a, net_b = RadioNetwork(g), RadioNetwork(g)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = compute_mis(
-                net_a, rng_a, MISConfig(eed_C=3, record_golden=False),
-                engine="windowed", delivery="sparse",
-            )
-        new = compute_mis(
-            net_b, rng_b, MISConfig(eed_C=3, record_golden=False),
-            policy=ExecutionPolicy(engine="windowed", delivery="sparse"),
-        )
-        assert old.mis == new.mis
-        assert old.steps_used == new.steps_used
-        assert net_a.steps_elapsed == net_b.steps_elapsed
-        assert _trace_totals(net_a) == _trace_totals(net_b)
-        assert _state(rng_a) == _state(rng_b)
-
-    def test_warning_emitted_once_per_entry_point(self):
-        g = _udg(30, 32)
-        policy_module._warned_legacy.discard("run_decay")
-        active = np.ones(g.number_of_nodes(), dtype=bool)
-        with pytest.warns(DeprecationWarning, match="run_decay"):
-            run_decay(
-                RadioNetwork(g), active, np.random.default_rng(0),
-                iterations=1, chunk_steps=4,
-            )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_decay(
-                RadioNetwork(g), active, np.random.default_rng(0),
-                iterations=1, chunk_steps=4,
-            )
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
     def test_policy_plus_legacy_kwargs_refused(self):
+        # The per-call engine=/delivery=/chunk_steps=/mem_budget=
+        # keywords are gone: passing one, with or without a policy,
+        # is refused by name.
         g = _udg(20, 33)
-        with pytest.raises(ProtocolError, match="both"):
+        with pytest.raises(TypeError, match="engine"):
             compute_mis(
                 RadioNetwork(g), np.random.default_rng(0),
                 engine="reference", policy=ExecutionPolicy(),
+            )
+        active = np.ones(g.number_of_nodes(), dtype=bool)
+        with pytest.raises(TypeError, match="chunk_steps"):
+            run_decay(
+                RadioNetwork(g), active, np.random.default_rng(0),
+                chunk_steps=4,
             )
 
     def test_packet_config_policy_and_engine_refused(self):

@@ -1,15 +1,14 @@
-"""Pre-emptive dense routing: the COO output-size estimate (PR 5).
+"""Dense graphs on the one window product: exactness and memory.
 
-The mask path's ``auto`` window router always sent popcount-dense
-rows to the packed dense kernel; this suite pins the PR 5 addition —
-rows that are popcount-*sparse* but whose transmitters' degree sum
-predicts a COO output heavier than the dense kernel's packed cells
-(few transmitters, huge degrees: the ``p ~ 0.5`` G(n, p) regime) route
-dense **before** the sparse product can blow a ``mem_budget``. Routing
-is a performance/memory decision only: every kernel computes the same
-exact integer sums, re-checked here and by the contract suite. The memory
-ceilings cover both chunk forms: streamed masks through the
-pre-emption, and a streamed EED block on the transmitter-list product.
+The mask path used to route popcount-dense rows, and popcount-sparse
+rows whose transmitters' degree sum predicted a heavy COO output, to a
+packed dense kernel. Every window now runs the one transmitter-pair
+product, whose output is capped at one entry per (step, listener) cell
+whatever the degrees. This suite pins that the product stays exact on
+the degree-heavy regime the router existed for (few transmitters, ~n/2
+neighbors each: the ``p ~ 0.5`` G(n, p)), whichever route a window
+takes into it, and that streamed chunks of both plan forms stay inside
+the memory cost model there.
 """
 
 from __future__ import annotations
@@ -21,16 +20,13 @@ import pytest
 from repro import graphs
 from repro.analysis.experiments import measure_peak
 from repro.api import EEDConfig, ExecutionPolicy, run
-from repro.engine.streaming import chunk_steps_for_budget
-from repro.radio.network import (
-    DENSE_ROW_DENSITY,
-    DENSE_WINDOW_CELL_BYTES,
-    NO_SENDER,
-    SPARSE_COO_ENTRY_BYTES,
-    SPARSE_PREEMPT_FACTOR,
-    RadioNetwork,
-    TransmitPlan,
+from repro.engine import (
+    ObliviousWindow,
+    StreamedWindow,
+    WindowedRunner,
 )
+from repro.engine.streaming import chunk_steps_for_budget
+from repro.radio.network import NO_SENDER, RadioNetwork, TransmitPlan
 
 N_DENSE = 1000
 
@@ -44,8 +40,7 @@ def dense_net() -> RadioNetwork:
 def _sparse_popcount_masks(
     n: int, rows: int, transmitters: int, seed: int
 ) -> np.ndarray:
-    """Masks far below the popcount-density threshold."""
-    assert transmitters < DENSE_ROW_DENSITY * n
+    """Masks with a fixed, small number of transmitters per row."""
     rng = np.random.default_rng(seed)
     masks = np.zeros((rows, n), dtype=bool)
     for i in range(rows):
@@ -53,59 +48,60 @@ def _sparse_popcount_masks(
     return masks
 
 
+def _step_replay(graph, masks: np.ndarray) -> np.ndarray:
+    net = RadioNetwork(graph)
+    return np.stack([net.deliver(m) for m in masks])
+
+
 class TestOutputSizeRouting:
-    def test_degree_heavy_chunks_route_dense(self, dense_net):
-        # 16 transmitters/row = popcount density 0.016 (well under the
-        # popcount threshold), but each carries ~n/2 neighbors: the
-        # estimated COO output dwarfs the dense cells past the
-        # pre-emption factor.
-        masks = _sparse_popcount_masks(N_DENSE, 32, 16, seed=1)
-        routed = dense_net.dense_window_rows(masks)
-        assert routed.all()
-        # The estimate the router applied, spelled out:
-        degree_sum = float((masks @ dense_net.degrees).sum())
-        assert (
-            degree_sum * SPARSE_COO_ENTRY_BYTES
-            >= SPARSE_PREEMPT_FACTOR
-            * masks.shape[0]
-            * N_DENSE
-            * DENSE_WINDOW_CELL_BYTES
-        )
-
-    def test_sparse_graphs_keep_popcount_routing(self):
-        g = graphs.random_udg(500, 4.0, np.random.default_rng(3))
-        net = RadioNetwork(g)
-        masks = _sparse_popcount_masks(500, 32, 16, seed=2)
-        # Low popcount + low degrees: nothing routes dense.
-        assert not net.dense_window_rows(masks).any()
-
     def test_mid_band_stays_sparse(self, dense_net):
-        # Just past memory parity but under the pre-emption factor
-        # (2 transmitters/row: COO estimate ~2x the dense cells):
-        # sparse is still the faster path there, so no flip.
+        # Two transmitters a row on the dense graph (the band just past
+        # the removed router's memory parity): the window stays on the
+        # sparse product, every row counted as coo-spmm, and equals the
+        # step replay.
         masks = _sparse_popcount_masks(N_DENSE, 16, 2, seed=4)
-        assert not dense_net.dense_window_rows(masks).any()
+        net = RadioNetwork(dense_net.graph)
+        hear = net.deliver_window(masks)
+        assert net.kernel_use == {"coo-spmm": 16}
+        assert (hear == _step_replay(dense_net.graph, masks)).all()
 
     def test_routing_never_changes_bits(self, dense_net):
+        # Degree-heavy, popcount-sparse masks: whichever route the
+        # window takes into the product — deliver_window, the runner
+        # whole or chunk-wise, a streamed mask plan — the bits equal
+        # the step replay.
         masks = _sparse_popcount_masks(N_DENSE, 24, 16, seed=3)
-        auto = dense_net.deliver_window(masks, "auto")
-        sparse = RadioNetwork(dense_net.graph).deliver_window(
-            masks, "sparse"
-        )
-        dense = RadioNetwork(dense_net.graph).deliver_window(
-            masks, "dense"
-        )
-        assert (auto == sparse).all()
-        assert (auto == dense).all()
+        graph = dense_net.graph
+        want = _step_replay(graph, masks)
+        assert (RadioNetwork(graph).deliver_window(masks) == want).all()
+        for chunk_steps in (None, 5):
+            runner = WindowedRunner(
+                RadioNetwork(graph), chunk_steps=chunk_steps
+            )
+
+            def window():
+                return (yield ObliviousWindow(masks))
+
+            assert (runner.run(window()) == want).all()
+        slabs = []
+
+        def streamed():
+            yield StreamedWindow(
+                TransmitPlan(24, lambda s, e: masks[s:e]), slabs.append
+            )
+
+        WindowedRunner(RadioNetwork(graph), chunk_steps=7).run(streamed())
+        assert (np.vstack(slabs) == want).all()
 
     def test_empty_and_allzero_windows_still_work(self, dense_net):
+        net = RadioNetwork(dense_net.graph)
         empty = np.zeros((0, N_DENSE), dtype=bool)
-        assert dense_net.dense_window_rows(empty).shape == (0,)
+        assert net.deliver_window(empty).shape == (0, N_DENSE)
+        assert net.steps_elapsed == 0 and not net.kernel_use
         quiet = np.zeros((4, N_DENSE), dtype=bool)
-        assert not dense_net.dense_window_rows(quiet).any()
-        assert (
-            dense_net.deliver_window(quiet, "auto") == -1
-        ).all()
+        assert (net.deliver_window(quiet) == NO_SENDER).all()
+        assert net.steps_elapsed == 4
+        assert net.kernel_use == {"skip-empty": 4}
 
 
 class TestMemBudgetRegression:
@@ -140,19 +136,16 @@ class TestMemBudgetRegression:
             "budget's margin; transmitter-list product regressed?"
         )
 
-    def test_streamed_masks_respect_budget_through_preemption(
-        self, dense_net
-    ):
-        """The mask path's twin: ICP's Decay background, BGI and
-        Compete still stream masks through ``deliver_window_chunks``,
-        so the output-size pre-emption is what keeps their chunks near
-        the cost model on very dense graphs. Degree-heavy,
-        popcount-sparse masks (16 transmitters a row, ~n/2 neighbors
-        each) at the 512 KiB budget's chunk height must stay under the
-        same 3x ceiling; without the pre-emption those chunks run the
-        sparse kernels, whose working set follows the transmitters'
-        degree sum instead (measured: ~0.7x the budget with the
-        pre-emption, ~3.9x without).
+    def test_streamed_masks_respect_budget(self, dense_net):
+        """The mask twin: ICP's Decay background, BGI and Compete
+        stream masks, which the runner reads off as transmitter pairs
+        for the same product. Degree-heavy, popcount-sparse masks (16
+        transmitters a row, ~n/2 neighbors each) at the 512 KiB
+        budget's chunk height must stay under the same 3x ceiling:
+        the product's output is capped at one entry per cell, where
+        the removed sparse kernels' working set followed the
+        transmitters' degree sum (measured ~3.9x without the router's
+        pre-emption).
         """
         budget = 512 << 10
         chunk = chunk_steps_for_budget(N_DENSE, budget)
@@ -164,17 +157,19 @@ class TestMemBudgetRegression:
             ),
         )
         net = RadioNetwork(dense_net.graph)
+        heard = [0]
 
-        def stream() -> int:
-            heard = 0
-            for slab in net.deliver_window_chunks(plan, chunk_steps=chunk):
-                heard += int(np.count_nonzero(slab != NO_SENDER))
-            return heard
+        def consume(slab: np.ndarray) -> None:
+            heard[0] += int(np.count_nonzero(slab != NO_SENDER))
 
-        heard, peak = measure_peak(stream)
+        def schedule():
+            yield StreamedWindow(plan, consume)
+
+        runner = WindowedRunner(net, mem_budget=budget)
+        _, peak = measure_peak(lambda: runner.run(schedule()))
         assert peak <= 3 * budget, (
             f"streamed mask peak {peak} bytes blew the {budget}-byte "
-            "budget's margin; mask-path pre-emption regressed?"
+            "budget's margin; the mask path's chunk loop regressed?"
         )
-        assert heard > 0
-        assert net.kernel_use == {"dense": rows}
+        assert heard[0] > 0
+        assert net.kernel_use == {"coo-spmm": rows}

@@ -1,7 +1,8 @@
 """Budget accounting across every engine execution strategy.
 
 ``WindowedRunner(max_steps=...)`` must charge multiplexed joint windows
-and dense-path windows exactly as the step-wise drivers count steps —
+and dense and sparse windows exactly as the step-wise drivers count
+steps —
 one charge per radio step, raised *before* the segment that would
 overshoot executes — plus the documented edge cases: ``coin_chunk`` at
 ``n = 0`` and the empty (``w = 0``) window.
@@ -22,6 +23,7 @@ from repro.core.intra_cluster import (
 )
 from repro.engine import (
     COIN_BUDGET,
+    ExecutionPolicy,
     ObliviousWindow,
     ProtocolSegmentSource,
     WindowedRunner,
@@ -63,7 +65,8 @@ class TestMultiplexedBudget:
         g, clustering, schedule, know = _icp_fixture()
         ref = intra_cluster_propagation(
             RadioNetwork(g), clustering, schedule, know.copy(), 3,
-            np.random.default_rng(5), engine="reference",
+            np.random.default_rng(5),
+            policy=ExecutionPolicy(engine="reference"),
         )
         net = RadioNetwork(g)
         runner = WindowedRunner(net)
@@ -114,12 +117,23 @@ class TestMultiplexedBudget:
         assert runner.steps_executed == net.steps_elapsed == 41
 
 
+#: Transmit densities per regime (the removed router's mode names):
+#: sparse rows, dense rows, and windows mixing both.
+_REGIME_DENSITY = {"sparse": 0.05, "dense": 0.5, "auto": [0.05, 0.5]}
+
+
+def _regime_masks(delivery: str, rows: int, n: int) -> np.ndarray:
+    density = np.resize(_REGIME_DENSITY[delivery], rows)[:, None]
+    return np.random.default_rng(0).random((rows, n)) < density
+
+
 class TestDeliveryPathBudget:
     @pytest.mark.parametrize("delivery", ["auto", "sparse", "dense"])
     def test_dense_and_sparse_charge_identically(self, delivery):
+        # ``delivery`` names the window's density regime.
         net = RadioNetwork(graphs.path(30))
-        runner = WindowedRunner(net, max_steps=12, delivery=delivery)
-        masks = np.random.default_rng(0).random((12, 30)) < 0.5
+        runner = WindowedRunner(net, max_steps=12)
+        masks = _regime_masks(delivery, 12, 30)
 
         def emit():
             yield ObliviousWindow(masks[:5])
@@ -133,8 +147,8 @@ class TestDeliveryPathBudget:
     @pytest.mark.parametrize("delivery", ["sparse", "dense"])
     def test_overshoot_raises_regardless_of_path(self, delivery):
         net = RadioNetwork(graphs.path(30))
-        runner = WindowedRunner(net, max_steps=7, delivery=delivery)
-        masks = np.random.default_rng(0).random((8, 30)) < 0.5
+        runner = WindowedRunner(net, max_steps=7)
+        masks = _regime_masks(delivery, 8, 30)
 
         def emit():
             yield ObliviousWindow(masks)
@@ -144,10 +158,12 @@ class TestDeliveryPathBudget:
         assert net.steps_elapsed == 0  # raised before executing
 
     def test_runner_validates_delivery(self):
+        # The runner has no delivery knob any more: naming one fails
+        # loudly, never silently ignored.
         net = RadioNetwork(graphs.path(5))
-        with pytest.raises(ValueError, match="delivery"):
+        with pytest.raises(TypeError, match="delivery"):
             WindowedRunner(net, delivery="gpu")
-        with pytest.raises(ValueError, match="delivery"):
+        with pytest.raises(TypeError, match="delivery"):
             run_schedule(net, iter(()), delivery="bogus")
 
 
@@ -180,8 +196,18 @@ class TestEdgeCases:
         assert collected["reply"].shape == (0, 6)
 
     def test_empty_window_all_modes(self):
-        for mode in ("auto", "sparse", "dense"):
+        # Every entry into the product: the network's window call, and
+        # the runner whole and chunk-wise.
+        net = RadioNetwork(graphs.path(6))
+        out = net.deliver_window(np.zeros((0, 6), dtype=bool))
+        assert out.shape == (0, 6)
+        assert net.steps_elapsed == 0
+        for chunk_steps in (None, 1):
             net = RadioNetwork(graphs.path(6))
-            out = net.deliver_window(np.zeros((0, 6), dtype=bool), mode)
-            assert out.shape == (0, 6)
-            assert net.steps_elapsed == 0
+            runner = WindowedRunner(net, chunk_steps=chunk_steps)
+
+            def emit():
+                return (yield ObliviousWindow(np.zeros((0, 6), dtype=bool)))
+
+            assert runner.run(emit()).shape == (0, 6)
+            assert net.steps_elapsed == 0 and not net.kernel_use

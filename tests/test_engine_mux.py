@@ -34,6 +34,7 @@ from repro.core.intra_cluster import (
 )
 from repro.engine import (
     DecisionStep,
+    ExecutionPolicy,
     ObliviousWindow,
     ProtocolSegmentSource,
     ScheduleSegmentAdapter,
@@ -111,7 +112,8 @@ class TestFusedICPEquivalence:
             rng = np.random.default_rng(12 + kind)
             res = intra_cluster_propagation(
                 net, clustering, schedule, know, ell, rng,
-                with_background=True, engine=engine,
+                with_background=True,
+                policy=ExecutionPolicy(engine=engine),
             )
             results[engine] = (res, net, rng)
 
@@ -125,16 +127,27 @@ class TestFusedICPEquivalence:
 
     @pytest.mark.parametrize("delivery", ["auto", "sparse", "dense"])
     def test_delivery_modes_identical(self, delivery):
+        # ``delivery`` names the transmitter-density regime the removed
+        # router told apart: two informed nodes (sparse), every node
+        # informed (dense), half of them (auto, a mix). The fused
+        # windows' product matches the reference in each.
         g, clustering, schedule, know = _icp_setup(0, 7)
+        know = know.copy()
+        if delivery == "dense":
+            know[:] = 3
+        elif delivery == "auto":
+            know[::2] = 3
         net = RadioNetwork(g)
         res = intra_cluster_propagation(
             net, clustering, schedule, know, 3,
-            np.random.default_rng(5), engine="fused", delivery=delivery,
+            np.random.default_rng(5),
+            policy=ExecutionPolicy(engine="fused"),
         )
         net_ref = RadioNetwork(g)
         ref = intra_cluster_propagation(
             net_ref, clustering, schedule, know, 3,
-            np.random.default_rng(5), engine="reference",
+            np.random.default_rng(5),
+            policy=ExecutionPolicy(engine="reference"),
         )
         assert (res.knowledge == ref.knowledge).all()
         assert res.steps == ref.steps
@@ -145,12 +158,12 @@ class TestFusedICPEquivalence:
         a = intra_cluster_propagation(
             RadioNetwork(g), clustering, schedule, know, 3,
             np.random.default_rng(6), with_background=False,
-            engine="fused",
+            policy=ExecutionPolicy(engine="fused"),
         )
         b = intra_cluster_propagation(
             RadioNetwork(g), clustering, schedule, know, 3,
             np.random.default_rng(6), with_background=False,
-            engine="reference",
+            policy=ExecutionPolicy(engine="reference"),
         )
         assert (a.knowledge == b.knowledge).all()
         assert a.steps == b.steps

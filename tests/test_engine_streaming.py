@@ -35,6 +35,7 @@ from repro.core.effective_degree import (
 )
 from repro.core.mis import MISConfig, compute_mis, compute_mis_reference
 from repro.engine import (
+    ExecutionPolicy,
     ObliviousWindow,
     ScheduleSegmentAdapter,
     SegmentProtocol,
@@ -72,21 +73,36 @@ def _graph(n: int = 60, seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# The network chunk kernel.
+# The runner's chunk loop over mask plans.
 # ---------------------------------------------------------------------------
+def _stream_slabs(net: RadioNetwork, plan, chunk_steps: int) -> list:
+    """Run a mask plan (or matrix) as one streamed window through the
+    runner's chunk loop; return the hear slabs in step order."""
+    slabs: list[np.ndarray] = []
+
+    def schedule():
+        yield StreamedWindow(as_transmit_plan(plan), slabs.append)
+
+    WindowedRunner(net, chunk_steps=chunk_steps).run(schedule())
+    return slabs
+
+
+#: Transmit densities per regime (the removed router's mode names):
+#: sparse rows, dense rows, and windows mixing both.
+_REGIME_DENSITY = {"sparse": 0.05, "dense": 0.5, "auto": [0.05, 0.3, 0.6]}
+
+
 class TestDeliverWindowChunks:
     @pytest.mark.parametrize("chunk_steps", [1, 5, 21, 22, 1000])
     @pytest.mark.parametrize("mode", ["auto", "sparse", "dense"])
     def test_matches_monolithic_window(self, chunk_steps, mode):
+        # ``mode`` names the window's density regime.
         g = _graph()
-        masks = np.random.default_rng(1).random((21, 60)) < 0.3
+        density = np.resize(_REGIME_DENSITY[mode], 21)[:, None]
+        masks = np.random.default_rng(1).random((21, 60)) < density
         mono_net, chunk_net = RadioNetwork(g), RadioNetwork(g)
-        mono = mono_net.deliver_window(masks, mode=mode)
-        slabs = list(
-            chunk_net.deliver_window_chunks(
-                masks, chunk_steps=chunk_steps, mode=mode
-            )
-        )
+        mono = mono_net.deliver_window(masks)
+        slabs = _stream_slabs(chunk_net, masks, chunk_steps)
         assert (np.vstack(slabs) == mono).all()
         assert all(s.shape[0] <= chunk_steps for s in slabs)
         _assert_trace_equal(mono_net, chunk_net)
@@ -101,40 +117,38 @@ class TestDeliverWindowChunks:
             return masks[start:stop]
 
         net = RadioNetwork(g)
-        out = np.vstack(
-            list(
-                net.deliver_window_chunks(
-                    TransmitPlan(10, produce), chunk_steps=4
-                )
-            )
-        )
+        out = np.vstack(_stream_slabs(net, TransmitPlan(10, produce), 4))
         assert calls == [(0, 4), (4, 8), (8, 10)]
         assert (out == RadioNetwork(g).deliver_window(masks)).all()
 
     def test_empty_plan_yields_nothing(self):
         net = RadioNetwork(_graph())
         plan = TransmitPlan(0, lambda s, e: np.zeros((0, 60), dtype=bool))
-        assert list(net.deliver_window_chunks(plan, chunk_steps=3)) == []
+        assert _stream_slabs(net, plan, 3) == []
         assert net.steps_elapsed == 0
         assert net.trace.total_steps == 0
 
     def test_validation(self):
         net = RadioNetwork(_graph())
         masks = np.zeros((4, 60), dtype=bool)
-        with pytest.raises(InvalidActionError, match="chunk_steps"):
-            list(net.deliver_window_chunks(masks, chunk_steps=0))
-        with pytest.raises(ValueError, match="delivery mode"):
-            list(
-                net.deliver_window_chunks(masks, chunk_steps=2, mode="gpu")
-            )
+        with pytest.raises(ProtocolError, match="chunk_steps"):
+            _stream_slabs(net, masks, 0)
+        negative = TransmitPlan(-1, lambda s, e: masks[s:e])
+        with pytest.raises(InvalidActionError, match="negative"):
+            _stream_slabs(net, negative, 2)
         bad_rows = TransmitPlan(4, lambda s, e: masks[s : s + 1])
         with pytest.raises(InvalidActionError, match="rows"):
-            list(net.deliver_window_chunks(bad_rows, chunk_steps=2))
+            _stream_slabs(net, bad_rows, 2)
         bad_dtype = TransmitPlan(
             4, lambda s, e: np.zeros((e - s, 60), dtype=np.int64)
         )
         with pytest.raises(InvalidActionError, match="boolean"):
-            list(net.deliver_window_chunks(bad_dtype, chunk_steps=2))
+            _stream_slabs(net, bad_dtype, 2)
+        bad_shape = TransmitPlan(
+            4, lambda s, e: np.zeros((e - s, 59), dtype=bool)
+        )
+        with pytest.raises(InvalidActionError, match="shape"):
+            _stream_slabs(net, bad_shape, 2)
 
     def test_as_transmit_plan_passthrough(self):
         plan = TransmitPlan(3, lambda s, e: np.zeros((e - s, 5), dtype=bool))
@@ -174,7 +188,8 @@ class TestStreamedEmitterEquivalence:
             net = RadioNetwork(g)
             rng = np.random.default_rng(9)
             res = run_decay(
-                net, active, rng, iterations=5, chunk_steps=chunk
+                net, active, rng, iterations=5,
+                policy=ExecutionPolicy(chunk_steps=chunk),
             )
             assert (res.heard == ref.heard).all()
             assert (res.heard_from == ref.heard_from).all()
@@ -195,7 +210,8 @@ class TestStreamedEmitterEquivalence:
             net = RadioNetwork(g)
             rng = np.random.default_rng(11)
             res = estimate_effective_degree(
-                net, p, active, rng, C=3, chunk_steps=chunk
+                net, p, active, rng, C=3,
+                policy=ExecutionPolicy(chunk_steps=chunk),
             )
             assert (res.counts == ref.counts).all()
             assert (res.high == ref.high).all()
@@ -212,7 +228,8 @@ class TestStreamedEmitterEquivalence:
         )
         res = estimate_effective_degree(
             RadioNetwork(g), p, active, np.random.default_rng(12), C=3,
-            mem_budget=10 * STREAM_CELL_BYTES * 60,  # 10-row slabs
+            # 10-row slabs:
+            policy=ExecutionPolicy(mem_budget=10 * STREAM_CELL_BYTES * 60),
         )
         assert (res.counts == ref.counts).all()
 
@@ -225,7 +242,9 @@ class TestStreamedEmitterEquivalence:
         for chunk in (1, 13, None):
             net = RadioNetwork(g)
             rng = np.random.default_rng(21)
-            res = compute_mis(net, rng, config, chunk_steps=chunk)
+            res = compute_mis(
+                net, rng, config, policy=ExecutionPolicy(chunk_steps=chunk)
+            )
             assert res.mis == ref.mis
             assert res.steps_used == ref.steps_used
             assert res.rounds_used == ref.rounds_used
@@ -239,7 +258,10 @@ class TestStreamedEmitterEquivalence:
         active = np.ones(40, dtype=bool)
         net = RadioNetwork(g)
         rng = np.random.default_rng(3)
-        res = run_decay(net, active, rng, iterations=0, chunk_steps=1)
+        res = run_decay(
+            net, active, rng, iterations=0,
+            policy=ExecutionPolicy(chunk_steps=1),
+        )
         assert not res.heard.any()
         assert net.steps_elapsed == 0
         assert (
@@ -553,7 +575,7 @@ class TestMemoryCeiling:
         def workload():
             return estimate_effective_degree(
                 net, p, active, np.random.default_rng(1), C=8,
-                mem_budget=self.BUDGET,
+                policy=ExecutionPolicy(mem_budget=self.BUDGET),
             )
 
         result, peak = measure_peak(workload)
@@ -576,7 +598,7 @@ class TestMemoryCeiling:
         def workload():
             return compute_mis(
                 net, np.random.default_rng(2), config,
-                mem_budget=self.BUDGET,
+                policy=ExecutionPolicy(mem_budget=self.BUDGET),
             )
 
         result, peak = measure_peak(workload)

@@ -73,6 +73,7 @@ from repro.core.wakeup import (
 )
 from repro.engine import (
     DecisionStep,
+    ExecutionPolicy,
     ObliviousWindow,
     TracePhase,
     WindowedRunner,
@@ -204,7 +205,10 @@ class TestMISEquivalence:
     def test_engine_kwarg_validates(self):
         net = RadioNetwork(graphs.path(5))
         with pytest.raises(ValueError, match="engine"):
-            compute_mis(net, np.random.default_rng(0), engine="gpu")
+            compute_mis(
+                net, np.random.default_rng(0),
+                policy=ExecutionPolicy(engine="gpu"),
+            )
 
 
 class TestWakeupEquivalence:
@@ -227,7 +231,10 @@ class TestWakeupEquivalence:
         with pytest.raises(ValueError):
             mis_as_wakeup_strategy(4, 9, np.random.default_rng(0))
         with pytest.raises(ValueError, match="engine"):
-            mis_as_wakeup_strategy(9, 4, np.random.default_rng(0), engine="x")
+            mis_as_wakeup_strategy(
+                9, 4, np.random.default_rng(0),
+                policy=ExecutionPolicy(engine="x"),
+            )
 
 
 class TestBGIEquivalence:
@@ -334,11 +341,13 @@ class TestICPEquivalence:
 
         a = intra_cluster_propagation(
             net_w, clustering, schedule, know, 4, rng_w,
-            with_background=with_background, engine="windowed",
+            with_background=with_background,
+            policy=ExecutionPolicy(engine="windowed"),
         )
         b = intra_cluster_propagation(
             net_r, clustering, schedule, know, 4, rng_r,
-            with_background=with_background, engine="reference",
+            with_background=with_background,
+            policy=ExecutionPolicy(engine="reference"),
         )
 
         assert (a.knowledge == b.knowledge).all()
@@ -357,7 +366,8 @@ class TestICPEquivalence:
             intra_cluster_propagation(
                 RadioNetwork(g), clustering, schedule,
                 np.full(10, -1, dtype=np.int64), 2,
-                np.random.default_rng(1), engine="bogus",
+                np.random.default_rng(1),
+                policy=ExecutionPolicy(engine="bogus"),
             )
 
 

@@ -14,14 +14,16 @@ against a mask-materializing twin:
   against the window forms, including realized counters;
 * the transmitter-list product
   (:meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`) against
-  step-wise delivery and the slab kernels on every regime the routed
-  COO kernels used to split between, and its packing bound at its edge;
+  step-wise delivery and independent slab references on every regime
+  the routed kernels used to split between, and its packing bound at
+  its edge;
 * end to end: Decay and full Radio MIS on the transmitter-list path
   bit-identical to their step-wise references — across arbitrary
-  ``chunk_steps`` splits, delivery modes, and fault schedules whose jam
-  windows straddle chunk and section boundaries — plus the refusal of
-  the removed ``"pipeline"`` delivery mode, the per-run reset of the
-  provenance counters, and a kernel name that follows what ran.
+  ``chunk_steps`` splits, streaming budgets, and fault schedules whose
+  jam windows straddle chunk and section boundaries — plus the refusal
+  of the removed ``delivery`` knob, the per-run reset of the
+  provenance counters, kernel counters that follow what ran, and the
+  stage split of mask windows.
 """
 
 from __future__ import annotations
@@ -41,12 +43,8 @@ from repro.core import (
     run_decay,
     run_decay_reference,
 )
-from repro.engine import kernels
-from repro.engine.kernels import (
-    DeliveryKernels,
-    coo_pack_shift,
-    require_delivery_mode,
-)
+from repro.engine import ObliviousWindow, WindowedRunner
+from repro.engine.kernels import DeliveryKernels, coo_pack_shift
 from repro.engine.sampler import (
     STREAM_VERSION,
     RowSampler,
@@ -55,7 +53,7 @@ from repro.engine.sampler import (
 from repro.faults.schedule import FaultSchedule, Jam
 from repro.faults.state import FaultState
 from repro.radio.errors import ProtocolError
-from repro.radio.network import GATHER_WINDOW_WIDTH, NO_SENDER, RadioNetwork
+from repro.radio.network import NO_SENDER, RadioNetwork
 from repro.radio.trace import CheapTrace
 
 
@@ -212,6 +210,40 @@ def _step_wise(g, masks):
     return np.stack([net.deliver(m) for m in masks])
 
 
+def _slab(g, masks, slab_mode):
+    """A comparison hear slab, independent of ``execute_coo``'s
+    arithmetic except for ``"auto"``: ``"dense"`` is an exact int64
+    dense matmul of the masks with the adjacency, ``"sparse"`` gathers
+    each transmitter's neighbor list and bincounts (the arithmetic of
+    the removed dense and gather kernels); ``"auto"`` is the engine's
+    own route for a mask window, the runner's chunk loop."""
+    w, n = masks.shape
+    if slab_mode == "auto":
+        runner = WindowedRunner(RadioNetwork(g))
+
+        def window():
+            return (yield ObliviousWindow(masks))
+
+        return runner.run(window())
+    adj = nx.to_scipy_sparse_array(g, nodelist=range(n), format="csr")
+    if slab_mode == "dense":
+        tx = masks.astype(np.int64)
+        dense = adj.toarray().astype(np.int64)
+        counts = tx @ dense
+        idsum = (tx * (np.arange(n) + 1)) @ dense
+    else:
+        counts = np.zeros((w, n), dtype=np.int64)
+        idsum = np.zeros((w, n), dtype=np.int64)
+        for t, u in zip(*np.nonzero(masks)):
+            nbrs = adj.indices[adj.indptr[u] : adj.indptr[u + 1]]
+            np.add.at(counts[t], nbrs, 1)
+            np.add.at(idsum[t], nbrs, u + 1)
+    hear = np.full((w, n), NO_SENDER, dtype=np.int64)
+    clean = (counts == 1) & ~masks
+    hear[clean] = idsum[clean] - 1
+    return hear
+
+
 def _regime(name):
     """``(graph, masks)`` for one of the regimes the routed COO kernels
     used to split between."""
@@ -251,7 +283,7 @@ def _regime(name):
     if name == "w1":
         return _udg(120, 13), rng.random((1, 120)) < 0.1
     if name == "wide":
-        width = GATHER_WINDOW_WIDTH + 9
+        width = 41
         return _udg(120, 13), rng.random((width, 120)) < 0.1
     if name == "empty-rows":
         # Quiet rows between busy ones, at both ends and in the middle.
@@ -282,9 +314,9 @@ class TestCooKernels:
         ],
     )
     def test_coo_matches_slab(self, slab_mode, family, width, density):
-        """The product equals every slab kernel (``slab_mode``) and the
-        step-wise reference on random blocks; its counters account
-        every row, busy rows as ``coo-spmm``."""
+        """The product equals each comparison slab (``slab_mode``, see
+        :func:`_slab`) and the step-wise reference on random blocks;
+        its counters account every row, busy rows as ``coo-spmm``."""
         n = 120
         if family == "udg":
             g = _udg(n, 13)
@@ -295,8 +327,7 @@ class TestCooKernels:
         rng = np.random.default_rng(width)
         masks = rng.random((width, n)) < density
 
-        slab = np.full((width, n), NO_SENDER, dtype=np.int64)
-        kern.execute(masks, slab, slab_mode)
+        slab = _slab(g, masks, slab_mode)
 
         counters: dict[str, int] = {}
         hear = _product(kern, masks, counters)
@@ -320,7 +351,7 @@ class TestCooKernels:
     )
     def test_product_regimes(self, regime):
         """Each regime the routed kernels used to split between: the
-        product equals step-wise delivery and all three slab kernels,
+        product equals step-wise delivery and every comparison slab,
         on a network's shared adjacency and on kernels built from bare
         CSR arrays."""
         g, masks = _regime(regime)
@@ -336,10 +367,8 @@ class TestCooKernels:
             busy = int(masks.any(axis=1).sum())
             assert counters.get("coo-spmm", 0) == busy
             assert sum(counters.values()) == masks.shape[0]
-            for mode in ("auto", "sparse", "dense"):
-                slab = np.full(masks.shape, NO_SENDER, dtype=np.int64)
-                kern.execute(masks, slab, mode)
-                assert (slab == want).all(), mode
+        for mode in ("auto", "sparse", "dense"):
+            assert (_slab(g, masks, mode) == want).all(), mode
 
     def test_shares_the_network_adjacency(self):
         """The network's kernels multiply by its own adjacency: no
@@ -405,48 +434,39 @@ class TestPackingBound:
 
     def test_kernel_refuses_beyond_the_bound(self):
         """A kernel whose degrees break the bound refuses by name
-        instead of rounding."""
-        kern = RadioNetwork(nx.path_graph(10))._delivery_kernels()
+        instead of rounding — mask windows included, since they run
+        the same product."""
+        net = RadioNetwork(nx.path_graph(10))
+        kern = net._delivery_kernels()
         kern.max_degree = 2**50
         tx = np.array([3], dtype=np.int64)
         with pytest.raises(ProtocolError, match="coo-spmm"):
             kern.execute_coo(1, np.zeros(1, dtype=np.int64), tx)
+        masks = np.zeros((2, 10), dtype=bool)
+        masks[1, 3] = True
+        with pytest.raises(ProtocolError, match="coo-spmm"):
+            net.deliver_window(masks)
 
 
 # ---------------------------------------------------------------------------
-# Mode registry: the removed pipeline mode refuses
+# The removed delivery knob refuses
 # ---------------------------------------------------------------------------
 
 
 class TestPipelineMode:
-    def test_forced_pipeline_refuses_naming_numba(self):
-        """``"pipeline"`` is no delivery mode any more: the refusal
-        names the accepted modes, compiled ones (numba) included."""
-        with pytest.raises(ProtocolError) as err:
-            require_delivery_mode("pipeline")
-        message = str(err.value)
-        assert "pipeline" in message
-        assert "numba" in message
-
-    def test_forced_pipeline_refusal_with_probe_pinned_off(
-        self, monkeypatch
-    ):
-        """The refusal is the same whatever the numba probe says."""
-        monkeypatch.setitem(kernels._probe_cache, "numba", False)
-        with pytest.raises(ProtocolError) as err:
-            require_delivery_mode("pipeline")
-        assert "numba" in str(err.value)
-
     def test_forced_pipeline_runs_end_to_end_when_available(self):
-        """No installed package makes ``delivery="pipeline"`` available
-        any more: the front door refuses it by name, naming the
-        accepted modes."""
+        """No installed package makes ``delivery="pipeline"`` (or any
+        delivery mode) available any more: the front door refuses the
+        knob by name, naming the accepted policy fields."""
+        from repro.engine.policy import POLICY_FIELDS
+
         g = _udg(150, 21)
-        with pytest.raises(ProtocolError, match="unknown delivery mode"):
+        with pytest.raises(ProtocolError, match="delivery") as err:
             api.run(
                 "decay", g, seed=3,
                 policy=api.ExecutionPolicy(delivery="pipeline"),
             )
+        assert str(POLICY_FIELDS) in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +571,8 @@ class TestEndToEndEquivalence:
         [
             {},
             {"chunk_steps": 7},
-            {"delivery": "sparse"},
-            {"delivery": "dense", "chunk_steps": 5},
+            {"chunk_steps": 1},
+            {"mem_budget": 64 << 10, "trace": "cheap"},
         ],
     )
     def test_mis_equivalence(self, policy_kw):
@@ -595,9 +615,8 @@ class TestEndToEndEquivalence:
 
     def test_validated_run_still_green(self):
         """The validating runner expands every transmitter-list chunk
-        back to masks and cross-checks it against the step replay and
-        both forced strategies; the validated run equals the plain
-        one."""
+        back to masks and cross-checks it against the step replay; the
+        validated run equals the plain one."""
         g = _udg(90, 61)
         report = api.run(
             "mis", g, seed=2,
@@ -637,19 +656,36 @@ class TestProvenanceCounters:
         )
 
     @pytest.mark.parametrize("protocol", ["decay", "mis"])
-    def test_kernel_names_what_ran_not_what_was_probed(
-        self, protocol, monkeypatch
-    ):
-        """With the numba probe forced true, a Decay or MIS report still
-        says ``numpy``: their blocks ran the transmitter-list product,
-        and no compiled leg's counter moved. (Runs without numba
-        installed: nothing on these paths imports it.)"""
-        monkeypatch.setitem(kernels._probe_cache, "numba", True)
+    def test_kernel_names_what_ran_not_what_was_probed(self, protocol):
+        """A Decay or MIS report's delivery provenance is the row
+        counters of the one product that ran — no probed backend, mode
+        or kernel family name rides along."""
         report = api.run(protocol, _udg(120, 73), seed=8)
         delivery = report.provenance["delivery"]
-        assert delivery["kernel"] == "numpy"
+        assert set(delivery) == {"kernel_use"}
         assert delivery["kernel_use"]["coo-spmm"] > 0
-        assert "csr-numba" not in delivery["kernel_use"]
+        assert set(delivery["kernel_use"]) <= {"coo-spmm", "skip-empty"}
+
+    def test_mask_windows_report_stage_split(self):
+        """A faulted fused-ICP run — multiplexed mask windows, streamed
+        — splits its chunks into coins/faults/deliver/commit like the
+        transmitter-list path: fault filtering shows in ``faults``, and
+        every row counts under the product's two counters."""
+        from repro.api import ICPConfig
+
+        g = _udg(200, 75)
+        faults = FaultSchedule.sample(200, 400, seed=3, crash_rate=0.1,
+                                      churn=0.2, jam=0.1)
+        report = api.run(
+            "icp", g, seed=4, config=ICPConfig(),
+            policy=api.ExecutionPolicy(engine="fused", faults=faults),
+        )
+        timing = report.provenance["timing"]
+        assert timing["faults"] > 0.0
+        assert timing["coins"] > 0.0 and timing["commit"] > 0.0
+        kernel_use = report.provenance["delivery"]["kernel_use"]
+        assert set(kernel_use) <= {"coo-spmm", "skip-empty"}
+        assert kernel_use["coo-spmm"] > 0
 
     def test_report_equality_ignores_timing(self):
         g = _udg(80, 95)

@@ -1,4 +1,4 @@
-"""Keyed row draws, delivery kernels, the mode registry, live-set work.
+"""Keyed row draws, the delivery kernel, removed knobs, live-set work.
 
 Four layers, each pinned independently:
 
@@ -9,17 +9,17 @@ Four layers, each pinned independently:
   the key is the only value taken from the protocol generator (one raw
   draw, whatever its bit generator), and sampling never touches the
   generator.
-* **Delivery kernels** (:mod:`repro.engine.kernels`) — every mode is
-  bit-identical to a brute-force dense reference on the same CSR, and
-  degree-dependent routing state is recomputed from the CSR handed in
-  (an induced sub-graph must not inherit a parent's degree extremes);
-  kernels over an induced sub-graph deliver exactly what the full graph
-  delivers on its members.
-* **Mode registry** — ``available_delivery_modes`` reports what this
-  process can run; explicit requests for absent compiled backends are
-  refused with the uniform :class:`ProtocolError` naming the installed
-  alternatives (silent fallback is reserved for ``"auto"``), and the
-  removed ``restrict`` knob is refused naming the accepted fields.
+* **Delivery kernel** (:mod:`repro.engine.kernels`) — the one
+  transmitter-pair product is bit-identical to a brute-force dense
+  reference on the same CSR in every density regime the removed mode
+  router told apart, and its degree state is recomputed from the CSR
+  handed in (an induced sub-graph must not inherit a parent's degree
+  extremes); the product over an induced sub-graph delivers exactly
+  what the full graph delivers on its members.
+* **Removed mode registry** — the ``delivery`` knob (and with it every
+  mode it named, compiled backends included) and the ``restrict``
+  knob are refused with the uniform :class:`ProtocolError` naming the
+  accepted policy fields.
 * **Live-set execution** — Decay, EED and Radio MIS blocks over sparse
   active sets run on the transmitter-list path, whose work is confined to the
   sampled transmitters; results, steps, per-phase trace totals and the
@@ -42,28 +42,14 @@ from repro.core import (
     run_decay,
     run_decay_reference,
 )
-from repro.engine.kernels import (
-    ALL_DELIVERY_MODES,
-    COMPILED_DELIVERY_MODES,
-    DeliveryKernels,
-    available_delivery_modes,
-    compiled_kernel_name,
-    probe_cupy,
-    probe_numba,
-    require_delivery_mode,
-)
+from repro.engine.kernels import DeliveryKernels
 from repro.engine.policy import POLICY_FIELDS, ExecutionPolicy
 from repro.engine.runner import run_schedule
 from repro.engine.sampler import RowSampler, draw_block_key
 from repro.engine.segments import PlanSection, StreamedWindow
 from repro.radio import RadioNetwork
 from repro.radio.errors import ProtocolError
-from repro.radio.network import (
-    DELIVERY_MODES,
-    GATHER_WINDOW_WIDTH,
-    NO_SENDER,
-    TransmitPlan,
-)
+from repro.radio.network import NO_SENDER, TransmitPlan
 
 
 def _assert_trace_equal(a: RadioNetwork, b: RadioNetwork) -> None:
@@ -265,30 +251,50 @@ def _kernels_for(g: nx.Graph):
     return kern, csr.toarray().astype(np.int64)
 
 
+def _execute(kern: DeliveryKernels, masks: np.ndarray, counters=None):
+    """Run a mask block through the product; return its hear slab and
+    reception count."""
+    w = masks.shape[0]
+    steps, nodes = np.nonzero(masks)
+    rx_steps, rx_nodes, senders = kern.execute_coo(
+        w, steps, nodes, counters=counters
+    )
+    hear = np.full((w, kern.n), NO_SENDER, dtype=np.int64)
+    hear[rx_steps, rx_nodes] = senders
+    return hear, int(rx_steps.size)
+
+
+#: Row densities per regime the removed router told apart (its mode
+#: names): sparse rows, dense rows, and windows mixing both.
+_REGIMES = {
+    "sparse": (0.05,),
+    "dense": (0.5,),
+    "auto": (0.05, 0.5, 0.0, 0.9),
+}
+
+
 class TestDeliveryKernels:
     @pytest.mark.parametrize("mode", ["auto", "sparse", "dense"])
-    @pytest.mark.parametrize("width", [5, GATHER_WINDOW_WIDTH + 8])
+    @pytest.mark.parametrize("width", [5, 40])
     def test_modes_bit_identical_to_reference(self, mode, width):
-        # width spans both sparse sub-kernels (gather vs spmm).
+        # ``mode`` names the density regime (the removed router's
+        # modes): the one product is exact in each, at a narrow and a
+        # wide width.
         g = nx.gnp_random_graph(48, 0.12, seed=11)
         kern, adj = _kernels_for(g)
         rng = np.random.default_rng(4)
-        for density in (0.05, 0.5):
-            masks = rng.random((width, kern.n)) < density
-            want, want_rx = _reference_delivery(adj, masks)
-            hear = np.full((width, kern.n), NO_SENDER, dtype=np.int64)
-            got_rx = kern.execute(masks, hear, mode)
-            np.testing.assert_array_equal(hear, want)
-            assert got_rx == want_rx
+        densities = np.resize(_REGIMES[mode], width)[:, None]
+        masks = rng.random((width, kern.n)) < densities
+        want, want_rx = _reference_delivery(adj, masks)
+        hear, got_rx = _execute(kern, masks)
+        np.testing.assert_array_equal(hear, want)
+        assert got_rx == want_rx
 
     def test_empty_masks_counted_as_skip(self):
         g = nx.path_graph(10)
         kern, _ = _kernels_for(g)
         counters: dict[str, int] = {}
-        hear = np.full((4, 10), NO_SENDER, dtype=np.int64)
-        rx = kern.execute(
-            np.zeros((4, 10), dtype=bool), hear, "auto", counters
-        )
+        hear, rx = _execute(kern, np.zeros((4, 10), dtype=bool), counters)
         assert rx == 0
         assert counters == {"skip-empty": 4}
         assert (hear == NO_SENDER).all()
@@ -298,17 +304,17 @@ class TestDeliveryKernels:
         kern, _ = _kernels_for(g)
         rng = np.random.default_rng(9)
         masks = rng.random((12, kern.n)) < 0.3
-        masks[3] = True  # guarantee at least one dense row
+        masks[3] = True  # a fully dense row
+        masks[5] = False  # and an empty one
         counters: dict[str, int] = {}
-        hear = np.full((12, kern.n), NO_SENDER, dtype=np.int64)
-        kern.execute(masks, hear, "auto", counters)
-        assert sum(counters.values()) == 12
+        _execute(kern, masks, counters)
+        assert counters == {"coo-spmm": 11, "skip-empty": 1}
 
     def test_degrees_recomputed_from_handed_in_csr(self):
-        # Satellite 2: an induced sub-CSR's routing state reflects the
-        # *sub-graph's* degrees. A star with the hub removed has no
-        # edges at all — inheriting the parent's max_degree (n-1) would
-        # poison the dense pre-emption and the packing bound.
+        # An induced sub-CSR's degree state reflects the *sub-graph's*
+        # degrees. A star with the hub removed has no edges at all —
+        # inheriting the parent's max_degree (n-1) would feed the
+        # packing bound the wrong premise.
         g = nx.star_graph(12)  # hub 0, leaves 1..12
         net = RadioNetwork(g)
         full = DeliveryKernels(
@@ -319,72 +325,38 @@ class TestDeliveryKernels:
         sub_indptr, sub_indices = net._context.induced_csr(leaves)
         sub = DeliveryKernels(sub_indptr, sub_indices, leaves.size)
         assert sub.max_degree == 0
-        assert sub.min_degree == 0
         assert sub.degrees.sum() == 0
 
     def test_zero_node_kernels(self):
         kern = DeliveryKernels(
             np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), 0
         )
-        assert kern.max_degree == 0 and kern.min_degree == 0
+        assert kern.max_degree == 0 and kern.degrees.size == 0
 
 
 # ---------------------------------------------------------------------------
-# Mode registry: availability, refusals, provenance names
+# The removed mode registry: refusals naming the accepted fields
 # ---------------------------------------------------------------------------
 
 
 class TestModeRegistry:
-    def test_available_modes_always_include_numpy_modes(self):
-        avail = available_delivery_modes()
-        for mode in DELIVERY_MODES:
-            assert mode in avail
-        for mode in COMPILED_DELIVERY_MODES:
-            assert mode in ALL_DELIVERY_MODES
-            probe = {"numba": probe_numba, "cupy": probe_cupy}[mode]
-            assert (mode in avail) == probe()
-
     def test_unknown_mode_refused_with_full_inventory(self):
         with pytest.raises(ProtocolError) as err:
-            require_delivery_mode("quantum")
-        assert "unknown delivery mode" in str(err.value)
-        assert str(ALL_DELIVERY_MODES) in str(err.value)
+            ExecutionPolicy(delivery="quantum")
+        assert "delivery" in str(err.value)
+        assert str(POLICY_FIELDS) in str(err.value)
 
-    def test_installed_modes_accepted(self):
-        for mode in available_delivery_modes():
-            require_delivery_mode(mode)  # must not raise
-
-    @pytest.mark.skipif(
-        probe_numba(), reason="numba installed: refusal cannot fire"
-    )
     def test_absent_numba_refused_by_name(self):
+        # Compiled backends are gone with the knob: a request for one
+        # is refused naming it, never silently run on something else.
         with pytest.raises(ProtocolError) as err:
-            require_delivery_mode("numba")
-        msg = str(err.value)
-        assert "'numba'" in msg and "not installed" in msg
-        assert str(available_delivery_modes()) in msg
-        # The policy front door refuses identically — no silent
-        # fallback for an explicit request.
-        with pytest.raises(ProtocolError, match="numba"):
             ExecutionPolicy(delivery="numba")
+        msg = str(err.value)
+        assert "'numba'" in msg and str(POLICY_FIELDS) in msg
 
-    @pytest.mark.skipif(
-        probe_cupy(), reason="cupy usable: refusal cannot fire"
-    )
     def test_absent_cupy_refused_by_name(self):
         with pytest.raises(ProtocolError, match="cupy"):
             ExecutionPolicy(delivery="cupy")
-
-    def test_compiled_kernel_names(self):
-        # The name comes from the counters of what ran: a compiled
-        # family only when one of its counters is non-zero.
-        assert compiled_kernel_name({}) == "numpy"
-        assert compiled_kernel_name({"coo-spmm": 9, "dense": 3}) == "numpy"
-        assert compiled_kernel_name({"csr-numba": 0}) == "numpy"
-        assert compiled_kernel_name({"csr-numba": 4, "dense": 1}) == (
-            "csr-numba"
-        )
-        assert compiled_kernel_name({"spmm-cupy": 2}) == "spmm-cupy"
 
     def test_restrict_modes_validated(self):
         # The restriction knob is gone: every value, including the
@@ -409,7 +381,7 @@ class TestResidualContext:
             RowSampler(0, np.ones(10, dtype=bool), _ladder(4), np.ones(7))
 
     def test_restricted_delivery_matches_full_on_members(self):
-        # Executing a support-confined mask block on the kernels of the
+        # Executing a support-confined mask block on the product of the
         # sub-graph induced by the support and its one-hop neighborhood,
         # then translating senders back to global ids, equals the
         # full-graph delivery (non-members hear silence anyway).
@@ -425,9 +397,7 @@ class TestResidualContext:
         masks[:, support] = rng.random((8, int(support.sum()))) < 0.5
         adj = net._context.csr.toarray().astype(np.int64)
         want, _ = _reference_delivery(adj, masks)
-        compact = masks[:, members]
-        hear = np.full((8, members.size), NO_SENDER, dtype=np.int64)
-        kern.execute(compact, hear, "auto")
+        hear, _ = _execute(kern, masks[:, members])
         heard = hear != NO_SENDER
         hear[heard] = members[hear[heard]]  # local -> global ids
         np.testing.assert_array_equal(hear, want[:, members])
@@ -501,18 +471,14 @@ class TestRestrictedEquivalence:
         "policy",
         [
             pytest.param(ExecutionPolicy(), id="auto"),
-            pytest.param(
-                ExecutionPolicy(delivery="sparse", chunk_steps=3),
-                id="force",
-            ),
+            pytest.param(ExecutionPolicy(chunk_steps=3), id="force"),
         ],
     )
     def test_mis_restricted_bit_identical(self, policy):
         # Radio MIS: the live set shrinks round by round, and every
         # block touches only its sampled transmitters — at the default
-        # routing, or forced onto the sparse kernels in 3-step chunks
-        # that straddle every section boundary — bit-identically to the
-        # step-wise reference.
+        # chunk height, or in 3-step chunks that straddle every section
+        # boundary — bit-identically to the step-wise reference.
         g = nx.gnp_random_graph(80, 0.08, seed=19)
         config = MISConfig(eed_C=3)
         net_e, net_r = _twin_nets(g)
@@ -528,9 +494,8 @@ class TestRestrictedEquivalence:
 
     def test_restricted_under_validating_runner(self):
         # ValidatingRunner expands each transmitter-list chunk back to
-        # masks and compares it against the step replay and both forced
-        # strategies; a validated run must also stay bit-identical to
-        # the plain run.
+        # masks and compares it against the step replay; a validated
+        # run must also stay bit-identical to the plain run.
         g = nx.gnp_random_graph(60, 0.1, seed=29)
         config = MISConfig(eed_C=3)
         net_v, net_p = _twin_nets(g)
@@ -580,3 +545,24 @@ class TestPlanContracts:
 
         with pytest.raises(ProtocolError, match="without a\\s+consume"):
             run_schedule(net, schedule())
+
+    def test_sections_need_their_fold(self):
+        # Each plan form's sections need the fold its chunks reach:
+        # hear slabs for a mask plan, reception triples for a
+        # transmitter plan.
+        from repro.engine.segments import TransmitterPlan
+
+        net = RadioNetwork(nx.path_graph(4))
+        empty = np.empty(0, dtype=np.int64)
+        plans = (
+            TransmitPlan(2, lambda s, e: np.zeros((e - s, 4), dtype=bool)),
+            TransmitterPlan(2, lambda s, e: (empty, empty)),
+        )
+        for plan, wrong in zip(plans, ("consume_coo", "consume")):
+            section = PlanSection(2, None, **{wrong: lambda *a: None})
+
+            def schedule():
+                yield StreamedWindow(plan, sections=(section,))
+
+            with pytest.raises(ProtocolError, match="needs a consume"):
+                run_schedule(net, schedule())

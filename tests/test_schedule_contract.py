@@ -10,11 +10,11 @@ Two layers of enforcement:
    property instead of a point-in-time audit.
 
 2. **Replay** — each registered emitter runs under
-   :class:`repro.engine.validate.ValidatingRunner`, which re-executes
-   every :class:`~repro.engine.segments.ObliviousWindow` step-by-step
-   through :meth:`~repro.radio.network.RadioNetwork.deliver` on a
-   shadow network and through the forced-sparse and forced-dense window
-   strategies on two more, asserting bit-identical ``hear_from``
+   :class:`repro.engine.validate.ValidatingRunner`, which replays every
+   chunk the transmitter-pair product delivers — materialized windows,
+   streamed mask plans and sampled transmitter plans alike —
+   step-by-step through :meth:`~repro.radio.network.RadioNetwork.deliver`
+   on a shadow network, asserting bit-identical ``hear_from``
    everywhere. The windows checked are the ones the real protocols emit
    on the pipeline's graph families (UDG, quasi-UDG, hard instances),
    across seeds.
@@ -200,8 +200,8 @@ GRAPH_KINDS = ["udg", "qudg", "hard"]
 SEEDS = [0, 1]
 
 
-def _validated(graph: nx.Graph, delivery: str = "auto") -> ValidatingRunner:
-    return ValidatingRunner(RadioNetwork(graph), delivery=delivery)
+def _validated(graph: nx.Graph) -> ValidatingRunner:
+    return ValidatingRunner(RadioNetwork(graph))
 
 
 def _icp_fixture(g: nx.Graph, seed: int):
@@ -376,27 +376,64 @@ class TestEmitterContracts:
 
 
 class TestValidatingRunnerDetectsViolations:
+    @staticmethod
+    def _corrupt_product(runner: ValidatingRunner) -> None:
+        """Flip one sender in the primary's product output."""
+        kern = runner.network._delivery_kernels()
+        original = kern.execute_coo
+
+        def corrupted(w, tx_step, tx_node, counters=None):
+            step, node, sender = original(w, tx_step, tx_node, counters)
+            if sender.size:
+                sender = sender.copy()
+                sender[0] = (sender[0] + 1) % runner.network.n
+            return step, node, sender
+
+        kern.execute_coo = corrupted  # type: ignore[method-assign]
+
     def test_catches_engine_divergence(self):
-        # Corrupt the primary's window execution: a violated promise
+        # Corrupt the primary's window product: a violated promise
         # must raise, proving the harness is not vacuous.
+        from repro.engine import ObliviousWindow
+
         g = graphs.path(8)
         runner = _validated(g)
+        self._corrupt_product(runner)
         masks = np.zeros((3, 8), dtype=bool)
         masks[1, 2] = True
-        original = runner.network.deliver_window
-
-        def corrupted(m, mode="auto"):
-            out = original(m, mode)
-            if out.size:
-                out[0, 0] = 5  # claim node 0 heard node 5
-            return out
-
-        runner.network.deliver_window = corrupted  # type: ignore[assignment]
 
         def emit():
-            from repro.engine import ObliviousWindow
-
             _ = yield ObliviousWindow(masks)
+            return None
+
+        with pytest.raises(ObliviousnessViolationError, match="diverged"):
+            runner.run(emit())
+
+    @pytest.mark.parametrize("form", ["mask-plan", "transmitter-plan"])
+    def test_catches_divergence_on_streamed_plans(self, form):
+        # The same corruption on both streamed plan forms: every window
+        # reaches the product through the one checked hook.
+        from repro.engine import StreamedWindow
+        from repro.engine.segments import TransmitterPlan
+        from repro.radio.network import TransmitPlan
+
+        g = graphs.path(8)
+        runner = _validated(g)
+        self._corrupt_product(runner)
+        masks = np.zeros((3, 8), dtype=bool)
+        masks[1, 2] = True
+
+        def emit():
+            if form == "mask-plan":
+                yield StreamedWindow(
+                    TransmitPlan(3, lambda s, e: masks[s:e]),
+                    lambda slab: None,
+                )
+            else:
+                yield StreamedWindow(
+                    TransmitterPlan(3, lambda s, e: np.nonzero(masks[s:e])),
+                    consume_coo=lambda *triple: None,
+                )
             return None
 
         with pytest.raises(ObliviousnessViolationError, match="diverged"):

@@ -384,7 +384,7 @@ class TestCampaignSpec:
         _corpus, d1, d2 = stores
         spec = CampaignSpec(
             protocol="decay", corpus=(d1, d2), n_trials=5,
-            policies=(ExecutionPolicy(), ExecutionPolicy(delivery="dense")),
+            policies=(ExecutionPolicy(), ExecutionPolicy(chunk_steps=8)),
         )
         assert spec.total_jobs == 2 * 2 * 5
 
@@ -457,6 +457,54 @@ class TestCampaign:
             r.provenance["stream"] == STREAM_VERSION for r in again.reports
         )
 
+    def test_entries_under_the_delivery_policy_miss_and_reexecute(
+        self, stores, tmp_path
+    ):
+        # The policy lost its ``delivery`` field, so every policy
+        # digest — and with it every JobKey — changed once. An entry
+        # stored under the old key document (a resolved policy with
+        # ``"delivery": "auto"``, and a report whose policy echo still
+        # carries the field) must miss and re-execute: never be read,
+        # so never raise the decode refusal its echo would trigger.
+        import hashlib
+
+        corpus, digest, _ = stores
+        spec = CampaignSpec(protocol="decay", corpus=(digest,),
+                            n_trials=2, seed=17)
+        fresh_store = ReportStore(tmp_path / "fresh")
+        fresh = run_campaign(spec, fresh_store, corpus=corpus)
+        old_store = ReportStore(tmp_path / "old")
+        for job in fresh.jobs:
+            resolved = ExecutionPolicy().resolve(
+                fresh.reports[0].provenance["graph"]["n"]
+            )
+            doc = encode_value(dataclasses.replace(resolved, faults=None))
+            doc["fields"]["delivery"] = "auto"
+            old_policy = hashlib.sha256(
+                json.dumps(doc, sort_keys=True).encode()
+            ).hexdigest()[:16]
+            assert old_policy != job.key.policy
+            old_key = dataclasses.replace(job.key, policy=old_policy)
+            entry = json.loads(
+                fresh_store.path_for(job.key).read_text()
+            )
+            entry["key"] = old_key.asdict()
+            entry["digest"] = old_key.digest
+            entry["report"]["fields"]["policy"]["fields"][
+                "delivery"
+            ] = "auto"
+            target = old_store.path_for(old_key)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(json.dumps(entry))
+            assert old_key in old_store and job.key not in old_store
+            with pytest.raises(ProtocolError, match="delivery"):
+                old_store.get(old_key)
+        again = run_campaign(spec, old_store, corpus=corpus)
+        status = again.status()
+        assert status["cached"] == 0 and status["executed"] == 2
+        assert status["failed"] == 0
+        assert all(a == b for a, b in zip(again.reports, fresh.reports))
+
     def test_distinct_configs_occupy_distinct_store_cells(
         self, stores, tmp_path
     ):
@@ -491,7 +539,7 @@ class TestCampaign:
         corpus, digest, _ = stores
         spec = CampaignSpec(
             protocol="decay", corpus=(digest,), n_trials=4, seed=3,
-            policies=(ExecutionPolicy(), ExecutionPolicy(delivery="dense")),
+            policies=(ExecutionPolicy(), ExecutionPolicy(chunk_steps=8)),
         )
         pooled = run_campaign(spec, ReportStore(tmp_path / "pool"),
                               corpus=corpus, workers=2)

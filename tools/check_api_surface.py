@@ -4,10 +4,10 @@ Two checks, both cheap enough for every CI run (wired next to the
 engine coverage floor):
 
 1. **Pinned surfaces** — ``repro.api.__all__``, ``repro.service.__all__``
-   and ``repro.engine.__all__``, the :class:`ExecutionPolicy` fields and
-   the delivery modes are an explicit contract. Adding or removing a
-   name, a policy knob or a mode must edit the pin here, in the same
-   commit, on purpose; silent drift fails.
+   and ``repro.engine.__all__`` and the :class:`ExecutionPolicy` fields
+   are an explicit contract. Adding or removing a name or a policy knob
+   must edit the pin here, in the same commit, on purpose; silent drift
+   fails.
 
 2. **No deep imports in user-facing material** — ``examples/`` scripts
    and the fenced Python snippets in ``README.md`` / ``EXPERIMENTS.md``
@@ -55,7 +55,6 @@ EXPECTED_API_ALL = [
     "TRACE_MODES",
     "UptimeLeaderConfig",
     "WakeupConfig",
-    "available_delivery_modes",
     "get_protocol",
     "list_protocols",
     "parse_mem_budget",
@@ -85,10 +84,7 @@ EXPECTED_SERVICE_ALL = [
 
 #: The pinned public surface of repro.engine.
 EXPECTED_ENGINE_ALL = [
-    "ALL_DELIVERY_MODES",
     "COIN_BUDGET",
-    "COMPILED_DELIVERY_MODES",
-    "DELIVERY_MODES",
     "DeliveryKernels",
     "ENGINE_MODES",
     "DecisionStep",
@@ -112,16 +108,12 @@ EXPECTED_ENGINE_ALL = [
     "TransmitterPlan",
     "ValidatingRunner",
     "WindowedRunner",
-    "available_delivery_modes",
     "chunk_steps_for_budget",
     "coin_chunk",
-    "compiled_kernel_name",
-    "legacy_policy",
     "memory_budget",
     "multiplex",
     "parse_mem_budget",
     "protocol_schedule",
-    "require_delivery_mode",
     "resolve_chunk_steps",
     "run_schedule",
     "segment_schedule",
@@ -131,20 +123,12 @@ EXPECTED_ENGINE_ALL = [
 #: The pinned ExecutionPolicy fields, in declaration order.
 EXPECTED_POLICY_FIELDS = [
     "engine",
-    "delivery",
     "chunk_steps",
     "mem_budget",
     "validate",
     "trace",
     "faults",
 ]
-
-#: The pinned delivery modes: the numpy strategies and the optional
-#: compiled backends.
-EXPECTED_DELIVERY_MODES = {
-    "repro/radio/network.py": ("DELIVERY_MODES", ["auto", "sparse", "dense"]),
-    "repro/engine/kernels.py": ("COMPILED_DELIVERY_MODES", ["numba", "cupy"]),
-}
 
 #: Package surfaces user-facing material may import from. One level
 #: below ``repro`` only — anything deeper is an internal module.
@@ -206,9 +190,9 @@ def check_api_all() -> list[str]:
     )
 
 
-def check_policy_and_modes() -> list[str]:
-    """Pin the ExecutionPolicy fields and the delivery-mode tuples,
-    parsed from source like the ``__all__`` pins."""
+def check_policy_fields() -> list[str]:
+    """Pin the ExecutionPolicy fields, parsed from source like the
+    ``__all__`` pins."""
     problems = []
     tree = ast.parse((SRC / "repro/engine/policy.py").read_text())
     for node in ast.walk(tree):
@@ -224,21 +208,6 @@ def check_policy_and_modes() -> list[str]:
                     f"ExecutionPolicy fields {fields} drifted from the "
                     f"pin {EXPECTED_POLICY_FIELDS}"
                 )
-    for module, (name, expected) in EXPECTED_DELIVERY_MODES.items():
-        tree = ast.parse((SRC / module).read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == name
-                for t in node.targets
-            ):
-                actual = [
-                    elt.value
-                    for elt in node.value.elts  # type: ignore[attr-defined]
-                ]
-                if actual != expected:
-                    problems.append(
-                        f"{name} {actual} drifted from the pin {expected}"
-                    )
     return problems
 
 
@@ -305,7 +274,7 @@ def main() -> int:
     """Run all surface checks; list every violation; nonzero on any."""
     problems = (
         check_api_all()
-        + check_policy_and_modes()
+        + check_policy_fields()
         + check_examples()
         + check_doc_snippets()
     )
@@ -318,9 +287,8 @@ def main() -> int:
         "api surface OK: __all__ pinned "
         f"({len(EXPECTED_API_ALL)} api + {len(EXPECTED_SERVICE_ALL)} "
         f"service + {len(EXPECTED_ENGINE_ALL)} engine names), "
-        f"{len(EXPECTED_POLICY_FIELDS)} policy fields and the delivery "
-        "modes pinned, examples and doc snippets import public "
-        "surfaces only"
+        f"{len(EXPECTED_POLICY_FIELDS)} policy fields pinned, examples "
+        "and doc snippets import public surfaces only"
     )
     return 0
 

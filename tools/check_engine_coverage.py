@@ -50,7 +50,7 @@ MODULE_FLOORS = {"engine/sampler.py": 0.95}
 
 #: The test files that exercise the engine layer. Contract + fuzz
 #: suites are included on purpose: their replay/twin checks are where
-#: the rarely-taken engine branches (dense routing, mux edge cases)
+#: the rarely-taken engine branches (fault filters, mux edge cases)
 #: actually fire.
 TEST_FILES = [
     "tests/test_engine_windowed.py",
@@ -63,10 +63,10 @@ TEST_FILES = [
     # semantics, energy ledger, uptime math, provenance).
     "tests/test_faults.py",
     # The API front door is the policy layer's (engine/policy.py)
-    # primary exerciser: equivalence, refusals, shims, resolution.
+    # primary exerciser: equivalence, refusals, resolution.
     "tests/test_api.py",
     "tests/test_dense_routing.py",
-    # Keyed offset draws, the kernel registry, live-set equivalence.
+    # Keyed offset draws, the delivery kernel, live-set equivalence.
     "tests/test_residual.py",
     # The transmitter sampler's contract (chunking, rates, degenerate
     # blocks).
@@ -84,9 +84,8 @@ TEST_FILES = [
 ]
 
 #: Comment marker excluding a statement (and its whole block) from the
-#: floors. Reserved for code that *cannot* execute in this container —
-#: optional compiled backends (numba/cupy) and hardware-dependent
-#: branches. CI's optional-deps leg runs those lines for real instead.
+#: floors. Reserved for code that *cannot* execute in a test run —
+#: hardware-dependent or crash-only branches.
 PRAGMA = "# pragma: no cover"
 
 _executed: dict[str, set[int]] = {}
