@@ -119,14 +119,16 @@ def bench_cache_and_identity(
 
 
 def bench_http_overhead(
-    root: pathlib.Path, n: int, trials: int, seed: int = 74, reps: int = 3
+    root: pathlib.Path, n: int, trials: int, seed: int = 74, reps: int = 5
 ) -> dict:
     """The same cold campaign, direct vs through the HTTP service.
 
     Each side runs ``reps`` times against a fresh report store (so
     every repetition is a genuinely cold campaign) and the best wall
     per side is compared — decay trials are short enough that a single
-    rep is noise-dominated on a shared machine.
+    rep is noise-dominated on a shared machine. The sides alternate
+    rep by rep, so a machine whose speed drifts over seconds to
+    minutes slows both sides alike instead of whichever ran second.
     """
     from repro.service import (
         CampaignSpec,
@@ -142,7 +144,7 @@ def bench_http_overhead(
     )
 
     direct_walls = []
-    direct = None
+    http_walls = []
     for rep in range(reps):
         t0 = time.perf_counter()
         direct = run_campaign(
@@ -150,11 +152,7 @@ def bench_http_overhead(
         )
         direct_walls.append(time.perf_counter() - t0)
         assert direct.status()["state"] == "completed"
-    direct_s = min(direct_walls)
 
-    http_walls = []
-    final = None
-    for rep in range(reps):
         served_dir = root / f"served{rep}"
         with start_in_thread(served_dir, corpus, workers=1) as handle:
             client = ServiceClient(port=handle.port)
@@ -168,6 +166,7 @@ def bench_http_overhead(
         assert final["executed"] == trials
         assert final["summary"]["steps"]["mean"] == \
             direct.final_summary()["steps"].mean
+    direct_s = min(direct_walls)
     http_s = min(http_walls)
 
     overhead = (http_s - direct_s) / direct_s
@@ -177,6 +176,8 @@ def bench_http_overhead(
         "trials": trials,
         "direct_s": direct_s,
         "http_s": http_s,
+        "direct_walls": direct_walls,
+        "http_walls": http_walls,
         "http_overhead": overhead,
         "http_overhead_ceiling": HTTP_OVERHEAD_CEILING,
     }
@@ -242,7 +243,9 @@ def main(argv: list[str] | None = None) -> int:
         f"http front (decay x {http['trials']}): direct "
         f"{http['direct_s']:.2f}s, served "
         f"{http['http_s']:.2f}s = {http['http_overhead']:+.1%} "
-        f"(ceiling {http['http_overhead_ceiling']:.0%})"
+        f"(ceiling {http['http_overhead_ceiling']:.0%}); reps direct "
+        f"{' '.join(f'{w:.2f}' for w in http['direct_walls'])}, served "
+        f"{' '.join(f'{w:.2f}' for w in http['http_walls'])}"
     )
     write_results(results)
     print(f"persisted to {RESULT_PATH}")

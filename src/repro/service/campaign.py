@@ -12,7 +12,9 @@ and fans the remainder across the PR 8 shared-memory worker pool:
 each distinct graph's CSR slabs are published to
 ``multiprocessing.shared_memory`` once, worker payloads carry only
 segment handles, and in-flight jobs are bounded so a 10^6-trial
-submission does not materialize 10^6 futures.
+submission does not materialize 10^6 futures. Each job persists its
+own report (:func:`_execute_job`, in the worker that ran it), so the
+campaign thread only records outcomes.
 
 Seeding is the harness contract: trial ``t`` runs on
 ``np.random.SeedSequence(spec.seed).spawn(n_trials)[t]`` — exactly how
@@ -327,27 +329,39 @@ def _resolve_corpus_entries(
 
 
 def _execute_job(
-    payload: tuple[str, Any, np.random.SeedSequence, Any, Any, int | None, Any]
-) -> Any:
-    """Pool worker: one seeded front-door run (module-level for pickling).
+    payload: tuple[
+        str, Any, np.random.SeedSequence, Any, Any, int | None, Any,
+        pathlib.Path, JobKey,
+    ]
+) -> tuple[Any, bool]:
+    """One seeded front-door run, persisted (module-level for pickling).
 
-    Mirrors the harness worker: the parent's process-wide streaming
-    budget and default fault schedule travel in the payload, and
-    shared-memory handles attach zero-copy (cached per process).
+    The one job body of the pool workers and the serial path. Mirrors
+    the harness worker: the parent's process-wide streaming budget and
+    default fault schedule travel in the payload, and shared-memory
+    handles attach zero-copy (cached per process). The job then writes
+    its own store entry through :meth:`ReportStore.put` (so encoding
+    and writing run in parallel across the pool, not on the campaign
+    thread) and returns the report with whether that put wrote it —
+    an existing entry wins. A failing put fails the job.
     """
-    protocol, target, child, config, policy, budget, fault_default = payload
+    (protocol, target, child, config, policy, budget, fault_default,
+     directory, key) = payload
     from ..api import run
 
     if isinstance(target, SharedGraphHandle):
         target = attach(target)
     with _trial_memory_budget(budget), _trial_fault_default(fault_default):
-        return run(
+        report = run(
             protocol,
             target,
             rng=np.random.default_rng(child),
             config=config,
             policy=policy,
         )
+    store = ReportStore(directory)
+    store.put(key, report)
+    return report, store.writes == 1  # a fresh handle: this put's count
 
 
 class Campaign:
@@ -482,6 +496,13 @@ class Campaign:
                     stats if prior is None else prior.merge(stats)
                 )
 
+    def _landed(self, job: CampaignJob, outcome: tuple[Any, bool]) -> None:
+        """Record an executed job's :func:`_execute_job` outcome."""
+        report, wrote = outcome
+        if wrote:
+            self.store.record_write()
+        self._record(job, report, cached=False)
+
     def _record_failure(self, job: CampaignJob, exc: BaseException) -> None:
         with self._lock:
             self.failed += 1
@@ -570,6 +591,8 @@ class Campaign:
             self.spec.policies[job.policy_index],
             memory_budget(),
             default_faults(),
+            self.store.directory,
+            job.key,
         )
 
     def _execute_serial(
@@ -585,7 +608,7 @@ class Campaign:
             if self._stopped(should_stop):
                 return
             try:
-                report = _execute_job(
+                outcome = _execute_job(
                     self._payload(job, by_digest[job.graph])
                 )
             except ProtocolError:
@@ -596,8 +619,7 @@ class Campaign:
             except Exception as exc:
                 self._record_failure(job, exc)
             else:
-                self.store.put(job.key, report)
-                self._record(job, report, cached=False)
+                self._landed(job, outcome)
             notify()
 
     def _execute(
@@ -677,41 +699,37 @@ class Campaign:
                     return_when=concurrent.futures.FIRST_COMPLETED,
                 )
                 for future in done:
-                    job = futures.pop(future)
-                    try:
-                        report = future.result()
-                    except concurrent.futures.process.BrokenProcessPool:
-                        raise
-                    except concurrent.futures.CancelledError:
-                        continue
-                    except Exception as exc:
-                        self._record_failure(job, exc)
-                    else:
-                        self.store.put(job.key, report)
-                        self._record(job, report, cached=False)
-                    notify()
+                    self._collect(futures.pop(future), future, notify)
                 if self._stopped(should_stop):
                     for future in futures:
                         future.cancel()
                     # Record whatever still lands while the pool
-                    # drains — the work is done; wasting it would
-                    # just grow the resume tail.
+                    # drains — the work is done (and persisted by its
+                    # job); dropping it would just grow the resume tail.
                     concurrent.futures.wait(futures)
                     for future, job in futures.items():
-                        if future.cancelled():
-                            continue
-                        try:
-                            report = future.result()
-                        except concurrent.futures.process.BrokenProcessPool:
-                            raise
-                        except Exception as exc:
-                            self._record_failure(job, exc)
-                        else:
-                            self.store.put(job.key, report)
-                            self._record(job, report, cached=False)
-                        notify()
+                        self._collect(job, future, notify)
                     return
                 submit_up_to_bound()
+
+    def _collect(
+        self,
+        job: CampaignJob,
+        future: concurrent.futures.Future,
+        notify: Callable[[], None],
+    ) -> None:
+        """Record a finished pool future (a cancelled one never ran)."""
+        if future.cancelled():
+            return
+        try:
+            outcome = future.result()
+        except concurrent.futures.process.BrokenProcessPool:
+            raise
+        except Exception as exc:
+            self._record_failure(job, exc)
+        else:
+            self._landed(job, outcome)
+        notify()
 
     # -- reading ------------------------------------------------------
 

@@ -20,6 +20,12 @@ racing to persist the same job write the same bytes, and a crash
 never leaves a half-readable entry. Documents are sharded into
 two-hex-character subdirectories so a million-report store does not
 put a million files in one directory.
+
+Dot-named files and directories are never entries: in-flight and
+crash-orphaned ``.tmp-*`` files are not listed or counted, and an
+entry that no longer parses or decodes (a truncated file, a bad disk)
+is moved into ``.quarantine/`` by the read that finds it and served
+as a miss, so the job runs again and writes a good entry.
 """
 
 from __future__ import annotations
@@ -29,7 +35,10 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import tempfile
+import threading
+import time
 from typing import Any, Iterator
 
 from ..api.report import RunReport
@@ -54,6 +63,17 @@ NO_FAULTS = "none"
 #: Digest value standing for "no protocol config" — the protocol's
 #: registered defaults.
 NO_CONFIG = "none"
+
+#: Subdirectory that unreadable entries are moved into (dot-named, so
+#: never listed as entries).
+QUARANTINE = ".quarantine"
+
+#: The form of an entry address (:attr:`JobKey.digest`).
+_DIGEST = re.compile(r"[0-9a-f]{64}")
+
+
+def _is_digest(value: object) -> bool:
+    return isinstance(value, str) and _DIGEST.fullmatch(value) is not None
 
 
 def policy_digest(policy: ExecutionPolicy, n: int | None = None) -> str:
@@ -166,9 +186,10 @@ class ReportStore:
     Plain files, no index: ``get`` is a stat + read, ``put`` an atomic
     rename, and concurrent writers of the same key race benignly
     (content-addressed — same key, same resolved coordinates, same
-    report outcome). ``hits``/``misses``/``writes`` counters feed the
-    campaign engine's dedupe accounting and the service's status
-    endpoint.
+    report outcome). ``hits``/``misses``/``writes``/``quarantined``
+    counters feed the campaign engine's dedupe accounting and the
+    service's status endpoint; they are bumped under a lock, because
+    concurrent campaigns and the HTTP loop share one store.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
@@ -176,41 +197,86 @@ class ReportStore:
         self.hits = 0
         self.misses = 0
         self.writes = 0
+        self.quarantined = 0
+        self._lock = threading.Lock()
+
+    def _count(self, counter: str) -> None:
+        with self._lock:
+            setattr(self, counter, getattr(self, counter) + 1)
 
     def path_for(self, key: "JobKey | str") -> pathlib.Path:
-        """Entry path of a key (or raw digest): sharded by prefix."""
+        """Entry path of a key (or raw digest): sharded by prefix.
+
+        A raw digest must be 64 lowercase hex characters, the form
+        :attr:`JobKey.digest` produces; anything else is refused, so
+        no string resolves to a path outside the store.
+        """
         digest = key.digest if isinstance(key, JobKey) else key
+        if not _is_digest(digest):
+            raise ProtocolError(
+                f"not a report digest (64 lowercase hex characters): "
+                f"{digest!r}"
+            )
         return self.directory / digest[:2] / f"{digest}.json"
 
     def __contains__(self, key: object) -> bool:
-        if not isinstance(key, (JobKey, str)):
+        if not (isinstance(key, JobKey) or _is_digest(key)):
             return False
         return self.path_for(key).is_file()
 
-    def get(self, key: "JobKey | str") -> RunReport | None:
-        """The stored report of ``key``, or ``None`` (counted) on a miss."""
-        path = self.path_for(key)
+    def _quarantine(self, path: pathlib.Path) -> None:
+        """Move an unreadable entry into :data:`QUARANTINE` (kept, not
+        deleted, for inspection) and count it."""
+        target = self.directory / QUARANTINE
+        target.mkdir(parents=True, exist_ok=True)
+        try:
+            os.replace(path, target / f"{path.stem}.{time.time_ns()}.json")
+        except FileNotFoundError:
+            return  # a concurrent reader moved it first
+        self._count("quarantined")
+
+    def _load(self, path: pathlib.Path) -> dict[str, Any] | None:
+        """The parsed document at ``path``; ``None`` when there is none
+        or it does not parse (then it is quarantined)."""
         try:
             document = json.loads(path.read_text())
         except FileNotFoundError:
-            self.misses += 1
             return None
-        self.hits += 1
-        report = decode_value(document["report"])
-        if not isinstance(report, RunReport):
-            raise ProtocolError(
-                f"store entry {path.name} decoded to "
-                f"{type(report).__name__!r}, expected RunReport"
-            )
+        except ValueError:  # truncated or garbled bytes
+            document = None
+        if isinstance(document, dict):
+            return document
+        self._quarantine(path)
+        return None
+
+    def get(self, key: "JobKey | str") -> RunReport | None:
+        """The stored report of ``key``, or ``None`` (counted) on a miss.
+
+        An entry that does not parse or decode to a
+        :class:`~repro.api.report.RunReport` is quarantined and missed.
+        """
+        path = self.path_for(key)
+        document = self._load(path)
+        report = None
+        if document is not None:
+            try:
+                report = decode_value(document["report"])
+            except (AttributeError, KeyError, TypeError, ValueError):
+                pass
+            if not isinstance(report, RunReport):
+                self._quarantine(path)
+                report = None
+        self._count("misses" if report is None else "hits")
         return report
 
     def get_document(self, digest: str) -> dict[str, Any] | None:
         """The raw stored document (key fields + tagged report) of a
-        digest — what the fetch-report HTTP endpoint serves verbatim."""
-        path = self.path_for(digest)
-        if not path.is_file():
+        digest — what the fetch-report HTTP endpoint serves verbatim.
+        ``None`` for a string that is not a digest, a missing entry,
+        or one that does not parse (quarantined)."""
+        if not _is_digest(digest):
             return None
-        return json.loads(path.read_text())
+        return self._load(self.path_for(digest))
 
     def put(self, key: JobKey, report: RunReport) -> pathlib.Path:
         """Persist ``report`` under ``key`` atomically; return the path.
@@ -218,7 +284,10 @@ class ReportStore:
         An existing entry wins (content-addressed: it records the same
         outcome); the write is tempfile + ``os.replace`` in the entry's
         own shard directory, so readers never observe a partial file
-        and a crashed writer leaves only an orphaned dotfile.
+        and a crashed writer leaves only an orphaned dotfile. The
+        document is encoded by one ``json.dumps`` call (CPython's C
+        encoder; ``json.dump`` to a file runs the pure-Python one) and
+        written at once.
         """
         if not isinstance(report, RunReport):
             raise ProtocolError(
@@ -229,43 +298,59 @@ class ReportStore:
         if path.is_file():
             return path
         path.parent.mkdir(parents=True, exist_ok=True)
-        document = {
-            "format": 1,
-            "key": key.asdict(),
-            "digest": key.digest,
-            "report": encode_value(report),
-        }
+        text = json.dumps(
+            {
+                "format": 1,
+                "key": key.asdict(),
+                "digest": key.digest,
+                "report": encode_value(report),
+            }
+        )
         fd, tmp = tempfile.mkstemp(
             prefix=".tmp-", suffix=".json", dir=path.parent
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(document, handle)
+                handle.write(text)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):  # pragma: no cover - crash path
                 os.unlink(tmp)
-        self.writes += 1
+        self._count("writes")
         return path
 
+    def record_write(self) -> None:
+        """Count an entry written into this directory through another
+        handle: a campaign job persists its own report (in a pool
+        worker, or on the serial path) and the campaign counts it
+        here."""
+        self._count("writes")
+
     def digests(self) -> Iterator[str]:
-        """Every stored entry digest (no particular order)."""
+        """Every stored entry digest (no particular order).
+
+        Dot-named files and directories are skipped: in-flight and
+        orphaned ``.tmp-*`` files and :data:`QUARANTINE` are not
+        entries.
+        """
         if not self.directory.is_dir():
             return
         for shard in sorted(self.directory.iterdir()):
-            if not shard.is_dir():
+            if shard.name.startswith(".") or not shard.is_dir():
                 continue
             for entry in sorted(shard.glob("*.json")):
-                yield entry.stem
+                if not entry.name.startswith("."):
+                    yield entry.stem
 
     def __len__(self) -> int:
         return sum(1 for _ in self.digests())
 
     def stats(self) -> dict[str, int]:
-        """Hit/miss/write counters plus the current entry count."""
+        """Hit/miss/write/quarantine counters plus the entry count."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "writes": self.writes,
+            "quarantined": self.quarantined,
             "entries": len(self),
         }

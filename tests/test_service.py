@@ -245,9 +245,125 @@ class TestStore:
         assert key in store
         assert store.get(key) == report
         assert store.stats() == {
-            "hits": 1, "misses": 1, "writes": 1, "entries": 1,
+            "hits": 1, "misses": 1, "writes": 1, "quarantined": 0,
+            "entries": 1,
         }
         assert list(store.digests()) == [key.digest]
+
+    def test_put_writes_the_one_shot_encoding(self, tmp_path):
+        # One json.dumps call writes exactly the bytes json.dump would
+        # stream, so the entry format does not depend on the encoder.
+        store = ReportStore(tmp_path / "reports")
+        faults = FaultSchedule.sample(30, 16, seed=2, crash_rate=0.2)
+        report = api.run(
+            "decay", graphs.random_udg(30, 4.0, np.random.default_rng(1)),
+            rng=np.random.default_rng(0),
+            policy=ExecutionPolicy(faults=faults),
+        )
+        key = self._key()
+        path = store.put(key, report)
+        document = {
+            "format": 1,
+            "key": key.asdict(),
+            "digest": key.digest,
+            "report": encode_value(report),
+        }
+        streamed = tmp_path / "streamed.json"
+        with open(streamed, "w") as handle:
+            json.dump(document, handle)
+        assert path.read_bytes() == streamed.read_bytes()
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+    def test_listing_skips_dotfiles(self, tmp_path):
+        store = ReportStore(tmp_path / "reports")
+        report = api.run("decay", graphs.random_udg(30, 4.0, np.random.default_rng(1)),
+                         rng=np.random.default_rng(0))
+        key = self._key()
+        path = store.put(key, report)
+        # A crash-orphaned tempfile beside the entry, and a quarantined
+        # copy, are not entries.
+        (path.parent / ".tmp-x.json").write_text("{")
+        (tmp_path / "reports" / ".quarantine").mkdir()
+        (tmp_path / "reports" / ".quarantine" / f"{key.digest}.json") \
+            .write_text("{")
+        assert list(store.digests()) == [key.digest]
+        assert len(store) == 1
+        assert store.stats()["entries"] == 1
+
+    def test_raw_digests_must_be_digests(self, tmp_path):
+        store = ReportStore(tmp_path / "reports")
+        report = api.run("decay", graphs.random_udg(30, 4.0, np.random.default_rng(1)),
+                         rng=np.random.default_rng(0))
+        key = self._key()
+        store.put(key, report)
+        assert store.get_document(key.digest) is not None
+        for bad in ("..", "../x", key.digest[:63], key.digest.upper(),
+                    key.digest + "0", "", 7):
+            assert store.get_document(bad) is None
+            assert bad not in store
+        with pytest.raises(ProtocolError, match="64 lowercase hex"):
+            store.path_for("..")
+        with pytest.raises(ProtocolError, match="64 lowercase hex"):
+            store.get(key.digest[:63])
+
+    @pytest.mark.parametrize("damage", ["truncate", "garble", "not-object"])
+    def test_unreadable_entry_is_quarantined_and_missed(
+        self, tmp_path, damage
+    ):
+        store = ReportStore(tmp_path / "reports")
+        report = api.run("decay", graphs.random_udg(30, 4.0, np.random.default_rng(1)),
+                         rng=np.random.default_rng(0))
+        key = self._key()
+        path = store.put(key, report)
+        good = path.read_bytes()
+        if damage == "truncate":
+            path.write_bytes(good[: len(good) // 2])
+        elif damage == "garble":  # parses, does not decode to a report
+            document = json.loads(good)
+            document["report"]["fields"]["steps"] = {"__repro__": "bogus"}
+            path.write_text(json.dumps(document))
+        else:
+            path.write_text("[1, 2]")
+        damaged = path.read_bytes()
+        assert store.get(key) is None
+        assert not path.exists()
+        quarantine = tmp_path / "reports" / ".quarantine"
+        moved = list(quarantine.iterdir())
+        assert len(moved) == 1 and moved[0].read_bytes() == damaged
+        assert store.stats()["quarantined"] == 1
+        assert store.misses == 1 and store.hits == 0
+        assert len(store) == 0
+        # The cell is not poisoned: the next put writes a good entry.
+        store.put(key, report)
+        assert path.read_bytes() == good
+        assert store.get(key) == report
+
+    def test_counters_survive_concurrent_campaigns(self, tmp_path):
+        # Concurrent campaigns count their jobs' writes into one shared
+        # store; a lost update would show as a short count. More
+        # threads than cores, with a tiny switch interval.
+        import sys
+        import threading
+
+        store = ReportStore(tmp_path / "reports")
+        threads, rounds = 6, 20000
+
+        def count():
+            for _ in range(rounds):
+                store.record_write()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=count) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert store.writes == threads * rounds
 
     def test_existing_entry_wins(self, tmp_path):
         store = ReportStore(tmp_path / "reports")
@@ -498,12 +614,15 @@ class TestCampaign:
             target.write_text(json.dumps(entry))
             assert old_key in old_store and job.key not in old_store
             with pytest.raises(ProtocolError, match="delivery"):
-                old_store.get(old_key)
+                decode_value(entry["report"])
         again = run_campaign(spec, old_store, corpus=corpus)
         status = again.status()
         assert status["cached"] == 0 and status["executed"] == 2
         assert status["failed"] == 0
         assert all(a == b for a, b in zip(again.reports, fresh.reports))
+        # Never read: a read would have quarantined the old entries.
+        assert old_store.quarantined == 0
+        assert len(old_store) == 4
 
     def test_distinct_configs_occupy_distinct_store_cells(
         self, stores, tmp_path
@@ -659,7 +778,7 @@ class TestCampaign:
                                 corpus=str(corpus.directory))
         assert campaign.status()["state"] == "completed"
 
-    def test_worker_attaches_shared_handles(self, stores):
+    def test_worker_attaches_shared_handles(self, stores, tmp_path):
         """The pool worker body, exercised in-process with a handle."""
         from repro.corpus.shm import SharedGraph
         from repro.service.campaign import _execute_job
@@ -667,14 +786,20 @@ class TestCampaign:
         corpus, digest, _ = stores
         graph = corpus.load(digest)
         shared = SharedGraph.publish(graph)
+        key = JobKey(protocol="decay", graph=digest, seed=5, trial=0,
+                     policy=policy_digest(ExecutionPolicy(), 60))
+        payload = (
+            "decay", shared.handle, np.random.SeedSequence(5).spawn(1)[0],
+            None, ExecutionPolicy(), None, None, tmp_path / "r", key,
+        )
         try:
-            report = _execute_job((
-                "decay", shared.handle,
-                np.random.SeedSequence(5).spawn(1)[0],
-                None, ExecutionPolicy(), None, None,
-            ))
+            report, wrote = _execute_job(payload)
             assert report.protocol == "decay"
             assert report.provenance["corpus"]["source"] == "shm"
+            # The job persisted its own entry; a rerun finds it there.
+            assert wrote is True
+            assert ReportStore(tmp_path / "r").get(key) == report
+            assert _execute_job(payload)[1] is False
         finally:
             shared.close()
             shared.unlink()
@@ -768,6 +893,70 @@ class TestCampaign:
         assert status["state"] == "completed"
         assert status["executed"] == 3
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_jobs_persist_their_own_entries(self, stores, tmp_path, workers):
+        corpus, digest, _ = stores
+        spec = CampaignSpec(
+            protocol="decay", corpus=(digest,), n_trials=4, seed=29,
+            policies=(ExecutionPolicy(), ExecutionPolicy(chunk_steps=8)),
+        )
+        store = ReportStore(tmp_path / "r")
+        campaign = run_campaign(spec, store, corpus=corpus, workers=workers)
+        status = campaign.status()
+        assert status["state"] == "completed"
+        assert status["executed"] == spec.total_jobs
+        if workers > 1:  # the pool ran it, not the serial fallback
+            assert {r.provenance["corpus"]["source"]
+                    for r in campaign.reports} == {"shm"}
+        assert all(job.key in store for job in campaign.jobs)
+        assert store.writes == status["executed"]
+        assert len(store) == spec.total_jobs
+        assert not list((tmp_path / "r").rglob(".tmp-*"))
+        again = run_campaign(spec, store, corpus=corpus, workers=workers)
+        assert again.status()["cached"] == spec.total_jobs
+        assert again.status()["executed"] == 0
+        assert store.writes == status["executed"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_store_write_fails_the_job(
+        self, stores, tmp_path, monkeypatch, workers
+    ):
+        # Forked pool workers inherit the patched class.
+        corpus, digest, _ = stores
+        spec = CampaignSpec(protocol="decay", corpus=(digest,),
+                            n_trials=3, seed=31)
+
+        def full_disk(self, key, report):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(ReportStore, "put", full_disk)
+        store = ReportStore(tmp_path / "r")
+        campaign = run_campaign(spec, store, corpus=corpus, workers=workers)
+        status = campaign.status()
+        assert status["state"] == "failed"
+        assert status["failed"] == 3 and status["completed"] == 0
+        assert len(status["errors"]) == 3
+        assert all("OSError" in error for error in status["errors"])
+        assert store.writes == 0 and len(store) == 0
+
+    def test_truncated_entry_reexecutes_one_job(self, stores, tmp_path):
+        corpus, digest, _ = stores
+        spec = CampaignSpec(protocol="decay", corpus=(digest,),
+                            n_trials=4, seed=37)
+        store = ReportStore(tmp_path / "r")
+        first = run_campaign(spec, store, corpus=corpus)
+        victim = store.path_for(first.jobs[1].key)
+        victim.write_bytes(victim.read_bytes()[:64])
+        again = run_campaign(spec, store, corpus=corpus)
+        status = again.status()
+        assert status["state"] == "completed"
+        assert status["executed"] == 1 and status["cached"] == 3
+        assert store.quarantined == 1
+        assert len(list((tmp_path / "r" / ".quarantine").iterdir())) == 1
+        assert again.final_summary()["steps"] == \
+            first.final_summary()["steps"]
+        assert again.reports[1] == first.reports[1]
+
     def test_pooled_cancel_keeps_landed_work(self, stores, tmp_path):
         corpus, digest, _ = stores
         spec = CampaignSpec(protocol="decay", corpus=(digest,),
@@ -824,7 +1013,7 @@ class TestService:
         health = service.health()
         assert health["ok"] is True
         assert set(health["store"]) == {
-            "hits", "misses", "writes", "entries",
+            "hits", "misses", "writes", "quarantined", "entries",
         }
 
     def test_submit_stream_fetch_resubmit(self, service, stores):
@@ -906,6 +1095,41 @@ class TestService:
                 assert "Content-Length" in payload["error"]["message"]
             finally:
                 conn.close()
+
+    def test_truncated_entry_is_a_miss_not_a_poisoned_cell(
+        self, stores, tmp_path
+    ):
+        corpus, digest, _ = stores
+        spec = CampaignSpec(protocol="decay", corpus=(digest,),
+                            n_trials=5, seed=61)
+        reports = tmp_path / "reports"
+        # A document just outside the store, where "/reports/.." would
+        # resolve if raw digests were joined onto the directory.
+        (tmp_path / "...json").write_text('{"outside": true}')
+        with start_in_thread(reports, corpus, workers=2) as handle:
+            client = ServiceClient(port=handle.port)
+            first = client.wait(client.submit(spec)["id"], timeout=120)
+            assert first["state"] == "completed"
+            for bad in ("..", "a" * 63):
+                with pytest.raises(ServiceError, match="no stored") as e:
+                    client.fetch_document(bad)
+                assert e.value.status == 404
+            victim = client.jobs(first["id"])[2]["digest"]
+            path = ReportStore(reports).path_for(victim)
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+            with pytest.raises(ServiceError, match="no stored") as e:
+                client.fetch_document(victim)
+            assert e.value.status == 404
+            assert not path.exists()  # the fetch quarantined it
+            again = client.wait(client.submit(spec)["id"], timeout=120)
+            health = client.health()
+        assert again["state"] == "completed"
+        assert again["executed"] == 1 and again["cached"] == 4
+        assert again["summary"]["steps"] == first["summary"]["steps"]
+        assert len(list((reports / ".quarantine").iterdir())) == 1
+        assert health["store"]["quarantined"] == 1
+        assert health["store"]["writes"] == 6
+        assert health["store"]["entries"] == 5
 
     def test_campaign_listing(self, service):
         listed = service.campaigns()
