@@ -1,15 +1,16 @@
-"""P3 — plan/commit IR: fused ICP and dense-regime delivery.
+"""P3 — plan/commit IR: multiplexed ICP and dense-regime delivery.
 
 Two workloads the PR 3 issue names, both bit-identity-asserted inside
 the bench before any timing is reported:
 
-* **Fused ICP** at ``n >= 2000`` on a dense UDG: the window-multiplexing
-  combinator (``repro.engine.mux.multiplex``) zips the adaptive slot
-  passes with sweep-wide Decay-background windows, replacing one dense
-  matvec per multiplexed step with narrow window products. Measured
-  against both the step-wise ``TimeMultiplexer`` reference and the
-  decision-point engine path. Acceptance floor: **3x** vs the
-  reference.
+* **ICP** at ``n >= 2000`` on a dense UDG, under the default engine:
+  the window-multiplexing combinator (``repro.engine.mux.multiplex``)
+  zips the adaptive slot passes with sweep-wide Decay-background
+  windows, replacing one dense matvec per multiplexed step with narrow
+  window products. Measured against the step-wise ``TimeMultiplexer``
+  reference. Acceptance floor: **3x**. (Records before the decision-step
+  engine path was deleted also timed it, as ``windowed_s`` and
+  ``speedup_vs_windowed``.)
 
 * **Dense EED delivery** on the EstimateEffectiveDegree ``p ~ 0.5``
   regime (dense UDG, all nodes active at desire level 0.5), each leg
@@ -47,7 +48,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 RESULT_PATH = REPO_ROOT / "BENCH_PR3.json"
 
 #: Acceptance floors from the PR 3 issue (CI margins are wide: the
-#: measured fused-ICP speedup is ~3x the floor on a quiet host).
+#: measured ICP speedup is ~3x the floor on a quiet host).
 FUSED_ICP_FLOOR = 3.0
 COO_BLOCK_FLOOR = 5.0
 DENSE_WINDOW_FLOOR = 2.0
@@ -59,9 +60,9 @@ def _udg(n: int, side: float, seed: int):
     return graphs.random_udg(n, side, np.random.default_rng(seed))
 
 
-def bench_fused_icp(n: int = 2000, seed: int = 404, ell: int = 6) -> dict:
-    """Fused (multiplexed) ICP vs the step-wise reference and the
-    decision-point engine path, all three bit-identity-asserted."""
+def bench_icp(n: int = 2000, seed: int = 404, ell: int = 6) -> dict:
+    """ICP under the default engine (the multiplexed path) vs the
+    step-wise reference, bit-identity-asserted."""
     from repro.api import ExecutionPolicy
     from repro.core import build_icp_inputs, intra_cluster_propagation
     from repro.radio import CheapTrace, RadioNetwork
@@ -70,33 +71,35 @@ def bench_fused_icp(n: int = 2000, seed: int = 404, ell: int = 6) -> dict:
     clustering, schedule, knowledge = build_icp_inputs(
         g, np.random.default_rng(seed + 1), beta=0.3, sources={0: 9}
     )
+    policies = {
+        "reference": ExecutionPolicy(engine="reference"),
+        "default": ExecutionPolicy(),
+    }
 
     timings: dict[str, float] = {}
     results = {}
-    # Best-of-2 on every engine: the gated ratios compare the same
-    # statistic on each side, so host noise cannot bias them.
-    for engine in ("reference", "windowed", "fused"):
+    # Best-of-2 on both sides: the gated ratio compares the same
+    # statistic on each side, so host noise cannot bias it.
+    for name, policy in policies.items():
         best = float("inf")
         for _ in range(2):
             net = RadioNetwork(g, trace=CheapTrace())
             t0 = time.perf_counter()
             res = intra_cluster_propagation(
                 net, clustering, schedule, knowledge, ell,
-                np.random.default_rng(seed + 2),
-                policy=ExecutionPolicy(engine=engine),
+                np.random.default_rng(seed + 2), policy=policy,
             )
             best = min(best, time.perf_counter() - t0)
-        timings[engine] = best
-        results[engine] = res
+        timings[name] = best
+        results[name] = res
 
     ref = results["reference"]
-    for engine in ("windowed", "fused"):
-        assert (results[engine].knowledge == ref.knowledge).all()
-        assert results[engine].steps == ref.steps
+    assert (results["default"].knowledge == ref.knowledge).all()
+    assert results["default"].steps == ref.steps
     return {
         "workload": (
             "Intra-Cluster Propagation with Decay background, "
-            "multiplexed (fused) vs decision-point vs step-wise"
+            "default engine (multiplexed joint windows) vs step-wise"
         ),
         "n": n,
         "edges": g.number_of_edges(),
@@ -104,10 +107,8 @@ def bench_fused_icp(n: int = 2000, seed: int = 404, ell: int = 6) -> dict:
         "steps": ref.steps,
         "slot_colors": schedule.n_colors,
         "reference_s": timings["reference"],
-        "windowed_s": timings["windowed"],
-        "fused_s": timings["fused"],
-        "speedup": timings["reference"] / timings["fused"],
-        "speedup_vs_windowed": timings["windowed"] / timings["fused"],
+        "fused_s": timings["default"],
+        "speedup": timings["reference"] / timings["default"],
         "floor": FUSED_ICP_FLOOR,
     }
 
@@ -207,7 +208,7 @@ def bench_dense_window(n: int = 2000, seed: int = 505) -> dict:
 
 
 def peak_memory(n: int = 2000, seed: int = 404, ell: int = 6) -> int:
-    """Tracemalloc peak of the fused (multiplexed) ICP workload.
+    """Tracemalloc peak of the ICP workload under the default engine.
 
     A separate traced pass: tracing taxes small allocations heavily
     enough to distort the floor-gated timing ratios, so the timed
@@ -215,7 +216,6 @@ def peak_memory(n: int = 2000, seed: int = 404, ell: int = 6) -> int:
     of the trajectory.
     """
     from repro.analysis.experiments import measure_peak
-    from repro.api import ExecutionPolicy
     from repro.core import build_icp_inputs, intra_cluster_propagation
     from repro.radio import CheapTrace, RadioNetwork
 
@@ -228,7 +228,6 @@ def peak_memory(n: int = 2000, seed: int = 404, ell: int = 6) -> int:
         lambda: intra_cluster_propagation(
             net, clustering, schedule, knowledge, ell,
             np.random.default_rng(seed + 2),
-            policy=ExecutionPolicy(engine="fused"),
         )
     )
     return int(peak)
@@ -237,11 +236,11 @@ def peak_memory(n: int = 2000, seed: int = 404, ell: int = 6) -> int:
 def run_bench(n: int = 2000) -> dict:
     """Run the PR 3 benchmarks and assemble the persistable record.
 
-    ``peak_mem_bytes`` (tracemalloc over the fused ICP workload, numpy
+    ``peak_mem_bytes`` (tracemalloc over the ICP workload, numpy
     buffers included) rides alongside the wall times so the
     ``BENCH_*.json`` trajectory tracks memory as well as speed.
     """
-    icp = bench_fused_icp(n=n)
+    icp = bench_icp(n=n)
     dense = bench_dense_window(n=n)
     return {
         "bench": "p3_engine",
@@ -249,6 +248,9 @@ def run_bench(n: int = 2000) -> dict:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "peak_mem_bytes": peak_memory(n=n),
+        # The key (and its ``fused_s``, the default engine's time)
+        # predates the removal of engine="fused"; kept so that records
+        # line up with the committed history.
         "fused_icp": icp,
         "dense_window": dense,
         "passes_floors": bool(
@@ -269,10 +271,9 @@ def main() -> int:
     results = run_bench()
     icp = results["fused_icp"]
     print(
-        f"fused ICP          n={icp['n']}: {icp['reference_s']:.2f}s -> "
+        f"ICP                n={icp['n']}: {icp['reference_s']:.2f}s -> "
         f"{icp['fused_s']:.2f}s = {icp['speedup']:.1f}x "
-        f"(floor {icp['floor']}x; vs windowed "
-        f"{icp['speedup_vs_windowed']:.1f}x)"
+        f"(floor {icp['floor']}x)"
     )
     dense = results["dense_window"]
     print(

@@ -8,10 +8,10 @@ provenance) around exactly the legacy code path, so its wall-clock
 must sit within **2%** of the direct entry-point call on the PR 4
 hot paths. This bench pins that on both flagship workloads:
 
-* **fused ICP** at ``n = 2000`` — the PR 3 multiplexed path, driven
-  once through :func:`~repro.core.intra_cluster
+* **ICP** at ``n = 2000`` — the multiplexed path, ICP's default
+  engine path, driven once through :func:`~repro.core.intra_cluster
   .intra_cluster_propagation` directly and once through
-  ``api.run("icp", policy=fused)``;
+  ``api.run("icp")``, both under the default policy (cheap trace);
 * **streamed EED** at ``n = 10^5`` (CI scale; ``--n`` opts down) —
   the PR 4 out-of-core path under the same 64 MiB budget as
   ``BENCH_PR4.json``, legacy vs front door.
@@ -103,16 +103,17 @@ def _udg(n: int, side: float, seed: int):
     )
 
 
-def bench_fused_icp(
+def bench_icp(
     n: int = 2000, seed: int = 404, ell: int = 6, repeats: int = 5
 ) -> dict:
-    """Fused ICP: direct entry point vs ``api.run`` (bit-identical)."""
+    """ICP under the default policy: direct entry point vs ``api.run``
+    (bit-identical)."""
     import repro.api as api
     from repro.core import build_icp_inputs, intra_cluster_propagation
     from repro.radio import CheapTrace, RadioNetwork
 
     g = _udg(n, (n / 31.0) ** 0.5, seed)  # avg degree ~90 at n = 2000
-    policy = api.ExecutionPolicy(engine="fused", trace="cheap")
+    policy = api.ExecutionPolicy(trace="cheap")
     config = api.ICPConfig(beta=0.3, ell=ell, sources={0: 9})
 
     def run_legacy():
@@ -145,7 +146,7 @@ def bench_fused_icp(
     row = report.row()
     row.update(
         {
-            "workload": "fused ICP phase via api.run vs direct call",
+            "workload": "ICP phase via api.run vs direct call",
             "n": n,
             "edges": g.number_of_edges(),
             "ell": ell,
@@ -230,13 +231,15 @@ def bench_streamed_eed(
 
 def run_bench(n: int = 100000, mem_budget: int = MEM_BUDGET) -> dict:
     """Run the PR 5 benchmarks and assemble the persistable record."""
-    icp = bench_fused_icp()
+    icp = bench_icp()
     eed = bench_streamed_eed(n=n, mem_budget=mem_budget)
     return {
         "bench": "p5_api",
         "generated": datetime.now(timezone.utc).isoformat(),
         "python": platform.python_version(),
         "machine": platform.machine(),
+        # The key predates the removal of engine="fused"; kept so that
+        # records line up with the committed history.
         "fused_icp": icp,
         "streamed_eed": eed,
         "passes_floors": bool(

@@ -7,14 +7,14 @@ persisted to ``BENCH_PR1.json``), the ``bench_p2_engine`` pass
 EstimateEffectiveDegree against their step-wise references, plus the
 E1/E6 trial slices through ``run_trials_parallel`` — persisted to
 ``BENCH_PR2.json``), the ``bench_p3_engine`` pass (PR 3: the
-window-multiplexed fused ICP path and the dense-regime window
+window-multiplexed ICP path and the dense-regime window
 product against the step-wise replay — persisted to
 ``BENCH_PR3.json``), and the
 ``bench_p4_streaming`` pass (PR 4: streamed window execution at
 ``n = 10^5``, wall time *and* tracemalloc peak against the monolithic
 ``(w, n)`` footprint — persisted to ``BENCH_PR4.json``), and the
 ``bench_p5_api`` pass (PR 5: the ``repro.api.run`` front door within
-2% of the direct entry points on the fused-ICP and streamed-EED hot
+2% of the direct entry points on the ICP and streamed-EED hot
 paths, rows in RunReport form — persisted to ``BENCH_PR5.json``), and
 the ``bench_p6_faults`` pass (PR 6: the fault-injection layer — a run
 with an empty ``FaultSchedule`` within 5% of one with none, plus
@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
 
     icp, dense = p3["fused_icp"], p3["dense_window"]
     print(
-        f"fused ICP speedup: {icp['speedup']:.1f}x "
+        f"ICP speedup: {icp['speedup']:.1f}x "
         f"(floor {icp['floor']}x); "
         f"dense EED block vs step replay: "
         f"{dense['coo_block_speedup']:.1f}x "
@@ -269,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
 
         icp5, eed5 = p5["fused_icp"], p5["streamed_eed"]
         print(
-            f"api front door: fused ICP "
+            f"api front door: ICP "
             f"{icp5['api_over_legacy']:.4f}x of direct, streamed EED "
             f"{eed5['api_over_legacy']:.4f}x (ceiling "
             f"{icp5['ceiling']}x)"

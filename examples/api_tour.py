@@ -5,7 +5,8 @@ Everything in this package runs through three names from
 to say *how*, and ``run()`` to execute and get a structured
 ``RunReport`` back. This script walks all three:
 
-1. discover every registered protocol and print its declared engines;
+1. discover every registered protocol, and the engines every one of
+   them implements;
 2. run Radio MIS plainly, then re-run it under increasingly opinionated
    policies (forced reference engine, 16-step chunks, contract
    validation) and check the seeded results never change — the knobs
@@ -32,8 +33,8 @@ def tour_registry() -> None:
     """Step 1: what can run? Ask the registry, not the docs."""
     print("== registry ==")
     for spec in api.list_protocols():
-        engines = "/".join(spec.engines)
-        print(f"  {spec.name:10s} {spec.title}  [engines: {engines}]")
+        print(f"  {spec.name:10s} {spec.title}")
+    print(f"  engines (every protocol): {'/'.join(api.ENGINE_MODES)}")
 
 
 def tour_policies() -> tuple[int, int]:

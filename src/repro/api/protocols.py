@@ -7,8 +7,8 @@ protocol — packet-level algorithms (``mis``, ``decay``, ``eed``,
 (``broadcast``, ``leader``, both with packet variants behind a config
 flag), and the clustering draw (``partition``). Each spec names the
 schedule emitters it owns (the inventory contract pinned by
-``tests/test_schedule_contract.py``), its reference twin, its engine
-set, and the CLI metadata its subcommand is generated from.
+``tests/test_schedule_contract.py``), its reference twin, and the CLI
+metadata its subcommand is generated from.
 
 Execute hooks delegate to the protocols' own entry points with the
 policy threaded through — :func:`repro.api.run` is accounting around
@@ -213,26 +213,12 @@ class WakeupConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fused_flag(args: Any, policy: Any) -> Any:
-    """``icp --fused``: policy sugar for ``--engine fused``."""
-    if not getattr(args, "fused", False):
-        return policy
-    if policy.engine not in ("auto", "fused"):
-        raise ProtocolError(
-            f"--fused contradicts --engine {policy.engine}"
-        )
-    return dataclasses.replace(policy, engine="fused")
-
-
 def _stage_policy(config: Any, policy: Any) -> PacketCompeteConfig:
     """Thread the run policy into a packet-Compete config.
 
-    A caller-supplied ``packet_compete`` keeps its own knobs (its
-    ``policy`` must then be unset — two sources of truth refuse), and
-    its legacy ``engine`` field still works: it moves onto the policy,
-    refusing only a genuine conflict (an explicit, different engine on
-    the run policy). The default config carries the run's policy into
-    every stage.
+    A caller-supplied ``packet_compete`` keeps its own knobs; its
+    ``policy`` must be unset (two sources of truth refuse). The run's
+    policy reaches every stage.
     """
     pc = config.packet_compete
     if pc is None:
@@ -242,18 +228,7 @@ def _stage_policy(config: Any, policy: Any) -> PacketCompeteConfig:
             "packet_compete.policy and the run policy are both set; "
             "put the policy in one place"
         )
-    if pc.engine != "windowed":
-        # "auto"/"windowed" on the run policy defer to the config's
-        # specific engine (the spec default resolves to "windowed", so
-        # a defaulted policy must not veto the config's choice); the
-        # effective policy travels back into the RunReport echo.
-        if policy.engine not in ("auto", "windowed", pc.engine):
-            raise ProtocolError(
-                f"packet_compete.engine={pc.engine!r} conflicts with "
-                f"the run policy's engine={policy.engine!r}"
-            )
-        policy = dataclasses.replace(policy, engine=pc.engine)
-    return dataclasses.replace(pc, engine="windowed", policy=policy)
+    return dataclasses.replace(pc, policy=policy)
 
 
 def _refuse_inert_faults(name: str, policy: Any, fix: str) -> None:
@@ -306,8 +281,6 @@ def _refuse_inert_accounted_knobs(name: str, policy: Any) -> None:
     title="Radio MIS (Algorithm 7, Theorem 14)",
     config_cls=MISConfig,
     result_cls=MISResult,
-    engines=("windowed", "reference"),
-    default_engine="windowed",
     emitters=("mis_schedule",),
     reference=compute_mis_reference,
     accepts="network",
@@ -345,8 +318,6 @@ def _execute_mis(network, rng, config, policy):
     title="Restartable Radio MIS (robustness variant, epoch restarts)",
     config_cls=RestartableMISConfig,
     result_cls=RestartableMISResult,
-    engines=("windowed", "reference"),
-    default_engine="windowed",
     emitters=("restartable_mis_schedule",),
     reference=restartable_mis_reference,
     accepts="network",
@@ -393,8 +364,6 @@ def _execute_mis_restart(network, rng, config, policy):
     title="One Decay block (Algorithm 5 / Claim 10)",
     config_cls=DecayConfig,
     result_cls=DecayResult,
-    engines=("windowed", "reference"),
-    default_engine="windowed",
     emitters=("decay_block_schedule",),
     reference=run_decay_reference,
     accepts="network",
@@ -442,8 +411,6 @@ def _execute_decay(network, rng, config, policy):
     title="EstimateEffectiveDegree (Algorithm 6, Lemma 11)",
     config_cls=EEDConfig,
     result_cls=EffectiveDegreeResult,
-    engines=("windowed", "reference"),
-    default_engine="windowed",
     emitters=("effective_degree_schedule",),
     reference=estimate_effective_degree_reference,
     accepts="network",
@@ -496,8 +463,6 @@ def _execute_eed(network, rng, config, policy):
     title="Intra-Cluster Propagation phase (Algorithms 9-10)",
     config_cls=ICPConfig,
     result_cls=ICPResult,
-    engines=("windowed", "reference", "fused"),
-    default_engine="windowed",
     emitters=("decay_background_schedule",),
     reference=None,
     accepts="network",
@@ -512,11 +477,6 @@ def _execute_eed(network, rng, config, policy):
             ),
             p.add_argument(
                 "--ell", type=int, default=4, help="propagation distance"
-            ),
-            p.add_argument(
-                "--fused",
-                action="store_true",
-                help="shorthand for --engine fused",
             ),
             p.add_argument(
                 "--no-background",
@@ -538,7 +498,6 @@ def _execute_eed(network, rng, config, policy):
         exit_code=lambda report, fields: 0
         if fields["informed"] > 1 or fields.get("n") == 1
         else 1,
-        tweak_policy=_fused_flag,
         relabel=True,
     ),
 )
@@ -577,8 +536,6 @@ def _execute_icp(network, rng, config, policy):
     title="BGI Decay broadcast baseline (packet level)",
     config_cls=BGIConfig,
     result_cls=BGIBroadcastResult,
-    engines=("windowed", "reference"),
-    default_engine="windowed",
     emitters=("bgi_schedule",),
     reference=bgi_broadcast_reference,
     accepts="network",
@@ -627,8 +584,6 @@ def _execute_bgi(network, rng, config, policy):
     title="MIS-as-wake-up reduction (Section 1.5.1)",
     config_cls=WakeupConfig,
     result_cls=WakeupResult,
-    engines=("windowed", "reference"),
-    default_engine="windowed",
     emitters=("_wakeup_mis_schedule",),
     reference=mis_as_wakeup_strategy_reference,
     accepts="none",
@@ -674,8 +629,6 @@ def _execute_wakeup(target, rng, config, policy):
     title="Broadcast via Compete (Theorem 7)",
     config_cls=BroadcastConfig,
     result_cls=BroadcastResult,
-    engines=("windowed", "reference", "fused"),
-    default_engine="windowed",
     emitters=(),
     reference=None,
     accepts="graph",
@@ -739,7 +692,7 @@ def _execute_broadcast(graph, rng, config, policy):
         network = RadioNetwork(graph, trace=policy.make_trace())
         policy.bind(network)
         result = broadcast_packet(network, config.source, rng, config=pc)
-        return result, network, pc.policy
+        return result, network
     _refuse_inert_accounted_knobs("broadcast", policy)
     compete_config = config.compete or CompeteConfig(
         centers_mode="all" if config.baseline else "mis"
@@ -755,8 +708,6 @@ def _execute_broadcast(graph, rng, config, policy):
     title="Leader election (Algorithm 3, Theorem 8)",
     config_cls=LeaderConfig,
     result_cls=LeaderElectionResult,
-    engines=("windowed", "reference", "fused"),
-    default_engine="windowed",
     emitters=(),
     reference=None,
     accepts="graph",
@@ -806,7 +757,7 @@ def _execute_leader(graph, rng, config, policy):
             alpha=config.alpha,
             c_cand=config.c_cand,
         )
-        return result, network, pc.policy
+        return result, network
     _refuse_inert_accounted_knobs("leader election", policy)
     result = elect_leader(
         graph,
@@ -823,8 +774,6 @@ def _execute_leader(graph, rng, config, policy):
     title="Uptime-threshold leader election (robustness variant)",
     config_cls=UptimeLeaderConfig,
     result_cls=UptimeElectionResult,
-    engines=("windowed", "reference"),
-    default_engine="windowed",
     emitters=(),
     reference=uptime_threshold_election_reference,
     accepts="network",
@@ -885,8 +834,6 @@ def _execute_leader_uptime(network, rng, config, policy):
     title="Partition(beta, MIS) clustering draw (Theorem 2)",
     config_cls=PartitionConfig,
     result_cls=Clustering,
-    engines=("windowed", "reference"),
-    default_engine="windowed",
     emitters=(),
     reference=partition_reference,
     accepts="graph",
@@ -930,8 +877,7 @@ def _execute_partition(graph, rng, config, policy):
         "into a packet-level protocol instead",
     )
     mis = sorted(greedy_independent_set(graph, rng, strategy="random"))
-    engine = policy.engine_for(("windowed", "reference"), "windowed")
-    if engine == "reference":
+    if policy.engine_for() == "reference":
         clustering = partition_reference(graph, config.beta, mis, rng)
     else:
         clustering = partition(graph, config.beta, mis, rng)

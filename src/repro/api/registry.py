@@ -2,8 +2,8 @@
 
 A :class:`ProtocolSpec` is the registry's unit: a protocol's name, its
 config dataclass, the schedule emitters it owns, its reference twin,
-its result type, and the engine variants it implements — plus the hook
-that actually executes it and optional CLI metadata from which
+and its result type — plus the hook that actually executes it and
+optional CLI metadata from which
 :mod:`repro.cli` generates the protocol's subcommand. Specs register
 through :func:`register_protocol` at import of
 :mod:`repro.api.protocols`, so ``import repro.api`` is all discovery
@@ -29,13 +29,11 @@ from typing import Any, Callable
 from ..radio.errors import ProtocolError
 
 #: Schedule emitters that belong to the engine layer itself — generic
-#: adapters every protocol may ride (the legacy-protocol lift, the
-#: plan/commit-to-generator lift, and the multiplexer's joint-window
-#: generator) — rather than to any one registered protocol. The
-#: inventory test unions these with the specs' claimed emitters.
-ADAPTER_EMITTERS = frozenset(
-    {"protocol_schedule", "segment_schedule", "_multiplex"}
-)
+#: adapters every protocol may ride (the legacy-protocol lift and the
+#: multiplexer's joint-window generator) — rather than to any one
+#: registered protocol. The inventory test unions these with the
+#: specs' claimed emitters.
+ADAPTER_EMITTERS = frozenset({"protocol_schedule", "_multiplex"})
 
 
 def _exit_ok(report: Any, fields: dict[str, Any]) -> int:
@@ -71,11 +69,6 @@ class CLISpec:
         success), given the already-computed ``report_fields`` dict so
         derived facts (MIS validity, informed counts) are computed
         once per run.
-    tweak_policy:
-        Optional ``(args, policy) -> policy`` hook for flags that are
-        policy sugar (e.g. ``icp --fused`` rewriting the engine);
-        raises :class:`~repro.radio.errors.ProtocolError` on
-        contradictory combinations.
     relabel:
         Convert node labels to integers before running (protocols
         whose configs address nodes by index on label-carrying graph
@@ -87,7 +80,6 @@ class CLISpec:
     report_fields: Callable[[Any, Any, Any], dict[str, Any]]
     add_arguments: Callable[[Any], None] | None = None
     exit_code: Callable[[Any, dict[str, Any]], int] = _exit_ok
-    tweak_policy: Callable[[Any, Any], Any] | None = None
     relabel: bool = False
 
 
@@ -107,11 +99,6 @@ class ProtocolSpec:
     result_cls:
         Type of the protocol result carried by the
         :class:`~repro.api.report.RunReport`.
-    engines:
-        Engine variants this protocol implements (``"auto"`` resolves
-        to ``default_engine``); anything else is refused by name.
-    default_engine:
-        What ``engine="auto"`` means for this protocol.
     emitters:
         Names of the schedule-emitter generator functions this
         protocol owns — the registry side of the AST-pinned emitter
@@ -125,11 +112,7 @@ class ProtocolSpec:
         :func:`~repro.api.run.run` prepared, ``policy`` is already
         resolved; ``network`` is the radio network the run used
         (``None`` for round-accounted protocols, which simulate no
-        radio steps). A hook whose config can override the engine
-        (the legacy ``packet_compete.engine`` field) returns a third
-        element — the *effective* policy — so the
-        :class:`~repro.api.report.RunReport` echo names what actually
-        ran.
+        radio steps).
     accepts:
         What ``execute`` expects as target: ``"network"`` (a
         :class:`~repro.radio.network.RadioNetwork` is built from graph
@@ -152,8 +135,6 @@ class ProtocolSpec:
     title: str
     config_cls: type | None
     result_cls: type
-    engines: tuple[str, ...]
-    default_engine: str
     emitters: tuple[str, ...]
     reference: Callable[..., Any] | None
     execute: Callable[..., Any]
@@ -174,7 +155,6 @@ def register_protocol(**spec_kwargs: Any) -> Callable[[Callable], Callable]:
         @register_protocol(
             name="mis", title="Radio MIS (Algorithm 7)",
             config_cls=MISConfig, result_cls=MISResult,
-            engines=("windowed", "reference"), default_engine="windowed",
             emitters=("mis_schedule",), reference=compute_mis_reference,
         )
         def _execute_mis(network, rng, config, policy): ...
@@ -189,12 +169,6 @@ def register_protocol(**spec_kwargs: Any) -> Callable[[Callable], Callable]:
         if spec.name in _REGISTRY:
             raise ProtocolError(
                 f"protocol {spec.name!r} is already registered"
-            )
-        if spec.default_engine not in spec.engines:
-            raise ProtocolError(
-                f"protocol {spec.name!r} defaults to engine "
-                f"{spec.default_engine!r}, which is not in its engine "
-                f"set {spec.engines}"
             )
         _REGISTRY[spec.name] = spec
         return execute

@@ -14,7 +14,6 @@ path, never a different one (pinned per protocol by
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Any
 
@@ -226,10 +225,7 @@ def run(
     execute_target, network, graph = _prepare_target(spec, target, policy)
 
     n = graph.number_of_nodes() if graph is not None else None
-    resolved = dataclasses.replace(
-        policy.resolve(n),
-        engine=policy.engine_for(spec.engines, spec.default_engine),
-    )
+    resolved = policy.resolve(n)
 
     if network is not None:
         # Per-run accounting: kernel_use and phase_timing describe
@@ -267,12 +263,7 @@ def run(
     else:
         out = execute()
     wall = time.perf_counter() - started
-    # Hooks whose config can override policy fields (the legacy
-    # packet_compete.engine) return the effective policy third, so
-    # the echo names what actually executed.
-    result, run_network, *effective = out
-    if effective:
-        resolved = effective[0]
+    result, run_network = out
 
     network = network if network is not None else run_network
     faults_prov = None

@@ -158,7 +158,7 @@ def bgi_broadcast(
     """
     policy = policy or ExecutionPolicy()
     policy.bind(network)
-    if policy.engine_for(("windowed", "reference"), "windowed") == "reference":
+    if policy.engine_for() == "reference":
         return bgi_broadcast_reference(
             network, source, rng, sources=sources, max_sweeps=max_sweeps,
             best_effort=best_effort,

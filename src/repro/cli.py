@@ -17,7 +17,7 @@ alongside the accepted ones).
     python -m repro broadcast --graph grid --rows 3 --cols 40
     python -m repro broadcast --graph udg --n 80 --packet
     python -m repro leader --graph gnp --n 100 --p 0.08
-    python -m repro icp --graph udg --n 120 --fused  # multiplexed ICP
+    python -m repro icp --graph udg --n 120
     python -m repro eed --graph udg --n 200 --desire 0.5
     python -m repro decay --graph udg --n 200 --iterations 8
     python -m repro bgi --graph udg --n 150
@@ -157,24 +157,21 @@ def _parse_chunk_steps_arg(text: str) -> int:
 _REMOVED_POLICY_FLAGS = ("restrict", "delivery")
 
 
-def _add_policy_options(
-    parser: argparse.ArgumentParser, spec: api.ProtocolSpec
-) -> None:
+def _add_policy_options(parser: argparse.ArgumentParser) -> None:
     """The shared execution-policy flag group, one per protocol.
 
-    The ``--engine`` choice list is the protocol's own engine set (plus
-    ``auto``), so ``--help`` documents exactly what each protocol
-    implements and argparse refuses the rest by name — the CLI face of
-    the registry's uniform refusals.
+    The ``--engine`` choice list is :data:`~repro.api.ENGINE_MODES`,
+    the engines every protocol implements; argparse refuses the rest by
+    name — the CLI face of the policy's uniform refusals.
     """
     group = parser.add_argument_group("execution policy")
     group.add_argument(
         "--engine",
         default="auto",
-        choices=("auto",) + spec.engines,
+        choices=api.ENGINE_MODES,
         help=(
-            "execution engine (auto picks the protocol's fastest "
-            "verified path; all variants are bit-identical on a seed)"
+            "execution engine (auto = windowed; the step-wise "
+            "reference is bit-identical on a seed)"
         ),
     )
     # Knobs earlier versions accepted: still parsed, so that naming one
@@ -338,8 +335,6 @@ def _run_protocol(spec: api.ProtocolSpec, args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     try:
         policy = _policy_from_args(args)
-        if spec.cli.tweak_policy is not None:
-            policy = spec.cli.tweak_policy(args, policy)
         config = spec.cli.config_from_args(args)
         if spec.accepts == "none":
             graph = None
@@ -501,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
         if spec.accepts != "none":
             _add_graph_options(sp)
             _add_fault_options(sp)
-        _add_policy_options(sp, spec)
+        _add_policy_options(sp)
         if spec.cli.add_arguments is not None:
             spec.cli.add_arguments(sp)
         sp.set_defaults(

@@ -103,8 +103,9 @@ def broadcast_packet_level(
     and runs the full packet pipeline
     (:func:`~repro.core.compete_packet.broadcast_packet`). The default
     :class:`~repro.core.compete_packet.PacketCompeteConfig` uses the
-    windowed engine; pass ``PacketCompeteConfig(engine="reference")``
-    for the step-wise path (bit-identical seeded results, much slower).
+    windowed engine; pass ``PacketCompeteConfig(policy=ExecutionPolicy(
+    engine="reference"))`` for the step-wise path (bit-identical seeded
+    results, much slower).
     """
     network = RadioNetwork(graph, trace=trace)
     return broadcast_packet(network, source, rng, config=config)

@@ -30,7 +30,7 @@ import dataclasses
 
 import numpy as np
 
-from ..engine.policy import ExecutionPolicy, validate_engine
+from ..engine.policy import ExecutionPolicy
 from ..graphs.context import GraphContext, graph_context
 from ..radio.errors import BudgetExceededError, GraphContractError
 from ..radio.network import RadioNetwork
@@ -53,19 +53,12 @@ class PacketCompeteConfig:
     ``mis_config`` defaults to the oracle-degree speed knob since MIS
     step costs are already measured separately in E1.
 
-    ``engine`` selects the delivery engine for every stage:
-    ``"windowed"`` (default) batches oblivious segments through the
-    engine layer, ``"reference"`` drives the retained step-wise
-    implementations, and ``"fused"`` additionally runs each ICP phase
-    through the :func:`~repro.engine.mux.multiplex` combinator (the
-    non-ICP stages execute as under ``"windowed"`` — fusing only
-    applies to time-multiplexed pairs). Seeded runs are bit-identical
-    across all three. ``policy`` is the full
-    :class:`~repro.engine.policy.ExecutionPolicy` form — its engine
-    plays the role of ``engine`` (with ``"auto"`` meaning
-    ``"windowed"``) and its delivery/streaming knobs reach every
-    stage; setting both ``policy`` and a non-default ``engine``
-    refuses.
+    ``policy`` is the :class:`~repro.engine.policy.ExecutionPolicy`
+    the MIS, ICP and sweep stages run under (``None`` = the default
+    policy): its engine picks the windowed engine or their step-wise
+    reference twins, and its fault schedule is installed on the
+    network before any stage runs. Seeded runs are bit-identical
+    across engines.
     """
 
     clusterings_per_j: int = 2
@@ -75,37 +68,7 @@ class PacketCompeteConfig:
     )
     max_phases: int | None = None
     final_sweep_iterations: int = 4
-    engine: str = "windowed"
     policy: ExecutionPolicy | None = None
-
-    def __post_init__(self) -> None:
-        validate_engine(self.engine, ("windowed", "reference", "fused"))
-        if self.policy is not None and self.engine != "windowed":
-            raise ValueError(
-                "PacketCompeteConfig got both policy= and engine=; "
-                "set the engine on the policy"
-            )
-
-    @property
-    def icp_policy(self) -> ExecutionPolicy:
-        """The effective policy of the ICP phases (``fused`` allowed)."""
-        base = self.policy or ExecutionPolicy(engine=self.engine)
-        engine = base.engine_for(("windowed", "reference", "fused"), "windowed")
-        return dataclasses.replace(base, engine=engine)
-
-    @property
-    def stage_policy(self) -> ExecutionPolicy:
-        """The effective policy of the non-ICP stages (``"fused"``
-        applies to ICP only, so it degrades to ``"windowed"`` here)."""
-        icp = self.icp_policy
-        if icp.engine == "fused":
-            return dataclasses.replace(icp, engine="windowed")
-        return icp
-
-    @property
-    def stage_engine(self) -> str:
-        """Engine for the non-ICP stages (``"fused"`` applies to ICP only)."""
-        return self.stage_policy.engine
 
 
 @dataclasses.dataclass
@@ -154,7 +117,8 @@ def compete_packet(
         Defaults to the memoized per-graph context.
     """
     config = config or PacketCompeteConfig()
-    config.stage_policy.bind(network)
+    policy = config.policy or ExecutionPolicy()
+    policy.bind(network)
     context = (
         context if context is not None else graph_context(network.graph)
     )
@@ -171,7 +135,7 @@ def compete_packet(
 
     # --- stage 1: Radio MIS ----------------------------------------------
     mis_result = compute_mis(
-        network, rng, config.mis_config, policy=config.stage_policy
+        network, rng, config.mis_config, policy=policy
     )
     mis = sorted(network.index_of(v) for v in mis_result.mis)
     steps_at["mis"] = network.steps_elapsed
@@ -214,7 +178,7 @@ def compete_packet(
         )
         icp = intra_cluster_propagation(
             network, clustering, schedule, knowledge, ell, rng,
-            policy=config.icp_policy,
+            policy=policy,
         )
         knowledge = icp.knowledge
         phases += 1
@@ -231,7 +195,7 @@ def compete_packet(
         rng,
         messages=[int(k) for k in knowledge],
         iterations=config.final_sweep_iterations,
-        policy=config.stage_policy,
+        policy=policy,
     )
     steps_at["sweep"] = network.steps_elapsed
 

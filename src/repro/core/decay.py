@@ -279,7 +279,7 @@ def run_decay(
     """
     policy = policy or ExecutionPolicy()
     policy.bind(network)
-    if policy.engine_for(("windowed", "reference"), "windowed") == "reference":
+    if policy.engine_for() == "reference":
         return run_decay_reference(
             network, active, rng,
             messages=messages, iterations=iterations,

@@ -255,7 +255,7 @@ def estimate_effective_degree(
     """
     policy = policy or ExecutionPolicy()
     policy.bind(network)
-    if policy.engine_for(("windowed", "reference"), "windowed") == "reference":
+    if policy.engine_for() == "reference":
         return estimate_effective_degree_reference(
             network, p, active, rng, C=C, n_estimate=n_estimate
         )

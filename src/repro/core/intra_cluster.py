@@ -27,17 +27,14 @@ a standalone background block an oblivious window
 (:func:`decay_background_schedule`). Inside
 :func:`intra_cluster_propagation` the background is time-multiplexed
 with the *adaptive* slot passes (each slot's mask depends on knowledge
-received in earlier slots). Under ``engine="windowed"`` that makes
-every multiplexed step a decision point
-(:func:`~repro.engine.runner.protocol_schedule`, fused single-step
-deliveries); under ``engine="fused"`` the plan/commit split lets the
+received in earlier slots). The plan/commit split lets the
 :func:`~repro.engine.mux.multiplex` combinator zip the slot passes
 (width-1 planned windows, exact step count) with sweep-wide background
-windows (:class:`DecayBackgroundSource`) into joint oblivious windows
-— roughly half as many delivery calls, each a sparse product over the
-few transmitters of a slot or sweep row. ``engine="reference"`` drives
-the identical protocols through
-:func:`~repro.radio.protocol.run_steps`. All three are bit-identical
+windows (:class:`DecayBackgroundSource`) into joint oblivious windows,
+each a sparse product over the few transmitters of a slot and a sweep
+row. ``engine="reference"`` drives the identical protocols through
+:func:`~repro.radio.protocol.run_steps` over a
+:class:`~repro.radio.protocol.TimeMultiplexer`. Both are bit-identical
 on a shared seed (``tests/test_engine_mux.py``).
 """
 
@@ -445,68 +442,62 @@ def intra_cluster_propagation(
     passes, doubling the step count but carrying messages across cluster
     boundaries.
 
-    Three engines execute the identical protocol, bit-identically on a
+    Two engines execute the identical protocol, bit-identically on a
     shared seed:
 
-    * ``engine="fused"`` — the slot passes enter as a width-1
-      plan/commit stream (:class:`~repro.engine.runner
-      .ProtocolSegmentSource`, exact step count) and the background as
-      sweep-wide planned windows (:class:`DecayBackgroundSource`); the
+    * ``engine="windowed"`` (the ``"auto"`` default) — the slot passes
+      enter as a width-1 plan/commit stream (:class:`~repro.engine
+      .runner.ProtocolSegmentSource`, exact step count) and the
+      background as sweep-wide planned windows
+      (:class:`DecayBackgroundSource`); the
       :func:`~repro.engine.mux.multiplex` combinator zips them into
-      joint oblivious windows, so the Decay background runs as sparse
-      window products instead of degrading every multiplexed step to a
-      decision point. This is the fast path for ICP.
-    * ``engine="windowed"`` (default) — the conservative engine path:
-      every multiplexed step is a decision point via
-      :func:`~repro.engine.runner.protocol_schedule`, executed on the
-      fused single-step delivery.
+      joint oblivious windows of one or two rows, delivered as sparse
+      window products. Without a background there is nothing to
+      multiplex, and the slot passes run as decision steps
+      (:func:`~repro.engine.runner.protocol_schedule`).
     * ``engine="reference"`` — the step-wise executable specification
-      through :func:`~repro.radio.protocol.run_steps`.
+      through :func:`~repro.radio.protocol.run_steps`, with the
+      background interleaved by a
+      :class:`~repro.radio.protocol.TimeMultiplexer`.
 
-    Without a background there is nothing to multiplex:
-    ``engine="fused"`` runs the slot passes exactly as ``"windowed"``
-    does. The policy's ``chunk_steps``/``mem_budget`` bound the engine
-    paths' streamed chunk height (the fused path's joint windows
-    stream, so joint hear-windows never materialize whole); memory
-    knobs only, bit-identical at any setting, ignored by the reference
-    path.
+    The policy's ``chunk_steps``/``mem_budget`` bound the engine path's
+    chunk height — memory knobs only, bit-identical at any setting,
+    ignored by the reference path.
     """
     policy = policy or ExecutionPolicy()
     policy.bind(network)
-    engine = policy.engine_for(("windowed", "reference", "fused"), "windowed")
+    engine = policy.engine_for()
     knowledge = np.asarray(knowledge, dtype=np.int64).copy()
     main = ICPProtocol(network, schedule, knowledge, ell)
     main_slots = sum(len(p.slots) for p in main._passes)
+    background = (
+        DecayBackground(network, clustering, knowledge)
+        if with_background
+        else None
+    )
     steps_before = network.steps_elapsed
     network.trace.enter_phase("icp")
-    if engine == "fused" and with_background:
-        background = DecayBackground(network, clustering, knowledge)
+    if engine == "reference":
+        if background is None:
+            run_steps(main, rng, main_slots)
+        else:
+            # The multiplexer runs main on even steps; give it twice
+            # the slots.
+            muxed = TimeMultiplexer(network, main, background)
+            run_steps(muxed, rng, 2 * main_slots + 2)
+    elif background is None:
+        policy.run_schedule(
+            network, protocol_schedule(main, rng, steps=main_slots)
+        )
+    else:
         policy.run_schedule(
             network,
             multiplex(
                 ProtocolSegmentSource(main, steps=main_slots),
                 DecayBackgroundSource(background),
                 rng=rng,
-                stream=True,
             ),
         )
-    else:
-        if with_background:
-            background = DecayBackground(network, clustering, knowledge)
-            muxed: Protocol = TimeMultiplexer(network, main, background)
-            # The multiplexer runs main on even steps; give it twice
-            # the slots.
-            total = 2 * main_slots + 2
-        else:
-            muxed = main
-            total = main_slots
-        if engine == "reference":
-            run_steps(muxed, rng, total)
-        else:
-            policy.run_schedule(
-                network,
-                protocol_schedule(muxed, rng, steps=total),
-            )
     network.trace.enter_phase("default")
     return ICPResult(
         knowledge=knowledge, steps=network.steps_elapsed - steps_before

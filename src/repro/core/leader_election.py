@@ -155,8 +155,9 @@ def elect_leader_packet(
 
     Candidates are drawn exactly as in :func:`elect_leader` (same rng
     order), then their IDs race through the packet-level Compete
-    pipeline. Pass ``PacketCompeteConfig(engine="reference")`` for the
-    step-wise path; seeded results are bit-identical across engines.
+    pipeline. Pass ``PacketCompeteConfig(policy=ExecutionPolicy(
+    engine="reference"))`` for the step-wise path; seeded results are
+    bit-identical across engines.
     """
     n = network.n
     candidates = _draw_candidates(n, rng, c_cand)

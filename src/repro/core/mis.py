@@ -329,7 +329,7 @@ def compute_mis(
     """
     policy = policy or ExecutionPolicy()
     policy.bind(network)
-    if policy.engine_for(("windowed", "reference"), "windowed") == "reference":
+    if policy.engine_for() == "reference":
         return compute_mis_reference(network, rng, config, n_estimate)
     return policy.run_schedule(
         network, mis_schedule(network, rng, config, n_estimate)

@@ -363,7 +363,7 @@ def compute_restartable_mis(
     """
     policy = policy or ExecutionPolicy()
     policy.bind(network)
-    if policy.engine_for(("windowed", "reference"), "windowed") == "reference":
+    if policy.engine_for() == "reference":
         return restartable_mis_reference(network, rng, config, n_estimate)
     return policy.run_schedule(
         network, restartable_mis_schedule(network, rng, config, n_estimate)

@@ -206,7 +206,7 @@ def mis_as_wakeup_strategy(
             "apply; run the reduction fault-free (faults=None or an "
             "empty FaultSchedule)"
         )
-    if policy.engine_for(("windowed", "reference"), "windowed") == "reference":
+    if policy.engine_for() == "reference":
         return mis_as_wakeup_strategy_reference(n, k, rng)
 
     import networkx as nx

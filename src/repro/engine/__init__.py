@@ -31,22 +31,21 @@ On top of the generator form sits the *plan/commit* form
 (:class:`~repro.engine.segments.SegmentProtocol`): planning the next
 segment and committing the previous segment's receptions are separate
 calls, which is what lets the :func:`~repro.engine.mux.multiplex`
-combinator zip protocols' planned windows into joint oblivious
-windows — how ICP's time-multiplexed Decay background runs fused
-instead of step-at-a-time.
+combinator zip two protocols' planned windows into joint oblivious
+windows — how Intra-Cluster Propagation runs its slot passes and its
+time-multiplexed Decay background as window products instead of one
+decision step per radio step.
 
 Orthogonal to both forms is *streaming* execution
 (:mod:`repro.engine.streaming`): a window too wide to materialize is
-carried as a :class:`~repro.engine.segments.StreamedWindow` — a lazy
-plan plus a per-chunk fold — and the runner executes it in bounded
-chunks, with the chunk height derived from a peak-memory budget. Both
-plan forms run on the runner's one chunk loop: a mask plan
-(:class:`~repro.radio.network.TransmitPlan`) has each chunk's masks
-read off as transmitter pairs, a transmitter-list plan
-(:class:`~repro.engine.segments.TransmitterPlan`, rows sampled by
-:mod:`repro.engine.sampler`) produces the pairs directly, at a cost
-that follows the transmissions rather than ``n`` times the steps
-(DESIGN.md, "Streaming windows" and "The rng-stream contract").
+carried as a :class:`~repro.engine.segments.StreamedWindow` — a lazily
+sampled :class:`~repro.engine.segments.TransmitterPlan` (rows drawn by
+:mod:`repro.engine.sampler`) plus a per-chunk fold — and the runner
+executes it in bounded chunks, with the chunk height derived from a
+peak-memory budget, at a cost that follows the transmissions rather
+than ``n`` times the steps (DESIGN.md, "Streaming windows" and "The
+rng-stream contract"). Materialized windows wider than the bound run
+on the same chunk loop.
 """
 
 from .kernels import DeliveryKernels
@@ -62,7 +61,6 @@ from .runner import (
     WindowedRunner,
     protocol_schedule,
     run_schedule,
-    segment_schedule,
 )
 from .sampler import STREAM_VERSION, RowSampler
 from .segments import (
@@ -71,7 +69,6 @@ from .segments import (
     ObliviousWindow,
     PlanSection,
     ProtocolSchedule,
-    ScheduleSegmentAdapter,
     Segment,
     SegmentProtocol,
     StreamedWindow,
@@ -81,8 +78,6 @@ from .segments import (
 )
 from .streaming import (
     STREAM_CELL_BYTES,
-    StreamedCommitAdapter,
-    StreamingSegmentProtocol,
     chunk_steps_for_budget,
     memory_budget,
     resolve_chunk_steps,
@@ -105,12 +100,9 @@ __all__ = [
     "ProtocolSchedule",
     "ProtocolSegmentSource",
     "STREAM_CELL_BYTES",
-    "ScheduleSegmentAdapter",
     "Segment",
     "SegmentProtocol",
-    "StreamedCommitAdapter",
     "StreamedWindow",
-    "StreamingSegmentProtocol",
     "TracePhase",
     "TransmitterPlan",
     "ValidatingRunner",
@@ -123,6 +115,5 @@ __all__ = [
     "protocol_schedule",
     "resolve_chunk_steps",
     "run_schedule",
-    "segment_schedule",
     "set_memory_budget",
 ]

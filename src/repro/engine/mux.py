@@ -1,29 +1,20 @@
-"""Window multiplexing: fuse planned protocol streams into one.
+"""Window multiplexing: a main stream and a background as joint windows.
 
 The paper's background processes run "concurrently via time
 multiplexing" (Appendix A): a main protocol takes the even steps, a
-background process the odd ones. Before this module, the engine could
-only execute such a pair through the legacy-protocol adapter — every
-multiplexed step a :class:`~repro.engine.segments.DecisionStep`, one
-fused dense delivery per step — because the generator IR could not see
-both protocols' upcoming windows at once. The plan/commit split
-(:class:`~repro.engine.segments.SegmentProtocol`) removes that
-limitation, and :func:`multiplex` is the payoff: it *zips* the
-streams' planned mask rows into joint
+background process the odd ones. The plan/commit split
+(:class:`~repro.engine.segments.SegmentProtocol`) lets :func:`multiplex`
+see both streams' upcoming rows at once and *zip* them into joint
 :class:`~repro.engine.segments.ObliviousWindow` segments, which the
-runner executes as transmitter-pair window products.
-ICP's Decay background is the motivating case: its sweeps are planned
-span-wide, so the fused run executes ~half as many delivery calls, each
-a cheap sparse product over the few transmitters of a slot or a sweep
-row, instead of one dense matvec per step.
-
-The combinator is **k-way**: ``multiplex(main, *backgrounds, slots=...)``
-zips one terminating main stream with any number of background streams,
-the repeating ``slots`` pattern assigning each joint step to a stream
-(``0`` the main, ``i >= 1`` the ``i``-th background). The default
-pattern is strict round-robin over all streams — the paper's
-time multiplexing for one background, its natural generalization
-beyond.
+runner executes as transmitter-pair window products. This is the engine
+path of Intra-Cluster Propagation
+(:func:`~repro.core.intra_cluster.intra_cluster_propagation`): the
+adaptive slot passes plan width-1 windows, the Decay background
+sweep-wide ones, and each joint window is the one or two rows between
+two plans of the slot passes — a slot, and the sweep row beside it.
+Windows that narrow cost nothing to materialize, so they go out as
+plain ``ObliviousWindow`` segments (chunked by the runner like any
+other materialized window when a streaming bound is set).
 
 Bit-identity argument (pinned by ``tests/test_engine_mux.py`` and the
 fuzz suite): a radio step's ``hear_from`` is a pure function of that
@@ -32,7 +23,7 @@ identical receptions; what must be preserved is the causal order of
 ``plan`` and ``commit`` calls, because those are the points where
 sources read shared state and draw randomness. The combinator
 guarantees the reference drivers' order with one rule — **flush before
-plan**: before any source plans, every row zipped so far is executed
+plan**: before either source plans, every row zipped so far is executed
 (one joint window) and every completed segment committed, in row
 order. A source therefore plans at exactly the multiplexed step where
 the step-wise :class:`~repro.radio.protocol.TimeMultiplexer` would
@@ -48,51 +39,35 @@ predetermined, which is why the main stream must report an exact
 deterministic-length protocols like ICP's slot passes do; for anything
 else the reference interleaving is the only faithful execution and
 :func:`multiplex` refuses with a :class:`~repro.radio.errors
-.ProtocolError` naming the offending source (one consistent refusal at
-the combinator, wherever the call came from — the CLI's ``icp
---fused``, packet Compete's fused phases, or a direct call).
+.ProtocolError` naming the offending source.
 
-Streaming: with ``stream=True`` the flushed joint windows go out as
-:class:`~repro.engine.segments.StreamedWindow` segments — the runner
-executes them in bounded slabs and the combinator folds each slab's
-rows (committing completed sub-segments, in row order) as it arrives,
-so joint hear-windows never materialize whole. Commits then land
-mid-window instead of after it, which is *closer* to the step-wise
-drivers' observe-per-step order and reads the same shared state: no
-source plans until the whole window is flushed either way.
-
-:class:`~repro.engine.segments.TracePhase` is not allowed inside
-multiplexed sub-streams — phase attribution is ambiguous when
-protocols interleave (set the phase around the whole multiplexed run
-instead). Nor are nested :class:`~repro.engine.segments
-.StreamedWindow` plans: a sub-stream's planned rows must be
-materialized to be zipped (the joint windows themselves are what
-stream).
+Sub-streams plan materialized ``ObliviousWindow`` rows only. A
+:class:`~repro.engine.segments.TracePhase` is refused because phase
+attribution is ambiguous when protocols interleave (set the phase
+around the whole multiplexed run instead); a streamed window or a
+decision step cannot be zipped row by row.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from ..radio.errors import ProtocolError
-from ..radio.network import as_transmit_plan
 from .segments import (
-    DecisionStep,
     ObliviousWindow,
     ProtocolSchedule,
     SegmentProtocol,
-    StreamedWindow,
     TracePhase,
 )
 
-#: Stream indices in the ``slots`` pattern (the first background; a
-#: k-way pattern uses indices ``0 .. k``).
+#: Stream indices: the main stream takes the even joint steps, the
+#: background the odd ones.
 MAIN, BACKGROUND = 0, 1
 
 
-def _coerce_masks(segment: Any, n: int, who: str) -> np.ndarray:
+def _planned_rows(segment: Any, n: int, who: str) -> np.ndarray:
     """Validate a sub-stream's planned segment, returning its mask rows."""
     if isinstance(segment, TracePhase):
         raise ProtocolError(
@@ -101,21 +76,13 @@ def _coerce_masks(segment: Any, n: int, who: str) -> np.ndarray:
             "interleave — set the phase around the whole multiplexed "
             "run instead"
         )
-    if isinstance(segment, StreamedWindow):
+    if not isinstance(segment, ObliviousWindow):
         raise ProtocolError(
-            f"{who} planned a StreamedWindow inside multiplex(); "
-            "sub-stream rows must be materialized to be zipped — "
-            "plan ObliviousWindows and let the joint windows stream "
-            "(multiplex(..., stream=True)) instead"
+            f"{who} planned {segment!r}: multiplex() zips the rows of "
+            "materialized ObliviousWindows only (a non-segment, a "
+            "StreamedWindow or a DecisionStep cannot be zipped)"
         )
-    if isinstance(segment, DecisionStep):
-        masks = np.asarray(segment.mask)[None, :]
-    elif isinstance(segment, ObliviousWindow):
-        masks = np.asarray(segment.masks)
-    else:
-        raise ProtocolError(
-            f"{who} planned a non-segment: {segment!r}"
-        )
+    masks = np.asarray(segment.masks)
     if masks.ndim != 2 or masks.shape[1] != n:
         raise ProtocolError(
             f"{who} planned masks of shape {masks.shape}, "
@@ -131,13 +98,12 @@ def _coerce_masks(segment: Any, n: int, who: str) -> np.ndarray:
 
 def multiplex(
     main: SegmentProtocol,
-    *backgrounds: SegmentProtocol,
-    slots: Sequence[int] | None = None,
+    background: SegmentProtocol,
+    *,
     rng: np.random.Generator,
-    max_steps: int | None = None,
-    stream: bool = False,
 ) -> ProtocolSchedule:
-    """Zip plan/commit streams into one joint oblivious schedule.
+    """Zip a main and a background plan/commit stream into one joint
+    oblivious schedule, main on the even steps.
 
     Parameters
     ----------
@@ -147,76 +113,25 @@ def multiplex(
         (see module docstring); the multiplexed run ends when it has no
         more rows, exactly as :class:`~repro.radio.protocol
         .TimeMultiplexer` finishes with its main protocol.
-    *backgrounds:
-        One or more concurrent streams. Each runs until ``main`` ends;
-        a background that ends first (``plan`` returns ``None``) has
-        its remaining slots transmit silence, matching the reference
-        multiplexer's treatment of a finished sub-protocol.
-    slots:
-        The repeating interleaving pattern as stream indices — ``0``
-        the main stream, ``i >= 1`` the ``i``-th background. Defaults
-        to strict round-robin over all streams (``(0, 1)`` for one
-        background: the paper's time multiplexing). Patterns like
-        ``(0, 1, 1)`` give a background extra steps, ``(0, 1, 2)``
-        interleaves two backgrounds. Must contain a ``0`` (the main
-        stream must get slots) and only indices of actual streams.
+    background:
+        The concurrent stream. It runs until ``main`` ends; if it ends
+        first (``plan`` returns ``None``) its remaining slots transmit
+        silence, matching the reference multiplexer's treatment of a
+        finished sub-protocol.
     rng:
-        Randomness source forwarded to every stream's ``plan`` call —
+        Randomness source forwarded to both streams' ``plan`` calls —
         one shared generator, so draws interleave in exactly the
         reference drivers' order.
-    max_steps:
-        Optional cap on total zipped radio steps, mirroring the
-        ``steps`` bound of the step-wise drivers: the joint stream
-        stops (mid-segment if necessary) once the cap is reached.
-        Planned-but-unexecuted segments are never committed, matching a
-        reference run that stops mid-block.
-    stream:
-        Emit flushed joint windows as
-        :class:`~repro.engine.segments.StreamedWindow` segments (the
-        runner's ``chunk_steps``/``mem_budget`` knobs then bound the
-        joint hear-window's materialization). Bit-identical either
-        way; see module docstring.
 
     Returns
     -------
     ProtocolSchedule
         A generator-form schedule yielding joint
-        :class:`~repro.engine.segments.ObliviousWindow` (or streamed)
-        segments; its ``StopIteration`` value is ``main.result()``.
+        :class:`~repro.engine.segments.ObliviousWindow` segments; its
+        ``StopIteration`` value is ``main.result()``.
     """
     # Validate eagerly — this wrapper is a plain function, so contract
     # violations surface at the call site, not at the first send().
-    if not backgrounds:
-        raise ProtocolError(
-            "multiplex() needs at least one background stream"
-        )
-    for stream_ in (main, *backgrounds):
-        # Catch the pre-k-way calling convention (slots passed
-        # positionally) and plain misuse with a clear error instead of
-        # an AttributeError deep in validation.
-        if not isinstance(stream_, SegmentProtocol):
-            raise ProtocolError(
-                f"multiplex() streams must be SegmentProtocol "
-                f"instances, got {stream_!r} (note: slots is "
-                "keyword-only — multiplex(main, *backgrounds, "
-                "slots=...))"
-            )
-    streams = (main, *backgrounds)
-    slots = (
-        tuple(range(len(streams))) if slots is None else tuple(slots)
-    )
-    if not slots or any(
-        s not in range(len(streams)) for s in slots
-    ):
-        raise ProtocolError(
-            f"slots must be a non-empty pattern over stream indices "
-            f"0..{len(streams) - 1}, got {slots!r}"
-        )
-    if MAIN not in slots:
-        raise ProtocolError(
-            "slots pattern never schedules the main stream (index 0); "
-            "the multiplexed run could not terminate"
-        )
     if main.steps_remaining() is None:
         raise ProtocolError(
             f"multiplex() needs a main stream with an exact "
@@ -227,47 +142,32 @@ def multiplex(
             "outcomes are predetermined (wrap deterministic-length "
             "protocols in ProtocolSegmentSource(protocol, steps=...))"
         )
-    for i, background in enumerate(backgrounds, start=1):
-        if background.n != main.n:
-            raise ProtocolError(
-                f"stream sizes disagree: main n={main.n}, "
-                f"background {i} ({type(background).__name__}) "
-                f"n={background.n}"
-            )
-    if max_steps is not None and max_steps < 0:
-        raise ProtocolError(f"max_steps must be >= 0, got {max_steps}")
-    return _multiplex(streams, slots, rng, max_steps, stream)
+    if background.n != main.n:
+        raise ProtocolError(
+            f"stream sizes disagree: main n={main.n}, background "
+            f"({type(background).__name__}) n={background.n}"
+        )
+    return _multiplex((main, background), rng)
 
 
 def _multiplex(
-    streams: tuple[SegmentProtocol, ...],
-    slots: tuple[int, ...],
+    streams: tuple[SegmentProtocol, SegmentProtocol],
     rng: np.random.Generator,
-    max_steps: int | None,
-    stream: bool,
 ) -> ProtocolSchedule:
     """Generator body of :func:`multiplex` (arguments pre-validated)."""
     main = streams[MAIN]
     n = main.n
-    k = len(streams)
-    who = ["main"] + [
-        f"background {i} ({type(s).__name__})"
-        for i, s in enumerate(streams[1:], start=1)
-    ]
-    cur: list[np.ndarray | None] = [None] * k  # planned segment rows
-    taken = [0] * k  # rows of cur handed into joint windows
-    heard: list[list[np.ndarray]] = [[] for _ in range(k)]
-    decision = [False] * k  # current segment was a DecisionStep
-    ended = [False] * k  # plan() returned None
+    who = ("main", f"background ({type(streams[BACKGROUND]).__name__})")
+    cur: list[np.ndarray | None] = [None, None]  # planned segment rows
+    taken = [0, 0]  # rows of cur handed into joint windows
+    heard: list[list[np.ndarray]] = [[], []]
+    ended = [False, False]  # plan() returned None
     rows: list[np.ndarray] = []  # the open joint window
     owners: list[int | None] = []
     silent = np.zeros(n, dtype=bool)
-    total = 0
     pos = 0
 
-    def _fold_rows(
-        reply: np.ndarray, owner_rows: Sequence[int | None]
-    ) -> None:
+    def _fold(reply: np.ndarray, owner_rows: tuple[int | None, ...]) -> None:
         """Route executed hear rows to their streams; commit completed
         segments in row order (the step-wise drivers' observe order)."""
         for i, owner in enumerate(owner_rows):
@@ -277,82 +177,46 @@ def _multiplex(
             segment = cur[owner]
             assert segment is not None
             if len(heard[owner]) == segment.shape[0]:
-                stacked = np.stack(heard[owner])
-                # A DecisionStep's reply is a 1-D hear vector everywhere
-                # else in the engine; keep that shape here too.
-                streams[owner].commit(
-                    stacked[0] if decision[owner] else stacked
-                )
+                streams[owner].commit(np.stack(heard[owner]))
                 heard[owner] = []
                 cur[owner] = None
                 taken[owner] = 0
-
-    def _flush_segment():
-        """The open joint window as one segment; clears the buffers."""
-        joint = np.array(rows)
-        owner_rows = tuple(owners)
-        rows.clear()
-        owners.clear()
-        if not stream:
-            return ObliviousWindow(joint), owner_rows
-        cursor = 0
-
-        def consume(slab: np.ndarray) -> None:
-            nonlocal cursor
-            _fold_rows(slab, owner_rows[cursor : cursor + slab.shape[0]])
-            cursor += slab.shape[0]
-
-        return StreamedWindow(as_transmit_plan(joint), consume), None
 
     def _main_has_more() -> bool:
         segment = cur[MAIN]
         if segment is not None and taken[MAIN] < segment.shape[0]:
             return True
-        if ended[MAIN]:
-            return False
-        remaining = main.steps_remaining()
-        if remaining is None:
-            raise ProtocolError(
-                f"main stream {type(main).__name__}'s steps_remaining() "
-                "became unknown mid-run"
-            )
-        return remaining > 0
+        return not ended[MAIN] and main.steps_remaining() > 0
 
-    while True:
-        s = slots[pos % len(slots)]
-        if not _main_has_more():
-            break
-        if max_steps is not None and total >= max_steps:
-            break
+    while _main_has_more():
+        s = pos % 2
         if not ended[s]:
             # Ensure the stream has an untaken planned row; planning
             # requires a clean frontier (flush + commit), the rule that
             # pins every plan() to its reference-driver causal point.
             while cur[s] is None or taken[s] == cur[s].shape[0]:
                 if rows:
-                    segment, owner_rows = _flush_segment()
-                    reply = yield segment
-                    if owner_rows is not None:
-                        _fold_rows(reply, owner_rows)
+                    owner_rows = tuple(owners)
+                    joint = np.array(rows)
+                    rows.clear()
+                    owners.clear()
+                    _fold((yield ObliviousWindow(joint)), owner_rows)
                 segment = streams[s].plan(rng)
                 if segment is None:
                     ended[s] = True
                     break
-                masks = _coerce_masks(segment, n, who[s])
-                decision[s] = isinstance(segment, DecisionStep)
+                masks = _planned_rows(segment, n, who[s])
                 if masks.shape[0] == 0:
                     # A zero-step segment executes nothing; commit its
                     # empty reply immediately (what the plain runner
                     # would have replied) and plan on.
-                    streams[s].commit(
-                        np.empty((0, n), dtype=np.int64)
-                    )
+                    streams[s].commit(np.empty((0, n), dtype=np.int64))
                     continue
                 cur[s] = masks
                 taken[s] = 0
                 heard[s] = []
             if ended[MAIN] and s == MAIN:
-                continue  # termination check at the top will break
+                continue  # the loop condition ends the run
         if ended[s]:
             rows.append(silent)
             owners.append(None)
@@ -362,15 +226,12 @@ def _multiplex(
             rows.append(segment[taken[s]])
             owners.append(s)
             taken[s] += 1
-        total += 1
         pos += 1
 
     if rows:
-        segment, owner_rows = _flush_segment()
-        reply = yield segment
-        if owner_rows is not None:
-            _fold_rows(reply, owner_rows)
+        owner_rows = tuple(owners)
+        _fold((yield ObliviousWindow(np.array(rows))), owner_rows)
     return main.result()
 
 
-__all__ = ["BACKGROUND", "MAIN", "multiplex"]
+__all__ = ["multiplex"]

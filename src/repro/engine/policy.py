@@ -37,11 +37,10 @@ from ..radio.errors import ProtocolError
 from ..radio.network import RadioNetwork
 from .streaming import memory_budget, resolve_chunk_steps
 
-#: Every engine variant any protocol accepts. ``"auto"`` defers to the
-#: protocol's default (the fastest correct path); individual protocols
-#: accept a subset (e.g. only ICP and packet Compete support
-#: ``"fused"``) and refuse the rest by name.
-ENGINE_MODES = ("auto", "windowed", "reference", "fused")
+#: The engine variants every protocol accepts: ``"windowed"`` (the
+#: engine), ``"reference"`` (the step-wise twin), and ``"auto"``, which
+#: resolves to ``"windowed"``.
+ENGINE_MODES = ("auto", "windowed", "reference")
 
 #: Trace grades: ``"default"`` records per-phase transmission/reception
 #: detail (:class:`~repro.radio.trace.StepTrace`); ``"cheap"`` keeps
@@ -54,18 +53,16 @@ TRACE_MODES = ("default", "cheap")
 _MEM_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
 
 
-def validate_engine(
-    engine: str, allowed: tuple[str, ...] = ENGINE_MODES
-) -> str:
-    """Check an engine name against ``allowed``, naming the options.
+def validate_engine(engine: str) -> str:
+    """Check an engine name against :data:`ENGINE_MODES`, naming them.
 
     Raises :class:`~repro.radio.errors.ProtocolError` (also a
     ``ValueError``) on anything else — the one refusal every layer
     (API, CLI, ``run_trials*``) shares.
     """
-    if engine not in allowed:
+    if engine not in ENGINE_MODES:
         raise ProtocolError(
-            f"unknown engine: {engine!r} (expected one of {allowed})"
+            f"unknown engine: {engine!r} (expected one of {ENGINE_MODES})"
         )
     return engine
 
@@ -157,11 +154,9 @@ class ExecutionPolicy:
     Attributes
     ----------
     engine:
-        ``"auto"`` (default) picks the protocol's fastest verified
-        path; ``"windowed"`` forces the batched engine,
-        ``"reference"`` the retained step-wise twin, ``"fused"`` the
-        window-multiplexed path where one exists. Protocols refuse
-        engines they do not implement, naming the ones they do.
+        ``"windowed"`` runs the batched engine, ``"reference"`` the
+        retained step-wise twin; ``"auto"`` (default) resolves to
+        ``"windowed"``. Every protocol implements both.
     chunk_steps, mem_budget:
         The streaming knobs: slab height directly, or derived from a
         peak-bytes target through the
@@ -224,29 +219,22 @@ class ExecutionPolicy:
         validate_trace(self.trace)
         validate_faults(self.faults)
 
-    def engine_for(
-        self, allowed: tuple[str, ...], default: str
-    ) -> str:
-        """Resolve ``"auto"`` to a protocol's default engine.
+    def engine_for(self) -> str:
+        """The engine a protocol entry point runs: ``"auto"`` resolved
+        to ``"windowed"``.
 
-        ``allowed`` is the protocol's accepted engine set (without
-        ``"auto"``); anything else is refused by name. ``validate``
-        combined with the reference engine also refuses: the
+        ``validate`` combined with the reference engine refuses: the
         step-wise reference builds no runner, so the contract checker
-        could not interpose — an inert knob is refused, never
-        silently dropped.
+        could not interpose — an inert knob is refused, never silently
+        dropped.
         """
-        engine = (
-            default
-            if self.engine == "auto"
-            else validate_engine(self.engine, allowed)
-        )
+        engine = "windowed" if self.engine == "auto" else self.engine
         if engine == "reference" and self.validate:
             raise ProtocolError(
                 "validate=True re-executes engine windows through the "
                 "contract checker, but engine='reference' runs the "
                 "step-wise specification with no windows to check; "
-                "drop validate or use the windowed/fused engine"
+                "drop validate or use the windowed engine"
             )
         return engine
 
@@ -256,6 +244,9 @@ class ExecutionPolicy:
         The returned policy is what a run actually executes under — and
         what :class:`~repro.api.report.RunReport` echoes back:
 
+        * ``engine`` ``"auto"`` becomes ``"windowed"``, so policies
+          that differ only in that spelling resolve (and digest)
+          identically;
         * ``mem_budget`` falls back to the process-wide default budget
           (:func:`~repro.engine.streaming.memory_budget`) when unset
           and no explicit ``chunk_steps`` overrides it;
@@ -272,6 +263,7 @@ class ExecutionPolicy:
         Resolution is idempotent: resolving a resolved policy is a
         no-op.
         """
+        engine = "windowed" if self.engine == "auto" else self.engine
         chunk = self.chunk_steps
         budget = self.mem_budget
         if chunk is None and budget is None:
@@ -280,13 +272,18 @@ class ExecutionPolicy:
             chunk = resolve_chunk_steps(n, None, budget)
         faults = self.faults if self.faults is not None else default_faults()
         if (
-            chunk == self.chunk_steps
+            engine == self.engine
+            and chunk == self.chunk_steps
             and budget == self.mem_budget
             and faults is self.faults
         ):
             return self
         return dataclasses.replace(
-            self, chunk_steps=chunk, mem_budget=budget, faults=faults
+            self,
+            engine=engine,
+            chunk_steps=chunk,
+            mem_budget=budget,
+            faults=faults,
         )
 
     def fault_schedule(self):

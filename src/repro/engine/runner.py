@@ -2,12 +2,12 @@
 
 :class:`WindowedRunner` is the single place where protocol schedules
 meet the simulator. Every window — a materialized
-:class:`~repro.engine.segments.ObliviousWindow`, a streamed mask
-:class:`~repro.radio.network.TransmitPlan`, or a sampled
-:class:`~repro.engine.segments.TransmitterPlan` — runs through one
+:class:`~repro.engine.segments.ObliviousWindow` or a sampled
+:class:`~repro.engine.segments.TransmitterPlan` streamed as a
+:class:`~repro.engine.segments.StreamedWindow` — runs through one
 chunk loop: the chunk's transmitter pairs are produced (sampled, or
-read off its masks with ``np.nonzero``), the fault layer filters them,
-the one exact sparse product delivers them
+read off the window's masks with ``np.nonzero``), the fault layer
+filters them, the one exact sparse product delivers them
 (:meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`), and the
 reception triples are folded into what the segment expects.
 :class:`~repro.engine.segments.DecisionStep` segments run through the
@@ -18,26 +18,20 @@ step-wise loop it replaced — only faster (the contract suite
 ``tests/test_schedule_contract.py`` re-verifies every window of every
 in-tree emitter against the step-wise replay).
 
-Two adapters bridge the older protocol forms onto the engine:
+Two adapters bridge legacy :class:`~repro.radio.protocol.Protocol`
+objects onto the engine:
 
-* :func:`protocol_schedule` lifts a legacy
-  :class:`~repro.radio.protocol.Protocol` object into a stream of
-  decision steps — one adaptive step per protocol step.
-* :class:`ProtocolSegmentSource` lifts the same objects onto the
-  plan/commit :class:`~repro.engine.segments.SegmentProtocol` interface
-  as width-1 windows, which is what lets a deterministic-length
-  protocol (ICP's slot passes) ride the
-  :func:`~repro.engine.mux.multiplex` combinator.
-
-:func:`segment_schedule` closes the loop in the other direction: it
-drives any :class:`~repro.engine.segments.SegmentProtocol` as an
-ordinary generator-form schedule, so plan/commit sources run on the
-same runner (and the same budget accounting) as everything else.
+* :func:`protocol_schedule` lifts one into a stream of decision steps —
+  one adaptive step per protocol step.
+* :class:`ProtocolSegmentSource` lifts one onto the plan/commit
+  :class:`~repro.engine.segments.SegmentProtocol` interface as width-1
+  windows, which is what lets a deterministic-length protocol (ICP's
+  slot passes) ride the :func:`~repro.engine.mux.multiplex`
+  combinator.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from time import perf_counter
 from typing import Any
 
@@ -48,7 +42,7 @@ from ..radio.errors import (
     InvalidActionError,
     ProtocolError,
 )
-from ..radio.network import NO_SENDER, RadioNetwork, TransmitPlan
+from ..radio.network import NO_SENDER, RadioNetwork
 from .segments import (
     DecisionStep,
     ObliviousWindow,
@@ -57,7 +51,6 @@ from .segments import (
     SegmentProtocol,
     StreamedWindow,
     TracePhase,
-    TransmitterPlan,
 )
 from .streaming import default_stream_chunk, resolve_chunk_steps
 
@@ -168,8 +161,8 @@ class WindowedRunner:
         """The section list of a streamed window.
 
         Fused windows carry their own sections; a plain window becomes
-        one anonymous section wrapping its ``consume``/``consume_coo``
-        callbacks, so there is exactly one loop for every plan.
+        one anonymous section wrapping its ``consume_coo`` fold, so
+        there is exactly one loop for every plan.
         """
         total = segment.plan.total_steps
         if total < 0:
@@ -177,9 +170,7 @@ class WindowedRunner:
                 f"transmit plan has negative total_steps: {total}"
             )
         if segment.sections is None:
-            return (
-                PlanSection(total, None, segment.consume, segment.consume_coo),
-            )
+            return (PlanSection(total, None, segment.consume_coo),)
         covered = sum(s.width for s in segment.sections)
         if covered != total:
             raise ProtocolError(
@@ -187,51 +178,6 @@ class WindowedRunner:
                 f"but the plan has {total}"
             )
         return tuple(segment.sections)
-
-    def _mask_pairs(self, plan: TransmitPlan):
-        """A mask plan as a transmitter-pair producer: each chunk's
-        masks are checked (row count, shape, dtype) and read off with
-        ``np.nonzero`` — row-major, nodes ascending, the product's
-        layout."""
-        validate = self.network._validate_window_masks
-
-        def pairs(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-            masks = validate(np.asarray(plan.masks(start, stop)))
-            if masks.shape[0] != stop - start:
-                raise InvalidActionError(
-                    f"transmit plan produced {masks.shape[0]} rows for "
-                    f"steps [{start}, {stop}), expected {stop - start}"
-                )
-            return np.nonzero(masks)
-
-        return pairs
-
-    def _section_fold(self, plan, section: PlanSection):
-        """The reception-triple fold of one streamed section.
-
-        A transmitter plan's section folds the triples directly
-        (``consume_coo``); a mask plan's section gets the ``(k, n)``
-        hear slab its ``consume`` expects, built from the triples.
-        """
-        if isinstance(plan, TransmitterPlan):
-            if section.consume_coo is None:
-                raise ProtocolError(
-                    "a TransmitterPlan section needs a consume_coo fold"
-                )
-            return section.consume_coo
-        consume = section.consume
-        if consume is None:
-            raise ProtocolError(
-                "a TransmitPlan section needs a consume fold"
-            )
-        n = self.network.n
-
-        def fold(k: int, steps, nodes, senders) -> None:
-            slab = np.full((k, n), NO_SENDER, dtype=np.int64)
-            slab[steps, nodes] = senders
-            consume(slab)
-
-        return fold
 
     def _execute_stream(self, segment: StreamedWindow) -> None:
         """Execute one streamed window, folding chunks as they arrive.
@@ -245,21 +191,24 @@ class WindowedRunner:
         """
         plan = segment.plan
         sections = self._plan_sections(segment)
-        pairs = (
-            plan.transmitters
-            if isinstance(plan, TransmitterPlan)
-            else self._mask_pairs(plan)
-        )
         chunk = default_stream_chunk(
             self.network.n, self._resolved_chunk_steps()
         )
         base = 0
         for section in sections:
-            fold = self._section_fold(plan, section)
+            if section.consume_coo is None:
+                raise ProtocolError(
+                    "a StreamedWindow section needs a consume_coo fold"
+                )
             if section.phase is not None:
                 self.network.trace.enter_phase(section.phase)
             self._run_chunks(
-                base, base + section.width, chunk, pairs, fold, charge=True
+                base,
+                base + section.width,
+                chunk,
+                plan.transmitters,
+                section.consume_coo,
+                charge=True,
             )
             base += section.width
 
@@ -330,16 +279,10 @@ class WindowedRunner:
                 self._charge(segment.masks.shape[0])
                 reply = self._execute_window(segment.masks)
             elif isinstance(segment, StreamedWindow):
-                if (
-                    segment.consume is None
-                    and segment.consume_coo is None
-                    and segment.sections is None
-                ):
+                if segment.consume_coo is None and segment.sections is None:
                     raise ProtocolError(
                         "schedule yielded a StreamedWindow without a "
-                        "consume callback; generator-form emitters must "
-                        "bind one (plan/commit sources get theirs from "
-                        "segment_schedule)"
+                        "consume_coo fold or sections"
                     )
                 self._execute_stream(segment)
                 reply = None
@@ -356,12 +299,6 @@ class WindowedRunner:
                     f"schedule yielded a non-segment: {segment!r}"
                 )
 
-    def run_segments(
-        self, source: SegmentProtocol, rng: np.random.Generator
-    ) -> Any:
-        """Drive a plan/commit source to completion on this runner."""
-        return self.run(segment_schedule(source, rng))
-
 
 def run_schedule(
     network: RadioNetwork,
@@ -377,42 +314,6 @@ def run_schedule(
         chunk_steps=chunk_steps,
         mem_budget=mem_budget,
     ).run(schedule)
-
-
-def segment_schedule(
-    source: SegmentProtocol, rng: np.random.Generator
-) -> ProtocolSchedule:
-    """Drive a :class:`SegmentProtocol` as a generator-form schedule.
-
-    ``plan`` and ``commit`` alternate with nothing in between — the
-    degenerate (single-stream) interleaving, under which the plan/commit
-    form is trivially equivalent to the generator form. Returns
-    ``source.result()``.
-
-    Streamed windows
-    (:class:`~repro.engine.segments.StreamedWindow`) planned without a
-    ``consume`` callback — the
-    :class:`~repro.engine.streaming.StreamingSegmentProtocol` form —
-    have their chunks routed to the source's ``commit(hear_chunk)``,
-    one call per executed chunk in step order; no trailing whole-window
-    commit follows (there is no materialized reply to deliver).
-    """
-    while True:
-        segment = source.plan(rng)
-        if segment is None:
-            return source.result()
-        if isinstance(segment, TracePhase):
-            yield segment
-            source.commit(None)
-        elif isinstance(segment, StreamedWindow):
-            if segment.consume is None and segment.sections is None:
-                segment = dataclasses.replace(
-                    segment, consume=source.commit
-                )
-            yield segment
-        else:
-            reply = yield segment
-            source.commit(reply)
 
 
 def protocol_schedule(
@@ -517,5 +418,4 @@ __all__ = [
     "WindowedRunner",
     "protocol_schedule",
     "run_schedule",
-    "segment_schedule",
 ]

@@ -42,14 +42,12 @@ that interleaves two protocols' windows — :func:`repro.engine.mux
 .multiplex` — needs to see both streams' upcoming masks while earlier
 receptions are still in flight. :class:`SegmentProtocol` is the split
 form: ``plan(rng)`` produces the next segment, ``commit(reply)`` folds
-its delivery result, and the two may be separated by other streams'
-radio steps. The causal contract mirrors the step-wise drivers: a
-runner calls ``plan`` only when every previously planned row has been
-executed and every completed segment committed, so a source observes
-exactly the world state the reference loop's ``transmit_mask`` would.
-:class:`ScheduleSegmentAdapter` lifts the generator form onto this
-interface (with the documented caveat that a generator can only fold
-and plan in one motion, so its fold runs at the *next* ``plan`` call).
+its delivery result, and the two may be separated by the other stream's
+radio steps. The causal contract mirrors the step-wise reference: the
+combinator calls ``plan`` only when every previously planned row has
+been executed and every completed segment committed, so a source
+observes exactly the world state the reference loop's
+``transmit_mask`` would.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ from typing import Any, Callable, Generator, Union
 import numpy as np
 
 from ..radio.errors import ProtocolError
-from ..radio.network import TransmitPlan
 
 #: Cap on the number of boolean coin-matrix entries an emitter should
 #: materialize per window: windows larger than this are chunked. Chunked
@@ -108,10 +105,11 @@ class TransmitterPlan:
     ``steps`` relative to ``start``, row-major, nodes ascending within
     a step — instead of ``(stop - start, n)`` boolean masks. The
     runner calls it for consecutive, non-overlapping intervals covering
-    ``[0, total_steps)`` in order, exactly once each, like
-    :class:`~repro.radio.network.TransmitPlan`; emitters whose rows are
-    keyed samples (:class:`~repro.engine.sampler.RowSampler`) produce
-    the same pairs whatever the interval boundaries.
+    ``[0, total_steps)`` in order, exactly once each, so a producer may
+    draw lazily and still consume its randomness in one fixed order;
+    emitters whose rows are keyed samples
+    (:class:`~repro.engine.sampler.RowSampler`) produce the same pairs
+    whatever the interval boundaries.
     """
 
     total_steps: int
@@ -127,12 +125,10 @@ class PlanSection:
     density levels of an EED block) into one plan. Sections keep the
     pieces' identities: ``width`` rows of the plan, an optional trace
     ``phase`` the runner enters when the section starts, and the
-    section's own fold callback — ``consume(hear_chunk)`` for a
-    :class:`~repro.radio.network.TransmitPlan` (a full-width hear
-    slab), ``consume_coo(k, steps, nodes, senders)`` for a
-    :class:`TransmitterPlan` (the ``k``-step chunk's clean receptions
-    as parallel int64 arrays: ``steps`` chunk-relative, ``nodes`` and
-    ``senders`` global ids, arbitrary order).
+    section's own fold ``consume_coo(k, steps, nodes, senders)`` — the
+    ``k``-step chunk's clean receptions as parallel int64 arrays:
+    ``steps`` chunk-relative, ``nodes`` and ``senders`` global ids,
+    arbitrary order.
 
     The runner never lets an executed chunk straddle a section
     boundary, so a section's callback sees exactly the rows of its own
@@ -143,7 +139,6 @@ class PlanSection:
 
     width: int
     phase: str | None = None
-    consume: Callable[[np.ndarray], None] | None = None
     consume_coo: (
         Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None
     ) = None
@@ -155,44 +150,30 @@ class StreamedWindow:
 
     The out-of-core form of :class:`ObliviousWindow`: instead of
     materializing ``(w, n)`` masks and receiving a ``(w, n)``
-    ``hear_from`` reply, the segment carries a lazy plan and the runner
-    executes it chunk by chunk, folding each chunk as it is produced.
-    The runner's reply to the segment is ``None`` — by the time the
-    generator resumes, every chunk has already been folded.
-
-    Two plan forms exist, both executed by the runner's one chunk loop
-    on the transmitter-pair product. A
-    :class:`~repro.radio.network.TransmitPlan` produces ``(w_chunk, n)``
-    masks (read off as pairs) and folds hear slabs through ``consume``.
-    A :class:`TransmitterPlan` produces transmitter pairs directly and
-    folds reception triples through ``consume_coo``.
-
-    ``consume`` is the per-chunk slab fold. Generator-form emitters
-    bind it to their own state; a plan/commit source in streaming form
-    (:class:`~repro.engine.streaming.StreamingSegmentProtocol`) leaves
-    it ``None`` and the driving :func:`~repro.engine.runner
-    .segment_schedule` routes chunks to the source's
-    ``commit(hear_chunk)`` instead. Chunks arrive in step order, so an
-    order-dependent fold (first-hear semantics) is exactly the fold of
-    the monolithic reply.
+    ``hear_from`` reply, the segment carries a lazy
+    :class:`TransmitterPlan` and the runner executes it chunk by chunk
+    on the transmitter-pair product, folding each chunk's reception
+    triples through ``consume_coo`` as it is produced. The runner's
+    reply to the segment is ``None`` — by the time the generator
+    resumes, every chunk has already been folded. Chunks arrive in step
+    order, so an order-dependent fold (first-hear semantics) is exactly
+    the fold of the monolithic reply.
 
     The obliviousness promise of :class:`ObliviousWindow` applies
-    unchanged: no mask row may depend on anything heard inside the
-    window. The chunk size is the *runner's* choice (its
-    ``chunk_steps`` / ``mem_budget`` knobs) — a memory knob, never a
-    semantics knob, because plans produce rows lazily in row order.
+    unchanged: no row may depend on anything heard inside the window.
+    The chunk size is the *runner's* choice (its ``chunk_steps`` /
+    ``mem_budget`` knobs) — a memory knob, never a semantics knob,
+    because plans produce rows lazily in row order.
     """
 
-    plan: "TransmitPlan | TransmitterPlan"
-    consume: Callable[[np.ndarray], None] | None = None
-    #: Reception-triple fold of a :class:`TransmitterPlan` (see
-    #: :class:`PlanSection`).
+    plan: TransmitterPlan
+    #: Reception-triple fold (see :class:`PlanSection`).
     consume_coo: (
         Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None
     ) = None
     #: Fused multi-phase form: when set, a tuple of
     #: :class:`PlanSection` whose widths sum to ``plan.total_steps``;
-    #: the sections' callbacks replace ``consume``/``consume_coo``.
+    #: the sections' folds replace ``consume_coo``.
     sections: tuple[PlanSection, ...] | None = None
 
 
@@ -220,25 +201,24 @@ class SegmentProtocol(abc.ABC):
     """A schedule emitter in plan/commit form.
 
     Unlike the generator form, planning the next segment and committing
-    the previous segment's receptions are separate calls, which lets a
-    combinator interleave this source's planned rows with another
-    stream's before any of them execute (see module docstring, "Plan/
-    commit form").
+    the previous segment's receptions are separate calls, which lets
+    :func:`~repro.engine.mux.multiplex` interleave this source's planned
+    rows with another stream's before any of them execute (see module
+    docstring, "Plan/commit form").
 
-    The call contract, enforced by the runners in this package:
+    The call contract, enforced by the combinator:
 
     * ``plan(rng)`` is called only at a *clean frontier*: every row this
       source has planned so far has been executed, and every fully
       executed segment has been committed. Randomness must be drawn
       inside ``plan`` (never ``commit``), in the same order the
       step-wise reference draws it.
-    * ``commit(reply)`` is called exactly once per planned segment, in
-      planning order, with the segment's full delivery result (a
-      ``(w, n)`` ``hear_from`` matrix for a window, ``None`` for a
-      :class:`TracePhase`). A run may end with the final segment's
-      commit never arriving (budget exhaustion, a multiplexed main
-      stream finishing first); sources must not rely on a trailing
-      commit for correctness of *prior* state.
+    * ``commit(reply)`` is called exactly once per planned window, in
+      planning order, with the window's full ``(w, n)`` ``hear_from``
+      matrix. A run may end with the final segment's commit never
+      arriving (the multiplexed main stream finishing first); sources
+      must not rely on a trailing commit for correctness of *prior*
+      state.
     """
 
     def __init__(self, n: int) -> None:
@@ -271,86 +251,12 @@ class SegmentProtocol(abc.ABC):
         )
 
 
-class ScheduleSegmentAdapter(SegmentProtocol):
-    """Lift a generator-form emitter onto :class:`SegmentProtocol`.
-
-    The generator protocol cannot separate folding from planning —
-    ``send(reply)`` does both in one motion — so this adapter stores the
-    committed reply and feeds it to the generator at the *next*
-    ``plan`` call. For single-stream execution that is exactly the
-    :class:`~repro.engine.runner.WindowedRunner` loop. Inside a
-    multiplexed run it means the emitter's fold runs at its own next
-    planning slot rather than at the segment boundary; emitters that
-    mutate state shared with the other stream (the ICP Decay
-    background's ``knowledge`` commits) therefore need a native
-    :class:`SegmentProtocol` implementation instead — the adapter only
-    guarantees bit-identity for self-contained emitters.
-    """
-
-    def __init__(self, schedule: ProtocolSchedule, n: int) -> None:
-        super().__init__(n)
-        self._gen = schedule
-        self._started = False
-        self._awaiting_commit = False
-        self._reply: Any = None
-        self._done = False
-        self._result: Any = None
-
-    def plan(self, rng: np.random.Generator) -> Segment | None:
-        if self._done:
-            return None
-        if self._awaiting_commit:
-            raise ProtocolError(
-                "ScheduleSegmentAdapter.plan() before the previous "
-                "segment was committed: the generator form folds and "
-                "plans in one motion, so plan/commit must alternate"
-            )
-        try:
-            if self._started:
-                segment = self._gen.send(self._reply)
-            else:
-                segment = next(self._gen)
-        except StopIteration as stop:
-            self._done = True
-            self._result = stop.value
-            return None
-        self._started = True
-        # A StreamedWindow's receptions are folded in-stream through its
-        # consume callback and its reply is None, so there is nothing
-        # left to commit: the generator just resumes with None at the
-        # next plan() call.
-        self._awaiting_commit = not isinstance(segment, StreamedWindow)
-        self._reply = None
-        return segment
-
-    def commit(self, reply: Any) -> None:
-        if not self._awaiting_commit:
-            raise ProtocolError(
-                "ScheduleSegmentAdapter.commit() without a planned "
-                "segment awaiting one"
-            )
-        self._reply = reply
-        self._awaiting_commit = False
-
-    def steps_remaining(self) -> int | None:
-        return 0 if self._done else None
-
-    def result(self) -> Any:
-        if not self._done:
-            raise ProtocolError(
-                "ScheduleSegmentAdapter.result() before the schedule "
-                "finished"
-            )
-        return self._result
-
-
 __all__ = [
     "COIN_BUDGET",
     "DecisionStep",
     "ObliviousWindow",
     "PlanSection",
     "ProtocolSchedule",
-    "ScheduleSegmentAdapter",
     "Segment",
     "SegmentProtocol",
     "StreamedWindow",

@@ -103,8 +103,8 @@ class ValidatingRunner(WindowedRunner):
         reception triples to a hear slab — the only place either is
         built — and compared against the shadow's step replay, which
         realizes the same fault pattern through the mask transforms.
-        Every window form (materialized, streamed masks, sampled
-        transmitters) reaches the product through this hook.
+        Both window forms (materialized masks, sampled transmitters)
+        reach the product through this hook.
         """
         n = self.network.n
         masks = np.zeros((k, n), dtype=bool)

@@ -12,7 +12,7 @@ from .errors import (
     RadioError,
 )
 from .messages import Message, highest
-from .network import NO_SENDER, RadioNetwork, TransmitPlan, as_transmit_plan
+from .network import NO_SENDER, RadioNetwork
 from .protocol import (
     Protocol,
     SilentProtocol,
@@ -39,8 +39,6 @@ __all__ = [
     "SilentProtocol",
     "StepTrace",
     "TimeMultiplexer",
-    "TransmitPlan",
-    "as_transmit_plan",
     "highest",
     "run_protocol",
     "run_steps",

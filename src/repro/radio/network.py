@@ -32,8 +32,8 @@ one exact sparse product of
 :meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`, at a cost
 that follows the transmitters' degree sum; packet-level runs of
 hundreds of thousands of steps on graphs with thousands of nodes are
-practical. The windowed runner streams windows too wide to
-materialize through the same product in bounded chunks. Pass a
+practical. The windowed runner executes sampled transmitter plans too
+wide to materialize through the same product in bounded chunks. Pass a
 :class:`~repro.radio.trace.CheapTrace` to skip per-step trace
 accounting (cheap-trace mode) in bulk workloads.
 
@@ -50,9 +50,8 @@ runner replays every window against.
 
 from __future__ import annotations
 
-import dataclasses
 from time import perf_counter
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from typing import Any, Hashable, Iterable, Mapping
 
 import networkx as nx
 import numpy as np
@@ -64,40 +63,6 @@ from .trace import StepTrace
 
 #: Sentinel in ``hear_from`` arrays meaning "heard nothing this step".
 NO_SENDER = -1
-
-@dataclasses.dataclass
-class TransmitPlan:
-    """A lazily produced window of oblivious transmit masks.
-
-    ``masks(start, stop)`` returns the boolean ``(stop - start, n)``
-    mask rows for window steps ``start .. stop - 1``. The streaming
-    executor (:class:`~repro.engine.runner.WindowedRunner`) calls it for
-    consecutive, non-overlapping intervals covering ``[0, total_steps)``
-    in order, exactly once each — so a producer may draw its coins
-    lazily inside ``masks`` and still consume the rng stream in the
-    same order (and the same total amount) as one monolithic
-    row-major draw, whatever chunk size the executor picks. The chunk
-    size is therefore a memory knob, never a semantics knob.
-
-    Emitters whose rows are Bernoulli draws over a fixed member set
-    use the transmitter-list form instead
-    (:class:`~repro.engine.segments.TransmitterPlan`).
-    """
-
-    total_steps: int
-    masks: Callable[[int, int], np.ndarray]
-
-
-def as_transmit_plan(plan: TransmitPlan | np.ndarray) -> TransmitPlan:
-    """Coerce a materialized ``(w, n)`` mask matrix to a :class:`TransmitPlan`.
-
-    A :class:`TransmitPlan` passes through unchanged; an array becomes a
-    plan that slices it (no copy).
-    """
-    if isinstance(plan, TransmitPlan):
-        return plan
-    masks = np.asarray(plan)
-    return TransmitPlan(masks.shape[0], lambda start, stop: masks[start:stop])
 
 
 class RadioNetwork:

@@ -18,7 +18,9 @@ contract:
 :class:`TimeMultiplexer` interleaves a main and a background protocol on
 alternating steps, which is how the paper's algorithms run their
 background processes ("conducted concurrently via time multiplexing",
-Appendix A).
+Appendix A). It is the step-wise reference of Intra-Cluster
+Propagation; the engine path zips the same pair into joint windows
+(:func:`repro.engine.mux.multiplex`).
 
 This module is the *step-wise* layer. Production protocol entry points
 run on the unified windowed engine instead: they describe themselves as

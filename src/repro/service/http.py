@@ -22,7 +22,9 @@ Endpoints (all JSON)::
 Refusals are uniform: every client error is the
 :class:`~repro.radio.errors.ProtocolError` shape mapped onto a 4xx —
 ``{"error": {"type": ..., "message": ...}}`` with the same
-name-the-problem message discipline as the rest of the package.
+name-the-problem message discipline as the rest of the package. A
+request whose line, headers and body do not all arrive within
+:data:`READ_DEADLINE_S` gets a 408 and the connection is closed.
 
 Submitting the spec of a campaign that already ran is the designed
 idiom, not an error: expansion dedupes against the report store, so
@@ -50,6 +52,10 @@ __all__ = ["ExperimentService", "ServiceThread", "start_in_thread"]
 #: schedules is ~KBs; anything near this bound is not a spec).
 MAX_BODY_BYTES = 32 * 1024 * 1024
 MAX_HEADER_BYTES = 64 * 1024
+#: Seconds a client has to deliver its request line, headers and body;
+#: past it the server answers 408 and closes, so a stalled client
+#: cannot hold a connection open.
+READ_DEADLINE_S = 30.0
 
 #: Campaign states that stop a status stream.
 SETTLED = ("completed", "cancelled", "failed")
@@ -60,6 +66,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     500: "Internal Server Error",
 }
@@ -182,7 +189,16 @@ class ExperimentService:
     ) -> None:
         try:
             try:
-                method, path, body = await self._read_request(reader)
+                try:
+                    method, path, body = await asyncio.wait_for(
+                        self._read_request(reader), READ_DEADLINE_S
+                    )
+                except asyncio.TimeoutError:
+                    raise _Refusal(
+                        408,
+                        f"request not received within the "
+                        f"{READ_DEADLINE_S:g} s read deadline",
+                    ) from None
                 await self._route(method, path, body, writer)
             except _Refusal as exc:
                 await self._respond_error(writer, exc.status, str(exc))

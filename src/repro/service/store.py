@@ -80,11 +80,12 @@ def policy_digest(policy: ExecutionPolicy, n: int | None = None) -> str:
     """Content digest of the **resolved** execution policy, hex.
 
     Resolution (:meth:`~repro.engine.policy.ExecutionPolicy.resolve`
-    against the graph size) happens first, so ``"auto"`` knobs and the
-    process-wide budget fold in — the digest names what would actually
-    execute. The fault schedule is stripped: faults are the key's own
-    coordinate (:func:`faults_digest`), not part of the policy
-    digest, mirroring the key layout in the issue contract.
+    against the graph size) happens first, so the ``"auto"`` engine
+    (which resolves to ``"windowed"``) and the process-wide budget fold
+    in — the digest names what would actually execute, and two
+    spellings of one policy share a key. The fault schedule is
+    stripped: faults are the key's own coordinate
+    (:func:`faults_digest`), not part of the policy digest.
     """
     resolved = dataclasses.replace(policy.resolve(n), faults=None)
     doc = json.dumps(encode_value(resolved), sort_keys=True)

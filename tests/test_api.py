@@ -13,9 +13,9 @@ Three layers of pinning:
    :class:`~repro.radio.errors.ProtocolError` naming the accepted
    values, identically across the policy constructor, ``run``, the
    CLI, campaign specs, and ``run_trials*``.
-3. **No per-call shims** — entry points take ``policy=`` only; the
-   packet-Compete config's own ``engine`` field still rides through
-   the front door.
+3. **No per-call shims** — entry points take ``policy=`` only, and the
+   packet-Compete config carries a ``policy``, not an engine of its
+   own.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class TestFrontDoorEquivalence:
         assert report.trace == _trace_totals(net)
         assert _state(rng_a) == _state(rng_b)
 
-    @pytest.mark.parametrize("engine", ["windowed", "fused", "reference"])
+    @pytest.mark.parametrize("engine", ["windowed", "auto", "reference"])
     def test_icp(self, engine):
         g = _udg(70, 6)
         rng_a, rng_b = _rng_pair(5)
@@ -349,7 +349,6 @@ class TestRegistry:
 
     def test_specs_are_coherent(self):
         for spec in api.list_protocols():
-            assert spec.default_engine in spec.engines
             assert spec.accepts in ("network", "graph", "none")
             if spec.cli is not None:
                 assert spec.cli.help
@@ -362,7 +361,6 @@ class TestRegistry:
         with pytest.raises(ProtocolError, match="already registered"):
             api.register_protocol(
                 name="mis", title="dup", config_cls=None, result_cls=object,
-                engines=("windowed",), default_engine="windowed",
                 emitters=(), reference=None,
             )(lambda *a: None)
 
@@ -409,6 +407,9 @@ class TestUniformRefusals:
         assert parse_mem_budget("512") == 512
 
     def test_protocol_refuses_engines_it_lacks(self):
+        # Every protocol implements every engine, so an engine outside
+        # ENGINE_MODES is refused where the policy is built, naming
+        # the accepted ones, before any protocol runs.
         g = _udg(20, 25)
         with pytest.raises(ProtocolError, match="windowed"):
             api.run(
@@ -485,14 +486,6 @@ class TestUniformRefusals:
         assert exc.value.code == 2
         assert "windowed" in capsys.readouterr().err
 
-    def test_cli_fused_contradiction(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["icp", "--n", "20", "--fused", "--engine", "reference"]
-        )
-        assert code == 2
-        assert "contradicts" in capsys.readouterr().err
 
 
 class TestRemovedKnobs:
@@ -549,8 +542,89 @@ class TestRemovedKnobs:
         assert named in str(err.value) and accepted in str(err.value)
 
 
+def _refuse_fused_policy(tmp_path, capsys):
+    with pytest.raises(ProtocolError) as err:
+        ExecutionPolicy(engine="fused")
+    assert "'fused'" in str(err.value)
+    assert str(api.ENGINE_MODES) in str(err.value)
+
+
+def _refuse_cli_engine_fused(tmp_path, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["icp", "--n", "10", "--engine", "fused"])
+    assert exc.value.code == 2
+    assert "'fused'" in capsys.readouterr().err
+
+
+def _refuse_cli_icp_fused_flag(tmp_path, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["icp", "--n", "10", "--fused"])
+    assert exc.value.code == 2
+    assert "--fused" in capsys.readouterr().err
+
+
+def _refuse_fused_campaign_over_http(tmp_path, capsys):
+    import http.client
+
+    from repro.service import ServiceClient, start_in_thread
+
+    document = {
+        "protocol": "icp",
+        "corpus": ["0" * 64],
+        "n_trials": 1,
+        "policies": [{"engine": "fused"}],
+    }
+    with start_in_thread(tmp_path / "reports") as handle:
+        client = ServiceClient(port=handle.port)
+        conn = http.client.HTTPConnection(
+            client.host, client.port, timeout=30
+        )
+        try:
+            conn.request("POST", "/campaigns", body=json.dumps(document))
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            conn.close()
+    assert response.status == 400
+    assert payload["error"]["type"] == "ProtocolError"
+    assert "'fused'" in payload["error"]["message"]
+    assert str(api.ENGINE_MODES) in payload["error"]["message"]
+
+
+def _refuse_packet_config_engine(tmp_path, capsys):
+    from repro.core import PacketCompeteConfig
+
+    with pytest.raises(TypeError, match="engine"):
+        PacketCompeteConfig(engine="reference")
+
+
+class TestRemovedSurface:
+    """The ``"fused"`` engine, ``icp --fused`` and the packet-Compete
+    ``engine`` field are gone: ICP's default engine path is the
+    multiplexed one, and every surface that could still name the old
+    spellings refuses."""
+
+    @pytest.mark.parametrize(
+        "refusal",
+        [
+            _refuse_fused_policy,
+            _refuse_cli_engine_fused,
+            _refuse_cli_icp_fused_flag,
+            _refuse_fused_campaign_over_http,
+            _refuse_packet_config_engine,
+        ],
+        ids=lambda f: f.__name__.removeprefix("_refuse_"),
+    )
+    def test_refused(self, refusal, tmp_path, capsys):
+        refusal(tmp_path, capsys)
+
+
 # ---------------------------------------------------------------------------
-# 5. Per-call knobs: policy= only; config-carried engines.
+# 5. Per-call knobs: policy= only; policy-carried engines.
 # ---------------------------------------------------------------------------
 class TestDeprecationShims:
     def test_policy_plus_legacy_kwargs_refused(self):
@@ -571,44 +645,12 @@ class TestDeprecationShims:
             )
 
     def test_packet_config_policy_and_engine_refused(self):
+        # The engine rides on the config's policy; the config has no
+        # engine field of its own to contradict it.
         from repro.core import PacketCompeteConfig
 
-        with pytest.raises(ValueError, match="policy"):
-            PacketCompeteConfig(engine="fused", policy=ExecutionPolicy())
-
-    def test_packet_config_engine_rides_through_front_door(self):
-        # A caller-supplied packet_compete keeps its legacy engine=
-        # field working through run(): the engine moves onto the
-        # injected policy instead of refusing against it.
-        from repro.core import PacketCompeteConfig
-
-        g = _udg(40, 34)
-        rng_a, rng_b = _rng_pair(35)
-        legacy = broadcast_packet_level(
-            g, 0, rng_a, config=PacketCompeteConfig(engine="fused")
-        )
-        report = api.run(
-            "broadcast", g, rng=rng_b,
-            config=BroadcastConfig(
-                packet=True,
-                packet_compete=PacketCompeteConfig(engine="fused"),
-            ),
-        )
-        assert report.result.steps == legacy.steps
-        assert _state(rng_a) == _state(rng_b)
-        # The echo names the engine that actually ran, not the
-        # pre-override resolution.
-        assert report.policy.engine == "fused"
-        # A genuinely conflicting explicit policy engine still refuses.
-        with pytest.raises(ProtocolError, match="conflicts"):
-            api.run(
-                "broadcast", g, seed=0,
-                config=BroadcastConfig(
-                    packet=True,
-                    packet_compete=PacketCompeteConfig(engine="fused"),
-                ),
-                policy=ExecutionPolicy(engine="reference"),
-            )
+        with pytest.raises(TypeError, match="engine"):
+            PacketCompeteConfig(engine="reference", policy=ExecutionPolicy())
 
     def test_round_accounted_refuses_inert_knobs(self):
         g = _udg(30, 36)

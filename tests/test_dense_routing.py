@@ -7,8 +7,8 @@ product, whose output is capped at one entry per (step, listener) cell
 whatever the degrees. This suite pins that the product stays exact on
 the degree-heavy regime the router existed for (few transmitters, ~n/2
 neighbors each: the ``p ~ 0.5`` G(n, p)), whichever route a window
-takes into it, and that streamed chunks of both plan forms stay inside
-the memory cost model there.
+takes into it, and that streamed chunks stay inside the memory cost
+model there.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from repro.api import EEDConfig, ExecutionPolicy, run
 from repro.engine import (
     ObliviousWindow,
     StreamedWindow,
+    TransmitterPlan,
     WindowedRunner,
 )
 from repro.engine.streaming import chunk_steps_for_budget
-from repro.radio.network import NO_SENDER, RadioNetwork, TransmitPlan
+from repro.radio.network import NO_SENDER, RadioNetwork
 
 N_DENSE = 1000
 
@@ -68,8 +69,8 @@ class TestOutputSizeRouting:
     def test_routing_never_changes_bits(self, dense_net):
         # Degree-heavy, popcount-sparse masks: whichever route the
         # window takes into the product — deliver_window, the runner
-        # whole or chunk-wise, a streamed mask plan — the bits equal
-        # the step replay.
+        # whole or chunk-wise, a streamed plan of the same rows — the
+        # bits equal the step replay.
         masks = _sparse_popcount_masks(N_DENSE, 24, 16, seed=3)
         graph = dense_net.graph
         want = _step_replay(graph, masks)
@@ -83,15 +84,21 @@ class TestOutputSizeRouting:
                 return (yield ObliviousWindow(masks))
 
             assert (runner.run(window()) == want).all()
-        slabs = []
+        streamed_hear = np.full(want.shape, NO_SENDER, dtype=np.int64)
+        done = [0]
+
+        def fold(k, steps, nodes, senders):
+            streamed_hear[steps + done[0], nodes] = senders
+            done[0] += k
 
         def streamed():
             yield StreamedWindow(
-                TransmitPlan(24, lambda s, e: masks[s:e]), slabs.append
+                TransmitterPlan(24, lambda s, e: np.nonzero(masks[s:e])),
+                consume_coo=fold,
             )
 
         WindowedRunner(RadioNetwork(graph), chunk_steps=7).run(streamed())
-        assert (np.vstack(slabs) == want).all()
+        assert (streamed_hear == want).all()
 
     def test_empty_and_allzero_windows_still_work(self, dense_net):
         net = RadioNetwork(dense_net.graph)
@@ -137,33 +144,33 @@ class TestMemBudgetRegression:
         )
 
     def test_streamed_masks_respect_budget(self, dense_net):
-        """The mask twin: ICP's Decay background, BGI and Compete
-        stream masks, which the runner reads off as transmitter pairs
-        for the same product. Degree-heavy, popcount-sparse masks (16
-        transmitters a row, ~n/2 neighbors each) at the 512 KiB
-        budget's chunk height must stay under the same 3x ceiling:
-        the product's output is capped at one entry per cell, where
-        the removed sparse kernels' working set followed the
-        transmitters' degree sum (measured ~3.9x without the router's
-        pre-emption).
+        """The mask twin: windows built as masks (ICP's Decay
+        background, BGI and Compete) reach the product as transmitter
+        pairs read off their rows. Degree-heavy, popcount-sparse rows
+        (16 transmitters a row, ~n/2 neighbors each), produced chunk by
+        chunk at the 512 KiB budget's height, must stay under the same
+        3x ceiling: the product's output is capped at one entry per
+        cell, where the removed sparse kernels' working set followed
+        the transmitters' degree sum (measured ~3.9x without the
+        router's pre-emption).
         """
         budget = 512 << 10
         chunk = chunk_steps_for_budget(N_DENSE, budget)
         rows = 8 * chunk
-        plan = TransmitPlan(
+        plan = TransmitterPlan(
             rows,
-            lambda start, stop: _sparse_popcount_masks(
-                N_DENSE, stop - start, 16, seed=start
+            lambda start, stop: np.nonzero(
+                _sparse_popcount_masks(N_DENSE, stop - start, 16, seed=start)
             ),
         )
         net = RadioNetwork(dense_net.graph)
         heard = [0]
 
-        def consume(slab: np.ndarray) -> None:
-            heard[0] += int(np.count_nonzero(slab != NO_SENDER))
+        def consume(k, steps, nodes, senders) -> None:
+            heard[0] += int(senders.size)
 
         def schedule():
-            yield StreamedWindow(plan, consume)
+            yield StreamedWindow(plan, consume_coo=consume)
 
         runner = WindowedRunner(net, mem_budget=budget)
         _, peak = measure_peak(lambda: runner.run(schedule()))

@@ -46,14 +46,13 @@ def _icp_fixture(seed: int = 0):
     return g, clustering, schedule, know
 
 
-def _fused_schedule(net, clustering, schedule, know, rng, max_steps=None):
+def _fused_schedule(net, clustering, schedule, know, rng):
     main = ICPProtocol(net, schedule, know, 3)
     total = sum(len(p.slots) for p in main._passes)
     return total, multiplex(
         ProtocolSegmentSource(main, steps=total),
         DecayBackgroundSource(DecayBackground(net, clustering, know)),
         rng=rng,
-        max_steps=max_steps,
     )
 
 
@@ -102,19 +101,6 @@ class TestMultiplexedBudget:
             runner.run(fused)
         assert runner.steps_executed <= budget
         assert net.steps_elapsed == runner.steps_executed
-
-    def test_mux_max_steps_vs_runner_budget(self):
-        # multiplex's own max_steps trims the joint stream instead of
-        # raising; the runner budget then passes.
-        g, clustering, schedule, know = _icp_fixture()
-        net = RadioNetwork(g)
-        _, fused = _fused_schedule(
-            net, clustering, schedule, know, np.random.default_rng(5),
-            max_steps=41,
-        )
-        runner = WindowedRunner(net, max_steps=41)
-        runner.run(fused)
-        assert runner.steps_executed == net.steps_elapsed == 41
 
 
 #: Transmit densities per regime (the removed router's mode names):

@@ -1,14 +1,13 @@
 """The window-multiplexing combinator (PR 3 tentpole).
 
-``multiplex`` zips two plan/commit streams into joint oblivious
-windows. Everything here is pinned against step-wise references:
+``multiplex`` zips a main and a background plan/commit stream into
+joint oblivious windows. Everything here is pinned against step-wise
+references:
 
-* the fused ICP path (slot passes x Decay background) against both the
-  ``TimeMultiplexer`` reference and the decision-point engine path,
-  bit-for-bit across the graph-family matrix — knowledge, step counts,
+* the multiplexed ("fused") ICP path — slot passes x Decay background,
+  the default engine path — against the ``TimeMultiplexer`` reference,
+  bit-for-bit across the graph-family matrix: knowledge, step counts,
   trace totals (per phase), and the post-run rng stream;
-* generalized slot patterns (``(0, 1, 1)``) against an in-test
-  step-wise pattern driver;
 * termination semantics: the joint stream ends before the first row
   that would follow the main stream's last one (the reference drivers'
   per-step ``finished`` check), backgrounds that end first fall silent;
@@ -37,10 +36,10 @@ from repro.engine import (
     ExecutionPolicy,
     ObliviousWindow,
     ProtocolSegmentSource,
-    ScheduleSegmentAdapter,
     SegmentProtocol,
+    StreamedWindow,
     TracePhase,
-    WindowedRunner,
+    TransmitterPlan,
     multiplex,
     run_schedule,
 )
@@ -99,31 +98,41 @@ def _icp_setup(kind: int, seed: int):
 
 
 class TestFusedICPEquivalence:
-    """Acceptance: fused ICP bit-identical to the time-multiplexed
-    reference on shared seeds across the equivalence matrix."""
+    """Acceptance: multiplexed ICP — the default engine path —
+    bit-identical to the time-multiplexed reference on shared seeds
+    across the equivalence matrix."""
 
     @pytest.mark.parametrize("kind", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("ell", [2, 4])
     def test_matrix(self, kind, ell):
         g, clustering, schedule, know = _icp_setup(kind, 60 + kind)
+        columns = {
+            "reference": ExecutionPolicy(engine="reference"),
+            "default": None,
+            "windowed": ExecutionPolicy(engine="windowed"),
+            "validated": ExecutionPolicy(validate=True),
+        }
         results = {}
-        for engine in ("reference", "windowed", "fused"):
+        for column, policy in columns.items():
             net = RadioNetwork(g)
             rng = np.random.default_rng(12 + kind)
             res = intra_cluster_propagation(
                 net, clustering, schedule, know, ell, rng,
-                with_background=True,
-                policy=ExecutionPolicy(engine=engine),
+                with_background=True, policy=policy,
             )
-            results[engine] = (res, net, rng)
+            results[column] = (res, net, rng)
 
         ref, net_ref, rng_ref = results["reference"]
-        for engine in ("windowed", "fused"):
-            res, net, rng = results[engine]
+        for column in ("default", "windowed", "validated"):
+            res, net, rng = results[column]
             assert (res.knowledge == ref.knowledge).all()
             assert res.steps == ref.steps
             _assert_trace_equal(net, net_ref)
             assert rng.bit_generator.state == rng_ref.bit_generator.state
+        # The default path runs every step as a window row through the
+        # product, so its kernel counters account for every step.
+        _, net_default, _ = results["default"]
+        assert sum(net_default.kernel_use.values()) == ref.steps
 
     @pytest.mark.parametrize("delivery", ["auto", "sparse", "dense"])
     def test_delivery_modes_identical(self, delivery):
@@ -141,7 +150,6 @@ class TestFusedICPEquivalence:
         res = intra_cluster_propagation(
             net, clustering, schedule, know, 3,
             np.random.default_rng(5),
-            policy=ExecutionPolicy(engine="fused"),
         )
         net_ref = RadioNetwork(g)
         ref = intra_cluster_propagation(
@@ -154,11 +162,12 @@ class TestFusedICPEquivalence:
         _assert_trace_equal(net, net_ref)
 
     def test_fused_without_background_matches_reference(self):
+        # Nothing to multiplex: the default path runs the slot passes
+        # as decision steps.
         g, clustering, schedule, know = _icp_setup(0, 8)
         a = intra_cluster_propagation(
             RadioNetwork(g), clustering, schedule, know, 3,
             np.random.default_rng(6), with_background=False,
-            policy=ExecutionPolicy(engine="fused"),
         )
         b = intra_cluster_propagation(
             RadioNetwork(g), clustering, schedule, know, 3,
@@ -228,106 +237,29 @@ class _BeepProtocol(Protocol):
         return self.heard
 
 
-def _run_pattern_reference(
+def _run_alternating_reference(
     network: RadioNetwork,
-    protocols: list[Protocol],
-    pattern: tuple[int, ...],
+    main: Protocol,
+    background: Protocol,
     rng: np.random.Generator,
 ) -> int:
-    """Generalized step-wise time multiplexing: the executable
-    specification ``multiplex`` is checked against for arbitrary slot
-    patterns. Stops (like ``run_steps`` over ``TimeMultiplexer``)
+    """Step-wise time multiplexing written out: main on even steps,
+    background on odd ones, a finished background transmitting
+    silence. Stops (like ``run_steps`` over ``TimeMultiplexer``)
     before the first step at which the main protocol is finished."""
     steps = 0
-    pos = 0
-    while not protocols[0].finished:
-        active = protocols[pattern[pos % len(pattern)]]
+    while not main.finished:
+        active = background if steps % 2 else main
         if active.finished:
             network.deliver(np.zeros(network.n, dtype=bool))
         else:
             hear = network.deliver(active.transmit_mask(rng))
             active.observe(hear)
         steps += 1
-        pos += 1
     return steps
 
 
 class TestMuxPatterns:
-    @pytest.mark.parametrize("pattern", [(0, 1), (0, 1, 1), (0, 0, 1)])
-    def test_pattern_matches_stepwise_reference(self, pattern):
-        g, clustering, schedule, know_a = _icp_setup(0, 21)
-        know_b = know_a.copy()
-        net_a, net_b = RadioNetwork(g), RadioNetwork(g)
-        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-
-        main_a = ICPProtocol(net_a, schedule, know_a, 3)
-        bg_a = DecayBackground(net_a, clustering, know_a)
-        total = sum(len(p.slots) for p in main_a._passes)
-        result = run_schedule(
-            net_a,
-            multiplex(
-                ProtocolSegmentSource(main_a, steps=total),
-                DecayBackgroundSource(bg_a),
-                slots=pattern,
-                rng=rng_a,
-            ),
-        )
-
-        main_b = ICPProtocol(net_b, schedule, know_b, 3)
-        bg_b = DecayBackground(net_b, clustering, know_b)
-        _run_pattern_reference(net_b, [main_b, bg_b], pattern, rng_b)
-
-        assert (know_a == know_b).all()
-        assert (result == know_a).all()
-        _assert_trace_equal(net_a, net_b)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
-    @pytest.mark.parametrize("pattern", [(0, 1, 2), (0, 2, 1, 1), None])
-    @pytest.mark.parametrize("stream", [False, True])
-    def test_three_streams_match_stepwise_reference(self, pattern, stream):
-        # k-way generalization: main slot passes + the Decay background
-        # + a second background, zipped under a 3-stream pattern,
-        # pinned against the generalized time-multiplexed reference
-        # driver on shared seeds (knowledge, steps, trace, rng stream).
-        # `None` exercises the default round-robin pattern; `stream`
-        # runs the same zip with streamed joint windows.
-        g, clustering, schedule, know_a = _icp_setup(0, 23)
-        know_b = know_a.copy()
-        net_a, net_b = RadioNetwork(g), RadioNetwork(g)
-        rng_a, rng_b = np.random.default_rng(17), np.random.default_rng(17)
-
-        main_a = ICPProtocol(net_a, schedule, know_a, 3)
-        bg_a = DecayBackground(net_a, clustering, know_a)
-        beep_a = _BeepProtocol(net_a, 25)
-        total = sum(len(p.slots) for p in main_a._passes)
-        result = run_schedule(
-            net_a,
-            multiplex(
-                ProtocolSegmentSource(main_a, steps=total),
-                DecayBackgroundSource(bg_a),
-                ProtocolSegmentSource(beep_a, steps=25),
-                slots=pattern,
-                rng=rng_a,
-                stream=stream,
-            ),
-        )
-
-        main_b = ICPProtocol(net_b, schedule, know_b, 3)
-        bg_b = DecayBackground(net_b, clustering, know_b)
-        beep_b = _BeepProtocol(net_b, 25)
-        _run_pattern_reference(
-            net_b,
-            [main_b, bg_b, beep_b],
-            pattern or (0, 1, 2),
-            rng_b,
-        )
-
-        assert (know_a == know_b).all()
-        assert (result == know_a).all()
-        assert beep_a.heard == beep_b.heard
-        _assert_trace_equal(net_a, net_b)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
     def test_finished_background_falls_silent(self):
         g = graphs.path(12)
         net_a, net_b = RadioNetwork(g), RadioNetwork(g)
@@ -346,7 +278,7 @@ class TestMuxPatterns:
 
         main_b = _RotorProtocol(net_b, 40)
         bg_b = _BeepProtocol(net_b, 7)
-        steps = _run_pattern_reference(net_b, [main_b, bg_b], (0, 1), rng_b)
+        steps = _run_alternating_reference(net_b, main_b, bg_b, rng_b)
 
         assert result == main_b.result()
         assert bg_a.heard == bg_b.heard
@@ -372,6 +304,10 @@ class TestMuxPatterns:
         assert net.steps_elapsed == 9  # 2 * 5 - 1, not 10
 
     def test_max_steps_stops_mid_block(self):
+        # A main stream bounded below its natural length ends the joint
+        # stream inside a background sweep: the executed prefix equals
+        # the step-wise reference capped at the same step count, and the
+        # abandoned sweep is never committed.
         g, clustering, schedule, know_a = _icp_setup(0, 22)
         know_b = know_a.copy()
         net_a, net_b = RadioNetwork(g), RadioNetwork(g)
@@ -379,16 +315,15 @@ class TestMuxPatterns:
         cap = 37  # deliberately inside a background sweep
 
         main_a = ICPProtocol(net_a, schedule, know_a, 3)
-        total = sum(len(p.slots) for p in main_a._passes)
+        assert sum(len(p.slots) for p in main_a._passes) > cap // 2 + 1
         run_schedule(
             net_a,
             multiplex(
-                ProtocolSegmentSource(main_a, steps=total),
+                ProtocolSegmentSource(main_a, steps=cap // 2 + 1),
                 DecayBackgroundSource(
                     DecayBackground(net_a, clustering, know_a)
                 ),
                 rng=rng_a,
-                max_steps=cap,
             ),
         )
 
@@ -421,6 +356,16 @@ class _TracePhaseSource(SegmentProtocol):
         return 5
 
 
+class _OpenEnded(SegmentProtocol):
+    """A source of data-dependent length (``steps_remaining`` None)."""
+
+    def plan(self, rng):
+        return ObliviousWindow(np.zeros((2, self.n), dtype=bool))
+
+    def commit(self, reply):
+        pass
+
+
 class TestMuxProhibitions:
     def _main(self, net, steps=6):
         return ProtocolSegmentSource(_RotorProtocol(net, steps), steps=steps)
@@ -429,14 +374,9 @@ class TestMuxProhibitions:
         # Regression for the docstring-only promise in engine/segments:
         # TracePhase is not allowed inside multiplexed sub-schedules.
         net = RadioNetwork(graphs.path(6))
-
-        def schedule():
-            yield TracePhase("inner")
-            yield ObliviousWindow(np.zeros((2, 6), dtype=bool))
-
         mux = multiplex(
             self._main(net),
-            ScheduleSegmentAdapter(schedule(), 6),
+            _TracePhaseSource(6),
             rng=np.random.default_rng(0),
         )
         with pytest.raises(ProtocolError, match="TracePhase"):
@@ -454,31 +394,19 @@ class TestMuxProhibitions:
 
     def test_main_without_exact_remaining_rejected(self):
         net = RadioNetwork(graphs.path(6))
-
-        def schedule():
-            yield ObliviousWindow(np.zeros((2, 6), dtype=bool))
-
         with pytest.raises(ProtocolError, match="steps_remaining"):
             multiplex(
-                ScheduleSegmentAdapter(schedule(), 6),
-                self._main(net),
-                rng=np.random.default_rng(0),
+                _OpenEnded(6), self._main(net), rng=np.random.default_rng(0)
             )
 
     def test_refusal_names_the_offending_source(self):
         # The refusal must name the offending source's type, so the
-        # error is actionable from any entry point (CLI --fused, packet
-        # Compete, a direct call) without a traceback spelunk.
+        # error is actionable from any entry point without a traceback
+        # spelunk.
         net = RadioNetwork(graphs.path(6))
-
-        def schedule():
-            yield ObliviousWindow(np.zeros((2, 6), dtype=bool))
-
-        with pytest.raises(ProtocolError, match="ScheduleSegmentAdapter"):
+        with pytest.raises(ProtocolError, match="_OpenEnded"):
             multiplex(
-                ScheduleSegmentAdapter(schedule(), 6),
-                self._main(net),
-                rng=np.random.default_rng(0),
+                _OpenEnded(6), self._main(net), rng=np.random.default_rng(0)
             )
         # ProtocolSegmentSource without an exact step bound is the
         # other common way to hit it.
@@ -487,22 +415,20 @@ class TestMuxProhibitions:
             multiplex(bare, self._main(net), rng=np.random.default_rng(0))
 
     def test_needs_a_background(self):
+        # The background is a required argument of the two-way zip.
         net = RadioNetwork(graphs.path(6))
-        with pytest.raises(ProtocolError, match="background"):
+        with pytest.raises(TypeError, match="background"):
             multiplex(self._main(net), rng=np.random.default_rng(0))
 
     def test_streamed_window_in_substream_rejected(self):
-        from repro.engine import StreamedWindow
-        from repro.radio import TransmitPlan
-
         net = RadioNetwork(graphs.path(6))
+        empty = np.empty(0, dtype=np.int64)
 
         class _Streamy(SegmentProtocol):
             def plan(self, rng):
                 return StreamedWindow(
-                    TransmitPlan(
-                        2, lambda s, e: np.zeros((e - s, 6), dtype=bool)
-                    )
+                    TransmitterPlan(2, lambda s, e: (empty, empty)),
+                    consume_coo=lambda *triple: None,
                 )
 
             def commit(self, reply):
@@ -514,24 +440,6 @@ class TestMuxProhibitions:
         with pytest.raises(ProtocolError, match="StreamedWindow"):
             run_schedule(net, mux)
 
-    def test_slot_pattern_validation(self):
-        net = RadioNetwork(graphs.path(6))
-        with pytest.raises(ProtocolError, match="slots"):
-            multiplex(
-                self._main(net), self._main(net),
-                slots=(), rng=np.random.default_rng(0),
-            )
-        with pytest.raises(ProtocolError, match="slots"):
-            multiplex(
-                self._main(net), self._main(net),
-                slots=(0, 2), rng=np.random.default_rng(0),
-            )
-        with pytest.raises(ProtocolError, match="main"):
-            multiplex(
-                self._main(net), self._main(net),
-                slots=(1, 1), rng=np.random.default_rng(0),
-            )
-
     def test_stream_size_mismatch_rejected(self):
         net6 = RadioNetwork(graphs.path(6))
         net7 = RadioNetwork(graphs.path(7))
@@ -541,45 +449,6 @@ class TestMuxProhibitions:
                 ProtocolSegmentSource(_BeepProtocol(net7, 3), steps=3),
                 rng=np.random.default_rng(0),
             )
-
-    def test_decision_step_accepted_as_width_one(self):
-        # A sub-stream planning DecisionSteps is legal: each becomes a
-        # width-1 row of the joint window, and its commit reply keeps
-        # the 1-D hear-vector shape every other driver delivers for a
-        # DecisionStep.
-        net = RadioNetwork(graphs.path(6))
-
-        class DecisionSource(SegmentProtocol):
-            def __init__(self):
-                super().__init__(6)
-                self.left = 4
-
-            def plan(self, rng):
-                if not self.left:
-                    return None
-                self.left -= 1
-                mask = np.zeros(6, dtype=bool)
-                mask[self.left] = True
-                return DecisionStep(mask)
-
-            def commit(self, reply):
-                assert reply.shape == (6,)
-
-            def steps_remaining(self):
-                return self.left
-
-            def result(self):
-                return "done"
-
-        result = run_schedule(
-            net,
-            multiplex(
-                DecisionSource(), self._main(net),
-                rng=np.random.default_rng(0),
-            ),
-        )
-        assert result == "done"
-        assert net.steps_elapsed == 7  # 2 * 4 - 1
 
 
 class TestMuxPlanValidation:
@@ -613,6 +482,7 @@ class TestMuxPlanValidation:
                 lambda: ObliviousWindow(np.zeros((2, 6), dtype=np.int64)),
                 "dtype",
             ),
+            (lambda: DecisionStep(np.zeros(6, dtype=bool)), "DecisionStep"),
         ],
     )
     def test_bad_planned_segments_rejected(self, factory, match):
@@ -624,14 +494,6 @@ class TestMuxPlanValidation:
         )
         with pytest.raises(ProtocolError, match=match):
             run_schedule(net, mux)
-
-    def test_negative_max_steps_rejected(self):
-        net = RadioNetwork(graphs.path(6))
-        with pytest.raises(ProtocolError, match="max_steps"):
-            multiplex(
-                self._main(net), self._main(net),
-                rng=np.random.default_rng(0), max_steps=-1,
-            )
 
     def test_zero_row_segments_commit_and_plan_on(self):
         # A source may plan empty windows; they execute nothing, are
@@ -679,37 +541,6 @@ class TestSegmentProtocolDefaults:
             Bare(4).result()
         assert Bare(4).steps_remaining() is None
 
-    def test_trace_phase_through_segment_schedule(self):
-        # Outside a mux, a plan/commit source may emit TracePhase; the
-        # lift passes it through and commits None.
-        net = RadioNetwork(graphs.path(4))
-        seen = []
-
-        class Phased(SegmentProtocol):
-            def __init__(self):
-                super().__init__(4)
-                self.stage = 0
-
-            def plan(self, rng):
-                self.stage += 1
-                if self.stage == 1:
-                    return TracePhase("warm")
-                if self.stage == 2:
-                    return ObliviousWindow(np.zeros((2, 4), dtype=bool))
-                return None
-
-            def commit(self, reply):
-                seen.append(None if reply is None else reply.shape)
-
-            def result(self):
-                return "phased"
-
-        assert WindowedRunner(net).run_segments(
-            Phased(), np.random.default_rng(0)
-        ) == "phased"
-        assert seen == [None, (2, 4)]
-        assert net.trace.steps_in_phase("warm") == 2
-
     def test_protocol_schedule_negative_steps(self):
         from repro.engine import protocol_schedule
 
@@ -739,56 +570,6 @@ class TestSegmentProtocolDefaults:
 
 
 class TestSegmentAdapters:
-    def test_adapter_requires_alternating_plan_commit(self):
-        def schedule():
-            yield ObliviousWindow(np.zeros((1, 4), dtype=bool))
-            yield ObliviousWindow(np.zeros((1, 4), dtype=bool))
-
-        adapter = ScheduleSegmentAdapter(schedule(), 4)
-        rng = np.random.default_rng(0)
-        adapter.plan(rng)
-        with pytest.raises(ProtocolError, match="plan"):
-            adapter.plan(rng)
-        adapter.commit(np.full((1, 4), NO_SENDER, dtype=np.int64))
-        with pytest.raises(ProtocolError, match="commit"):
-            adapter.commit(np.full((1, 4), NO_SENDER, dtype=np.int64))
-
-    def test_adapter_result_gating(self):
-        def schedule():
-            yield ObliviousWindow(np.zeros((1, 4), dtype=bool))
-            return "value"
-
-        adapter = ScheduleSegmentAdapter(schedule(), 4)
-        rng = np.random.default_rng(0)
-        with pytest.raises(ProtocolError, match="result"):
-            adapter.result()
-        adapter.plan(rng)
-        adapter.commit(np.full((1, 4), NO_SENDER, dtype=np.int64))
-        assert adapter.steps_remaining() is None
-        assert adapter.plan(rng) is None
-        assert adapter.steps_remaining() == 0
-        assert adapter.result() == "value"
-
-    def test_run_segments_equals_generator_run(self):
-        from repro.core.decay import decay_block_schedule, run_decay
-
-        g = graphs.path(20)
-        active = np.zeros(20, dtype=bool)
-        active[::3] = True
-        net_a, net_b = RadioNetwork(g), RadioNetwork(g)
-        rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
-
-        adapter = ScheduleSegmentAdapter(
-            decay_block_schedule(net_a, active, rng_a, iterations=4), 20
-        )
-        a = WindowedRunner(net_a).run_segments(adapter, rng_a)
-        b = run_decay(net_b, active, rng_b, iterations=4)
-
-        assert (a.heard == b.heard).all()
-        assert (a.heard_from == b.heard_from).all()
-        _assert_trace_equal(net_a, net_b)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
     def test_protocol_source_validates(self):
         net = RadioNetwork(graphs.path(5))
         with pytest.raises(ProtocolError, match="steps"):

@@ -14,10 +14,6 @@ Four pinned properties:
 * **Knob resolution** — explicit ``chunk_steps`` beats ``mem_budget``
   beats the process-wide default; the experiment harness imposes and
   restores the default around trials.
-* **Plan/commit streaming** — ``StreamingSegmentProtocol.commit``
-  receives one hear chunk per executed slab, in step order, and the
-  ``StreamedCommitAdapter`` lets whole-window sources ride the
-  streaming pipeline unmodified.
 """
 
 from __future__ import annotations
@@ -37,27 +33,21 @@ from repro.core.mis import MISConfig, compute_mis, compute_mis_reference
 from repro.engine import (
     ExecutionPolicy,
     ObliviousWindow,
-    ScheduleSegmentAdapter,
-    SegmentProtocol,
-    StreamedCommitAdapter,
     StreamedWindow,
-    StreamingSegmentProtocol,
+    TransmitterPlan,
     WindowedRunner,
     chunk_steps_for_budget,
     memory_budget,
     resolve_chunk_steps,
-    run_schedule,
-    segment_schedule,
     set_memory_budget,
 )
 from repro.engine.streaming import STREAM_CELL_BYTES
 from repro.radio import (
+    NO_SENDER,
     BudgetExceededError,
     InvalidActionError,
     ProtocolError,
     RadioNetwork,
-    TransmitPlan,
-    as_transmit_plan,
 )
 
 
@@ -73,15 +63,36 @@ def _graph(n: int = 60, seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# The runner's chunk loop over mask plans.
+# The runner's chunk loop over transmitter plans.
 # ---------------------------------------------------------------------------
+def _mask_plan(masks: np.ndarray) -> TransmitterPlan:
+    """A transmitter plan whose rows are read off fixed masks."""
+    return TransmitterPlan(
+        masks.shape[0], lambda start, stop: np.nonzero(masks[start:stop])
+    )
+
+
+def _slab_fold(n: int, slabs: list):
+    """A ``consume_coo`` fold that rebuilds each chunk's hear slab."""
+
+    def fold(k, steps, nodes, senders):
+        slab = np.full((k, n), NO_SENDER, dtype=np.int64)
+        slab[steps, nodes] = senders
+        slabs.append(slab)
+
+    return fold
+
+
 def _stream_slabs(net: RadioNetwork, plan, chunk_steps: int) -> list:
-    """Run a mask plan (or matrix) as one streamed window through the
-    runner's chunk loop; return the hear slabs in step order."""
+    """Run a transmitter plan (or a mask matrix read off as one) as one
+    streamed window through the runner's chunk loop; return the hear
+    slabs in step order."""
+    if isinstance(plan, np.ndarray):
+        plan = _mask_plan(plan)
     slabs: list[np.ndarray] = []
 
     def schedule():
-        yield StreamedWindow(as_transmit_plan(plan), slabs.append)
+        yield StreamedWindow(plan, consume_coo=_slab_fold(net.n, slabs))
 
     WindowedRunner(net, chunk_steps=chunk_steps).run(schedule())
     return slabs
@@ -114,49 +125,49 @@ class TestDeliverWindowChunks:
 
         def produce(start, stop):
             calls.append((start, stop))
-            return masks[start:stop]
+            return np.nonzero(masks[start:stop])
 
         net = RadioNetwork(g)
-        out = np.vstack(_stream_slabs(net, TransmitPlan(10, produce), 4))
+        out = np.vstack(
+            _stream_slabs(net, TransmitterPlan(10, produce), 4)
+        )
         assert calls == [(0, 4), (4, 8), (8, 10)]
         assert (out == RadioNetwork(g).deliver_window(masks)).all()
 
     def test_empty_plan_yields_nothing(self):
         net = RadioNetwork(_graph())
-        plan = TransmitPlan(0, lambda s, e: np.zeros((0, 60), dtype=bool))
+        plan = _mask_plan(np.zeros((0, 60), dtype=bool))
         assert _stream_slabs(net, plan, 3) == []
         assert net.steps_elapsed == 0
         assert net.trace.total_steps == 0
 
     def test_validation(self):
+        # The chunk height, a plan's length and its transmitter ids are
+        # checked; a materialized window's masks are checked for shape
+        # and dtype before any chunk runs.
         net = RadioNetwork(_graph())
         masks = np.zeros((4, 60), dtype=bool)
         with pytest.raises(ProtocolError, match="chunk_steps"):
             _stream_slabs(net, masks, 0)
-        negative = TransmitPlan(-1, lambda s, e: masks[s:e])
+        negative = TransmitterPlan(-1, lambda s, e: np.nonzero(masks[s:e]))
         with pytest.raises(InvalidActionError, match="negative"):
             _stream_slabs(net, negative, 2)
-        bad_rows = TransmitPlan(4, lambda s, e: masks[s : s + 1])
-        with pytest.raises(InvalidActionError, match="rows"):
-            _stream_slabs(net, bad_rows, 2)
-        bad_dtype = TransmitPlan(
-            4, lambda s, e: np.zeros((e - s, 60), dtype=np.int64)
+        stray = TransmitterPlan(
+            4,
+            lambda s, e: (np.zeros(1, dtype=np.int64), np.full(1, 60)),
         )
-        with pytest.raises(InvalidActionError, match="boolean"):
-            _stream_slabs(net, bad_dtype, 2)
-        bad_shape = TransmitPlan(
-            4, lambda s, e: np.zeros((e - s, 59), dtype=bool)
-        )
-        with pytest.raises(InvalidActionError, match="shape"):
-            _stream_slabs(net, bad_shape, 2)
+        with pytest.raises(ValueError, match="node ids"):
+            _stream_slabs(net, stray, 2)
+        for bad, match in (
+            (np.zeros((4, 60), dtype=np.int64), "boolean"),
+            (np.zeros((4, 59), dtype=bool), "shape"),
+        ):
 
-    def test_as_transmit_plan_passthrough(self):
-        plan = TransmitPlan(3, lambda s, e: np.zeros((e - s, 5), dtype=bool))
-        assert as_transmit_plan(plan) is plan
-        arr = np.zeros((3, 5), dtype=bool)
-        wrapped = as_transmit_plan(arr)
-        assert wrapped.total_steps == 3
-        assert wrapped.masks(1, 3).shape == (2, 5)
+            def window():
+                yield ObliviousWindow(bad)
+
+            with pytest.raises(InvalidActionError, match=match):
+                WindowedRunner(net, chunk_steps=2).run(window())
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +282,14 @@ class TestStreamedEmitterEquivalence:
 
     def test_zero_total_streamed_window_direct(self):
         # A StreamedWindow with total_steps = 0 charges and executes
-        # nothing; its consume callback is never called.
+        # nothing; its fold is never called.
         net = RadioNetwork(_graph(40, 8))
         folded = []
 
         def emit():
             yield StreamedWindow(
-                TransmitPlan(0, lambda s, e: np.zeros((0, 40), dtype=bool)),
-                folded.append,
+                _mask_plan(np.zeros((0, 40), dtype=bool)),
+                consume_coo=lambda *triple: folded.append(triple),
             )
             return "ok"
 
@@ -315,7 +326,9 @@ class TestStreamedBudget:
         folded = []
 
         def emit():
-            yield StreamedWindow(as_transmit_plan(masks), folded.append)
+            yield StreamedWindow(
+                _mask_plan(masks), consume_coo=_slab_fold(60, folded)
+            )
 
         net = RadioNetwork(g)
         runner = WindowedRunner(net, max_steps=10, chunk_steps=4)
@@ -335,7 +348,9 @@ class TestStreamedBudget:
         folded = []
 
         def emit():
-            yield StreamedWindow(as_transmit_plan(masks), folded.append)
+            yield StreamedWindow(
+                _mask_plan(masks), consume_coo=_slab_fold(60, folded)
+            )
 
         runner.run(emit())
         assert runner.steps_executed == net.steps_elapsed == 12
@@ -345,9 +360,7 @@ class TestStreamedBudget:
         net = RadioNetwork(_graph())
 
         def emit():
-            yield StreamedWindow(
-                TransmitPlan(2, lambda s, e: np.zeros((e - s, 60), bool))
-            )
+            yield StreamedWindow(_mask_plan(np.zeros((2, 60), bool)))
 
         with pytest.raises(ProtocolError, match="consume"):
             WindowedRunner(net).run(emit())
@@ -389,6 +402,10 @@ class TestKnobResolution:
         with pytest.raises(ValueError, match="mem_budget"):
             WindowedRunner(net, mem_budget=0)
 
+    def test_set_memory_budget_validates(self):
+        with pytest.raises(ValueError, match="mem_budget"):
+            set_memory_budget(0)
+
     def test_run_trials_imposes_and_restores_budget(self):
         observed = []
 
@@ -405,143 +422,6 @@ class TestKnobResolution:
             assert observed[-1] == 77 << 20  # untouched when unset
         finally:
             set_memory_budget(None)
-
-
-# ---------------------------------------------------------------------------
-# The streaming plan/commit form.
-# ---------------------------------------------------------------------------
-class _ChunkCountingSource(StreamingSegmentProtocol):
-    """Native streaming source: one streamed window, commits per chunk."""
-
-    def __init__(self, n: int, masks: np.ndarray) -> None:
-        super().__init__(n)
-        self.masks = masks
-        self.chunks: list[np.ndarray] = []
-        self._planned = False
-
-    def plan(self, rng):
-        if self._planned:
-            return None
-        self._planned = True
-        return self.stream(as_transmit_plan(self.masks))
-
-    def commit(self, hear_chunk):
-        self.chunks.append(hear_chunk)
-
-    def result(self):
-        return np.vstack(self.chunks)
-
-
-class TestStreamingSegmentProtocol:
-    def test_commit_receives_chunks_in_order(self):
-        g = _graph()
-        masks = np.random.default_rng(17).random((11, 60)) < 0.25
-        source = _ChunkCountingSource(60, masks)
-        net = RadioNetwork(g)
-        out = WindowedRunner(net, chunk_steps=4).run_segments(
-            source, np.random.default_rng(0)
-        )
-        assert [c.shape[0] for c in source.chunks] == [4, 4, 3]
-        assert (out == RadioNetwork(g).deliver_window(masks)).all()
-
-    def test_streamed_commit_adapter_buffers_whole_window(self):
-        # A whole-window SegmentProtocol rides the streaming pipeline
-        # unmodified: chunks re-assemble into the single (w, n) commit.
-        g = _graph()
-        masks = np.random.default_rng(18).random((9, 60)) < 0.25
-
-        class _WholeWindow(SegmentProtocol):
-            def __init__(self):
-                super().__init__(60)
-                self.reply = None
-                self._planned = False
-
-            def plan(self, rng):
-                if self._planned:
-                    return None
-                self._planned = True
-                return ObliviousWindow(masks)
-
-            def commit(self, reply):
-                self.reply = reply
-
-            def result(self):
-                return self.reply
-
-        inner = _WholeWindow()
-        adapter = StreamedCommitAdapter(inner)
-        net = RadioNetwork(g)
-        out = WindowedRunner(net, chunk_steps=2).run_segments(
-            adapter, np.random.default_rng(0)
-        )
-        assert out.shape == (9, 60)
-        assert (out == RadioNetwork(g).deliver_window(masks)).all()
-
-    def test_streamed_commit_adapter_contract_errors(self):
-        masks = np.zeros((4, 6), dtype=bool)
-
-        class _One(SegmentProtocol):
-            def __init__(self):
-                super().__init__(6)
-                self._planned = False
-
-            def plan(self, rng):
-                if self._planned:
-                    return None
-                self._planned = True
-                return ObliviousWindow(masks)
-
-            def commit(self, reply):
-                pass
-
-            def steps_remaining(self):
-                return 0 if self._planned else 4
-
-            def result(self):
-                return "inner"
-
-        adapter = StreamedCommitAdapter(_One())
-        rng = np.random.default_rng(0)
-        segment = adapter.plan(rng)
-        assert isinstance(segment, StreamedWindow)
-        with pytest.raises(ProtocolError, match="chunks"):
-            adapter.plan(rng)
-        with pytest.raises(ProtocolError, match="more chunk rows"):
-            adapter.commit(np.zeros((5, 6), dtype=np.int64))
-        # Delegation of the non-window surface.
-        fresh = StreamedCommitAdapter(_One())
-        assert fresh.steps_remaining() == 4
-        fresh.plan(rng)
-        fresh.commit(np.zeros((4, 6), dtype=np.int64))
-        assert fresh.plan(rng) is None
-        assert fresh.result() == "inner"
-
-    def test_set_memory_budget_validates(self):
-        with pytest.raises(ValueError, match="mem_budget"):
-            set_memory_budget(0)
-
-    def test_generator_emitter_through_adapter_streams(self):
-        # ScheduleSegmentAdapter over a streamed-emitter generator: the
-        # StreamedWindow passes through and the generator's own consume
-        # folds in-stream (PR 3's run_segments round trip, streamed).
-        from repro.core.decay import decay_block_schedule
-
-        g = _graph(30, 9)
-        active = np.zeros(30, dtype=bool)
-        active[::2] = True
-        net_a, net_b = RadioNetwork(g), RadioNetwork(g)
-        rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
-        adapter = ScheduleSegmentAdapter(
-            decay_block_schedule(net_a, active, rng_a, iterations=4), 30
-        )
-        a = WindowedRunner(net_a, chunk_steps=3).run_segments(
-            adapter, rng_a
-        )
-        b = run_decay_reference(net_b, active, rng_b, iterations=4)
-        assert (a.heard == b.heard).all()
-        assert (a.heard_from == b.heard_from).all()
-        _assert_trace_equal(net_a, net_b)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

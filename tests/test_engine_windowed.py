@@ -384,7 +384,9 @@ class TestPacketPipelineEquivalence:
         )
         b = broadcast_packet(
             net_r, 0, np.random.default_rng(13),
-            config=PacketCompeteConfig(engine="reference"),
+            config=PacketCompeteConfig(
+                policy=ExecutionPolicy(engine="reference")
+            ),
         )
         assert a == b
         _assert_trace_equal(net_w, net_r)
@@ -400,14 +402,17 @@ class TestPacketPipelineEquivalence:
         )
         b = compete_packet(
             net_r, sources, np.random.default_rng(14),
-            config=PacketCompeteConfig(engine="reference"),
+            config=PacketCompeteConfig(
+                policy=ExecutionPolicy(engine="reference")
+            ),
         )
         assert a == b
         assert a.winner == 7
 
     def test_config_validates_engine(self):
+        # The engine rides on the config's policy, validated there.
         with pytest.raises(ValueError, match="engine"):
-            PacketCompeteConfig(engine="nope")
+            PacketCompeteConfig(policy=ExecutionPolicy(engine="nope"))
 
 
 class TestRunnerProperties:

@@ -2,9 +2,9 @@
 
 Each case draws seeded random graphs (mixing UDG, quasi-UDG, G(n, p),
 paths, and hard star-of-cliques instances) and runs a protocol through
-its independent implementations — the windowed engine, the step-wise
-``*_reference`` twin, and where one exists the fused (multiplexed)
-path — pinning:
+its independent implementations — the windowed engine (for ICP and the
+packet pipeline, the multiplexed path, also under the contract-checking
+``validate=True``) and the step-wise ``*_reference`` twin — pinning:
 
 * the protocol **result** (every field that is seed-deterministic);
 * ``steps_elapsed`` and the **trace totals** (global and per phase);
@@ -46,6 +46,7 @@ from repro.core import (
 )
 from repro.core.compete_packet import PacketCompeteConfig, compete_packet
 from repro.core.intra_cluster import DecayBackground, decay_background_schedule
+from repro.core.leader_election import elect_leader_packet
 from repro.core.wakeup import (
     mis_as_wakeup_strategy,
     mis_as_wakeup_strategy_reference,
@@ -63,6 +64,16 @@ from repro.engine.policy import ExecutionPolicy
 from repro.faults import FaultSchedule
 from repro.graphs import greedy_independent_set
 from repro.radio import RadioNetwork, run_steps
+
+
+#: The policies the multi-engine twins run under: the step-wise
+#: reference, the default engine path, and that path with every window
+#: replayed through the contract checker.
+_ENGINE_POLICIES = {
+    "reference": ExecutionPolicy(engine="reference"),
+    "default": ExecutionPolicy(),
+    "validated": ExecutionPolicy(validate=True),
+}
 
 
 def _assert_trace_equal(a: RadioNetwork, b: RadioNetwork) -> None:
@@ -223,17 +234,17 @@ class TestDifferentialFuzz:
             know[0] = 3
             ell = int(setup.integers(2, 6))
             runs = {}
-            for engine in ("reference", "windowed", "fused"):
+            for name, policy in _ENGINE_POLICIES.items():
                 net = RadioNetwork(g)
                 rng = np.random.default_rng(seed + 1)
                 res = intra_cluster_propagation(
                     net, clustering, schedule, know, ell, rng,
-                    policy=ExecutionPolicy(engine=engine),
+                    policy=policy,
                 )
-                runs[engine] = (res, net, rng)
+                runs[name] = (res, net, rng)
             ref, net_ref, rng_ref = runs["reference"]
-            for engine in ("windowed", "fused"):
-                res, net, rng = runs[engine]
+            for name in ("default", "validated"):
+                res, net, rng = runs[name]
                 assert (res.knowledge == ref.knowledge).all()
                 assert res.steps == ref.steps
                 _assert_trace_equal(net, net_ref)
@@ -268,7 +279,7 @@ class TestDifferentialFuzz:
             _assert_rng_equal(rng_w, rng_r)
 
     def test_packet_compete(self, fuzz_rounds):
-        # The full packet pipeline across all three engines; small
+        # The full packet pipeline under all three policies; small
         # graphs — every stage is simulated step-for-step on the
         # reference side.
         for r in range(min(fuzz_rounds, 3)):
@@ -279,18 +290,44 @@ class TestDifferentialFuzz:
             )
             sources = {0: 2, g.number_of_nodes() - 1: 5}
             runs = {}
-            for engine in ("reference", "windowed", "fused"):
+            for name, policy in _ENGINE_POLICIES.items():
                 net = RadioNetwork(g)
+                rng = np.random.default_rng(seed + 1)
                 res = compete_packet(
-                    net, dict(sources), np.random.default_rng(seed + 1),
-                    config=PacketCompeteConfig(engine=engine),
+                    net, dict(sources), rng,
+                    config=PacketCompeteConfig(policy=policy),
                 )
-                runs[engine] = (res, net)
-            ref, net_ref = runs["reference"]
-            for engine in ("windowed", "fused"):
-                res, net = runs[engine]
+                runs[name] = (res, net, rng)
+            ref, net_ref, rng_ref = runs["reference"]
+            for name in ("default", "validated"):
+                res, net, rng = runs[name]
                 assert res == ref
                 _assert_trace_equal(net, net_ref)
+                _assert_rng_equal(rng, rng_ref)
+
+    def test_packet_leader(self, fuzz_rounds):
+        # Algorithm 3 on the packet pipeline: candidate draws, then
+        # their IDs race through packet Compete under every policy.
+        for r in range(min(fuzz_rounds, 3)):
+            seed = _seed(r, "packet-leader")
+            setup = np.random.default_rng(seed)
+            g = nx.convert_node_labels_to_integers(
+                graphs.random_udg(int(setup.integers(25, 45)), 2.5, setup)
+            )
+            runs = {}
+            for name, policy in _ENGINE_POLICIES.items():
+                net = RadioNetwork(g)
+                rng = np.random.default_rng(seed + 1)
+                res = elect_leader_packet(
+                    net, rng, config=PacketCompeteConfig(policy=policy)
+                )
+                runs[name] = (res, net, rng)
+            ref, net_ref, rng_ref = runs["reference"]
+            for name in ("default", "validated"):
+                res, net, rng = runs[name]
+                assert res == ref
+                _assert_trace_equal(net, net_ref)
+                _assert_rng_equal(rng, rng_ref)
 
 
 def _fuzz_schedule(n: int, seed: int) -> FaultSchedule:
@@ -501,17 +538,17 @@ class TestFaultTwins:
             know[0] = 3
             faults = _fuzz_schedule(g.number_of_nodes(), seed)
             runs = {}
-            for engine in ("reference", "windowed", "fused"):
+            for name, policy in _ENGINE_POLICIES.items():
                 net = RadioNetwork(g, faults=faults)
                 rng = np.random.default_rng(seed + 1)
                 res = intra_cluster_propagation(
                     net, clustering, schedule, know, 3, rng,
-                    policy=ExecutionPolicy(engine=engine),
+                    policy=policy,
                 )
-                runs[engine] = (res, net, rng)
+                runs[name] = (res, net, rng)
             ref, net_ref, rng_ref = runs["reference"]
-            for engine in ("windowed", "fused"):
-                res, net, rng = runs[engine]
+            for name in ("default", "validated"):
+                res, net, rng = runs[name]
                 assert (res.knowledge == ref.knowledge).all()
                 assert res.steps == ref.steps
                 _assert_trace_equal(net, net_ref)

@@ -667,10 +667,10 @@ class TestProvenanceCounters:
         assert set(delivery["kernel_use"]) <= {"coo-spmm", "skip-empty"}
 
     def test_mask_windows_report_stage_split(self):
-        """A faulted fused-ICP run — multiplexed mask windows, streamed
-        — splits its chunks into coins/faults/deliver/commit like the
-        transmitter-list path: fault filtering shows in ``faults``, and
-        every row counts under the product's two counters."""
+        """A faulted ICP run — multiplexed mask windows, the default
+        path — splits its chunks into coins/faults/deliver/commit like
+        the transmitter-list path: fault filtering shows in ``faults``,
+        and every row counts under the product's two counters."""
         from repro.api import ICPConfig
 
         g = _udg(200, 75)
@@ -678,7 +678,7 @@ class TestProvenanceCounters:
                                       churn=0.2, jam=0.1)
         report = api.run(
             "icp", g, seed=4, config=ICPConfig(),
-            policy=api.ExecutionPolicy(engine="fused", faults=faults),
+            policy=api.ExecutionPolicy(faults=faults),
         )
         timing = report.provenance["timing"]
         assert timing["faults"] > 0.0

@@ -46,10 +46,10 @@ from repro.engine.kernels import DeliveryKernels
 from repro.engine.policy import POLICY_FIELDS, ExecutionPolicy
 from repro.engine.runner import run_schedule
 from repro.engine.sampler import RowSampler, draw_block_key
-from repro.engine.segments import PlanSection, StreamedWindow
+from repro.engine.segments import PlanSection, StreamedWindow, TransmitterPlan
 from repro.radio import RadioNetwork
 from repro.radio.errors import ProtocolError
-from repro.radio.network import NO_SENDER, TransmitPlan
+from repro.radio.network import NO_SENDER
 
 
 def _assert_trace_equal(a: RadioNetwork, b: RadioNetwork) -> None:
@@ -518,16 +518,18 @@ class TestRestrictedEquivalence:
 
 
 class TestPlanContracts:
+    @staticmethod
+    def _silent_plan(total: int) -> TransmitterPlan:
+        empty = np.empty(0, dtype=np.int64)
+        return TransmitterPlan(total, lambda s, e: (empty, empty))
+
     def test_section_widths_must_cover_the_plan(self):
         net = RadioNetwork(nx.path_graph(6))
 
         def schedule():
-            plan = TransmitPlan(
-                4, lambda s, e: np.zeros((e - s, 6), dtype=bool)
-            )
             yield StreamedWindow(
-                plan,
-                sections=(PlanSection(3, None, lambda slab: None),),
+                self._silent_plan(4),
+                sections=(PlanSection(3, None, lambda *triple: None),),
             )
 
         with pytest.raises(ProtocolError, match="sections cover 3"):
@@ -537,32 +539,21 @@ class TestPlanContracts:
         net = RadioNetwork(nx.path_graph(4))
 
         def schedule():
-            yield StreamedWindow(
-                TransmitPlan(
-                    2, lambda s, e: np.zeros((e - s, 4), dtype=bool)
-                )
-            )
+            yield StreamedWindow(self._silent_plan(2))
 
         with pytest.raises(ProtocolError, match="without a\\s+consume"):
             run_schedule(net, schedule())
 
     def test_sections_need_their_fold(self):
-        # Each plan form's sections need the fold its chunks reach:
-        # hear slabs for a mask plan, reception triples for a
-        # transmitter plan.
-        from repro.engine.segments import TransmitterPlan
-
+        # Every section needs the reception-triple fold its chunks
+        # reach; one without it refuses before any chunk runs.
         net = RadioNetwork(nx.path_graph(4))
-        empty = np.empty(0, dtype=np.int64)
-        plans = (
-            TransmitPlan(2, lambda s, e: np.zeros((e - s, 4), dtype=bool)),
-            TransmitterPlan(2, lambda s, e: (empty, empty)),
-        )
-        for plan, wrong in zip(plans, ("consume_coo", "consume")):
-            section = PlanSection(2, None, **{wrong: lambda *a: None})
 
-            def schedule():
-                yield StreamedWindow(plan, sections=(section,))
+        def schedule():
+            yield StreamedWindow(
+                self._silent_plan(2), sections=(PlanSection(2, "p"),)
+            )
 
-            with pytest.raises(ProtocolError, match="needs a consume"):
-                run_schedule(net, schedule())
+        with pytest.raises(ProtocolError, match="needs a consume"):
+            run_schedule(net, schedule())
+        assert net.steps_elapsed == 0

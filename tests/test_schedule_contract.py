@@ -11,8 +11,8 @@ Two layers of enforcement:
 
 2. **Replay** — each registered emitter runs under
    :class:`repro.engine.validate.ValidatingRunner`, which replays every
-   chunk the transmitter-pair product delivers — materialized windows,
-   streamed mask plans and sampled transmitter plans alike —
+   chunk the transmitter-pair product delivers — materialized windows
+   and sampled transmitter plans alike —
    step-by-step through :meth:`~repro.radio.network.RadioNetwork.deliver`
    on a shadow network, asserting bit-identical ``hear_from``
    everywhere. The windows checked are the ones the real protocols emit
@@ -50,11 +50,9 @@ from repro.core.wakeup import _wakeup_mis_schedule
 from repro.faults import FaultSchedule
 from repro.engine import (
     ProtocolSegmentSource,
-    ScheduleSegmentAdapter,
     ValidatingRunner,
     multiplex,
     protocol_schedule,
-    segment_schedule,
 )
 from repro.engine.validate import ObliviousnessViolationError
 from repro.graphs import greedy_independent_set
@@ -120,7 +118,6 @@ EMITTER_RUNS = {
     "_wakeup_mis_schedule": "test_wakeup",
     "decay_background_schedule": "test_decay_background",
     "protocol_schedule": "test_legacy_protocol_adapter",
-    "segment_schedule": "test_segment_schedule",
     # multiplex() validates eagerly and returns _multiplex, the
     # generator body the scan sees.
     "_multiplex": "test_multiplexed_icp",
@@ -338,23 +335,6 @@ class TestEmitterContracts:
         )
         assert runner.steps_checked > 0
 
-    @pytest.mark.parametrize("kind", GRAPH_KINDS)
-    def test_segment_schedule(self, kind):
-        # The plan/commit-to-generator lift, over the generator-form
-        # adapter: a full round trip through both directions.
-        g = _contract_graph(kind, 3)
-        n = g.number_of_nodes()
-        active = np.random.default_rng(3).random(n) < 0.5
-        runner = _validated(g)
-        rng = np.random.default_rng(110)
-        adapter = ScheduleSegmentAdapter(
-            decay_block_schedule(runner.network, active, rng, iterations=4),
-            n,
-        )
-        result = runner.run(segment_schedule(adapter, rng))
-        assert runner.windows_checked > 0
-        assert result.heard.shape == (n,)
-
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("kind", GRAPH_KINDS)
     def test_multiplexed_icp(self, kind, seed):
@@ -409,30 +389,34 @@ class TestValidatingRunnerDetectsViolations:
         with pytest.raises(ObliviousnessViolationError, match="diverged"):
             runner.run(emit())
 
-    @pytest.mark.parametrize("form", ["mask-plan", "transmitter-plan"])
+    @pytest.mark.parametrize("form", ["transmitter-plan", "sectioned-plan"])
     def test_catches_divergence_on_streamed_plans(self, form):
-        # The same corruption on both streamed plan forms: every window
-        # reaches the product through the one checked hook.
-        from repro.engine import StreamedWindow
+        # The same corruption on both streamed shapes, a plain plan and
+        # a fused one cut into sections: every window reaches the
+        # product through the one checked hook.
+        from repro.engine import PlanSection, StreamedWindow
         from repro.engine.segments import TransmitterPlan
-        from repro.radio.network import TransmitPlan
 
         g = graphs.path(8)
         runner = _validated(g)
         self._corrupt_product(runner)
         masks = np.zeros((3, 8), dtype=bool)
         masks[1, 2] = True
+        plan = TransmitterPlan(3, lambda s, e: np.nonzero(masks[s:e]))
+
+        def fold(*triple):
+            return None
 
         def emit():
-            if form == "mask-plan":
-                yield StreamedWindow(
-                    TransmitPlan(3, lambda s, e: masks[s:e]),
-                    lambda slab: None,
-                )
+            if form == "transmitter-plan":
+                yield StreamedWindow(plan, consume_coo=fold)
             else:
                 yield StreamedWindow(
-                    TransmitterPlan(3, lambda s, e: np.nonzero(masks[s:e])),
-                    consume_coo=lambda *triple: None,
+                    plan,
+                    sections=(
+                        PlanSection(1, "a", fold),
+                        PlanSection(2, "b", fold),
+                    ),
                 )
             return None
 

@@ -227,6 +227,13 @@ class TestStore:
         auto = ExecutionPolicy()
         pinned = auto.resolve(64)
         assert policy_digest(auto, 64) == policy_digest(pinned, 64)
+        # "auto" and "windowed" name one engine, so they share a key.
+        assert pinned.engine == "windowed"
+        windowed = ExecutionPolicy(engine="windowed")
+        assert policy_digest(windowed, 64) == policy_digest(auto, 64)
+        assert policy_digest(
+            ExecutionPolicy(engine="reference"), 64
+        ) != policy_digest(auto, 64)
         faults = FaultSchedule.sample(64, 32, seed=1, crash_rate=0.5)
         with_faults = dataclasses.replace(auto, faults=faults)
         assert policy_digest(with_faults, 64) == policy_digest(auto, 64)
@@ -843,16 +850,17 @@ class TestCampaign:
     def test_spec_level_refusal_fails_the_campaign(
         self, stores, tmp_path
     ):
-        # decay implements windowed/reference only; a fused policy is
-        # a spec problem, surfaced as a refusal, not a failure count.
+        # validate=True has no windows to check under the reference
+        # engine: a policy decay cannot honor is a spec problem,
+        # surfaced as a refusal, not a failure count.
         corpus, digest, _ = stores
         spec = CampaignSpec(
             protocol="decay", corpus=(digest,), n_trials=2,
-            policies=(ExecutionPolicy(engine="fused"),),
+            policies=(ExecutionPolicy(engine="reference", validate=True),),
         )
         campaign = Campaign(spec, ReportStore(tmp_path / "r"),
                             corpus=corpus)
-        with pytest.raises(ProtocolError, match="fused"):
+        with pytest.raises(ProtocolError, match="validate"):
             campaign.run()
         assert campaign.status()["state"] == "failed"
 
@@ -1095,6 +1103,32 @@ class TestService:
                 assert "Content-Length" in payload["error"]["message"]
             finally:
                 conn.close()
+
+    def test_stalled_request_times_out_and_the_server_moves_on(
+        self, service, monkeypatch
+    ):
+        # Half a request line, then silence: past the read deadline the
+        # server answers 408 and closes, instead of holding the
+        # connection open forever.
+        import socket
+
+        from repro.service import http as http_mod
+
+        monkeypatch.setattr(http_mod, "READ_DEADLINE_S", 0.5)
+        with socket.create_connection(
+            (service.host, service.port), timeout=30
+        ) as sock:
+            sock.sendall(b"GET /hea")
+            received = b""
+            while chunk := sock.recv(4096):
+                received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0] == b"HTTP/1.1 408 Request Timeout"
+        payload = json.loads(body)
+        assert payload["error"]["type"] == "ProtocolError"
+        assert "read deadline" in payload["error"]["message"]
+        # The stalled client cost the server nothing lasting.
+        assert service.health()["ok"] is True
 
     def test_truncated_entry_is_a_miss_not_a_poisoned_cell(
         self, stores, tmp_path

@@ -3,9 +3,9 @@
 Two checks, both cheap enough for every CI run (wired next to the
 engine coverage floor):
 
-1. **Pinned surfaces** — ``repro.api.__all__``, ``repro.service.__all__``
-   and ``repro.engine.__all__`` and the :class:`ExecutionPolicy` fields
-   are an explicit contract. Adding or removing a name or a policy knob
+1. **Pinned surfaces** — ``repro.api.__all__``, ``repro.service.__all__``,
+   ``repro.engine.__all__``, ``repro.radio.__all__`` and the
+   :class:`ExecutionPolicy` fields are an explicit contract. Adding or removing a name or a policy knob
    must edit the pin here, in the same commit, on purpose; silent drift
    fails.
 
@@ -98,12 +98,9 @@ EXPECTED_ENGINE_ALL = [
     "ProtocolSchedule",
     "ProtocolSegmentSource",
     "STREAM_CELL_BYTES",
-    "ScheduleSegmentAdapter",
     "Segment",
     "SegmentProtocol",
-    "StreamedCommitAdapter",
     "StreamedWindow",
-    "StreamingSegmentProtocol",
     "TracePhase",
     "TransmitterPlan",
     "ValidatingRunner",
@@ -116,8 +113,30 @@ EXPECTED_ENGINE_ALL = [
     "protocol_schedule",
     "resolve_chunk_steps",
     "run_schedule",
-    "segment_schedule",
     "set_memory_budget",
+]
+
+#: The pinned public surface of repro.radio — the simulator substrate.
+EXPECTED_RADIO_ALL = [
+    "BudgetExceededError",
+    "Charge",
+    "CheapTrace",
+    "CostLedger",
+    "GraphContractError",
+    "InvalidActionError",
+    "Message",
+    "NO_SENDER",
+    "PhaseStats",
+    "Protocol",
+    "ProtocolError",
+    "RadioError",
+    "RadioNetwork",
+    "SilentProtocol",
+    "StepTrace",
+    "TimeMultiplexer",
+    "highest",
+    "run_protocol",
+    "run_steps",
 ]
 
 #: The pinned ExecutionPolicy fields, in declaration order.
@@ -187,6 +206,7 @@ def check_api_all() -> list[str]:
         _check_all_pin("repro.api", EXPECTED_API_ALL)
         + _check_all_pin("repro.service", EXPECTED_SERVICE_ALL)
         + _check_all_pin("repro.engine", EXPECTED_ENGINE_ALL)
+        + _check_all_pin("repro.radio", EXPECTED_RADIO_ALL)
     )
 
 
@@ -286,7 +306,8 @@ def main() -> int:
     print(
         "api surface OK: __all__ pinned "
         f"({len(EXPECTED_API_ALL)} api + {len(EXPECTED_SERVICE_ALL)} "
-        f"service + {len(EXPECTED_ENGINE_ALL)} engine names), "
+        f"service + {len(EXPECTED_ENGINE_ALL)} engine + "
+        f"{len(EXPECTED_RADIO_ALL)} radio names), "
         f"{len(EXPECTED_POLICY_FIELDS)} policy fields pinned, examples "
         "and doc snippets import public surfaces only"
     )
