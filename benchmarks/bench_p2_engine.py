@@ -23,9 +23,9 @@ seeded results, pinned by ``tests/test_engine_windowed.py``):
   structural limit (~1-3x at these scales), not an engine deficiency.
 
 Also records the E1/E6 trial slices through
-:func:`repro.analysis.experiments.run_trials_parallel` (serial vs
-process-pool wall-clock, bit-identical statistics), per the ROADMAP's
-"keep the trajectory measured" item. Results persist to
+:func:`repro.analysis.experiments.run_trials` (serial vs
+``processes=cpu_count`` wall-clock, bit-identical statistics), per the
+ROADMAP's "keep the trajectory measured" item. Results persist to
 ``BENCH_PR2.json``. Run directly::
 
     PYTHONPATH=src python benchmarks/bench_p2_engine.py
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import pathlib
 import platform
 import time
@@ -218,7 +219,7 @@ def bench_trial_runner(n: int = 600, trials: int = 6, seed: int = 11) -> dict:
     recorded, not gated; what *is* asserted is bit-identical statistics
     between the serial and parallel runners.
     """
-    from repro.analysis.experiments import run_trials, run_trials_parallel
+    from repro.analysis.experiments import run_trials
 
     record: dict = {"n": n, "trials": trials}
     for name, measure in (
@@ -229,7 +230,9 @@ def bench_trial_runner(n: int = 600, trials: int = 6, seed: int = 11) -> dict:
         serial = run_trials(measure, trials, seed)
         serial_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        parallel = run_trials_parallel(measure, trials, seed)
+        parallel = run_trials(
+            measure, trials, seed, processes=os.cpu_count() or 1
+        )
         parallel_s = time.perf_counter() - t0
         assert serial == parallel, f"{name}: parallel stats diverged"
         record[name] = {

@@ -197,10 +197,7 @@ def bench_store(n: int, seed: int = 83) -> dict:
 def bench_shm(n: int, seed: int = 84, trials: int = 4) -> dict:
     """Zero-copy fan-out: tiny handles, flat RSS, serial bit-identity."""
     from repro import corpus
-    from repro.analysis.experiments import (
-        run_report_trials,
-        run_trials_parallel,
-    )
+    from repro.analysis.experiments import run_report_trials, run_trials
     from repro.corpus.shm import SharedGraph
 
     side = float(np.sqrt(n * np.pi / 9.0))
@@ -213,7 +210,7 @@ def bench_shm(n: int, seed: int = 84, trials: int = 4) -> dict:
 
     rss_by_workers = {}
     for workers in RSS_WORKER_COUNTS:
-        stats = run_trials_parallel(
+        stats = run_trials(
             _worker_rss_probe,
             max(trials, workers),
             seed=seed,

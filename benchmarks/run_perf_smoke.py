@@ -5,7 +5,7 @@ Runs the repository's tier-1 verification suite, a short
 persisted to ``BENCH_PR1.json``), the ``bench_p2_engine`` pass
 (PR 2: the unified windowed protocol engine — Radio MIS and
 EstimateEffectiveDegree against their step-wise references, plus the
-E1/E6 trial slices through ``run_trials_parallel`` — persisted to
+E1/E6 trial slices through ``run_trials(processes=...)`` — persisted to
 ``BENCH_PR2.json``), the ``bench_p3_engine`` pass (PR 3: the
 window-multiplexed ICP path and the dense-regime window
 product against the step-wise replay — persisted to

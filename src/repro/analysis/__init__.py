@@ -8,7 +8,6 @@ from .experiments import (
     measure_peak,
     run_report_trials,
     run_trials,
-    run_trials_parallel,
     success_rate,
     summarize_reports,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "measure_peak",
     "run_report_trials",
     "run_trials",
-    "run_trials_parallel",
     "success_rate",
     "summarize_reports",
 ]

@@ -4,42 +4,44 @@ The benchmarks in ``benchmarks/`` are thin: they define workloads and
 call these helpers, so that trial repetition, seeding, and slope fitting
 are uniform across experiments and unit-testable on their own.
 
-Monte-Carlo repetitions are embarrassingly parallel:
-:func:`run_trials_parallel` fans the same seeded trials of
-:func:`run_trials` across a process pool, with bit-identical seeding
-(one ``SeedSequence`` child per trial, in trial order), so serial and
-parallel runs of the same experiment produce the same numbers.
+Seeded trials have two entry points: :func:`run_trials` (a scalar
+``measure`` callable) and :func:`run_report_trials` (front-door runs,
+one ``RunReport`` each). Both — and the campaign engine
+(:mod:`repro.service.campaign`) — reach a process pool through one
+fan-out, :func:`_fan_out`: one ``SeedSequence`` child per trial,
+outcomes collected by trial index, so serial and pooled runs of the
+same experiment produce the same numbers.
 
-Trials that simulate protocols run on the windowed engine by default —
-the packet-level entry points (:func:`repro.core.compute_mis`,
-:func:`repro.core.run_decay`, packet Compete, the baselines) are
-engine-backed, so every experiment inherits the batched delivery path
-without opting in; pass them
-``policy=ExecutionPolicy(engine="reference")`` to measure the step-wise
-twins (``benchmarks/bench_p2_engine.py`` does exactly
-that, and threads the E1/E6 slices through
-:func:`run_trials_parallel`, recording wall-clock per PR in
-``BENCH_PR2.json``).
+Execution settings ride an explicit
+:class:`~repro.engine.policy.ExecutionPolicy` and nothing else: there
+are no process-wide defaults for a trial runner to impose. A
+``measure`` passes its policy to the protocols it calls (a
+``functools.partial`` over a module-level function pickles into pool
+workers), and :func:`run_report_trials` hands its ``policy`` to every
+:func:`repro.api.run`. ``benchmarks/bench_p2_engine.py`` measures the
+step-wise twins that way, with
+``policy=ExecutionPolicy(engine="reference")``, and fans the E1/E6
+slices out with ``run_trials(processes=...)``, recording wall-clock in
+``BENCH_PR2.json``.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import dataclasses
+import itertools
 import math
-import os
 import pickle
 import tracemalloc
 import warnings
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..corpus.shm import SharedGraph, SharedGraphHandle, attach
 from ..engine.policy import ExecutionPolicy
-from ..engine.streaming import memory_budget, set_memory_budget
-from ..faults import default_faults, set_default_faults, validate_faults
 from ..radio.errors import ProtocolError
 
 
@@ -52,93 +54,180 @@ def _resolve_corpus(corpus: Any) -> Any:
     return load_graph(corpus)
 
 
-def _warn_unpicklable(runner: str, exc: Exception, fallback: str) -> None:
-    """Satellite of the parallel runners: a degraded path must say so.
+def _seed_children(
+    n_trials: int, seed: int, processes: int
+) -> list[np.random.SeedSequence]:
+    """The trial streams: one ``SeedSequence(seed)`` child per trial."""
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if processes < 1:
+        raise ValueError(f"processes must be >= 1, got {processes}")
+    return np.random.SeedSequence(seed).spawn(n_trials)
+
+
+def _warn_serial(runner: str, reason: str, exc: BaseException) -> None:
+    """A degraded path must say so, naming the actual failure.
 
     Silently running serially where the caller asked for a pool turns
-    a pickling bug into a mysterious slowdown; the warning names the
-    actual failure so the caller can fix the measure/payload.
+    a pickling bug or a sandbox limit into a mysterious slowdown.
     """
     warnings.warn(
-        f"{runner}: {fallback} ({type(exc).__name__}: {exc})",
+        f"{runner}: {reason}; running trials serially "
+        f"({type(exc).__name__}: {exc})",
         RuntimeWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
 
 
-def _trial_budget(
-    mem_budget: int | None, policy: ExecutionPolicy | None
-) -> tuple[int | None, Any]:
-    """The process-wide defaults a block of trials should impose.
+def _run_job(job: Callable[..., Any], target: Any, args: tuple) -> Any:
+    """Pool-worker body (module-level for pickling): attach a shared
+    graph handle — zero-copy, cached per process — and run one job."""
+    if isinstance(target, SharedGraphHandle):
+        target = attach(target)
+    return job(target, *args)
 
-    ``policy`` is the front-door form (its ``mem_budget`` field is the
-    streaming cap, its ``faults`` the fault schedule); the legacy
-    ``mem_budget`` kwarg keeps working. Passing both refuses — two
-    sources of truth. The trial runners drive opaque ``measure``
-    callables, so the only policy fields they can impose process-wide
-    are the two with process-wide defaults — ``mem_budget`` and
-    ``faults`` — and a policy carrying any other non-default field
-    refuses rather than silently dropping it (set engine/chunk_steps
-    on the protocol calls inside ``measure``, or use
-    :func:`run_report_trials`, which threads the whole policy through
-    :func:`repro.api.run`).
+
+def _fan_out(
+    runner: str,
+    job: Callable[..., Any],
+    tasks: Sequence[tuple[Any, tuple]],
+    processes: int,
+    land: Callable[[int, Any, Exception | None], None],
+    *,
+    fatal: type[Exception] | tuple[type[Exception], ...] = Exception,
+    stop: Callable[[], bool] | None = None,
+) -> None:
+    """Run ``job(target, *args)`` for every ``(target, args)`` task: the
+    one fan-out behind :func:`run_trials`, :func:`run_report_trials` and
+    the campaign engine.
+
+    Each task's outcome reaches ``land(index, value, exc)`` once
+    (``exc`` is ``None`` on success), in completion order. A job error
+    of a ``fatal`` type is not landed: it cancels every job not yet
+    started and propagates once the pool is down. ``stop`` is polled
+    between jobs; once it answers true, unstarted jobs are cancelled
+    and the running ones still land.
+
+    With ``processes > 1`` the fan-out is pooled:
+
+    * the first task's payload is probed with ``pickle.dumps``; an
+      unpicklable job (a closure, a lambda measure) runs serially with
+      a ``RuntimeWarning`` naming the failure;
+    * every distinct array-native target
+      (:class:`~repro.corpus.graph.CSRGraph`) is published to shared
+      memory once, so payloads carry a segment handle, never the
+      arrays; the segments are unlinked however the fan-out ends;
+    * at most ``max(4 x workers, 8)`` jobs are in flight, so a 10^6-job
+      fan-out never materializes 10^6 futures;
+    * a pool that cannot start or breaks (``BrokenProcessPool``,
+      ``PermissionError``) degrades to the serial path with the same
+      warning: outcomes that already landed stay, and only tasks
+      without one run again.
     """
-    if policy is not None:
-        if mem_budget is not None:
-            raise ProtocolError(
-                "run_trials got both mem_budget= and policy=; put the "
-                "budget on the policy"
+    landed = np.zeros(len(tasks), dtype=bool)
+    aborted: list[Exception] = []
+
+    def deliver(index: int, value: Any, exc: Exception | None) -> None:
+        landed[index] = True
+        if isinstance(exc, fatal):
+            aborted.append(exc)
+        else:
+            land(index, value, exc)
+
+    def halted() -> bool:
+        return bool(aborted) or (stop is not None and bool(stop()))
+
+    pooled = processes > 1 and len(tasks) > 1
+    if pooled:
+        target, args = tasks[0]
+        try:
+            pickle.dumps(
+                (job, None if hasattr(target, "csr_arrays") else target, args)
             )
-        if policy != ExecutionPolicy(
-            mem_budget=policy.mem_budget, faults=policy.faults
-        ):
-            raise ProtocolError(
-                "run_trials applies only the policy's mem_budget and "
-                "faults (measure callables are opaque); set other "
-                "policy fields on the protocol calls inside measure, "
-                "or use run_report_trials for full-policy front-door "
-                "trials"
+        except Exception as exc:
+            _warn_serial(runner, "the job payload is not picklable", exc)
+            pooled = False
+    if pooled:
+        shared: dict[int, SharedGraph] = {}
+        futures: dict[concurrent.futures.Future, int] = {}
+        workers = min(processes, len(tasks))
+        queue = iter(range(len(tasks)))
+
+        def submit(pool: ProcessPoolExecutor) -> None:
+            if halted():
+                return
+            room = max(4 * workers, 8) - len(futures)
+            for index in itertools.islice(queue, room):
+                target, args = tasks[index]
+                segment = shared.get(id(target))
+                payload = target if segment is None else segment.handle
+                futures[pool.submit(_run_job, job, payload, args)] = index
+
+        def settle(every: bool) -> BaseException | None:
+            """Land the finished futures; return the pool's breakage."""
+            concurrent.futures.wait(
+                futures,
+                return_when=(
+                    concurrent.futures.ALL_COMPLETED
+                    if every
+                    else concurrent.futures.FIRST_COMPLETED
+                ),
             )
-        return policy.mem_budget, policy.faults
-    return mem_budget, None
+            broken = None
+            for future in [f for f in futures if f.done()]:
+                index = futures.pop(future)
+                if future.cancelled():
+                    continue
+                exc = future.exception()
+                if isinstance(exc, BrokenProcessPool):
+                    broken = exc
+                else:
+                    value = future.result() if exc is None else None
+                    deliver(index, value, exc)
+            return broken
 
-
-@contextlib.contextmanager
-def _trial_memory_budget(mem_budget: int | None) -> Iterator[None]:
-    """Impose the process-wide streaming budget for a block of trials.
-
-    ``None`` leaves the current budget untouched; otherwise the
-    previous budget is restored on exit, so nesting experiments with
-    different caps behaves.
-    """
-    if mem_budget is None:
-        yield
-        return
-    previous = memory_budget()
-    set_memory_budget(mem_budget)
-    try:
-        yield
-    finally:
-        set_memory_budget(previous)
-
-
-@contextlib.contextmanager
-def _trial_fault_default(faults: Any) -> Iterator[None]:
-    """Impose the process-wide default fault schedule for a block of
-    trials (the mechanism policy resolution consults), mirroring
-    :func:`_trial_memory_budget`. ``None`` leaves the current default
-    untouched; otherwise the previous default is restored on exit.
-    """
-    if faults is None:
-        yield
-        return
-    validate_faults(faults)
-    previous = default_faults()
-    set_default_faults(faults)
-    try:
-        yield
-    finally:
-        set_default_faults(previous)
+        try:
+            for target, _ in tasks:
+                if id(target) not in shared and hasattr(target, "csr_arrays"):
+                    shared[id(target)] = SharedGraph.publish(target)
+            pool = ProcessPoolExecutor(max_workers=workers)
+            try:
+                submit(pool)
+                while futures:
+                    broken = settle(every=False)
+                    if broken is not None:
+                        raise broken
+                    if halted():
+                        for future in futures:
+                            future.cancel()
+                        settle(every=True)
+                    submit(pool)
+            finally:
+                pool.shutdown(cancel_futures=True)
+        except (BrokenProcessPool, PermissionError) as exc:
+            # Land every job that finished before the pool failed (the
+            # shutdown above resolved them all); only the rest run again.
+            settle(every=True)
+            _warn_serial(runner, "the process pool failed", exc)
+            pooled = False
+        finally:
+            for segment in shared.values():
+                segment.close()
+                segment.unlink()
+    if not pooled:
+        for index, (target, args) in enumerate(tasks):
+            if landed[index]:
+                continue
+            if halted():
+                break
+            try:
+                value = job(target, *args)
+            except Exception as exc:
+                deliver(index, None, exc)
+            else:
+                deliver(index, value, None)
+    if aborted:
+        raise aborted[0]
 
 
 def measure_peak(fn: Callable[[], Any]) -> tuple[Any, int]:
@@ -235,202 +324,67 @@ class TrialStats:
         )
 
 
-def run_trials(
-    measure: Callable[[np.random.Generator], float],
-    n_trials: int,
-    seed: int,
-    mem_budget: int | None = None,
-    policy: ExecutionPolicy | None = None,
-) -> TrialStats:
-    """Run ``measure`` with ``n_trials`` independent child generators.
-
-    Seeding: a single ``SeedSequence`` spawns one child per trial, so
-    trials are independent and the whole experiment is reproducible from
-    one integer.
-
-    ``policy`` (the front-door :class:`~repro.engine.policy
-    .ExecutionPolicy` form) imposes its ``mem_budget`` as the
-    process-wide streaming budget
-    (:func:`repro.engine.streaming.set_memory_budget`) around the
-    trials: every engine-backed protocol a trial runs then picks its
-    streamed slab height from that target peak-bytes cap. The legacy
-    ``mem_budget`` kwarg is the same knob (both at once refuses). A
-    memory knob only — streamed execution is bit-identical, so trial
-    values do not depend on it.
-
-    A policy ``faults`` schedule is imposed the same way, as the
-    process-wide default (:func:`repro.faults.set_default_faults`)
-    around the trials — the one *semantics* knob: every
-    policy-accepting protocol a trial runs then injects that schedule,
-    and protocols that cannot realize it refuse, exactly as under
-    :func:`repro.api.run`.
-    """
-    mem_budget, faults = _trial_budget(mem_budget, policy)
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(n_trials)
-    with _trial_memory_budget(mem_budget), _trial_fault_default(faults):
-        values = [
-            measure(np.random.default_rng(child)) for child in children
-        ]
-    return TrialStats.from_values(values)
-
-
 def _run_one_trial(
-    payload: tuple[
-        Callable[[np.random.Generator], float],
-        np.random.SeedSequence,
-        int | None,
-        Any,
-    ]
+    graph: Any, measure: Callable[..., float], child: np.random.SeedSequence
 ) -> float:
-    """Process-pool worker: run one seeded trial (module-level for pickling)."""
-    measure, child, mem_budget, faults = payload
-    with _trial_memory_budget(mem_budget), _trial_fault_default(faults):
-        return measure(np.random.default_rng(child))
+    """One seeded trial: ``measure(rng)``, or ``measure(rng, graph)`` on
+    a corpus."""
+    rng = np.random.default_rng(child)
+    return measure(rng) if graph is None else measure(rng, graph)
 
 
-def _run_one_corpus_trial(
-    payload: tuple[
-        Callable[[np.random.Generator, Any], float],
-        np.random.SeedSequence,
-        int | None,
-        Any,
-        SharedGraphHandle,
-    ]
-) -> float:
-    """Process-pool worker for corpus trials: attach the published CSR
-    slabs (zero-copy, cached per process) and run one seeded trial.
-    What crossed the process boundary is the handle — segment names and
-    metadata, a few hundred bytes — never the arrays."""
-    measure, child, mem_budget, faults, handle = payload
-    graph = attach(handle)
-    with _trial_memory_budget(mem_budget), _trial_fault_default(faults):
-        return measure(np.random.default_rng(child), graph)
-
-
-def run_trials_parallel(
+def run_trials(
     measure: Callable[..., float],
     n_trials: int,
     seed: int,
-    processes: int | None = None,
-    mem_budget: int | None = None,
-    policy: ExecutionPolicy | None = None,
+    *,
+    processes: int = 1,
     corpus: Any | None = None,
 ) -> TrialStats:
-    """Like :func:`run_trials`, fanned across a process pool.
+    """Run ``measure`` on ``n_trials`` independent child generators.
 
-    Seeding is identical to the serial runner — one ``SeedSequence``
-    child per trial, results collected in trial order — so the returned
-    statistics are bit-identical to ``run_trials(measure, n_trials,
-    seed)`` regardless of worker count or scheduling.
+    Seeding: a single ``SeedSequence`` spawns one child per trial, so
+    trials are independent and the whole experiment is reproducible from
+    one integer. Values are collected in trial order, so the statistics
+    are bit-identical whatever ``processes`` is.
 
     Parameters
     ----------
     measure:
-        Trial callable; must be picklable (a module-level function or
-        ``functools.partial`` over one), since workers are separate
-        processes. Unpicklable callables fall back to the serial path
-        (with a ``RuntimeWarning`` naming the failure) rather than
-        failing the experiment. With ``corpus`` the signature is
-        ``measure(rng, graph)`` — the graph reaches workers through
-        shared memory, not through the measure's pickle.
+        Trial callable, ``measure(rng)``. It carries its own execution
+        settings: pass a policy to the protocols it calls. With
+        ``processes > 1`` it must pickle (a module-level function, or a
+        ``functools.partial`` over one); an unpicklable measure runs
+        serially with a ``RuntimeWarning`` naming the failure.
     n_trials, seed:
-        As in :func:`run_trials`.
+        Trial count (at least one) and the root seed.
     processes:
-        Worker count; defaults to ``min(cpu_count, n_trials)``. ``1``
-        short-circuits to the serial runner.
-    mem_budget, policy:
-        As in :func:`run_trials` (the policy's ``mem_budget`` is the
-        cap; both at once refuses); the budget — and the policy's
-        fault schedule — travel inside each worker's payload, so pool
-        workers impose the same process-wide defaults as the serial
-        path (neither survives process boundaries as a global). The
-        cap is per trial, and trials within one worker run
-        sequentially, so total worker memory stays near the cap plus
-        the trial's graph fixtures.
+        Worker processes (default 1, serial). Trials fan out through
+        the harness's one pool driver (:func:`_fan_out`); a sandbox
+        that cannot start or keep a pool degrades to the serial path
+        with a warning. A trial that raises fails the experiment.
     corpus:
         A :class:`~repro.corpus.graph.CSRGraph` (or corpus entry path,
-        mmap-loaded) every trial runs on: the parent publishes the CSR
-        slabs to ``multiprocessing.shared_memory`` **once** and each
-        worker payload carries only the segment handle, so per-worker
-        graph memory is independent of worker count — the zero-copy
-        path for ``n = 10^6`` Monte-Carlo sweeps. ``measure`` then
-        takes ``(rng, graph)``. Segments are closed and unlinked when
-        the pool drains (also on worker crashes — the ``finally``
-        below — and on parent crash by the resource tracker).
+        mmap-loaded) every trial runs on; ``measure`` then takes
+        ``(rng, graph)``. Pooled, the CSR slabs are published to shared
+        memory once and each payload carries only the segment handle,
+        so per-worker graph memory is independent of worker count — the
+        zero-copy path for ``n = 10^6`` Monte-Carlo sweeps.
     """
-    mem_budget, faults = _trial_budget(mem_budget, policy)
-    serial_policy = ExecutionPolicy(mem_budget=mem_budget, faults=faults)
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if processes is not None and processes < 1:
-        raise ValueError(f"processes must be >= 1, got {processes}")
+    children = _seed_children(n_trials, seed, processes)
     graph = _resolve_corpus(corpus) if corpus is not None else None
-    if graph is not None:
-        serial_measure = lambda rng: measure(rng, graph)  # noqa: E731
-    else:
-        serial_measure = measure
-    workers = (
-        processes
-        if processes is not None
-        else min(os.cpu_count() or 1, n_trials)
+    values: list[float] = [0.0] * n_trials
+
+    def land(index: int, value: float, exc: Exception | None) -> None:
+        values[index] = value
+
+    _fan_out(
+        "run_trials",
+        _run_one_trial,
+        [(graph, (measure, child)) for child in children],
+        processes,
+        land,
     )
-    if workers == 1 or n_trials == 1:
-        return run_trials(serial_measure, n_trials, seed, policy=serial_policy)
-
-    # Probe picklability up front so closures/lambdas take the serial
-    # path immediately — the pool itself is then only guarded against
-    # infrastructure failures, and genuine exceptions raised *by*
-    # ``measure`` inside a worker propagate to the caller unchanged.
-    try:
-        pickle.dumps(measure)
-    except Exception as exc:
-        _warn_unpicklable(
-            "run_trials_parallel",
-            exc,
-            "measure is not picklable; falling back to the serial path",
-        )
-        return run_trials(serial_measure, n_trials, seed, policy=serial_policy)
-
-    children = np.random.SeedSequence(seed).spawn(n_trials)
-    shared: SharedGraph | None = None
-    if graph is not None:
-        shared = SharedGraph.publish(graph)
-        payloads = [
-            (measure, child, mem_budget, faults, shared.handle)
-            for child in children
-        ]
-        worker_fn: Callable[..., float] = _run_one_corpus_trial
-    else:
-        payloads = [
-            (measure, child, mem_budget, faults) for child in children
-        ]
-        worker_fn = _run_one_trial
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers
-        ) as pool:
-            values = list(
-                pool.map(
-                    worker_fn,
-                    payloads,
-                    chunksize=max(1, n_trials // (4 * workers)),
-                )
-            )
-    except (
-        concurrent.futures.process.BrokenProcessPool,
-        PermissionError,
-    ):
-        # Sandboxed environments that cannot spawn worker processes:
-        # degrade gracefully to the serial path (same seeding, same
-        # results, just slower).
-        return run_trials(serial_measure, n_trials, seed, policy=serial_policy)
-    finally:
-        if shared is not None:
-            shared.close()
-            shared.unlink()
     return TrialStats.from_values(values)
 
 
@@ -478,28 +432,23 @@ def success_rate(outcomes: Iterable[bool]) -> float:
 
 
 def _run_one_report(
-    payload: tuple[
-        Any, Any, np.random.SeedSequence, Any, Any, int | None, Any
-    ]
+    target: Any,
+    protocol: Any,
+    child: np.random.SeedSequence,
+    config: Any,
+    policy: ExecutionPolicy | None,
 ) -> Any:
-    """Process-pool worker: one seeded front-door run (module-level for
-    pickling). The parent's process-wide streaming budget and default
-    fault schedule travel in the payload — globals do not survive
-    spawn-style process boundaries, and policy resolution must see the
-    same defaults inside a worker as in the serial path."""
-    protocol, target, child, config, policy, budget, fault_default = payload
+    """One seeded front-door run: the report job of
+    :func:`run_report_trials` and of every campaign job."""
     from ..api import run
 
-    if isinstance(target, SharedGraphHandle):
-        target = attach(target)
-    with _trial_memory_budget(budget), _trial_fault_default(fault_default):
-        return run(
-            protocol,
-            target,
-            rng=np.random.default_rng(child),
-            config=config,
-            policy=policy,
-        )
+    return run(
+        protocol,
+        target,
+        rng=np.random.default_rng(child),
+        config=config,
+        policy=policy,
+    )
 
 
 def run_report_trials(
@@ -522,12 +471,13 @@ def run_report_trials(
     trial order — aggregate with :func:`summarize_reports`. ``policy``
     rides into every run unchanged.
 
-    ``processes > 1`` fans trials across a process pool with the same
-    graceful degradation as :func:`run_trials_parallel` (unpicklable
-    targets warn and fall back to the serial path; so do sandboxed
-    environments; trial order and seeding are identical either way).
-    Wall-clock and peak-memory fields are per-trial measurements and
-    naturally vary across runs; the protocol results are
+    ``processes > 1`` (default 1: protocol runs are usually
+    heavyweight, so pools are opt-in) fans trials out through the same
+    pool driver as :func:`run_trials`, with the same graceful
+    degradation (unpicklable payloads and sandboxed environments warn
+    and run serially; trial order and seeding are identical either
+    way). Wall-clock and peak-memory fields are per-trial measurements
+    and naturally vary across runs; the protocol results are
     seed-reproducible.
 
     ``corpus`` (a :class:`~repro.corpus.graph.CSRGraph` or corpus
@@ -537,8 +487,8 @@ def run_report_trials(
     memory independent of worker count. Array-native targets passed
     via ``target=`` take the same shared-memory path when pooled.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    processes = 1 if processes is None else processes
+    children = _seed_children(n_trials, seed, processes)
     if corpus is not None:
         if target is not None:
             raise ProtocolError(
@@ -546,64 +496,19 @@ def run_report_trials(
                 "the corpus entry IS the graph"
             )
         target = _resolve_corpus(corpus)
-    children = np.random.SeedSequence(seed).spawn(n_trials)
-    default_budget = memory_budget()
-    fault_default = default_faults()
-    payloads = [
-        (protocol, target, child, config, policy, default_budget,
-         fault_default)
-        for child in children
-    ]
-    workers = (
-        processes
-        if processes is not None
-        else 1  # protocol runs are usually heavyweight; opt into pools
+    reports: list[Any] = [None] * n_trials
+
+    def land(index: int, report: Any, exc: Exception | None) -> None:
+        reports[index] = report
+
+    _fan_out(
+        "run_report_trials",
+        _run_one_report,
+        [(target, (protocol, child, config, policy)) for child in children],
+        processes,
+        land,
     )
-    if workers < 1:
-        raise ValueError(f"processes must be >= 1, got {workers}")
-    shareable = hasattr(target, "csr_arrays")
-    if workers > 1 and n_trials > 1:
-        probe = (
-            (protocol, config, policy)
-            if shareable  # the graph travels via shared memory, not pickle
-            else (protocol, target, config, policy)
-        )
-        try:
-            pickle.dumps(probe)
-        except Exception as exc:
-            _warn_unpicklable(
-                "run_report_trials",
-                exc,
-                "the (protocol, target, config, policy) payload is not "
-                "picklable; running trials serially",
-            )
-            workers = 1
-    if workers > 1 and n_trials > 1:
-        shared = SharedGraph.publish(target) if shareable else None
-        pool_payloads = (
-            [
-                (protocol, shared.handle, child, config, policy,
-                 default_budget, fault_default)
-                for child in children
-            ]
-            if shared is not None
-            else payloads
-        )
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, n_trials)
-            ) as pool:
-                return list(pool.map(_run_one_report, pool_payloads))
-        except (
-            concurrent.futures.process.BrokenProcessPool,
-            PermissionError,
-        ):
-            pass
-        finally:
-            if shared is not None:
-                shared.close()
-                shared.unlink()
-    return [_run_one_report(payload) for payload in payloads]
+    return reports
 
 
 def summarize_reports(reports: Sequence[Any]) -> dict[str, TrialStats]:

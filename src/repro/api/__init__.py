@@ -4,11 +4,11 @@ Three pieces, one surface:
 
 * :class:`ExecutionPolicy` — every engine knob (engine variant,
   streaming slab/budget, contract validation, trace grade) as one
-  frozen value, resolved against the process-wide
-  defaults. Performance and diagnostics knobs only — seeded results
-  are bit-identical under every policy — except the one semantics
-  knob: ``faults``, a :class:`FaultSchedule` of crash/sleep/join/jam
-  events and per-node capabilities injected into every delivery.
+  frozen value, the only carrier of execution settings. Performance
+  and diagnostics knobs only — seeded results are bit-identical under
+  every policy — except the one semantics knob: ``faults``, a
+  :class:`FaultSchedule` of crash/sleep/join/jam events and per-node
+  capabilities injected into every delivery.
 * the **protocol registry** — every runnable protocol declared as a
   :class:`ProtocolSpec` (name, config dataclass, schedule emitters,
   reference twin, result type) and discoverable through

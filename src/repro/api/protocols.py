@@ -239,7 +239,7 @@ def _refuse_inert_faults(name: str, policy: Any, fix: str) -> None:
     paths that simulate no (or their own) radio steps refuse by name.
     An *empty* schedule passes — it is bit-identical to none.
     """
-    schedule = policy.fault_schedule()
+    schedule = policy.faults
     if schedule is not None and not schedule.is_empty:
         raise ProtocolError(
             f"{name} cannot realize a FaultSchedule "

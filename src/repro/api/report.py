@@ -5,10 +5,10 @@ result plus the execution facts every consumer used to re-derive
 independently: radio-step count, trace totals, wall time, optional
 tracemalloc peak, the resolved :class:`~repro.engine.policy
 .ExecutionPolicy` echo (what actually executed, after ``"auto"`` and
-the process-wide budget resolved), and provenance (seed, graph spec,
-code version). The CLI prints them, ``run_trials*`` aggregates them,
-and benchmarks persist their :meth:`RunReport.row` form into
-``BENCH_*.json``.
+an explicit budget resolved), and provenance (seed, graph spec, code
+version). The CLI prints them, ``run_report_trials`` and campaigns
+aggregate them, and benchmarks persist their :meth:`RunReport.row`
+form into ``BENCH_*.json``.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class RunReport(ArrayEqMixin):
         is opt-in; see ``run(..., measure_memory=True)``).
     policy:
         The **resolved** policy echo: the engine selection and
-        streaming knobs after ``"auto"`` and the process-wide budget
-        default resolved — what a reader needs to reproduce the
+        streaming knobs after ``"auto"`` and an explicit budget
+        resolved — what a reader needs to reproduce the
         execution exactly. Protocols consult only the knobs they
         implement: a round-accounted run simulates no radio steps, so
         the streaming fields (and, outside packet mode, the engine)

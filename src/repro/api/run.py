@@ -3,8 +3,8 @@
 ``run(spec_or_name, graph_or_network, ...)`` is the uniform execution
 surface the CLI, the experiment harness, and the benchmarks are built
 on: look up the protocol in the registry, resolve the
-:class:`~repro.engine.policy.ExecutionPolicy` (``"auto"`` engine, the
-process-wide memory budget), execute, and wrap the result in a
+:class:`~repro.engine.policy.ExecutionPolicy` (``"auto"`` engine, an
+explicit memory budget), execute, and wrap the result in a
 :class:`~repro.api.report.RunReport` with step/trace/wall/provenance
 accounting. Results are bit-identical to the protocol's legacy entry
 point on a shared seed — ``run`` adds accounting around the same code

@@ -1,9 +1,9 @@
 """The RunReport wire format: tagged JSON for every result payload.
 
 :class:`~repro.api.report.RunReport` is the value every consumer of
-this package exchanges — the CLI prints it, ``run_trials*`` aggregates
-it, and the experiment service (:mod:`repro.service`) persists it and
-sends it over HTTP. JSON is the only interchange the service's
+this package exchanges — the CLI prints it, ``run_report_trials``
+aggregates it, and the experiment service (:mod:`repro.service`)
+persists it and sends it over HTTP. JSON is the only interchange the service's
 stdlib-only constraint allows, but reports carry values JSON does not:
 numpy arrays (``MISResult.mis_mask``), sets (``MISResult.mis``),
 tuples, and nested frozen dataclasses (the

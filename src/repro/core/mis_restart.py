@@ -355,11 +355,11 @@ def compute_restartable_mis(
 ) -> RestartableMISResult:
     """Run restartable Radio MIS on ``network`` under ``policy``.
 
-    ``policy.faults`` (or the process-wide default schedule) is
-    installed on the network first; ``engine="windowed"`` (the
-    ``"auto"`` default) runs :func:`restartable_mis_schedule` on the
-    batched engine, ``"reference"`` the step-wise loop — bit-identical
-    seeded results under any shared schedule.
+    ``policy.faults`` is installed on the network first;
+    ``engine="windowed"`` (the ``"auto"`` default) runs
+    :func:`restartable_mis_schedule` on the batched engine,
+    ``"reference"`` the step-wise loop — bit-identical seeded results
+    under any shared schedule.
     """
     policy = policy or ExecutionPolicy()
     policy.bind(network)

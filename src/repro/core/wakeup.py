@@ -196,7 +196,7 @@ def mis_as_wakeup_strategy(
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     policy = policy or ExecutionPolicy()
-    schedule = policy.fault_schedule()
+    schedule = policy.faults
     if schedule is not None and not schedule.is_empty:
         from ..radio.errors import ProtocolError
 

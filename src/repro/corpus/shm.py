@@ -1,10 +1,11 @@
 """Shared-memory graph slabs: publish once, attach everywhere.
 
-``run_trials_parallel`` used to pickle whole measures — graph included
-— into every pool worker: at ``n = 10^6`` that is hundreds of MB
-serialized per worker. Here the parent copies the CSR slabs (indptr,
-indices, positions) into ``multiprocessing.shared_memory`` segments
-**once**; what travels in each worker payload is a
+Pickling whole graphs into every pool worker costs hundreds of MB per
+worker at ``n = 10^6``. Instead, the harness's one fan-out
+(``repro.analysis.experiments._fan_out``, behind ``run_trials``,
+``run_report_trials`` and campaigns) has the parent copy the CSR slabs
+(indptr, indices, positions) into ``multiprocessing.shared_memory``
+segments **once**; what travels in each worker payload is a
 :class:`SharedGraphHandle` — segment names, shapes, dtypes, and the
 small metadata — a few hundred bytes regardless of graph size. Workers
 :func:`attach` the segments as zero-copy ndarray views wrapped in a
@@ -15,8 +16,9 @@ worker pay the attach exactly once.
 
 Lifecycle (documented contract, exercised in ``tests/test_corpus.py``):
 
-- the parent owns the segments: it publishes before fanning out and
-  ``close()`` + ``unlink()`` in a ``finally`` once the pool drains —
+- the parent owns the segments: the fan-out publishes every distinct
+  graph before submitting jobs and ``close()`` + ``unlink()`` in a
+  ``finally`` once the pool drains (or breaks) —
   on Linux the memory persists until the last attached process
   closes, so unlinking while workers still hold views is safe;
 - workers deliberately *unregister* their attachment from

@@ -79,9 +79,7 @@ from .segments import (
 from .streaming import (
     STREAM_CELL_BYTES,
     chunk_steps_for_budget,
-    memory_budget,
     resolve_chunk_steps,
-    set_memory_budget,
 )
 from .validate import ObliviousnessViolationError, ValidatingRunner
 
@@ -109,11 +107,9 @@ __all__ = [
     "WindowedRunner",
     "chunk_steps_for_budget",
     "coin_chunk",
-    "memory_budget",
     "multiplex",
     "parse_mem_budget",
     "protocol_schedule",
     "resolve_chunk_steps",
     "run_schedule",
-    "set_memory_budget",
 ]

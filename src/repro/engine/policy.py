@@ -5,7 +5,9 @@ protocol — which engine variant, how to stream, whether to interpose
 the contract checker, which trace grade to record, and which fault
 schedule to realize — that travels as one value through
 :func:`repro.api.run`, every protocol entry point's ``policy=``, the
-CLI's shared flag group, and ``run_trials*``.
+CLI's shared flag group, :func:`~repro.analysis.run_report_trials` and
+campaign specs. It is the only carrier of execution settings: there
+are no process-wide defaults to fold in.
 
 Every knob except ``faults`` is a **performance or diagnostics knob,
 never a semantics knob**: seeded protocol results are bit-identical
@@ -32,10 +34,10 @@ from typing import Any
 
 import numpy as np
 
-from ..faults.schedule import FaultSchedule, default_faults, validate_faults
+from ..faults.schedule import FaultSchedule, validate_faults
 from ..radio.errors import ProtocolError
 from ..radio.network import RadioNetwork
-from .streaming import memory_budget, resolve_chunk_steps
+from .streaming import resolve_chunk_steps
 
 #: The engine variants every protocol accepts: ``"windowed"`` (the
 #: engine), ``"reference"`` (the step-wise twin), and ``"auto"``, which
@@ -58,7 +60,7 @@ def validate_engine(engine: str) -> str:
 
     Raises :class:`~repro.radio.errors.ProtocolError` (also a
     ``ValueError``) on anything else — the one refusal every layer
-    (API, CLI, ``run_trials*``) shares.
+    (API, CLI, campaign specs) shares.
     """
     if engine not in ENGINE_MODES:
         raise ProtocolError(
@@ -161,9 +163,7 @@ class ExecutionPolicy:
         The streaming knobs: slab height directly, or derived from a
         peak-bytes target through the
         :data:`~repro.engine.streaming.STREAM_CELL_BYTES` cost model.
-        With neither set, :meth:`resolve` folds in the process-wide
-        default budget
-        (:func:`~repro.engine.streaming.set_memory_budget`).
+        With neither set, windows run at the engine's default heights.
     validate:
         Interpose the contract-checking
         :class:`~repro.engine.validate.ValidatingRunner` — every
@@ -177,17 +177,16 @@ class ExecutionPolicy:
         trace they were built with.
     faults:
         A :class:`~repro.faults.FaultSchedule` to install on the
-        network the run executes over (``None`` = unset; :meth:`resolve`
-        folds in the process-wide default,
-        :func:`~repro.faults.set_default_faults`). The **one semantics
-        knob** on the policy, by design: faults change what the channel
-        commits — but deterministically, identically under every
-        engine, and an *empty* schedule is bit-identical to ``None``.
+        network the run executes over (``None`` = fault-free). The
+        **one semantics knob** on the policy, by design: faults change
+        what the channel commits — but deterministically, identically
+        under every engine, and an *empty* schedule is bit-identical to
+        ``None``.
 
     All other knobs are performance/diagnostics knobs — seeded results
-    are bit-identical under every policy with the same effective fault
-    schedule. Validation happens at construction, so an
-    ``ExecutionPolicy`` that exists is well-formed.
+    are bit-identical under every policy with the same fault schedule.
+    Validation happens at construction, so an ``ExecutionPolicy`` that
+    exists is well-formed.
     """
 
     engine: str = "auto"
@@ -239,71 +238,41 @@ class ExecutionPolicy:
         return engine
 
     def resolve(self, n: int | None = None) -> "ExecutionPolicy":
-        """Fold in the process-wide defaults; return the effective policy.
+        """The effective policy: what a run actually executes under —
+        and what :class:`~repro.api.report.RunReport` echoes back.
 
-        The returned policy is what a run actually executes under — and
-        what :class:`~repro.api.report.RunReport` echoes back:
+        Resolution reads the explicit fields only:
 
         * ``engine`` ``"auto"`` becomes ``"windowed"``, so policies
           that differ only in that spelling resolve (and digest)
           identically;
-        * ``mem_budget`` falls back to the process-wide default budget
-          (:func:`~repro.engine.streaming.memory_budget`) when unset
-          and no explicit ``chunk_steps`` overrides it;
-        * ``chunk_steps``, when ``n`` is known, is resolved from the
-          budget through the cost model (an explicit ``chunk_steps``
-          always wins — the same precedence
+        * ``chunk_steps``, when ``n`` is known, is resolved from an
+          explicit ``mem_budget`` through the cost model (an explicit
+          ``chunk_steps`` always wins — the same precedence
           :func:`~repro.engine.streaming.resolve_chunk_steps` applies
-          everywhere);
-        * ``faults`` falls back to the process-wide default schedule
-          (:func:`~repro.faults.default_faults`) when unset — the
-          mechanism ``run_trials*`` uses to impose one fault
-          environment across a whole trial matrix.
+          everywhere).
 
         Resolution is idempotent: resolving a resolved policy is a
         no-op.
         """
         engine = "windowed" if self.engine == "auto" else self.engine
         chunk = self.chunk_steps
-        budget = self.mem_budget
-        if chunk is None and budget is None:
-            budget = memory_budget()
         if chunk is None and n is not None:
-            chunk = resolve_chunk_steps(n, None, budget)
-        faults = self.faults if self.faults is not None else default_faults()
-        if (
-            engine == self.engine
-            and chunk == self.chunk_steps
-            and budget == self.mem_budget
-            and faults is self.faults
-        ):
+            chunk = resolve_chunk_steps(n, None, self.mem_budget)
+        if engine == self.engine and chunk == self.chunk_steps:
             return self
-        return dataclasses.replace(
-            self,
-            engine=engine,
-            chunk_steps=chunk,
-            mem_budget=budget,
-            faults=faults,
-        )
-
-    def fault_schedule(self):
-        """The effective fault schedule: this policy's, or the
-        process-wide default (:func:`~repro.faults.default_faults`)
-        when unset; ``None`` when neither exists."""
-        return self.faults if self.faults is not None else default_faults()
+        return dataclasses.replace(self, engine=engine, chunk_steps=chunk)
 
     def bind(self, network: RadioNetwork | None) -> RadioNetwork | None:
-        """Install this policy's effective fault schedule on ``network``.
+        """Install this policy's fault schedule on ``network``.
 
         The one call every migrated protocol entry point makes before
         executing: a no-op without a schedule (or without a network),
         idempotent for an equal schedule, and a refusal if the network
         already carries a different one. Returns ``network``.
         """
-        if network is not None:
-            schedule = self.fault_schedule()
-            if schedule is not None:
-                network.install_faults(schedule)
+        if network is not None and self.faults is not None:
+            network.install_faults(self.faults)
         return network
 
     def make_trace(self):

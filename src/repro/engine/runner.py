@@ -76,11 +76,10 @@ class WindowedRunner:
         (chunked execution is bit-identical whatever the chunk height).
         ``chunk_steps`` fixes the chunk height directly; ``mem_budget``
         derives it from a target peak-bytes cap through
-        :func:`~repro.engine.streaming.chunk_steps_for_budget`; with
-        neither set, the process-wide default budget
-        (:func:`~repro.engine.streaming.set_memory_budget`) applies, and
-        absent that, :class:`~repro.engine.segments.StreamedWindow`
-        plans stream at the legacy
+        :func:`~repro.engine.streaming.chunk_steps_for_budget`. The
+        height resolves once, here (:attr:`chunk_steps`). With neither
+        set, :class:`~repro.engine.segments.StreamedWindow` plans
+        stream at the legacy
         :func:`~repro.engine.segments.coin_chunk` granularity while
         materialized :class:`~repro.engine.segments.ObliviousWindow`
         segments execute unchunked. When a bound *is* configured,
@@ -95,20 +94,13 @@ class WindowedRunner:
         chunk_steps: int | None = None,
         mem_budget: int | None = None,
     ) -> None:
-        # Validate the streaming knobs eagerly (resolution also consults
-        # the process-wide default, so it happens per execution).
-        resolve_chunk_steps(network.n, chunk_steps, mem_budget)
         self.network = network
         self.max_steps = max_steps
-        self.chunk_steps = chunk_steps
-        self.mem_budget = mem_budget
-        self.steps_executed = 0
-
-    def _resolved_chunk_steps(self) -> int | None:
-        """The configured streaming bound, or ``None`` when unset."""
-        return resolve_chunk_steps(
-            self.network.n, self.chunk_steps, self.mem_budget
+        #: The resolved streaming bound (``None`` = unset).
+        self.chunk_steps = resolve_chunk_steps(
+            network.n, chunk_steps, mem_budget
         )
+        self.steps_executed = 0
 
     def _charge(self, steps: int) -> None:
         if (
@@ -144,7 +136,7 @@ class WindowedRunner:
         self._run_chunks(
             0,
             w,
-            self._resolved_chunk_steps() or w,
+            self.chunk_steps or w,
             lambda start, stop: np.nonzero(masks[start:stop]),
             fold,
             charge=False,
@@ -191,9 +183,7 @@ class WindowedRunner:
         """
         plan = segment.plan
         sections = self._plan_sections(segment)
-        chunk = default_stream_chunk(
-            self.network.n, self._resolved_chunk_steps()
-        )
+        chunk = default_stream_chunk(self.network.n, self.chunk_steps)
         base = 0
         for section in sections:
             if section.consume_coo is None:

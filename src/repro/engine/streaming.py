@@ -9,12 +9,12 @@ is the policy layer of the fix (the mechanism is the
 :class:`~repro.engine.segments.StreamedWindow` segment over a sampled
 :class:`~repro.engine.segments.TransmitterPlan`): a **cost model**
 turning a target peak-byte budget into the ``chunk_steps`` height the
-runner executes windows at (:func:`chunk_steps_for_budget`), plus a
-process-wide default budget (:func:`set_memory_budget`) so experiment
-harnesses can impose one cap across every protocol a trial runs.
-Streamed plans run at that height; a materialized
-:class:`~repro.engine.segments.ObliviousWindow` wider than it runs
-chunk-wise into its one reply, bounding the product's working set.
+runner executes windows at (:func:`chunk_steps_for_budget`). The knobs
+are explicit :class:`~repro.engine.policy.ExecutionPolicy` fields only;
+there is no process-wide default. Streamed plans run at that height; a
+materialized :class:`~repro.engine.segments.ObliviousWindow` wider than
+it runs chunk-wise into its one reply, bounding the product's working
+set.
 
 Bit-identity: chunking never changes results. Window steps are
 independent given their transmitters, the delivery product computes
@@ -43,9 +43,6 @@ from .segments import coin_chunk
 #: banked as headroom rather than spent on taller chunks.
 STREAM_CELL_BYTES = 64
 
-#: Process-wide default memory budget in bytes (None = no budget).
-_default_memory_budget: int | None = None
-
 
 def chunk_steps_for_budget(n: int, mem_budget: int) -> int:
     """Slab height that keeps one streamed chunk near ``mem_budget`` bytes.
@@ -62,40 +59,16 @@ def chunk_steps_for_budget(n: int, mem_budget: int) -> int:
     return max(1, mem_budget // (STREAM_CELL_BYTES * max(1, n)))
 
 
-def set_memory_budget(mem_budget: int | None) -> None:
-    """Set the process-wide default peak-memory target for streaming.
-
-    Runners whose ``chunk_steps``/``mem_budget`` knobs are unset resolve
-    their slab height from this budget (see :func:`resolve_chunk_steps`).
-    ``None`` clears it. Experiment harnesses
-    (:func:`repro.analysis.experiments.run_trials`) set it around each
-    trial — including inside process-pool workers — so one knob caps
-    every protocol a trial runs.
-    """
-    global _default_memory_budget
-    if mem_budget is not None and mem_budget < 1:
-        raise ProtocolError(
-            f"mem_budget must be >= 1 byte, got {mem_budget}"
-        )
-    _default_memory_budget = mem_budget
-
-
-def memory_budget() -> int | None:
-    """The process-wide default memory budget (None = unset)."""
-    return _default_memory_budget
-
-
 def resolve_chunk_steps(
     n: int,
     chunk_steps: int | None = None,
     mem_budget: int | None = None,
 ) -> int | None:
-    """Resolve the streaming slab height from the three knob layers.
+    """Resolve the streaming slab height from the two explicit knobs.
 
     Precedence: an explicit ``chunk_steps`` wins; else an explicit
-    ``mem_budget`` is converted through the cost model; else the
-    process-wide default budget; else ``None`` — meaning "no configured
-    bound" (runners then fall back to the legacy
+    ``mem_budget`` is converted through the cost model; else ``None`` —
+    meaning "no configured bound" (runners then fall back to the legacy
     :func:`~repro.engine.segments.coin_chunk` granularity for streamed
     plans and leave materialized windows unchunked).
     """
@@ -107,8 +80,6 @@ def resolve_chunk_steps(
         return chunk_steps
     if mem_budget is not None:
         return chunk_steps_for_budget(n, mem_budget)
-    if _default_memory_budget is not None:
-        return chunk_steps_for_budget(n, _default_memory_budget)
     return None
 
 
@@ -123,7 +94,5 @@ __all__ = [
     "STREAM_CELL_BYTES",
     "chunk_steps_for_budget",
     "default_stream_chunk",
-    "memory_budget",
     "resolve_chunk_steps",
-    "set_memory_budget",
 ]

@@ -10,8 +10,6 @@ fault pattern, and an empty schedule is bit-identical to none.
 from .schedule import (
     FaultSchedule,
     Jam,
-    default_faults,
-    set_default_faults,
     validate_faults,
 )
 from .state import FaultState, node_uptime_fractions
@@ -20,8 +18,6 @@ __all__ = [
     "FaultSchedule",
     "FaultState",
     "Jam",
-    "default_faults",
     "node_uptime_fractions",
-    "set_default_faults",
     "validate_faults",
 ]

@@ -38,7 +38,7 @@ Validation is uniform and loud: malformed specs — negative rates or
 steps, a crash at or before the same node's join, a jam window past
 the declared horizon, probabilities outside ``[0, 1]`` — raise
 :class:`~repro.radio.errors.ProtocolError` naming the accepted form,
-identically from the API, the CLI flag group, and ``run_trials*``.
+identically from the API, the CLI flag group, and campaign specs.
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ class FaultSchedule:
 
         All rates must lie in ``[0, 1]``;
         :class:`~repro.radio.errors.ProtocolError` names the accepted
-        range otherwise — the same refusal the CLI and ``run_trials*``
+        range otherwise — the same refusal the CLI and campaign specs
         surface.
         """
         n = _as_int(n, "fault sample n")
@@ -441,7 +441,7 @@ class FaultSchedule:
 def validate_faults(faults) -> "FaultSchedule | None":
     """Policy-field validator: a :class:`FaultSchedule` or ``None``.
 
-    The one refusal every surface (API, CLI, ``run_trials*``) shares
+    The one refusal every surface (API, CLI, campaign specs) shares
     for the ``faults=`` knob, naming the accepted forms.
     """
     if faults is None or isinstance(faults, FaultSchedule):
@@ -453,36 +453,8 @@ def validate_faults(faults) -> "FaultSchedule | None":
     )
 
 
-# ---------------------------------------------------------------------------
-# Process-wide default schedule (the run_trials* threading mechanism,
-# mirroring repro.engine.streaming's default memory budget).
-# ---------------------------------------------------------------------------
-
-_default_faults: FaultSchedule | None = None
-
-
-def set_default_faults(faults: FaultSchedule | None) -> None:
-    """Set the process-wide default fault schedule (``None`` clears).
-
-    Policies whose ``faults`` field is unset resolve it from this
-    default (see :meth:`repro.engine.policy.ExecutionPolicy.resolve`),
-    which is how :func:`repro.analysis.experiments.run_trials` imposes
-    one schedule across every policy-accepting protocol a trial runs —
-    including inside process-pool workers.
-    """
-    global _default_faults
-    _default_faults = validate_faults(faults)
-
-
-def default_faults() -> FaultSchedule | None:
-    """The process-wide default fault schedule (``None`` = unset)."""
-    return _default_faults
-
-
 __all__ = [
     "FaultSchedule",
     "Jam",
-    "default_faults",
-    "set_default_faults",
     "validate_faults",
 ]

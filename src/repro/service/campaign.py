@@ -8,13 +8,18 @@ execution policies (each optionally carrying a
 ``graph x policy x trial`` cell, **dedupes the grid against the
 report store** (a previously-served job is a cache hit, never
 re-executed — which is also what makes a killed campaign resumable),
-and fans the remainder across the PR 8 shared-memory worker pool:
-each distinct graph's CSR slabs are published to
-``multiprocessing.shared_memory`` once, worker payloads carry only
-segment handles, and in-flight jobs are bounded so a 10^6-trial
-submission does not materialize 10^6 futures. Each job persists its
-own report (:func:`_execute_job`, in the worker that ran it), so the
-campaign thread only records outcomes.
+and fans the remainder out through the trial harness's one pool
+driver (:func:`~repro.analysis.experiments._fan_out`): each distinct
+graph's CSR slabs are published to ``multiprocessing.shared_memory``
+once, worker payloads carry only segment handles, and in-flight jobs
+are bounded so a 10^6-trial submission does not materialize 10^6
+futures. A job is the harness's report job plus its
+:meth:`ReportStore.put` (:func:`_execute_job`, in the worker that ran
+it), so the campaign thread only records outcomes: a refusal
+(:class:`~repro.radio.errors.ProtocolError`) fails the whole campaign
+at every worker count, any other error counts one failed job, and
+every job counts once — also when a broken pool sends the rest to the
+serial fallback.
 
 Seeding is the harness contract: trial ``t`` runs on
 ``np.random.SeedSequence(spec.seed).spawn(n_trials)[t]`` — exactly how
@@ -33,30 +38,20 @@ across resumed and uninterrupted runs.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import json
 import os
 import pathlib
-import pickle
 import threading
 from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from ..analysis.experiments import (
-    TrialStats,
-    _trial_fault_default,
-    _trial_memory_budget,
-    _warn_unpicklable,
-)
+from ..analysis.experiments import TrialStats, _fan_out, _run_one_report
 from ..api.registry import get_protocol
 from ..api.wire import TAG, decode_value, encode_value
-from ..corpus.shm import SharedGraph, SharedGraphHandle, attach
 from ..corpus.store import CorpusStore, load_graph
 from ..engine.policy import ExecutionPolicy, parse_mem_budget
-from ..engine.streaming import memory_budget
-from ..faults import default_faults
 from ..radio.errors import ProtocolError
 from .store import (
     JobKey,
@@ -329,36 +324,23 @@ def _resolve_corpus_entries(
 
 
 def _execute_job(
-    payload: tuple[
-        str, Any, np.random.SeedSequence, Any, Any, int | None, Any,
-        pathlib.Path, JobKey,
-    ]
+    target: Any,
+    protocol: str,
+    child: np.random.SeedSequence,
+    config: Any,
+    policy: ExecutionPolicy,
+    directory: pathlib.Path,
+    key: JobKey,
 ) -> tuple[Any, bool]:
-    """One seeded front-door run, persisted (module-level for pickling).
+    """One campaign job: the harness's report job, persisted.
 
-    The one job body of the pool workers and the serial path. Mirrors
-    the harness worker: the parent's process-wide streaming budget and
-    default fault schedule travel in the payload, and shared-memory
-    handles attach zero-copy (cached per process). The job then writes
+    Runs in a pool worker or on the serial path alike. The job writes
     its own store entry through :meth:`ReportStore.put` (so encoding
     and writing run in parallel across the pool, not on the campaign
     thread) and returns the report with whether that put wrote it —
     an existing entry wins. A failing put fails the job.
     """
-    (protocol, target, child, config, policy, budget, fault_default,
-     directory, key) = payload
-    from ..api import run
-
-    if isinstance(target, SharedGraphHandle):
-        target = attach(target)
-    with _trial_memory_budget(budget), _trial_fault_default(fault_default):
-        report = run(
-            protocol,
-            target,
-            rng=np.random.default_rng(child),
-            config=config,
-            policy=policy,
-        )
+    report = _run_one_report(target, protocol, child, config, policy)
     store = ReportStore(directory)
     store.put(key, report)
     return report, store.writes == 1  # a fresh handle: this put's count
@@ -496,22 +478,6 @@ class Campaign:
                     stats if prior is None else prior.merge(stats)
                 )
 
-    def _landed(self, job: CampaignJob, outcome: tuple[Any, bool]) -> None:
-        """Record an executed job's :func:`_execute_job` outcome."""
-        report, wrote = outcome
-        if wrote:
-            self.store.record_write()
-        self._record(job, report, cached=False)
-
-    def _record_failure(self, job: CampaignJob, exc: BaseException) -> None:
-        with self._lock:
-            self.failed += 1
-            if len(self.errors) < MAX_RECORDED_ERRORS:
-                self.errors.append(
-                    f"job {job.index} (graph {job.graph[:12]}, trial "
-                    f"{job.trial}): {type(exc).__name__}: {exc}"
-                )
-
     def cancel(self) -> None:
         """Ask the running campaign to stop between jobs."""
         self._cancel.set()
@@ -582,154 +548,63 @@ class Campaign:
                 notify()
         return pending
 
-    def _payload(self, job: CampaignJob, target: Any) -> tuple:
-        return (
-            self.spec.protocol,
-            target,
-            self._children[job.trial],
-            self.spec.config,
-            self.spec.policies[job.policy_index],
-            memory_budget(),
-            default_faults(),
-            self.store.directory,
-            job.key,
-        )
-
-    def _execute_serial(
-        self,
-        pending: list[CampaignJob],
-        should_stop: Callable[[], bool] | None,
-        notify: Callable[[], None],
-    ) -> None:
-        by_digest = {
-            g.graph.get("digest"): g for g in self._graphs
-        }
-        for job in pending:
-            if self._stopped(should_stop):
-                return
-            try:
-                outcome = _execute_job(
-                    self._payload(job, by_digest[job.graph])
-                )
-            except ProtocolError:
-                # A refusal is a spec problem, not a flaky trial:
-                # surface it to the submitter instead of burying it in
-                # per-job failure counters.
-                raise
-            except Exception as exc:
-                self._record_failure(job, exc)
-            else:
-                self._landed(job, outcome)
-            notify()
-
     def _execute(
         self,
         pending: list[CampaignJob],
         should_stop: Callable[[], bool] | None,
         notify: Callable[[], None],
     ) -> None:
-        if self.workers == 1 or len(pending) == 1:
-            self._execute_serial(pending, should_stop, notify)
-            return
-        try:
-            pickle.dumps(
-                (self.spec.protocol, self.spec.config, self.spec.policies)
+        """Run the pending jobs through the harness's one fan-out.
+
+        A :class:`~repro.radio.errors.ProtocolError` is a spec problem,
+        not a flaky trial: at every worker count it cancels the jobs
+        not yet started and propagates from :meth:`run`. Any other
+        error counts one failed job.
+        """
+        by_digest = {g.graph.get("digest"): g for g in self._graphs}
+        spec = self.spec
+        tasks = [
+            (
+                by_digest[job.graph],
+                (
+                    spec.protocol,
+                    self._children[job.trial],
+                    spec.config,
+                    spec.policies[job.policy_index],
+                    self.store.directory,
+                    job.key,
+                ),
             )
-        except Exception as exc:
-            _warn_unpicklable(
-                "Campaign.run",
-                exc,
-                "the (protocol, config, policies) payload is not "
-                "picklable; running the campaign serially",
-            )
-            self._execute_serial(pending, should_stop, notify)
-            return
+            for job in pending
+        ]
 
-        shared: dict[str, SharedGraph] = {}
-        try:
-            needed = {job.graph for job in pending}
-            for graph in self._graphs:
-                digest = graph.graph.get("digest")
-                if digest in needed and digest not in shared:
-                    shared[digest] = SharedGraph.publish(graph)
-            self._drain_pool(pending, shared, should_stop, notify)
-        except (
-            concurrent.futures.process.BrokenProcessPool,
-            PermissionError,
-        ):
-            # Environments that cannot spawn workers degrade to the
-            # serial path — same seeding, same store writes.
-            remaining = [
-                job for job in pending if not self._done[job.index]
-            ]
-            self._execute_serial(remaining, should_stop, notify)
-        finally:
-            for seg in shared.values():
-                seg.close()
-                seg.unlink()
+        def land(index: int, outcome: Any, exc: Exception | None) -> None:
+            job = pending[index]
+            if exc is None:
+                report, wrote = outcome
+                if wrote:
+                    self.store.record_write()
+                self._record(job, report, cached=False)
+            else:
+                with self._lock:
+                    self.failed += 1
+                    if len(self.errors) < MAX_RECORDED_ERRORS:
+                        self.errors.append(
+                            f"job {job.index} (graph {job.graph[:12]}, "
+                            f"trial {job.trial}): "
+                            f"{type(exc).__name__}: {exc}"
+                        )
+            notify()
 
-    def _drain_pool(
-        self,
-        pending: list[CampaignJob],
-        shared: dict[str, SharedGraph],
-        should_stop: Callable[[], bool] | None,
-        notify: Callable[[], None],
-    ) -> None:
-        """Bounded-in-flight fan-out: at most ``4 x workers`` submitted."""
-        bound = max(4 * self.workers, 8)
-        queue = iter(pending)
-        futures: dict[concurrent.futures.Future, CampaignJob] = {}
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.workers
-        ) as pool:
-            def submit_up_to_bound() -> None:
-                while len(futures) < bound:
-                    job = next(queue, None)
-                    if job is None:
-                        return
-                    target = shared[job.graph].handle
-                    futures[pool.submit(
-                        _execute_job, self._payload(job, target)
-                    )] = job
-
-            submit_up_to_bound()
-            while futures:
-                done, _ = concurrent.futures.wait(
-                    futures,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                for future in done:
-                    self._collect(futures.pop(future), future, notify)
-                if self._stopped(should_stop):
-                    for future in futures:
-                        future.cancel()
-                    # Record whatever still lands while the pool
-                    # drains — the work is done (and persisted by its
-                    # job); dropping it would just grow the resume tail.
-                    concurrent.futures.wait(futures)
-                    for future, job in futures.items():
-                        self._collect(job, future, notify)
-                    return
-                submit_up_to_bound()
-
-    def _collect(
-        self,
-        job: CampaignJob,
-        future: concurrent.futures.Future,
-        notify: Callable[[], None],
-    ) -> None:
-        """Record a finished pool future (a cancelled one never ran)."""
-        if future.cancelled():
-            return
-        try:
-            outcome = future.result()
-        except concurrent.futures.process.BrokenProcessPool:
-            raise
-        except Exception as exc:
-            self._record_failure(job, exc)
-        else:
-            self._landed(job, outcome)
-        notify()
+        _fan_out(
+            "Campaign.run",
+            _execute_job,
+            tasks,
+            self.workers,
+            land,
+            fatal=ProtocolError,
+            stop=lambda: self._stopped(should_stop),
+        )
 
     # -- reading ------------------------------------------------------
 

@@ -81,8 +81,8 @@ def policy_digest(policy: ExecutionPolicy, n: int | None = None) -> str:
 
     Resolution (:meth:`~repro.engine.policy.ExecutionPolicy.resolve`
     against the graph size) happens first, so the ``"auto"`` engine
-    (which resolves to ``"windowed"``) and the process-wide budget fold
-    in — the digest names what would actually execute, and two
+    resolves to ``"windowed"`` and an explicit budget to its chunk
+    height — the digest names what would actually execute, and two
     spellings of one policy share a key. The fault schedule is
     stripped: faults are the key's own coordinate
     (:func:`faults_digest`), not part of the policy digest.
@@ -93,10 +93,10 @@ def policy_digest(policy: ExecutionPolicy, n: int | None = None) -> str:
 
 
 def faults_digest(policy: ExecutionPolicy) -> str:
-    """Digest of the policy's effective fault schedule (:data:`NO_FAULTS`
+    """Digest of the policy's fault schedule (:data:`NO_FAULTS`
     for fault-free runs, including empty schedules — which the fault
     layer pins bit-identical to none, so they share a key)."""
-    schedule = policy.fault_schedule()
+    schedule = policy.faults
     if schedule is None or schedule.is_empty:
         return NO_FAULTS
     return schedule.digest()

@@ -146,22 +146,16 @@ class TestParallelFallbackWarnings:
     a mysterious slowdown."""
 
     def test_run_trials_parallel_warns_on_unpicklable_measure(self):
-        from repro.analysis import run_trials_parallel
-
         with pytest.warns(RuntimeWarning, match="not picklable"):
-            stats = run_trials_parallel(
+            stats = run_trials(
                 lambda r: float(r.random()), 3, seed=2, processes=2
             )
         # the fallback stays bit-identical to the serial path
         assert stats == run_trials(lambda r: float(r.random()), 3, seed=2)
 
     def test_warning_names_the_actual_failure(self):
-        from repro.analysis import run_trials_parallel
-
         with pytest.warns(RuntimeWarning, match="PicklingError|pickle"):
-            run_trials_parallel(
-                lambda r: 0.0, 2, seed=0, processes=2
-            )
+            run_trials(lambda r: 0.0, 2, seed=0, processes=2)
 
     def test_run_report_trials_warns_on_unpicklable_payload(self):
         from repro.analysis import run_report_trials

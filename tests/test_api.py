@@ -12,7 +12,7 @@ Three layers of pinning:
    ``mem_budget`` values raise
    :class:`~repro.radio.errors.ProtocolError` naming the accepted
    values, identically across the policy constructor, ``run``, the
-   CLI, campaign specs, and ``run_trials*``.
+   CLI, and campaign specs.
 3. **No per-call shims** — entry points take ``policy=`` only, and the
    packet-Compete config carries a ``policy``, not an engine of its
    own.
@@ -28,7 +28,7 @@ import pytest
 
 import repro.api as api
 from repro import graphs
-from repro.analysis import run_report_trials, run_trials, summarize_reports
+from repro.analysis import run_report_trials, summarize_reports
 from repro.api import (
     BGIConfig,
     BroadcastConfig,
@@ -323,18 +323,6 @@ class TestRunReport:
         report = api.run("decay", g, rng=np.random.default_rng(0))
         assert report.provenance["seed"] is None
 
-    def test_policy_echo_resolves_budget_default(self):
-        from repro.engine.streaming import set_memory_budget
-
-        g = _udg(30, 23)
-        set_memory_budget(1 << 20)
-        try:
-            report = api.run("decay", g, seed=0)
-        finally:
-            set_memory_budget(None)
-        assert report.policy.mem_budget == 1 << 20
-        assert report.policy.chunk_steps is not None
-
 
 # ---------------------------------------------------------------------------
 # 3. Registry discovery.
@@ -462,13 +450,6 @@ class TestUniformRefusals:
             api.run("decay", g)
         with pytest.raises(ProtocolError, match="exactly one"):
             api.run("decay", g, seed=1, rng=np.random.default_rng(1))
-
-    def test_run_trials_refuses_double_budget(self):
-        with pytest.raises(ProtocolError, match="policy"):
-            run_trials(
-                lambda rng: 0.0, 1, 0,
-                mem_budget=1 << 20, policy=ExecutionPolicy(),
-            )
 
     def test_cli_refuses_malformed_mem_budget(self, capsys):
         from repro.cli import main
@@ -679,21 +660,6 @@ class TestDeprecationShims:
         with pytest.raises(ProtocolError, match="out of range"):
             api.run("bgi", g, seed=0, config=BGIConfig(sources=[0, 99]))
 
-    def test_run_trials_refuses_non_budget_policy_fields(self):
-        # The trial runners drive opaque measure callables: the only
-        # policy field they can impose is the memory budget, so other
-        # fields refuse instead of being silently dropped.
-        with pytest.raises(ProtocolError, match="mem_budget"):
-            run_trials(
-                lambda rng: 0.0, 1, 0,
-                policy=ExecutionPolicy(chunk_steps=4),
-            )
-        with pytest.raises(ProtocolError, match="mem_budget"):
-            run_trials(
-                lambda rng: 0.0, 1, 0,
-                policy=ExecutionPolicy(engine="reference"),
-            )
-
 
 # ---------------------------------------------------------------------------
 # 6. Front-door trials.
@@ -719,6 +685,20 @@ class TestReportTrials:
             policy=ExecutionPolicy(mem_budget=1 << 18),
         )
         assert all(r.policy.chunk_steps is not None for r in reports)
+
+    def test_pooled_networkx_trials_match_serial(self):
+        # A networkx target travels in each payload (no shared memory);
+        # the policy rides along, and the pool changes no outcome.
+        g = _udg(40, 42)
+        policy = ExecutionPolicy(
+            mem_budget=1 << 18,
+            faults=api.FaultSchedule.sample(40, 64, seed=3, crash_rate=0.2),
+        )
+        pooled = run_report_trials(
+            "decay", g, 3, seed=9, policy=policy, processes=2
+        )
+        serial = run_report_trials("decay", g, 3, seed=9, policy=policy)
+        assert pooled == serial
 
 
 # ---------------------------------------------------------------------------

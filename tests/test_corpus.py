@@ -29,7 +29,6 @@ from repro import corpus, graphs
 from repro.analysis.experiments import (
     run_report_trials,
     run_trials,
-    run_trials_parallel,
 )
 from repro.corpus import generate
 from repro.corpus.generate import udg_csr
@@ -370,10 +369,10 @@ class TestParallelCorpusTrials:
 
     def test_corpus_trials_parallel_matches_serial(self):
         g = self._graph()
-        parallel = run_trials_parallel(
+        parallel = run_trials(
             _mis_size_measure, 4, seed=5, processes=2, corpus=g
         )
-        serial = run_trials_parallel(
+        serial = run_trials(
             _mis_size_measure, 4, seed=5, processes=1, corpus=g
         )
         assert parallel == serial
@@ -384,7 +383,7 @@ class TestParallelCorpusTrials:
             lambda rng: _mis_size_measure(rng, g), 3, seed=5
         )
         assert (
-            run_trials_parallel(
+            run_trials(
                 _mis_size_measure, 3, seed=5, processes=1, corpus=g
             )
             == direct

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro import graphs
-from repro.analysis.experiments import measure_peak, run_trials
+from repro.analysis.experiments import measure_peak
 from repro.core.decay import run_decay, run_decay_reference
 from repro.core.effective_degree import (
     EstimateEffectiveDegree,
@@ -37,9 +37,7 @@ from repro.engine import (
     TransmitterPlan,
     WindowedRunner,
     chunk_steps_for_budget,
-    memory_budget,
     resolve_chunk_steps,
-    set_memory_budget,
 )
 from repro.engine.streaming import STREAM_CELL_BYTES
 from repro.radio import (
@@ -367,7 +365,7 @@ class TestStreamedBudget:
 
 
 # ---------------------------------------------------------------------------
-# Knob resolution and the experiments-layer budget.
+# Knob resolution: explicit knobs only.
 # ---------------------------------------------------------------------------
 class TestKnobResolution:
     def test_chunk_steps_for_budget_model(self):
@@ -385,13 +383,6 @@ class TestKnobResolution:
         assert resolve_chunk_steps(
             n, mem_budget=STREAM_CELL_BYTES * n * 3
         ) == 3
-        set_memory_budget(STREAM_CELL_BYTES * n * 9)
-        try:
-            assert resolve_chunk_steps(n) == 9
-            assert resolve_chunk_steps(n, chunk_steps=2) == 2
-        finally:
-            set_memory_budget(None)
-        assert resolve_chunk_steps(n) is None
         with pytest.raises(ValueError, match="chunk_steps"):
             resolve_chunk_steps(n, chunk_steps=0)
 
@@ -401,27 +392,6 @@ class TestKnobResolution:
             WindowedRunner(net, chunk_steps=0)
         with pytest.raises(ValueError, match="mem_budget"):
             WindowedRunner(net, mem_budget=0)
-
-    def test_set_memory_budget_validates(self):
-        with pytest.raises(ValueError, match="mem_budget"):
-            set_memory_budget(0)
-
-    def test_run_trials_imposes_and_restores_budget(self):
-        observed = []
-
-        def measure(rng):
-            observed.append(memory_budget())
-            return 1.0
-
-        set_memory_budget(77 << 20)
-        try:
-            run_trials(measure, 2, seed=0, mem_budget=11 << 20)
-            assert observed == [11 << 20] * 2
-            assert memory_budget() == 77 << 20
-            run_trials(measure, 1, seed=0)
-            assert observed[-1] == 77 << 20  # untouched when unset
-        finally:
-            set_memory_budget(None)
 
 
 # ---------------------------------------------------------------------------

@@ -284,25 +284,26 @@ def _measure_sum(rng: np.random.Generator) -> float:
 class TestParallelTrials:
     def test_matches_serial(self):
         serial = experiments.run_trials(_measure_sum, 12, seed=3)
-        parallel = experiments.run_trials_parallel(
+        parallel = experiments.run_trials(
             _measure_sum, 12, seed=3, processes=3
         )
         assert serial == parallel
 
     def test_single_process_short_circuits(self):
-        assert experiments.run_trials_parallel(
+        assert experiments.run_trials(
             _measure_sum, 5, seed=1, processes=1
         ) == experiments.run_trials(_measure_sum, 5, seed=1)
 
     def test_unpicklable_measure_falls_back(self):
         serial = experiments.run_trials(lambda r: float(r.random()), 4, 9)
-        parallel = experiments.run_trials_parallel(
-            lambda r: float(r.random()), 4, 9, processes=2
-        )
+        with pytest.warns(RuntimeWarning, match="not picklable"):
+            parallel = experiments.run_trials(
+                lambda r: float(r.random()), 4, 9, processes=2
+            )
         assert serial == parallel
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            experiments.run_trials_parallel(_measure_sum, 0, 1)
+            experiments.run_trials(_measure_sum, 0, 1)
         with pytest.raises(ValueError):
-            experiments.run_trials_parallel(_measure_sum, 2, 1, processes=0)
+            experiments.run_trials(_measure_sum, 2, 1, processes=0)

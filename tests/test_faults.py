@@ -11,7 +11,7 @@ Four layers of pinning:
    chunking-invariance contract checked at arbitrary split points.
 3. **Integration** — installation on :class:`RadioNetwork`, the empty
    ≡ none bit-identity through :func:`repro.api.run`, RunReport
-   provenance, and the ``run_trials*`` process-default threading.
+   provenance, and policy faults stamped on every front-door trial.
 4. **Uniform refusals** — the same :class:`ProtocolError` text from the
    policy constructor, the API, the CLI flag group, and the paths that
    cannot realize faults (round-accounted pipelines, partition, the
@@ -27,16 +27,14 @@ import pytest
 
 import repro.api as api
 from repro import graphs
-from repro.analysis import run_report_trials, run_trials
+from repro.analysis import run_report_trials
 from repro.api import ExecutionPolicy, FaultSchedule, Jam, RunReport
 from repro.baselines import uptime_threshold_election
 from repro.cli import main as cli_main
 from repro.core import compute_restartable_mis, mis_as_wakeup_strategy
 from repro.faults import (
     FaultState,
-    default_faults,
     node_uptime_fractions,
-    set_default_faults,
     validate_faults,
 )
 from repro.faults.state import _hash_uniform
@@ -454,7 +452,7 @@ class TestFaultState:
 
 
 # ---------------------------------------------------------------------------
-# 3. Integration: installation, bit-identity, provenance, run_trials
+# 3. Integration: installation, bit-identity, provenance, trials
 # ---------------------------------------------------------------------------
 
 
@@ -517,40 +515,6 @@ class TestProvenance:
 
 
 class TestRunTrialsThreading:
-    def test_policy_faults_become_the_trial_default(self):
-        schedule = _sample(n=40, crash_rate=0.2)
-        seen = []
-
-        def measure(rng):
-            seen.append(default_faults())
-            return 1.0
-
-        run_trials(measure, 2, 0, policy=ExecutionPolicy(faults=schedule))
-        assert seen == [schedule, schedule]
-        assert default_faults() is None
-
-    def test_default_restored_after_a_failing_trial(self):
-        def explode(rng):
-            raise RuntimeError("trial failed")
-
-        with pytest.raises(RuntimeError, match="trial failed"):
-            run_trials(
-                explode, 1, 0,
-                policy=ExecutionPolicy(faults=_sample(crash_rate=0.2)),
-            )
-        assert default_faults() is None
-
-    def test_non_trial_policy_fields_still_refuse(self):
-        with pytest.raises(
-            ProtocolError, match="mem_budget and faults"
-        ):
-            run_trials(
-                lambda rng: 1.0, 1, 0,
-                policy=ExecutionPolicy(
-                    engine="reference", faults=_sample(crash_rate=0.2)
-                ),
-            )
-
     def test_run_report_trials_stamps_every_report(self):
         g = _udg(40, seed=6)
         schedule = _sample(n=40, seed=8, churn=0.3)
@@ -560,7 +524,6 @@ class TestRunTrialsThreading:
         assert len(reports) == 2
         for report in reports:
             assert report.provenance["faults"]["digest"] == schedule.digest()
-        assert default_faults() is None
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +578,6 @@ class TestUniformRefusals:
                 64, 8, np.random.default_rng(0),
                 policy=ExecutionPolicy(faults=schedule),
             )
-        # The process-wide default reaches it too (run_trials threading).
-        set_default_faults(schedule)
-        try:
-            with pytest.raises(ProtocolError, match="cannot\\s+apply"):
-                mis_as_wakeup_strategy(64, 8, np.random.default_rng(0))
-        finally:
-            set_default_faults(None)
 
 
 # ---------------------------------------------------------------------------

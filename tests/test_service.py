@@ -240,6 +240,25 @@ class TestStore:
         assert faults_digest(with_faults) == faults.digest()
         assert faults_digest(auto) == "none"
 
+    @pytest.mark.parametrize("policy, digest", [
+        (ExecutionPolicy(),
+         "a6ca2f93b518cb1c5f676c9cb41d9b05cdf012ba3c6304d826622ee19a71a765"),
+        (ExecutionPolicy(mem_budget=256 << 20),
+         "7179e5c9517835b3b74e9fadc6ce4712cddf16c3c5c9475a17f7ba8418bb3162"),
+        (ExecutionPolicy(chunk_steps=8),
+         "fa58413eb3c3103ff8e5cccf7e5596eb0f1a15db1377da962952c6ec226e276b"),
+        (ExecutionPolicy(faults=FaultSchedule.sample(
+            2000, 512, seed=7, crash_rate=0.05, churn=0.1)),
+         "370f8e39bc842981cdad13ad558997e6dc4fd7c2e5c738a819eb0a62c8bc5da1"),
+    ], ids=["default", "budget-256M", "chunk-8", "faults"])
+    def test_store_keys_are_pinned(self, policy, digest):
+        # Served stores outlive code changes: these addresses must not
+        # move unless the stream version or the key document does.
+        key = JobKey(protocol="decay", graph="5eed" * 16, seed=11, trial=3,
+                     policy=policy_digest(policy, 2000),
+                     faults=faults_digest(policy))
+        assert key.digest == digest
+
     def test_put_get_round_trip_and_counters(self, tmp_path):
         store = ReportStore(tmp_path / "reports")
         report = api.run("decay", graphs.random_udg(30, 4.0, np.random.default_rng(1)),
@@ -787,6 +806,7 @@ class TestCampaign:
 
     def test_worker_attaches_shared_handles(self, stores, tmp_path):
         """The pool worker body, exercised in-process with a handle."""
+        from repro.analysis.experiments import _run_job
         from repro.corpus.shm import SharedGraph
         from repro.service.campaign import _execute_job
 
@@ -795,18 +815,18 @@ class TestCampaign:
         shared = SharedGraph.publish(graph)
         key = JobKey(protocol="decay", graph=digest, seed=5, trial=0,
                      policy=policy_digest(ExecutionPolicy(), 60))
-        payload = (
-            "decay", shared.handle, np.random.SeedSequence(5).spawn(1)[0],
-            None, ExecutionPolicy(), None, None, tmp_path / "r", key,
+        args = (
+            "decay", np.random.SeedSequence(5).spawn(1)[0], None,
+            ExecutionPolicy(), tmp_path / "r", key,
         )
         try:
-            report, wrote = _execute_job(payload)
+            report, wrote = _run_job(_execute_job, shared.handle, args)
             assert report.protocol == "decay"
             assert report.provenance["corpus"]["source"] == "shm"
             # The job persisted its own entry; a rerun finds it there.
             assert wrote is True
             assert ReportStore(tmp_path / "r").get(key) == report
-            assert _execute_job(payload)[1] is False
+            assert _run_job(_execute_job, shared.handle, args)[1] is False
         finally:
             shared.close()
             shared.unlink()
@@ -834,7 +854,7 @@ class TestCampaign:
         corpus, digest, _ = stores
         spec = CampaignSpec(protocol="decay", corpus=(digest,), n_trials=3)
 
-        def explode(payload):
+        def explode(*args):
             raise RuntimeError("worker fell over")
 
         monkeypatch.setattr(campaign_mod, "_execute_job", explode)
@@ -847,22 +867,26 @@ class TestCampaign:
         with pytest.raises(ProtocolError, match="no completed jobs"):
             campaign.final_summary()
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_spec_level_refusal_fails_the_campaign(
-        self, stores, tmp_path
+        self, stores, tmp_path, workers
     ):
         # validate=True has no windows to check under the reference
         # engine: a policy decay cannot honor is a spec problem,
-        # surfaced as a refusal, not a failure count.
+        # surfaced as a refusal, not a failure count — at every worker
+        # count.
         corpus, digest, _ = stores
         spec = CampaignSpec(
-            protocol="decay", corpus=(digest,), n_trials=2,
+            protocol="decay", corpus=(digest,), n_trials=4,
             policies=(ExecutionPolicy(engine="reference", validate=True),),
         )
         campaign = Campaign(spec, ReportStore(tmp_path / "r"),
-                            corpus=corpus)
+                            corpus=corpus, workers=workers)
         with pytest.raises(ProtocolError, match="validate"):
             campaign.run()
-        assert campaign.status()["state"] == "failed"
+        status = campaign.status()
+        assert status["state"] == "failed"
+        assert status["failed"] == 0 and status["errors"] == []
 
     def test_unpicklable_payload_degrades_to_serial(
         self, stores, tmp_path, monkeypatch
@@ -887,19 +911,71 @@ class TestCampaign:
     ):
         import concurrent.futures.process as process_mod
 
+        import repro.analysis.experiments as experiments
+
         corpus, digest, _ = stores
         spec = CampaignSpec(protocol="decay", corpus=(digest,),
                             n_trials=3, seed=6)
 
-        def broken(self, pending, shared, should_stop, notify):
-            raise process_mod.BrokenProcessPool("no forks here")
+        class NoForks:
+            """A pool that breaks on the fan-out's first submission."""
 
-        monkeypatch.setattr(Campaign, "_drain_pool", broken)
-        campaign = run_campaign(spec, ReportStore(tmp_path / "r"),
-                                corpus=corpus, workers=2)
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, *args):
+                raise process_mod.BrokenProcessPool("no forks here")
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoForks)
+        with pytest.warns(RuntimeWarning, match="no forks here"):
+            campaign = run_campaign(spec, ReportStore(tmp_path / "r"),
+                                    corpus=corpus, workers=2)
         status = campaign.status()
         assert status["state"] == "completed"
         assert status["executed"] == 3
+
+    def test_each_job_runs_and_counts_once_across_a_pool_break(
+        self, stores, tmp_path, monkeypatch
+    ):
+        # Forked pool workers inherit the wrapped job body. Trial 0
+        # fails in a worker; trial 5 kills its worker, which breaks the
+        # pool. The failure must stay recorded once, and the serial
+        # fallback (where trial 5 runs in this process and completes)
+        # must run only the jobs that have no outcome yet.
+        import os
+
+        import repro.service.campaign as campaign_mod
+
+        corpus, digest, _ = stores
+        spec = CampaignSpec(protocol="decay", corpus=(digest,),
+                            n_trials=12, seed=19)
+        parent = os.getpid()
+        ran = tmp_path / "ran"
+        report_job = campaign_mod._run_one_report
+
+        def flaky(target, protocol, child, config, policy):
+            trial = child.spawn_key[-1]
+            with open(ran, "a") as log:
+                log.write(f"{trial}\n")
+            if trial == 0:
+                raise RuntimeError("trial 0 fell over")
+            if trial == 5 and os.getpid() != parent:
+                os._exit(1)
+            return report_job(target, protocol, child, config, policy)
+
+        monkeypatch.setattr(campaign_mod, "_run_one_report", flaky)
+        with pytest.warns(RuntimeWarning, match="BrokenProcessPool"):
+            campaign = run_campaign(spec, ReportStore(tmp_path / "r"),
+                                    corpus=corpus, workers=2)
+        status = campaign.status()
+        assert status["failed"] == 1
+        assert status["completed"] == spec.total_jobs - 1
+        assert len(status["errors"]) == 1
+        assert "trial 0 fell over" in status["errors"][0]
+        assert ran.read_text().split().count("0") == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_jobs_persist_their_own_entries(self, stores, tmp_path, workers):
@@ -1164,6 +1240,31 @@ class TestService:
         assert health["store"]["quarantined"] == 1
         assert health["store"]["writes"] == 6
         assert health["store"]["entries"] == 5
+
+    def test_pooled_refusal_lands_in_the_record_error(
+        self, stores, tmp_path
+    ):
+        import time
+
+        corpus, digest, _ = stores
+        spec = CampaignSpec(
+            protocol="decay", corpus=(digest,), n_trials=4, seed=3,
+            policies=(ExecutionPolicy(engine="reference", validate=True),),
+        )
+        with start_in_thread(tmp_path / "reports", corpus,
+                             workers=2) as handle:
+            client = ServiceClient(port=handle.port)
+            ident = client.submit(spec)["id"]
+            client.wait(ident, timeout=120)
+            # The record's error is set just after the state settles.
+            deadline = time.monotonic() + 30
+            status = client.status(ident)
+            while "error" not in status and time.monotonic() < deadline:
+                time.sleep(0.05)
+                status = client.status(ident)
+        assert status["state"] == "failed"
+        assert status["failed"] == 0
+        assert "validate" in status["error"]
 
     def test_campaign_listing(self, service):
         listed = service.campaigns()

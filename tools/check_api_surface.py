@@ -3,11 +3,12 @@
 Two checks, both cheap enough for every CI run (wired next to the
 engine coverage floor):
 
-1. **Pinned surfaces** — ``repro.api.__all__``, ``repro.service.__all__``,
-   ``repro.engine.__all__``, ``repro.radio.__all__`` and the
-   :class:`ExecutionPolicy` fields are an explicit contract. Adding or removing a name or a policy knob
-   must edit the pin here, in the same commit, on purpose; silent drift
-   fails.
+1. **Pinned surfaces** — the ``__all__`` of ``repro.api``,
+   ``repro.service``, ``repro.engine``, ``repro.radio``,
+   ``repro.faults`` and ``repro.analysis``, and the
+   :class:`ExecutionPolicy` fields, are an explicit contract. Adding or
+   removing a name or a policy knob must edit the pin here, in the same
+   commit, on purpose; silent drift fails.
 
 2. **No deep imports in user-facing material** — ``examples/`` scripts
    and the fenced Python snippets in ``README.md`` / ``EXPERIMENTS.md``
@@ -107,13 +108,11 @@ EXPECTED_ENGINE_ALL = [
     "WindowedRunner",
     "chunk_steps_for_budget",
     "coin_chunk",
-    "memory_budget",
     "multiplex",
     "parse_mem_budget",
     "protocol_schedule",
     "resolve_chunk_steps",
     "run_schedule",
-    "set_memory_budget",
 ]
 
 #: The pinned public surface of repro.radio — the simulator substrate.
@@ -137,6 +136,31 @@ EXPECTED_RADIO_ALL = [
     "highest",
     "run_protocol",
     "run_steps",
+]
+
+#: The pinned public surface of repro.faults — schedules and their
+#: realization; fault settings ride the policy, never a global.
+EXPECTED_FAULTS_ALL = [
+    "FaultSchedule",
+    "FaultState",
+    "Jam",
+    "node_uptime_fractions",
+    "validate_faults",
+]
+
+#: The pinned public surface of repro.analysis — the trial harness has
+#: two entry points (run_trials, run_report_trials).
+EXPECTED_ANALYSIS_ALL = [
+    "ScalingFit",
+    "TextTable",
+    "TrialStats",
+    "fit_power_law",
+    "geometric_sizes",
+    "measure_peak",
+    "run_report_trials",
+    "run_trials",
+    "success_rate",
+    "summarize_reports",
 ]
 
 #: The pinned ExecutionPolicy fields, in declaration order.
@@ -207,6 +231,8 @@ def check_api_all() -> list[str]:
         + _check_all_pin("repro.service", EXPECTED_SERVICE_ALL)
         + _check_all_pin("repro.engine", EXPECTED_ENGINE_ALL)
         + _check_all_pin("repro.radio", EXPECTED_RADIO_ALL)
+        + _check_all_pin("repro.faults", EXPECTED_FAULTS_ALL)
+        + _check_all_pin("repro.analysis", EXPECTED_ANALYSIS_ALL)
     )
 
 
@@ -307,7 +333,8 @@ def main() -> int:
         "api surface OK: __all__ pinned "
         f"({len(EXPECTED_API_ALL)} api + {len(EXPECTED_SERVICE_ALL)} "
         f"service + {len(EXPECTED_ENGINE_ALL)} engine + "
-        f"{len(EXPECTED_RADIO_ALL)} radio names), "
+        f"{len(EXPECTED_RADIO_ALL)} radio + {len(EXPECTED_FAULTS_ALL)} "
+        f"faults + {len(EXPECTED_ANALYSIS_ALL)} analysis names), "
         f"{len(EXPECTED_POLICY_FIELDS)} policy fields pinned, examples "
         "and doc snippets import public surfaces only"
     )
