@@ -1,16 +1,19 @@
-"""P3 — plan/commit IR: multiplexed ICP and dense-regime delivery.
+"""P3 — ICP's engine path and dense-regime delivery.
 
 Two workloads the PR 3 issue names, both bit-identity-asserted inside
 the bench before any timing is reported:
 
 * **ICP** at ``n >= 2000`` on a dense UDG, under the default engine:
-  the window-multiplexing combinator (``repro.engine.mux.multiplex``)
-  zips the adaptive slot passes with sweep-wide Decay-background
-  windows, replacing one dense matvec per multiplexed step with narrow
-  window products. Measured against the step-wise ``TimeMultiplexer``
-  reference. Acceptance floor: **3x**. (Records before the decision-step
-  engine path was deleted also timed it, as ``windowed_s`` and
-  ``speedup_vs_windowed``.)
+  the per-step lift (``repro.engine.protocol_schedule``) runs the slot
+  passes' ``TimeMultiplexer`` stack with the Decay background one
+  width-1 window per step, replacing one dense matvec per step with a
+  product over that step's few transmitters. Measured against
+  ``run_steps`` over the same stack, the step-wise reference.
+  Acceptance floor: **3x**. The record keeps the keys ``fused_icp``
+  and ``fused_s`` from when a window multiplexer zipped the two
+  streams into joint windows instead. (Records before the
+  decision-step engine path was deleted also timed it, as
+  ``windowed_s`` and ``speedup_vs_windowed``.)
 
 * **Dense EED delivery** on the EstimateEffectiveDegree ``p ~ 0.5``
   regime (dense UDG, all nodes active at desire level 0.5), each leg
@@ -61,7 +64,7 @@ def _udg(n: int, side: float, seed: int):
 
 
 def bench_icp(n: int = 2000, seed: int = 404, ell: int = 6) -> dict:
-    """ICP under the default engine (the multiplexed path) vs the
+    """ICP under the default engine (the per-step lift) vs the
     step-wise reference, bit-identity-asserted."""
     from repro.api import ExecutionPolicy
     from repro.core import build_icp_inputs, intra_cluster_propagation
@@ -99,7 +102,7 @@ def bench_icp(n: int = 2000, seed: int = 404, ell: int = 6) -> dict:
     return {
         "workload": (
             "Intra-Cluster Propagation with Decay background, "
-            "default engine (multiplexed joint windows) vs step-wise"
+            "default engine (per-step lift, width-1 windows) vs step-wise"
         ),
         "n": n,
         "edges": g.number_of_edges(),

@@ -8,8 +8,9 @@ provenance) around exactly the legacy code path, so its wall-clock
 must sit within **2%** of the direct entry-point call on the PR 4
 hot paths. This bench pins that on both flagship workloads:
 
-* **ICP** at ``n = 2000`` — the multiplexed path, ICP's default
-  engine path, driven once through :func:`~repro.core.intra_cluster
+* **ICP** at ``n = 2000`` — ICP's one engine path (its
+  time-multiplexed protocol stack lifted one width-1 window per step
+  by ``protocol_schedule``), driven once through :func:`~repro.core.intra_cluster
   .intra_cluster_propagation` directly and once through
   ``api.run("icp")``, both under the default policy (cheap trace);
 * **streamed EED** at ``n = 10^5`` (CI scale; ``--n`` opts down) —

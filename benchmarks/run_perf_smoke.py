@@ -6,9 +6,10 @@ persisted to ``BENCH_PR1.json``), the ``bench_p2_engine`` pass
 (PR 2: the unified windowed protocol engine — Radio MIS and
 EstimateEffectiveDegree against their step-wise references, plus the
 E1/E6 trial slices through ``run_trials(processes=...)`` — persisted to
-``BENCH_PR2.json``), the ``bench_p3_engine`` pass (PR 3: the
-window-multiplexed ICP path and the dense-regime window
-product against the step-wise replay — persisted to
+``BENCH_PR2.json``), the ``bench_p3_engine`` pass (PR 3: ICP's
+engine path — its time-multiplexed stack lifted one width-1 window
+per step — against the step-wise reference, and the dense-regime
+window product against the step-wise replay — persisted to
 ``BENCH_PR3.json``), and the
 ``bench_p4_streaming`` pass (PR 4: streamed window execution at
 ``n = 10^5``, wall time *and* tracemalloc peak against the monolithic

@@ -463,7 +463,7 @@ def _execute_eed(network, rng, config, policy):
     title="Intra-Cluster Propagation phase (Algorithms 9-10)",
     config_cls=ICPConfig,
     result_cls=ICPResult,
-    emitters=("decay_background_schedule",),
+    emitters=(),
     reference=None,
     accepts="network",
     cli=CLISpec(

@@ -14,8 +14,8 @@ takes::
     ['bgi', 'broadcast', 'decay', 'eed', ...]
 
 The registry is also a *completeness contract*: every schedule emitter
-in the tree must be claimed by exactly the spec that owns it (or be one
-of the engine-layer adapters in :data:`ADAPTER_EMITTERS`), and
+in the tree must be claimed by exactly the spec that owns it (or be
+the engine-layer lift in :data:`ADAPTER_EMITTERS`), and
 ``tests/test_schedule_contract.py`` pins the AST-scanned emitter
 inventory against exactly that union — a new emitter that forgets
 ``@register_protocol`` fails CI.
@@ -28,12 +28,11 @@ from typing import Any, Callable
 
 from ..radio.errors import ProtocolError
 
-#: Schedule emitters that belong to the engine layer itself — generic
-#: adapters every protocol may ride (the legacy-protocol lift and the
-#: multiplexer's joint-window generator) — rather than to any one
-#: registered protocol. The inventory test unions these with the
+#: Schedule emitters that belong to the engine layer itself — the
+#: generic lift every step-wise protocol may ride — rather than to any
+#: one registered protocol. The inventory test unions these with the
 #: specs' claimed emitters.
-ADAPTER_EMITTERS = frozenset({"protocol_schedule", "_multiplex"})
+ADAPTER_EMITTERS = frozenset({"protocol_schedule"})
 
 
 def _exit_ok(report: Any, fields: dict[str, Any]) -> int:

@@ -28,7 +28,7 @@ import numpy as np
 from ..core.decay import decay_span
 from ..engine.policy import ExecutionPolicy
 from ..faults import node_uptime_fractions
-from ..radio.errors import GraphContractError
+from ..radio.errors import GraphContractError, ProtocolError
 from ..radio.network import RadioNetwork
 from .bgi_broadcast import bgi_broadcast
 
@@ -92,7 +92,7 @@ def uptime_threshold_election(
     policy = policy or ExecutionPolicy()
     policy.bind(network)
     if not 0.0 <= threshold <= 1.0:
-        raise ValueError(
+        raise ProtocolError(
             f"threshold must be an uptime fraction in [0, 1], "
             f"got {threshold}"
         )

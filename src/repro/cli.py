@@ -70,7 +70,12 @@ from .radio.errors import ProtocolError
 
 
 def _build_graph(args: argparse.Namespace, rng: np.random.Generator):
-    """Construct the graph a subcommand asked for."""
+    """Construct the graph a subcommand asked for.
+
+    A generator's refusal of its parameters (``--n 0``, ``--p 2``)
+    surfaces as a :class:`~repro.radio.errors.ProtocolError`, so the
+    subcommand exits 2 with an ``error:`` line like any other refusal.
+    """
     if getattr(args, "corpus", None) is not None:
         # A stored corpus entry replaces the generated families:
         # mmap-loaded CSR arrays, zero-copy, digest into provenance.
@@ -78,20 +83,23 @@ def _build_graph(args: argparse.Namespace, rng: np.random.Generator):
 
         return corpus.load_graph(args.corpus)
     kind = args.graph
-    if kind == "udg":
-        return graphs.random_udg(args.n, side=args.side, rng=rng)
-    if kind == "grid":
-        return graphs.grid_udg(args.rows, args.cols, rng)
-    if kind == "gnp":
-        return graphs.connected_gnp(args.n, args.p, rng)
-    if kind == "chain":
-        return graphs.clique_chain(args.chains, args.clique_size)
-    if kind == "tree":
-        return graphs.random_tree(args.n, rng)
-    if kind == "path":
-        return graphs.path(args.n)
-    if kind == "clique":
-        return graphs.clique(args.n)
+    try:
+        if kind == "udg":
+            return graphs.random_udg(args.n, side=args.side, rng=rng)
+        if kind == "grid":
+            return graphs.grid_udg(args.rows, args.cols, rng)
+        if kind == "gnp":
+            return graphs.connected_gnp(args.n, args.p, rng)
+        if kind == "chain":
+            return graphs.clique_chain(args.chains, args.clique_size)
+        if kind == "tree":
+            return graphs.random_tree(args.n, rng)
+        if kind == "path":
+            return graphs.path(args.n)
+        if kind == "clique":
+            return graphs.clique(args.n)
+    except ValueError as exc:
+        raise ProtocolError(f"--graph {kind}: {exc}") from exc
     raise ProtocolError(f"unknown graph kind: {kind!r}")
 
 

@@ -41,6 +41,7 @@ from ..engine.segments import (
     StreamedWindow,
     TransmitterPlan,
 )
+from ..radio.errors import ProtocolError
 from ..radio.network import NO_SENDER, RadioNetwork
 from ..radio.protocol import Protocol, run_steps
 from .resulteq import ArrayEqMixin
@@ -277,6 +278,8 @@ def run_decay(
     :func:`run_decay_reference`; results and rng consumption are
     identical either way, the engine path just much faster.
     """
+    if iterations < 0:
+        raise ProtocolError(f"iterations must be >= 0, got {iterations}")
     policy = policy or ExecutionPolicy()
     policy.bind(network)
     if policy.engine_for() == "reference":

@@ -43,6 +43,7 @@ from ..engine.segments import (
     StreamedWindow,
     TransmitterPlan,
 )
+from ..radio.errors import ProtocolError
 from ..radio.network import NO_SENDER, RadioNetwork
 from ..radio.protocol import Protocol, run_steps
 from .resulteq import ArrayEqMixin
@@ -106,9 +107,9 @@ class EstimateEffectiveDegree(Protocol):
         if p.shape != (self.n,) or active.shape != (self.n,):
             raise ValueError("p and active must be length-n arrays")
         if np.any((p < 0) | (p > 1)):
-            raise ValueError("desire levels must lie in [0, 1]")
+            raise ProtocolError("desire levels must lie in [0, 1]")
         if C < 1:
-            raise ValueError(f"C must be >= 1, got {C}")
+            raise ProtocolError(f"C must be >= 1, got {C}")
         n_est = n_estimate if n_estimate is not None else self.n
         log_n = max(1, math.ceil(math.log2(max(2, n_est))))
 

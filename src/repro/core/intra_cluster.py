@@ -18,24 +18,21 @@ Knowledge is represented as an ``int64`` array of message keys with
 ``-1`` meaning "knows nothing"; keys are ordered, and bigger overrides
 smaller (the ``Compete`` override rule).
 
-Engine migration notes. A Decay iteration (Algorithm 5) runs over a set
-``S`` that is *fixed for the sweep*, so :class:`DecayBackground`
-freezes its participant set and payloads at each block boundary and
-commits receptions when the block ends — sweep-synchronized semantics
-that are both closer to the primitive the paper invokes and what makes
-a standalone background block an oblivious window
-(:func:`decay_background_schedule`). Inside
-:func:`intra_cluster_propagation` the background is time-multiplexed
-with the *adaptive* slot passes (each slot's mask depends on knowledge
-received in earlier slots). The plan/commit split lets the
-:func:`~repro.engine.mux.multiplex` combinator zip the slot passes
-(width-1 planned windows, exact step count) with sweep-wide background
-windows (:class:`DecayBackgroundSource`) into joint oblivious windows,
-each a sparse product over the few transmitters of a slot and a sweep
-row. ``engine="reference"`` drives the identical protocols through
-:func:`~repro.radio.protocol.run_steps` over a
-:class:`~repro.radio.protocol.TimeMultiplexer`. Both are bit-identical
-on a shared seed (``tests/test_engine_mux.py``).
+Engine notes. A Decay iteration (Algorithm 5) runs over a set ``S``
+that is *fixed for the sweep*, so :class:`DecayBackground` freezes its
+participant set and payloads at each block boundary and commits
+receptions when the block ends — sweep-synchronized semantics, closer
+to the primitive the paper invokes. :func:`intra_cluster_propagation`
+builds one step-wise stack — :class:`ICPProtocol`, time-multiplexed
+with the background by a :class:`~repro.radio.protocol.TimeMultiplexer`
+(or alone, without one) — and hands it to one of two drivers:
+:func:`~repro.radio.protocol.run_steps` under ``engine="reference"``,
+or the engine's :func:`~repro.engine.runner.protocol_schedule` lift,
+which runs every step as a width-1 window through the transmitter-pair
+product. The slot passes are adaptive (each slot's mask depends on
+knowledge received in earlier slots), so a step is the widest window
+the stack can promise. Both drivers are bit-identical on a shared seed
+(``tests/test_engine_mux.py``).
 """
 
 from __future__ import annotations
@@ -45,17 +42,8 @@ import math
 
 import numpy as np
 
-from ..engine.mux import multiplex
 from ..engine.policy import ExecutionPolicy
-from ..engine.runner import (
-    ProtocolSegmentSource,
-    protocol_schedule,
-)
-from ..engine.segments import (
-    ObliviousWindow,
-    ProtocolSchedule,
-    SegmentProtocol,
-)
+from ..engine.runner import protocol_schedule
 from ..radio.errors import ProtocolError
 from ..radio.network import NO_SENDER, RadioNetwork
 from ..radio.protocol import Protocol, TimeMultiplexer, run_steps
@@ -135,9 +123,7 @@ class DecayBackground(Protocol):
     over a set fixed for the whole sweep, so the participant set, the
     transmitted payloads, and the sweep's coins are all frozen when a
     block starts, and receptions are committed to ``knowledge`` when the
-    block ends. This is what makes a block *oblivious* — the windowed
-    :func:`decay_background_schedule` executes the identical plan as one
-    sparse product per block, bit-identical to stepping this protocol.
+    block ends.
     """
 
     def __init__(
@@ -157,7 +143,7 @@ class DecayBackground(Protocol):
         self._block_masks: np.ndarray | None = None
         self._block_payload: np.ndarray | None = None
         self._block_incoming: np.ndarray | None = None
-        # Per-block planning is on the hot path of every ICP engine, so
+        # Per-block planning is on the hot path of both ICP drivers, so
         # the per-node center lookup is precomputed once: position of
         # each node's center in the used-centers order, -1 when the
         # node's assignment is not a used center.
@@ -199,9 +185,8 @@ class DecayBackground(Protocol):
     def _plan_block(self, rng: np.random.Generator) -> None:
         """Freeze one sweep: cluster coins, participants, payloads, coins.
 
-        Draw order (cluster coins first, then the ``(span, n)`` coin
-        matrix) is the stream contract shared with
-        :func:`decay_background_schedule`.
+        Draw order: cluster coins first, then the ``(span, n)`` coin
+        matrix.
         """
         self._refresh_cluster_coins(rng)
         on = self._on_padded[self._assign_pos]
@@ -238,116 +223,6 @@ class DecayBackground(Protocol):
         return self.knowledge
 
 
-def _commit_decay_block(
-    protocol: DecayBackground, hear_window: np.ndarray
-) -> None:
-    """Fold one completed sweep's receptions into ``knowledge``.
-
-    The vectorized equivalent of ``span`` sequential ``observe`` calls
-    followed by the block-end commit: the max-fold is associative and
-    commutative over exact integers, so folding the whole ``(span, n)``
-    window at once is bit-identical to the step-wise path. Also
-    advances the sweep's density counter, as ``observe`` does at block
-    boundaries.
-    """
-    payload = protocol._block_payload
-    assert payload is not None
-    heard = hear_window != NO_SENDER
-    incoming = np.full(protocol.n, -1, dtype=np.int64)
-    step_idx, node_idx = np.nonzero(heard)
-    np.maximum.at(
-        incoming, node_idx, payload[hear_window[step_idx, node_idx]]
-    )
-    np.maximum(protocol.knowledge, incoming, out=protocol.knowledge)
-    protocol._i += 1
-    if protocol._i > protocol.span:
-        protocol._i = 1
-
-
-class DecayBackgroundSource(SegmentProtocol):
-    """Plan/commit form of the :class:`DecayBackground` sweep stream.
-
-    ``plan`` freezes one sweep — cluster coins, participants, payloads,
-    the ``(span, n)`` coin matrix — exactly as the protocol's
-    ``_plan_block`` does at a block boundary, and emits it as one
-    :class:`~repro.engine.segments.ObliviousWindow`; ``commit`` folds
-    the sweep's receptions at the block end. This is the native
-    plan/commit citizen the :func:`~repro.engine.mux.multiplex`
-    combinator needs (the generator form cannot separate the two —
-    its ``knowledge`` commit would land at the wrong multiplexed step).
-    A sweep that the run abandons mid-block is never committed,
-    matching the step-wise protocol, which only commits at block ends.
-    """
-
-    def __init__(self, protocol: DecayBackground) -> None:
-        super().__init__(protocol.n)
-        self.protocol = protocol
-        self._awaiting_commit = False
-
-    def plan(self, rng: np.random.Generator) -> ObliviousWindow:
-        if self._awaiting_commit:
-            raise ProtocolError(
-                "DecayBackgroundSource.plan() before the previous sweep "
-                "was committed"
-            )
-        self.protocol._plan_block(rng)
-        assert self.protocol._block_masks is not None
-        self._awaiting_commit = True
-        return ObliviousWindow(self.protocol._block_masks)
-
-    def commit(self, hear_window: np.ndarray) -> None:
-        if not self._awaiting_commit:
-            raise ProtocolError(
-                "DecayBackgroundSource.commit() without a planned sweep"
-            )
-        _commit_decay_block(self.protocol, hear_window)
-        self._awaiting_commit = False
-
-    def result(self) -> np.ndarray:
-        return self.protocol.knowledge
-
-
-def decay_background_schedule(
-    network: RadioNetwork,
-    clustering: Clustering,
-    knowledge: np.ndarray,
-    rng: np.random.Generator,
-    total_steps: int,
-    n_estimate: int | None = None,
-) -> ProtocolSchedule:
-    """Run the Decay background alone for ``total_steps`` radio steps,
-    one oblivious window per sweep.
-
-    Standalone (no multiplexed main process), every block of
-    :class:`DecayBackground` is an oblivious window: participants,
-    payloads, and coins are frozen at the block boundary. This emitter
-    executes exactly the plan the protocol would have stepped through —
-    same rng draws, same masks, same block-end commits; a final partial
-    block executes its steps but (like the step-wise protocol, which
-    only commits at block ends) leaves ``knowledge`` untouched. Returns
-    ``knowledge``, mutated in place.
-    """
-    if total_steps < 0:
-        raise ValueError(f"total_steps must be >= 0, got {total_steps}")
-    protocol = DecayBackground(
-        network, clustering, knowledge, n_estimate=n_estimate
-    )
-    done = 0
-    while done < total_steps:
-        protocol._plan_block(rng)
-        masks = protocol._block_masks
-        assert masks is not None
-        remaining = total_steps - done
-        if remaining < protocol.span:
-            yield ObliviousWindow(masks[:remaining])
-            done = total_steps
-            break
-        hear_window = yield ObliviousWindow(masks)
-        _commit_decay_block(protocol, hear_window)
-        done += protocol.span
-    return knowledge
-
-
 class ICPProtocol(Protocol):
     """Full Algorithm 9: down / up / down slot passes over distance ``ell``.
 
@@ -367,7 +242,7 @@ class ICPProtocol(Protocol):
     ) -> None:
         super().__init__(network)
         if ell < 1:
-            raise ValueError(f"ell must be >= 1, got {ell}")
+            raise ProtocolError(f"ell must be >= 1, got {ell}")
         depth = min(ell, schedule.n_layers - 1)
         down = list(range(0, depth + 1))
         up = list(range(depth, -1, -1))
@@ -442,62 +317,40 @@ def intra_cluster_propagation(
     passes, doubling the step count but carrying messages across cluster
     boundaries.
 
-    Two engines execute the identical protocol, bit-identically on a
-    shared seed:
+    One protocol stack — :class:`ICPProtocol`, under a
+    :class:`~repro.radio.protocol.TimeMultiplexer` with
+    :class:`DecayBackground` when there is a background — runs under
+    one of two drivers, bit-identically on a shared seed:
 
-    * ``engine="windowed"`` (the ``"auto"`` default) — the slot passes
-      enter as a width-1 plan/commit stream (:class:`~repro.engine
-      .runner.ProtocolSegmentSource`, exact step count) and the
-      background as sweep-wide planned windows
-      (:class:`DecayBackgroundSource`); the
-      :func:`~repro.engine.mux.multiplex` combinator zips them into
-      joint oblivious windows of one or two rows, delivered as sparse
-      window products. Without a background there is nothing to
-      multiplex, and the slot passes run as decision steps
-      (:func:`~repro.engine.runner.protocol_schedule`).
-    * ``engine="reference"`` — the step-wise executable specification
-      through :func:`~repro.radio.protocol.run_steps`, with the
-      background interleaved by a
-      :class:`~repro.radio.protocol.TimeMultiplexer`.
+    * the engine (``"auto"``/``"windowed"``):
+      :func:`~repro.engine.runner.protocol_schedule` lifts each step
+      into a width-1 window delivered by the transmitter-pair product;
+    * ``engine="reference"``: the step-wise executable specification,
+      :func:`~repro.radio.protocol.run_steps`.
 
-    The policy's ``chunk_steps``/``mem_budget`` bound the engine path's
-    chunk height — memory knobs only, bit-identical at any setting,
-    ignored by the reference path.
+    The policy's ``chunk_steps``/``mem_budget`` are memory knobs only,
+    bit-identical at any setting, and ignored by the reference driver.
     """
     policy = policy or ExecutionPolicy()
     policy.bind(network)
     engine = policy.engine_for()
     knowledge = np.asarray(knowledge, dtype=np.int64).copy()
     main = ICPProtocol(network, schedule, knowledge, ell)
-    main_slots = sum(len(p.slots) for p in main._passes)
-    background = (
-        DecayBackground(network, clustering, knowledge)
-        if with_background
-        else None
-    )
+    stack: Protocol = main
+    steps = sum(len(p.slots) for p in main._passes)
+    if with_background:
+        # Main takes the even steps and the stack ends with main's last
+        # slot, so one background step follows each of the others.
+        stack = TimeMultiplexer(
+            network, main, DecayBackground(network, clustering, knowledge)
+        )
+        steps = 2 * steps - 1
     steps_before = network.steps_elapsed
     network.trace.enter_phase("icp")
     if engine == "reference":
-        if background is None:
-            run_steps(main, rng, main_slots)
-        else:
-            # The multiplexer runs main on even steps; give it twice
-            # the slots.
-            muxed = TimeMultiplexer(network, main, background)
-            run_steps(muxed, rng, 2 * main_slots + 2)
-    elif background is None:
-        policy.run_schedule(
-            network, protocol_schedule(main, rng, steps=main_slots)
-        )
+        run_steps(stack, rng, steps)
     else:
-        policy.run_schedule(
-            network,
-            multiplex(
-                ProtocolSegmentSource(main, steps=main_slots),
-                DecayBackgroundSource(background),
-                rng=rng,
-            ),
-        )
+        policy.run_schedule(network, protocol_schedule(stack, rng, steps))
     network.trace.enter_phase("default")
     return ICPResult(
         knowledge=knowledge, steps=network.steps_elapsed - steps_before

@@ -10,7 +10,7 @@ first re-announcing the existing MIS (so woken nodes adjacent to an
 MIS member get dominated instead of competing), then running compact
 MIS rounds among the remainder.
 
-Every radio step goes through the same plan/commit IR as the base
+Every radio step goes through the same schedule IR as the base
 algorithm — the emitter is fault-agnostic; crashes, sleep, jamming,
 and capability faults apply inside the delivery layer. The only fault
 awareness is each node's *own* up/down status (its own local state,

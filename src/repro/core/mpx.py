@@ -38,6 +38,7 @@ import networkx as nx
 import numpy as np
 
 from ..graphs.context import graph_context
+from ..radio.errors import ProtocolError
 from .cluster import Clustering
 
 
@@ -51,7 +52,7 @@ def draw_shifts(
     whp).
     """
     if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+        raise ProtocolError(f"beta must be positive, got {beta}")
     centers = list(centers)
     shifts = rng.exponential(scale=1.0 / beta, size=len(centers))
     return {c: float(s) for c, s in zip(centers, shifts)}

@@ -35,6 +35,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..radio.errors import ProtocolError
+
 Schedule = Callable[[int], float]
 """Maps a step index to the transmission probability every active node
 uses in that step (symmetric strategies — the interesting regime, since
@@ -194,12 +196,10 @@ def mis_as_wakeup_strategy(
     from ..engine.policy import ExecutionPolicy
 
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise ProtocolError(f"need 1 <= k <= n, got k={k}, n={n}")
     policy = policy or ExecutionPolicy()
     schedule = policy.faults
     if schedule is not None and not schedule.is_empty:
-        from ..radio.errors import ProtocolError
-
         raise ProtocolError(
             "mis_as_wakeup_strategy builds its own internal k-clique, "
             "so a FaultSchedule over the caller's topology cannot "
@@ -233,7 +233,7 @@ def mis_as_wakeup_strategy_reference(
     from .decay import claim10_iterations, decay_span
 
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise ProtocolError(f"need 1 <= k <= n, got k={k}, n={n}")
     clique = nx.complete_graph(k)
     net = RadioNetwork(clique)
     span = decay_span(n)  # the algorithm believes the network has n nodes

@@ -9,25 +9,21 @@ chunk loop: the chunk's transmitter pairs are produced (sampled, or
 read off the window's masks with ``np.nonzero``), the fault layer
 filters them, the one exact sparse product delivers them
 (:meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`), and the
-reception triples are folded into what the segment expects.
-:class:`~repro.engine.segments.DecisionStep` segments run through the
-fused single-step :meth:`~repro.radio.network.RadioNetwork.deliver`.
-Both are bit-identical per step, so a schedule executed here produces
-exactly the receptions, trace totals and ``steps_elapsed`` of the
-step-wise loop it replaced — only faster (the contract suite
-``tests/test_schedule_contract.py`` re-verifies every window of every
-in-tree emitter against the step-wise replay).
+reception triples are folded into what the segment expects. The
+product is bit-identical per step to the step-wise
+:meth:`~repro.radio.network.RadioNetwork.deliver`, so a schedule
+executed here produces exactly the receptions, trace totals and
+``steps_elapsed`` of the step-wise loop it replaced — only faster (the
+contract suite ``tests/test_schedule_contract.py`` re-verifies every
+window of every in-tree emitter against the step-wise replay).
 
-Two adapters bridge legacy :class:`~repro.radio.protocol.Protocol`
-objects onto the engine:
-
-* :func:`protocol_schedule` lifts one into a stream of decision steps —
-  one adaptive step per protocol step.
-* :class:`ProtocolSegmentSource` lifts one onto the plan/commit
-  :class:`~repro.engine.segments.SegmentProtocol` interface as width-1
-  windows, which is what lets a deterministic-length protocol (ICP's
-  slot passes) ride the :func:`~repro.engine.mux.multiplex`
-  combinator.
+:func:`protocol_schedule` is the one lift of a step-wise
+:class:`~repro.radio.protocol.Protocol` object onto the runner: each
+protocol step becomes a width-1 window, planned only after the
+previous step's reply was observed. A
+:class:`~repro.radio.protocol.TimeMultiplexer` stack lifts the same
+way, which is how Intra-Cluster Propagation runs its slot passes and
+their Decay background on the engine.
 """
 
 from __future__ import annotations
@@ -44,11 +40,9 @@ from ..radio.errors import (
 )
 from ..radio.network import NO_SENDER, RadioNetwork
 from .segments import (
-    DecisionStep,
     ObliviousWindow,
     PlanSection,
     ProtocolSchedule,
-    SegmentProtocol,
     StreamedWindow,
     TracePhase,
 )
@@ -69,8 +63,7 @@ class WindowedRunner:
         executing, so a bounded run never overshoots — the engine
         counterpart of :func:`repro.radio.protocol.run_protocol`'s
         budget check. Budget charges are per radio step: a ``w``-row
-        window costs ``w`` whether it runs whole, chunked, or as a
-        multiplexed joint window.
+        window costs ``w`` whether it runs whole or chunked.
     chunk_steps, mem_budget:
         The streaming knobs — memory knobs only, never semantics knobs
         (chunked execution is bit-identical whatever the chunk height).
@@ -142,10 +135,6 @@ class WindowedRunner:
             charge=False,
         )
         return hear_from
-
-    def _execute_step(self, mask: np.ndarray) -> np.ndarray:
-        """Execute one charged decision step."""
-        return self.network.deliver(mask)
 
     def _plan_sections(
         self, segment: StreamedWindow
@@ -252,8 +241,7 @@ class WindowedRunner:
         protocol state folds between segments) accrues to the
         network's ``phase_timing["plan"]`` bucket; every window's
         chunks fill the ``coins``/``faults``/``deliver``/``commit``
-        buckets stage by stage, and decision steps count as
-        ``"deliver"``.
+        buckets stage by stage.
         """
         timing = self.network.phase_timing
         reply: Any = None
@@ -276,11 +264,6 @@ class WindowedRunner:
                     )
                 self._execute_stream(segment)
                 reply = None
-            elif isinstance(segment, DecisionStep):
-                self._charge(1)
-                t0 = perf_counter()
-                reply = self._execute_step(segment.mask)
-                timing["deliver"] += perf_counter() - t0
             elif isinstance(segment, TracePhase):
                 self.network.trace.enter_phase(segment.name)
                 reply = None
@@ -311,100 +294,31 @@ def protocol_schedule(
     rng: np.random.Generator,
     steps: int | None = None,
 ) -> ProtocolSchedule:
-    """Adapt a legacy :class:`~repro.radio.protocol.Protocol` object.
+    """Lift a step-wise :class:`~repro.radio.protocol.Protocol` object.
 
-    Yields one :class:`DecisionStep` per protocol step (every legacy
-    step is conservatively treated as adaptive) until the protocol
+    Yields each protocol step as a width-1
+    :class:`~repro.engine.segments.ObliviousWindow` until the protocol
     finishes — or for exactly ``steps`` steps, whichever comes first,
-    mirroring :func:`repro.radio.protocol.run_steps`. Because the
-    adapter calls ``transmit_mask`` and ``observe`` in exactly the
-    step-wise drivers' order, running it on a :class:`WindowedRunner`
-    is bit-identical to :func:`~repro.radio.protocol.run_steps` on the
-    same seed. Returns ``protocol.result()`` when the protocol
-    finished, else ``None``.
+    mirroring :func:`repro.radio.protocol.run_steps`. Every step is
+    treated as adaptive: its mask is planned only after the previous
+    step's reply was observed, so ``transmit_mask`` and ``observe``
+    run in exactly the step-wise drivers' order and a run on a
+    :class:`WindowedRunner` is bit-identical to
+    :func:`~repro.radio.protocol.run_steps` on the same seed. Returns
+    ``protocol.result()`` when the protocol finished, else ``None``.
     """
     if steps is not None and steps < 0:
         raise ProtocolError(f"steps must be >= 0, got {steps}")
     taken = 0
     while not protocol.finished and (steps is None or taken < steps):
-        hear_from = yield DecisionStep(protocol.transmit_mask(rng))
-        protocol.observe(hear_from)
+        mask = np.asarray(protocol.transmit_mask(rng))
+        hear_from = yield ObliviousWindow(mask[None, :])
+        protocol.observe(hear_from[0])
         taken += 1
     return protocol.result() if protocol.finished else None
 
 
-class ProtocolSegmentSource(SegmentProtocol):
-    """Plan/commit lift of a legacy :class:`~repro.radio.protocol.Protocol`.
-
-    Each ``plan`` call produces the protocol's next transmit mask as a
-    width-1 :class:`~repro.engine.segments.ObliviousWindow`; ``commit``
-    feeds the delivered ``hear_from`` row to ``observe``. Because plan
-    is only ever called at a clean frontier, ``transmit_mask`` and
-    ``observe`` run at exactly the causal points the step-wise drivers
-    would call them — the same guarantee :func:`protocol_schedule`
-    gives, now in the form the :func:`~repro.engine.mux.multiplex`
-    combinator can zip.
-
-    Parameters
-    ----------
-    protocol:
-        The protocol to lift.
-    steps:
-        Optional step bound, mirroring :func:`protocol_schedule`'s
-        ``steps``. For a *deterministic-length* protocol, pass its exact
-        step count: :meth:`steps_remaining` then reports the exact
-        remainder, which is what entitles the multiplexer to batch past
-        the reference drivers' per-step termination checks. Passing a
-        ``steps`` larger than the protocol's true length is safe only
-        outside the multiplexer (the protocol's ``finished`` flag still
-        ends the stream, but the remainder estimate goes stale).
-    """
-
-    def __init__(self, protocol: Any, steps: int | None = None) -> None:
-        super().__init__(protocol.n)
-        if steps is not None and steps < 0:
-            raise ProtocolError(f"steps must be >= 0, got {steps}")
-        self.protocol = protocol
-        self.steps = steps
-        self._planned = 0
-        self._awaiting_commit = False
-
-    def plan(self, rng: np.random.Generator) -> ObliviousWindow | None:
-        if self._awaiting_commit:
-            raise ProtocolError(
-                "ProtocolSegmentSource.plan() before the previous step "
-                "was committed"
-            )
-        if self.protocol.finished or (
-            self.steps is not None and self._planned >= self.steps
-        ):
-            return None
-        mask = self.protocol.transmit_mask(rng)
-        self._planned += 1
-        self._awaiting_commit = True
-        return ObliviousWindow(np.asarray(mask)[None, :])
-
-    def commit(self, reply: np.ndarray) -> None:
-        if not self._awaiting_commit:
-            raise ProtocolError(
-                "ProtocolSegmentSource.commit() without a planned step"
-            )
-        self.protocol.observe(reply[0])
-        self._awaiting_commit = False
-
-    def steps_remaining(self) -> int | None:
-        if self.protocol.finished:
-            return 0
-        if self.steps is not None:
-            return self.steps - self._planned
-        return None
-
-    def result(self) -> Any:
-        return self.protocol.result() if self.protocol.finished else None
-
-
 __all__ = [
-    "ProtocolSegmentSource",
     "WindowedRunner",
     "protocol_schedule",
     "run_schedule",

@@ -5,19 +5,21 @@ protocol as a stream of segments instead of imperative ``deliver``
 calls::
 
     def my_schedule(network, rng):
-        hear = yield DecisionStep(mask)          # one adaptive step
-        window = yield ObliviousWindow(masks)    # a batch of fixed steps
+        hear = yield ObliviousWindow(mask[None, :])  # one adaptive step
+        window = yield ObliviousWindow(masks)        # a batch of fixed steps
         ...
-        return result                            # via StopIteration
+        return result                                # via StopIteration
 
 The generator receives, through ``send``, exactly what the network
-delivered for the segment it yielded: a length-``n`` ``hear_from``
-vector for a :class:`DecisionStep`, a ``(w, n)`` matrix for an
-:class:`ObliviousWindow`, ``None`` for a :class:`TracePhase`. Emitters
-never touch the network themselves — execution strategy (batched sparse
-products vs. fused single steps) is entirely the runner's business,
-which is what lets one protocol description run bit-identically on
-either path.
+delivered for the segment it yielded: a ``(w, n)`` ``hear_from``
+matrix for an :class:`ObliviousWindow`, ``None`` for a
+:class:`StreamedWindow` (folded chunk by chunk) or a
+:class:`TracePhase`. An adaptive step — one whose mask depends on
+everything heard so far — is simply a width-1 window: the emitter
+plans it after folding the previous reply, which is all adaptivity
+needs. Emitters never touch the network themselves; execution is
+entirely the runner's business, which is what lets one protocol
+description run bit-identically under any chunking.
 
 The obliviousness contract
 --------------------------
@@ -31,34 +33,14 @@ reference implementation — coin blocks row-major (numpy's
 calls), keyed blocks one key per block at the block's first step
 (:mod:`repro.engine.sampler`) — which is what keeps engine and
 reference runs on one seed bit-identical.
-
-Plan/commit form
-----------------
-The generator form above conflates two distinct events: *folding* the
-receptions of the segment just executed (``send`` delivers them) and
-*planning* the next segment (the generator body computes it before the
-next ``yield``). A single-stream runner never notices, but a combinator
-that interleaves two protocols' windows — :func:`repro.engine.mux
-.multiplex` — needs to see both streams' upcoming masks while earlier
-receptions are still in flight. :class:`SegmentProtocol` is the split
-form: ``plan(rng)`` produces the next segment, ``commit(reply)`` folds
-its delivery result, and the two may be separated by the other stream's
-radio steps. The causal contract mirrors the step-wise reference: the
-combinator calls ``plan`` only when every previously planned row has
-been executed and every completed segment committed, so a source
-observes exactly the world state the reference loop's
-``transmit_mask`` would.
 """
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 from typing import Any, Callable, Generator, Union
 
 import numpy as np
-
-from ..radio.errors import ProtocolError
 
 #: Cap on the number of boolean coin-matrix entries an emitter should
 #: materialize per window: windows larger than this are chunked. Chunked
@@ -80,20 +62,12 @@ class ObliviousWindow:
     window step ``t``. The runner answers with the ``(w, n)``
     ``hear_from`` matrix — what
     :meth:`repro.radio.network.RadioNetwork.deliver_window` returns.
+    A width-1 window is one adaptive step
+    (:func:`~repro.engine.runner.protocol_schedule` lifts step-wise
+    protocols this way).
     """
 
     masks: np.ndarray
-
-
-@dataclasses.dataclass
-class DecisionStep:
-    """A single radio step whose mask may depend on prior receptions.
-
-    The runner answers with the length-``n`` ``hear_from`` vector of
-    :meth:`repro.radio.network.RadioNetwork.deliver`.
-    """
-
-    mask: np.ndarray
 
 
 @dataclasses.dataclass
@@ -181,15 +155,13 @@ class StreamedWindow:
 class TracePhase:
     """Switch the network trace's current phase (costs no radio step).
 
-    The runner answers with ``None``. Not allowed inside multiplexed
-    sub-schedules (phase attribution is ambiguous when two protocols
-    interleave; set the phase around the whole multiplexed run instead).
+    The runner answers with ``None``.
     """
 
     name: str
 
 
-Segment = Union[ObliviousWindow, StreamedWindow, DecisionStep, TracePhase]
+Segment = Union[ObliviousWindow, StreamedWindow, TracePhase]
 """A single element of a protocol schedule."""
 
 ProtocolSchedule = Generator[Segment, Any, Any]
@@ -197,68 +169,12 @@ ProtocolSchedule = Generator[Segment, Any, Any]
 returns the protocol's result via ``StopIteration.value``."""
 
 
-class SegmentProtocol(abc.ABC):
-    """A schedule emitter in plan/commit form.
-
-    Unlike the generator form, planning the next segment and committing
-    the previous segment's receptions are separate calls, which lets
-    :func:`~repro.engine.mux.multiplex` interleave this source's planned
-    rows with another stream's before any of them execute (see module
-    docstring, "Plan/commit form").
-
-    The call contract, enforced by the combinator:
-
-    * ``plan(rng)`` is called only at a *clean frontier*: every row this
-      source has planned so far has been executed, and every fully
-      executed segment has been committed. Randomness must be drawn
-      inside ``plan`` (never ``commit``), in the same order the
-      step-wise reference draws it.
-    * ``commit(reply)`` is called exactly once per planned window, in
-      planning order, with the window's full ``(w, n)`` ``hear_from``
-      matrix. A run may end with the final segment's commit never
-      arriving (the multiplexed main stream finishing first); sources
-      must not rely on a trailing commit for correctness of *prior*
-      state.
-    """
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-
-    @abc.abstractmethod
-    def plan(self, rng: np.random.Generator) -> Segment | None:
-        """Produce the next segment, or ``None`` when the stream ends."""
-
-    @abc.abstractmethod
-    def commit(self, reply: Any) -> None:
-        """Fold the delivery result of the oldest uncommitted segment."""
-
-    def steps_remaining(self) -> int | None:
-        """Exact number of radio-step rows still to be planned.
-
-        ``None`` means data-dependent (unknown until the stream actually
-        ends). Deterministic-length sources should override this: a
-        multiplexed *main* stream must know its remaining step count
-        exactly, because the reference drivers re-check termination
-        between every pair of steps and the combinator can only skip
-        those checks when the answer is predetermined.
-        """
-        return None
-
-    def result(self) -> Any:
-        """Protocol output; meaningful once ``plan`` returned ``None``."""
-        raise ProtocolError(
-            f"{type(self).__name__} does not define a result"
-        )
-
-
 __all__ = [
     "COIN_BUDGET",
-    "DecisionStep",
     "ObliviousWindow",
     "PlanSection",
     "ProtocolSchedule",
     "Segment",
-    "SegmentProtocol",
     "StreamedWindow",
     "TracePhase",
     "TransmitterPlan",

@@ -38,14 +38,15 @@ wide to materialize through the same product in bounded chunks. Pass a
 accounting (cheap-trace mode) in bulk workloads.
 
 Protocols do not call these delivery entry points directly anymore:
-they emit :mod:`repro.engine` schedules (oblivious windows + decision
-points) and the :class:`~repro.engine.runner.WindowedRunner` delivers
-windows through the transmitter-pair product and decision steps
-through :meth:`RadioNetwork.deliver` here. Both are bit-identical per
-step, which is what makes the engine's windowed execution exactly
-equivalent to the step-wise reference loops — and :meth:`deliver`,
-which shares no code with the product, is the oracle the validating
-runner replays every window against.
+they emit :mod:`repro.engine` schedules of windows (an adaptive step
+is a width-1 window) and the
+:class:`~repro.engine.runner.WindowedRunner` delivers every window
+through the transmitter-pair product. The product is bit-identical per
+step to :meth:`RadioNetwork.deliver` here, which is what makes the
+engine's windowed execution exactly equivalent to the step-wise
+reference loops — and :meth:`deliver`, which shares no code with the
+product, is the oracle the validating runner replays every window
+against.
 """
 
 from __future__ import annotations

@@ -18,21 +18,20 @@ contract:
 :class:`TimeMultiplexer` interleaves a main and a background protocol on
 alternating steps, which is how the paper's algorithms run their
 background processes ("conducted concurrently via time multiplexing",
-Appendix A). It is the step-wise reference of Intra-Cluster
-Propagation; the engine path zips the same pair into joint windows
-(:func:`repro.engine.mux.multiplex`).
+Appendix A). Intra-Cluster Propagation builds one such stack and hands
+it to either driver: :func:`run_steps` here (its step-wise reference)
+or :func:`repro.engine.runner.protocol_schedule` (its engine path).
 
 This module is the *step-wise* layer. Production protocol entry points
 run on the unified windowed engine instead: they describe themselves as
-schedules of oblivious windows and decision points (:mod:`repro.engine`)
-and the :class:`~repro.engine.runner.WindowedRunner` executes them —
-windows as single sparse products, decision points through
-:meth:`~repro.radio.network.RadioNetwork.deliver`. The drivers here
-(:func:`run_protocol`, :func:`run_steps`) remain the executable
-specification the ``*_reference`` twins use, and
-:func:`repro.engine.runner.protocol_schedule` adapts any
+schedules of windows (:mod:`repro.engine`) and the
+:class:`~repro.engine.runner.WindowedRunner` executes every window as
+one sparse product. The drivers here (:func:`run_protocol`,
+:func:`run_steps`) remain the executable specification the
+``*_reference`` twins use, and
+:func:`repro.engine.runner.protocol_schedule` lifts any
 :class:`Protocol` object — including :class:`TimeMultiplexer` stacks —
-onto the runner with bit-identical behavior.
+onto the runner as width-1 windows, with bit-identical behavior.
 """
 
 from __future__ import annotations

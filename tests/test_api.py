@@ -585,9 +585,9 @@ def _refuse_packet_config_engine(tmp_path, capsys):
 
 class TestRemovedSurface:
     """The ``"fused"`` engine, ``icp --fused`` and the packet-Compete
-    ``engine`` field are gone: ICP's default engine path is the
-    multiplexed one, and every surface that could still name the old
-    spellings refuses."""
+    ``engine`` field are gone: ICP has one engine path, the default,
+    and every surface that could still name the old spellings
+    refuses."""
 
     @pytest.mark.parametrize(
         "refusal",

@@ -104,3 +104,33 @@ class TestClasses:
         rows = json.loads(capsys.readouterr().out)
         families = {row["family"] for row in rows}
         assert {"udg", "path", "star"} <= families
+
+
+class TestOutOfRangeRefusals:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["icp", "--n", "30", "--ell", "0"],
+            ["icp", "--n", "30", "--beta", "0"],
+            ["partition", "--n", "30", "--beta", "0"],
+            ["eed", "--n", "30", "--eed-c", "0"],
+            ["eed", "--n", "30", "--desire", "2"],
+            ["mis", "--n", "30", "--eed-c", "0"],
+            ["wakeup", "--k", "0"],
+            ["leader_uptime", "--n", "30", "--threshold", "2"],
+            ["decay", "--n", "30", "--iterations", "-1"],
+            ["decay", "--n", "0"],
+            ["decay", "--graph", "gnp", "--n", "30", "--p", "2"],
+            ["decay", "--graph", "grid", "--rows", "0"],
+            ["decay", "--graph", "chain", "--chains", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_refused_with_exit_2(self, argv, capsys):
+        # An out-of-range config or graph value is a refusal (exit 2,
+        # one ``error:`` line), never a crash with a traceback.
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err

@@ -1,11 +1,11 @@
 """Budget accounting across every engine execution strategy.
 
-``WindowedRunner(max_steps=...)`` must charge multiplexed joint windows
-and dense and sparse windows exactly as the step-wise drivers count
-steps —
-one charge per radio step, raised *before* the segment that would
-overshoot executes — plus the documented edge cases: ``coin_chunk`` at
-``n = 0`` and the empty (``w = 0``) window.
+``WindowedRunner(max_steps=...)`` must charge ICP's lifted
+time-multiplexed stack and dense and sparse windows exactly as the
+step-wise drivers count steps — one charge per radio step, raised
+*before* the segment that would overshoot executes — plus the
+documented edge cases: ``coin_chunk`` at ``n = 0`` and the empty
+(``w = 0``) window.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro import graphs
 from repro.core import build_schedule, partition
 from repro.core.intra_cluster import (
     DecayBackground,
-    DecayBackgroundSource,
     ICPProtocol,
     intra_cluster_propagation,
 )
@@ -25,14 +24,13 @@ from repro.engine import (
     COIN_BUDGET,
     ExecutionPolicy,
     ObliviousWindow,
-    ProtocolSegmentSource,
     WindowedRunner,
     coin_chunk,
-    multiplex,
+    protocol_schedule,
     run_schedule,
 )
 from repro.graphs import greedy_independent_set
-from repro.radio import BudgetExceededError, RadioNetwork
+from repro.radio import BudgetExceededError, RadioNetwork, TimeMultiplexer
 
 
 def _icp_fixture(seed: int = 0):
@@ -46,19 +44,18 @@ def _icp_fixture(seed: int = 0):
     return g, clustering, schedule, know
 
 
-def _fused_schedule(net, clustering, schedule, know, rng):
+def _lifted_icp(net, clustering, schedule, know, rng):
     main = ICPProtocol(net, schedule, know, 3)
     total = sum(len(p.slots) for p in main._passes)
-    return total, multiplex(
-        ProtocolSegmentSource(main, steps=total),
-        DecayBackgroundSource(DecayBackground(net, clustering, know)),
-        rng=rng,
+    background = DecayBackground(net, clustering, know)
+    return total, protocol_schedule(
+        TimeMultiplexer(net, main, background), rng
     )
 
 
 class TestMultiplexedBudget:
     def test_charges_match_stepwise_drivers(self):
-        # The fused run must charge exactly the steps the reference
+        # The lifted stack must charge exactly the steps the reference
         # executes: 2 * slots - 1 (the reference stops at the finished
         # check after main's last observe).
         g, clustering, schedule, know = _icp_fixture()
@@ -69,36 +66,36 @@ class TestMultiplexedBudget:
         )
         net = RadioNetwork(g)
         runner = WindowedRunner(net)
-        total, fused = _fused_schedule(
+        total, lifted = _lifted_icp(
             net, clustering, schedule, know.copy(), np.random.default_rng(5)
         )
-        runner.run(fused)
+        runner.run(lifted)
         assert runner.steps_executed == ref.steps == 2 * total - 1
         assert net.steps_elapsed == ref.steps
 
     def test_exact_budget_completes(self):
         g, clustering, schedule, know = _icp_fixture()
         net = RadioNetwork(g)
-        total, fused = _fused_schedule(
+        total, lifted = _lifted_icp(
             net, clustering, schedule, know, np.random.default_rng(5)
         )
         runner = WindowedRunner(net, max_steps=2 * total - 1)
-        runner.run(fused)
+        runner.run(lifted)
         assert runner.steps_executed == 2 * total - 1
 
     def test_raise_before_execute_at_window_boundary(self):
         # One step short: the runner must raise before executing the
-        # joint window that would overshoot, leaving the network at a
-        # window boundary below the budget.
+        # window that would overshoot, leaving the network at a window
+        # boundary below the budget.
         g, clustering, schedule, know = _icp_fixture()
         net = RadioNetwork(g)
-        total, fused = _fused_schedule(
+        total, lifted = _lifted_icp(
             net, clustering, schedule, know, np.random.default_rng(5)
         )
         budget = 2 * total - 2
         runner = WindowedRunner(net, max_steps=budget)
         with pytest.raises(BudgetExceededError):
-            runner.run(fused)
+            runner.run(lifted)
         assert runner.steps_executed <= budget
         assert net.steps_elapsed == runner.steps_executed
 

@@ -1,20 +1,20 @@
-"""The window-multiplexing combinator (PR 3 tentpole).
+"""Intra-Cluster Propagation's engine path: one stack, two drivers.
 
-``multiplex`` zips a main and a background plan/commit stream into
-joint oblivious windows. Everything here is pinned against step-wise
-references:
+ICP builds one step-wise protocol stack — the slot passes, under a
+``TimeMultiplexer`` with the Decay background or alone — and runs it
+through ``run_steps`` (the reference) or the engine's
+``protocol_schedule`` lift (every step a width-1 window through the
+transmitter-pair product). Everything here is pinned against the
+step-wise drivers:
 
-* the multiplexed ("fused") ICP path — slot passes x Decay background,
-  the default engine path — against the ``TimeMultiplexer`` reference,
-  bit-for-bit across the graph-family matrix: knowledge, step counts,
-  trace totals (per phase), and the post-run rng stream;
-* termination semantics: the joint stream ends before the first row
-  that would follow the main stream's last one (the reference drivers'
-  per-step ``finished`` check), backgrounds that end first fall silent;
-* the documented prohibitions: ``TracePhase`` inside a multiplexed
-  sub-stream raises ``ProtocolError`` (previously only a docstring
-  promise), as does a main stream without an exact remaining-step
-  count.
+* ICP under the default, windowed and validated policies against the
+  reference, bit-for-bit across the graph-family matrix, with and
+  without the background: knowledge, step counts, trace totals (per
+  phase), and the post-run rng stream;
+* time-multiplexing semantics through the lift: the stack ends before
+  the row that would follow the main protocol's last step, a finished
+  background falls silent, and a step bound can stop it inside a
+  background sweep, which is then never committed.
 """
 
 from __future__ import annotations
@@ -27,20 +27,13 @@ from repro import graphs
 from repro.core import build_schedule, partition
 from repro.core.intra_cluster import (
     DecayBackground,
-    DecayBackgroundSource,
     ICPProtocol,
     intra_cluster_propagation,
 )
 from repro.engine import (
-    DecisionStep,
     ExecutionPolicy,
     ObliviousWindow,
-    ProtocolSegmentSource,
-    SegmentProtocol,
-    StreamedWindow,
-    TracePhase,
-    TransmitterPlan,
-    multiplex,
+    protocol_schedule,
     run_schedule,
 )
 from repro.graphs import greedy_independent_set
@@ -49,6 +42,7 @@ from repro.radio import (
     ProtocolError,
     Protocol,
     RadioNetwork,
+    TimeMultiplexer,
     run_steps,
 )
 
@@ -97,14 +91,15 @@ def _icp_setup(kind: int, seed: int):
     return g, clustering, schedule, know
 
 
-class TestFusedICPEquivalence:
-    """Acceptance: multiplexed ICP — the default engine path —
-    bit-identical to the time-multiplexed reference on shared seeds
-    across the equivalence matrix."""
+class TestICPEquivalence:
+    """Acceptance: ICP's engine path — the default — bit-identical to
+    the step-wise reference on shared seeds across the equivalence
+    matrix, with and without the background."""
 
+    @pytest.mark.parametrize("with_background", [True, False])
     @pytest.mark.parametrize("kind", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("ell", [2, 4])
-    def test_matrix(self, kind, ell):
+    def test_matrix(self, kind, ell, with_background):
         g, clustering, schedule, know = _icp_setup(kind, 60 + kind)
         columns = {
             "reference": ExecutionPolicy(engine="reference"),
@@ -118,7 +113,7 @@ class TestFusedICPEquivalence:
             rng = np.random.default_rng(12 + kind)
             res = intra_cluster_propagation(
                 net, clustering, schedule, know, ell, rng,
-                with_background=True, policy=policy,
+                with_background=with_background, policy=policy,
             )
             results[column] = (res, net, rng)
 
@@ -138,7 +133,7 @@ class TestFusedICPEquivalence:
     def test_delivery_modes_identical(self, delivery):
         # ``delivery`` names the transmitter-density regime the removed
         # router told apart: two informed nodes (sparse), every node
-        # informed (dense), half of them (auto, a mix). The fused
+        # informed (dense), half of them (auto, a mix). The per-step
         # windows' product matches the reference in each.
         g, clustering, schedule, know = _icp_setup(0, 7)
         know = know.copy()
@@ -161,22 +156,6 @@ class TestFusedICPEquivalence:
         assert res.steps == ref.steps
         _assert_trace_equal(net, net_ref)
 
-    def test_fused_without_background_matches_reference(self):
-        # Nothing to multiplex: the default path runs the slot passes
-        # as decision steps.
-        g, clustering, schedule, know = _icp_setup(0, 8)
-        a = intra_cluster_propagation(
-            RadioNetwork(g), clustering, schedule, know, 3,
-            np.random.default_rng(6), with_background=False,
-        )
-        b = intra_cluster_propagation(
-            RadioNetwork(g), clustering, schedule, know, 3,
-            np.random.default_rng(6), with_background=False,
-            policy=ExecutionPolicy(engine="reference"),
-        )
-        assert (a.knowledge == b.knowledge).all()
-        assert a.steps == b.steps
-
 
 # ---------------------------------------------------------------------------
 # Synthetic protocols for pattern and termination tests.
@@ -184,7 +163,7 @@ class TestFusedICPEquivalence:
 class _RotorProtocol(Protocol):
     """Deterministic-length adaptive protocol: one transmitter per step,
     rotated by the number of successful receptions observed so far (so
-    any causal slippage in the combinator changes its masks)."""
+    any causal slippage in a driver changes its masks)."""
 
     def __init__(self, network: RadioNetwork, length: int) -> None:
         super().__init__(network)
@@ -269,10 +248,8 @@ class TestMuxPatterns:
         bg_a = _BeepProtocol(net_a, 7)
         result = run_schedule(
             net_a,
-            multiplex(
-                ProtocolSegmentSource(main_a, steps=40),
-                ProtocolSegmentSource(bg_a, steps=7),
-                rng=rng_a,
+            protocol_schedule(
+                TimeMultiplexer(net_a, main_a, bg_a), rng_a, steps=80
             ),
         )
 
@@ -286,8 +263,8 @@ class TestMuxPatterns:
         _assert_trace_equal(net_a, net_b)
 
     def test_stops_before_row_after_mains_last(self):
-        # The reference drivers re-check main.finished before every
-        # step; the joint stream must not execute the background row
+        # The step-wise drivers re-check main.finished before every
+        # step; the lifted stack must not execute the background row
         # that would follow main's final step.
         g = graphs.path(9)
         net = RadioNetwork(g)
@@ -295,19 +272,19 @@ class TestMuxPatterns:
         bg = _BeepProtocol(net, 1000)
         run_schedule(
             net,
-            multiplex(
-                ProtocolSegmentSource(main, steps=5),
-                ProtocolSegmentSource(bg, steps=1000),
-                rng=np.random.default_rng(0),
+            protocol_schedule(
+                TimeMultiplexer(net, main, bg),
+                np.random.default_rng(0),
+                steps=10,
             ),
         )
         assert net.steps_elapsed == 9  # 2 * 5 - 1, not 10
 
     def test_max_steps_stops_mid_block(self):
-        # A main stream bounded below its natural length ends the joint
-        # stream inside a background sweep: the executed prefix equals
-        # the step-wise reference capped at the same step count, and the
-        # abandoned sweep is never committed.
+        # A step bound below the stack's natural length ends it inside
+        # a background sweep: the executed prefix equals the step-wise
+        # reference capped at the same step count, and the abandoned
+        # sweep is never committed.
         g, clustering, schedule, know_a = _icp_setup(0, 22)
         know_b = know_a.copy()
         net_a, net_b = RadioNetwork(g), RadioNetwork(g)
@@ -316,21 +293,16 @@ class TestMuxPatterns:
 
         main_a = ICPProtocol(net_a, schedule, know_a, 3)
         assert sum(len(p.slots) for p in main_a._passes) > cap // 2 + 1
+        bg_a = DecayBackground(net_a, clustering, know_a)
         run_schedule(
             net_a,
-            multiplex(
-                ProtocolSegmentSource(main_a, steps=cap // 2 + 1),
-                DecayBackgroundSource(
-                    DecayBackground(net_a, clustering, know_a)
-                ),
-                rng=rng_a,
+            protocol_schedule(
+                TimeMultiplexer(net_a, main_a, bg_a), rng_a, steps=cap
             ),
         )
 
         main_b = ICPProtocol(net_b, schedule, know_b, 3)
         bg_b = DecayBackground(net_b, clustering, know_b)
-        from repro.radio.protocol import TimeMultiplexer
-
         run_steps(TimeMultiplexer(net_b, main_b, bg_b), rng_b, cap)
 
         assert net_a.steps_elapsed == net_b.steps_elapsed == cap
@@ -339,211 +311,8 @@ class TestMuxPatterns:
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-# ---------------------------------------------------------------------------
-# Prohibitions and contract errors.
-# ---------------------------------------------------------------------------
-class _TracePhaseSource(SegmentProtocol):
-    def __init__(self, n: int) -> None:
-        super().__init__(n)
-
-    def plan(self, rng):
-        return TracePhase("sneaky")
-
-    def commit(self, reply):
-        pass
-
-    def steps_remaining(self):
-        return 5
-
-
-class _OpenEnded(SegmentProtocol):
-    """A source of data-dependent length (``steps_remaining`` None)."""
-
-    def plan(self, rng):
-        return ObliviousWindow(np.zeros((2, self.n), dtype=bool))
-
-    def commit(self, reply):
-        pass
-
-
-class TestMuxProhibitions:
-    def _main(self, net, steps=6):
-        return ProtocolSegmentSource(_RotorProtocol(net, steps), steps=steps)
-
-    def test_trace_phase_in_background_raises(self):
-        # Regression for the docstring-only promise in engine/segments:
-        # TracePhase is not allowed inside multiplexed sub-schedules.
-        net = RadioNetwork(graphs.path(6))
-        mux = multiplex(
-            self._main(net),
-            _TracePhaseSource(6),
-            rng=np.random.default_rng(0),
-        )
-        with pytest.raises(ProtocolError, match="TracePhase"):
-            run_schedule(net, mux)
-
-    def test_trace_phase_in_main_raises(self):
-        net = RadioNetwork(graphs.path(6))
-        mux = multiplex(
-            _TracePhaseSource(6),
-            self._main(net),
-            rng=np.random.default_rng(0),
-        )
-        with pytest.raises(ProtocolError, match="TracePhase"):
-            run_schedule(net, mux)
-
-    def test_main_without_exact_remaining_rejected(self):
-        net = RadioNetwork(graphs.path(6))
-        with pytest.raises(ProtocolError, match="steps_remaining"):
-            multiplex(
-                _OpenEnded(6), self._main(net), rng=np.random.default_rng(0)
-            )
-
-    def test_refusal_names_the_offending_source(self):
-        # The refusal must name the offending source's type, so the
-        # error is actionable from any entry point without a traceback
-        # spelunk.
-        net = RadioNetwork(graphs.path(6))
-        with pytest.raises(ProtocolError, match="_OpenEnded"):
-            multiplex(
-                _OpenEnded(6), self._main(net), rng=np.random.default_rng(0)
-            )
-        # ProtocolSegmentSource without an exact step bound is the
-        # other common way to hit it.
-        bare = ProtocolSegmentSource(_RotorProtocol(net, 4))
-        with pytest.raises(ProtocolError, match="ProtocolSegmentSource"):
-            multiplex(bare, self._main(net), rng=np.random.default_rng(0))
-
-    def test_needs_a_background(self):
-        # The background is a required argument of the two-way zip.
-        net = RadioNetwork(graphs.path(6))
-        with pytest.raises(TypeError, match="background"):
-            multiplex(self._main(net), rng=np.random.default_rng(0))
-
-    def test_streamed_window_in_substream_rejected(self):
-        net = RadioNetwork(graphs.path(6))
-        empty = np.empty(0, dtype=np.int64)
-
-        class _Streamy(SegmentProtocol):
-            def plan(self, rng):
-                return StreamedWindow(
-                    TransmitterPlan(2, lambda s, e: (empty, empty)),
-                    consume_coo=lambda *triple: None,
-                )
-
-            def commit(self, reply):
-                pass
-
-        mux = multiplex(
-            self._main(net), _Streamy(6), rng=np.random.default_rng(0)
-        )
-        with pytest.raises(ProtocolError, match="StreamedWindow"):
-            run_schedule(net, mux)
-
-    def test_stream_size_mismatch_rejected(self):
-        net6 = RadioNetwork(graphs.path(6))
-        net7 = RadioNetwork(graphs.path(7))
-        with pytest.raises(ProtocolError, match="sizes"):
-            multiplex(
-                self._main(net6),
-                ProtocolSegmentSource(_BeepProtocol(net7, 3), steps=3),
-                rng=np.random.default_rng(0),
-            )
-
-
-class TestMuxPlanValidation:
-    def _main(self, net, steps=6):
-        return ProtocolSegmentSource(_RotorProtocol(net, steps), steps=steps)
-
-    class _BadSource(SegmentProtocol):
-        def __init__(self, n, segment_factory, remaining=5):
-            super().__init__(n)
-            self._factory = segment_factory
-            self._remaining = remaining
-
-        def plan(self, rng):
-            return self._factory()
-
-        def commit(self, reply):
-            pass
-
-        def steps_remaining(self):
-            return self._remaining
-
-    @pytest.mark.parametrize(
-        "factory, match",
-        [
-            (lambda: "garbage", "non-segment"),
-            (
-                lambda: ObliviousWindow(np.zeros((2, 9), dtype=bool)),
-                "shape",
-            ),
-            (
-                lambda: ObliviousWindow(np.zeros((2, 6), dtype=np.int64)),
-                "dtype",
-            ),
-            (lambda: DecisionStep(np.zeros(6, dtype=bool)), "DecisionStep"),
-        ],
-    )
-    def test_bad_planned_segments_rejected(self, factory, match):
-        net = RadioNetwork(graphs.path(6))
-        mux = multiplex(
-            self._BadSource(6, factory),
-            self._main(net),
-            rng=np.random.default_rng(0),
-        )
-        with pytest.raises(ProtocolError, match=match):
-            run_schedule(net, mux)
-
-    def test_zero_row_segments_commit_and_plan_on(self):
-        # A source may plan empty windows; they execute nothing, are
-        # committed with an empty reply, and planning continues.
-        net = RadioNetwork(graphs.path(6))
-        committed = []
-
-        class EmptyThenReal(SegmentProtocol):
-            def __init__(self):
-                super().__init__(6)
-                self.planned = 0
-
-            def plan(self, rng):
-                self.planned += 1
-                if self.planned % 2:
-                    return ObliviousWindow(np.zeros((0, 6), dtype=bool))
-                return ObliviousWindow(np.zeros((1, 6), dtype=bool))
-
-            def commit(self, reply):
-                committed.append(reply.shape)
-
-            def steps_remaining(self):
-                return None
-
-        run_schedule(
-            net,
-            multiplex(
-                self._main(net, steps=4), EmptyThenReal(),
-                rng=np.random.default_rng(0),
-            ),
-        )
-        assert (0, 6) in committed and (1, 6) in committed
-
-
-class TestSegmentProtocolDefaults:
-    def test_default_result_raises(self):
-        class Bare(SegmentProtocol):
-            def plan(self, rng):
-                return None
-
-            def commit(self, reply):
-                pass
-
-        with pytest.raises(ProtocolError, match="result"):
-            Bare(4).result()
-        assert Bare(4).steps_remaining() is None
-
+class TestRunnerEdgeCases:
     def test_protocol_schedule_negative_steps(self):
-        from repro.engine import protocol_schedule
-
         net = RadioNetwork(graphs.path(4))
         with pytest.raises(ProtocolError, match="steps"):
             list(
@@ -554,32 +323,15 @@ class TestSegmentProtocolDefaults:
             )
 
     def test_validating_runner_empty_window(self):
-        from repro.engine import ObliviousWindow as OW
         from repro.engine import ValidatingRunner
 
         net = RadioNetwork(graphs.path(4))
         runner = ValidatingRunner(net)
 
         def emit():
-            yield OW(np.zeros((0, 4), dtype=bool))
+            yield ObliviousWindow(np.zeros((0, 4), dtype=bool))
             return "ok"
 
         assert runner.run(emit()) == "ok"
         assert runner.windows_checked == 1
         assert runner.steps_checked == 0
-
-
-class TestSegmentAdapters:
-    def test_protocol_source_validates(self):
-        net = RadioNetwork(graphs.path(5))
-        with pytest.raises(ProtocolError, match="steps"):
-            ProtocolSegmentSource(_RotorProtocol(net, 3), steps=-1)
-        source = ProtocolSegmentSource(_RotorProtocol(net, 3), steps=3)
-        rng = np.random.default_rng(0)
-        source.plan(rng)
-        with pytest.raises(ProtocolError, match="plan"):
-            source.plan(rng)
-        with pytest.raises(ProtocolError, match="commit"):
-            ProtocolSegmentSource(_RotorProtocol(net, 3)).commit(
-                np.full((1, 5), NO_SENDER, dtype=np.int64)
-            )

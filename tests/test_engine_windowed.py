@@ -8,7 +8,7 @@ G(n,p)):
 
 * seeded **bit-identical results** against the ``*_reference`` twins
   (Decay, EstimateEffectiveDegree, Radio MIS, wake-up reduction, BGI
-  broadcast, binary-search election, the ICP Decay background, packet
+  broadcast, binary-search election, Intra-Cluster Propagation, packet
   Compete / broadcast / leader election);
 * matching **step counts and trace totals** (the windowed paths record
   through ``record_window`` what the step-wise paths record per step);
@@ -16,7 +16,7 @@ G(n,p)):
   numbers in the same order), wherever the protocol completes its
   schedule;
 * runner behavior: budget enforcement before overshoot, trace-phase
-  segments, the legacy-protocol adapter.
+  segments, the step-wise protocol lift.
 
 Plus the satellite engines: the CSR distance-2 coloring against the
 networkx reference (valid colorings, identical layers) and the
@@ -60,11 +60,7 @@ from repro.core.compete_packet import (
     broadcast_packet,
     compete_packet,
 )
-from repro.core.intra_cluster import (
-    DecayBackground,
-    decay_background_schedule,
-    intra_cluster_propagation,
-)
+from repro.core.intra_cluster import intra_cluster_propagation
 from repro.core.mpx import coarse_beta, j_range
 from repro.core.schedule import _intra_cluster_csr
 from repro.core.wakeup import (
@@ -72,7 +68,6 @@ from repro.core.wakeup import (
     mis_as_wakeup_strategy_reference,
 )
 from repro.engine import (
-    DecisionStep,
     ExecutionPolicy,
     ObliviousWindow,
     TracePhase,
@@ -88,7 +83,6 @@ from repro.radio import (
     ProtocolError,
     RadioNetwork,
     SilentProtocol,
-    run_steps,
 )
 
 
@@ -275,54 +269,6 @@ class TestBinarySearchElectionEquivalence:
         _assert_trace_equal(net_w, net_r)
 
 
-class TestDecayBackgroundEquivalence:
-    @pytest.mark.parametrize("kind", [0, 1, 4])
-    def test_windowed_matches_stepwise(self, kind):
-        g = _family_graph(kind, 50 + kind)
-        setup = np.random.default_rng(9)
-        mis = sorted(greedy_independent_set(g))
-        clustering = partition(
-            nx.convert_node_labels_to_integers(g), 0.3, mis, setup
-        )
-        know_w = np.full(g.number_of_nodes(), -1, dtype=np.int64)
-        know_w[: 3] = [5, -1, 2][: min(3, know_w.size)]
-        know_r = know_w.copy()
-        net_w, net_r = _twin_networks(g)
-        rng_w, rng_r = np.random.default_rng(90), np.random.default_rng(90)
-        total = 2500  # deliberately not a multiple of the sweep span
-
-        run_schedule(
-            net_w,
-            decay_background_schedule(
-                net_w, clustering, know_w, rng_w, total_steps=total
-            ),
-        )
-        protocol = DecayBackground(net_r, clustering, know_r)
-        run_steps(protocol, rng_r, total)
-
-        assert (know_w == know_r).all()
-        _assert_trace_equal(net_w, net_r)
-        assert rng_w.random() == rng_r.random()
-
-    def test_never_commits_partial_block(self):
-        # A run shorter than one sweep leaves knowledge untouched on
-        # both paths (commits happen at sweep boundaries only).
-        g = graphs.path(20)
-        setup = np.random.default_rng(2)
-        clustering = partition(g, 0.4, sorted(greedy_independent_set(g)), setup)
-        know = np.full(20, -1, dtype=np.int64)
-        know[0] = 3
-        net = RadioNetwork(g)
-        run_schedule(
-            net,
-            decay_background_schedule(
-                net, clustering, know, np.random.default_rng(1), total_steps=2
-            ),
-        )
-        assert (know == np.where(np.arange(20) == 0, 3, -1)).all()
-        assert net.steps_elapsed == 2
-
-
 class TestICPEquivalence:
     @pytest.mark.parametrize("kind", [0, 1, 2])
     @pytest.mark.parametrize("with_background", [True, False])
@@ -435,7 +381,7 @@ class TestRunnerProperties:
             yield TracePhase("warmup")
             yield ObliviousWindow(np.zeros((3, 6), dtype=bool))
             yield TracePhase("main")
-            yield DecisionStep(np.zeros(6, dtype=bool))
+            yield ObliviousWindow(np.zeros((1, 6), dtype=bool))
             yield TracePhase("default")
 
         run_schedule(net, schedule())
@@ -455,10 +401,10 @@ class TestRunnerProperties:
         net = RadioNetwork(graphs.path(4))
 
         def schedule():
-            hear = yield DecisionStep(np.zeros(4, dtype=bool))
+            hear = yield ObliviousWindow(np.zeros((1, 4), dtype=bool))
             return ("done", hear.shape)
 
-        assert run_schedule(net, schedule()) == ("done", (4,))
+        assert run_schedule(net, schedule()) == ("done", (1, 4))
 
     def test_window_reply_matches_sequential(self):
         g = graphs.path(9)
@@ -490,7 +436,7 @@ class TestRunnerProperties:
 
         def schedule():
             yield ObliviousWindow(np.zeros((2, 5), dtype=bool))
-            yield DecisionStep(np.zeros(5, dtype=bool))
+            yield ObliviousWindow(np.zeros((1, 5), dtype=bool))
 
         runner.run(schedule())
         assert runner.steps_executed == 3

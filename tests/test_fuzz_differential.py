@@ -3,8 +3,8 @@
 Each case draws seeded random graphs (mixing UDG, quasi-UDG, G(n, p),
 paths, and hard star-of-cliques instances) and runs a protocol through
 its independent implementations — the windowed engine (for ICP and the
-packet pipeline, the multiplexed path, also under the contract-checking
-``validate=True``) and the step-wise ``*_reference`` twin — pinning:
+packet pipeline also under the contract-checking ``validate=True``) and
+the step-wise ``*_reference`` twin — pinning:
 
 * the protocol **result** (every field that is seed-deterministic);
 * ``steps_elapsed`` and the **trace totals** (global and per phase);
@@ -45,7 +45,6 @@ from repro.core import (
     run_decay_reference,
 )
 from repro.core.compete_packet import PacketCompeteConfig, compete_packet
-from repro.core.intra_cluster import DecayBackground, decay_background_schedule
 from repro.core.leader_election import elect_leader_packet
 from repro.core.wakeup import (
     mis_as_wakeup_strategy,
@@ -59,11 +58,10 @@ from repro.core.mis_restart import (
     compute_restartable_mis,
     restartable_mis_reference,
 )
-from repro.engine import run_schedule
 from repro.engine.policy import ExecutionPolicy
 from repro.faults import FaultSchedule
 from repro.graphs import greedy_independent_set
-from repro.radio import RadioNetwork, run_steps
+from repro.radio import RadioNetwork
 
 
 #: The policies the multi-engine twins run under: the step-wise
@@ -249,34 +247,6 @@ class TestDifferentialFuzz:
                 assert res.steps == ref.steps
                 _assert_trace_equal(net, net_ref)
                 _assert_rng_equal(rng, rng_ref)
-
-    def test_decay_background(self, fuzz_rounds):
-        for r in range(fuzz_rounds):
-            g = nx.convert_node_labels_to_integers(_fuzz_graph(r, "bg"))
-            seed = _seed(r, "bg")
-            setup = np.random.default_rng(seed)
-            mis = sorted(greedy_independent_set(g, setup, "random"))
-            clustering = partition(g, 0.35, mis, setup)
-            n = g.number_of_nodes()
-            know_w = np.full(n, -1, dtype=np.int64)
-            know_w[: min(4, n)] = [6, -1, 2, 9][: min(4, n)]
-            know_r = know_w.copy()
-            total = int(setup.integers(50, 900))
-            net_w, net_r = RadioNetwork(g), RadioNetwork(g)
-            rng_w = np.random.default_rng(seed + 1)
-            rng_r = np.random.default_rng(seed + 1)
-            run_schedule(
-                net_w,
-                decay_background_schedule(
-                    net_w, clustering, know_w, rng_w, total_steps=total
-                ),
-            )
-            run_steps(
-                DecayBackground(net_r, clustering, know_r), rng_r, total
-            )
-            assert (know_w == know_r).all()
-            _assert_trace_equal(net_w, net_r)
-            _assert_rng_equal(rng_w, rng_r)
 
     def test_packet_compete(self, fuzz_rounds):
         # The full packet pipeline under all three policies; small

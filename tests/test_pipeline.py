@@ -667,8 +667,8 @@ class TestProvenanceCounters:
         assert set(delivery["kernel_use"]) <= {"coo-spmm", "skip-empty"}
 
     def test_mask_windows_report_stage_split(self):
-        """A faulted ICP run — multiplexed mask windows, the default
-        path — splits its chunks into coins/faults/deliver/commit like
+        """A faulted ICP run — one width-1 mask window per step, the
+        default path — splits its chunks into coins/faults/deliver/commit like
         the transmitter-list path: fault filtering shows in ``faults``,
         and every row counts under the product's two counters."""
         from repro.api import ICPConfig

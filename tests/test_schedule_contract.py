@@ -35,12 +35,7 @@ from repro.baselines.bgi_broadcast import bgi_schedule
 from repro.core import build_schedule, partition
 from repro.core.decay import decay_block_schedule
 from repro.core.effective_degree import effective_degree_schedule
-from repro.core.intra_cluster import (
-    DecayBackground,
-    DecayBackgroundSource,
-    ICPProtocol,
-    decay_background_schedule,
-)
+from repro.core.intra_cluster import DecayBackground, ICPProtocol
 from repro.core.mis import MISConfig, mis_schedule
 from repro.core.mis_restart import (
     RestartableMISConfig,
@@ -48,12 +43,7 @@ from repro.core.mis_restart import (
 )
 from repro.core.wakeup import _wakeup_mis_schedule
 from repro.faults import FaultSchedule
-from repro.engine import (
-    ProtocolSegmentSource,
-    ValidatingRunner,
-    multiplex,
-    protocol_schedule,
-)
+from repro.engine import ValidatingRunner, protocol_schedule
 from repro.engine.validate import ObliviousnessViolationError
 from repro.graphs import greedy_independent_set
 from repro.radio import RadioNetwork
@@ -63,7 +53,6 @@ SRC_ROOT = pathlib.Path(repro.__file__).resolve().parent
 SEGMENT_NAMES = {
     "ObliviousWindow",
     "StreamedWindow",
-    "DecisionStep",
     "TracePhase",
 }
 
@@ -116,11 +105,7 @@ EMITTER_RUNS = {
     "restartable_mis_schedule": "test_mis_restart",
     "bgi_schedule": "test_bgi",
     "_wakeup_mis_schedule": "test_wakeup",
-    "decay_background_schedule": "test_decay_background",
     "protocol_schedule": "test_legacy_protocol_adapter",
-    # multiplex() validates eagerly and returns _multiplex, the
-    # generator body the scan sees.
-    "_multiplex": "test_multiplexed_icp",
 }
 
 
@@ -305,24 +290,10 @@ class TestEmitterContracts:
         assert runner.windows_checked > 0
         assert result.k == k
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("kind", GRAPH_KINDS)
-    def test_decay_background(self, kind, seed):
-        g = _contract_graph(kind, seed)
-        clustering, _, know = _icp_fixture(g, seed)
-        runner = _validated(g)
-        runner.run(
-            decay_background_schedule(
-                runner.network, clustering, know,
-                np.random.default_rng(100 + seed), total_steps=300,
-            )
-        )
-        assert runner.windows_checked > 0
-
     @pytest.mark.parametrize("kind", GRAPH_KINDS)
     def test_legacy_protocol_adapter(self, kind):
-        # protocol_schedule over the time-multiplexed ICP stack: the
-        # decision-step emitter, validated per step.
+        # protocol_schedule over the time-multiplexed ICP stack — ICP's
+        # engine path — validated one width-1 window per step.
         g = _contract_graph(kind, 2)
         clustering, schedule, know = _icp_fixture(g, 2)
         runner = _validated(g)
@@ -334,25 +305,7 @@ class TestEmitterContracts:
             protocol_schedule(muxed, np.random.default_rng(3), steps=total)
         )
         assert runner.steps_checked > 0
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("kind", GRAPH_KINDS)
-    def test_multiplexed_icp(self, kind, seed):
-        # The mux combinator's joint windows, replayed step-by-step.
-        g = _contract_graph(kind, seed)
-        clustering, schedule, know = _icp_fixture(g, seed)
-        runner = _validated(g)
-        main = ICPProtocol(runner.network, schedule, know, 3)
-        total = sum(len(p.slots) for p in main._passes)
-        background = DecayBackground(runner.network, clustering, know)
-        runner.run(
-            multiplex(
-                ProtocolSegmentSource(main, steps=total),
-                DecayBackgroundSource(background),
-                rng=np.random.default_rng(120 + seed),
-            )
-        )
-        assert runner.windows_checked > 0
+        assert runner.windows_checked == runner.steps_checked
 
 
 class TestValidatingRunnerDetectsViolations:
@@ -421,25 +374,4 @@ class TestValidatingRunnerDetectsViolations:
             return None
 
         with pytest.raises(ObliviousnessViolationError, match="diverged"):
-            runner.run(emit())
-
-    def test_checks_decision_steps_too(self):
-        g = graphs.path(8)
-        runner = _validated(g)
-        original = runner.network.deliver
-
-        def corrupted(mask):
-            out = original(mask)
-            out[3] = 1
-            return out
-
-        runner.network.deliver = corrupted  # type: ignore[assignment]
-
-        def emit():
-            from repro.engine import DecisionStep
-
-            _ = yield DecisionStep(np.zeros(8, dtype=bool))
-            return None
-
-        with pytest.raises(ObliviousnessViolationError):
             runner.run(emit())

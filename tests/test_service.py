@@ -867,22 +867,38 @@ class TestCampaign:
         with pytest.raises(ProtocolError, match="no completed jobs"):
             campaign.final_summary()
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "workers, refused",
+        [
+            pytest.param(1, "validate", id="1"),
+            pytest.param(2, "validate", id="2"),
+            pytest.param(1, "ell", id="icp-ell-0-1"),
+            pytest.param(2, "ell", id="icp-ell-0-2"),
+        ],
+    )
     def test_spec_level_refusal_fails_the_campaign(
-        self, stores, tmp_path, workers
+        self, stores, tmp_path, workers, refused
     ):
+        # A spec a protocol cannot honor is a spec problem, surfaced as
+        # a refusal, not a failure count — at every worker count:
         # validate=True has no windows to check under the reference
-        # engine: a policy decay cannot honor is a spec problem,
-        # surfaced as a refusal, not a failure count — at every worker
-        # count.
+        # engine, and ICP refuses a propagation distance below 1.
         corpus, digest, _ = stores
-        spec = CampaignSpec(
-            protocol="decay", corpus=(digest,), n_trials=4,
-            policies=(ExecutionPolicy(engine="reference", validate=True),),
-        )
+        if refused == "validate":
+            spec = CampaignSpec(
+                protocol="decay", corpus=(digest,), n_trials=4,
+                policies=(
+                    ExecutionPolicy(engine="reference", validate=True),
+                ),
+            )
+        else:
+            spec = CampaignSpec(
+                protocol="icp", corpus=(digest,), n_trials=4,
+                config=api.ICPConfig(ell=0),
+            )
         campaign = Campaign(spec, ReportStore(tmp_path / "r"),
                             corpus=corpus, workers=workers)
-        with pytest.raises(ProtocolError, match="validate"):
+        with pytest.raises(ProtocolError, match=refused):
             campaign.run()
         status = campaign.status()
         assert status["state"] == "failed"

@@ -4,8 +4,8 @@ Two checks, both cheap enough for every CI run (wired next to the
 engine coverage floor):
 
 1. **Pinned surfaces** — the ``__all__`` of ``repro.api``,
-   ``repro.service``, ``repro.engine``, ``repro.radio``,
-   ``repro.faults`` and ``repro.analysis``, and the
+   ``repro.service``, ``repro.engine``, ``repro.core``,
+   ``repro.radio``, ``repro.faults`` and ``repro.analysis``, and the
    :class:`ExecutionPolicy` fields, are an explicit contract. Adding or
    removing a name or a policy knob must edit the pin here, in the same
    commit, on purpose; silent drift fails.
@@ -88,7 +88,6 @@ EXPECTED_ENGINE_ALL = [
     "COIN_BUDGET",
     "DeliveryKernels",
     "ENGINE_MODES",
-    "DecisionStep",
     "ExecutionPolicy",
     "PlanSection",
     "RowSampler",
@@ -97,10 +96,8 @@ EXPECTED_ENGINE_ALL = [
     "ObliviousnessViolationError",
     "ObliviousWindow",
     "ProtocolSchedule",
-    "ProtocolSegmentSource",
     "STREAM_CELL_BYTES",
     "Segment",
-    "SegmentProtocol",
     "StreamedWindow",
     "TracePhase",
     "TransmitterPlan",
@@ -108,11 +105,95 @@ EXPECTED_ENGINE_ALL = [
     "WindowedRunner",
     "chunk_steps_for_budget",
     "coin_chunk",
-    "multiplex",
     "parse_mem_budget",
     "protocol_schedule",
     "resolve_chunk_steps",
     "run_schedule",
+]
+
+#: The pinned public surface of repro.core — the paper's algorithms.
+EXPECTED_CORE_ALL = [
+    "BadJReport",
+    "BroadcastResult",
+    "Clustering",
+    "ClusterSchedule",
+    "CompeteConfig",
+    "CompeteResult",
+    "CostModel",
+    "Decay",
+    "DecayBackground",
+    "DecayResult",
+    "EffectiveDegreeResult",
+    "EstimateEffectiveDegree",
+    "ICPProtocol",
+    "ICPResult",
+    "LeaderElectionResult",
+    "MISConfig",
+    "MISResult",
+    "MISRoundRecord",
+    "PacketCompeteConfig",
+    "PacketCompeteResult",
+    "PacketLeaderResult",
+    "PhaseRecord",
+    "RestartEpochRecord",
+    "RestartableMISConfig",
+    "RestartableMISResult",
+    "WakeupResult",
+    "b_beta",
+    "b_constant",
+    "bad_j_report",
+    "beta_of_j",
+    "broadcast",
+    "broadcast_packet",
+    "broadcast_packet_level",
+    "build_schedule",
+    "build_schedule_reference",
+    "candidate_probability",
+    "center_distance_histogram",
+    "claim10_iterations",
+    "coarse_beta",
+    "compete",
+    "compete_packet",
+    "compute_mis",
+    "compute_mis_reference",
+    "compute_restartable_mis",
+    "build_icp_inputs",
+    "decay_block_schedule",
+    "decay_schedule",
+    "decay_span",
+    "draw_shifts",
+    "effective_degree_schedule",
+    "elect_leader",
+    "elect_leader_packet",
+    "expected_steps",
+    "estimate_effective_degree",
+    "estimate_effective_degree_reference",
+    "exact_effective_degree",
+    "expected_distance_bound",
+    "id_bits",
+    "intra_cluster_propagation",
+    "is_bad_j",
+    "j_range",
+    "lemma4_bound",
+    "mis_as_wakeup_strategy",
+    "mis_as_wakeup_strategy_reference",
+    "mis_round_budget",
+    "mis_schedule",
+    "partition",
+    "partition_csr",
+    "partition_radio",
+    "partition_reference",
+    "prefix_counts",
+    "propagation_length",
+    "restartable_mis_reference",
+    "restartable_mis_schedule",
+    "run_decay",
+    "run_decay_reference",
+    "run_wakeup",
+    "s_beta",
+    "t_beta",
+    "total_bound",
+    "uniform_schedule",
 ]
 
 #: The pinned public surface of repro.radio — the simulator substrate.
@@ -230,6 +311,7 @@ def check_api_all() -> list[str]:
         _check_all_pin("repro.api", EXPECTED_API_ALL)
         + _check_all_pin("repro.service", EXPECTED_SERVICE_ALL)
         + _check_all_pin("repro.engine", EXPECTED_ENGINE_ALL)
+        + _check_all_pin("repro.core", EXPECTED_CORE_ALL)
         + _check_all_pin("repro.radio", EXPECTED_RADIO_ALL)
         + _check_all_pin("repro.faults", EXPECTED_FAULTS_ALL)
         + _check_all_pin("repro.analysis", EXPECTED_ANALYSIS_ALL)
@@ -333,6 +415,7 @@ def main() -> int:
         "api surface OK: __all__ pinned "
         f"({len(EXPECTED_API_ALL)} api + {len(EXPECTED_SERVICE_ALL)} "
         f"service + {len(EXPECTED_ENGINE_ALL)} engine + "
+        f"{len(EXPECTED_CORE_ALL)} core + "
         f"{len(EXPECTED_RADIO_ALL)} radio + {len(EXPECTED_FAULTS_ALL)} "
         f"faults + {len(EXPECTED_ANALYSIS_ALL)} analysis names), "
         f"{len(EXPECTED_POLICY_FIELDS)} policy fields pinned, examples "

@@ -50,7 +50,7 @@ MODULE_FLOORS = {"engine/sampler.py": 0.95}
 
 #: The test files that exercise the engine layer. Contract + fuzz
 #: suites are included on purpose: their replay/twin checks are where
-#: the rarely-taken engine branches (fault filters, mux edge cases)
+#: the rarely-taken engine branches (fault filters, chunk boundaries)
 #: actually fire.
 TEST_FILES = [
     "tests/test_engine_windowed.py",
