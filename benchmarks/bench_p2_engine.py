@@ -67,17 +67,17 @@ def bench_mis(n: int = 2000, seed: int = 101) -> dict:
     (pure protocol, no oracle instrumentation) and a moderate ``C``.
     """
     from repro.core import MISConfig, compute_mis, compute_mis_reference
-    from repro.radio import CheapTrace, RadioNetwork
+    from repro.radio import RadioNetwork
 
     g = _udg(n, (n / 31.0) ** 0.5, seed)  # side ~= 8 at n = 2000
     config = MISConfig(eed_C=8, record_golden=False)
 
-    net_ref = RadioNetwork(g, trace=CheapTrace())
+    net_ref = RadioNetwork(g)
     t0 = time.perf_counter()
     ref = compute_mis_reference(net_ref, np.random.default_rng(seed + 1), config)
     reference_s = time.perf_counter() - t0
 
-    net_win = RadioNetwork(g, trace=CheapTrace())
+    net_win = RadioNetwork(g)
     t0 = time.perf_counter()
     win = compute_mis(net_win, np.random.default_rng(seed + 1), config)
     windowed_s = time.perf_counter() - t0
@@ -107,7 +107,7 @@ def bench_effective_degree(n: int = 2000, seed: int = 303) -> dict:
         estimate_effective_degree,
         estimate_effective_degree_reference,
     )
-    from repro.radio import CheapTrace, RadioNetwork
+    from repro.radio import RadioNetwork
 
     g = _udg(n, (n / 80.0) ** 0.5, seed)  # side ~= 5 at n = 2000
     setup = np.random.default_rng(seed + 1)
@@ -118,7 +118,7 @@ def bench_effective_degree(n: int = 2000, seed: int = 303) -> dict:
     # statistic on each side, so host noise cannot bias it.
     reference_s = float("inf")
     for _ in range(2):
-        net_ref = RadioNetwork(g, trace=CheapTrace())
+        net_ref = RadioNetwork(g)
         t0 = time.perf_counter()
         ref = estimate_effective_degree_reference(
             net_ref, p, active, np.random.default_rng(seed + 2), C=24
@@ -127,7 +127,7 @@ def bench_effective_degree(n: int = 2000, seed: int = 303) -> dict:
 
     windowed_s = float("inf")
     for _ in range(2):
-        net_win = RadioNetwork(g, trace=CheapTrace())
+        net_win = RadioNetwork(g)
         t0 = time.perf_counter()
         win = estimate_effective_degree(
             net_win, p, active, np.random.default_rng(seed + 2), C=24
@@ -155,19 +155,19 @@ def bench_bgi(n: int = 2000, seed: int = 202, repeats: int = 3) -> dict:
     so the expected gain is the per-step dispatch overhead only.
     """
     from repro.baselines import bgi_broadcast, bgi_broadcast_reference
-    from repro.radio import CheapTrace, RadioNetwork
+    from repro.radio import RadioNetwork
 
     g = _udg(n, (n / 10.0) ** 0.5, seed)  # side ~= 14 at n = 2000
 
     t0 = time.perf_counter()
     for r in range(repeats):
-        net = RadioNetwork(g, trace=CheapTrace())
+        net = RadioNetwork(g)
         ref = bgi_broadcast_reference(net, 0, np.random.default_rng(seed + r))
     reference_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     for r in range(repeats):
-        net = RadioNetwork(g, trace=CheapTrace())
+        net = RadioNetwork(g)
         win = bgi_broadcast(net, 0, np.random.default_rng(seed + r))
     windowed_s = time.perf_counter() - t0
 
@@ -193,10 +193,10 @@ def _e1_mis_steps(n: int, rng: np.random.Generator) -> float:
     """One E1 trial: windowed Radio MIS steps on a fresh UDG."""
     from repro import graphs
     from repro.core import MISConfig, compute_mis
-    from repro.radio import CheapTrace, RadioNetwork
+    from repro.radio import RadioNetwork
 
     g = graphs.random_udg(n, (n / 4.0) ** 0.5, rng)
-    net = RadioNetwork(g, trace=CheapTrace())
+    net = RadioNetwork(g)
     result = compute_mis(
         net, rng, MISConfig(eed_C=6, record_golden=False)
     )
@@ -255,10 +255,10 @@ def peak_memory(n: int = 2000, seed: int = 101) -> int:
     """
     from repro.analysis.experiments import measure_peak
     from repro.core import MISConfig, compute_mis
-    from repro.radio import CheapTrace, RadioNetwork
+    from repro.radio import RadioNetwork
 
     g = _udg(n, (n / 31.0) ** 0.5, seed)
-    net = RadioNetwork(g, trace=CheapTrace())
+    net = RadioNetwork(g)
     config = MISConfig(eed_C=8, record_golden=False)
     _, peak = measure_peak(
         lambda: compute_mis(net, np.random.default_rng(seed + 1), config)

@@ -68,7 +68,7 @@ def bench_icp(n: int = 2000, seed: int = 404, ell: int = 6) -> dict:
     step-wise reference, bit-identity-asserted."""
     from repro.api import ExecutionPolicy
     from repro.core import build_icp_inputs, intra_cluster_propagation
-    from repro.radio import CheapTrace, RadioNetwork
+    from repro.radio import RadioNetwork
 
     g = _udg(n, (n / 31.0) ** 0.5, seed)  # avg degree ~90 at n = 2000
     clustering, schedule, knowledge = build_icp_inputs(
@@ -86,7 +86,7 @@ def bench_icp(n: int = 2000, seed: int = 404, ell: int = 6) -> dict:
     for name, policy in policies.items():
         best = float("inf")
         for _ in range(2):
-            net = RadioNetwork(g, trace=CheapTrace())
+            net = RadioNetwork(g)
             t0 = time.perf_counter()
             res = intra_cluster_propagation(
                 net, clustering, schedule, knowledge, ell,
@@ -128,9 +128,9 @@ def _best_of(repeats: int, fn) -> float:
 
 def _replay(g, masks: np.ndarray) -> np.ndarray:
     """The step-wise oracle: one ``RadioNetwork.deliver`` per row."""
-    from repro.radio import CheapTrace, RadioNetwork
+    from repro.radio import RadioNetwork
 
-    net = RadioNetwork(g, trace=CheapTrace())
+    net = RadioNetwork(g)
     return np.stack([net.deliver(row) for row in masks])
 
 
@@ -144,17 +144,18 @@ def bench_dense_window(n: int = 2000, seed: int = 505) -> dict:
     level-0 window through ``deliver_window`` against its replay.
     """
     from repro.core import EstimateEffectiveDegree
-    from repro.engine import coin_chunk
-    from repro.radio import CheapTrace, RadioNetwork
+    from repro.engine import ExecutionPolicy
+    from repro.radio import RadioNetwork
     from repro.radio.network import NO_SENDER
 
     g = _udg(n, (n / 80.0) ** 0.5, seed)  # avg degree ~200 at n = 2000
-    net = RadioNetwork(g, trace=CheapTrace())
+    net = RadioNetwork(g)
     eed = EstimateEffectiveDegree(
         net, np.full(n, 0.5), np.ones(n, dtype=bool), C=24
     )
     eed.bind_key(np.random.default_rng(seed + 1))
-    height = min(eed.steps_per_level, coin_chunk(n))
+    chunk_steps = ExecutionPolicy().runner(net).chunk_steps
+    height = min(eed.steps_per_level, chunk_steps)
     chunks = []
     for level in range(eed.levels):
         start = level * eed.steps_per_level
@@ -184,7 +185,7 @@ def bench_dense_window(n: int = 2000, seed: int = 505) -> dict:
     # One pure level-0 window: every active node transmits with
     # probability 0.5 — the regime the ROADMAP flagged.
     masks = np.random.default_rng(seed + 2).random((256, n)) < 0.5
-    window = RadioNetwork(g, trace=CheapTrace())
+    window = RadioNetwork(g)
     assert (window.deliver_window(masks) == _replay(g, masks)).all()
     window_coo = _best_of(3, lambda: window.deliver_window(masks))
     window_replay = _best_of(3, lambda: _replay(g, masks))
@@ -220,13 +221,13 @@ def peak_memory(n: int = 2000, seed: int = 404, ell: int = 6) -> int:
     """
     from repro.analysis.experiments import measure_peak
     from repro.core import build_icp_inputs, intra_cluster_propagation
-    from repro.radio import CheapTrace, RadioNetwork
+    from repro.radio import RadioNetwork
 
     g = _udg(n, (n / 31.0) ** 0.5, seed)
     clustering, schedule, knowledge = build_icp_inputs(
         g, np.random.default_rng(seed + 1), beta=0.3, sources={0: 9}
     )
-    net = RadioNetwork(g, trace=CheapTrace())
+    net = RadioNetwork(g)
     _, peak = measure_peak(
         lambda: intra_cluster_propagation(
             net, clustering, schedule, knowledge, ell,

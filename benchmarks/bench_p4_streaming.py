@@ -87,10 +87,12 @@ def _assert_small_scale_identity(seed: int = 901) -> None:
         estimate_effective_degree,
         estimate_effective_degree_reference,
     )
+    from repro.engine import STREAM_CELL_BYTES
     from repro.radio import RadioNetwork
 
     g = _udg(500, seed)
-    chunked = ExecutionPolicy(chunk_steps=13)
+    # A budget buying 13-row chunks over the 500 nodes.
+    chunked = ExecutionPolicy(mem_budget=13 * 500 * STREAM_CELL_BYTES)
     p = np.full(500, 0.5)
     active = np.ones(500, dtype=bool)
     rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
@@ -120,11 +122,11 @@ def bench_streamed_eed(
         EstimateEffectiveDegree,
         estimate_effective_degree,
     )
-    from repro.engine import resolve_chunk_steps
-    from repro.radio import CheapTrace, RadioNetwork
+    from repro.engine import chunk_steps_for_budget
+    from repro.radio import RadioNetwork
 
     g = _udg(n, seed)
-    net = RadioNetwork(g, trace=CheapTrace())
+    net = RadioNetwork(g)
     p = np.full(n, 0.5)
     active = np.ones(n, dtype=bool)
     total = EstimateEffectiveDegree(net, p, active, C=C).total_steps
@@ -152,7 +154,7 @@ def bench_streamed_eed(
         "C": C,
         "steps": total,
         "high_count": int(result.high.sum()),
-        "chunk_steps": resolve_chunk_steps(n, mem_budget=mem_budget),
+        "chunk_steps": chunk_steps_for_budget(n, mem_budget),
         "mem_budget_bytes": mem_budget,
         "wall_s": wall,
         "peak_mem_bytes": int(peak),
@@ -169,11 +171,11 @@ def bench_streamed_decay(
     from repro.analysis.experiments import measure_peak
     from repro.api import ExecutionPolicy
     from repro.core.decay import claim10_iterations, run_decay
-    from repro.engine import resolve_chunk_steps
-    from repro.radio import CheapTrace, RadioNetwork
+    from repro.engine import chunk_steps_for_budget
+    from repro.radio import RadioNetwork
 
     g = _udg(n, seed)
-    net = RadioNetwork(g, trace=CheapTrace())
+    net = RadioNetwork(g)
     active = np.random.default_rng(seed).random(n) < 0.5
     iterations = claim10_iterations(n)
 
@@ -199,7 +201,7 @@ def bench_streamed_decay(
         "iterations": iterations,
         "steps": total,
         "heard_fraction": float(result.heard.mean()),
-        "chunk_steps": resolve_chunk_steps(n, mem_budget=mem_budget),
+        "chunk_steps": chunk_steps_for_budget(n, mem_budget),
         "mem_budget_bytes": mem_budget,
         "wall_s": wall,
         "peak_mem_bytes": int(peak),

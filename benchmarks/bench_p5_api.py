@@ -111,10 +111,10 @@ def bench_icp(
     (bit-identical)."""
     import repro.api as api
     from repro.core import build_icp_inputs, intra_cluster_propagation
-    from repro.radio import CheapTrace, RadioNetwork
+    from repro.radio import RadioNetwork
 
     g = _udg(n, (n / 31.0) ** 0.5, seed)  # avg degree ~90 at n = 2000
-    policy = api.ExecutionPolicy(trace="cheap")
+    policy = api.ExecutionPolicy()
     config = api.ICPConfig(beta=0.3, ell=ell, sources={0: 9})
 
     def run_legacy():
@@ -122,7 +122,7 @@ def bench_icp(
         # timer covers the whole sequence (setup pipeline included) on
         # both sides, so the ratio isolates pure front-door overhead.
         setup = np.random.default_rng(seed + 2)
-        net = RadioNetwork(g, trace=CheapTrace())
+        net = RadioNetwork(g)
         clustering, schedule, knowledge = build_icp_inputs(
             g, setup, beta=0.3, sources={0: 9}
         )
@@ -173,14 +173,14 @@ def bench_streamed_eed(
     """Streamed EED at scale: direct entry point vs ``api.run``."""
     import repro.api as api
     from repro.core.effective_degree import estimate_effective_degree
-    from repro.radio import CheapTrace, RadioNetwork
+    from repro.radio import RadioNetwork
 
     side = float(np.sqrt(n * np.pi / 9.0))
     g = _udg(n, side, seed)
-    net = RadioNetwork(g, trace=CheapTrace())
+    net = RadioNetwork(g)
     p = np.full(n, 0.5)
     active = np.ones(n, dtype=bool)
-    policy = api.ExecutionPolicy(mem_budget=mem_budget, trace="cheap")
+    policy = api.ExecutionPolicy(mem_budget=mem_budget)
     config = api.EEDConfig(p=0.5, C=C)
 
     def run_legacy():

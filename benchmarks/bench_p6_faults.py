@@ -97,10 +97,8 @@ def bench_disabled_overhead(
     import repro.api as api
 
     g = _udg(n, seed)
-    policy_plain = api.ExecutionPolicy(trace="cheap")
-    policy_empty = api.ExecutionPolicy(
-        trace="cheap", faults=api.FaultSchedule()
-    )
+    policy_plain = api.ExecutionPolicy()
+    policy_empty = api.ExecutionPolicy(faults=api.FaultSchedule())
 
     def run_plain():
         return api.run("mis", g, seed=seed + 1, policy=policy_plain)

@@ -8,12 +8,12 @@ to say *how*, and ``run()`` to execute and get a structured
 1. discover every registered protocol, and the engines every one of
    them implements;
 2. run Radio MIS plainly, then re-run it under increasingly opinionated
-   policies (forced reference engine, 16-step chunks, contract
+   policies (forced reference engine, a 16-row chunk budget, contract
    validation) and check the seeded results never change — the knobs
    are performance/diagnostics knobs only;
 3. run a larger MIS *streamed* under a tight peak-memory budget — the
    out-of-core path that makes ``n >= 10^5`` runs laptop-sized —
-   and show the RunReport's resolved-policy echo and provenance.
+   and show the RunReport's policy echo and provenance.
 
 Run:  PYTHONPATH=src python examples/api_tour.py
 
@@ -27,6 +27,7 @@ import numpy as np
 
 import repro.api as api
 from repro import graphs
+from repro.engine import STREAM_CELL_BYTES
 
 
 def tour_registry() -> None:
@@ -42,10 +43,13 @@ def tour_policies() -> tuple[int, int]:
     print("\n== policies (one seed, four executions) ==")
     g = graphs.random_udg(n=220, side=7.0, rng=np.random.default_rng(11))
     config = api.get_protocol("mis").config_cls(eed_C=4, record_golden=False)
+    # The cost model charges STREAM_CELL_BYTES per (step, node) cell,
+    # so this budget buys 16-row chunks.
+    budget_16 = 16 * g.number_of_nodes() * STREAM_CELL_BYTES
     policies = {
-        "auto": api.ExecutionPolicy(),
+        "default": api.ExecutionPolicy(),
         "reference engine": api.ExecutionPolicy(engine="reference"),
-        "16-step chunks": api.ExecutionPolicy(chunk_steps=16),
+        "16-row budget": api.ExecutionPolicy(mem_budget=budget_16),
         "validated": api.ExecutionPolicy(validate=True),
     }
     sizes, steps = set(), set()
@@ -71,9 +75,7 @@ def tour_streaming() -> None:
     g = graphs.random_udg(
         n, side, np.random.default_rng(23), connected=False
     )
-    policy = api.ExecutionPolicy(
-        mem_budget=api.parse_mem_budget("8M"), trace="cheap"
-    )
+    policy = api.ExecutionPolicy(mem_budget=api.parse_mem_budget("8M"))
     report = api.run(
         "mis",
         g,
@@ -90,12 +92,12 @@ def tour_streaming() -> None:
         f"steps in {report.wall_time_s:.1f}s"
     )
     print(
-        f"  resolved policy: engine={echo.engine}, "
-        f"chunk_steps={echo.chunk_steps} (from the 8M budget), "
+        f"  policy: engine={echo.engine}, "
+        f"mem_budget={echo.mem_budget >> 20}M, "
         f"peak={report.peak_mem_bytes / 2**20:.0f} MiB"
     )
     print(f"  provenance: {report.provenance}")
-    assert report.policy.chunk_steps is not None, "budget must resolve"
+    assert echo == policy, "the report echoes the policy as written"
 
 
 def main() -> None:

@@ -3,8 +3,8 @@
 Three pieces, one surface:
 
 * :class:`ExecutionPolicy` — every engine knob (engine variant,
-  streaming slab/budget, contract validation, trace grade) as one
-  frozen value, the only carrier of execution settings. Performance
+  streaming memory budget, contract validation) as one frozen value,
+  the only carrier of execution settings. Performance
   and diagnostics knobs only — seeded results are bit-identical under
   every policy — except the one semantics knob: ``faults``, a
   :class:`FaultSchedule` of crash/sleep/join/jam events and per-node
@@ -18,8 +18,8 @@ Three pieces, one surface:
 * :func:`run` — execute any registered protocol on a graph (or
   prebuilt network) and get a :class:`RunReport`: the protocol result
   (bit-identical to the legacy entry point on a shared seed) plus
-  steps, trace totals, wall time, optional memory peak, the resolved
-  policy echo, and provenance.
+  steps, trace totals, wall time, optional memory peak, the policy
+  echo, and provenance.
 
 Quickstart::
 
@@ -39,12 +39,7 @@ The :mod:`repro.core` entry points take the same value as ``policy=``.
 """
 
 from ..core.mis_restart import RestartableMISConfig
-from ..engine.policy import (
-    ENGINE_MODES,
-    ExecutionPolicy,
-    TRACE_MODES,
-    parse_mem_budget,
-)
+from ..engine.policy import ENGINE_MODES, ExecutionPolicy, parse_mem_budget
 from ..faults import FaultSchedule, Jam
 from . import protocols as _protocols  # noqa: F401  (registers the specs)
 from .protocols import (
@@ -85,7 +80,6 @@ __all__ = [
     "ProtocolSpec",
     "RestartableMISConfig",
     "RunReport",
-    "TRACE_MODES",
     "UptimeLeaderConfig",
     "WakeupConfig",
     "get_protocol",

@@ -213,24 +213,6 @@ class WakeupConfig:
 # ---------------------------------------------------------------------------
 
 
-def _stage_policy(config: Any, policy: Any) -> PacketCompeteConfig:
-    """Thread the run policy into a packet-Compete config.
-
-    A caller-supplied ``packet_compete`` keeps its own knobs; its
-    ``policy`` must be unset (two sources of truth refuse). The run's
-    policy reaches every stage.
-    """
-    pc = config.packet_compete
-    if pc is None:
-        return PacketCompeteConfig(policy=policy)
-    if pc.policy is not None:
-        raise ProtocolError(
-            "packet_compete.policy and the run policy are both set; "
-            "put the policy in one place"
-        )
-    return dataclasses.replace(pc, policy=policy)
-
-
 def _refuse_inert_faults(name: str, policy: Any, fix: str) -> None:
     """Refuse a non-empty fault schedule a path cannot realize.
 
@@ -255,7 +237,7 @@ def _refuse_inert_accounted_knobs(name: str, policy: Any) -> None:
     non-empty fault schedule would be silently inert; refusing names
     the fix (``packet=True``).
     """
-    if policy.engine not in ("auto", "windowed") or policy.validate:
+    if policy.engine == "reference" or policy.validate:
         raise ProtocolError(
             f"round-accounted {name} simulates no radio steps, so "
             f"engine={policy.engine!r}/validate={policy.validate} "
@@ -688,10 +670,14 @@ def _execute_broadcast(graph, rng, config, policy):
                 "--baseline applies to the round-accounted pipeline "
                 "only; the packet level has no [7] baseline mode"
             )
-        pc = _stage_policy(config, policy)
-        network = RadioNetwork(graph, trace=policy.make_trace())
-        policy.bind(network)
-        result = broadcast_packet(network, config.source, rng, config=pc)
+        network = RadioNetwork(graph)
+        result = broadcast_packet(
+            network,
+            config.source,
+            rng,
+            config=config.packet_compete,
+            policy=policy,
+        )
         return result, network
     _refuse_inert_accounted_knobs("broadcast", policy)
     compete_config = config.compete or CompeteConfig(
@@ -747,15 +733,14 @@ def _execute_leader(graph, rng, config, policy):
     """Registry hook for leader election (both fidelity levels)."""
     config = config or LeaderConfig()
     if config.packet:
-        pc = _stage_policy(config, policy)
-        network = RadioNetwork(graph, trace=policy.make_trace())
-        policy.bind(network)
+        network = RadioNetwork(graph)
         result = elect_leader_packet(
             network,
             rng,
-            config=pc,
+            config=config.packet_compete,
             alpha=config.alpha,
             c_cand=config.c_cand,
+            policy=policy,
         )
         return result, network
     _refuse_inert_accounted_knobs("leader election", policy)
@@ -877,7 +862,7 @@ def _execute_partition(graph, rng, config, policy):
         "into a packet-level protocol instead",
     )
     mis = sorted(greedy_independent_set(graph, rng, strategy="random"))
-    if policy.engine_for() == "reference":
+    if policy.engine == "reference":
         clustering = partition_reference(graph, config.beta, mis, rng)
     else:
         clustering = partition(graph, config.beta, mis, rng)

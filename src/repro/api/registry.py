@@ -108,8 +108,8 @@ class ProtocolSpec:
     execute:
         ``execute(target, rng, config, policy) -> (result, network)``
         — the actual run. ``target`` is the graph or network
-        :func:`~repro.api.run.run` prepared, ``policy`` is already
-        resolved; ``network`` is the radio network the run used
+        :func:`~repro.api.run.run` prepared, ``policy`` is the
+        caller's policy; ``network`` is the radio network the run used
         (``None`` for round-accounted protocols, which simulate no
         radio steps).
     accepts:

@@ -3,12 +3,11 @@
 One protocol run produces one :class:`RunReport` — the protocol's own
 result plus the execution facts every consumer used to re-derive
 independently: radio-step count, trace totals, wall time, optional
-tracemalloc peak, the resolved :class:`~repro.engine.policy
-.ExecutionPolicy` echo (what actually executed, after ``"auto"`` and
-an explicit budget resolved), and provenance (seed, graph spec, code
-version). The CLI prints them, ``run_report_trials`` and campaigns
-aggregate them, and benchmarks persist their :meth:`RunReport.row`
-form into ``BENCH_*.json``.
+tracemalloc peak, the :class:`~repro.engine.policy.ExecutionPolicy`
+echo (the policy that executed, exactly as the caller built it), and
+provenance (seed, graph spec, code version). The CLI prints them,
+``run_report_trials`` and campaigns aggregate them, and benchmarks
+persist their :meth:`RunReport.row` form into ``BENCH_*.json``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ class RunReport(ArrayEqMixin):
     """Outcome of one :func:`repro.api.run` call.
 
     Reports compare by *outcome*: ``run(...) == run(...)`` is True when
-    protocol, result, steps, trace totals, resolved policy, and
+    protocol, result, steps, trace totals, policy, and
     provenance all match — the corpus layer's cache-hit check. The
     measurement fields (:attr:`wall_time_s`, :attr:`peak_mem_bytes`)
     are excluded from comparison, since wall clock differs on every
@@ -45,8 +44,7 @@ class RunReport(ArrayEqMixin):
         protocols, whose cost lives in the result's ledger).
     trace:
         Trace totals over the run: ``steps``, ``transmissions``,
-        ``receptions`` (the latter two are 0 under a cheap trace,
-        which skips detail accounting by design).
+        ``receptions``.
     wall_time_s:
         Wall-clock seconds of the protocol execution itself (setup —
         graph build, network construction — is excluded).
@@ -55,13 +53,12 @@ class RunReport(ArrayEqMixin):
         was not memory-measured (measurement taxes allocations, so it
         is opt-in; see ``run(..., measure_memory=True)``).
     policy:
-        The **resolved** policy echo: the engine selection and
-        streaming knobs after ``"auto"`` and an explicit budget
-        resolved — what a reader needs to reproduce the
-        execution exactly. Protocols consult only the knobs they
-        implement: a round-accounted run simulates no radio steps, so
-        the streaming fields (and, outside packet mode, the engine)
-        are necessarily inert there.
+        The policy echo: the engine, memory budget, validation flag
+        and fault schedule the run executed under — what a reader
+        needs to reproduce the execution exactly. Protocols consult
+        only the knobs they implement: a round-accounted run simulates
+        no radio steps, so the memory budget (and, outside packet
+        mode, the engine) is necessarily inert there.
     provenance:
         Reproduction facts: ``seed`` (the integer seed, or ``None``
         when the caller passed a live generator), ``graph`` (family /
@@ -141,7 +138,6 @@ class RunReport(ArrayEqMixin):
             "wall_time_s": self.wall_time_s,
             "peak_mem_bytes": self.peak_mem_bytes,
             "engine": self.policy.engine,
-            "chunk_steps": self.policy.chunk_steps,
             "mem_budget": self.policy.mem_budget,
             "validate": self.policy.validate,
             "faults": (self.provenance.get("faults") or {}).get("digest"),

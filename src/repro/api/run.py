@@ -2,14 +2,13 @@
 
 ``run(spec_or_name, graph_or_network, ...)`` is the uniform execution
 surface the CLI, the experiment harness, and the benchmarks are built
-on: look up the protocol in the registry, resolve the
-:class:`~repro.engine.policy.ExecutionPolicy` (``"auto"`` engine, an
-explicit memory budget), execute, and wrap the result in a
-:class:`~repro.api.report.RunReport` with step/trace/wall/provenance
-accounting. Results are bit-identical to the protocol's legacy entry
-point on a shared seed — ``run`` adds accounting around the same code
-path, never a different one (pinned per protocol by
-``tests/test_api.py``).
+on: look up the protocol in the registry, execute it under the
+caller's :class:`~repro.engine.policy.ExecutionPolicy` as written, and
+wrap the result in a :class:`~repro.api.report.RunReport` with
+step/trace/wall/provenance accounting. Results are bit-identical to
+the protocol's legacy entry point on a shared seed — ``run`` adds
+accounting around the same code path, never a different one (pinned
+per protocol by ``tests/test_api.py``).
 """
 
 from __future__ import annotations
@@ -122,7 +121,6 @@ def _resolve_corpus_target(
 def _prepare_target(
     spec: ProtocolSpec,
     target: nx.Graph | RadioNetwork | None,
-    policy: ExecutionPolicy,
 ) -> tuple[Any, RadioNetwork | None, nx.Graph | None]:
     """Coerce the caller's graph/network into what the spec accepts.
 
@@ -147,7 +145,7 @@ def _prepare_target(
     # accepts == "network"
     if isinstance(target, RadioNetwork):
         return target, target, target.graph
-    network = RadioNetwork(target, trace=policy.make_trace())
+    network = RadioNetwork(target)
     return network, network, target
 
 
@@ -171,11 +169,10 @@ def run(
         or a :class:`~repro.api.registry.ProtocolSpec` directly.
     target:
         The graph to run on — an ``nx.Graph`` (a
-        :class:`~repro.radio.network.RadioNetwork` is built with the
-        policy's trace grade) or a prebuilt ``RadioNetwork``. For
-        network-accepting protocols the prebuilt network is used
-        as-is, keeping its trace and step counter (the report
-        accounts the delta). Graph-accepting protocols (broadcast,
+        :class:`~repro.radio.network.RadioNetwork` is built over it)
+        or a prebuilt ``RadioNetwork``. For network-accepting
+        protocols the prebuilt network is used as-is, keeping its
+        trace and step counter (the report accounts the delta). Graph-accepting protocols (broadcast,
         leader, partition) take only the topology: pass a network and
         its ``.graph`` is used — packet modes build their own
         internal network (which the report accounts), leaving the
@@ -190,7 +187,7 @@ def run(
         ``None`` runs the protocol's defaults.
     policy:
         The :class:`~repro.engine.policy.ExecutionPolicy`; ``None``
-        means all-auto. The report echoes the *resolved* policy.
+        means the default policy. The report echoes it as given.
     measure_memory:
         Trace the execution with ``tracemalloc`` and record the peak.
         Opt-in: tracing taxes allocations, so timed runs leave it off
@@ -222,10 +219,7 @@ def run(
     policy = policy or ExecutionPolicy()
     generator, seed_used = _resolve_rng(seed, rng)
     target = _resolve_corpus_target(spec, target, corpus)
-    execute_target, network, graph = _prepare_target(spec, target, policy)
-
-    n = graph.number_of_nodes() if graph is not None else None
-    resolved = policy.resolve(n)
+    execute_target, network, graph = _prepare_target(spec, target)
 
     if network is not None:
         # Per-run accounting: kernel_use and phase_timing describe
@@ -249,10 +243,10 @@ def run(
     )
 
     def execute() -> Any:
-        # The resolved policy goes down the same entry-point path a
-        # direct caller would take, so runs are bit-identical to the
-        # legacy form; only the echo is pre-resolved.
-        return spec.execute(execute_target, generator, config, resolved)
+        # The policy goes down the same entry-point path a direct
+        # caller would take, so runs are bit-identical to the legacy
+        # form.
+        return spec.execute(execute_target, generator, config, policy)
 
     peak: int | None = None
     started = time.perf_counter()
@@ -267,7 +261,7 @@ def run(
 
     network = network if network is not None else run_network
     faults_prov = None
-    schedule = resolved.faults
+    schedule = policy.faults
     if schedule is not None and not schedule.is_empty:
         realized = (
             dict(network._fault_state.realized)
@@ -310,7 +304,7 @@ def run(
         trace=trace,
         wall_time_s=wall,
         peak_mem_bytes=peak,
-        policy=resolved,
+        policy=policy,
         provenance={
             "seed": seed_used,
             "graph": _graph_facts(graph, network),

@@ -146,8 +146,8 @@ def bgi_broadcast(
         of raising — the mode fault-tolerant callers need, since a
         crashed node makes all-informed completion unreachable.
     policy:
-        Execution policy. ``engine="windowed"`` (the ``"auto"``
-        default) executes one sparse product per sweep;
+        Execution policy. ``engine="windowed"`` (the default)
+        executes one sparse product per sweep;
         ``"reference"`` steps through :func:`bgi_broadcast_reference`.
         Seeded results are bit-identical.
 
@@ -158,7 +158,7 @@ def bgi_broadcast(
     """
     policy = policy or ExecutionPolicy()
     policy.bind(network)
-    if policy.engine_for() == "reference":
+    if policy.engine == "reference":
         return bgi_broadcast_reference(
             network, source, rng, sources=sources, max_sweeps=max_sweeps,
             best_effort=best_effort,

@@ -55,8 +55,8 @@ def binary_search_election(
         ID length; defaults to ``3 ceil(log2 n)`` (unique whp).
     policy:
         Execution policy for the per-phase BGI floods —
-        ``engine="windowed"`` (the ``"auto"`` default, one sparse
-        product per sweep) or ``"reference"`` (step-wise); seeded
+        ``engine="windowed"`` (the default, one sparse product per
+        sweep) or ``"reference"`` (step-wise); seeded
         results are bit-identical.
 
     Notes

@@ -4,16 +4,16 @@ Every protocol subcommand is **generated from the registry**
 (:mod:`repro.api`): one shared graph flag group, one shared execution
 policy flag group, plus each protocol's own flags from its
 :class:`~repro.api.registry.CLISpec`. No subcommand parses policy
-knobs by hand anymore — ``--engine``, ``--chunk-steps``,
-``--mem-budget``, and ``--validate`` are the same four flags
-everywhere, refused the same way everywhere (unknown values are named
-alongside the accepted ones).
+knobs by hand anymore — ``--engine``, ``--mem-budget``, and
+``--validate`` are the same three flags everywhere, refused the same
+way everywhere (unknown values are named alongside the accepted
+ones).
 
 .. code-block:: bash
 
     python -m repro mis --graph udg --n 150 --seed 7
     python -m repro mis --n 150 --engine reference   # step-wise twin
-    python -m repro mis --n 100000 --mem-budget 256M # stream big runs
+    python -m repro mis --n 100000 --mem-budget 64M  # tighter streaming
     python -m repro broadcast --graph grid --rows 3 --cols 40
     python -m repro broadcast --graph udg --n 80 --packet
     python -m repro leader --graph gnp --n 100 --p 0.08
@@ -37,8 +37,9 @@ printed report is a view of the same :class:`~repro.api.report
 and the protocol's own fields. All engine/streaming flags are
 performance or memory knobs only: seeded results are
 bit-identical whatever the policy (``--validate`` re-checks exactly
-that at runtime, slowly). ``--mem-budget 256M`` is what makes
-``n >= 10^5`` runs practical on a laptop.
+that at runtime, slowly). Windows stream in chunks sized to the
+memory budget (256M unless ``--mem-budget`` says otherwise), which is
+what makes ``n >= 10^5`` runs practical on a laptop.
 
 The fault-injection group (``--crash-rate``, ``--churn``, ``--jam``,
 ``--hetero``, plus ``--fault-seed``/``--fault-horizon``) samples a
@@ -62,10 +63,7 @@ import networkx as nx
 import numpy as np
 
 from . import api, graphs
-from .engine.policy import (
-    parse_mem_budget,
-    validate_chunk_steps,
-)
+from .engine.policy import parse_mem_budget
 from .radio.errors import ProtocolError
 
 
@@ -150,19 +148,8 @@ def _parse_mem_budget_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_chunk_steps_arg(text: str) -> int:
-    """Argparse type for ``--chunk-steps``."""
-    try:
-        return validate_chunk_steps(int(text))
-    except (ProtocolError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"chunk steps must be a positive integer, got {text!r} "
-            f"({exc})"
-        ) from None
-
-
 #: Policy knobs earlier versions accepted, kept as hidden flags.
-_REMOVED_POLICY_FLAGS = ("restrict", "delivery")
+_REMOVED_POLICY_FLAGS = ("restrict", "delivery", "chunk_steps")
 
 
 def _add_policy_options(parser: argparse.ArgumentParser) -> None:
@@ -175,10 +162,10 @@ def _add_policy_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("execution policy")
     group.add_argument(
         "--engine",
-        default="auto",
+        default="windowed",
         choices=api.ENGINE_MODES,
         help=(
-            "execution engine (auto = windowed; the step-wise "
+            "execution engine (default windowed; the step-wise "
             "reference is bit-identical on a seed)"
         ),
     )
@@ -186,27 +173,20 @@ def _add_policy_options(parser: argparse.ArgumentParser) -> None:
     # reaches the policy's uniform refusal instead of argparse's.
     for removed in _REMOVED_POLICY_FLAGS:
         group.add_argument(
-            f"--{removed}", default=None, help=argparse.SUPPRESS
+            f"--{removed.replace('_', '-')}",
+            default=None,
+            help=argparse.SUPPRESS,
         )
-    group.add_argument(
-        "--chunk-steps",
-        type=_parse_chunk_steps_arg,
-        default=None,
-        metavar="K",
-        help=(
-            "streamed-window slab height in radio steps (memory knob "
-            "only; bit-identical at any setting)"
-        ),
-    )
     group.add_argument(
         "--mem-budget",
         type=_parse_mem_budget_arg,
-        default=None,
+        default=api.ExecutionPolicy().mem_budget,
         metavar="BYTES",
         help=(
-            "target peak memory for window execution, with optional "
-            "K/M/G suffix (e.g. 64M); picks --chunk-steps from a "
-            "bytes-per-step cost model"
+            "target peak memory of one streamed chunk, with optional "
+            "K/M/G suffix (default 256M); picks the chunk height from "
+            "a bytes-per-cell cost model (memory knob only; "
+            "bit-identical at any setting)"
         ),
     )
     group.add_argument(
@@ -324,7 +304,6 @@ def _policy_from_args(args: argparse.Namespace) -> api.ExecutionPolicy:
     }
     return api.ExecutionPolicy(
         engine=args.engine,
-        chunk_steps=args.chunk_steps,
         mem_budget=args.mem_budget,
         validate=args.validate,
         **removed,

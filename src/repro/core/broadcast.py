@@ -23,6 +23,7 @@ import dataclasses
 import networkx as nx
 import numpy as np
 
+from ..engine.policy import ExecutionPolicy
 from ..radio.network import RadioNetwork
 from ..radio.trace import CostLedger, StepTrace
 from .compete import CompeteConfig, CompeteResult, compete
@@ -96,16 +97,19 @@ def broadcast_packet_level(
     rng: np.random.Generator,
     config: PacketCompeteConfig | None = None,
     trace: StepTrace | None = None,
+    *,
+    policy: ExecutionPolicy | None = None,
 ) -> PacketCompeteResult:
     """Packet-level broadcast: every radio step simulated, engine-backed.
 
     Builds a :class:`~repro.radio.network.RadioNetwork` over ``graph``
     and runs the full packet pipeline
     (:func:`~repro.core.compete_packet.broadcast_packet`). The default
-    :class:`~repro.core.compete_packet.PacketCompeteConfig` uses the
-    windowed engine; pass ``PacketCompeteConfig(policy=ExecutionPolicy(
-    engine="reference"))`` for the step-wise path (bit-identical seeded
-    results, much slower).
+    policy uses the windowed engine; pass
+    ``policy=ExecutionPolicy(engine="reference")`` for the step-wise
+    path (bit-identical seeded results, much slower).
     """
     network = RadioNetwork(graph, trace=trace)
-    return broadcast_packet(network, source, rng, config=config)
+    return broadcast_packet(
+        network, source, rng, config=config, policy=policy
+    )

@@ -51,14 +51,9 @@ class PacketCompeteConfig:
     paper's ``D^0.2``, capped for tractability — resampling on
     exhaustion preserves the randomization; DESIGN.md substitution 2).
     ``mis_config`` defaults to the oracle-degree speed knob since MIS
-    step costs are already measured separately in E1.
-
-    ``policy`` is the :class:`~repro.engine.policy.ExecutionPolicy`
-    the MIS, ICP and sweep stages run under (``None`` = the default
-    policy): its engine picks the windowed engine or their step-wise
-    reference twins, and its fault schedule is installed on the
-    network before any stage runs. Seeded runs are bit-identical
-    across engines.
+    step costs are already measured separately in E1. The execution
+    policy is not a config knob: it travels as ``policy=``, like every
+    other entry point's.
     """
 
     clusterings_per_j: int = 2
@@ -68,7 +63,6 @@ class PacketCompeteConfig:
     )
     max_phases: int | None = None
     final_sweep_iterations: int = 4
-    policy: ExecutionPolicy | None = None
 
 
 @dataclasses.dataclass
@@ -94,6 +88,8 @@ def compete_packet(
     config: PacketCompeteConfig | None = None,
     alpha: int | None = None,
     context: GraphContext | None = None,
+    *,
+    policy: ExecutionPolicy | None = None,
 ) -> PacketCompeteResult:
     """Run the fully simulated Compete on ``network``.
 
@@ -115,9 +111,16 @@ def compete_packet(
         Optional pre-built :class:`~repro.graphs.context.GraphContext`;
         repeated trials share the cached connectivity and diameter.
         Defaults to the memoized per-graph context.
+    policy:
+        The :class:`~repro.engine.policy.ExecutionPolicy` the MIS, ICP
+        and sweep stages run under (``None`` = the default policy):
+        its engine picks the windowed engine or their step-wise
+        reference twins, and its fault schedule is installed on the
+        network before any stage runs. Seeded runs are bit-identical
+        across engines.
     """
     config = config or PacketCompeteConfig()
-    policy = config.policy or ExecutionPolicy()
+    policy = policy or ExecutionPolicy()
     policy.bind(network)
     context = (
         context if context is not None else graph_context(network.graph)
@@ -220,8 +223,12 @@ def broadcast_packet(
     source: int,
     rng: np.random.Generator,
     config: PacketCompeteConfig | None = None,
+    *,
+    policy: ExecutionPolicy | None = None,
 ) -> PacketCompeteResult:
     """Packet-level broadcast: ``compete_packet`` with one source."""
     if not 0 <= source < network.n:
         raise ValueError(f"source {source} out of range")
-    return compete_packet(network, {source: 1}, rng, config=config)
+    return compete_packet(
+        network, {source: 1}, rng, config=config, policy=policy
+    )

@@ -282,7 +282,7 @@ def run_decay(
         raise ProtocolError(f"iterations must be >= 0, got {iterations}")
     policy = policy or ExecutionPolicy()
     policy.bind(network)
-    if policy.engine_for() == "reference":
+    if policy.engine == "reference":
         return run_decay_reference(
             network, active, rng,
             messages=messages, iterations=iterations,

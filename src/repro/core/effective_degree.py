@@ -247,8 +247,8 @@ def estimate_effective_degree(
 ) -> EffectiveDegreeResult:
     """Run one full EstimateEffectiveDegree block under ``policy``.
 
-    The policy's ``chunk_steps``/``mem_budget`` bound the streamed
-    chunk height (memory knobs only — bit-identical at any setting);
+    The policy's ``mem_budget`` bounds the streamed chunk height (a
+    memory knob only — bit-identical at any setting);
     this block is the canonical out-of-core workload, since its
     ``O(log^2 n)`` steps are what stalled ``n >= 10^5`` runs when
     materialized whole. ``engine="reference"`` dispatches to
@@ -256,7 +256,7 @@ def estimate_effective_degree(
     """
     policy = policy or ExecutionPolicy()
     policy.bind(network)
-    if policy.engine_for() == "reference":
+    if policy.engine == "reference":
         return estimate_effective_degree_reference(
             network, p, active, rng, C=C, n_estimate=n_estimate
         )

@@ -322,18 +322,17 @@ def intra_cluster_propagation(
     :class:`DecayBackground` when there is a background — runs under
     one of two drivers, bit-identically on a shared seed:
 
-    * the engine (``"auto"``/``"windowed"``):
+    * the engine (``"windowed"``, the default):
       :func:`~repro.engine.runner.protocol_schedule` lifts each step
       into a width-1 window delivered by the transmitter-pair product;
     * ``engine="reference"``: the step-wise executable specification,
       :func:`~repro.radio.protocol.run_steps`.
 
-    The policy's ``chunk_steps``/``mem_budget`` are memory knobs only,
-    bit-identical at any setting, and ignored by the reference driver.
+    The policy's ``mem_budget`` is a memory knob only, bit-identical at
+    any setting, and ignored by the reference driver.
     """
     policy = policy or ExecutionPolicy()
     policy.bind(network)
-    engine = policy.engine_for()
     knowledge = np.asarray(knowledge, dtype=np.int64).copy()
     main = ICPProtocol(network, schedule, knowledge, ell)
     stack: Protocol = main
@@ -347,7 +346,7 @@ def intra_cluster_propagation(
         steps = 2 * steps - 1
     steps_before = network.steps_elapsed
     network.trace.enter_phase("icp")
-    if engine == "reference":
+    if policy.engine == "reference":
         run_steps(stack, rng, steps)
     else:
         policy.run_schedule(network, protocol_schedule(stack, rng, steps))

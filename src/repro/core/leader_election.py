@@ -23,6 +23,7 @@ import math
 import networkx as nx
 import numpy as np
 
+from ..engine.policy import ExecutionPolicy
 from ..radio.network import RadioNetwork
 from ..radio.trace import CostLedger
 from .compete import CompeteConfig, CompeteResult, compete
@@ -150,15 +151,20 @@ def elect_leader_packet(
     config: PacketCompeteConfig | None = None,
     alpha: int | None = None,
     c_cand: float = 1.0,
+    *,
+    policy: ExecutionPolicy | None = None,
 ) -> PacketLeaderResult:
     """Algorithm 3, every radio step simulated on the windowed engine.
 
     Candidates are drawn exactly as in :func:`elect_leader` (same rng
     order), then their IDs race through the packet-level Compete
-    pipeline. Pass ``PacketCompeteConfig(policy=ExecutionPolicy(
-    engine="reference"))`` for the step-wise path; seeded results are
-    bit-identical across engines.
+    pipeline. Pass ``policy=ExecutionPolicy(engine="reference")`` for
+    the step-wise path; seeded results are bit-identical across
+    engines. The policy's fault schedule is installed before the
+    candidates are drawn.
     """
+    policy = policy or ExecutionPolicy()
+    policy.bind(network)
     n = network.n
     candidates = _draw_candidates(n, rng, c_cand)
     if not candidates:
@@ -171,7 +177,7 @@ def elect_leader_packet(
             compete=None,
         )
     result = compete_packet(
-        network, candidates, rng, config=config, alpha=alpha
+        network, candidates, rng, config=config, alpha=alpha, policy=policy
     )
     top_id = max(candidates.values())
     holders = [v for v, cid in candidates.items() if cid == top_id]

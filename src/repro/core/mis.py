@@ -312,13 +312,12 @@ def compute_mis(
         the exact ``n``.
     policy:
         The :class:`~repro.engine.policy.ExecutionPolicy` to run under.
-        ``engine="windowed"`` (the ``"auto"`` default) runs
-        :func:`mis_schedule` on the batched engine, ``"reference"``
-        the retained step-wise loop — bit-identical seeded results;
-        ``chunk_steps``/``mem_budget`` stream the engine path's
-        windows (memory knobs only — the whole round loop streams, so
-        peak memory is bounded by the chunk instead of growing with
-        ``log^2 n * n``).
+        ``engine="windowed"`` (the default) runs :func:`mis_schedule`
+        on the batched engine, ``"reference"`` the retained step-wise
+        loop — bit-identical seeded results; ``mem_budget`` streams
+        the engine path's windows (a memory knob only — the whole
+        round loop streams, so peak memory is bounded by the chunk
+        instead of growing with ``log^2 n * n``).
 
     Returns
     -------
@@ -329,7 +328,7 @@ def compute_mis(
     """
     policy = policy or ExecutionPolicy()
     policy.bind(network)
-    if policy.engine_for() == "reference":
+    if policy.engine == "reference":
         return compute_mis_reference(network, rng, config, n_estimate)
     return policy.run_schedule(
         network, mis_schedule(network, rng, config, n_estimate)

@@ -356,14 +356,14 @@ def compute_restartable_mis(
     """Run restartable Radio MIS on ``network`` under ``policy``.
 
     ``policy.faults`` is installed on the network first;
-    ``engine="windowed"`` (the ``"auto"`` default) runs
+    ``engine="windowed"`` (the default) runs
     :func:`restartable_mis_schedule` on the batched engine,
     ``"reference"`` the step-wise loop — bit-identical seeded results
     under any shared schedule.
     """
     policy = policy or ExecutionPolicy()
     policy.bind(network)
-    if policy.engine_for() == "reference":
+    if policy.engine == "reference":
         return restartable_mis_reference(network, rng, config, n_estimate)
     return policy.run_schedule(
         network, restartable_mis_schedule(network, rng, config, n_estimate)

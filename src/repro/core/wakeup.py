@@ -121,27 +121,29 @@ def expected_steps(
     return float(np.mean([r.steps for r in results]))
 
 
-def _wakeup_mis_schedule(n: int, k: int, rng: np.random.Generator):
+def _wakeup_mis_schedule(
+    n: int, k: int, rng: np.random.Generator, chunk: int
+):
     """Schedule emitter for the MIS-as-wake-up reduction.
 
     Each Decay block of the marking dynamics is oblivious (masks are the
     round's marked set gated by fresh coins), so blocks go out as
-    :class:`~repro.engine.segments.ObliviousWindow` chunks. The success
-    event — the first step with exactly one transmitter — is a property
-    of the masks alone, so the emitter scans each chunk, trims the final
-    window at the success step, and stops: executed radio steps and the
-    returned :class:`WakeupResult` are bit-identical to the step-wise
-    reference. (Only the post-success rng state differs: the batched
-    path has already drawn the remainder of the final chunk's coins.)
+    :class:`~repro.engine.segments.ObliviousWindow` chunks of at most
+    ``chunk`` steps. The success event — the first step with exactly
+    one transmitter — is a property of the masks alone, so the emitter
+    scans each chunk, trims the final window at the success step, and
+    stops. On success it rewinds the generator to the chunk's start and
+    redraws only the rows up to the success step, so executed radio
+    steps, the returned :class:`WakeupResult` and the final rng state
+    are all bit-identical to the step-wise reference.
     """
-    from ..engine.segments import ObliviousWindow, coin_chunk
+    from ..engine.segments import ObliviousWindow
     from .decay import claim10_iterations, decay_span
 
     span = decay_span(n)  # the algorithm believes the network has n nodes
     iterations = claim10_iterations(n)
     block = iterations * span
     probs = 2.0 ** -((np.arange(block) % span) + 1.0)
-    chunk = coin_chunk(k)
 
     p = np.full(k, 0.5)
     steps = 0
@@ -151,11 +153,17 @@ def _wakeup_mis_schedule(n: int, k: int, rng: np.random.Generator):
         done = 0
         while done < block:
             c = min(chunk, block - done)
+            state = rng.bit_generator.state
             coins = rng.random((c, k)) < probs[done : done + c, None]
             masks = marked[None, :] & coins
             singles = np.nonzero(masks.sum(axis=1) == 1)[0]
             if singles.size:
                 t = int(singles[0])
+                # The reference draws no coin past the success step:
+                # rewind and redraw exactly rows 0..t (row-major, so
+                # they are the rows just drawn).
+                rng.bit_generator.state = state
+                rng.random((t + 1, k))
                 yield ObliviousWindow(masks[: t + 1])
                 return WakeupResult(succeeded=True, steps=steps + t + 1, k=k)
             yield ObliviousWindow(masks)
@@ -185,13 +193,9 @@ def mis_as_wakeup_strategy(
     the wake-up success event the lower bound counts.
 
     ``engine="windowed"`` (default) batches the Decay blocks through the
-    windowed engine; ``"reference"`` is the retained step-wise loop.
-    Seeded results are bit-identical. One caveat, unique among the
-    engine pairs: on success the windowed path has already drawn the
-    remainder of its final coin chunk, so the *post-call rng state*
-    differs from the reference's — pass each engine its own seeded
-    generator (rather than one shared across calls) when comparing
-    multi-trial sequences across engines.
+    windowed engine, in coin chunks of the runner's chunk height;
+    ``"reference"`` is the retained step-wise loop. Seeded results and
+    the final rng state are bit-identical.
     """
     from ..engine.policy import ExecutionPolicy
 
@@ -206,15 +210,15 @@ def mis_as_wakeup_strategy(
             "apply; run the reduction fault-free (faults=None or an "
             "empty FaultSchedule)"
         )
-    if policy.engine_for() == "reference":
+    if policy.engine == "reference":
         return mis_as_wakeup_strategy_reference(n, k, rng)
 
     import networkx as nx
 
     from ..radio.network import RadioNetwork
 
-    net = RadioNetwork(nx.complete_graph(k))
-    return policy.run_schedule(net, _wakeup_mis_schedule(n, k, rng))
+    runner = policy.runner(RadioNetwork(nx.complete_graph(k)))
+    return runner.run(_wakeup_mis_schedule(n, k, rng, runner.chunk_steps))
 
 
 def mis_as_wakeup_strategy_reference(

@@ -36,24 +36,18 @@ its step-wise reference hands to :func:`~repro.radio.protocol
 .run_steps`.
 
 *Streamed* windows (:mod:`repro.engine.streaming`) run in bounded
-chunks, with the chunk height derived from a peak-memory budget, at a
-cost that follows the transmissions rather than ``n`` times the steps
-(rows drawn by :mod:`repro.engine.sampler`; DESIGN.md, "Streaming
-windows" and "The rng-stream contract"). Materialized windows wider
-than the bound run on the same chunk loop.
+chunks, with the chunk height derived from the policy's peak-memory
+budget, at a cost that follows the transmissions rather than ``n``
+times the steps (rows drawn by :mod:`repro.engine.sampler`; DESIGN.md,
+"Streaming windows" and "The rng-stream contract"). Materialized
+windows taller than the chunk height run on the same chunk loop.
 """
 
 from .kernels import DeliveryKernels
-from .policy import (
-    ENGINE_MODES,
-    ExecutionPolicy,
-    TRACE_MODES,
-    parse_mem_budget,
-)
-from .runner import WindowedRunner, protocol_schedule, run_schedule
+from .policy import ENGINE_MODES, ExecutionPolicy, parse_mem_budget
+from .runner import WindowedRunner, protocol_schedule
 from .sampler import STREAM_VERSION, RowSampler
 from .segments import (
-    COIN_BUDGET,
     ObliviousWindow,
     PlanSection,
     ProtocolSchedule,
@@ -61,24 +55,17 @@ from .segments import (
     StreamedWindow,
     TracePhase,
     TransmitterPlan,
-    coin_chunk,
 )
-from .streaming import (
-    STREAM_CELL_BYTES,
-    chunk_steps_for_budget,
-    resolve_chunk_steps,
-)
+from .streaming import STREAM_CELL_BYTES, chunk_steps_for_budget
 from .validate import ObliviousnessViolationError, ValidatingRunner
 
 __all__ = [
-    "COIN_BUDGET",
     "DeliveryKernels",
     "ENGINE_MODES",
     "ExecutionPolicy",
     "PlanSection",
     "RowSampler",
     "STREAM_VERSION",
-    "TRACE_MODES",
     "ObliviousnessViolationError",
     "ObliviousWindow",
     "ProtocolSchedule",
@@ -90,9 +77,6 @@ __all__ = [
     "ValidatingRunner",
     "WindowedRunner",
     "chunk_steps_for_budget",
-    "coin_chunk",
     "parse_mem_budget",
     "protocol_schedule",
-    "resolve_chunk_steps",
-    "run_schedule",
 ]

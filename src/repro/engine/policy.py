@@ -1,13 +1,16 @@
 """Execution policy: the one object that carries every engine knob.
 
 :class:`ExecutionPolicy` is a frozen record of *how* to execute a
-protocol — which engine variant, how to stream, whether to interpose
-the contract checker, which trace grade to record, and which fault
+protocol — which engine variant, how much memory a streamed chunk may
+take, whether to interpose the contract checker, and which fault
 schedule to realize — that travels as one value through
 :func:`repro.api.run`, every protocol entry point's ``policy=``, the
 CLI's shared flag group, :func:`~repro.analysis.run_report_trials` and
 campaign specs. It is the only carrier of execution settings: there
-are no process-wide defaults to fold in.
+are no process-wide defaults to fold in, and no resolution step — the
+policy a caller builds is the policy that runs, the one a
+:class:`~repro.api.report.RunReport` echoes, and the one a store key
+digests.
 
 Every knob except ``faults`` is a **performance or diagnostics knob,
 never a semantics knob**: seeded protocol results are bit-identical
@@ -16,11 +19,12 @@ whatever policy executes them (the engine equivalence suites and the
 
 Refusals are uniform by construction: unknown ``engine`` strings,
 unknown fields (including knobs earlier versions accepted, like
-``delivery`` and ``restrict``), and malformed
-``chunk_steps``/``mem_budget`` values raise
-:class:`~repro.radio.errors.ProtocolError` naming the accepted values,
-from one shared set of validators — the API, the CLI (via thin argparse
-wrappers), and the experiment harness all refuse the same way.
+``delivery``, ``restrict``, ``chunk_steps`` and ``trace``), malformed
+``mem_budget`` values, and ``validate`` under the reference engine
+raise :class:`~repro.radio.errors.ProtocolError` naming the accepted
+values, from one shared set of validators — the API, the CLI (via thin
+argparse wrappers), and the experiment harness all refuse the same
+way.
 
 This module lives in the engine layer (below :mod:`repro.core`) so core
 entry points can accept policies without an import cycle; its public
@@ -37,19 +41,11 @@ import numpy as np
 from ..faults.schedule import FaultSchedule, validate_faults
 from ..radio.errors import ProtocolError
 from ..radio.network import RadioNetwork
-from .streaming import resolve_chunk_steps
+from .streaming import chunk_steps_for_budget
 
 #: The engine variants every protocol accepts: ``"windowed"`` (the
-#: engine), ``"reference"`` (the step-wise twin), and ``"auto"``, which
-#: resolves to ``"windowed"``.
-ENGINE_MODES = ("auto", "windowed", "reference")
-
-#: Trace grades: ``"default"`` records per-phase transmission/reception
-#: detail (:class:`~repro.radio.trace.StepTrace`); ``"cheap"`` keeps
-#: only step totals (:class:`~repro.radio.trace.CheapTrace`) for bulk
-#: workloads. A trace grade changes what is *recorded*, never what is
-#: executed.
-TRACE_MODES = ("default", "cheap")
+#: engine, the default) and ``"reference"`` (the step-wise twin).
+ENGINE_MODES = ("windowed", "reference")
 
 #: Suffix multipliers accepted by :func:`parse_mem_budget`.
 _MEM_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
@@ -69,42 +65,18 @@ def validate_engine(engine: str) -> str:
     return engine
 
 
-def validate_chunk_steps(chunk_steps: int | None) -> int | None:
-    """Check a streamed slab height (``None`` = unset).
+def validate_mem_budget(mem_budget: int) -> int:
+    """Check a peak-memory target in bytes.
 
-    Python and numpy integers both pass (slab heights computed with
-    numpy arithmetic are natural in this codebase); booleans and
-    everything else refuse.
+    Python and numpy integers both pass (budgets computed with numpy
+    arithmetic are natural in this codebase); booleans and everything
+    else refuse.
     """
-    if chunk_steps is None:
-        return None
-    if isinstance(chunk_steps, bool) or not isinstance(
-        chunk_steps, (int, np.integer)
-    ):
-        raise ProtocolError(
-            f"chunk_steps must be a positive integer or None, "
-            f"got {chunk_steps!r}"
-        )
-    if chunk_steps < 1:
-        raise ProtocolError(
-            f"chunk_steps must be >= 1, got {chunk_steps}"
-        )
-    return int(chunk_steps)
-
-
-def validate_mem_budget(mem_budget: int | None) -> int | None:
-    """Check a peak-memory target in bytes (``None`` = unset).
-
-    Python and numpy integers both pass; booleans and everything else
-    refuse.
-    """
-    if mem_budget is None:
-        return None
     if isinstance(mem_budget, bool) or not isinstance(
         mem_budget, (int, np.integer)
     ):
         raise ProtocolError(
-            f"mem_budget must be a positive byte count or None, "
+            f"mem_budget must be a positive byte count, "
             f"got {mem_budget!r} (strings like '64M' go through "
             f"parse_mem_budget)"
         )
@@ -113,16 +85,6 @@ def validate_mem_budget(mem_budget: int | None) -> int | None:
             f"mem_budget must be >= 1 byte, got {mem_budget}"
         )
     return int(mem_budget)
-
-
-def validate_trace(trace: str) -> str:
-    """Check a trace grade, naming the accepted values."""
-    if trace not in TRACE_MODES:
-        raise ProtocolError(
-            f"unknown trace mode: {trace!r} "
-            f"(expected one of {TRACE_MODES})"
-        )
-    return trace
 
 
 def parse_mem_budget(text: str) -> int:
@@ -156,25 +118,23 @@ class ExecutionPolicy:
     Attributes
     ----------
     engine:
-        ``"windowed"`` runs the batched engine, ``"reference"`` the
-        retained step-wise twin; ``"auto"`` (default) resolves to
-        ``"windowed"``. Every protocol implements both.
-    chunk_steps, mem_budget:
-        The streaming knobs: slab height directly, or derived from a
-        peak-bytes target through the
-        :data:`~repro.engine.streaming.STREAM_CELL_BYTES` cost model.
-        With neither set, windows run at the engine's default heights.
+        ``"windowed"`` (default) runs the batched engine,
+        ``"reference"`` the retained step-wise twin. Every protocol
+        implements both.
+    mem_budget:
+        Target peak bytes of one streamed chunk, default ``1 << 28``
+        (256 MiB). The runner turns it into the chunk height every
+        window executes at through the
+        :data:`~repro.engine.streaming.STREAM_CELL_BYTES` cost model
+        (:func:`~repro.engine.streaming.chunk_steps_for_budget`): the
+        default is ``max(1, 2**22 // n)`` rows over ``n`` nodes.
     validate:
         Interpose the contract-checking
         :class:`~repro.engine.validate.ValidatingRunner` — every
         delivered window replayed step-wise on a shadow network,
         asserting bit-identical delivery. A diagnostics knob (slow;
-        results are unchanged by construction).
-    trace:
-        Trace grade for networks the executor constructs:
-        ``"default"`` (full :class:`~repro.radio.trace.StepTrace`) or
-        ``"cheap"`` (totals only). Networks the caller built keep the
-        trace they were built with.
+        results are unchanged by construction). Refused with the
+        reference engine, which builds no windows to check.
     faults:
         A :class:`~repro.faults.FaultSchedule` to install on the
         network the run executes over (``None`` = fault-free). The
@@ -189,18 +149,16 @@ class ExecutionPolicy:
     exists is well-formed.
     """
 
-    engine: str = "auto"
-    chunk_steps: int | None = None
-    mem_budget: int | None = None
+    engine: str = "windowed"
+    mem_budget: int = 1 << 28
     validate: bool = False
-    trace: str = "default"
     faults: FaultSchedule | None = None
 
     def __new__(cls, *args: Any, **kwargs: Any) -> "ExecutionPolicy":
         # Unknown keywords (including knobs earlier versions accepted,
-        # like ``restrict`` and ``delivery``) get the uniform refusal
-        # naming the accepted fields, not the dataclass constructor's
-        # TypeError.
+        # like ``restrict``, ``delivery``, ``chunk_steps`` and
+        # ``trace``) get the uniform refusal naming the accepted
+        # fields, not the dataclass constructor's TypeError.
         unknown = {
             k: kwargs[k] for k in sorted(set(kwargs) - set(POLICY_FIELDS))
         }
@@ -213,55 +171,21 @@ class ExecutionPolicy:
 
     def __post_init__(self) -> None:
         validate_engine(self.engine)
-        validate_chunk_steps(self.chunk_steps)
         validate_mem_budget(self.mem_budget)
-        validate_trace(self.trace)
         validate_faults(self.faults)
-
-    def engine_for(self) -> str:
-        """The engine a protocol entry point runs: ``"auto"`` resolved
-        to ``"windowed"``.
-
-        ``validate`` combined with the reference engine refuses: the
-        step-wise reference builds no runner, so the contract checker
-        could not interpose — an inert knob is refused, never silently
-        dropped.
-        """
-        engine = "windowed" if self.engine == "auto" else self.engine
-        if engine == "reference" and self.validate:
+        if not isinstance(self.validate, bool):
+            # ``1`` would run like ``True`` but digest apart from it.
+            raise ProtocolError(
+                f"validate must be True or False, got {self.validate!r}"
+            )
+        if self.engine == "reference" and self.validate:
+            # An inert knob is refused, never silently dropped.
             raise ProtocolError(
                 "validate=True re-executes engine windows through the "
                 "contract checker, but engine='reference' runs the "
                 "step-wise specification with no windows to check; "
                 "drop validate or use the windowed engine"
             )
-        return engine
-
-    def resolve(self, n: int | None = None) -> "ExecutionPolicy":
-        """The effective policy: what a run actually executes under —
-        and what :class:`~repro.api.report.RunReport` echoes back.
-
-        Resolution reads the explicit fields only:
-
-        * ``engine`` ``"auto"`` becomes ``"windowed"``, so policies
-          that differ only in that spelling resolve (and digest)
-          identically;
-        * ``chunk_steps``, when ``n`` is known, is resolved from an
-          explicit ``mem_budget`` through the cost model (an explicit
-          ``chunk_steps`` always wins — the same precedence
-          :func:`~repro.engine.streaming.resolve_chunk_steps` applies
-          everywhere).
-
-        Resolution is idempotent: resolving a resolved policy is a
-        no-op.
-        """
-        engine = "windowed" if self.engine == "auto" else self.engine
-        chunk = self.chunk_steps
-        if chunk is None and n is not None:
-            chunk = resolve_chunk_steps(n, None, self.mem_budget)
-        if engine == self.engine and chunk == self.chunk_steps:
-            return self
-        return dataclasses.replace(self, engine=engine, chunk_steps=chunk)
 
     def bind(self, network: RadioNetwork | None) -> RadioNetwork | None:
         """Install this policy's fault schedule on ``network``.
@@ -275,12 +199,6 @@ class ExecutionPolicy:
             network.install_faults(self.faults)
         return network
 
-    def make_trace(self):
-        """A fresh trace object of this policy's grade."""
-        from ..radio.trace import CheapTrace, StepTrace
-
-        return CheapTrace() if self.trace == "cheap" else StepTrace()
-
     def runner(
         self, network: RadioNetwork, max_steps: int | None = None
     ):
@@ -289,8 +207,8 @@ class ExecutionPolicy:
         A plain :class:`~repro.engine.runner.WindowedRunner`, or the
         contract-checking
         :class:`~repro.engine.validate.ValidatingRunner` when
-        :attr:`validate` is set; either way carrying this policy's
-        streaming knobs.
+        :attr:`validate` is set; either way executing windows at the
+        chunk height :attr:`mem_budget` buys over ``network.n`` nodes.
         """
         from .runner import WindowedRunner
 
@@ -303,9 +221,8 @@ class ExecutionPolicy:
             cls = WindowedRunner
         return cls(
             network,
+            chunk_steps_for_budget(network.n, self.mem_budget),
             max_steps=max_steps,
-            chunk_steps=self.chunk_steps,
-            mem_budget=self.mem_budget,
         )
 
     def run_schedule(
@@ -327,10 +244,7 @@ __all__ = [
     "ENGINE_MODES",
     "ExecutionPolicy",
     "POLICY_FIELDS",
-    "TRACE_MODES",
     "parse_mem_budget",
-    "validate_chunk_steps",
     "validate_engine",
     "validate_mem_budget",
-    "validate_trace",
 ]

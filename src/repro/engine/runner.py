@@ -46,7 +46,6 @@ from .segments import (
     StreamedWindow,
     TracePhase,
 )
-from .streaming import default_stream_chunk, resolve_chunk_steps
 
 
 class WindowedRunner:
@@ -56,6 +55,17 @@ class WindowedRunner:
     ----------
     network:
         The radio network all schedules run on.
+    chunk_steps:
+        The chunk height: at most this many radio steps of a window
+        execute at once, whether the window is a materialized
+        :class:`~repro.engine.segments.ObliviousWindow` or a streamed
+        :class:`~repro.engine.segments.StreamedWindow` plan. A memory
+        knob only, never a semantics knob (chunked execution is
+        bit-identical whatever the height).
+        :meth:`ExecutionPolicy.runner
+        <repro.engine.policy.ExecutionPolicy.runner>` derives it from
+        the policy's ``mem_budget`` through
+        :func:`~repro.engine.streaming.chunk_steps_for_budget`.
     max_steps:
         Optional radio-step budget across all :meth:`run` calls on this
         runner. A segment whose execution would exceed the budget raises
@@ -64,35 +74,24 @@ class WindowedRunner:
         counterpart of :func:`repro.radio.protocol.run_protocol`'s
         budget check. Budget charges are per radio step: a ``w``-row
         window costs ``w`` whether it runs whole or chunked.
-    chunk_steps, mem_budget:
-        The streaming knobs — memory knobs only, never semantics knobs
-        (chunked execution is bit-identical whatever the chunk height).
-        ``chunk_steps`` fixes the chunk height directly; ``mem_budget``
-        derives it from a target peak-bytes cap through
-        :func:`~repro.engine.streaming.chunk_steps_for_budget`. The
-        height resolves once, here (:attr:`chunk_steps`). With neither
-        set, :class:`~repro.engine.segments.StreamedWindow` plans
-        stream at the legacy
-        :func:`~repro.engine.segments.coin_chunk` granularity while
-        materialized :class:`~repro.engine.segments.ObliviousWindow`
-        segments execute unchunked. When a bound *is* configured,
-        materialized windows wider than it are executed chunk-wise too,
-        bounding the product's working set.
     """
 
     def __init__(
         self,
         network: RadioNetwork,
+        chunk_steps: int,
         max_steps: int | None = None,
-        chunk_steps: int | None = None,
-        mem_budget: int | None = None,
     ) -> None:
+        if isinstance(chunk_steps, bool) or not isinstance(
+            chunk_steps, (int, np.integer)
+        ) or chunk_steps < 1:
+            raise ProtocolError(
+                f"chunk_steps must be a positive integer, "
+                f"got {chunk_steps!r}"
+            )
         self.network = network
+        self.chunk_steps = int(chunk_steps)
         self.max_steps = max_steps
-        #: The resolved streaming bound (``None`` = unset).
-        self.chunk_steps = resolve_chunk_steps(
-            network.n, chunk_steps, mem_budget
-        )
         self.steps_executed = 0
 
     def _charge(self, steps: int) -> None:
@@ -111,9 +110,9 @@ class WindowedRunner:
         ``hear_from`` reply.
 
         The window runs through the chunk loop as one span — whole, or
-        chunk-wise when a streaming bound is configured and the window
-        is wider — and each chunk's reception triples land in the one
-        preallocated reply.
+        chunk-wise when it is taller than :attr:`chunk_steps` — and
+        each chunk's reception triples land in the one preallocated
+        reply.
         """
         network = self.network
         masks = network._validate_window_masks(np.asarray(masks))
@@ -129,7 +128,7 @@ class WindowedRunner:
         self._run_chunks(
             0,
             w,
-            self.chunk_steps or w,
+            self.chunk_steps,
             lambda start, stop: np.nonzero(masks[start:stop]),
             fold,
             charge=False,
@@ -172,7 +171,6 @@ class WindowedRunner:
         """
         plan = segment.plan
         sections = self._plan_sections(segment)
-        chunk = default_stream_chunk(self.network.n, self.chunk_steps)
         base = 0
         for section in sections:
             if section.consume_coo is None:
@@ -184,7 +182,7 @@ class WindowedRunner:
             self._run_chunks(
                 base,
                 base + section.width,
-                chunk,
+                self.chunk_steps,
                 plan.transmitters,
                 section.consume_coo,
                 charge=True,
@@ -273,22 +271,6 @@ class WindowedRunner:
                 )
 
 
-def run_schedule(
-    network: RadioNetwork,
-    schedule: ProtocolSchedule,
-    max_steps: int | None = None,
-    chunk_steps: int | None = None,
-    mem_budget: int | None = None,
-) -> Any:
-    """One-shot convenience: ``WindowedRunner(network, ...).run(...)``."""
-    return WindowedRunner(
-        network,
-        max_steps=max_steps,
-        chunk_steps=chunk_steps,
-        mem_budget=mem_budget,
-    ).run(schedule)
-
-
 def protocol_schedule(
     protocol: Any,
     rng: np.random.Generator,
@@ -321,5 +303,4 @@ def protocol_schedule(
 __all__ = [
     "WindowedRunner",
     "protocol_schedule",
-    "run_schedule",
 ]

@@ -42,18 +42,6 @@ from typing import Any, Callable, Generator, Union
 
 import numpy as np
 
-#: Cap on the number of boolean coin-matrix entries an emitter should
-#: materialize per window: windows larger than this are chunked. Chunked
-#: ``rng.random`` draws are stream-identical to one big draw, so the
-#: chunk size is a memory knob, never a semantics knob.
-COIN_BUDGET = 1 << 22
-
-
-def coin_chunk(n: int, budget: int = COIN_BUDGET) -> int:
-    """Window rows to draw per chunk for an ``n``-node coin matrix."""
-    return max(1, budget // max(1, n))
-
-
 @dataclasses.dataclass
 class ObliviousWindow:
     """A block of radio steps with masks fixed before the block starts.
@@ -135,9 +123,9 @@ class StreamedWindow:
 
     The obliviousness promise of :class:`ObliviousWindow` applies
     unchanged: no row may depend on anything heard inside the window.
-    The chunk size is the *runner's* choice (its ``chunk_steps`` /
-    ``mem_budget`` knobs) — a memory knob, never a semantics knob,
-    because plans produce rows lazily in row order.
+    The chunk size is the *runner's* choice (its ``chunk_steps``
+    height, from the policy's ``mem_budget``) — a memory knob, never a
+    semantics knob, because plans produce rows lazily in row order.
     """
 
     plan: TransmitterPlan
@@ -170,7 +158,6 @@ returns the protocol's result via ``StopIteration.value``."""
 
 
 __all__ = [
-    "COIN_BUDGET",
     "ObliviousWindow",
     "PlanSection",
     "ProtocolSchedule",
@@ -178,5 +165,4 @@ __all__ = [
     "StreamedWindow",
     "TracePhase",
     "TransmitterPlan",
-    "coin_chunk",
 ]

@@ -9,12 +9,12 @@ is the policy layer of the fix (the mechanism is the
 :class:`~repro.engine.segments.StreamedWindow` segment over a sampled
 :class:`~repro.engine.segments.TransmitterPlan`): a **cost model**
 turning a target peak-byte budget into the ``chunk_steps`` height the
-runner executes windows at (:func:`chunk_steps_for_budget`). The knobs
-are explicit :class:`~repro.engine.policy.ExecutionPolicy` fields only;
-there is no process-wide default. Streamed plans run at that height; a
-materialized :class:`~repro.engine.segments.ObliviousWindow` wider than
-it runs chunk-wise into its one reply, bounding the product's working
-set.
+runner executes windows at (:func:`chunk_steps_for_budget`). The
+budget is one explicit :class:`~repro.engine.policy.ExecutionPolicy`
+field with one default (256 MiB); there is no process-wide setting.
+Streamed plans run at that height, and a materialized
+:class:`~repro.engine.segments.ObliviousWindow` wider than it runs
+chunk-wise into its one reply, bounding the product's working set.
 
 Bit-identity: chunking never changes results. Window steps are
 independent given their transmitters, the delivery product computes
@@ -29,7 +29,6 @@ sizes including the ``1``, ``w``, and ``w + 1`` boundary cases).
 from __future__ import annotations
 
 from ..radio.errors import ProtocolError
-from .segments import coin_chunk
 
 #: Cost-model bytes per (window step, node) cell of a streamed chunk.
 #: Every chunk runs the one transmitter-pair product, whose output is
@@ -59,40 +58,7 @@ def chunk_steps_for_budget(n: int, mem_budget: int) -> int:
     return max(1, mem_budget // (STREAM_CELL_BYTES * max(1, n)))
 
 
-def resolve_chunk_steps(
-    n: int,
-    chunk_steps: int | None = None,
-    mem_budget: int | None = None,
-) -> int | None:
-    """Resolve the streaming slab height from the two explicit knobs.
-
-    Precedence: an explicit ``chunk_steps`` wins; else an explicit
-    ``mem_budget`` is converted through the cost model; else ``None`` —
-    meaning "no configured bound" (runners then fall back to the legacy
-    :func:`~repro.engine.segments.coin_chunk` granularity for streamed
-    plans and leave materialized windows unchunked).
-    """
-    if chunk_steps is not None:
-        if chunk_steps < 1:
-            raise ProtocolError(
-                f"chunk_steps must be >= 1, got {chunk_steps}"
-            )
-        return chunk_steps
-    if mem_budget is not None:
-        return chunk_steps_for_budget(n, mem_budget)
-    return None
-
-
-def default_stream_chunk(n: int, resolved: int | None) -> int:
-    """Slab height for a streamed plan: the resolved knob, or the legacy
-    coin-budget granularity (what the pre-streaming emitters chunked
-    their coin draws at, keeping default-memory behavior unchanged)."""
-    return resolved if resolved is not None else coin_chunk(n)
-
-
 __all__ = [
     "STREAM_CELL_BYTES",
     "chunk_steps_for_budget",
-    "default_stream_chunk",
-    "resolve_chunk_steps",
 ]

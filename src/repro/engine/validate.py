@@ -26,7 +26,6 @@ import numpy as np
 
 from ..radio.errors import ProtocolError
 from ..radio.network import NO_SENDER, RadioNetwork
-from ..radio.trace import CheapTrace
 from .runner import WindowedRunner
 
 
@@ -42,10 +41,9 @@ class ValidatingRunner(WindowedRunner):
     one shadow network over ``network.graph`` is constructed internally
     (cheap: the CSR adjacency is shared through the per-graph context
     cache) and replays every chunk through sequential
-    :meth:`~repro.radio.network.RadioNetwork.deliver` calls. The shadow
-    carries a :class:`~repro.radio.trace.CheapTrace`; the primary
-    network's trace and step accounting are exactly those of an
-    unvalidated run.
+    :meth:`~repro.radio.network.RadioNetwork.deliver` calls. The
+    primary network's trace and step accounting are exactly those of
+    an unvalidated run.
 
     Attributes
     ----------
@@ -57,17 +55,11 @@ class ValidatingRunner(WindowedRunner):
     def __init__(
         self,
         network: RadioNetwork,
+        chunk_steps: int,
         max_steps: int | None = None,
-        chunk_steps: int | None = None,
-        mem_budget: int | None = None,
     ) -> None:
-        super().__init__(
-            network,
-            max_steps=max_steps,
-            chunk_steps=chunk_steps,
-            mem_budget=mem_budget,
-        )
-        self.shadow = RadioNetwork(network.graph, trace=CheapTrace())
+        super().__init__(network, chunk_steps, max_steps=max_steps)
+        self.shadow = RadioNetwork(network.graph)
         if network._fault_state is not None:
             # Under an active fault schedule the shadow must realize
             # the identical fault pattern: it gets a clone of the

@@ -20,12 +20,11 @@ from .protocol import (
     run_protocol,
     run_steps,
 )
-from .trace import Charge, CheapTrace, CostLedger, PhaseStats, StepTrace
+from .trace import Charge, CostLedger, PhaseStats, StepTrace
 
 __all__ = [
     "BudgetExceededError",
     "Charge",
-    "CheapTrace",
     "CostLedger",
     "GraphContractError",
     "InvalidActionError",

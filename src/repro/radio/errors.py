@@ -27,9 +27,8 @@ class ProtocolError(RadioError, ValueError):
     :meth:`~repro.radio.protocol.Protocol.result` raises, when ``step``
     is called after the protocol already finished — and, uniformly
     across the API/CLI/harness surfaces, when an unknown ``engine=``
-    string, an unknown policy field or a malformed
-    ``chunk_steps``/``mem_budget`` value is refused (the refusal names
-    the accepted values). Also a
+    string, an unknown policy field or a malformed ``mem_budget`` value
+    is refused (the refusal names the accepted values). Also a
     :class:`ValueError`, so callers that predate the unified refusals
     keep catching what they caught.
     """

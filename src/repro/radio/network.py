@@ -33,9 +33,7 @@ one exact sparse product of
 that follows the transmitters' degree sum; packet-level runs of
 hundreds of thousands of steps on graphs with thousands of nodes are
 practical. The windowed runner executes sampled transmitter plans too
-wide to materialize through the same product in bounded chunks. Pass a
-:class:`~repro.radio.trace.CheapTrace` to skip per-step trace
-accounting (cheap-trace mode) in bulk workloads.
+wide to materialize through the same product in bounded chunks.
 
 Protocols do not call these delivery entry points directly anymore:
 they emit :mod:`repro.engine` schedules of windows (an adaptive step
@@ -277,12 +275,10 @@ class RadioNetwork:
             self._fault_step = (transmit, deaf)
 
         self.steps_elapsed += 1
-        if self.trace.wants_detail:
-            self.trace.record_step(
-                transmissions=int(transmit.sum()), receptions=int(heard.sum())
-            )
-        else:
-            self.trace.record_step(transmissions=0, receptions=0)
+        self.trace.record_step(
+            transmissions=int(np.count_nonzero(transmit)),
+            receptions=int(np.count_nonzero(heard)),
+        )
         return hear_from, counts, heard
 
     def deliver(self, transmit: np.ndarray) -> np.ndarray:
@@ -466,16 +462,11 @@ class RadioNetwork:
         """Advance ``steps_elapsed`` and the trace by ``steps`` executed
         steps with these transmission and reception totals."""
         self.steps_elapsed += steps
-        if self.trace.wants_detail:
-            self.trace.record_window(
-                steps=steps,
-                transmissions=transmissions,
-                receptions=receptions,
-            )
-        else:
-            self.trace.record_window(
-                steps=steps, transmissions=0, receptions=0
-            )
+        self.trace.record_window(
+            steps=steps,
+            transmissions=transmissions,
+            receptions=receptions,
+        )
 
     def step(self, actions: Mapping[Hashable, Any]) -> dict[Hashable, Any]:
         """Label-based convenience wrapper around :meth:`deliver`.

@@ -42,10 +42,6 @@ class StepTrace:
     to whichever phase is current when they execute.
     """
 
-    #: Whether the trace consumes per-step transmission/reception counts;
-    #: the network skips computing them when this is False.
-    wants_detail = True
-
     def __init__(self) -> None:
         self.total_steps = 0
         self.total_transmissions = 0
@@ -113,31 +109,6 @@ class StepTrace:
                 f"{stats.transmissions} tx, {stats.receptions} rx"
             )
         return "\n".join(lines)
-
-
-class CheapTrace(StepTrace):
-    """A step trace that only counts steps (the cheap-trace mode).
-
-    Benchmark and bulk-experiment workloads that never read per-phase
-    transmission/reception statistics can hand a ``CheapTrace`` to
-    :class:`~repro.radio.network.RadioNetwork` to skip the per-step
-    accounting entirely; ``total_steps`` (and hence
-    ``RadioNetwork.steps_elapsed``) stays exact, everything else reads
-    as zero. Delivery results are unaffected — this trades observability
-    for speed, never fidelity.
-    """
-
-    wants_detail = False
-
-    def record_step(self, transmissions: int, receptions: int) -> None:
-        """Count the step; drop the transmission/reception detail."""
-        self.total_steps += 1
-
-    def record_window(
-        self, steps: int, transmissions: int, receptions: int
-    ) -> None:
-        """Count the window's steps; drop the detail."""
-        self.total_steps += steps
 
 
 @dataclasses.dataclass(frozen=True)

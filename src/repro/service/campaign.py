@@ -95,7 +95,7 @@ class CampaignSpec:
         The policy/fault grid: one
         :class:`~repro.engine.policy.ExecutionPolicy` per grid column,
         each optionally carrying its own fault schedule. Defaults to
-        the all-auto policy.
+        ``(ExecutionPolicy(),)``.
     """
 
     protocol: str
@@ -281,6 +281,19 @@ def _policy_from_plain(entry: Any) -> ExecutionPolicy:
         raise ProtocolError(f"bad policy field dict: {exc}") from None
 
 
+def _refuse_repeats(axis: str, digests: list[Any]) -> None:
+    """Refuse a grid axis whose entries name one cell twice."""
+    first: dict[Any, int] = {}
+    for i, digest in enumerate(digests):
+        if digest in first:
+            raise ProtocolError(
+                f"campaign {axis} {first[digest]} and {i} name the same "
+                f"cell, so their jobs would repeat a JobKey; repeat "
+                f"trials through n_trials instead"
+            )
+        first[digest] = i
+
+
 @dataclasses.dataclass(frozen=True)
 class CampaignJob:
     """One cell of the expanded grid, with its store key."""
@@ -407,15 +420,15 @@ class Campaign:
     def _expand(self) -> list[CampaignJob]:
         """The canonical job order: graph-major, then policy, then trial.
 
-        Key digests resolve each policy against each graph's size (the
-        resolved-policy digest is per ``(graph, policy)`` — streamed
-        slab heights depend on ``n``); the spec's shared config digests
+        Each policy digests once, and the spec's shared config digests
         once and rides every key, so campaigns differing only in
-        config occupy distinct store cells.
+        config occupy distinct store cells. A grid that names one cell
+        twice — two corpus entries for one graph, or two policies
+        with one digest — is refused: its jobs would repeat a
+        :class:`JobKey`, run once per mention, and count every copy
+        in the summary.
         """
-        jobs = []
-        index = 0
-        cfg_dig = config_digest(self.spec.config)
+        graph_digs = []
         for graph in self._graphs:
             graph_dig = graph.graph.get("digest")
             if not graph_dig:
@@ -423,10 +436,18 @@ class Campaign:
                     "campaign graphs must carry a corpus content "
                     "digest (save them through CorpusStore.add first)"
                 )
-            n = graph.number_of_nodes()
-            for pi, policy in enumerate(self.spec.policies):
-                pol_dig = policy_digest(policy, n)
-                flt_dig = faults_digest(policy)
+            graph_digs.append(graph_dig)
+        policy_digs = [
+            (policy_digest(policy), faults_digest(policy))
+            for policy in self.spec.policies
+        ]
+        _refuse_repeats("corpus entries", graph_digs)
+        _refuse_repeats("policies", policy_digs)
+        jobs = []
+        index = 0
+        cfg_dig = config_digest(self.spec.config)
+        for graph_dig in graph_digs:
+            for pi, (pol_dig, flt_dig) in enumerate(policy_digs):
                 for trial in range(self.spec.n_trials):
                     jobs.append(
                         CampaignJob(

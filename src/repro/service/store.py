@@ -2,7 +2,7 @@
 
 The service's core bet is that a Monte-Carlo campaign is a *pure
 function* of its coordinates: a seeded protocol run is bit-identical
-given ``(protocol, graph, seed, resolved policy, faults, config)`` —
+given ``(protocol, graph, seed, policy, faults, config)`` —
 the equivalence suites pin exactly that. So the store keys every
 :class:`~repro.api.report.RunReport` by the :class:`JobKey` of those
 six coordinates (graph by corpus content digest, seed by the
@@ -77,18 +77,19 @@ def _is_digest(value: object) -> bool:
 
 
 def policy_digest(policy: ExecutionPolicy, n: int | None = None) -> str:
-    """Content digest of the **resolved** execution policy, hex.
+    """Content digest of the execution policy as written, hex.
 
-    Resolution (:meth:`~repro.engine.policy.ExecutionPolicy.resolve`
-    against the graph size) happens first, so the ``"auto"`` engine
-    resolves to ``"windowed"`` and an explicit budget to its chunk
-    height — the digest names what would actually execute, and two
-    spellings of one policy share a key. The fault schedule is
+    A policy has one spelling (there is no alias to resolve), so the
+    digest names exactly what executes. The fault schedule is
     stripped: faults are the key's own coordinate
-    (:func:`faults_digest`), not part of the policy digest.
+    (:func:`faults_digest`), not part of the policy digest. ``n`` no
+    longer changes the digest; it is accepted for callers that still
+    pass the graph size.
     """
-    resolved = dataclasses.replace(policy.resolve(n), faults=None)
-    doc = json.dumps(encode_value(resolved), sort_keys=True)
+    doc = json.dumps(
+        encode_value(dataclasses.replace(policy, faults=None)),
+        sort_keys=True,
+    )
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
@@ -186,8 +187,8 @@ class ReportStore:
 
     Plain files, no index: ``get`` is a stat + read, ``put`` an atomic
     rename, and concurrent writers of the same key race benignly
-    (content-addressed — same key, same resolved coordinates, same
-    report outcome). ``hits``/``misses``/``writes``/``quarantined``
+    (content-addressed — same key, same coordinates, same report
+    outcome). ``hits``/``misses``/``writes``/``quarantined``
     counters feed the campaign engine's dedupe accounting and the
     service's status endpoint; they are bumped under a lock, because
     concurrent campaigns and the HTTP loop share one store.

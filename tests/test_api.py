@@ -7,15 +7,16 @@ Three layers of pinning:
    on a shared seed: results, radio-step counts, trace totals, and the
    *final rng state* (the strongest stream-equality statement — one
    extra coin anywhere diverges it).
-2. **Uniform refusals** — unknown ``engine`` strings, removed knobs
-   (``delivery``, ``restrict``) and malformed ``chunk_steps``/
-   ``mem_budget`` values raise
+2. **Uniform refusals** — unknown ``engine`` strings (``"auto"``
+   among them), removed knobs (``delivery``, ``restrict``,
+   ``chunk_steps``, ``trace``), malformed ``mem_budget`` values and
+   ``validate`` under the reference engine raise
    :class:`~repro.radio.errors.ProtocolError` naming the accepted
    values, identically across the policy constructor, ``run``, the
    CLI, and campaign specs.
 3. **No per-call shims** — entry points take ``policy=`` only, and the
-   packet-Compete config carries a ``policy``, not an engine of its
-   own.
+   packet-Compete config carries neither a policy nor an engine of
+   its own.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from repro.core import (
     partition,
     run_decay,
 )
+from repro.engine import WindowedRunner, chunk_steps_for_budget
 from repro.graphs import greedy_independent_set
 from repro.radio import RadioNetwork
 from repro.radio.errors import ProtocolError
@@ -73,6 +75,13 @@ def _rng_pair(seed: int = 17):
 
 def _state(rng):
     return rng.bit_generator.state
+
+
+def _engine_policy(engine: str) -> ExecutionPolicy:
+    """``"auto"`` is the default policy, its engine left unnamed."""
+    if engine == "auto":
+        return ExecutionPolicy()
+    return ExecutionPolicy(engine=engine)
 
 
 def _trace_totals(network):
@@ -94,10 +103,10 @@ class TestFrontDoorEquivalence:
         rng_a, rng_b = _rng_pair()
         config = MISConfig(eed_C=3, record_golden=False)
         net = RadioNetwork(g)
-        legacy = compute_mis(net, rng_a, config, policy=ExecutionPolicy(engine=engine))
+        policy = _engine_policy(engine)
+        legacy = compute_mis(net, rng_a, config, policy=policy)
         report = api.run(
-            "mis", g, rng=rng_b, config=config,
-            policy=ExecutionPolicy(engine=engine),
+            "mis", g, rng=rng_b, config=config, policy=policy
         )
         assert report.result.mis == legacy.mis
         assert report.result.steps_used == legacy.steps_used
@@ -156,11 +165,11 @@ class TestFrontDoorEquivalence:
         net = RadioNetwork(g)
         legacy = intra_cluster_propagation(
             net, clustering, schedule, knowledge, 3, rng_a,
-            policy=ExecutionPolicy(engine=engine),
+            policy=_engine_policy(engine),
         )
         report = api.run(
             "icp", g, rng=rng_b, config=config,
-            policy=ExecutionPolicy(engine=engine),
+            policy=_engine_policy(engine),
         )
         assert (report.result.knowledge == legacy.knowledge).all()
         assert report.result.steps == legacy.steps
@@ -279,7 +288,7 @@ class TestFrontDoorEquivalence:
         assert streamed.result.mis == plain.result.mis
         assert streamed.steps == plain.steps
         assert _state(rng_a) == _state(rng_b)
-        assert streamed.policy.chunk_steps is not None
+        assert streamed.policy.mem_budget == 1 << 18
 
     def test_validating_policy(self):
         g = _udg(40, 16)
@@ -377,12 +386,23 @@ class TestUniformRefusals:
 
     @pytest.mark.parametrize("value", [0, -3])
     def test_chunk_steps_bounds(self, value):
+        # The chunk height is no policy field (the budget sets it), and
+        # a runner refuses a height below one row.
         with pytest.raises(ProtocolError, match="chunk_steps"):
             ExecutionPolicy(chunk_steps=value)
+        with pytest.raises(ProtocolError, match="chunk_steps"):
+            WindowedRunner(RadioNetwork(_udg(20, 25)), value)
 
     def test_mem_budget_bounds(self):
         with pytest.raises(ProtocolError, match="mem_budget"):
             ExecutionPolicy(mem_budget=0)
+
+    @pytest.mark.parametrize("value", [1, "no", None])
+    def test_validate_must_be_a_bool(self, value):
+        # A policy has one spelling: 1 would run like True yet digest
+        # apart from it, and "no" would run the validator.
+        with pytest.raises(ProtocolError, match="validate"):
+            ExecutionPolicy(validate=value)
 
     @pytest.mark.parametrize("text", ["", "12Q", "fast", "-5M"])
     def test_parse_mem_budget_malformed(self, text):
@@ -411,14 +431,14 @@ class TestUniformRefusals:
             )
 
     def test_numpy_integer_knobs_accepted(self):
-        # Slab heights and budgets computed with numpy arithmetic are
+        # Budgets and heights computed with numpy arithmetic are
         # natural here; the validators must not reject np integers.
-        p = ExecutionPolicy(
-            chunk_steps=np.int64(4), mem_budget=np.int64(1 << 20)
-        )
-        assert p.chunk_steps == 4 and p.mem_budget == 1 << 20
-        with pytest.raises(ProtocolError, match="chunk_steps"):
-            ExecutionPolicy(chunk_steps=np.int64(0))
+        p = ExecutionPolicy(mem_budget=np.int64(1 << 20))
+        assert p.mem_budget == 1 << 20
+        net = RadioNetwork(_udg(20, 25))
+        assert WindowedRunner(net, np.int64(4)).chunk_steps == 4
+        with pytest.raises(ProtocolError, match="mem_budget"):
+            ExecutionPolicy(mem_budget=np.int64(0))
 
     def test_partition_refuses_inert_validate(self):
         g = _udg(20, 28)
@@ -430,7 +450,10 @@ class TestUniformRefusals:
 
     def test_validate_refuses_reference_engine(self):
         # The reference paths build no runner, so the contract checker
-        # could not interpose — an inert validate refuses by name.
+        # could not interpose — an inert validate refuses by name,
+        # where the policy is built, before any protocol runs.
+        with pytest.raises(ProtocolError, match="validate"):
+            ExecutionPolicy(engine="reference", validate=True)
         g = _udg(20, 27)
         with pytest.raises(ProtocolError, match="validate"):
             api.run(
@@ -467,29 +490,65 @@ class TestUniformRefusals:
         assert exc.value.code == 2
         assert "windowed" in capsys.readouterr().err
 
+    def test_reference_validate_refused_on_every_surface(self, capsys):
+        # The policy, the CLI and a plain-JSON campaign spec all refuse
+        # the combination at construction, naming validate.
+        from repro.cli import main
+        from repro.service import CampaignSpec
+
+        with pytest.raises(ProtocolError, match="validate"):
+            ExecutionPolicy(engine="reference", validate=True)
+        assert main(
+            ["mis", "--n", "10", "--engine", "reference", "--validate"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "validate" in err
+        document = {
+            "protocol": "decay",
+            "corpus": ["0" * 64],
+            "n_trials": 1,
+            "policies": [{"engine": "reference", "validate": True}],
+        }
+        with pytest.raises(ProtocolError, match="validate"):
+            CampaignSpec.from_json(json.dumps(document))
+
 
 
 class TestRemovedKnobs:
-    """``restrict`` and ``delivery`` are gone: naming either at any
-    entry point is the uniform refusal naming the accepted fields."""
+    """``restrict``, ``delivery``, ``chunk_steps``, ``trace`` and the
+    ``"auto"`` engine are gone: naming one at any entry point is the
+    uniform refusal naming the accepted fields (or engines)."""
 
     def test_policy_refuses_removed_knobs(self):
         from repro.engine.policy import POLICY_FIELDS
 
-        assert "restrict" not in POLICY_FIELDS
-        assert "delivery" not in POLICY_FIELDS
-        assert len(POLICY_FIELDS) == 6
-        for knob, value in (("restrict", "auto"), ("delivery", "dense")):
+        assert POLICY_FIELDS == (
+            "engine", "mem_budget", "validate", "faults"
+        )
+        assert len(POLICY_FIELDS) == 4
+        assert api.ENGINE_MODES == ("windowed", "reference")
+        for knob, value in (
+            ("restrict", "auto"),
+            ("delivery", "dense"),
+            ("chunk_steps", 16),
+            ("trace", "cheap"),
+        ):
+            assert knob not in POLICY_FIELDS
             with pytest.raises(ProtocolError) as err:
                 ExecutionPolicy(**{knob: value})
             assert knob in str(err.value)
             assert str(POLICY_FIELDS) in str(err.value)
+        with pytest.raises(ProtocolError) as err:
+            ExecutionPolicy(engine="auto")
+        assert "'auto'" in str(err.value)
+        assert str(api.ENGINE_MODES) in str(err.value)
 
     @pytest.mark.parametrize(
         "flags,named,accepted",
         [
-            (["--restrict", "off"], "restrict", "chunk_steps"),
-            (["--delivery", "dense"], "delivery", "chunk_steps"),
+            (["--restrict", "off"], "restrict", "mem_budget"),
+            (["--delivery", "dense"], "delivery", "mem_budget"),
+            (["--chunk-steps", "16"], "chunk_steps", "mem_budget"),
         ],
     )
     def test_cli_refuses_removed_knobs(self, capsys, flags, named, accepted):
@@ -500,11 +559,23 @@ class TestRemovedKnobs:
         assert err.startswith("error: ")
         assert named in err and accepted in err
 
+    def test_cli_refuses_auto_engine(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["mis", "--n", "10", "--engine", "auto"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'auto'" in err and "windowed" in err
+
     @pytest.mark.parametrize(
         "entry,named,accepted",
         [
-            ({"restrict": "force"}, "restrict", "chunk_steps"),
-            ({"delivery": "dense"}, "delivery", "chunk_steps"),
+            ({"restrict": "force"}, "restrict", "mem_budget"),
+            ({"delivery": "dense"}, "delivery", "mem_budget"),
+            ({"chunk_steps": 16}, "chunk_steps", "mem_budget"),
+            ({"trace": "cheap"}, "trace", "mem_budget"),
+            ({"engine": "auto"}, "auto", "windowed"),
         ],
     )
     def test_plain_campaign_spec_refuses_removed_knobs(
@@ -626,12 +697,15 @@ class TestDeprecationShims:
             )
 
     def test_packet_config_policy_and_engine_refused(self):
-        # The engine rides on the config's policy; the config has no
-        # engine field of its own to contradict it.
+        # The policy rides on the entry points' policy= keyword; the
+        # config has neither a policy nor an engine of its own.
         from repro.core import PacketCompeteConfig
 
         with pytest.raises(TypeError, match="engine"):
-            PacketCompeteConfig(engine="reference", policy=ExecutionPolicy())
+            PacketCompeteConfig(engine="reference")
+        with pytest.raises(TypeError, match="policy"):
+            PacketCompeteConfig(policy=ExecutionPolicy())
+        assert len(dataclasses.fields(PacketCompeteConfig)) == 5
 
     def test_round_accounted_refuses_inert_knobs(self):
         g = _udg(30, 36)
@@ -684,7 +758,7 @@ class TestReportTrials:
             config=EEDConfig(C=2),
             policy=ExecutionPolicy(mem_budget=1 << 18),
         )
-        assert all(r.policy.chunk_steps is not None for r in reports)
+        assert all(r.policy.mem_budget == 1 << 18 for r in reports)
 
     def test_pooled_networkx_trials_match_serial(self):
         # A networkx target travels in each payload (no shared memory);
@@ -702,24 +776,31 @@ class TestReportTrials:
 
 
 # ---------------------------------------------------------------------------
-# 7. Policy resolution order.
+# 7. From policy to execution: no resolution step.
 # ---------------------------------------------------------------------------
 class TestPolicyResolution:
-    def test_explicit_chunk_beats_budget(self):
-        p = ExecutionPolicy(chunk_steps=7, mem_budget=1 << 30)
-        assert p.resolve(1000).chunk_steps == 7
-
     def test_budget_derives_chunk(self):
         p = ExecutionPolicy(mem_budget=64 << 20)
-        from repro.engine.streaming import chunk_steps_for_budget
-
-        assert p.resolve(100000).chunk_steps == chunk_steps_for_budget(
-            100000, 64 << 20
+        net = RadioNetwork(_udg(50, 44))
+        assert p.runner(net).chunk_steps == chunk_steps_for_budget(
+            50, 64 << 20
         )
 
-    def test_resolution_is_idempotent(self):
-        p = ExecutionPolicy(mem_budget=1 << 20).resolve(500)
-        assert p.resolve(500) == p
+    def test_report_echoes_the_policy_as_written(self):
+        # The policy a caller builds is the policy that runs and the
+        # one the report echoes: defaults included, nothing rewritten.
+        for policy in (
+            ExecutionPolicy(), ExecutionPolicy(mem_budget=1 << 20)
+        ):
+            report = api.run(
+                "decay", _udg(30, 45), seed=1,
+                config=DecayConfig(iterations=2), policy=policy,
+            )
+            assert report.policy == policy
+        assert api.run("decay", _udg(30, 45), seed=1).policy == (
+            ExecutionPolicy()
+        )
+        assert ExecutionPolicy().mem_budget == 1 << 28
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -75,10 +75,8 @@ class TestOutputSizeRouting:
         graph = dense_net.graph
         want = _step_replay(graph, masks)
         assert (RadioNetwork(graph).deliver_window(masks) == want).all()
-        for chunk_steps in (None, 5):
-            runner = WindowedRunner(
-                RadioNetwork(graph), chunk_steps=chunk_steps
-            )
+        for chunk_steps in (24, 5):
+            runner = WindowedRunner(RadioNetwork(graph), chunk_steps)
 
             def window():
                 return (yield ObliviousWindow(masks))
@@ -97,7 +95,7 @@ class TestOutputSizeRouting:
                 consume_coo=fold,
             )
 
-        WindowedRunner(RadioNetwork(graph), chunk_steps=7).run(streamed())
+        WindowedRunner(RadioNetwork(graph), 7).run(streamed())
         assert (streamed_hear == want).all()
 
     def test_empty_and_allzero_windows_still_work(self, dense_net):
@@ -172,7 +170,7 @@ class TestMemBudgetRegression:
         def schedule():
             yield StreamedWindow(plan, consume_coo=consume)
 
-        runner = WindowedRunner(net, mem_budget=budget)
+        runner = ExecutionPolicy(mem_budget=budget).runner(net)
         _, peak = measure_peak(lambda: runner.run(schedule()))
         assert peak <= 3 * budget, (
             f"streamed mask peak {peak} bytes blew the {budget}-byte "

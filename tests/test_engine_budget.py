@@ -4,8 +4,8 @@
 time-multiplexed stack and dense and sparse windows exactly as the
 step-wise drivers count steps — one charge per radio step, raised
 *before* the segment that would overshoot executes — plus the
-documented edge cases: ``coin_chunk`` at ``n = 0`` and the empty
-(``w = 0``) window.
+documented edge cases: the budget's chunk height at ``n = 0`` and the
+empty (``w = 0``) window.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from repro.core.intra_cluster import (
     intra_cluster_propagation,
 )
 from repro.engine import (
-    COIN_BUDGET,
+    STREAM_CELL_BYTES,
     ExecutionPolicy,
     ObliviousWindow,
     WindowedRunner,
-    coin_chunk,
+    chunk_steps_for_budget,
     protocol_schedule,
-    run_schedule,
 )
 from repro.graphs import greedy_independent_set
 from repro.radio import BudgetExceededError, RadioNetwork, TimeMultiplexer
@@ -65,7 +64,7 @@ class TestMultiplexedBudget:
             policy=ExecutionPolicy(engine="reference"),
         )
         net = RadioNetwork(g)
-        runner = WindowedRunner(net)
+        runner = ExecutionPolicy().runner(net)
         total, lifted = _lifted_icp(
             net, clustering, schedule, know.copy(), np.random.default_rng(5)
         )
@@ -79,7 +78,7 @@ class TestMultiplexedBudget:
         total, lifted = _lifted_icp(
             net, clustering, schedule, know, np.random.default_rng(5)
         )
-        runner = WindowedRunner(net, max_steps=2 * total - 1)
+        runner = ExecutionPolicy().runner(net, max_steps=2 * total - 1)
         runner.run(lifted)
         assert runner.steps_executed == 2 * total - 1
 
@@ -93,7 +92,7 @@ class TestMultiplexedBudget:
             net, clustering, schedule, know, np.random.default_rng(5)
         )
         budget = 2 * total - 2
-        runner = WindowedRunner(net, max_steps=budget)
+        runner = ExecutionPolicy().runner(net, max_steps=budget)
         with pytest.raises(BudgetExceededError):
             runner.run(lifted)
         assert runner.steps_executed <= budget
@@ -115,7 +114,7 @@ class TestDeliveryPathBudget:
     def test_dense_and_sparse_charge_identically(self, delivery):
         # ``delivery`` names the window's density regime.
         net = RadioNetwork(graphs.path(30))
-        runner = WindowedRunner(net, max_steps=12)
+        runner = ExecutionPolicy().runner(net, max_steps=12)
         masks = _regime_masks(delivery, 12, 30)
 
         def emit():
@@ -130,7 +129,7 @@ class TestDeliveryPathBudget:
     @pytest.mark.parametrize("delivery", ["sparse", "dense"])
     def test_overshoot_raises_regardless_of_path(self, delivery):
         net = RadioNetwork(graphs.path(30))
-        runner = WindowedRunner(net, max_steps=7)
+        runner = ExecutionPolicy().runner(net, max_steps=7)
         masks = _regime_masks(delivery, 8, 30)
 
         def emit():
@@ -145,24 +144,26 @@ class TestDeliveryPathBudget:
         # loudly, never silently ignored.
         net = RadioNetwork(graphs.path(5))
         with pytest.raises(TypeError, match="delivery"):
-            WindowedRunner(net, delivery="gpu")
+            WindowedRunner(net, 4, delivery="gpu")
         with pytest.raises(TypeError, match="delivery"):
-            run_schedule(net, iter(()), delivery="bogus")
+            ExecutionPolicy().run_schedule(net, iter(()), delivery="bogus")
 
 
 class TestEdgeCases:
     def test_coin_chunk_n_zero(self):
-        # n = 0 must not divide by zero; the chunk degenerates to the
-        # whole budget (there are no per-node coins to bound).
-        assert coin_chunk(0) == COIN_BUDGET
-        assert coin_chunk(0, budget=17) == 17
-        assert coin_chunk(1) == COIN_BUDGET
+        # The chunk height (which also sizes coin draws) at n = 0 must
+        # not divide by zero; it degenerates to the whole budget's
+        # cells (there are no per-node coins to bound).
+        default = ExecutionPolicy().mem_budget
+        assert chunk_steps_for_budget(0, default) == 2**22
+        assert chunk_steps_for_budget(0, 17 * STREAM_CELL_BYTES) == 17
+        assert chunk_steps_for_budget(1, default) == 2**22
         # And stays >= 1 even for absurd sizes.
-        assert coin_chunk(10 * COIN_BUDGET) == 1
+        assert chunk_steps_for_budget(10 * 2**22, default) == 1
 
     def test_empty_window_charges_nothing(self):
         net = RadioNetwork(graphs.path(6))
-        runner = WindowedRunner(net, max_steps=0)
+        runner = ExecutionPolicy().runner(net, max_steps=0)
 
         collected = {}
 
@@ -185,9 +186,9 @@ class TestEdgeCases:
         out = net.deliver_window(np.zeros((0, 6), dtype=bool))
         assert out.shape == (0, 6)
         assert net.steps_elapsed == 0
-        for chunk_steps in (None, 1):
+        for chunk_steps in (64, 1):
             net = RadioNetwork(graphs.path(6))
-            runner = WindowedRunner(net, chunk_steps=chunk_steps)
+            runner = WindowedRunner(net, chunk_steps)
 
             def emit():
                 return (yield ObliviousWindow(np.zeros((0, 6), dtype=bool)))

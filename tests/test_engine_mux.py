@@ -34,7 +34,6 @@ from repro.engine import (
     ExecutionPolicy,
     ObliviousWindow,
     protocol_schedule,
-    run_schedule,
 )
 from repro.graphs import greedy_independent_set
 from repro.radio import (
@@ -246,7 +245,7 @@ class TestMuxPatterns:
 
         main_a = _RotorProtocol(net_a, 40)
         bg_a = _BeepProtocol(net_a, 7)
-        result = run_schedule(
+        result = ExecutionPolicy().run_schedule(
             net_a,
             protocol_schedule(
                 TimeMultiplexer(net_a, main_a, bg_a), rng_a, steps=80
@@ -270,7 +269,7 @@ class TestMuxPatterns:
         net = RadioNetwork(g)
         main = _RotorProtocol(net, 5)
         bg = _BeepProtocol(net, 1000)
-        run_schedule(
+        ExecutionPolicy().run_schedule(
             net,
             protocol_schedule(
                 TimeMultiplexer(net, main, bg),
@@ -294,7 +293,7 @@ class TestMuxPatterns:
         main_a = ICPProtocol(net_a, schedule, know_a, 3)
         assert sum(len(p.slots) for p in main_a._passes) > cap // 2 + 1
         bg_a = DecayBackground(net_a, clustering, know_a)
-        run_schedule(
+        ExecutionPolicy().run_schedule(
             net_a,
             protocol_schedule(
                 TimeMultiplexer(net_a, main_a, bg_a), rng_a, steps=cap
@@ -326,7 +325,8 @@ class TestRunnerEdgeCases:
         from repro.engine import ValidatingRunner
 
         net = RadioNetwork(graphs.path(4))
-        runner = ValidatingRunner(net)
+        runner = ExecutionPolicy(validate=True).runner(net)
+        assert isinstance(runner, ValidatingRunner)
 
         def emit():
             yield ObliviousWindow(np.zeros((0, 4), dtype=bool))

@@ -2,7 +2,7 @@
 
 Four pinned properties:
 
-* **Bit-identity** — streamed execution (any ``chunk_steps``, any
+* **Bit-identity** — streamed execution (any chunk height, any
   ``mem_budget``) reproduces the monolithic window path and the
   step-wise references exactly: results, ``steps_elapsed``, trace
   totals, and the final rng state, across the chunk-boundary edge
@@ -11,9 +11,9 @@ Four pinned properties:
   at ``n = 20000`` stay under their configured byte budget
   (tracemalloc), while the monolithic ``(w, n)`` footprint alone would
   exceed it severalfold.
-* **Knob resolution** — explicit ``chunk_steps`` beats ``mem_budget``
-  beats the process-wide default; the experiment harness imposes and
-  restores the default around trials.
+* **One knob** — the chunk height is the policy's ``mem_budget``
+  through the cost model, and the default budget's height equals the
+  pre-budget coin granularity ``max(1, 2**22 // n)`` at every ``n``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.engine import (
     TransmitterPlan,
     WindowedRunner,
     chunk_steps_for_budget,
-    resolve_chunk_steps,
 )
 from repro.engine.streaming import STREAM_CELL_BYTES
 from repro.radio import (
@@ -58,6 +57,12 @@ def _assert_trace_equal(a: RadioNetwork, b: RadioNetwork) -> None:
 
 def _graph(n: int = 60, seed: int = 0):
     return graphs.random_udg(n, 3.0, np.random.default_rng(seed))
+
+
+def _rows(k: int, n: int) -> ExecutionPolicy:
+    """A policy whose budget buys exactly ``k``-row chunks over ``n``
+    nodes."""
+    return ExecutionPolicy(mem_budget=k * n * STREAM_CELL_BYTES)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +97,7 @@ def _stream_slabs(net: RadioNetwork, plan, chunk_steps: int) -> list:
     def schedule():
         yield StreamedWindow(plan, consume_coo=_slab_fold(net.n, slabs))
 
-    WindowedRunner(net, chunk_steps=chunk_steps).run(schedule())
+    WindowedRunner(net, chunk_steps).run(schedule())
     return slabs
 
 
@@ -165,7 +170,7 @@ class TestDeliverWindowChunks:
                 yield ObliviousWindow(bad)
 
             with pytest.raises(InvalidActionError, match=match):
-                WindowedRunner(net, chunk_steps=2).run(window())
+                WindowedRunner(net, 2).run(window())
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +203,7 @@ class TestStreamedEmitterEquivalence:
             rng = np.random.default_rng(9)
             res = run_decay(
                 net, active, rng, iterations=5,
-                policy=ExecutionPolicy(chunk_steps=chunk),
+                policy=_rows(chunk, 70),
             )
             assert (res.heard == ref.heard).all()
             assert (res.heard_from == ref.heard_from).all()
@@ -220,7 +225,7 @@ class TestStreamedEmitterEquivalence:
             rng = np.random.default_rng(11)
             res = estimate_effective_degree(
                 net, p, active, rng, C=3,
-                policy=ExecutionPolicy(chunk_steps=chunk),
+                policy=_rows(chunk, 60),
             )
             assert (res.counts == ref.counts).all()
             assert (res.high == ref.high).all()
@@ -248,12 +253,10 @@ class TestStreamedEmitterEquivalence:
         ref_net = RadioNetwork(g)
         ref_rng = np.random.default_rng(21)
         ref = compute_mis_reference(ref_net, ref_rng, config)
-        for chunk in (1, 13, None):
+        for policy in (_rows(1, 50), _rows(13, 50), ExecutionPolicy()):
             net = RadioNetwork(g)
             rng = np.random.default_rng(21)
-            res = compute_mis(
-                net, rng, config, policy=ExecutionPolicy(chunk_steps=chunk)
-            )
+            res = compute_mis(net, rng, config, policy=policy)
             assert res.mis == ref.mis
             assert res.steps_used == ref.steps_used
             assert res.rounds_used == ref.rounds_used
@@ -269,7 +272,7 @@ class TestStreamedEmitterEquivalence:
         rng = np.random.default_rng(3)
         res = run_decay(
             net, active, rng, iterations=0,
-            policy=ExecutionPolicy(chunk_steps=1),
+            policy=_rows(1, 40),
         )
         assert not res.heard.any()
         assert net.steps_elapsed == 0
@@ -291,14 +294,14 @@ class TestStreamedEmitterEquivalence:
             )
             return "ok"
 
-        runner = WindowedRunner(net, max_steps=0, chunk_steps=1)
+        runner = WindowedRunner(net, 1, max_steps=0)
         assert runner.run(emit()) == "ok"
         assert folded == []
         assert runner.steps_executed == 0
         assert net.steps_elapsed == 0
 
     def test_wide_materialized_window_streams_slabwise(self):
-        # A plain ObliviousWindow wider than the configured bound is
+        # A plain ObliviousWindow taller than the chunk height is
         # executed in slabs into one reply — identical bits and trace.
         g = _graph()
         masks = np.random.default_rng(14).random((40, 60)) < 0.25
@@ -308,8 +311,8 @@ class TestStreamedEmitterEquivalence:
 
         mono_net, stream_net = RadioNetwork(g), RadioNetwork(g)
         a, b = {}, {}
-        WindowedRunner(mono_net).run(emit(a))
-        WindowedRunner(stream_net, chunk_steps=7).run(emit(b))
+        WindowedRunner(mono_net, 40).run(emit(a))
+        WindowedRunner(stream_net, 7).run(emit(b))
         assert (a["reply"] == b["reply"]).all()
         _assert_trace_equal(mono_net, stream_net)
 
@@ -329,7 +332,7 @@ class TestStreamedBudget:
             )
 
         net = RadioNetwork(g)
-        runner = WindowedRunner(net, max_steps=10, chunk_steps=4)
+        runner = WindowedRunner(net, 4, max_steps=10)
         with pytest.raises(BudgetExceededError):
             runner.run(emit())
         # Two full chunks executed and folded; the third (rows 8..11)
@@ -342,7 +345,7 @@ class TestStreamedBudget:
         g = _graph()
         masks = np.random.default_rng(16).random((12, 60)) < 0.2
         net = RadioNetwork(g)
-        runner = WindowedRunner(net, max_steps=12, chunk_steps=5)
+        runner = WindowedRunner(net, 5, max_steps=12)
         folded = []
 
         def emit():
@@ -361,11 +364,11 @@ class TestStreamedBudget:
             yield StreamedWindow(_mask_plan(np.zeros((2, 60), bool)))
 
         with pytest.raises(ProtocolError, match="consume"):
-            WindowedRunner(net).run(emit())
+            ExecutionPolicy().runner(net).run(emit())
 
 
 # ---------------------------------------------------------------------------
-# Knob resolution: explicit knobs only.
+# Knob resolution: one budget, one default, no process-wide setting.
 # ---------------------------------------------------------------------------
 class TestKnobResolution:
     def test_chunk_steps_for_budget_model(self):
@@ -376,22 +379,34 @@ class TestKnobResolution:
         with pytest.raises(ValueError, match="mem_budget"):
             chunk_steps_for_budget(n, 0)
 
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 2000, 4097, 10**5, 10**6, 2**22, 2**22 + 1]
+    )
+    def test_default_budget_height_is_the_coin_granularity(self, n):
+        # The default budget reproduces the height unset policies ran
+        # streamed plans at before the budget had a default.
+        default = ExecutionPolicy().mem_budget
+        assert chunk_steps_for_budget(n, default) == max(1, 2**22 // n)
+
     def test_precedence_explicit_over_budget_over_global(self):
-        n = 100
-        assert resolve_chunk_steps(n) is None
-        assert resolve_chunk_steps(n, chunk_steps=5, mem_budget=1 << 30) == 5
-        assert resolve_chunk_steps(
-            n, mem_budget=STREAM_CELL_BYTES * n * 3
-        ) == 3
-        with pytest.raises(ValueError, match="chunk_steps"):
-            resolve_chunk_steps(n, chunk_steps=0)
+        # With one streaming knob the only precedence left is an
+        # explicit budget over the policy's default one; no
+        # process-wide setting exists to fall back to.
+        net = RadioNetwork(_graph())
+        assert _rows(3, net.n).runner(net).chunk_steps == 3
+        default = ExecutionPolicy()
+        assert default.runner(net).chunk_steps == 2**22 // net.n
+        assert default.runner(net).chunk_steps == chunk_steps_for_budget(
+            net.n, default.mem_budget
+        )
 
     def test_runner_validates_knobs(self):
         net = RadioNetwork(_graph())
-        with pytest.raises(ValueError, match="chunk_steps"):
-            WindowedRunner(net, chunk_steps=0)
+        for bad in (0, -3, 2.0, True, None):
+            with pytest.raises(ValueError, match="chunk_steps"):
+                WindowedRunner(net, bad)
         with pytest.raises(ValueError, match="mem_budget"):
-            WindowedRunner(net, mem_budget=0)
+            ExecutionPolicy(mem_budget=0)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from repro.core.mpx import draw_shifts, partition, partition_reference
 from repro.core.schedule import build_schedule
 from repro.graphs.context import GraphContext, distances_from, graph_context
 from repro.radio import (
-    CheapTrace,
     InvalidActionError,
     NO_SENDER,
     RadioNetwork,
@@ -92,16 +91,6 @@ class TestDeliverWindowEquivalence:
             net.deliver_window(np.zeros((3, 4), dtype=bool))
         with pytest.raises(InvalidActionError):
             net.deliver_window(np.zeros((3, 5), dtype=np.int64))
-
-    def test_cheap_trace_counts_steps_only(self):
-        net = RadioNetwork(graphs.path(6), trace=CheapTrace())
-        masks = np.zeros((3, 6), dtype=bool)
-        masks[:, 2] = True
-        net.deliver_window(masks)
-        net.deliver(np.zeros(6, dtype=bool))
-        assert net.steps_elapsed == 4
-        assert net.trace.total_steps == 4
-        assert net.trace.total_transmissions == 0
 
 
 class TestDeliverDetectSharedPath:

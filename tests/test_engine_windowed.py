@@ -68,18 +68,17 @@ from repro.core.wakeup import (
     mis_as_wakeup_strategy_reference,
 )
 from repro.engine import (
+    STREAM_CELL_BYTES,
     ExecutionPolicy,
     ObliviousWindow,
     TracePhase,
     WindowedRunner,
     protocol_schedule,
-    run_schedule,
 )
 from repro.graphs import greedy_independent_set
 from repro.graphs.context import graph_context
 from repro.radio import (
     BudgetExceededError,
-    CheapTrace,
     ProtocolError,
     RadioNetwork,
     SilentProtocol,
@@ -123,6 +122,10 @@ def _assert_trace_equal(a: RadioNetwork, b: RadioNetwork) -> None:
         k: (s.steps, s.transmissions, s.receptions)
         for k, s in b.trace.phase_stats().items()
     }
+
+
+def _assert_rng_equal(a: np.random.Generator, b: np.random.Generator) -> None:
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestDecayEquivalence:
@@ -208,18 +211,41 @@ class TestMISEquivalence:
 class TestWakeupEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     def test_same_result(self, seed):
-        a = mis_as_wakeup_strategy(512, 33, np.random.default_rng(seed))
-        b = mis_as_wakeup_strategy_reference(
-            512, 33, np.random.default_rng(seed)
-        )
-        assert a == b
+        # One generator per engine, shared across calls: each call
+        # starts where the previous one left the stream, so equal
+        # sequences need equal final states after every call.
+        rng_w = np.random.default_rng(seed)
+        rng_r = np.random.default_rng(seed)
+        for _ in range(3):
+            a = mis_as_wakeup_strategy(512, 33, rng_w)
+            b = mis_as_wakeup_strategy_reference(512, 33, rng_r)
+            assert a == b
+            _assert_rng_equal(rng_w, rng_r)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_same_state_at_any_chunk_height(self, rows):
+        # Success usually lands inside a later coin chunk: the rewind
+        # must restore that chunk's starting state, not the block's.
+        k = 33
+        policy = ExecutionPolicy(mem_budget=rows * k * STREAM_CELL_BYTES)
+        rng_w = np.random.default_rng(40 + rows)
+        rng_r = np.random.default_rng(40 + rows)
+        for _ in range(3):
+            a = mis_as_wakeup_strategy(512, k, rng_w, policy=policy)
+            b = mis_as_wakeup_strategy_reference(512, k, rng_r)
+            assert a == b
+            _assert_rng_equal(rng_w, rng_r)
 
     def test_k_one(self):
         # k=1 can legitimately fail (the lone node may never mark
         # itself); what matters is that both paths agree exactly.
-        a = mis_as_wakeup_strategy(64, 1, np.random.default_rng(5))
-        b = mis_as_wakeup_strategy_reference(64, 1, np.random.default_rng(5))
-        assert a == b
+        rng_w = np.random.default_rng(5)
+        rng_r = np.random.default_rng(5)
+        for _ in range(2):
+            a = mis_as_wakeup_strategy(64, 1, rng_w)
+            b = mis_as_wakeup_strategy_reference(64, 1, rng_r)
+            assert a == b
+            _assert_rng_equal(rng_w, rng_r)
 
     def test_validates(self):
         with pytest.raises(ValueError):
@@ -330,9 +356,8 @@ class TestPacketPipelineEquivalence:
         )
         b = broadcast_packet(
             net_r, 0, np.random.default_rng(13),
-            config=PacketCompeteConfig(
-                policy=ExecutionPolicy(engine="reference")
-            ),
+            config=PacketCompeteConfig(),
+            policy=ExecutionPolicy(engine="reference"),
         )
         assert a == b
         _assert_trace_equal(net_w, net_r)
@@ -348,17 +373,19 @@ class TestPacketPipelineEquivalence:
         )
         b = compete_packet(
             net_r, sources, np.random.default_rng(14),
-            config=PacketCompeteConfig(
-                policy=ExecutionPolicy(engine="reference")
-            ),
+            config=PacketCompeteConfig(),
+            policy=ExecutionPolicy(engine="reference"),
         )
         assert a == b
         assert a.winner == 7
 
     def test_config_validates_engine(self):
-        # The engine rides on the config's policy, validated there.
+        # The engine rides on the policy= keyword, validated where the
+        # policy is built; the config carries no policy of its own.
         with pytest.raises(ValueError, match="engine"):
-            PacketCompeteConfig(policy=ExecutionPolicy(engine="nope"))
+            ExecutionPolicy(engine="nope")
+        with pytest.raises(TypeError, match="policy"):
+            PacketCompeteConfig(policy=ExecutionPolicy())
 
 
 class TestRunnerProperties:
@@ -370,7 +397,7 @@ class TestRunnerProperties:
             yield ObliviousWindow(np.zeros((4, 6), dtype=bool))
 
         with pytest.raises(BudgetExceededError):
-            run_schedule(net, schedule(), max_steps=6)
+            ExecutionPolicy().run_schedule(net, schedule(), max_steps=6)
         # The first window executed, the second did not start.
         assert net.steps_elapsed == 4
 
@@ -384,7 +411,7 @@ class TestRunnerProperties:
             yield ObliviousWindow(np.zeros((1, 6), dtype=bool))
             yield TracePhase("default")
 
-        run_schedule(net, schedule())
+        ExecutionPolicy().run_schedule(net, schedule())
         assert net.trace.steps_in_phase("warmup") == 3
         assert net.trace.steps_in_phase("main") == 1
 
@@ -395,7 +422,7 @@ class TestRunnerProperties:
             yield "not a segment"
 
         with pytest.raises(ProtocolError):
-            run_schedule(net, schedule())
+            ExecutionPolicy().run_schedule(net, schedule())
 
     def test_returns_emitter_result(self):
         net = RadioNetwork(graphs.path(4))
@@ -404,7 +431,8 @@ class TestRunnerProperties:
             hear = yield ObliviousWindow(np.zeros((1, 4), dtype=bool))
             return ("done", hear.shape)
 
-        assert run_schedule(net, schedule()) == ("done", (1, 4))
+        result = ExecutionPolicy().run_schedule(net, schedule())
+        assert result == ("done", (1, 4))
 
     def test_window_reply_matches_sequential(self):
         g = graphs.path(9)
@@ -416,7 +444,7 @@ class TestRunnerProperties:
         def schedule():
             collected["hear"] = yield ObliviousWindow(masks)
 
-        run_schedule(net_w, schedule())
+        ExecutionPolicy().run_schedule(net_w, schedule())
         sequential = np.stack([net_r.deliver(m) for m in masks])
         assert (collected["hear"] == sequential).all()
 
@@ -424,15 +452,15 @@ class TestRunnerProperties:
         g = graphs.path(8)
         net = RadioNetwork(g)
         protocol = SilentProtocol(net)
-        result = run_schedule(
+        result = ExecutionPolicy().run_schedule(
             net, protocol_schedule(protocol, np.random.default_rng(0), steps=5)
         )
         assert result is None  # SilentProtocol never finishes
         assert net.steps_elapsed == 5
 
     def test_runner_counts_steps(self):
-        net = RadioNetwork(graphs.path(5), trace=CheapTrace())
-        runner = WindowedRunner(net)
+        net = RadioNetwork(graphs.path(5))
+        runner = WindowedRunner(net, 2)
 
         def schedule():
             yield ObliviousWindow(np.zeros((2, 5), dtype=bool))

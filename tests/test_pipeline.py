@@ -19,7 +19,7 @@ against a mask-materializing twin:
   its edge;
 * end to end: Decay and full Radio MIS on the transmitter-list path
   bit-identical to their step-wise references — across arbitrary
-  ``chunk_steps`` splits, streaming budgets, and fault schedules whose
+  chunk splits, streaming budgets, and fault schedules whose
   jam windows straddle chunk and section boundaries — plus the refusal
   of the removed ``delivery`` knob, the per-run reset of the
   provenance counters, kernel counters that follow what ran, and the
@@ -43,7 +43,7 @@ from repro.core import (
     run_decay,
     run_decay_reference,
 )
-from repro.engine import ObliviousWindow, WindowedRunner
+from repro.engine import STREAM_CELL_BYTES, ObliviousWindow
 from repro.engine.kernels import DeliveryKernels, coo_pack_shift
 from repro.engine.sampler import (
     STREAM_VERSION,
@@ -54,7 +54,6 @@ from repro.faults.schedule import FaultSchedule, Jam
 from repro.faults.state import FaultState
 from repro.radio.errors import ProtocolError
 from repro.radio.network import NO_SENDER, RadioNetwork
-from repro.radio.trace import CheapTrace
 
 
 def _udg(n: int, seed: int) -> nx.Graph:
@@ -219,7 +218,7 @@ def _slab(g, masks, slab_mode):
     own route for a mask window, the runner's chunk loop."""
     w, n = masks.shape
     if slab_mode == "auto":
-        runner = WindowedRunner(RadioNetwork(g))
+        runner = api.ExecutionPolicy().runner(RadioNetwork(g))
 
         def window():
             return (yield ObliviousWindow(masks))
@@ -480,10 +479,16 @@ _MIS_CONFIG = MISConfig(eed_C=2, decay_amplification=2.0)
 _TRACE_TOTALS = ("total_steps", "total_transmissions", "total_receptions")
 
 
+def _rows(k: int, n: int) -> dict:
+    """Policy fields whose budget buys exactly ``k``-row chunks over
+    ``n`` nodes."""
+    return {"mem_budget": k * n * STREAM_CELL_BYTES}
+
+
 def _mis_run(g, seed, reference, faults=None, **policy_kw):
     """One MIS run: ``(result, trace totals, realized faults, probe)``,
     the probe being the next rng draws after the run."""
-    net = RadioNetwork(g, trace=CheapTrace(), faults=faults)
+    net = RadioNetwork(g, faults=faults)
     rng = np.random.default_rng(seed)
     if reference:
         result = compute_mis_reference(net, rng, _MIS_CONFIG)
@@ -524,7 +529,7 @@ class TestEndToEndEquivalence:
         ref = run_decay_reference(net_a, active, rng_a, iterations=4)
         out = run_decay(
             net_b, active, rng_b, iterations=4,
-            policy=api.ExecutionPolicy(chunk_steps=chunk_steps),
+            policy=api.ExecutionPolicy(**_rows(chunk_steps, 130)),
         )
         assert out == ref
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -556,7 +561,7 @@ class TestEndToEndEquivalence:
             else:
                 res = estimate_effective_degree(
                     net, p, active, rng, C=2,
-                    policy=api.ExecutionPolicy(chunk_steps=6),
+                    policy=api.ExecutionPolicy(**_rows(6, n)),
                 )
             runs.append((res, net, rng.bit_generator.state))
         (ref, net_a, state_a), (out, net_b, state_b) = runs
@@ -570,9 +575,9 @@ class TestEndToEndEquivalence:
         "policy_kw",
         [
             {},
-            {"chunk_steps": 7},
-            {"chunk_steps": 1},
-            {"mem_budget": 64 << 10, "trace": "cheap"},
+            _rows(7, 150),
+            _rows(1, 150),
+            {"mem_budget": 64 << 10},
         ],
     )
     def test_mis_equivalence(self, policy_kw):
@@ -605,9 +610,7 @@ class TestEndToEndEquivalence:
             energy=((13, 8),),
             seed=4,
         )
-        kw: dict = {}
-        if chunk_steps is not None:
-            kw["chunk_steps"] = chunk_steps
+        kw = _rows(chunk_steps, 130) if chunk_steps is not None else {}
         ref = _reference_mis(g, "faults", 19, faults=faults)
         out = _mis_run(g, 19, False, faults=faults, **kw)
         assert out[0].mis == ref[0].mis
@@ -647,7 +650,7 @@ class TestProvenanceCounters:
     def test_counters_reset_per_run_on_reused_network(self):
         """kernel_use and timing describe one run — a second run on the
         same network must not inherit the first run's counts."""
-        net = RadioNetwork(_udg(120, 81), trace=CheapTrace())
+        net = RadioNetwork(_udg(120, 81))
         first = api.run("mis", net, seed=6)
         second = api.run("mis", net, seed=6)
         assert first.provenance["delivery"]["kernel_use"]

@@ -44,7 +44,7 @@ from repro.core import (
 )
 from repro.engine.kernels import DeliveryKernels
 from repro.engine.policy import POLICY_FIELDS, ExecutionPolicy
-from repro.engine.runner import run_schedule
+from repro.engine.streaming import STREAM_CELL_BYTES
 from repro.engine.sampler import RowSampler, draw_block_key
 from repro.engine.segments import PlanSection, StreamedWindow, TransmitterPlan
 from repro.radio import RadioNetwork
@@ -64,6 +64,12 @@ def _assert_trace_equal(a: RadioNetwork, b: RadioNetwork) -> None:
         k: (s.steps, s.transmissions, s.receptions)
         for k, s in b.trace.phase_stats().items()
     }
+
+
+def _rows(k: int, n: int) -> ExecutionPolicy:
+    """A policy whose budget buys exactly ``k``-row chunks over ``n``
+    nodes."""
+    return ExecutionPolicy(mem_budget=k * n * STREAM_CELL_BYTES)
 
 
 def _rng_state(rng: np.random.Generator):
@@ -429,7 +435,7 @@ class TestRestrictedEquivalence:
         a = run_decay(net_a, active, rngs[0], iterations=4)
         b = run_decay(
             net_b, active, rngs[1], iterations=4,
-            policy=ExecutionPolicy(chunk_steps=3),
+            policy=_rows(3, 90),
         )
         c = run_decay_reference(net_r, active, rngs[2], iterations=4)
         for other in (b, c):
@@ -457,7 +463,7 @@ class TestRestrictedEquivalence:
         rng_r = np.random.default_rng(6)
         a = estimate_effective_degree(
             net_f, p, active, rng_f, C=4,
-            policy=ExecutionPolicy(chunk_steps=5),
+            policy=_rows(5, 70),
         )
         b = estimate_effective_degree_reference(
             net_r, p, active, rng_r, C=4
@@ -471,7 +477,7 @@ class TestRestrictedEquivalence:
         "policy",
         [
             pytest.param(ExecutionPolicy(), id="auto"),
-            pytest.param(ExecutionPolicy(chunk_steps=3), id="force"),
+            pytest.param(_rows(3, 80), id="force"),
         ],
     )
     def test_mis_restricted_bit_identical(self, policy):
@@ -503,7 +509,9 @@ class TestRestrictedEquivalence:
         rng_p = np.random.default_rng(8)
         a = compute_mis(
             net_v, rng_v, config,
-            policy=ExecutionPolicy(validate=True, chunk_steps=7),
+            policy=ExecutionPolicy(
+                validate=True, mem_budget=7 * 60 * STREAM_CELL_BYTES
+            ),
         )
         b = compute_mis(net_p, rng_p, config)
         assert a.mis == b.mis
@@ -533,7 +541,7 @@ class TestPlanContracts:
             )
 
         with pytest.raises(ProtocolError, match="sections cover 3"):
-            run_schedule(net, schedule())
+            ExecutionPolicy().run_schedule(net, schedule())
 
     def test_window_without_consume_surface_refused(self):
         net = RadioNetwork(nx.path_graph(4))
@@ -542,7 +550,7 @@ class TestPlanContracts:
             yield StreamedWindow(self._silent_plan(2))
 
         with pytest.raises(ProtocolError, match="without a\\s+consume"):
-            run_schedule(net, schedule())
+            ExecutionPolicy().run_schedule(net, schedule())
 
     def test_sections_need_their_fold(self):
         # Every section needs the reception-triple fold its chunks
@@ -555,5 +563,5 @@ class TestPlanContracts:
             )
 
         with pytest.raises(ProtocolError, match="needs a consume"):
-            run_schedule(net, schedule())
+            ExecutionPolicy().run_schedule(net, schedule())
         assert net.steps_elapsed == 0

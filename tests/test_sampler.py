@@ -28,8 +28,10 @@ from repro.core import (
 )
 from repro.core.decay import decay_block_schedule
 from repro.core.effective_degree import effective_degree_schedule
+from repro.engine.policy import ExecutionPolicy
 from repro.engine.runner import WindowedRunner
 from repro.engine.sampler import RowSampler, draw_block_key
+from repro.engine.streaming import chunk_steps_for_budget
 from repro.faults.schedule import FaultSchedule, Jam
 from repro.faults.state import FaultState
 from repro.radio import RadioNetwork
@@ -134,11 +136,12 @@ class TestEndToEndChunking:
         n = g.number_of_nodes()
         active = np.arange(n) % 3 != 0
         p = np.array([0.5, 0.25, 0.1])[np.arange(n) % 3]
+        default = chunk_steps_for_budget(n, ExecutionPolicy().mem_budget)
         runs = []
-        for chunk in (1, SPAN, SPAN + 1, 17, None):
+        for chunk in (1, SPAN, SPAN + 1, 17, default):
             net = RadioNetwork(g, faults=_FAULTS if faulted else None)
             rng = np.random.default_rng(3)
-            runner = _Recorder(net, chunk_steps=chunk)
+            runner = _Recorder(net, chunk)
             decay = runner.run(decay_block_schedule(
                 net, active, rng, iterations=3
             ))
@@ -257,7 +260,9 @@ class TestDegenerateBlocks:
         active = np.ones(30, dtype=bool)
         nets = [RadioNetwork(g) for _ in range(2)]
         rngs = [np.random.default_rng(2) for _ in range(2)]
-        runner = _Recorder(nets[0])
+        runner = _Recorder(
+            nets[0], chunk_steps_for_budget(30, ExecutionPolicy().mem_budget)
+        )
         a = runner.run(effective_degree_schedule(
             nets[0], p, active, rngs[0], C=2
         ))

@@ -43,7 +43,7 @@ from repro.core.mis_restart import (
 )
 from repro.core.wakeup import _wakeup_mis_schedule
 from repro.faults import FaultSchedule
-from repro.engine import ValidatingRunner, protocol_schedule
+from repro.engine import ExecutionPolicy, ValidatingRunner, protocol_schedule
 from repro.engine.validate import ObliviousnessViolationError
 from repro.graphs import greedy_independent_set
 from repro.radio import RadioNetwork
@@ -183,7 +183,7 @@ SEEDS = [0, 1]
 
 
 def _validated(graph: nx.Graph) -> ValidatingRunner:
-    return ValidatingRunner(RadioNetwork(graph))
+    return ExecutionPolicy(validate=True).runner(RadioNetwork(graph))
 
 
 def _icp_fixture(g: nx.Graph, seed: int):
@@ -259,7 +259,9 @@ class TestEmitterContracts:
         schedule = FaultSchedule.sample(
             n, 2000, seed=seed, crash_rate=0.1, churn=0.2, jam=0.05,
         )
-        runner = ValidatingRunner(RadioNetwork(g, faults=schedule))
+        runner = ExecutionPolicy(validate=True).runner(
+            RadioNetwork(g, faults=schedule)
+        )
         result = runner.run(
             restartable_mis_schedule(
                 runner.network, np.random.default_rng(75 + seed),
@@ -285,7 +287,9 @@ class TestEmitterContracts:
         k = 24 + seed
         runner = _validated(nx.complete_graph(k))
         result = runner.run(
-            _wakeup_mis_schedule(400, k, np.random.default_rng(90 + seed))
+            _wakeup_mis_schedule(
+                400, k, np.random.default_rng(90 + seed), runner.chunk_steps
+            )
         )
         assert runner.windows_checked > 0
         assert result.k == k

@@ -42,6 +42,7 @@ from repro.corpus.generate import random_udg_csr
 from repro.corpus.store import CorpusStore
 from repro.engine.policy import ExecutionPolicy
 from repro.engine.sampler import STREAM_VERSION
+from repro.engine.streaming import STREAM_CELL_BYTES
 from repro.faults import FaultSchedule
 from repro.radio.errors import ProtocolError
 from repro.service import (
@@ -57,6 +58,12 @@ from repro.service import (
     run_campaign,
     start_in_thread,
 )
+
+
+def _chunked(rows: int, n: int = 60) -> ExecutionPolicy:
+    """A non-default policy: a budget buying ``rows``-row chunks over
+    ``n`` nodes."""
+    return ExecutionPolicy(mem_budget=rows * n * STREAM_CELL_BYTES)
 
 
 @pytest.fixture(scope="module")
@@ -224,36 +231,41 @@ class TestStore:
             self._key(seed="zero")
 
     def test_policy_digest_resolves_and_strips_faults(self):
-        auto = ExecutionPolicy()
-        pinned = auto.resolve(64)
-        assert policy_digest(auto, 64) == policy_digest(pinned, 64)
-        # "auto" and "windowed" name one engine, so they share a key.
-        assert pinned.engine == "windowed"
-        windowed = ExecutionPolicy(engine="windowed")
-        assert policy_digest(windowed, 64) == policy_digest(auto, 64)
+        # No resolution step: the digest is the policy as written. A
+        # policy has one spelling, so the default and its explicit
+        # form share a key, and the graph size never moves it.
+        default = ExecutionPolicy()
+        explicit = ExecutionPolicy(engine="windowed", mem_budget=256 << 20)
+        assert policy_digest(explicit, 64) == policy_digest(default, 64)
+        assert policy_digest(default, 64) == policy_digest(default, 2000)
+        assert policy_digest(default) == policy_digest(default, 64)
         assert policy_digest(
             ExecutionPolicy(engine="reference"), 64
-        ) != policy_digest(auto, 64)
+        ) != policy_digest(default, 64)
+        assert policy_digest(_chunked(8)) != policy_digest(default)
         faults = FaultSchedule.sample(64, 32, seed=1, crash_rate=0.5)
-        with_faults = dataclasses.replace(auto, faults=faults)
-        assert policy_digest(with_faults, 64) == policy_digest(auto, 64)
+        with_faults = dataclasses.replace(default, faults=faults)
+        assert policy_digest(with_faults, 64) == policy_digest(default, 64)
         assert faults_digest(with_faults) == faults.digest()
-        assert faults_digest(auto) == "none"
+        assert faults_digest(default) == "none"
 
     @pytest.mark.parametrize("policy, digest", [
         (ExecutionPolicy(),
-         "a6ca2f93b518cb1c5f676c9cb41d9b05cdf012ba3c6304d826622ee19a71a765"),
+         "766acd91fca708a21543d39cdf0809f1bb040bf0ef4a086872b56d2e9abd696f"),
         (ExecutionPolicy(mem_budget=256 << 20),
-         "7179e5c9517835b3b74e9fadc6ce4712cddf16c3c5c9475a17f7ba8418bb3162"),
-        (ExecutionPolicy(chunk_steps=8),
-         "fa58413eb3c3103ff8e5cccf7e5596eb0f1a15db1377da962952c6ec226e276b"),
+         "766acd91fca708a21543d39cdf0809f1bb040bf0ef4a086872b56d2e9abd696f"),
+        (_chunked(8, 2000),
+         "fa757e1df74e433cc0e501e6398e2906f0310454dac9d24ea03f78a828862e18"),
         (ExecutionPolicy(faults=FaultSchedule.sample(
             2000, 512, seed=7, crash_rate=0.05, churn=0.1)),
-         "370f8e39bc842981cdad13ad558997e6dc4fd7c2e5c738a819eb0a62c8bc5da1"),
+         "0ffd784905f895f0d4df8ea7ca3d3cfe3a5d87f14f957c52ef79eab34b15e1ea"),
     ], ids=["default", "budget-256M", "chunk-8", "faults"])
     def test_store_keys_are_pinned(self, policy, digest):
         # Served stores outlive code changes: these addresses must not
         # move unless the stream version or the key document does.
+        # The default policy is the 256M budget, so the two share one
+        # address; ``chunk-8`` is the budget that buys 8-row chunks at
+        # n = 2000.
         key = JobKey(protocol="decay", graph="5eed" * 16, seed=11, trial=3,
                      policy=policy_digest(policy, 2000),
                      faults=faults_digest(policy))
@@ -526,7 +538,7 @@ class TestCampaignSpec:
         _corpus, d1, d2 = stores
         spec = CampaignSpec(
             protocol="decay", corpus=(d1, d2), n_trials=5,
-            policies=(ExecutionPolicy(), ExecutionPolicy(chunk_steps=8)),
+            policies=(ExecutionPolicy(), _chunked(8)),
         )
         assert spec.total_jobs == 2 * 2 * 5
 
@@ -602,12 +614,14 @@ class TestCampaign:
     def test_entries_under_the_delivery_policy_miss_and_reexecute(
         self, stores, tmp_path
     ):
-        # The policy lost its ``delivery`` field, so every policy
-        # digest — and with it every JobKey — changed once. An entry
-        # stored under the old key document (a resolved policy with
-        # ``"delivery": "auto"``, and a report whose policy echo still
-        # carries the field) must miss and re-execute: never be read,
-        # so never raise the decode refusal its echo would trigger.
+        # The policy lost fields twice — ``delivery``, then
+        # ``chunk_steps`` and ``trace`` — so every policy digest, and
+        # with it every JobKey, changed each time. An entry stored
+        # under an old key document (the six-field policy a default
+        # run resolved to, with or without ``"delivery": "auto"``, and
+        # a report whose policy echo still carries those fields) must
+        # miss and re-execute: never be read, so never raise the
+        # decode refusal its echo would trigger.
         import hashlib
 
         corpus, digest, _ = stores
@@ -615,40 +629,83 @@ class TestCampaign:
                             n_trials=2, seed=17)
         fresh_store = ReportStore(tmp_path / "fresh")
         fresh = run_campaign(spec, fresh_store, corpus=corpus)
-        old_store = ReportStore(tmp_path / "old")
-        for job in fresh.jobs:
-            resolved = ExecutionPolicy().resolve(
-                fresh.reports[0].provenance["graph"]["n"]
-            )
-            doc = encode_value(dataclasses.replace(resolved, faults=None))
-            doc["fields"]["delivery"] = "auto"
+        six_fields = {
+            "engine": "windowed", "chunk_steps": None, "mem_budget": None,
+            "validate": False, "trace": "default", "faults": None,
+        }
+        eras = {
+            "delivery": dict(six_fields, delivery="auto"),
+            "chunk_steps": six_fields,
+        }
+        for era, fields in eras.items():
+            doc = {
+                "__repro__": "dataclass",
+                "class": "repro.engine.policy:ExecutionPolicy",
+                "fields": fields,
+            }
             old_policy = hashlib.sha256(
                 json.dumps(doc, sort_keys=True).encode()
             ).hexdigest()[:16]
-            assert old_policy != job.key.policy
-            old_key = dataclasses.replace(job.key, policy=old_policy)
-            entry = json.loads(
-                fresh_store.path_for(job.key).read_text()
+            old_store = ReportStore(tmp_path / f"old-{era}")
+            for job in fresh.jobs:
+                assert old_policy != job.key.policy
+                old_key = dataclasses.replace(job.key, policy=old_policy)
+                entry = json.loads(
+                    fresh_store.path_for(job.key).read_text()
+                )
+                entry["key"] = old_key.asdict()
+                entry["digest"] = old_key.digest
+                entry["report"]["fields"]["policy"]["fields"] = dict(
+                    fields
+                )
+                target = old_store.path_for(old_key)
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_text(json.dumps(entry))
+                assert old_key in old_store and job.key not in old_store
+                with pytest.raises(ProtocolError, match=era):
+                    decode_value(entry["report"])
+            again = run_campaign(spec, old_store, corpus=corpus)
+            status = again.status()
+            assert status["cached"] == 0 and status["executed"] == 2
+            assert status["failed"] == 0
+            assert all(
+                a == b for a, b in zip(again.reports, fresh.reports)
             )
-            entry["key"] = old_key.asdict()
-            entry["digest"] = old_key.digest
-            entry["report"]["fields"]["policy"]["fields"][
-                "delivery"
-            ] = "auto"
-            target = old_store.path_for(old_key)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(json.dumps(entry))
-            assert old_key in old_store and job.key not in old_store
-            with pytest.raises(ProtocolError, match="delivery"):
-                decode_value(entry["report"])
-        again = run_campaign(spec, old_store, corpus=corpus)
-        status = again.status()
-        assert status["cached"] == 0 and status["executed"] == 2
-        assert status["failed"] == 0
-        assert all(a == b for a, b in zip(again.reports, fresh.reports))
-        # Never read: a read would have quarantined the old entries.
-        assert old_store.quarantined == 0
-        assert len(old_store) == 4
+            # Never read: a read would have quarantined the old entries.
+            assert old_store.quarantined == 0
+            assert len(old_store) == 4
+
+    def test_grid_naming_one_cell_twice_is_refused(self, tmp_path):
+        # Two corpus entries for one graph (a digest and its prefix),
+        # or two policies with one digest, would repeat every JobKey:
+        # each cell would run once per mention and the summary would
+        # count every copy. Expansion refuses before any job runs.
+        corpus = CorpusStore(tmp_path / "corpus")
+        d = corpus.add(random_udg_csr(200, 8.0, np.random.default_rng(3)))
+        store = ReportStore(tmp_path / "r")
+        repeated = CampaignSpec(
+            protocol="decay", corpus=(d, d[:12]), n_trials=3,
+            policies=(ExecutionPolicy(), ExecutionPolicy(engine="windowed")),
+        )
+        with pytest.raises(ProtocolError, match="corpus entries 0 and 1"):
+            run_campaign(repeated, store, corpus=corpus)
+        same_policy = dataclasses.replace(repeated, corpus=(d,))
+        with pytest.raises(ProtocolError, match="policies 0 and 1"):
+            run_campaign(same_policy, store, corpus=corpus)
+        assert store.writes == 0 and len(store) == 0
+        # The HTTP front end answers the same refusal with a 400.
+        with start_in_thread(tmp_path / "reports", corpus) as handle:
+            client = ServiceClient(port=handle.port)
+            with pytest.raises(ServiceError, match="corpus entries") as e:
+                client.submit(repeated)
+            assert e.value.status == 400
+        # One mention of each cell runs each job once.
+        single = dataclasses.replace(
+            repeated, corpus=(d,), policies=(ExecutionPolicy(),)
+        )
+        status = run_campaign(single, store, corpus=corpus).status()
+        assert status["total"] == status["executed"] == 3
+        assert status["summary"]["steps"]["count"] == 3
 
     def test_distinct_configs_occupy_distinct_store_cells(
         self, stores, tmp_path
@@ -684,7 +741,7 @@ class TestCampaign:
         corpus, digest, _ = stores
         spec = CampaignSpec(
             protocol="decay", corpus=(digest,), n_trials=4, seed=3,
-            policies=(ExecutionPolicy(), ExecutionPolicy(chunk_steps=8)),
+            policies=(ExecutionPolicy(), _chunked(8)),
         )
         pooled = run_campaign(spec, ReportStore(tmp_path / "pool"),
                               corpus=corpus, workers=2)
@@ -870,8 +927,8 @@ class TestCampaign:
     @pytest.mark.parametrize(
         "workers, refused",
         [
-            pytest.param(1, "validate", id="1"),
-            pytest.param(2, "validate", id="2"),
+            pytest.param(1, "iterations", id="1"),
+            pytest.param(2, "iterations", id="2"),
             pytest.param(1, "ell", id="icp-ell-0-1"),
             pytest.param(2, "ell", id="icp-ell-0-2"),
         ],
@@ -880,16 +937,14 @@ class TestCampaign:
         self, stores, tmp_path, workers, refused
     ):
         # A spec a protocol cannot honor is a spec problem, surfaced as
-        # a refusal, not a failure count — at every worker count:
-        # validate=True has no windows to check under the reference
-        # engine, and ICP refuses a propagation distance below 1.
+        # a refusal, not a failure count — at every worker count: Decay
+        # refuses a negative iteration count, and ICP a propagation
+        # distance below 1, when the job runs.
         corpus, digest, _ = stores
-        if refused == "validate":
+        if refused == "iterations":
             spec = CampaignSpec(
                 protocol="decay", corpus=(digest,), n_trials=4,
-                policies=(
-                    ExecutionPolicy(engine="reference", validate=True),
-                ),
+                config=api.DecayConfig(iterations=-1),
             )
         else:
             spec = CampaignSpec(
@@ -998,7 +1053,7 @@ class TestCampaign:
         corpus, digest, _ = stores
         spec = CampaignSpec(
             protocol="decay", corpus=(digest,), n_trials=4, seed=29,
-            policies=(ExecutionPolicy(), ExecutionPolicy(chunk_steps=8)),
+            policies=(ExecutionPolicy(), _chunked(8)),
         )
         store = ReportStore(tmp_path / "r")
         campaign = run_campaign(spec, store, corpus=corpus, workers=workers)
@@ -1265,7 +1320,7 @@ class TestService:
         corpus, digest, _ = stores
         spec = CampaignSpec(
             protocol="decay", corpus=(digest,), n_trials=4, seed=3,
-            policies=(ExecutionPolicy(engine="reference", validate=True),),
+            config=api.DecayConfig(iterations=-1),
         )
         with start_in_thread(tmp_path / "reports", corpus,
                              workers=2) as handle:
@@ -1280,7 +1335,7 @@ class TestService:
                 status = client.status(ident)
         assert status["state"] == "failed"
         assert status["failed"] == 0
-        assert "validate" in status["error"]
+        assert "iterations" in status["error"]
 
     def test_campaign_listing(self, service):
         listed = service.campaigns()

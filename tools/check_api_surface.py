@@ -53,7 +53,6 @@ EXPECTED_API_ALL = [
     "ProtocolSpec",
     "RestartableMISConfig",
     "RunReport",
-    "TRACE_MODES",
     "UptimeLeaderConfig",
     "WakeupConfig",
     "get_protocol",
@@ -85,14 +84,12 @@ EXPECTED_SERVICE_ALL = [
 
 #: The pinned public surface of repro.engine.
 EXPECTED_ENGINE_ALL = [
-    "COIN_BUDGET",
     "DeliveryKernels",
     "ENGINE_MODES",
     "ExecutionPolicy",
     "PlanSection",
     "RowSampler",
     "STREAM_VERSION",
-    "TRACE_MODES",
     "ObliviousnessViolationError",
     "ObliviousWindow",
     "ProtocolSchedule",
@@ -104,11 +101,8 @@ EXPECTED_ENGINE_ALL = [
     "ValidatingRunner",
     "WindowedRunner",
     "chunk_steps_for_budget",
-    "coin_chunk",
     "parse_mem_budget",
     "protocol_schedule",
-    "resolve_chunk_steps",
-    "run_schedule",
 ]
 
 #: The pinned public surface of repro.core — the paper's algorithms.
@@ -200,7 +194,6 @@ EXPECTED_CORE_ALL = [
 EXPECTED_RADIO_ALL = [
     "BudgetExceededError",
     "Charge",
-    "CheapTrace",
     "CostLedger",
     "GraphContractError",
     "InvalidActionError",
@@ -247,10 +240,8 @@ EXPECTED_ANALYSIS_ALL = [
 #: The pinned ExecutionPolicy fields, in declaration order.
 EXPECTED_POLICY_FIELDS = [
     "engine",
-    "chunk_steps",
     "mem_budget",
     "validate",
-    "trace",
     "faults",
 ]
 

@@ -75,16 +75,15 @@ def record(graph: Any, seed: int) -> dict[str, Any]:
     """One seed's statistics on one graph."""
     from repro.core import MISConfig, compute_mis, estimate_effective_degree
     from repro.radio import RadioNetwork
-    from repro.radio.trace import CheapTrace
 
     mis = compute_mis(
-        RadioNetwork(graph, trace=CheapTrace()),
+        RadioNetwork(graph),
         np.random.default_rng(seed),
         MISConfig(**MIS_CONFIG),
     )
     p, active = eed_inputs(graph.number_of_nodes())
     eed = estimate_effective_degree(
-        RadioNetwork(graph, trace=CheapTrace()),
+        RadioNetwork(graph),
         p,
         active,
         np.random.default_rng(seed),
