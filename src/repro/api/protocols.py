@@ -492,11 +492,6 @@ def _execute_icp(network, rng, config, policy):
     bit-identical to that legacy sequence.
     """
     config = config or ICPConfig()
-    for node in config.sources:
-        if not 0 <= int(node) < network.n:
-            raise ProtocolError(
-                f"icp source {node} out of range [0, {network.n})"
-            )
     clustering, schedule, knowledge = build_icp_inputs(
         network.graph, rng, beta=config.beta, sources=config.sources
     )
@@ -543,13 +538,6 @@ def _execute_icp(network, rng, config, policy):
 def _execute_bgi(network, rng, config, policy):
     """Registry hook for the BGI broadcast baseline."""
     config = config or BGIConfig()
-    for node in config.sources if config.sources is not None else [
-        config.source
-    ]:
-        if not 0 <= int(node) < network.n:
-            raise ProtocolError(
-                f"bgi source {node} out of range [0, {network.n})"
-            )
     result = bgi_broadcast(
         network,
         config.source,

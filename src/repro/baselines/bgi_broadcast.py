@@ -14,15 +14,14 @@ every scale we benchmark, it anchors the E6 comparison: our pipeline's
 *charged* rounds versus BGI's *actually simulated* steps, both against
 their respective claimed shapes.
 
-Engine migration: sweep synchronization makes each sweep an *oblivious
-window* — its ``log n`` masks are the frozen informed set gated by
-fresh coins — and the informed-set update at the sweep boundary is the
-decision point. :func:`bgi_schedule` emits exactly that structure;
-:func:`bgi_broadcast` runs it on the windowed engine (one sparse
-matrix-matrix product per sweep), and :func:`bgi_broadcast_reference`
-retains the step-wise drive of the same semantics. Seeded runs of the
-two are bit-identical — results, step counts, trace totals, and rng
-stream.
+Engine migration: sweep synchronization makes each sweep one Decay
+iteration over the frozen informed set — an *oblivious window* of
+``log n`` keyed transmitter rows, one block key per sweep — and the
+informed-set update at the sweep boundary is the decision point.
+:func:`bgi_schedule` streams each sweep's rows through the windowed
+engine, and :func:`bgi_broadcast_reference` drives the same
+:class:`~repro.core.decay.Decay` step by step. Seeded runs of the two
+are bit-identical — results, step counts, trace totals, and rng stream.
 """
 
 from __future__ import annotations
@@ -32,11 +31,21 @@ import math
 
 import numpy as np
 
-from ..core.decay import decay_span
+from ..core.decay import Decay
 from ..engine.policy import ExecutionPolicy
-from ..engine.segments import ObliviousWindow, ProtocolSchedule, TracePhase
-from ..radio.errors import BudgetExceededError, GraphContractError
-from ..radio.network import NO_SENDER, RadioNetwork
+from ..engine.segments import (
+    ProtocolSchedule,
+    StreamedWindow,
+    TracePhase,
+    TransmitterPlan,
+)
+from ..radio.errors import (
+    BudgetExceededError,
+    GraphContractError,
+    ProtocolError,
+)
+from ..radio.network import RadioNetwork
+from ..radio.protocol import run_steps
 
 
 @dataclasses.dataclass
@@ -51,21 +60,25 @@ class BGIBroadcastResult:
 
 
 def _initial_informed(
-    network: RadioNetwork, source: int, sources: list[int] | None
+    network: RadioNetwork,
+    source: int,
+    sources: list[int] | None,
+    max_sweeps: int | None,
 ) -> tuple[np.ndarray, int]:
+    """The checked initial informed set and the sweep budget, by default
+    ``8 n + 16 log n`` (D-proxy ``n``; it only guards the simulation)."""
+    n = network.n
+    nodes = [int(s) for s in (sources if sources is not None else [source])]
+    for s in nodes:
+        if not 0 <= s < n:
+            raise ProtocolError(f"bgi source {s} out of range [0, {n})")
     if not network.is_connected():
         raise GraphContractError("broadcast requires a connected network")
-    informed = np.zeros(network.n, dtype=bool)
-    for s in sources if sources is not None else [source]:
-        informed[int(s)] = True
-    return informed, network.n
-
-
-def _default_max_sweeps(n: int) -> int:
-    """Safety budget: ``8 * (D-proxy) + 16 log n`` sweeps with D-proxy
-    ``n`` (the ad-hoc algorithm does not need D; this only guards the
-    simulation)."""
-    return 8 * n + 16 * max(1, math.ceil(math.log2(max(2, n))))
+    informed = np.zeros(n, dtype=bool)
+    informed[nodes] = True
+    if max_sweeps is None:
+        max_sweeps = 8 * n + 16 * max(1, math.ceil(math.log2(max(2, n))))
+    return informed, max_sweeps
 
 
 def bgi_schedule(
@@ -78,15 +91,14 @@ def bgi_schedule(
 ) -> ProtocolSchedule:
     """Schedule emitter for BGI broadcast.
 
-    One :class:`~repro.engine.segments.ObliviousWindow` per Decay sweep
-    (the informed set is frozen for the sweep), one informed-set update
-    per sweep boundary. Returns the :class:`BGIBroadcastResult`.
+    One :class:`~repro.engine.segments.StreamedWindow` per sweep: the
+    keyed rows of a :class:`~repro.core.decay.Decay` over the frozen
+    informed set; one informed-set update per sweep boundary. Returns
+    the :class:`BGIBroadcastResult`.
     """
-    informed, n = _initial_informed(network, source, sources)
-    span = decay_span(n)
-    probs = 2.0 ** -(np.arange(1, span + 1, dtype=np.float64))
-    if max_sweeps is None:
-        max_sweeps = _default_max_sweeps(n)
+    informed, max_sweeps = _initial_informed(
+        network, source, sources, max_sweeps
+    )
 
     steps_before = network.steps_elapsed
     yield TracePhase("bgi-broadcast")
@@ -99,10 +111,17 @@ def bgi_schedule(
             raise BudgetExceededError(
                 f"BGI broadcast did not complete within {max_sweeps} sweeps"
             )
-        coins = rng.random((span, n)) < probs[:, None]
-        masks = informed[None, :] & coins
-        hear_window = yield ObliviousWindow(masks)
-        informed |= (hear_window != NO_SENDER).any(axis=0)
+        sweep = Decay(network, informed)
+        sweep.bind_key(rng)
+
+        def fold(k, steps, nodes, senders) -> None:
+            sweep.heard[nodes] = True  # all a sweep boundary reads
+
+        yield StreamedWindow(
+            TransmitterPlan(sweep.total_steps, sweep.transmitters),
+            consume_coo=fold,
+        )
+        informed |= sweep.heard
         sweeps += 1
         history.append(int(informed.sum()))
     yield TracePhase("default")
@@ -140,7 +159,7 @@ def bgi_broadcast(
         Optional multiple sources (multi-source broadcast, used by the
         binary-search leader election baseline).
     max_sweeps:
-        Safety budget in Decay sweeps; see :func:`_default_max_sweeps`.
+        Safety budget in Decay sweeps; see :func:`_initial_informed`.
     best_effort:
         Exhausting the sweep budget returns ``delivered=False`` instead
         of raising — the mode fault-tolerant callers need, since a
@@ -183,13 +202,13 @@ def bgi_broadcast_reference(
     """Step-wise BGI broadcast: the executable specification.
 
     Same sweep-synchronized semantics as :func:`bgi_schedule` — the
-    informed set is frozen per sweep, updated at sweep boundaries — one
+    informed set is frozen per sweep, updated at sweep boundaries — with
+    each sweep's :class:`~repro.core.decay.Decay` driven one
     :meth:`~repro.radio.network.RadioNetwork.deliver` call per step.
     """
-    informed, n = _initial_informed(network, source, sources)
-    span = decay_span(n)
-    if max_sweeps is None:
-        max_sweeps = _default_max_sweeps(n)
+    informed, max_sweeps = _initial_informed(
+        network, source, sources, max_sweeps
+    )
 
     steps_before = network.steps_elapsed
     network.trace.enter_phase("bgi-broadcast")
@@ -202,13 +221,9 @@ def bgi_broadcast_reference(
             raise BudgetExceededError(
                 f"BGI broadcast did not complete within {max_sweeps} sweeps"
             )
-        frozen = informed.copy()
-        newly = np.zeros(n, dtype=bool)
-        for i in range(1, span + 1):
-            coins = rng.random(n) < 2.0**-i
-            hear_from = network.deliver(frozen & coins)
-            newly |= hear_from != NO_SENDER
-        informed |= newly
+        sweep = Decay(network, informed)
+        run_steps(sweep, rng, sweep.total_steps)
+        informed |= sweep.heard
         sweeps += 1
         history.append(int(informed.sum()))
     network.trace.enter_phase("default")

@@ -32,7 +32,11 @@ import numpy as np
 
 from ..engine.policy import ExecutionPolicy
 from ..graphs.context import GraphContext, graph_context
-from ..radio.errors import BudgetExceededError, GraphContractError
+from ..radio.errors import (
+    BudgetExceededError,
+    GraphContractError,
+    ProtocolError,
+)
 from ..radio.network import RadioNetwork
 from .costmodel import propagation_length
 from .decay import run_decay
@@ -99,7 +103,8 @@ def compete_packet(
         A connected radio network (node labels are indices here; build
         the network from a generator graph).
     sources:
-        Node index -> non-negative message key; highest key wins.
+        Node index (in ``[0, n)``) -> non-negative message key; highest
+        key wins.
     rng:
         Shared randomness (see module docstring).
     config:
@@ -112,14 +117,18 @@ def compete_packet(
         repeated trials share the cached connectivity and diameter.
         Defaults to the memoized per-graph context.
     policy:
-        The :class:`~repro.engine.policy.ExecutionPolicy` the MIS, ICP
-        and sweep stages run under (``None`` = the default policy):
+        The :class:`~repro.engine.policy.ExecutionPolicy` every stage
+        (MIS, partition, ICP, sweep) runs under (``None`` = the default
+        policy):
         its engine picks the windowed engine or their step-wise
         reference twins, and its fault schedule is installed on the
         network before any stage runs. Seeded runs are bit-identical
         across engines.
     """
     config = config or PacketCompeteConfig()
+    for node in sources:
+        if not 0 <= int(node) < network.n:
+            raise ProtocolError(f"source {node} out of range [0, {network.n})")
     policy = policy or ExecutionPolicy()
     policy.bind(network)
     context = (
@@ -152,7 +161,9 @@ def compete_packet(
         beta = beta_of_j(j)
         clusterings[j] = []
         for _ in range(config.clusterings_per_j):
-            clustering = partition_radio(network, beta, mis, rng)
+            clustering = partition_radio(
+                network, beta, mis, rng, policy=policy
+            )
             schedule = build_schedule(graph, clustering)
             clusterings[j].append((clustering, schedule))
     steps_at["partition"] = network.steps_elapsed
@@ -227,8 +238,6 @@ def broadcast_packet(
     policy: ExecutionPolicy | None = None,
 ) -> PacketCompeteResult:
     """Packet-level broadcast: ``compete_packet`` with one source."""
-    if not 0 <= source < network.n:
-        raise ValueError(f"source {source} out of range")
     return compete_packet(
         network, {source: 1}, rng, config=config, policy=policy
     )

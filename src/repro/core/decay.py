@@ -131,13 +131,12 @@ class Decay(Protocol):
                 f"active mask has shape {active.shape}, expected ({self.n},)"
             )
         self.active = active.copy()
-        if messages is None:
-            messages = list(range(self.n))
-        if len(messages) != self.n:
+        if messages is not None and len(messages) != self.n:
             raise ValueError(
                 f"messages has length {len(messages)}, expected {self.n}"
             )
-        self.messages = list(messages)
+        #: Per-node payloads; ``None`` means each node's own index.
+        self.messages = None if messages is None else list(messages)
         self.span = decay_span(n_estimate if n_estimate is not None else self.n)
         self.total_steps = iterations * self.span
         self._step = 0
@@ -210,8 +209,9 @@ class Decay(Protocol):
 
     def result(self) -> DecayResult:
         payloads: list[Any] = [None] * self.n
+        messages = self.messages or range(self.n)
         for v in np.nonzero(self.heard)[0]:
-            payloads[v] = self.messages[self.heard_from[v]]
+            payloads[v] = messages[self.heard_from[v]]
         return DecayResult(
             heard=self.heard.copy(),
             heard_from=self.heard_from.copy(),

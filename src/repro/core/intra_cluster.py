@@ -44,6 +44,7 @@ import numpy as np
 
 from ..engine.policy import ExecutionPolicy
 from ..engine.runner import protocol_schedule
+from ..engine.sampler import RowSampler, draw_block_key
 from ..radio.errors import ProtocolError
 from ..radio.network import NO_SENDER, RadioNetwork
 from ..radio.protocol import Protocol, TimeMultiplexer, run_steps
@@ -121,9 +122,9 @@ class DecayBackground(Protocol):
 
     Sweep-synchronized semantics: a Decay iteration (Algorithm 5) runs
     over a set fixed for the whole sweep, so the participant set, the
-    transmitted payloads, and the sweep's coins are all frozen when a
-    block starts, and receptions are committed to ``knowledge`` when the
-    block ends.
+    transmitted payloads, and the sweep's keyed transmitter rows are all
+    frozen when a block starts, and receptions are committed to
+    ``knowledge`` when the block ends.
     """
 
     def __init__(
@@ -173,26 +174,24 @@ class DecayBackground(Protocol):
             for c, v in zip(self._centers, self._on_padded[:-1])
         }
 
-    def _refresh_cluster_coins(self, rng: np.random.Generator) -> None:
-        # One vectorized draw over the used centers consumes exactly the
-        # stream of the historical per-center scalar draws, in the same
-        # (used_centers) order. A trailing False lets assignment
-        # positions of -1 (no used center) index it.
-        prob = 2.0**-self._i
-        coins = rng.random(self._centers.size) < prob
-        self._on_padded = np.append(coins, False)
-
     def _plan_block(self, rng: np.random.Generator) -> None:
-        """Freeze one sweep: cluster coins, participants, payloads, coins.
+        """Freeze one sweep: cluster coins, participants, payloads and
+        transmitters.
 
-        Draw order: cluster coins first, then the ``(span, n)`` coin
-        matrix.
+        Draw order: the per-center coins in ``used_centers`` order (one
+        vectorized draw), then the sweep's block key; the whole sweep is
+        sampled at once.
         """
-        self._refresh_cluster_coins(rng)
-        on = self._on_padded[self._assign_pos]
-        participants = on & (self.knowledge >= 0)
-        coins = rng.random((self.span, self.n)) < self._probs[:, None]
-        self._block_masks = participants[None, :] & coins
+        coins = rng.random(self._centers.size) < 2.0**-self._i
+        # A trailing False lets assignment positions of -1 (no used
+        # center) index it.
+        self._on_padded = np.append(coins, False)
+        participants = self._on_padded[self._assign_pos] & (
+            self.knowledge >= 0
+        )
+        sampler = RowSampler(draw_block_key(rng), participants, self._probs)
+        self._block_masks = np.zeros((self.span, self.n), dtype=bool)
+        self._block_masks[sampler.sample(0, self.span)] = True
         self._block_payload = self.knowledge.copy()
         self._block_incoming = np.full(self.n, -1, dtype=np.int64)
 
@@ -281,19 +280,23 @@ def build_icp_inputs(
 
     Greedy-MIS centers, one ``Partition(beta, MIS)`` draw, its slot
     schedule, and a knowledge vector seeded from ``sources`` (node
-    index -> message key; everyone else knows nothing). The CLI ``icp``
-    subcommand and the P3 benchmark share this so the configuration
-    being demonstrated is the one the bit-identity claims were
-    verified on.
+    index in ``[0, n)`` -> message key; everyone else knows nothing).
+    The CLI ``icp`` subcommand and the P3 benchmark share this so the
+    configuration being demonstrated is the one the bit-identity claims
+    were verified on.
     """
     from ..graphs import greedy_independent_set
     from .mpx import partition
     from .schedule import build_schedule
 
+    n = graph.number_of_nodes()
+    for node in sources or {}:
+        if not 0 <= int(node) < n:
+            raise ProtocolError(f"icp source {node} out of range [0, {n})")
     mis = sorted(greedy_independent_set(graph, rng, "random"))
     clustering = partition(graph, beta, mis, rng)
     schedule = build_schedule(graph, clustering)
-    knowledge = np.full(graph.number_of_nodes(), -1, dtype=np.int64)
+    knowledge = np.full(n, -1, dtype=np.int64)
     for node, key in (sources or {}).items():
         knowledge[node] = max(knowledge[node], int(key))
     return clustering, schedule, knowledge

@@ -28,6 +28,7 @@ import math
 
 import numpy as np
 
+from ..engine.policy import ExecutionPolicy
 from ..radio.errors import BudgetExceededError
 from ..radio.network import RadioNetwork
 from .cluster import Clustering
@@ -43,6 +44,8 @@ def partition_radio(
     shifts: dict[int, float] | None = None,
     decay_amplification: float = 4.0,
     max_epochs: int | None = None,
+    *,
+    policy: ExecutionPolicy | None = None,
 ) -> Clustering:
     """Run the radio Partition protocol and return its clustering.
 
@@ -68,6 +71,9 @@ def partition_radio(
         run needs ``max_shift + max_cluster_radius`` epochs; persistent
         Decay failures beyond the budget raise
         :class:`~repro.radio.errors.BudgetExceededError`.
+    policy:
+        The execution policy of every announcement block (``None`` =
+        the default policy).
 
     Notes
     -----
@@ -114,7 +120,8 @@ def partition_radio(
         ]
         network.trace.enter_phase("partition/announce")
         echo = run_decay(
-            network, announcers, rng, messages=messages, iterations=decay_iters
+            network, announcers, rng, messages=messages,
+            iterations=decay_iters, policy=policy,
         )
         joiners = (assignment == -1) & echo.heard
         for v in np.nonzero(joiners)[0]:

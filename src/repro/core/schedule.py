@@ -31,15 +31,14 @@ coloring as one sparse square (``A + A @ A``) followed by a single
 greedy pass over all clusters at once (clusters are disjoint components
 of the square, so one global greedy equals the per-cluster greedies).
 The original per-cluster ``networkx.power`` + ``greedy_color``
-construction is retained as ``coloring="networkx"`` /
-:func:`build_schedule_reference`. Both are greedy colorings of the same
-square graph; the CSR pass orders nodes deterministically by
-(two-hop-degree desc, index asc), whereas the networkx path inherits
-Python set iteration order from subgraph views, so individual colors
-may differ between the two — the equivalence suite checks the
-properties that matter (identical layers; a *valid* distance-2
-coloring, which is what makes slot passes collision-free in-cluster;
-color counts within the same greedy bound).
+construction is retained as :func:`build_schedule_reference`. Both are
+greedy colorings of the same square graph; the CSR pass orders nodes
+deterministically by (two-hop-degree desc, index asc), whereas the
+networkx path inherits Python set iteration order from subgraph views,
+so individual colors may differ between the two — the equivalence
+suite checks the properties that matter (identical layers; a *valid*
+distance-2 coloring, which is what makes slot passes collision-free
+in-cluster; color counts within the same greedy bound).
 """
 
 from __future__ import annotations
@@ -112,18 +111,6 @@ class ClusterSchedule:
         masks = slot_keys[:, None] == node_key[None, :]
         self._pass_masks_cache[key] = masks
         return masks
-
-
-def _distance2_coloring(subgraph: nx.Graph) -> dict:
-    """Greedy distance-2 coloring of a (small) cluster subgraph.
-
-    Colors the square of the subgraph greedily in degree order; two nodes
-    at distance <= 2 inside the cluster never share a color, which makes
-    same-slot transmissions collision-free for in-cluster listeners.
-    Retained as the reference the CSR engine is checked against.
-    """
-    square = nx.power(subgraph, 2) if subgraph.number_of_nodes() > 1 else subgraph
-    return nx.coloring.greedy_color(square, strategy="largest_first")
 
 
 def _intra_cluster_csr(
@@ -208,9 +195,7 @@ def _distance2_color_csr(masked: sp.csr_array) -> np.ndarray:
 
 
 def build_schedule(
-    graph: nx.Graph,
-    clustering: Clustering,
-    coloring: str = "csr",
+    graph: nx.Graph, clustering: Clustering
 ) -> ClusterSchedule:
     """Compute the synchronized slot schedule for all clusters.
 
@@ -224,9 +209,7 @@ def build_schedule(
     layering as one batched :mod:`scipy.sparse.csgraph` BFS
     (:func:`_cluster_layers`), the distance-2 coloring as one sparse
     square plus a single global greedy pass
-    (:func:`_distance2_color_csr`). ``coloring="networkx"`` selects the
-    original per-cluster ``nx.power`` + ``greedy_color`` construction,
-    kept as the reference.
+    (:func:`_distance2_color_csr`).
 
     Clustering indices are interpreted as positions in
     ``list(graph.nodes)`` (the convention of the packet-level radio
@@ -236,8 +219,6 @@ def build_schedule(
     such graphs are rejected with a clear error — relabel with
     ``networkx.convert_node_labels_to_integers`` first.
     """
-    if coloring not in ("csr", "networkx"):
-        raise ValueError(f"unknown coloring engine: {coloring!r}")
     nodes = list(graph.nodes)
     n = len(nodes)
     if set(nodes) == set(range(n)) and nodes != list(range(n)):
@@ -248,25 +229,12 @@ def build_schedule(
         )
     masked = _intra_cluster_csr(graph, clustering)
     layer = _cluster_layers(masked, clustering)
-    n_layers = int(layer.max()) + 1 if clustering.n else 1
-
-    if coloring == "csr":
-        color = _distance2_color_csr(masked)
-        n_colors = int(color.max()) + 1 if clustering.n else 1
-    else:
-        color = np.zeros(clustering.n, dtype=np.int64)
-        labels = list(graph.nodes)
-        n_colors = 1
-        for center, member_indices in clustering.members().items():
-            member_labels = [labels[v] for v in member_indices]
-            sub = graph.subgraph(member_labels)
-            per_cluster = _distance2_coloring(sub)
-            for v in member_indices:
-                color[v] = per_cluster[labels[v]]
-            n_colors = max(n_colors, max(per_cluster.values()) + 1)
-
+    color = _distance2_color_csr(masked)
     return ClusterSchedule(
-        layer=layer, color=color, n_layers=n_layers, n_colors=n_colors
+        layer=layer,
+        color=color,
+        n_layers=int(layer.max()) + 1 if clustering.n else 1,
+        n_colors=int(color.max()) + 1 if clustering.n else 1,
     )
 
 
@@ -275,7 +243,25 @@ def build_schedule_reference(
 ) -> ClusterSchedule:
     """The per-cluster networkx schedule construction (reference).
 
+    :func:`build_schedule`'s layering, with each cluster's square
+    (``nx.power``) colored greedily in degree order (``greedy_color``):
+    two nodes at distance <= 2 inside a cluster never share a color.
     The equivalence suite checks :func:`build_schedule`'s CSR coloring
     against this on every graph family the pipeline uses.
     """
-    return build_schedule(graph, clustering, coloring="networkx")
+    schedule = build_schedule(graph, clustering)
+    color = np.zeros(clustering.n, dtype=np.int64)
+    labels = list(graph.nodes)
+    for member_indices in clustering.members().values():
+        sub = graph.subgraph([labels[v] for v in member_indices])
+        square = nx.power(sub, 2) if sub.number_of_nodes() > 1 else sub
+        per_cluster = nx.coloring.greedy_color(
+            square, strategy="largest_first"
+        )
+        for v in member_indices:
+            color[v] = per_cluster[labels[v]]
+    return dataclasses.replace(
+        schedule,
+        color=color,
+        n_colors=int(color.max()) + 1 if clustering.n else 1,
+    )

@@ -31,11 +31,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
+import networkx as nx
 import numpy as np
 
+from ..engine.policy import ExecutionPolicy
+from ..engine.sampler import RowSampler, draw_block_key
+from ..engine.segments import StreamedWindow, TransmitterPlan
 from ..radio.errors import ProtocolError
+from ..radio.network import RadioNetwork
+from .decay import claim10_iterations, decay_span
+from .effective_degree import HIGH_GUARANTEE
 
 Schedule = Callable[[int], float]
 """Maps a step index to the transmission probability every active node
@@ -121,57 +128,54 @@ def expected_steps(
     return float(np.mean([r.steps for r in results]))
 
 
-def _wakeup_mis_schedule(
-    n: int, k: int, rng: np.random.Generator, chunk: int
-):
+def _decay_rows(
+    n: int, marked: np.ndarray, rng: np.random.Generator
+) -> RowSampler:
+    """The keyed rows of one Decay block over ``marked`` (Claim 10's
+    iterations of the ladder for ``n`` believed nodes), as
+    :class:`~repro.core.decay.Decay` samples them."""
+    span = decay_span(n)  # the algorithm believes the network has n nodes
+    steps = np.arange(claim10_iterations(n) * span)
+    ladder = 2.0 ** -((steps % span) + 1.0)
+    return RowSampler(draw_block_key(rng), marked, ladder)
+
+
+def _next_desire(p: float, k: int) -> float:
+    """Ghaffari's update after a round without success, on the clique's
+    exact effective degree ``(k - 1) p`` (every node stays active and
+    shares ``p``), as :func:`~repro.core.mis.compute_mis` applies it
+    under ``oracle_degree=True``."""
+    if (k - 1) * p >= HIGH_GUARANTEE:
+        return p / 2.0
+    return min(2.0 * p, 0.5)
+
+
+def _wakeup_mis_schedule(n: int, k: int, rng: np.random.Generator):
     """Schedule emitter for the MIS-as-wake-up reduction.
 
-    Each Decay block of the marking dynamics is oblivious (masks are the
-    round's marked set gated by fresh coins), so blocks go out as
-    :class:`~repro.engine.segments.ObliviousWindow` chunks of at most
-    ``chunk`` steps. The success event — the first step with exactly
-    one transmitter — is a property of the masks alone, so the emitter
-    scans each chunk, trims the final window at the success step, and
-    stops. On success it rewinds the generator to the chunk's start and
-    redraws only the rows up to the success step, so executed radio
-    steps, the returned :class:`WakeupResult` and the final rng state
-    are all bit-identical to the step-wise reference.
+    A Decay block's success event — its first row with exactly one
+    transmitter — is a property of its keyed rows alone
+    (:func:`_decay_rows`), so the emitter samples the block, trims it at
+    that row and streams it. The reference samples the same rows one
+    step at a time, so steps, result and final rng state agree.
     """
-    from ..engine.segments import ObliviousWindow
-    from .decay import claim10_iterations, decay_span
-
-    span = decay_span(n)  # the algorithm believes the network has n nodes
-    iterations = claim10_iterations(n)
-    block = iterations * span
-    probs = 2.0 ** -((np.arange(block) % span) + 1.0)
-
-    p = np.full(k, 0.5)
+    p = 0.5
     steps = 0
-    budget = max(1, math.ceil(10 * math.log2(max(2, n))))
-    for _ in range(budget):
+    for _ in range(max(1, math.ceil(10 * math.log2(max(2, n))))):
         marked = rng.random(k) < p
-        done = 0
-        while done < block:
-            c = min(chunk, block - done)
-            state = rng.bit_generator.state
-            coins = rng.random((c, k)) < probs[done : done + c, None]
-            masks = marked[None, :] & coins
-            singles = np.nonzero(masks.sum(axis=1) == 1)[0]
-            if singles.size:
-                t = int(singles[0])
-                # The reference draws no coin past the success step:
-                # rewind and redraw exactly rows 0..t (row-major, so
-                # they are the rows just drawn).
-                rng.bit_generator.state = state
-                rng.random((t + 1, k))
-                yield ObliviousWindow(masks[: t + 1])
-                return WakeupResult(succeeded=True, steps=steps + t + 1, k=k)
-            yield ObliviousWindow(masks)
-            steps += c
-            done += c
-        # Nobody succeeded this round; in the clique every d_t is high,
-        # so Ghaffari's update halves every desire level.
-        p = p / 2.0
+        rows = _decay_rows(n, marked, rng)
+        block = rows.row_probs.size
+        row_of, _ = rows.sample(0, block)
+        singles = np.flatnonzero(np.bincount(row_of, minlength=block) == 1)
+        width = int(singles[0]) + 1 if singles.size else block
+        yield StreamedWindow(
+            TransmitterPlan(width, rows.sample),
+            consume_coo=lambda *reception: None,  # only the rows matter
+        )
+        steps += width
+        if singles.size:
+            return WakeupResult(succeeded=True, steps=steps, k=k)
+        p = _next_desire(p, k)
     return WakeupResult(succeeded=False, steps=steps, k=k)
 
 
@@ -180,7 +184,7 @@ def mis_as_wakeup_strategy(
     k: int,
     rng: np.random.Generator,
     *,
-    policy: "ExecutionPolicy | None" = None,
+    policy: ExecutionPolicy | None = None,
 ) -> WakeupResult:
     """The paper's reduction, executed: run Radio MIS on a k-clique
     while telling it the network size is ``n``.
@@ -190,15 +194,14 @@ def mis_as_wakeup_strategy(
     ``n - k`` extra isolated nodes. We run the *marking* dynamics of
     Algorithm 7 on the clique and report the step of the first clean
     (single-transmitter) step inside its Decay blocks, which is exactly
-    the wake-up success event the lower bound counts.
+    the wake-up success event the lower bound counts. A round without
+    one updates the desire level by Ghaffari's rule on the clique's
+    exact effective degree (:func:`_next_desire`).
 
-    ``engine="windowed"`` (default) batches the Decay blocks through the
-    windowed engine, in coin chunks of the runner's chunk height;
-    ``"reference"`` is the retained step-wise loop. Seeded results and
-    the final rng state are bit-identical.
+    ``engine="windowed"`` (default) streams the Decay blocks through
+    the windowed engine; ``"reference"`` is the retained step-wise
+    loop. Seeded results and the final rng state are bit-identical.
     """
-    from ..engine.policy import ExecutionPolicy
-
     if not 1 <= k <= n:
         raise ProtocolError(f"need 1 <= k <= n, got k={k}, n={n}")
     policy = policy or ExecutionPolicy()
@@ -212,13 +215,9 @@ def mis_as_wakeup_strategy(
         )
     if policy.engine == "reference":
         return mis_as_wakeup_strategy_reference(n, k, rng)
-
-    import networkx as nx
-
-    from ..radio.network import RadioNetwork
-
-    runner = policy.runner(RadioNetwork(nx.complete_graph(k)))
-    return runner.run(_wakeup_mis_schedule(n, k, rng, runner.chunk_steps))
+    return policy.run_schedule(
+        RadioNetwork(nx.complete_graph(k)), _wakeup_mis_schedule(n, k, rng)
+    )
 
 
 def mis_as_wakeup_strategy_reference(
@@ -229,34 +228,25 @@ def mis_as_wakeup_strategy_reference(
     """Step-wise MIS-as-wake-up: the executable specification.
 
     One :meth:`~repro.radio.network.RadioNetwork.deliver` call per step,
+    each step's transmitters sampled alone from the block's rows,
     stopping at the first single-transmitter step.
     """
-    import networkx as nx
-
-    from ..radio.network import RadioNetwork
-    from .decay import claim10_iterations, decay_span
-
     if not 1 <= k <= n:
         raise ProtocolError(f"need 1 <= k <= n, got k={k}, n={n}")
-    clique = nx.complete_graph(k)
-    net = RadioNetwork(clique)
-    span = decay_span(n)  # the algorithm believes the network has n nodes
-    iterations = claim10_iterations(n)
+    net = RadioNetwork(nx.complete_graph(k))
 
-    p = np.full(k, 0.5)
+    p = 0.5
     steps = 0
-    budget = max(1, math.ceil(10 * math.log2(max(2, n))))
-    for _ in range(budget):
+    for _ in range(max(1, math.ceil(10 * math.log2(max(2, n))))):
         marked = rng.random(k) < p
-        for i in range(iterations * span):
-            prob = 2.0 ** -((i % span) + 1)
-            transmit = marked & (rng.random(k) < prob)
-            hear = net.deliver(transmit)
+        rows = _decay_rows(n, marked, rng)
+        for t in range(rows.row_probs.size):
+            _, nodes = rows.sample(t, t + 1)
+            transmit = np.zeros(k, dtype=bool)
+            transmit[nodes] = True
+            net.deliver(transmit)  # collision or silence unless one sent
             steps += 1
-            if transmit.sum() == 1:
+            if nodes.size == 1:
                 return WakeupResult(succeeded=True, steps=steps, k=k)
-            del hear  # collision or silence: the game continues
-        # Nobody succeeded this round; in the clique every d_t is high,
-        # so Ghaffari's update halves every desire level.
-        p = p / 2.0
+        p = _next_desire(p, k)
     return WakeupResult(succeeded=False, steps=steps, k=k)

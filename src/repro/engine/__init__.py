@@ -7,13 +7,12 @@ stream of :mod:`segments <repro.engine.segments>` —
 
 * :class:`~repro.engine.segments.ObliviousWindow` — a block of radio
   steps whose transmit masks are all fixed before the first of them
-  executes (Decay sweeps, EstimateEffectiveDegree levels, round-robin
-  rotations); an adaptive step, whose mask depends on everything heard
-  so far, is a width-1 window;
-* :class:`~repro.engine.segments.StreamedWindow` — a window too wide
-  to materialize, carried as a lazily sampled
-  :class:`~repro.engine.segments.TransmitterPlan` plus a per-chunk
-  fold;
+  executes; an adaptive step, whose mask depends on everything heard
+  so far, is a width-1 window (the only kind in-tree emitters yield);
+* :class:`~repro.engine.segments.StreamedWindow` — an oblivious block
+  (Decay, EED, MIS, a BGI sweep, a wake-up block), carried as a lazily
+  sampled :class:`~repro.engine.segments.TransmitterPlan` plus a
+  per-chunk fold;
 * :class:`~repro.engine.segments.TracePhase` — a trace-attribution
   switch (no radio step).
 

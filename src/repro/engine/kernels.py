@@ -2,8 +2,8 @@
 
 :class:`DeliveryKernels` delivers every engine window — a transmitter
 list a sampler drew (Decay, EstimateEffectiveDegree and Radio MIS
-blocks) or a mask window turned into pairs (ICP's Decay background,
-BGI, Compete, round-robin, the wake-up reduction) — through
+blocks, BGI sweeps, the wake-up reduction) or a mask window turned into
+pairs (the width-1 steps of ICP's protocol stack) — through
 :meth:`DeliveryKernels.execute_coo`: one exact sparse product of the
 chunk's ``(w, n)`` transmitter matrix with the all-ones adjacency,
 every row alike, at a cost that follows the transmitters' degree sum.

@@ -1,9 +1,10 @@
 """Keyed transmitter sampling: draw each row's transmitters, not its coins.
 
-Every step of a Decay, EstimateEffectiveDegree or Radio MIS block is a
-*row* in which each node ``v`` of the block's member set transmits
-independently with probability ``q_t * c_v``: a per-row factor fixed
-for the block (the Decay ladder's ``2^-i``, EED's density guess
+Every step of an oblivious block (Decay, EstimateEffectiveDegree, Radio
+MIS; the Decay sweeps of BGI, ICP's background and the wake-up
+reduction) is a *row* in which each node ``v`` of the block's member set
+transmits independently with probability ``q_t * c_v``: a per-row factor
+fixed for the block (the Decay ladder's ``2^-i``, EED's density guess
 ``2^-i``) times a per-column factor fixed for the block (1 for Decay
 members, the desire level ``p(v)`` for EED). Such a row costs one coin
 per member when drawn cell by cell, yet only a small fraction of the
@@ -44,10 +45,12 @@ import numpy as np
 
 #: Version of the random stream behind seeded protocol runs. Version 1
 #: drew one coin per (step, node) cell from the protocol generator;
-#: version 2 draws per-block keys and samples transmitters from them
-#: (this module). Stored reports are keyed on it, so a store written
-#: under one stream never answers for another.
-STREAM_VERSION = 2
+#: version 2 keyed the rows of Decay, EED and Radio MIS blocks (this
+#: module); version 3 keys every oblivious block, BGI sweeps, ICP's
+#: Decay background and the wake-up reduction included. Stored reports
+#: are keyed on it, so a store written under one stream never answers
+#: for another.
+STREAM_VERSION = 3
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)

@@ -28,11 +28,9 @@ window's masks depends on anything heard inside the window. Every mask
 may (and usually does) depend on receptions from segments already
 completed, and on randomness drawn while building the window. Emitters
 must consume the protocol generator in the same order as the step-wise
-reference implementation — coin blocks row-major (numpy's
-``rng.random((w, n))`` equals ``w`` consecutive ``rng.random(n)``
-calls), keyed blocks one key per block at the block's first step
-(:mod:`repro.engine.sampler`) — which is what keeps engine and
-reference runs on one seed bit-identical.
+reference implementation — every oblivious block draws one key, at the
+block's first step (:mod:`repro.engine.sampler`) — which is what keeps
+engine and reference runs on one seed bit-identical.
 """
 
 from __future__ import annotations

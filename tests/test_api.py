@@ -43,13 +43,18 @@ from repro.api import (
     WakeupConfig,
     parse_mem_budget,
 )
-from repro.baselines.bgi_broadcast import bgi_broadcast
+from repro.baselines.bgi_broadcast import (
+    bgi_broadcast,
+    bgi_broadcast_reference,
+)
 from repro.core import (
     CompeteConfig,
     MISConfig,
     broadcast,
+    broadcast_packet,
     broadcast_packet_level,
     build_icp_inputs,
+    compete_packet,
     compute_mis,
     elect_leader,
     elect_leader_packet,
@@ -733,6 +738,40 @@ class TestDeprecationShims:
             api.run("bgi", g, seed=0, config=BGIConfig(source=99))
         with pytest.raises(ProtocolError, match="out of range"):
             api.run("bgi", g, seed=0, config=BGIConfig(sources=[0, 99]))
+
+
+#: Every library entry point that takes source nodes, called with one
+#: source ``s`` on a network (or graph) ``net``.
+_SOURCE_ENTRY_POINTS = {
+    "bgi_broadcast": lambda net, s, rng: bgi_broadcast(net, s, rng),
+    "bgi_broadcast-sources": lambda net, s, rng: bgi_broadcast(
+        net, 0, rng, sources=[0, s]
+    ),
+    "bgi_broadcast_reference": lambda net, s, rng: (
+        bgi_broadcast_reference(net, s, rng)
+    ),
+    "build_icp_inputs": lambda net, s, rng: build_icp_inputs(
+        net.graph, rng, sources={s: 5}
+    ),
+    "compete_packet": lambda net, s, rng: compete_packet(net, {s: 5}, rng),
+    "broadcast_packet": lambda net, s, rng: broadcast_packet(net, s, rng),
+}
+
+
+class TestSourceBounds:
+    """A source outside ``[0, n)`` is refused by the library entry
+    point itself — a negative index must not wrap to node ``n - 1``."""
+
+    @pytest.mark.parametrize("entry", sorted(_SOURCE_ENTRY_POINTS))
+    @pytest.mark.parametrize("where", ["minus-one", "n"])
+    def test_out_of_range_source_refused(self, entry, where):
+        net = RadioNetwork(_udg(60, 37))
+        source = -1 if where == "minus-one" else net.n
+        with pytest.raises(ProtocolError, match="out of range"):
+            _SOURCE_ENTRY_POINTS[entry](
+                net, source, np.random.default_rng(0)
+            )
+        assert net.steps_elapsed == 0
 
 
 # ---------------------------------------------------------------------------

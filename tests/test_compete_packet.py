@@ -11,6 +11,8 @@ from repro.core import (
     broadcast_packet,
     compete_packet,
 )
+from repro.engine import ExecutionPolicy, WindowedRunner
+from repro.engine.validate import ValidatingRunner
 from repro.radio import GraphContractError, RadioNetwork
 
 
@@ -106,3 +108,41 @@ class TestConfig:
             r = compete_packet(net, {0: 1}, np.random.default_rng(11))
             runs.append((r.steps, r.phases))
         assert runs[0] == runs[1]
+
+
+class TestPolicyReachesEveryStage:
+    """The caller's policy runs every stage, the partition included."""
+
+    @staticmethod
+    def _graph():
+        return graphs.random_udg(60, 4.0, np.random.default_rng(1))
+
+    def test_reference_engine_never_enters_the_runner(self, monkeypatch):
+        def refuse(self, schedule):
+            raise AssertionError("the windowed runner ran a stage")
+
+        monkeypatch.setattr(WindowedRunner, "run", refuse)
+        net = RadioNetwork(self._graph())
+        result = broadcast_packet(
+            net, 0, np.random.default_rng(3),
+            policy=ExecutionPolicy(engine="reference"),
+        )
+        assert result.delivered
+        assert result.stage_steps["partition"] > 0
+
+    def test_validation_checks_every_step(self, monkeypatch):
+        runners = []
+        init = ValidatingRunner.__init__
+
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            runners.append(self)
+
+        monkeypatch.setattr(ValidatingRunner, "__init__", record)
+        net = RadioNetwork(self._graph())
+        result = broadcast_packet(
+            net, 0, np.random.default_rng(3),
+            policy=ExecutionPolicy(validate=True),
+        )
+        assert result.stage_steps["partition"] > 0
+        assert sum(r.steps_checked for r in runners) == result.steps

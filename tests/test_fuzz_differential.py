@@ -213,8 +213,8 @@ class TestDifferentialFuzz:
             _assert_rng_equal(rng_w, rng_r)
 
     def test_wakeup(self, fuzz_rounds):
-        # One generator per engine, shared across every round: the
-        # engine path rewinds past the coins it drew beyond the success
+        # One generator per engine, shared across every round: both
+        # paths draw one key per Decay block, at the block's first
         # step, so results and final states match after every call.
         rng_w = np.random.default_rng(_seed(0, "wakeup-stream"))
         rng_r = np.random.default_rng(_seed(0, "wakeup-stream"))

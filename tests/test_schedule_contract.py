@@ -287,9 +287,7 @@ class TestEmitterContracts:
         k = 24 + seed
         runner = _validated(nx.complete_graph(k))
         result = runner.run(
-            _wakeup_mis_schedule(
-                400, k, np.random.default_rng(90 + seed), runner.chunk_steps
-            )
+            _wakeup_mis_schedule(400, k, np.random.default_rng(90 + seed))
         )
         assert runner.windows_checked > 0
         assert result.k == k

