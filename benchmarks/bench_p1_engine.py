@@ -8,7 +8,7 @@ stays honest:
   UDG with ``n >= 2000`` nodes: the seed path drives the ``Decay``
   protocol one ``deliver`` at a time through ``run_steps``; the engine
   path executes the same block (same rng stream, bit-identical result)
-  through ``RadioNetwork.deliver_window``'s single sparse product per
+  through ``run_decay``: one streamed window, one sparse product per
   chunk. Acceptance floor: **3x**.
 
 * **repeated MPX partition draws** — ``Partition(beta, MIS)`` redrawn

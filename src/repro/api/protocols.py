@@ -557,7 +557,6 @@ def _execute_bgi(network, rng, config, policy):
     emitters=("_wakeup_mis_schedule",),
     reference=mis_as_wakeup_strategy_reference,
     accepts="none",
-    corpus_ok=False,
     cli=CLISpec(
         help="MIS-as-wake-up reduction on a k-clique",
         add_arguments=lambda p: (
@@ -602,7 +601,6 @@ def _execute_wakeup(target, rng, config, policy):
     emitters=(),
     reference=None,
     accepts="graph",
-    corpus_ok=False,
     cli=CLISpec(
         help="broadcast via Compete (Thm 7)",
         add_arguments=lambda p: (
@@ -685,7 +683,6 @@ def _execute_broadcast(graph, rng, config, policy):
     emitters=(),
     reference=None,
     accepts="graph",
-    corpus_ok=False,
     cli=CLISpec(
         help="leader election (Algorithm 3)",
         add_arguments=lambda p: (
@@ -810,7 +807,6 @@ def _execute_leader_uptime(network, rng, config, policy):
     emitters=(),
     reference=partition_reference,
     accepts="graph",
-    corpus_ok=False,
     cli=CLISpec(
         help="one Partition(beta, MIS) clustering draw",
         add_arguments=lambda p: (

@@ -117,15 +117,9 @@ class ProtocolSpec:
         :class:`~repro.radio.network.RadioNetwork` is built from graph
         input), ``"graph"`` (the bare graph), or ``"none"`` (the
         protocol builds its own topology, e.g. the wake-up clique).
-    corpus_ok:
-        Whether ``execute`` accepts an array-native
-        :class:`~repro.corpus.graph.CSRGraph` target (mmap-loaded
-        corpus entries, shared-memory attachments). ``"network"``
-        protocols ride the CSR adjacency end to end and default to
-        ``True``; specs whose hook walks networkx-only surfaces
-        (``graph.subgraph``, per-node attribute dicts) declare
-        ``False`` and :func:`~repro.api.run.run` refuses by name,
-        pointing at ``CSRGraph.to_networkx()``.
+        Graph input may be a networkx graph or an array-native
+        :class:`~repro.corpus.graph.CSRGraph` (a corpus entry) for
+        every protocol that takes a target.
     cli:
         CLI metadata, or ``None`` for library-only protocols.
     """
@@ -138,7 +132,6 @@ class ProtocolSpec:
     reference: Callable[..., Any] | None
     execute: Callable[..., Any]
     accepts: str = "network"
-    corpus_ok: bool = True
     cli: CLISpec | None = None
 
 

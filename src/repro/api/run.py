@@ -87,10 +87,9 @@ def _resolve_corpus_target(
     """Fold the ``corpus=`` knob into the run target, refusing misuse.
 
     ``corpus`` may be a :class:`~repro.corpus.graph.CSRGraph` (used
-    as-is) or a corpus entry path (mmap-loaded). Protocols whose hooks
-    walk networkx-only surfaces declare ``corpus_ok=False`` and are
-    refused by name — ``CSRGraph.to_networkx()`` is the documented
-    bridge.
+    as-is) or a corpus entry path (mmap-loaded). Every protocol that
+    takes a target takes a corpus graph; :func:`_prepare_target`
+    refuses any target for protocols that build their own topology.
     """
     if corpus is not None:
         if target is not None:
@@ -104,17 +103,6 @@ def _resolve_corpus_target(
             from ..corpus.store import load_graph
 
             target = load_graph(corpus)
-    if (
-        target is not None
-        and hasattr(target, "csr_arrays")
-        and not (spec.accepts == "network" and spec.corpus_ok)
-    ):
-        raise ProtocolError(
-            f"protocol {spec.name!r} does not take array-native corpus "
-            f"graphs (accepts={spec.accepts!r}, corpus_ok="
-            f"{spec.corpus_ok}); materialize one with "
-            f"CSRGraph.to_networkx() instead"
-        )
     return target
 
 
@@ -197,10 +185,9 @@ def run(
         Run on a corpus graph instead of ``target`` (passing both
         refuses): a :class:`~repro.corpus.graph.CSRGraph` directly, or
         the path of a stored entry — mmap-loaded zero-copy, with the
-        entry digest recorded in ``provenance["corpus"]``. Network-
-        accepting protocols consume the CSR arrays end to end;
-        protocols declared ``corpus_ok=False`` refuse and name
-        ``CSRGraph.to_networkx()`` as the bridge.
+        entry digest recorded in ``provenance["corpus"]``. Every
+        protocol that takes a target consumes the CSR arrays end to
+        end; ``wakeup``, which builds its own topology, refuses.
 
     Returns
     -------

@@ -25,7 +25,8 @@ import dataclasses
 import numpy as np
 
 from ..radio.errors import BudgetExceededError, GraphContractError
-from ..radio.network import RadioNetwork
+from ..radio.network import NO_SENDER, RadioNetwork
+from ..radio.protocol import Protocol, run_steps
 
 
 @dataclasses.dataclass
@@ -36,6 +37,33 @@ class RoundRobinResult:
     delivered: bool
     steps: int
     rotations: int
+
+
+class RoundRobin(Protocol):
+    """Turn-taking broadcast: in step ``t`` node ``t mod n`` transmits
+    iff it is informed, and every listener that hears becomes informed.
+
+    Deterministic — :meth:`transmit_mask` ignores its ``rng``. A turn
+    elapses whether or not its node has anything to say: deterministic
+    schedules cannot skip silent turns (nobody else knows the turn went
+    unused). The protocol never finishes on its own; the driver runs
+    whole rotations of ``n`` steps.
+    """
+
+    def __init__(self, network: RadioNetwork, source: int) -> None:
+        super().__init__(network)
+        self.informed = np.zeros(self.n, dtype=bool)
+        self.informed[source] = True
+        self._turn = 0
+
+    def transmit_mask(self, rng: np.random.Generator | None) -> np.ndarray:
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self._turn] = self.informed[self._turn]
+        return mask
+
+    def observe(self, hear_from: np.ndarray) -> None:
+        self.informed |= hear_from != NO_SENDER
+        self._turn = (self._turn + 1) % self.n
 
 
 def round_robin_broadcast(
@@ -63,45 +91,22 @@ def round_robin_broadcast(
     if max_rotations is None:
         max_rotations = n + 1
 
-    informed = np.zeros(n, dtype=bool)
-    informed[source] = True
+    protocol = RoundRobin(network, source)
     steps_before = network.steps_elapsed
     network.trace.enter_phase("round-robin")
     rotations = 0
-    while not informed.all():
+    while not protocol.informed.all():
         if rotations >= max_rotations:
             raise BudgetExceededError(
                 f"round-robin broadcast incomplete after {max_rotations} "
                 "rotations — is the graph connected?"
             )
-        # One rotation = n steps, executed as a single batched window.
-        # The masks are deterministic but *cascading*: a node informed at
-        # an earlier turn of the same rotation transmits when its own
-        # turn comes up. Because step ``t`` has at most one transmitter
-        # (node ``t``), its receptions are exactly ``t``'s neighbors, so
-        # the cascade can be computed exactly by a cheap forward scan
-        # before any step executes; the simulator then realizes all n
-        # steps in one sparse product. A time-step elapses whether or
-        # not the scheduled node has anything to say — deterministic
-        # schedules cannot skip silent turns (nobody else knows the turn
-        # went unused).
-        masks = np.zeros((n, n), dtype=bool)
-        scan = informed.copy()
-        for turn in range(n):
-            if scan[turn]:
-                masks[turn, turn] = True
-                scan[network.neighbors_of(turn)] = True
-        network.deliver_window(masks)
-        # Single transmitters never collide, so every neighbor of a
-        # transmitting turn hears: `scan` already *is* the post-rotation
-        # informed set (the window call realizes the steps for the
-        # trace and step accounting).
-        informed = scan
+        run_steps(protocol, None, n)
         rotations += 1
     network.trace.enter_phase("default")
     return RoundRobinResult(
         source=source,
-        delivered=bool(informed.all()),
+        delivered=bool(protocol.informed.all()),
         steps=network.steps_elapsed - steps_before,
         rotations=rotations,
     )

@@ -24,6 +24,7 @@ import networkx as nx
 import numpy as np
 
 from ..engine.policy import ExecutionPolicy
+from ..radio.errors import ProtocolError
 from ..radio.network import RadioNetwork
 from ..radio.trace import CostLedger, StepTrace
 from .compete import CompeteConfig, CompeteResult, compete
@@ -78,7 +79,9 @@ def broadcast(
         message; rounds are itemized in ``ledger``.
     """
     if source not in graph:
-        raise ValueError(f"source {source} is not a node of the graph")
+        raise ProtocolError(
+            f"source {source} out of range [0, {graph.number_of_nodes()})"
+        )
     result = compete(graph, {source: 1}, rng, config=config, alpha=alpha)
     return BroadcastResult(
         source=source,

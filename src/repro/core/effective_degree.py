@@ -19,10 +19,10 @@ Performance: Algorithm 6 is *fully oblivious* — every transmit mask
 depends only on the fixed desire levels, the step's density guess, and
 the block's randomness, never on what was heard (receptions only
 update counters). :func:`effective_degree_schedule` therefore emits the
-entire ``O(log^2 n)``-step block as one streamed window of sampled
-transmitter lists (:class:`~repro.engine.sampler.RowSampler`, with the
-desire levels as column factors), so the engine's cost follows the
-transmissions. The step-wise drive is retained as
+``O(log^2 n)``-step block as one streamed window per density level, all
+rows sampled from one keyed :class:`~repro.engine.sampler.RowSampler`
+(with the desire levels as column factors), so the engine's cost
+follows the transmissions. The step-wise drive is retained as
 :func:`estimate_effective_degree_reference`; it samples the same rows
 from the same block key, so results, trace totals, and rng consumption
 are bit-identical.
@@ -38,7 +38,6 @@ import numpy as np
 from ..engine.policy import ExecutionPolicy
 from ..engine.sampler import RowSampler, draw_block_key
 from ..engine.segments import (
-    PlanSection,
     ProtocolSchedule,
     StreamedWindow,
     TransmitterPlan,
@@ -204,10 +203,9 @@ def effective_degree_schedule(
     """Schedule emitter for one full EstimateEffectiveDegree block.
 
     Step ``t`` of the block transmits with probability
-    ``p(v) / 2^(t // steps_per_level)``; the whole block goes out as one
-    :class:`~repro.engine.segments.StreamedWindow` over a
-    :class:`~repro.engine.segments.TransmitterPlan` whose rows are
-    sampled from one block key (drawn here, where the step-wise
+    ``p(v) / 2^(t // steps_per_level)``; each density level goes out as
+    one :class:`~repro.engine.segments.StreamedWindow` whose rows are
+    sampled from the block's one key (drawn here, where the step-wise
     protocol draws it at its first step), so any chunking reproduces
     the protocol's per-step rows. Receptions fold per chunk through
     :meth:`EstimateEffectiveDegree._absorb_coo`. Returns the block's
@@ -216,22 +214,21 @@ def effective_degree_schedule(
     protocol = EstimateEffectiveDegree(
         network, p, active, C=C, n_estimate=n_estimate
     )
-    total = protocol.total_steps
-    if total:
+    if protocol.total_steps:
         protocol.bind_key(rng)
-        # One unlabeled section per density level: a chunk never spans
-        # two levels, which bounds its working set by one level's rows
-        # while the whole ladder shares one plan.
-        yield StreamedWindow(
-            TransmitterPlan(total, protocol.transmitters),
-            sections=tuple(
-                PlanSection(
-                    protocol.steps_per_level,
-                    consume_coo=protocol._absorb_coo,
-                )
-                for _ in range(protocol.levels)
-            ),
-        )
+        width = protocol.steps_per_level
+        # One window per density level, each offset into the block's
+        # one sampler: a chunk never spans two levels, which bounds its
+        # working set by one level's rows.
+        for level in range(protocol.levels):
+
+            def rows(start: int, stop: int, base: int = level * width):
+                return protocol.transmitters(base + start, base + stop)
+
+            yield StreamedWindow(
+                TransmitterPlan(width, rows),
+                consume_coo=protocol._absorb_coo,
+            )
     return protocol.result()
 
 

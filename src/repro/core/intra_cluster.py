@@ -28,7 +28,7 @@ with the background by a :class:`~repro.radio.protocol.TimeMultiplexer`
 (or alone, without one) — and hands it to one of two drivers:
 :func:`~repro.radio.protocol.run_steps` under ``engine="reference"``,
 or the engine's :func:`~repro.engine.runner.protocol_schedule` lift,
-which runs every step as a width-1 window through the transmitter-pair
+which runs every step as a one-row window through the transmitter-pair
 product. The slot passes are adaptive (each slot's mask depends on
 knowledge received in earlier slots), so a step is the widest window
 the stack can promise. Both drivers are bit-identical on a shared seed
@@ -327,7 +327,7 @@ def intra_cluster_propagation(
 
     * the engine (``"windowed"``, the default):
       :func:`~repro.engine.runner.protocol_schedule` lifts each step
-      into a width-1 window delivered by the transmitter-pair product;
+      into a one-row window delivered by the transmitter-pair product;
     * ``engine="reference"``: the step-wise executable specification,
       :func:`~repro.radio.protocol.run_steps`.
 

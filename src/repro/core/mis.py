@@ -31,7 +31,6 @@ import numpy as np
 
 from ..engine.policy import ExecutionPolicy
 from ..engine.segments import (
-    PlanSection,
     ProtocolSchedule,
     StreamedWindow,
     TracePhase,
@@ -150,11 +149,12 @@ def mis_schedule(
 
     Each round is three sub-schedules punctuated by decision points that
     cost no radio steps (marking coins, the desire-level update): two
-    Decay blocks and — unless the ``oracle_degree`` knob is on — one
-    EstimateEffectiveDegree block, all emitted as oblivious windows via
-    ``yield from``. The rng draw order is exactly that of the step-wise
-    loop in :func:`compute_mis_reference`, so both paths are seeded
-    bit-identical. Returns the :class:`MISResult`.
+    Decay blocks, one window each, and — unless the ``oracle_degree``
+    knob is on — one EstimateEffectiveDegree block, one window per
+    density level. Each block is entered under its trace phase, line
+    for line as in :func:`compute_mis_reference`, and the rng draw
+    order is exactly that of the step-wise loop, so both paths are
+    seeded bit-identical. Returns the :class:`MISResult`.
     """
     config = config or MISConfig()
     n = network.n
@@ -186,66 +186,35 @@ def mis_schedule(
         # --- marking ---------------------------------------------------
         marked = active & (rng.random(n) < p)
 
-        # --- both Decay blocks, fused into one streamed plan -----------
-        # The two blocks of a round ("did a neighbor mark itself?" and
-        # the MIS-membership announcement) share one TransmitterPlan, so
-        # chunk dispatch runs once per round. The second block's
-        # membership (joined = marked nodes that heard no marked
-        # neighbor) depends on the first block's outcome, which is
-        # legal inside one plan because the runner never lets a chunk
-        # straddle the PlanSection boundary: by the first request for a
-        # section-2 row, section 1 is fully folded. Each block draws
-        # its key where the step-wise twin's block does — the first at
-        # the plan, the second at its first row — so the rng stream
-        # equals the two sequential blocks' draws exactly.
-        d1 = Decay(
+        # --- both Decay blocks, one window each --------------------------
+        # Each block draws its key where the step-wise twin's block
+        # does, at its first step; no draw lies between the first
+        # window's fold and the second block's key.
+        yield TracePhase("mis/decay-marked")
+        marked_echo = Decay(
             network, marked, iterations=decay_iters, n_estimate=n_est
         )
-        d1.bind_key(rng)
-        span = d1.total_steps
-        second: list[Decay] = []
-
-        def _second() -> Decay:
-            if not second:
-                d2 = Decay(
-                    network,
-                    d1.active & ~d1.heard,
-                    iterations=decay_iters,
-                    n_estimate=n_est,
-                )
-                d2.bind_key(rng)
-                second.append(d2)
-            return second[0]
-
-        def transmitters(
-            start: int, stop: int
-        ) -> tuple[np.ndarray, np.ndarray]:
-            if stop <= span:
-                return d1.transmitters(start, stop)
-            return _second().transmitters(start - span, stop - span)
-
+        marked_echo.bind_key(rng)
         yield StreamedWindow(
-            TransmitterPlan(2 * span, transmitters),
-            sections=(
-                PlanSection(
-                    span, "mis/decay-marked", consume_coo=d1._absorb_coo
-                ),
-                PlanSection(
-                    span,
-                    "mis/decay-mis",
-                    consume_coo=lambda k, steps, nodes, senders: (
-                        _second()._absorb_coo(k, steps, nodes, senders)
-                    ),
-                ),
-            ),
+            TransmitterPlan(marked_echo.total_steps, marked_echo.transmitters),
+            consume_coo=marked_echo._absorb_coo,
         )
         # A node v heard during block 1 iff some marked neighbor's
         # transmission reached it cleanly; Claim 10 makes this whp exact.
-        joined = marked & ~d1.heard
+        joined = marked & ~marked_echo.heard
 
         in_mis |= joined
 
-        removed = joined | (_second().heard & active)
+        yield TracePhase("mis/decay-mis")
+        mis_echo = Decay(
+            network, joined, iterations=decay_iters, n_estimate=n_est
+        )
+        mis_echo.bind_key(rng)
+        yield StreamedWindow(
+            TransmitterPlan(mis_echo.total_steps, mis_echo.transmitters),
+            consume_coo=mis_echo._absorb_coo,
+        )
+        removed = joined | (mis_echo.heard & active)
         active &= ~removed
 
         # --- effective degree estimate -----------------------------------

@@ -3,16 +3,15 @@
 Packet-level protocols in this package no longer drive
 :meth:`repro.radio.network.RadioNetwork.deliver` one step at a time.
 Instead each protocol is a *schedule emitter*: a generator that yields a
-stream of :mod:`segments <repro.engine.segments>` —
+stream of :mod:`segments <repro.engine.segments>` of two kinds —
 
-* :class:`~repro.engine.segments.ObliviousWindow` — a block of radio
-  steps whose transmit masks are all fixed before the first of them
-  executes; an adaptive step, whose mask depends on everything heard
-  so far, is a width-1 window (the only kind in-tree emitters yield);
-* :class:`~repro.engine.segments.StreamedWindow` — an oblivious block
-  (Decay, EED, MIS, a BGI sweep, a wake-up block), carried as a lazily
-  sampled :class:`~repro.engine.segments.TransmitterPlan` plus a
-  per-chunk fold;
+* :class:`~repro.engine.segments.StreamedWindow` — a block of radio
+  steps whose transmitters are all fixed before the first of them
+  executes (Decay, one EED level, a BGI sweep, a wake-up block),
+  carried as a lazily sampled
+  :class:`~repro.engine.segments.TransmitterPlan` plus one per-chunk
+  fold; an adaptive step, whose transmitters depend on everything
+  heard so far, is a one-row window;
 * :class:`~repro.engine.segments.TracePhase` — a trace-attribution
   switch (no radio step).
 
@@ -27,19 +26,18 @@ the :mod:`repro.engine.validate` harness pin down (see DESIGN.md, "The
 engine layer").
 
 Step-wise :class:`~repro.radio.protocol.Protocol` objects enter through
-one lift, :func:`~repro.engine.runner.protocol_schedule`, one width-1
+one lift, :func:`~repro.engine.runner.protocol_schedule`, one one-row
 window per protocol step. Intra-Cluster Propagation rides it with its
 whole :class:`~repro.radio.protocol.TimeMultiplexer` stack — the slot
 passes and their time-multiplexed Decay background — the same stack
 its step-wise reference hands to :func:`~repro.radio.protocol
 .run_steps`.
 
-*Streamed* windows (:mod:`repro.engine.streaming`) run in bounded
-chunks, with the chunk height derived from the policy's peak-memory
-budget, at a cost that follows the transmissions rather than ``n``
-times the steps (rows drawn by :mod:`repro.engine.sampler`; DESIGN.md,
-"Streaming windows" and "The rng-stream contract"). Materialized
-windows taller than the chunk height run on the same chunk loop.
+Windows run in bounded chunks (:mod:`repro.engine.streaming`), with
+the chunk height derived from the policy's peak-memory budget, at a
+cost that follows the transmissions rather than ``n`` times the steps
+(rows drawn by :mod:`repro.engine.sampler`; DESIGN.md, "Streaming
+windows" and "The rng-stream contract").
 """
 
 from .kernels import DeliveryKernels
@@ -47,8 +45,6 @@ from .policy import ENGINE_MODES, ExecutionPolicy, parse_mem_budget
 from .runner import WindowedRunner, protocol_schedule
 from .sampler import STREAM_VERSION, RowSampler
 from .segments import (
-    ObliviousWindow,
-    PlanSection,
     ProtocolSchedule,
     Segment,
     StreamedWindow,
@@ -62,11 +58,9 @@ __all__ = [
     "DeliveryKernels",
     "ENGINE_MODES",
     "ExecutionPolicy",
-    "PlanSection",
     "RowSampler",
     "STREAM_VERSION",
     "ObliviousnessViolationError",
-    "ObliviousWindow",
     "ProtocolSchedule",
     "STREAM_CELL_BYTES",
     "Segment",

@@ -199,9 +199,7 @@ class ExecutionPolicy:
             network.install_faults(self.faults)
         return network
 
-    def runner(
-        self, network: RadioNetwork, max_steps: int | None = None
-    ):
+    def runner(self, network: RadioNetwork):
         """Build the runner this policy prescribes for ``network``.
 
         A plain :class:`~repro.engine.runner.WindowedRunner`, or the
@@ -220,19 +218,12 @@ class ExecutionPolicy:
         else:
             cls = WindowedRunner
         return cls(
-            network,
-            chunk_steps_for_budget(network.n, self.mem_budget),
-            max_steps=max_steps,
+            network, chunk_steps_for_budget(network.n, self.mem_budget)
         )
 
-    def run_schedule(
-        self,
-        network: RadioNetwork,
-        schedule,
-        max_steps: int | None = None,
-    ):
+    def run_schedule(self, network: RadioNetwork, schedule):
         """Execute a schedule under this policy (one-shot runner)."""
-        return self.runner(network, max_steps=max_steps).run(schedule)
+        return self.runner(network).run(schedule)
 
 
 #: The policy's field names, in declaration order — the accepted set

@@ -5,16 +5,13 @@ hear-window: a protocol block of ``w`` oblivious steps materialized
 ``w * n`` masks, coins, and ``hear_from`` cells at once, so experiments
 stalled around ``n = 10^4`` however fast the kernels were. This module
 is the policy layer of the fix (the mechanism is the
-:class:`~repro.engine.runner.WindowedRunner` chunk loop and the
-:class:`~repro.engine.segments.StreamedWindow` segment over a sampled
+:class:`~repro.engine.runner.WindowedRunner` chunk loop over the
+:class:`~repro.engine.segments.StreamedWindow`'s sampled
 :class:`~repro.engine.segments.TransmitterPlan`): a **cost model**
 turning a target peak-byte budget into the ``chunk_steps`` height the
-runner executes windows at (:func:`chunk_steps_for_budget`). The
+runner executes every window at (:func:`chunk_steps_for_budget`). The
 budget is one explicit :class:`~repro.engine.policy.ExecutionPolicy`
 field with one default (256 MiB); there is no process-wide setting.
-Streamed plans run at that height, and a materialized
-:class:`~repro.engine.segments.ObliviousWindow` wider than it runs
-chunk-wise into its one reply, bounding the product's working set.
 
 Bit-identity: chunking never changes results. Window steps are
 independent given their transmitters, the delivery product computes
@@ -34,12 +31,11 @@ from ..radio.errors import ProtocolError
 #: Every chunk runs the one transmitter-pair product, whose output is
 #: at most one 12-byte entry per cell (capped at ``k * n`` entries
 #: whatever the degrees) next to a one-byte-per-cell half-duplex
-#: bitmap; reception triples exist only for clean cells. A chunk of a
-#: materialized window adds the pairs read off its masks (16 per
-#: transmitter); a transmitter-list chunk has no masks at all. 64 bytes
-#: a cell keeps the memory-ceiling regressions' margin wide across
-#: numpy versions — the savings of the lean transmitter-list form are
-#: banked as headroom rather than spent on taller chunks.
+#: bitmap; reception triples exist only for clean cells, and the
+#: chunk's transmitters are 16-byte pairs, not masks. 64 bytes a cell
+#: keeps the memory-ceiling regressions' margin wide across numpy
+#: versions — the savings of the transmitter-pair form are banked as
+#: headroom rather than spent on taller chunks.
 STREAM_CELL_BYTES = 64
 
 

@@ -6,16 +6,19 @@ the transmitter-pair product returns exactly what ``w`` sequential
 :class:`ValidatingRunner` turns that promise into a runtime assertion:
 it executes schedules normally on its primary network while
 *replaying* every delivered chunk step-by-step through ``deliver`` on a
-shadow network over the same graph. ``deliver``'s fused ``(n, 2)``
-matvec shares no code with the product, so the replay is an
-independent executable specification, not the engine checking itself.
+shadow network over the same graph. Every window — a sampled plan or a
+lifted protocol step — reaches the product through the runner's one
+``_deliver_coo`` hook, which is where the replay sits. ``deliver``'s
+fused ``(n, 2)`` matvec shares no code with the product, so the replay
+is an independent executable specification, not the engine checking
+itself.
 Any disagreement — a single ``hear_from`` bit — raises
 :class:`ObliviousnessViolationError` naming the first divergent step.
 
 ``tests/test_schedule_contract.py`` drives every in-tree schedule
 emitter through this runner across the pipeline's graph families, so
 the windows being checked are the ones real protocols actually emit
-(mask distributions from Decay ladders, slot schedules, density
+(transmitter rows from Decay ladders, slot schedules, density
 guesses), not synthetic ones. The harness is shipped, not test-only:
 wrap any run in it when debugging a suspected engine/emitter mismatch.
 """
@@ -52,13 +55,8 @@ class ValidatingRunner(WindowedRunner):
         so tests can assert the harness actually exercised something.
     """
 
-    def __init__(
-        self,
-        network: RadioNetwork,
-        chunk_steps: int,
-        max_steps: int | None = None,
-    ) -> None:
-        super().__init__(network, chunk_steps, max_steps=max_steps)
+    def __init__(self, network: RadioNetwork, chunk_steps: int) -> None:
+        super().__init__(network, chunk_steps)
         self.shadow = RadioNetwork(network.graph)
         if network._fault_state is not None:
             # Under an active fault schedule the shadow must realize
@@ -95,8 +93,7 @@ class ValidatingRunner(WindowedRunner):
         reception triples to a hear slab — the only place either is
         built — and compared against the shadow's step replay, which
         realizes the same fault pattern through the mask transforms.
-        Both window forms (materialized masks, sampled transmitters)
-        reach the product through this hook.
+        Every window reaches the product through this hook.
         """
         n = self.network.n
         masks = np.zeros((k, n), dtype=bool)
@@ -111,13 +108,8 @@ class ValidatingRunner(WindowedRunner):
         self._compare(slab, masks)
         consume_coo(k, rx_steps, rx_nodes, senders)
 
-    def _execute_window(self, masks: np.ndarray) -> np.ndarray:
-        reply = super()._execute_window(masks)
-        self.windows_checked += 1
-        return reply
-
-    def _execute_stream(self, segment) -> None:
-        super()._execute_stream(segment)
+    def _run_chunks(self, window) -> None:
+        super()._run_chunks(window)
         self.windows_checked += 1
 
 

@@ -14,37 +14,32 @@ on. It implements exactly the model of the paper (Section 1.1):
 
 The simulator is *ad-hoc faithful by convention*: it exposes global graph
 knowledge (it must, to compute deliveries), but protocol implementations in
-:mod:`repro.core` only consult per-node state plus what each node heard,
-never the topology. Tests in ``tests/test_adhoc_discipline.py`` enforce
-this for the core protocols.
+:mod:`repro.core` and :mod:`repro.baselines` only consult per-node state
+plus what each node heard, never the topology.
 
-Performance: the delivery engine is fully vectorized over an
-int32-indexed CSR adjacency with preallocated step buffers. A single
-step is **one** fused sparse product — the transmit indicator and the
-id-weighted indicator are stacked into an ``(n, 2)`` right-hand side so
-one pass over the adjacency yields both the per-listener transmitter
-counts and the unique-sender identities. Oblivious step sequences
-(masks that do not depend on intermediate receptions — Decay sweeps,
-round-robin rotations, the Compete background process) go through
-:meth:`RadioNetwork.deliver_window`, which turns a whole window's
-transmitters into ``(step, node)`` pairs and delivers them through the
-one exact sparse product of
+There are two ways into the simulator. :meth:`RadioNetwork.deliver` is
+one step: the transmit indicator and the id-weighted indicator are
+stacked into an ``(n, 2)`` right-hand side, so one fused sparse product
+over the int32-indexed CSR adjacency yields both the per-listener
+transmitter counts and the unique-sender identities. It is what the
+step-wise ``*_reference`` twins drive. The engine's way in is
+:meth:`RadioNetwork._deliver_pairs`: the
+:class:`~repro.engine.runner.WindowedRunner` hands it each chunk of a
+window's transmitters as ``(step, node)`` pairs, and it delivers them
+through the one exact sparse product of
 :meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`, at a cost
 that follows the transmitters' degree sum; packet-level runs of
 hundreds of thousands of steps on graphs with thousands of nodes are
-practical. The windowed runner executes sampled transmitter plans too
-wide to materialize through the same product in bounded chunks.
+practical.
 
-Protocols do not call these delivery entry points directly anymore:
-they emit :mod:`repro.engine` schedules of windows (an adaptive step
-is a width-1 window) and the
-:class:`~repro.engine.runner.WindowedRunner` delivers every window
-through the transmitter-pair product. The product is bit-identical per
-step to :meth:`RadioNetwork.deliver` here, which is what makes the
-engine's windowed execution exactly equivalent to the step-wise
-reference loops — and :meth:`deliver`, which shares no code with the
-product, is the oracle the validating runner replays every window
-against.
+Protocols do not call either entry point directly: they emit
+:mod:`repro.engine` schedules of windows (an adaptive step is a one-row
+window), and the runner delivers every window through the
+transmitter-pair product. The product is bit-identical per step to
+:meth:`RadioNetwork.deliver` here, which is what makes the engine's
+windowed execution exactly equivalent to the step-wise reference
+loops — and :meth:`deliver`, which shares no code with the product, is
+the oracle the validating runner replays every window against.
 """
 
 from __future__ import annotations
@@ -163,9 +158,9 @@ class RadioNetwork:
         inside every delivery entry point — as mask transforms in
         :meth:`deliver` and :meth:`deliver_detect`, as transmitter-pair
         filters on every window — keyed on the global
-        :attr:`steps_elapsed` clock, so the windowed, streamed, fused,
-        validating, and step-wise reference execution paths all realize
-        exactly the same fault pattern.
+        :attr:`steps_elapsed` clock, so the windowed, validating, and
+        step-wise reference execution paths all realize exactly the same
+        fault pattern.
 
         Installing an **empty** schedule is a no-op (runs stay
         bit-identical to a network without one). Installation is
@@ -222,7 +217,9 @@ class RadioNetwork:
     # the radio step
     # ------------------------------------------------------------------
     def _validate_mask(self, transmit: np.ndarray) -> np.ndarray:
-        """Shared transmit-mask validation for all delivery entry points."""
+        """Shared transmit-mask validation: :meth:`deliver`,
+        :meth:`deliver_detect`, and the engine's step lift
+        (:func:`~repro.engine.runner.protocol_schedule`)."""
         transmit = np.asarray(transmit)
         if transmit.shape != (self.n,):
             raise InvalidActionError(
@@ -342,50 +339,8 @@ class RadioNetwork:
         return hear_from, busy
 
     # ------------------------------------------------------------------
-    # the batched radio window
+    # the engine's way in: transmitter pairs through the window product
     # ------------------------------------------------------------------
-    def deliver_window(self, masks: np.ndarray) -> np.ndarray:
-        """Execute a window of oblivious radio steps in one product.
-
-        Semantically identical to calling :meth:`deliver` once per row of
-        ``masks`` — same ``hear_from`` values, same trace totals, same
-        ``steps_elapsed`` — but the whole window is computed as a single
-        sparse product, which is what makes long oblivious schedules
-        (Decay sweeps, round-robin rotations, background processes)
-        fast. *Oblivious* means the caller could fix every mask before
-        the first step executes: masks must not depend on what is heard
-        inside the window.
-
-        The window's transmitters become ``(step, node)`` pairs
-        (``np.nonzero`` is row-major, nodes ascending — the product's
-        CSR layout) and run through
-        :meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`, the
-        one kernel every engine window runs on. Its sums are exact
-        integers, so the result is bit-identical to the step-wise path.
-
-        Parameters
-        ----------
-        masks:
-            Boolean array of shape ``(w, n)``; row ``t`` is the transmit
-            mask of window step ``t``.
-
-        Returns
-        -------
-        numpy.ndarray
-            Integer array of shape ``(w, n)``: row ``t`` is exactly what
-            :meth:`deliver` would have returned for ``masks[t]``.
-        """
-        masks = self._validate_window_masks(np.asarray(masks))
-        w = masks.shape[0]
-        hear_from = np.full((w, self.n), NO_SENDER, dtype=np.int64)
-        if w:
-            steps, nodes = np.nonzero(masks)
-            rx_steps, rx_nodes, senders = self._deliver_pairs(
-                w, steps, nodes
-            )
-            hear_from[rx_steps, rx_nodes] = senders
-        return hear_from
-
     def _deliver_pairs(
         self, w: int, steps: np.ndarray, nodes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -443,18 +398,6 @@ class RadioNetwork:
             # blow a tight streamed mem_budget.
             self._kernels._adj = self._adj
         return self._kernels
-
-    def _validate_window_masks(self, masks: np.ndarray) -> np.ndarray:
-        """Shared shape/dtype validation for window mask matrices."""
-        if masks.ndim != 2 or masks.shape[1] != self.n:
-            raise InvalidActionError(
-                f"window masks have shape {masks.shape}, expected (w, {self.n})"
-            )
-        if masks.dtype != np.bool_:
-            raise InvalidActionError(
-                f"window masks must be boolean, got dtype {masks.dtype}"
-            )
-        return masks
 
     def _account_steps(
         self, steps: int, transmissions: int, receptions: int

@@ -31,7 +31,7 @@ one sparse product. The drivers here (:func:`run_protocol`,
 ``*_reference`` twins use, and
 :func:`repro.engine.runner.protocol_schedule` lifts any
 :class:`Protocol` object — including :class:`TimeMultiplexer` stacks —
-onto the runner as width-1 windows, with bit-identical behavior.
+onto the runner as one-row windows, with bit-identical behavior.
 """
 
 from __future__ import annotations

@@ -73,12 +73,12 @@ class StepTrace:
     ) -> None:
         """Record a whole batch of steps in one call.
 
-        The window paths (:meth:`~repro.radio.network.RadioNetwork
-        .deliver_window` and the runner's chunk loop) use this instead
-        of ``steps`` individual :meth:`record_step` calls; since the
-        trace only keeps aggregates
-        and the current phase cannot change mid-window, the resulting
-        trace state is identical to the per-step recording.
+        The runner's chunk loop (through
+        :meth:`~repro.radio.network.RadioNetwork._deliver_pairs`) uses
+        this instead of ``steps`` individual :meth:`record_step` calls;
+        since the trace only keeps aggregates and the current phase
+        cannot change mid-chunk, the resulting trace state is identical
+        to the per-step recording.
         """
         self.total_steps += steps
         self.total_transmissions += transmissions
@@ -120,6 +120,7 @@ class Charge:
     category: str
 
 
+@dataclasses.dataclass
 class CostLedger:
     """Round charges for the round-accounted fidelity level.
 
@@ -130,10 +131,13 @@ class CostLedger:
     computation — the additive ``polylog n`` term of Theorems 6-8) from
     *propagation* charges (the ``D log_D alpha`` leading term), because the
     paper's claims are about the leading term's shape.
+
+    A ledger is a value over its list of :class:`Charge` records: two
+    ledgers with the same charges in the same order compare equal, and
+    the wire codec round-trips it like any other report dataclass.
     """
 
-    def __init__(self) -> None:
-        self._charges: list[Charge] = []
+    _charges: list[Charge] = dataclasses.field(default_factory=list)
 
     def charge(self, rounds: int, reason: str, category: str = "propagation") -> None:
         """Add ``rounds`` to the ledger under ``category``.

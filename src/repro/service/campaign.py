@@ -78,8 +78,8 @@ class CampaignSpec:
     Attributes
     ----------
     protocol:
-        Registered protocol name (must accept corpus graphs — the
-        campaign engine is store-backed end to end).
+        Registered protocol name; any protocol that takes a target
+        graph (the campaign engine runs over corpus entries).
     corpus:
         Corpus entries to run on: content digests (or unambiguous
         prefixes) resolved against the service's
@@ -110,11 +110,11 @@ class CampaignSpec:
         object.__setattr__(self, "corpus", tuple(self.corpus))
         object.__setattr__(self, "policies", tuple(self.policies))
         spec = get_protocol(self.protocol)  # refuses unknowns by name
-        if not (spec.accepts == "network" and spec.corpus_ok):
+        if spec.accepts == "none":
             raise ProtocolError(
-                f"protocol {self.protocol!r} does not take array-native "
-                f"corpus graphs, so it cannot run as a campaign "
-                f"(campaigns are store-backed end to end)"
+                f"protocol {self.protocol!r} builds its own topology "
+                f"and takes no corpus graph, so it cannot run as a "
+                f"campaign (campaigns run over corpus entries)"
             )
         if not self.corpus or not all(
             isinstance(c, str) and c for c in self.corpus

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro import graphs
-from repro.radio import RadioNetwork
+from repro.engine import StreamedWindow, TransmitterPlan
+from repro.radio import NO_SENDER, RadioNetwork
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -84,3 +85,35 @@ def net_path5(path5) -> RadioNetwork:
 def net_clique6(clique6) -> RadioNetwork:
     """Radio network on the 6-clique."""
     return RadioNetwork(clique6)
+
+
+def _mask_window(masks: np.ndarray):
+    """Emit ``masks`` as one runner window; return its ``(w, n)`` reply.
+
+    The window's plan reads each chunk's transmitters off the masks
+    with ``np.nonzero`` and its fold writes the chunk's receptions into
+    one ``hear_from`` matrix, so row ``t`` is what
+    ``RadioNetwork.deliver(masks[t])`` returns.
+    """
+    hear = np.full(masks.shape, NO_SENDER, dtype=np.int64)
+    done = 0
+
+    def fold(k, steps, nodes, senders):
+        nonlocal done
+        hear[steps + done, nodes] = senders
+        done += k
+
+    yield StreamedWindow(
+        TransmitterPlan(
+            masks.shape[0], lambda start, stop: np.nonzero(masks[start:stop])
+        ),
+        consume_coo=fold,
+    )
+    return hear
+
+
+@pytest.fixture
+def mask_window():
+    """The mask-window emitter: ``runner.run(mask_window(masks))``, or
+    ``hear = yield from mask_window(masks)`` inside a schedule."""
+    return _mask_window

@@ -134,3 +134,15 @@ class TestOutOfRangeRefusals:
         assert code == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["999", "-1"])
+    @pytest.mark.parametrize(
+        "packet", [[], ["--packet"]], ids=["accounted", "packet"]
+    )
+    def test_source_out_of_range_refused(self, source, packet, capsys):
+        # Both fidelity levels refuse an out-of-range broadcast source
+        # with the same one-line error.
+        code = main(["broadcast", "--n", "30", "--source", source, *packet])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: source {source} out of range [0, 30)\n"

@@ -302,10 +302,27 @@ class TestRunOnCorpus:
             api.run("mis", g_ref, corpus=g_csr, seed=1)
 
     @pytest.mark.parametrize("name", ["broadcast", "leader", "partition"])
-    def test_graph_protocols_refuse_csr_targets(self, name):
+    def test_graph_protocols_take_csr_targets(self, name):
+        # The graph-accepting protocols run on a CSRGraph exactly as on
+        # its networkx materialization, at both fidelity levels (both
+        # partition engines).
         g_csr, _ = self._twins()
-        with pytest.raises(ProtocolError, match="to_networkx"):
-            api.run(name, corpus=g_csr, seed=1)
+        if name == "partition":
+            reference = api.ExecutionPolicy(engine="reference")
+            variants = [(None, None), (None, reference)]
+        else:
+            packet = api.get_protocol(name).config_cls(packet=True)
+            variants = [(None, None), (packet, None)]
+        for config, policy in variants:
+            on_csr = api.run(
+                name, corpus=g_csr, seed=1, config=config, policy=policy
+            )
+            on_nx = api.run(
+                name, g_csr.to_networkx(), seed=1, config=config,
+                policy=policy,
+            )
+            assert on_csr.result == on_nx.result
+            assert on_csr.steps == on_nx.steps
 
     def test_wakeup_refuses_corpus(self):
         g_csr, _ = self._twins()
@@ -314,8 +331,7 @@ class TestRunOnCorpus:
 
     def test_icp_keeps_corpus_support(self):
         # icp's setup pipeline (greedy MIS, partition draw, schedule)
-        # is CSR-clean end to end; pin that corpus_ok stays True.
-        assert api.get_protocol("icp").corpus_ok is True
+        # is CSR-clean end to end.
         g_csr, _ = self._twins()
         report = api.run("icp", corpus=g_csr, seed=2)
         assert int((report.result.knowledge >= 0).sum()) > 1
@@ -434,7 +450,8 @@ class TestCLICorpus:
         assert report["n"] == 50
         assert report["valid"] is True
 
-    def test_corpus_flag_refused_for_graph_protocols(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name", ["broadcast", "leader", "partition"])
+    def test_corpus_flag_runs_graph_protocols(self, name, tmp_path, capsys):
         from repro.cli import main
 
         g = corpus.random_udg_csr(
@@ -442,9 +459,10 @@ class TestCLICorpus:
         )
         store = corpus.CorpusStore(tmp_path)
         entry = store.path(store.add(g))
-        code = main(["broadcast", "--corpus", str(entry), "--seed", "3"])
-        assert code == 2
-        assert "to_networkx" in capsys.readouterr().err
+        code = main([name, "--corpus", str(entry), "--seed", "3", "--json"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n"] == 50
 
 
 class TestGeneratorEdgeCases:

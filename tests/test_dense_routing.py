@@ -20,12 +20,7 @@ import pytest
 from repro import graphs
 from repro.analysis.experiments import measure_peak
 from repro.api import EEDConfig, ExecutionPolicy, run
-from repro.engine import (
-    ObliviousWindow,
-    StreamedWindow,
-    TransmitterPlan,
-    WindowedRunner,
-)
+from repro.engine import StreamedWindow, TransmitterPlan, WindowedRunner
 from repro.engine.streaming import chunk_steps_for_budget
 from repro.radio.network import NO_SENDER, RadioNetwork
 
@@ -55,56 +50,47 @@ def _step_replay(graph, masks: np.ndarray) -> np.ndarray:
 
 
 class TestOutputSizeRouting:
-    def test_mid_band_stays_sparse(self, dense_net):
+    def test_mid_band_stays_sparse(self, dense_net, mask_window):
         # Two transmitters a row on the dense graph (the band just past
         # the removed router's memory parity): the window stays on the
         # sparse product, every row counted as coo-spmm, and equals the
         # step replay.
         masks = _sparse_popcount_masks(N_DENSE, 16, 2, seed=4)
         net = RadioNetwork(dense_net.graph)
-        hear = net.deliver_window(masks)
+        hear = WindowedRunner(net, 16).run(mask_window(masks))
         assert net.kernel_use == {"coo-spmm": 16}
         assert (hear == _step_replay(dense_net.graph, masks)).all()
 
-    def test_routing_never_changes_bits(self, dense_net):
+    def test_routing_never_changes_bits(self, dense_net, mask_window):
         # Degree-heavy, popcount-sparse masks: whichever route the
-        # window takes into the product — deliver_window, the runner
-        # whole or chunk-wise, a streamed plan of the same rows — the
-        # bits equal the step replay.
+        # window takes into the product — the kernel on the whole
+        # window's pairs, the runner whole or chunk-wise — the bits
+        # equal the step replay.
         masks = _sparse_popcount_masks(N_DENSE, 24, 16, seed=3)
         graph = dense_net.graph
         want = _step_replay(graph, masks)
-        assert (RadioNetwork(graph).deliver_window(masks) == want).all()
-        for chunk_steps in (24, 5):
+        step, node, sender = (
+            RadioNetwork(graph)
+            ._delivery_kernels()
+            .execute_coo(24, *np.nonzero(masks))
+        )
+        direct = np.full(want.shape, NO_SENDER, dtype=np.int64)
+        direct[step, node] = sender
+        assert (direct == want).all()
+        for chunk_steps in (24, 7, 5):
             runner = WindowedRunner(RadioNetwork(graph), chunk_steps)
+            assert (runner.run(mask_window(masks)) == want).all()
 
-            def window():
-                return (yield ObliviousWindow(masks))
-
-            assert (runner.run(window()) == want).all()
-        streamed_hear = np.full(want.shape, NO_SENDER, dtype=np.int64)
-        done = [0]
-
-        def fold(k, steps, nodes, senders):
-            streamed_hear[steps + done[0], nodes] = senders
-            done[0] += k
-
-        def streamed():
-            yield StreamedWindow(
-                TransmitterPlan(24, lambda s, e: np.nonzero(masks[s:e])),
-                consume_coo=fold,
-            )
-
-        WindowedRunner(RadioNetwork(graph), 7).run(streamed())
-        assert (streamed_hear == want).all()
-
-    def test_empty_and_allzero_windows_still_work(self, dense_net):
+    def test_empty_and_allzero_windows_still_work(
+        self, dense_net, mask_window
+    ):
         net = RadioNetwork(dense_net.graph)
+        runner = WindowedRunner(net, 4)
         empty = np.zeros((0, N_DENSE), dtype=bool)
-        assert net.deliver_window(empty).shape == (0, N_DENSE)
+        assert runner.run(mask_window(empty)).shape == (0, N_DENSE)
         assert net.steps_elapsed == 0 and not net.kernel_use
         quiet = np.zeros((4, N_DENSE), dtype=bool)
-        assert (net.deliver_window(quiet) == NO_SENDER).all()
+        assert (runner.run(mask_window(quiet)) == NO_SENDER).all()
         assert net.steps_elapsed == 4
         assert net.kernel_use == {"skip-empty": 4}
 

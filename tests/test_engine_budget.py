@@ -1,10 +1,10 @@
-"""Budget accounting across every engine execution strategy.
+"""Step accounting across every engine execution strategy.
 
-``WindowedRunner(max_steps=...)`` must charge ICP's lifted
-time-multiplexed stack and dense and sparse windows exactly as the
-step-wise drivers count steps — one charge per radio step, raised
-*before* the segment that would overshoot executes — plus the
-documented edge cases: the budget's chunk height at ``n = 0`` and the
+The runner must account ICP's lifted time-multiplexed stack and dense
+and sparse windows exactly as the step-wise drivers count steps — one
+step per radio step, whatever the chunking — and the lift's own step
+bound must end the stack exactly where the step-wise driver would,
+plus the documented edge cases: the chunk height at ``n = 0`` and the
 empty (``w = 0``) window.
 """
 
@@ -23,13 +23,14 @@ from repro.core.intra_cluster import (
 from repro.engine import (
     STREAM_CELL_BYTES,
     ExecutionPolicy,
-    ObliviousWindow,
+    StreamedWindow,
+    TransmitterPlan,
     WindowedRunner,
     chunk_steps_for_budget,
     protocol_schedule,
 )
 from repro.graphs import greedy_independent_set
-from repro.radio import BudgetExceededError, RadioNetwork, TimeMultiplexer
+from repro.radio import RadioNetwork, TimeMultiplexer
 
 
 def _icp_fixture(seed: int = 0):
@@ -43,18 +44,18 @@ def _icp_fixture(seed: int = 0):
     return g, clustering, schedule, know
 
 
-def _lifted_icp(net, clustering, schedule, know, rng):
+def _lifted_icp(net, clustering, schedule, know, rng, steps=None):
     main = ICPProtocol(net, schedule, know, 3)
     total = sum(len(p.slots) for p in main._passes)
     background = DecayBackground(net, clustering, know)
     return total, protocol_schedule(
-        TimeMultiplexer(net, main, background), rng
+        TimeMultiplexer(net, main, background), rng, steps=steps
     )
 
 
 class TestMultiplexedBudget:
     def test_charges_match_stepwise_drivers(self):
-        # The lifted stack must charge exactly the steps the reference
+        # The lifted stack must execute exactly the steps the reference
         # executes: 2 * slots - 1 (the reference stops at the finished
         # check after main's last observe).
         g, clustering, schedule, know = _icp_fixture()
@@ -64,39 +65,26 @@ class TestMultiplexedBudget:
             policy=ExecutionPolicy(engine="reference"),
         )
         net = RadioNetwork(g)
-        runner = ExecutionPolicy().runner(net)
         total, lifted = _lifted_icp(
             net, clustering, schedule, know.copy(), np.random.default_rng(5)
         )
-        runner.run(lifted)
-        assert runner.steps_executed == ref.steps == 2 * total - 1
-        assert net.steps_elapsed == ref.steps
+        ExecutionPolicy().run_schedule(net, lifted)
+        assert net.steps_elapsed == ref.steps == 2 * total - 1
+        assert net.trace.total_steps == ref.steps
 
     def test_exact_budget_completes(self):
+        # The lift's own step bound, set to the stack's exact length,
+        # lets it finish and return its result.
         g, clustering, schedule, know = _icp_fixture()
         net = RadioNetwork(g)
-        total, lifted = _lifted_icp(
-            net, clustering, schedule, know, np.random.default_rng(5)
+        main = ICPProtocol(net, schedule, know, 3)
+        budget = 2 * sum(len(p.slots) for p in main._passes) - 1
+        _, lifted = _lifted_icp(
+            net, clustering, schedule, know, np.random.default_rng(5),
+            steps=budget,
         )
-        runner = ExecutionPolicy().runner(net, max_steps=2 * total - 1)
-        runner.run(lifted)
-        assert runner.steps_executed == 2 * total - 1
-
-    def test_raise_before_execute_at_window_boundary(self):
-        # One step short: the runner must raise before executing the
-        # window that would overshoot, leaving the network at a window
-        # boundary below the budget.
-        g, clustering, schedule, know = _icp_fixture()
-        net = RadioNetwork(g)
-        total, lifted = _lifted_icp(
-            net, clustering, schedule, know, np.random.default_rng(5)
-        )
-        budget = 2 * total - 2
-        runner = ExecutionPolicy().runner(net, max_steps=budget)
-        with pytest.raises(BudgetExceededError):
-            runner.run(lifted)
-        assert runner.steps_executed <= budget
-        assert net.steps_elapsed == runner.steps_executed
+        assert ExecutionPolicy().run_schedule(net, lifted) is not None
+        assert net.steps_elapsed == budget
 
 
 #: Transmit densities per regime (the removed router's mode names):
@@ -111,33 +99,19 @@ def _regime_masks(delivery: str, rows: int, n: int) -> np.ndarray:
 
 class TestDeliveryPathBudget:
     @pytest.mark.parametrize("delivery", ["auto", "sparse", "dense"])
-    def test_dense_and_sparse_charge_identically(self, delivery):
+    def test_dense_and_sparse_charge_identically(self, delivery, mask_window):
         # ``delivery`` names the window's density regime.
         net = RadioNetwork(graphs.path(30))
-        runner = ExecutionPolicy().runner(net, max_steps=12)
+        runner = ExecutionPolicy().runner(net)
         masks = _regime_masks(delivery, 12, 30)
 
         def emit():
-            yield ObliviousWindow(masks[:5])
-            yield ObliviousWindow(masks[5:])
+            yield from mask_window(masks[:5])
+            yield from mask_window(masks[5:])
 
         runner.run(emit())
-        assert runner.steps_executed == 12
         assert net.steps_elapsed == 12
         assert net.trace.total_steps == 12
-
-    @pytest.mark.parametrize("delivery", ["sparse", "dense"])
-    def test_overshoot_raises_regardless_of_path(self, delivery):
-        net = RadioNetwork(graphs.path(30))
-        runner = ExecutionPolicy().runner(net, max_steps=7)
-        masks = _regime_masks(delivery, 8, 30)
-
-        def emit():
-            yield ObliviousWindow(masks)
-
-        with pytest.raises(BudgetExceededError):
-            runner.run(emit())
-        assert net.steps_elapsed == 0  # raised before executing
 
     def test_runner_validates_delivery(self):
         # The runner has no delivery knob any more: naming one fails
@@ -161,37 +135,42 @@ class TestEdgeCases:
         # And stays >= 1 even for absurd sizes.
         assert chunk_steps_for_budget(10 * 2**22, default) == 1
 
-    def test_empty_window_charges_nothing(self):
+    def test_empty_window_charges_nothing(self, mask_window):
         net = RadioNetwork(graphs.path(6))
-        runner = ExecutionPolicy().runner(net, max_steps=0)
+        runner = ExecutionPolicy().runner(net)
 
         collected = {}
 
         def emit():
-            collected["reply"] = yield ObliviousWindow(
+            collected["reply"] = yield from mask_window(
                 np.zeros((0, 6), dtype=bool)
             )
             return "done"
 
         assert runner.run(emit()) == "done"
-        assert runner.steps_executed == 0
         assert net.steps_elapsed == 0
         assert net.trace.total_steps == 0
         assert collected["reply"].shape == (0, 6)
 
     def test_empty_window_all_modes(self):
-        # Every entry into the product: the network's window call, and
+        # Every entry into the product: the kernel called directly, and
         # the runner whole and chunk-wise.
         net = RadioNetwork(graphs.path(6))
-        out = net.deliver_window(np.zeros((0, 6), dtype=bool))
-        assert out.shape == (0, 6)
+        empty = np.empty(0, dtype=np.int64)
+        out = net._delivery_kernels().execute_coo(0, empty, empty)
+        assert all(a.size == 0 for a in out)
         assert net.steps_elapsed == 0
         for chunk_steps in (64, 1):
             net = RadioNetwork(graphs.path(6))
             runner = WindowedRunner(net, chunk_steps)
+            folded = []
 
             def emit():
-                return (yield ObliviousWindow(np.zeros((0, 6), dtype=bool)))
+                yield StreamedWindow(
+                    TransmitterPlan(0, lambda s, e: (empty, empty)),
+                    consume_coo=lambda *triple: folded.append(triple),
+                )
 
-            assert runner.run(emit()).shape == (0, 6)
+            runner.run(emit())
+            assert folded == []
             assert net.steps_elapsed == 0 and not net.kernel_use

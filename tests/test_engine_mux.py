@@ -30,11 +30,7 @@ from repro.core.intra_cluster import (
     ICPProtocol,
     intra_cluster_propagation,
 )
-from repro.engine import (
-    ExecutionPolicy,
-    ObliviousWindow,
-    protocol_schedule,
-)
+from repro.engine import ExecutionPolicy, protocol_schedule
 from repro.graphs import greedy_independent_set
 from repro.radio import (
     NO_SENDER,
@@ -321,7 +317,7 @@ class TestRunnerEdgeCases:
                 )
             )
 
-    def test_validating_runner_empty_window(self):
+    def test_validating_runner_empty_window(self, mask_window):
         from repro.engine import ValidatingRunner
 
         net = RadioNetwork(graphs.path(4))
@@ -329,7 +325,7 @@ class TestRunnerEdgeCases:
         assert isinstance(runner, ValidatingRunner)
 
         def emit():
-            yield ObliviousWindow(np.zeros((0, 4), dtype=bool))
+            yield from mask_window(np.zeros((0, 4), dtype=bool))
             return "ok"
 
         assert runner.run(emit()) == "ok"

@@ -3,7 +3,7 @@
 Four pinned properties:
 
 * **Bit-identity** — streamed execution (any chunk height, any
-  ``mem_budget``) reproduces the monolithic window path and the
+  ``mem_budget``) reproduces sequential ``deliver`` calls and the
   step-wise references exactly: results, ``steps_elapsed``, trace
   totals, and the final rng state, across the chunk-boundary edge
   cases ``chunk_steps ∈ {1, w, w + 1}`` and the ``w = 0`` window.
@@ -32,19 +32,19 @@ from repro.core.effective_degree import (
 from repro.core.mis import MISConfig, compute_mis, compute_mis_reference
 from repro.engine import (
     ExecutionPolicy,
-    ObliviousWindow,
     StreamedWindow,
     TransmitterPlan,
     WindowedRunner,
     chunk_steps_for_budget,
+    protocol_schedule,
 )
 from repro.engine.streaming import STREAM_CELL_BYTES
 from repro.radio import (
     NO_SENDER,
-    BudgetExceededError,
     InvalidActionError,
     ProtocolError,
     RadioNetwork,
+    SilentProtocol,
 )
 
 
@@ -115,7 +115,7 @@ class TestDeliverWindowChunks:
         density = np.resize(_REGIME_DENSITY[mode], 21)[:, None]
         masks = np.random.default_rng(1).random((21, 60)) < density
         mono_net, chunk_net = RadioNetwork(g), RadioNetwork(g)
-        mono = mono_net.deliver_window(masks)
+        mono = np.stack([mono_net.deliver(m) for m in masks])
         slabs = _stream_slabs(chunk_net, masks, chunk_steps)
         assert (np.vstack(slabs) == mono).all()
         assert all(s.shape[0] <= chunk_steps for s in slabs)
@@ -135,7 +135,8 @@ class TestDeliverWindowChunks:
             _stream_slabs(net, TransmitterPlan(10, produce), 4)
         )
         assert calls == [(0, 4), (4, 8), (8, 10)]
-        assert (out == RadioNetwork(g).deliver_window(masks)).all()
+        step_net = RadioNetwork(g)
+        assert (out == np.stack([step_net.deliver(m) for m in masks])).all()
 
     def test_empty_plan_yields_nothing(self):
         net = RadioNetwork(_graph())
@@ -146,8 +147,8 @@ class TestDeliverWindowChunks:
 
     def test_validation(self):
         # The chunk height, a plan's length and its transmitter ids are
-        # checked; a materialized window's masks are checked for shape
-        # and dtype before any chunk runs.
+        # checked; a lifted step's mask is checked for shape and dtype
+        # before it runs.
         net = RadioNetwork(_graph())
         masks = np.zeros((4, 60), dtype=bool)
         with pytest.raises(ProtocolError, match="chunk_steps"):
@@ -162,15 +163,20 @@ class TestDeliverWindowChunks:
         with pytest.raises(ValueError, match="node ids"):
             _stream_slabs(net, stray, 2)
         for bad, match in (
-            (np.zeros((4, 60), dtype=np.int64), "boolean"),
-            (np.zeros((4, 59), dtype=bool), "shape"),
+            (np.zeros(60, dtype=np.int64), "boolean"),
+            (np.zeros(59, dtype=bool), "shape"),
         ):
 
-            def window():
-                yield ObliviousWindow(bad)
+            class Malformed(SilentProtocol):
+                def transmit_mask(self, rng):
+                    return bad
 
+            lifted = protocol_schedule(
+                Malformed(net), np.random.default_rng(0), steps=1
+            )
             with pytest.raises(InvalidActionError, match=match):
-                WindowedRunner(net, 2).run(window())
+                WindowedRunner(net, 2).run(lifted)
+        assert net.steps_elapsed == 0
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +288,8 @@ class TestStreamedEmitterEquivalence:
         )
 
     def test_zero_total_streamed_window_direct(self):
-        # A StreamedWindow with total_steps = 0 charges and executes
-        # nothing; its fold is never called.
+        # A StreamedWindow with total_steps = 0 executes nothing; its
+        # fold is never called.
         net = RadioNetwork(_graph(40, 8))
         folded = []
 
@@ -294,77 +300,39 @@ class TestStreamedEmitterEquivalence:
             )
             return "ok"
 
-        runner = WindowedRunner(net, 1, max_steps=0)
+        runner = WindowedRunner(net, 1)
         assert runner.run(emit()) == "ok"
         assert folded == []
-        assert runner.steps_executed == 0
         assert net.steps_elapsed == 0
 
-    def test_wide_materialized_window_streams_slabwise(self):
-        # A plain ObliviousWindow taller than the chunk height is
-        # executed in slabs into one reply — identical bits and trace.
+    def test_wide_materialized_window_streams_slabwise(self, mask_window):
+        # A mask window taller than the chunk height is executed in
+        # slabs into one reply — identical bits and trace.
         g = _graph()
         masks = np.random.default_rng(14).random((40, 60)) < 0.25
 
-        def emit(collected):
-            collected["reply"] = yield ObliviousWindow(masks)
-
         mono_net, stream_net = RadioNetwork(g), RadioNetwork(g)
-        a, b = {}, {}
-        WindowedRunner(mono_net, 40).run(emit(a))
-        WindowedRunner(stream_net, 7).run(emit(b))
-        assert (a["reply"] == b["reply"]).all()
+        a = WindowedRunner(mono_net, 40).run(mask_window(masks))
+        b = WindowedRunner(stream_net, 7).run(mask_window(masks))
+        assert (a == b).all()
         _assert_trace_equal(mono_net, stream_net)
 
 
 # ---------------------------------------------------------------------------
-# Budget accounting on streamed windows.
+# A window's fold is part of the window.
 # ---------------------------------------------------------------------------
 class TestStreamedBudget:
-    def test_raises_before_offending_chunk(self):
-        g = _graph()
-        masks = np.random.default_rng(15).random((12, 60)) < 0.2
-        folded = []
-
-        def emit():
-            yield StreamedWindow(
-                _mask_plan(masks), consume_coo=_slab_fold(60, folded)
-            )
-
-        net = RadioNetwork(g)
-        runner = WindowedRunner(net, 4, max_steps=10)
-        with pytest.raises(BudgetExceededError):
-            runner.run(emit())
-        # Two full chunks executed and folded; the third (rows 8..11)
-        # raised before executing.
-        assert len(folded) == 2
-        assert runner.steps_executed == 8
-        assert net.steps_elapsed == 8
-
-    def test_exact_budget_completes(self):
-        g = _graph()
-        masks = np.random.default_rng(16).random((12, 60)) < 0.2
-        net = RadioNetwork(g)
-        runner = WindowedRunner(net, 5, max_steps=12)
-        folded = []
-
-        def emit():
-            yield StreamedWindow(
-                _mask_plan(masks), consume_coo=_slab_fold(60, folded)
-            )
-
-        runner.run(emit())
-        assert runner.steps_executed == net.steps_elapsed == 12
-        assert sum(f.shape[0] for f in folded) == 12
-
     def test_consumerless_stream_rejected_in_generator_form(self):
+        # A window without a fold fails when it is built, inside the
+        # emitter, before the runner sees it.
         net = RadioNetwork(_graph())
 
         def emit():
             yield StreamedWindow(_mask_plan(np.zeros((2, 60), bool)))
 
-        with pytest.raises(ProtocolError, match="consume"):
+        with pytest.raises(TypeError, match="consume_coo"):
             ExecutionPolicy().runner(net).run(emit())
+        assert net.steps_elapsed == 0
 
 
 # ---------------------------------------------------------------------------

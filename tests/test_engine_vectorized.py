@@ -4,8 +4,9 @@ The engine work is only admissible because it is *exactly* equivalent to
 the straightforward implementations it replaced. These tests pin that
 down:
 
-* ``deliver_window`` reproduces sequential ``deliver`` bit-for-bit on
-  random mask windows (including trace totals and step counts);
+* a runner window read off masks reproduces sequential ``deliver``
+  bit-for-bit on random mask windows (including trace totals and step
+  counts);
 * the batched ``run_decay`` consumes the same rng stream and produces
   the same result as driving the ``Decay`` protocol step by step;
 * the CSR-native frontier ``partition`` engine matches the reference
@@ -30,10 +31,12 @@ from repro.core.decay import Decay, run_decay
 from repro.core.mpx import draw_shifts, partition, partition_reference
 from repro.core.schedule import build_schedule
 from repro.graphs.context import GraphContext, distances_from, graph_context
+from repro.engine import ExecutionPolicy, protocol_schedule
 from repro.radio import (
     InvalidActionError,
     NO_SENDER,
     RadioNetwork,
+    SilentProtocol,
     run_steps,
 )
 
@@ -51,7 +54,7 @@ def _random_graph(rng: np.random.Generator, kind: int) -> nx.Graph:
 class TestDeliverWindowEquivalence:
     @pytest.mark.parametrize("kind", [0, 1, 2, 3])
     @pytest.mark.parametrize("density", [0.02, 0.2, 0.7])
-    def test_matches_sequential_deliver(self, kind, density):
+    def test_matches_sequential_deliver(self, kind, density, mask_window):
         rng = np.random.default_rng(100 + kind)
         g = _random_graph(rng, kind)
         net_seq = RadioNetwork(g)
@@ -60,7 +63,7 @@ class TestDeliverWindowEquivalence:
         masks = rng.random((w, net_seq.n)) < density
 
         sequential = np.stack([net_seq.deliver(m) for m in masks])
-        windowed = net_win.deliver_window(masks)
+        windowed = ExecutionPolicy().run_schedule(net_win, mask_window(masks))
 
         assert (sequential == windowed).all()
         assert net_seq.steps_elapsed == net_win.steps_elapsed == w
@@ -73,24 +76,42 @@ class TestDeliverWindowEquivalence:
         )
         assert net_seq.trace.total_steps == net_win.trace.total_steps
 
-    def test_empty_window(self):
+    def test_empty_window(self, mask_window):
         net = RadioNetwork(graphs.path(5))
-        out = net.deliver_window(np.zeros((0, 5), dtype=bool))
+        out = ExecutionPolicy().run_schedule(
+            net, mask_window(np.zeros((0, 5), dtype=bool))
+        )
         assert out.shape == (0, 5)
         assert net.steps_elapsed == 0
 
-    def test_all_silent_window(self):
+    def test_all_silent_window(self, mask_window):
         net = RadioNetwork(graphs.path(5))
-        out = net.deliver_window(np.zeros((4, 5), dtype=bool))
+        out = ExecutionPolicy().run_schedule(
+            net, mask_window(np.zeros((4, 5), dtype=bool))
+        )
         assert (out == NO_SENDER).all()
         assert net.steps_elapsed == 4
 
     def test_rejects_bad_shape_and_dtype(self):
+        # Masks reach the engine only through the step lift, which
+        # refuses the masks deliver refuses, with deliver's message.
         net = RadioNetwork(graphs.path(5))
-        with pytest.raises(InvalidActionError):
-            net.deliver_window(np.zeros((3, 4), dtype=bool))
-        with pytest.raises(InvalidActionError):
-            net.deliver_window(np.zeros((3, 5), dtype=np.int64))
+        for bad in (np.zeros(4, dtype=bool), np.zeros(5, dtype=np.int64)):
+
+            class Malformed(SilentProtocol):
+                def transmit_mask(self, rng):
+                    return bad
+
+            with pytest.raises(InvalidActionError) as stepwise:
+                net.deliver(bad)
+            with pytest.raises(InvalidActionError) as lifted:
+                ExecutionPolicy().run_schedule(
+                    net,
+                    protocol_schedule(
+                        Malformed(net), np.random.default_rng(0), steps=1
+                    ),
+                )
+            assert str(lifted.value) == str(stepwise.value)
 
 
 class TestDeliverDetectSharedPath:

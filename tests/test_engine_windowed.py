@@ -15,8 +15,8 @@ G(n,p)):
 * matching **rng streams** after the run (the emitters draw the same
   numbers in the same order), wherever the protocol completes its
   schedule;
-* runner behavior: budget enforcement before overshoot, trace-phase
-  segments, the step-wise protocol lift.
+* runner behavior: step accounting, trace-phase segments, the
+  step-wise protocol lift.
 
 Plus the satellite engines: the CSR distance-2 coloring against the
 networkx reference (valid colorings, identical layers) and the
@@ -70,7 +70,6 @@ from repro.core.wakeup import (
 from repro.engine import (
     STREAM_CELL_BYTES,
     ExecutionPolicy,
-    ObliviousWindow,
     TracePhase,
     WindowedRunner,
     protocol_schedule,
@@ -78,7 +77,7 @@ from repro.engine import (
 from repro.graphs import greedy_independent_set
 from repro.graphs.context import graph_context
 from repro.radio import (
-    BudgetExceededError,
+    InvalidActionError,
     ProtocolError,
     RadioNetwork,
     SilentProtocol,
@@ -390,26 +389,14 @@ class TestPacketPipelineEquivalence:
 
 
 class TestRunnerProperties:
-    def test_budget_raises_before_overshoot(self):
-        net = RadioNetwork(graphs.path(6))
-
-        def schedule():
-            yield ObliviousWindow(np.zeros((4, 6), dtype=bool))
-            yield ObliviousWindow(np.zeros((4, 6), dtype=bool))
-
-        with pytest.raises(BudgetExceededError):
-            ExecutionPolicy().run_schedule(net, schedule(), max_steps=6)
-        # The first window executed, the second did not start.
-        assert net.steps_elapsed == 4
-
-    def test_trace_phase_segments(self):
+    def test_trace_phase_segments(self, mask_window):
         net = RadioNetwork(graphs.path(6))
 
         def schedule():
             yield TracePhase("warmup")
-            yield ObliviousWindow(np.zeros((3, 6), dtype=bool))
+            yield from mask_window(np.zeros((3, 6), dtype=bool))
             yield TracePhase("main")
-            yield ObliviousWindow(np.zeros((1, 6), dtype=bool))
+            yield from mask_window(np.zeros((1, 6), dtype=bool))
             yield TracePhase("default")
 
         ExecutionPolicy().run_schedule(net, schedule())
@@ -425,29 +412,25 @@ class TestRunnerProperties:
         with pytest.raises(ProtocolError):
             ExecutionPolicy().run_schedule(net, schedule())
 
-    def test_returns_emitter_result(self):
+    def test_returns_emitter_result(self, mask_window):
         net = RadioNetwork(graphs.path(4))
 
         def schedule():
-            hear = yield ObliviousWindow(np.zeros((1, 4), dtype=bool))
-            return ("done", hear.shape)
+            reply = yield TracePhase("default")
+            hear = yield from mask_window(np.zeros((1, 4), dtype=bool))
+            return ("done", reply, hear.shape)
 
         result = ExecutionPolicy().run_schedule(net, schedule())
-        assert result == ("done", (1, 4))
+        assert result == ("done", None, (1, 4))
 
-    def test_window_reply_matches_sequential(self):
+    def test_window_reply_matches_sequential(self, mask_window):
         g = graphs.path(9)
         net_w, net_r = _twin_networks(g)
         masks = np.random.default_rng(3).random((11, 9)) < 0.3
 
-        collected = {}
-
-        def schedule():
-            collected["hear"] = yield ObliviousWindow(masks)
-
-        ExecutionPolicy().run_schedule(net_w, schedule())
+        hear = ExecutionPolicy().run_schedule(net_w, mask_window(masks))
         sequential = np.stack([net_r.deliver(m) for m in masks])
-        assert (collected["hear"] == sequential).all()
+        assert (hear == sequential).all()
 
     def test_legacy_protocol_adapter(self):
         g = graphs.path(8)
@@ -459,16 +442,39 @@ class TestRunnerProperties:
         assert result is None  # SilentProtocol never finishes
         assert net.steps_elapsed == 5
 
-    def test_runner_counts_steps(self):
+    def test_lifted_protocol_mask_is_checked(self):
+        # The lift checks every step's mask with deliver's own shape
+        # and dtype check, so a malformed mask refuses on the engine
+        # path before any step executes.
+        net = RadioNetwork(graphs.path(8))
+        for bad in (
+            np.zeros(7, dtype=bool),
+            np.zeros((1, 8), dtype=bool),
+            np.zeros(8, dtype=np.int64),
+            np.bool_(True),
+        ):
+
+            class Malformed(SilentProtocol):
+                def transmit_mask(self, rng):
+                    return bad
+
+            lifted = protocol_schedule(
+                Malformed(net), np.random.default_rng(0), steps=3
+            )
+            with pytest.raises(InvalidActionError, match="transmit mask"):
+                ExecutionPolicy().run_schedule(net, lifted)
+        assert net.steps_elapsed == 0
+
+    def test_runner_counts_steps(self, mask_window):
         net = RadioNetwork(graphs.path(5))
         runner = WindowedRunner(net, 2)
 
         def schedule():
-            yield ObliviousWindow(np.zeros((2, 5), dtype=bool))
-            yield ObliviousWindow(np.zeros((1, 5), dtype=bool))
+            yield from mask_window(np.zeros((2, 5), dtype=bool))
+            yield from mask_window(np.zeros((1, 5), dtype=bool))
 
         runner.run(schedule())
-        assert runner.steps_executed == 3
+        assert net.steps_elapsed == 3
         assert net.trace.total_steps == 3
 
 

@@ -43,7 +43,7 @@ from repro.core import (
     run_decay,
     run_decay_reference,
 )
-from repro.engine import STREAM_CELL_BYTES, ObliviousWindow
+from repro.engine import STREAM_CELL_BYTES, WindowedRunner
 from repro.engine.kernels import DeliveryKernels, coo_pack_shift
 from repro.engine.sampler import (
     STREAM_VERSION,
@@ -209,21 +209,17 @@ def _step_wise(g, masks):
     return np.stack([net.deliver(m) for m in masks])
 
 
-def _slab(g, masks, slab_mode):
+def _slab(g, masks, slab_mode, mask_window):
     """A comparison hear slab, independent of ``execute_coo``'s
     arithmetic except for ``"auto"``: ``"dense"`` is an exact int64
     dense matmul of the masks with the adjacency, ``"sparse"`` gathers
     each transmitter's neighbor list and bincounts (the arithmetic of
     the removed dense and gather kernels); ``"auto"`` is the engine's
-    own route for a mask window, the runner's chunk loop."""
+    own route for a window read off masks, the runner's chunk loop."""
     w, n = masks.shape
     if slab_mode == "auto":
         runner = api.ExecutionPolicy().runner(RadioNetwork(g))
-
-        def window():
-            return (yield ObliviousWindow(masks))
-
-        return runner.run(window())
+        return runner.run(mask_window(masks))
     adj = nx.to_scipy_sparse_array(g, nodelist=range(n), format="csr")
     if slab_mode == "dense":
         tx = masks.astype(np.int64)
@@ -312,7 +308,9 @@ class TestCooKernels:
             ("udg", 5, 0.0),
         ],
     )
-    def test_coo_matches_slab(self, slab_mode, family, width, density):
+    def test_coo_matches_slab(
+        self, slab_mode, family, width, density, mask_window
+    ):
         """The product equals each comparison slab (``slab_mode``, see
         :func:`_slab`) and the step-wise reference on random blocks;
         its counters account every row, busy rows as ``coo-spmm``."""
@@ -326,7 +324,7 @@ class TestCooKernels:
         rng = np.random.default_rng(width)
         masks = rng.random((width, n)) < density
 
-        slab = _slab(g, masks, slab_mode)
+        slab = _slab(g, masks, slab_mode, mask_window)
 
         counters: dict[str, int] = {}
         hear = _product(kern, masks, counters)
@@ -348,7 +346,7 @@ class TestCooKernels:
             "gnp-half",
         ],
     )
-    def test_product_regimes(self, regime):
+    def test_product_regimes(self, regime, mask_window):
         """Each regime the routed kernels used to split between: the
         product equals step-wise delivery and every comparison slab,
         on a network's shared adjacency and on kernels built from bare
@@ -367,7 +365,7 @@ class TestCooKernels:
             assert counters.get("coo-spmm", 0) == busy
             assert sum(counters.values()) == masks.shape[0]
         for mode in ("auto", "sparse", "dense"):
-            assert (_slab(g, masks, mode) == want).all(), mode
+            assert (_slab(g, masks, mode, mask_window) == want).all(), mode
 
     def test_shares_the_network_adjacency(self):
         """The network's kernels multiply by its own adjacency: no
@@ -431,9 +429,9 @@ class TestPackingBound:
         shift = coo_pack_shift(n, n - 1)
         assert 2**shift > n >= 2 ** (shift - 1)
 
-    def test_kernel_refuses_beyond_the_bound(self):
+    def test_kernel_refuses_beyond_the_bound(self, mask_window):
         """A kernel whose degrees break the bound refuses by name
-        instead of rounding — mask windows included, since they run
+        instead of rounding — runner windows included, since they run
         the same product."""
         net = RadioNetwork(nx.path_graph(10))
         kern = net._delivery_kernels()
@@ -444,7 +442,7 @@ class TestPackingBound:
         masks = np.zeros((2, 10), dtype=bool)
         masks[1, 3] = True
         with pytest.raises(ProtocolError, match="coo-spmm"):
-            net.deliver_window(masks)
+            WindowedRunner(net, 2).run(mask_window(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +668,7 @@ class TestProvenanceCounters:
         assert set(delivery["kernel_use"]) <= {"coo-spmm", "skip-empty"}
 
     def test_mask_windows_report_stage_split(self):
-        """A faulted ICP run — one width-1 mask window per step, the
+        """A faulted ICP run — one one-row window per step, the
         default path — splits its chunks into coins/faults/deliver/commit like
         the transmitter-list path: fault filtering shows in ``faults``,
         and every row counts under the product's two counters."""

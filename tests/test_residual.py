@@ -46,7 +46,7 @@ from repro.engine.kernels import DeliveryKernels
 from repro.engine.policy import POLICY_FIELDS, ExecutionPolicy
 from repro.engine.streaming import STREAM_CELL_BYTES
 from repro.engine.sampler import RowSampler, draw_block_key
-from repro.engine.segments import PlanSection, StreamedWindow, TransmitterPlan
+from repro.engine.segments import StreamedWindow, TransmitterPlan
 from repro.radio import RadioNetwork
 from repro.radio.errors import ProtocolError
 from repro.radio.network import NO_SENDER
@@ -531,37 +531,14 @@ class TestPlanContracts:
         empty = np.empty(0, dtype=np.int64)
         return TransmitterPlan(total, lambda s, e: (empty, empty))
 
-    def test_section_widths_must_cover_the_plan(self):
-        net = RadioNetwork(nx.path_graph(6))
-
-        def schedule():
-            yield StreamedWindow(
-                self._silent_plan(4),
-                sections=(PlanSection(3, None, lambda *triple: None),),
-            )
-
-        with pytest.raises(ProtocolError, match="sections cover 3"):
-            ExecutionPolicy().run_schedule(net, schedule())
-
     def test_window_without_consume_surface_refused(self):
+        # The fold is a required field: a window without one fails
+        # where it is built, inside the emitter, before any chunk runs.
         net = RadioNetwork(nx.path_graph(4))
 
         def schedule():
             yield StreamedWindow(self._silent_plan(2))
 
-        with pytest.raises(ProtocolError, match="without a\\s+consume"):
-            ExecutionPolicy().run_schedule(net, schedule())
-
-    def test_sections_need_their_fold(self):
-        # Every section needs the reception-triple fold its chunks
-        # reach; one without it refuses before any chunk runs.
-        net = RadioNetwork(nx.path_graph(4))
-
-        def schedule():
-            yield StreamedWindow(
-                self._silent_plan(2), sections=(PlanSection(2, "p"),)
-            )
-
-        with pytest.raises(ProtocolError, match="needs a consume"):
+        with pytest.raises(TypeError, match="consume_coo"):
             ExecutionPolicy().run_schedule(net, schedule())
         assert net.steps_elapsed == 0

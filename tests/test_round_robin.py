@@ -69,3 +69,16 @@ class TestRoundRobin:
         net_bgi = RadioNetwork(g)
         bgi = baselines.bgi_broadcast(net_bgi, 39, rng)
         assert rr.steps > bgi.steps
+
+    def test_informed_set_follows_the_fault_layer(self):
+        # A node that crashes before the message reaches it never hears
+        # and never relays it: on a path, everything past it stays
+        # uninformed, so the broadcast exhausts its rotation budget.
+        from repro.faults import FaultSchedule
+        from repro.radio import BudgetExceededError
+
+        net = RadioNetwork(graphs.path(8))
+        net.install_faults(FaultSchedule(crashes=((4, 0),)))
+        with pytest.raises(BudgetExceededError):
+            baselines.round_robin_broadcast(net, 0, max_rotations=3)
+        assert net.steps_elapsed == 3 * 8

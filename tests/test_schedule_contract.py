@@ -11,8 +11,8 @@ Two layers of enforcement:
 
 2. **Replay** — each registered emitter runs under
    :class:`repro.engine.validate.ValidatingRunner`, which replays every
-   chunk the transmitter-pair product delivers — materialized windows
-   and sampled transmitter plans alike —
+   chunk the transmitter-pair product delivers — sampled transmitter
+   plans and lifted protocol steps alike —
    step-by-step through :meth:`~repro.radio.network.RadioNetwork.deliver`
    on a shadow network, asserting bit-identical ``hear_from``
    everywhere. The windows checked are the ones the real protocols emit
@@ -51,7 +51,6 @@ from repro.radio.protocol import TimeMultiplexer
 
 SRC_ROOT = pathlib.Path(repro.__file__).resolve().parent
 SEGMENT_NAMES = {
-    "ObliviousWindow",
     "StreamedWindow",
     "TracePhase",
 }
@@ -326,54 +325,51 @@ class TestValidatingRunnerDetectsViolations:
 
         kern.execute_coo = corrupted  # type: ignore[method-assign]
 
-    def test_catches_engine_divergence(self):
+    def test_catches_engine_divergence(self, mask_window):
         # Corrupt the primary's window product: a violated promise
         # must raise, proving the harness is not vacuous.
-        from repro.engine import ObliviousWindow
-
         g = graphs.path(8)
         runner = _validated(g)
         self._corrupt_product(runner)
         masks = np.zeros((3, 8), dtype=bool)
         masks[1, 2] = True
 
-        def emit():
-            _ = yield ObliviousWindow(masks)
-            return None
-
         with pytest.raises(ObliviousnessViolationError, match="diverged"):
-            runner.run(emit())
+            runner.run(mask_window(masks))
 
-    @pytest.mark.parametrize("form", ["transmitter-plan", "sectioned-plan"])
+    @pytest.mark.parametrize("form", ["transmitter-plan", "lifted-step"])
     def test_catches_divergence_on_streamed_plans(self, form):
-        # The same corruption on both streamed shapes, a plain plan and
-        # a fused one cut into sections: every window reaches the
-        # product through the one checked hook.
-        from repro.engine import PlanSection, StreamedWindow
+        # The same corruption on both window sources, a sampled plan
+        # and a lifted protocol step: every window reaches the product
+        # through the one checked hook.
+        from repro.engine import StreamedWindow
         from repro.engine.segments import TransmitterPlan
+        from repro.radio import Protocol
 
         g = graphs.path(8)
         runner = _validated(g)
         self._corrupt_product(runner)
         masks = np.zeros((3, 8), dtype=bool)
         masks[1, 2] = True
-        plan = TransmitterPlan(3, lambda s, e: np.nonzero(masks[s:e]))
 
-        def fold(*triple):
-            return None
+        class Replay(Protocol):
+            def transmit_mask(self, rng):
+                return masks[runner.network.steps_elapsed]
+
+            def observe(self, hear_from):
+                return None
 
         def emit():
-            if form == "transmitter-plan":
-                yield StreamedWindow(plan, consume_coo=fold)
-            else:
-                yield StreamedWindow(
-                    plan,
-                    sections=(
-                        PlanSection(1, "a", fold),
-                        PlanSection(2, "b", fold),
-                    ),
-                )
-            return None
+            yield StreamedWindow(
+                TransmitterPlan(3, lambda s, e: np.nonzero(masks[s:e])),
+                consume_coo=lambda *triple: None,
+            )
 
+        if form == "transmitter-plan":
+            schedule = emit()
+        else:
+            schedule = protocol_schedule(
+                Replay(runner.network), np.random.default_rng(0), steps=3
+            )
         with pytest.raises(ObliviousnessViolationError, match="diverged"):
-            runner.run(emit())
+            runner.run(schedule)

@@ -37,7 +37,12 @@ from repro.analysis.experiments import (
     summarize_reports,
 )
 from repro.api.report import RunReport
-from repro.api.wire import decode_value, encode_value
+from repro.api.wire import (
+    decode_value,
+    encode_value,
+    report_from_json,
+    report_to_json,
+)
 from repro.corpus.generate import random_udg_csr
 from repro.corpus.store import CorpusStore
 from repro.engine.policy import ExecutionPolicy
@@ -101,6 +106,15 @@ class TestWire:
         assert again == report
         assert again.provenance["faults"]["digest"] == \
             report.provenance["faults"]["digest"]
+
+    @pytest.mark.parametrize("name", ["broadcast", "leader"])
+    def test_round_accounted_reports_are_values(self, name):
+        # The round ledger is a value: same-seed reports compare equal
+        # (the store's cache-hit check) and survive the wire.
+        graph = graphs.random_udg(120, 4.0, np.random.default_rng(3))
+        report = api.run(name, graph, seed=1)
+        assert report == api.run(name, graph, seed=1)
+        assert report_from_json(report_to_json(report)) == report
 
     def test_round_trip_preserves_measurements(self):
         report = api.run("decay", graphs.random_udg(30, 4.0, np.random.default_rng(1)),
@@ -448,7 +462,7 @@ class TestCampaignSpec:
             CampaignSpec(protocol="decay", corpus=(digest,), n_trials=1,
                          policies=())
         with pytest.raises(ProtocolError, match="campaign"):
-            CampaignSpec(protocol="partition", corpus=(digest,), n_trials=1)
+            CampaignSpec(protocol="wakeup", corpus=(digest,), n_trials=1)
         with pytest.raises(ProtocolError, match="config"):
             CampaignSpec(protocol="decay", corpus=(digest,), n_trials=1,
                          config=object())
@@ -573,6 +587,21 @@ class TestCampaign:
         assert status["cached"] == 6 and status["executed"] == 0
         assert again.final_summary() == first.final_summary()
         assert all(a == b for a, b in zip(again.reports, first.reports))
+
+    def test_round_accounted_broadcast_campaign(self, stores, tmp_path):
+        # Protocols that take the bare graph run as campaigns too, and
+        # their reports are served from the store on resubmit.
+        corpus, digest, _ = stores
+        store = ReportStore(tmp_path / "r")
+        spec = CampaignSpec(protocol="broadcast", corpus=(digest,),
+                            n_trials=3, seed=5)
+        first = run_campaign(spec, store, corpus=corpus)
+        assert first.status()["executed"] == 3
+        assert all(r.result.delivered for r in first.reports)
+        again = run_campaign(spec, store, corpus=corpus)
+        status = again.status()
+        assert status["cached"] == 3 and status["executed"] == 0
+        assert again.final_summary() == first.final_summary()
 
     def test_previous_stream_entries_miss_and_reexecute(
         self, stores, tmp_path

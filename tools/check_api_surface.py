@@ -87,11 +87,9 @@ EXPECTED_ENGINE_ALL = [
     "DeliveryKernels",
     "ENGINE_MODES",
     "ExecutionPolicy",
-    "PlanSection",
     "RowSampler",
     "STREAM_VERSION",
     "ObliviousnessViolationError",
-    "ObliviousWindow",
     "ProtocolSchedule",
     "STREAM_CELL_BYTES",
     "Segment",
