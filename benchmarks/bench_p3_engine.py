@@ -55,11 +55,11 @@ RESULT_PATH = REPO_ROOT / "BENCH_PR3.json"
 #: Acceptance floors from the PR 3 issue (CI margins are wide: the
 #: measured ICP speedup is ~3x the floor on a quiet host).
 FUSED_ICP_FLOOR = 3.0
+COO_BLOCK_FLOOR = 5.0
+DENSE_WINDOW_FLOOR = 2.0
 
 #: Run seeds the ICP leg times both engines over (one graph).
 ICP_RUNS = 4
-COO_BLOCK_FLOOR = 5.0
-DENSE_WINDOW_FLOOR = 2.0
 
 
 def _udg(n: int, side: float, seed: int):
@@ -68,11 +68,9 @@ def _udg(n: int, side: float, seed: int):
     return graphs.random_udg(n, side, np.random.default_rng(seed))
 
 
-def bench_icp(
-    n: int = 2000, seed: int = 404, ell: int = 6, runs: int = ICP_RUNS
-) -> dict:
+def bench_icp(n: int = 2000, seed: int = 404, ell: int = 6) -> dict:
     """ICP under the default engine (the per-step lift) vs the
-    step-wise reference over ``runs`` run seeds on one graph,
+    step-wise reference over ``ICP_RUNS`` run seeds on one graph,
     bit-identity-asserted per seed."""
     from repro.api import ExecutionPolicy
     from repro.core import build_icp_inputs, intra_cluster_propagation
@@ -91,7 +89,7 @@ def bench_icp(
     # compares their summed times: one seed's transmissions are no
     # sample of the workload (they span 40k-59k across 8 seeds).
     timings = dict.fromkeys(policies, 0.0)
-    run_seeds = list(range(seed + 2, seed + 2 + runs))
+    run_seeds = list(range(seed + 2, seed + 2 + ICP_RUNS))
     steps, transmissions = [], []
     for run_seed in run_seeds:
         results, nets = {}, {}

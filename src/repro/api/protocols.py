@@ -346,7 +346,7 @@ def _execute_mis_restart(network, rng, config, policy):
     title="One Decay block (Algorithm 5 / Claim 10)",
     config_cls=DecayConfig,
     result_cls=DecayResult,
-    emitters=("decay_block_schedule",),
+    emitters=("decay_block",),
     reference=run_decay_reference,
     accepts="network",
     cli=CLISpec(

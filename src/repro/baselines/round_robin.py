@@ -24,9 +24,11 @@ import dataclasses
 
 import numpy as np
 
+from ..engine.policy import ExecutionPolicy
+from ..engine.runner import protocol_schedule
 from ..radio.errors import BudgetExceededError, GraphContractError
 from ..radio.network import NO_SENDER, RadioNetwork
-from ..radio.protocol import Protocol, run_steps
+from ..radio.protocol import Protocol
 
 
 @dataclasses.dataclass
@@ -47,7 +49,8 @@ class RoundRobin(Protocol):
     elapses whether or not its node has anything to say: deterministic
     schedules cannot skip silent turns (nobody else knows the turn went
     unused). The protocol never finishes on its own; the driver runs
-    whole rotations of ``n`` steps.
+    whole rotations of ``n`` steps, each step a one-row window whose
+    product reads only the lone transmitter's neighbors.
     """
 
     def __init__(self, network: RadioNetwork, source: int) -> None:
@@ -92,6 +95,7 @@ def round_robin_broadcast(
         max_rotations = n + 1
 
     protocol = RoundRobin(network, source)
+    runner = ExecutionPolicy().runner(network)
     steps_before = network.steps_elapsed
     network.trace.enter_phase("round-robin")
     rotations = 0
@@ -101,7 +105,7 @@ def round_robin_broadcast(
                 f"round-robin broadcast incomplete after {max_rotations} "
                 "rotations — is the graph connected?"
             )
-        run_steps(protocol, None, n)
+        runner.run(protocol_schedule(protocol, None, n))
         rotations += 1
     network.trace.enter_phase("default")
     return RoundRobinResult(

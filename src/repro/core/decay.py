@@ -9,13 +9,13 @@ the sweep. Iterating the sweep ``O(log n)`` times amplifies this to high
 probability (paper Claim 10).
 
 This module provides the vectorized :class:`Decay` protocol (all of ``S``
-decaying concurrently), its schedule emitter :func:`decay_block_schedule`, and
-the convenience :func:`run_decay` wrapper used by Radio MIS and
-intra-cluster propagation.
+decaying concurrently), its schedule emitter :func:`decay_block` (and
+:func:`decay_block_schedule`, which returns the block's
+:class:`DecayResult`), and the convenience :func:`run_decay` wrapper.
 
 Performance: a Decay block is *oblivious* — the transmit mask of every
 step depends only on the fixed active set and the block's randomness,
-never on what was heard — so :func:`decay_block_schedule` emits the
+never on what was heard — so :func:`decay_block` emits the
 whole block as one streamed window whose rows are sampled transmitter
 lists (:class:`~repro.engine.sampler.RowSampler`, keyed by one block
 key drawn from the protocol rng): the engine's cost follows the
@@ -219,7 +219,7 @@ class Decay(Protocol):
         )
 
 
-def decay_block_schedule(
+def decay_block(
     network: RadioNetwork,
     active: np.ndarray,
     rng: np.random.Generator,
@@ -238,7 +238,8 @@ def decay_block_schedule(
     :class:`Decay` draws it at its first step, and every row is a pure
     function of it, so any chunking reproduces the per-step rows;
     receptions fold in step order through :meth:`Decay._absorb_coo`.
-    Returns the block's :class:`DecayResult`.
+    Returns the folded :class:`Decay` itself: Radio MIS reads only its
+    ``heard`` mask and skips :meth:`Decay.result`'s payload list.
     """
     protocol = Decay(
         network,
@@ -254,6 +255,26 @@ def decay_block_schedule(
             TransmitterPlan(total, protocol.transmitters),
             consume_coo=protocol._absorb_coo,
         )
+    return protocol
+
+
+def decay_block_schedule(
+    network: RadioNetwork,
+    active: np.ndarray,
+    rng: np.random.Generator,
+    messages: list[Any] | None = None,
+    iterations: int = 1,
+    n_estimate: int | None = None,
+) -> ProtocolSchedule:
+    """:func:`decay_block`, returning the block's :class:`DecayResult`."""
+    protocol = yield from decay_block(
+        network,
+        active,
+        rng,
+        messages=messages,
+        iterations=iterations,
+        n_estimate=n_estimate,
+    )
     return protocol.result()
 
 
@@ -269,9 +290,10 @@ def run_decay(
 ) -> DecayResult:
     """Run a full Decay block and return its :class:`DecayResult`.
 
-    This is the form in which Radio MIS consumes Decay: "marked nodes
-    perform ``O(log n)`` iterations of Decay" translates to
-    ``run_decay(network, marked, rng, iterations=claim10_iterations(n))``.
+    Radio MIS's "marked nodes perform ``O(log n)`` iterations of Decay"
+    is one such block, ``run_decay(network, marked, rng,
+    iterations=claim10_iterations(n))`` run alone (MIS itself yields
+    it through :func:`decay_block`).
 
     The block executes :func:`decay_block_schedule` under ``policy``
     (see the module docstring) — ``engine="reference"`` dispatches to

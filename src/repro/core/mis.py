@@ -30,14 +30,9 @@ from typing import Hashable
 import numpy as np
 
 from ..engine.policy import ExecutionPolicy
-from ..engine.segments import (
-    ProtocolSchedule,
-    StreamedWindow,
-    TracePhase,
-    TransmitterPlan,
-)
+from ..engine.segments import ProtocolSchedule, TracePhase
 from ..radio.network import RadioNetwork
-from .decay import Decay, claim10_iterations, run_decay_reference
+from .decay import claim10_iterations, decay_block, run_decay_reference
 from .resulteq import ArrayEqMixin
 from .effective_degree import (
     HIGH_GUARANTEE,
@@ -191,13 +186,8 @@ def mis_schedule(
         # does, at its first step; no draw lies between the first
         # window's fold and the second block's key.
         yield TracePhase("mis/decay-marked")
-        marked_echo = Decay(
-            network, marked, iterations=decay_iters, n_estimate=n_est
-        )
-        marked_echo.bind_key(rng)
-        yield StreamedWindow(
-            TransmitterPlan(marked_echo.total_steps, marked_echo.transmitters),
-            consume_coo=marked_echo._absorb_coo,
+        marked_echo = yield from decay_block(
+            network, marked, rng, iterations=decay_iters, n_estimate=n_est
         )
         # A node v heard during block 1 iff some marked neighbor's
         # transmission reached it cleanly; Claim 10 makes this whp exact.
@@ -206,13 +196,8 @@ def mis_schedule(
         in_mis |= joined
 
         yield TracePhase("mis/decay-mis")
-        mis_echo = Decay(
-            network, joined, iterations=decay_iters, n_estimate=n_est
-        )
-        mis_echo.bind_key(rng)
-        yield StreamedWindow(
-            TransmitterPlan(mis_echo.total_steps, mis_echo.transmitters),
-            consume_coo=mis_echo._absorb_coo,
+        mis_echo = yield from decay_block(
+            network, joined, rng, iterations=decay_iters, n_estimate=n_est
         )
         removed = joined | (mis_echo.heard & active)
         active &= ~removed

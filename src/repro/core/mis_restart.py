@@ -38,7 +38,7 @@ import numpy as np
 from ..engine.policy import ExecutionPolicy
 from ..engine.segments import ProtocolSchedule, TracePhase
 from ..radio.network import RadioNetwork
-from .decay import claim10_iterations, decay_block_schedule, run_decay_reference
+from .decay import claim10_iterations, decay_block, run_decay_reference
 from .resulteq import ArrayEqMixin
 from .effective_degree import (
     effective_degree_schedule,
@@ -163,7 +163,7 @@ def restartable_mis_schedule(
 
         # --- re-announce the standing MIS --------------------------------
         yield TracePhase("mis-restart/announce")
-        announce_echo = yield from decay_block_schedule(
+        announce_echo = yield from decay_block(
             network, in_mis & awake, rng,
             iterations=decay_iters, n_estimate=n_est,
         )
@@ -180,7 +180,7 @@ def restartable_mis_schedule(
             marked = active & (rng.random(n) < p)
 
             yield TracePhase("mis-restart/decay-marked")
-            marked_echo = yield from decay_block_schedule(
+            marked_echo = yield from decay_block(
                 network, marked, rng,
                 iterations=decay_iters, n_estimate=n_est,
             )
@@ -189,7 +189,7 @@ def restartable_mis_schedule(
             decided |= joined
 
             yield TracePhase("mis-restart/decay-mis")
-            mis_echo = yield from decay_block_schedule(
+            mis_echo = yield from decay_block(
                 network, joined, rng,
                 iterations=decay_iters, n_estimate=n_est,
             )

@@ -98,7 +98,7 @@ def find_schedule_emitters() -> set[str]:
 #: emitter to src/repro without registering it here fails
 #: test_inventory_is_complete.
 EMITTER_RUNS = {
-    "decay_block_schedule": "test_decay_block",
+    "decay_block": "test_decay_block",
     "effective_degree_schedule": "test_effective_degree",
     "mis_schedule": "test_mis",
     "restartable_mis_schedule": "test_mis_restart",
