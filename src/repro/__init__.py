@@ -51,7 +51,7 @@ from .graphs import (
     random_udg,
     random_unit_ball_graph,
 )
-from .radio import Message, RadioNetwork
+from .radio import RadioNetwork
 
 __version__ = "1.0.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "LeaderElectionResult",
     "MISConfig",
     "MISResult",
-    "Message",
     "RadioNetwork",
     "analysis",
     "api",

@@ -11,7 +11,7 @@ Three pieces, one surface:
   capabilities injected into every delivery.
 * the **protocol registry** — every runnable protocol declared as a
   :class:`ProtocolSpec` (name, config dataclass, schedule emitters,
-  reference twin, result type) and discoverable through
+  execute hook, CLI metadata) and discoverable through
   :func:`protocol_names` / :func:`list_protocols`. The CLI's
   subcommands are generated from it; the contract suite pins the
   emitter inventory against it.

@@ -7,8 +7,8 @@ protocol — packet-level algorithms (``mis``, ``decay``, ``eed``,
 (``broadcast``, ``leader``, both with packet variants behind a config
 flag), and the clustering draw (``partition``). Each spec names the
 schedule emitters it owns (the inventory contract pinned by
-``tests/test_schedule_contract.py``), its reference twin, and the CLI
-metadata its subcommand is generated from.
+``tests/test_schedule_contract.py``) and the CLI metadata its
+subcommand is generated from.
 
 Execute hooks delegate to the protocols' own entry points with the
 policy threaded through — :func:`repro.api.run` is accounting around
@@ -27,54 +27,27 @@ from typing import Any
 
 import numpy as np
 
-from ..baselines.bgi_broadcast import (
-    BGIBroadcastResult,
-    bgi_broadcast,
-    bgi_broadcast_reference,
-)
-from ..core.broadcast import BroadcastResult, broadcast
-from ..core.cluster import Clustering
+from ..baselines.bgi_broadcast import bgi_broadcast
+from ..core.broadcast import broadcast
 from ..core.compete import CompeteConfig
 from ..core.compete_packet import (
     PacketCompeteConfig,
     PacketCompeteResult,
     broadcast_packet,
 )
-from ..core.decay import DecayResult, run_decay, run_decay_reference
-from ..core.effective_degree import (
-    EffectiveDegreeResult,
-    estimate_effective_degree,
-    estimate_effective_degree_reference,
-)
-from ..core.intra_cluster import (
-    ICPResult,
-    build_icp_inputs,
-    intra_cluster_propagation,
-)
+from ..core.decay import run_decay
+from ..core.effective_degree import estimate_effective_degree
+from ..core.intra_cluster import build_icp_inputs, intra_cluster_propagation
 from ..core.leader_election import (
-    LeaderElectionResult,
     PacketLeaderResult,
     elect_leader,
     elect_leader_packet,
 )
-from ..baselines.leader_uptime import (
-    UptimeElectionResult,
-    uptime_threshold_election,
-    uptime_threshold_election_reference,
-)
-from ..core.mis import MISConfig, MISResult, compute_mis, compute_mis_reference
-from ..core.mis_restart import (
-    RestartableMISConfig,
-    RestartableMISResult,
-    compute_restartable_mis,
-    restartable_mis_reference,
-)
+from ..baselines.leader_uptime import uptime_threshold_election
+from ..core.mis import MISConfig, compute_mis
+from ..core.mis_restart import RestartableMISConfig, compute_restartable_mis
 from ..core.mpx import partition, partition_reference
-from ..core.wakeup import (
-    WakeupResult,
-    mis_as_wakeup_strategy,
-    mis_as_wakeup_strategy_reference,
-)
+from ..core.wakeup import mis_as_wakeup_strategy
 from ..graphs.independence import (
     greedy_independent_set,
     is_maximal_independent_set,
@@ -99,7 +72,6 @@ class DecayConfig:
     """
 
     active: np.ndarray | None = None
-    messages: list[Any] | None = None
     iterations: int = 1
     n_estimate: int | None = None
 
@@ -262,9 +234,7 @@ def _refuse_inert_accounted_knobs(name: str, policy: Any) -> None:
     name="mis",
     title="Radio MIS (Algorithm 7, Theorem 14)",
     config_cls=MISConfig,
-    result_cls=MISResult,
     emitters=("mis_schedule",),
-    reference=compute_mis_reference,
     accepts="network",
     cli=CLISpec(
         help="run Radio MIS (Algorithm 7)",
@@ -299,9 +269,7 @@ def _execute_mis(network, rng, config, policy):
     name="mis_restart",
     title="Restartable Radio MIS (robustness variant, epoch restarts)",
     config_cls=RestartableMISConfig,
-    result_cls=RestartableMISResult,
     emitters=("restartable_mis_schedule",),
-    reference=restartable_mis_reference,
     accepts="network",
     cli=CLISpec(
         help="restartable Radio MIS (re-admits woken nodes per epoch)",
@@ -345,9 +313,7 @@ def _execute_mis_restart(network, rng, config, policy):
     name="decay",
     title="One Decay block (Algorithm 5 / Claim 10)",
     config_cls=DecayConfig,
-    result_cls=DecayResult,
     emitters=("decay_block",),
-    reference=run_decay_reference,
     accepts="network",
     cli=CLISpec(
         help="one Decay block over an active set",
@@ -380,7 +346,6 @@ def _execute_decay(network, rng, config, policy):
         network,
         active,
         rng,
-        messages=config.messages,
         iterations=config.iterations,
         n_estimate=config.n_estimate,
         policy=policy,
@@ -392,9 +357,7 @@ def _execute_decay(network, rng, config, policy):
     name="eed",
     title="EstimateEffectiveDegree (Algorithm 6, Lemma 11)",
     config_cls=EEDConfig,
-    result_cls=EffectiveDegreeResult,
     emitters=("effective_degree_schedule",),
-    reference=estimate_effective_degree_reference,
     accepts="network",
     cli=CLISpec(
         help="one EstimateEffectiveDegree block",
@@ -444,9 +407,7 @@ def _execute_eed(network, rng, config, policy):
     name="icp",
     title="Intra-Cluster Propagation phase (Algorithms 9-10)",
     config_cls=ICPConfig,
-    result_cls=ICPResult,
     emitters=(),
-    reference=None,
     accepts="network",
     cli=CLISpec(
         help="one Intra-Cluster Propagation phase (Algorithms 9-10)",
@@ -512,9 +473,7 @@ def _execute_icp(network, rng, config, policy):
     name="bgi",
     title="BGI Decay broadcast baseline (packet level)",
     config_cls=BGIConfig,
-    result_cls=BGIBroadcastResult,
     emitters=("bgi_schedule",),
-    reference=bgi_broadcast_reference,
     accepts="network",
     cli=CLISpec(
         help="BGI Decay-broadcast baseline, every step simulated",
@@ -553,9 +512,7 @@ def _execute_bgi(network, rng, config, policy):
     name="wakeup",
     title="MIS-as-wake-up reduction (Section 1.5.1)",
     config_cls=WakeupConfig,
-    result_cls=WakeupResult,
     emitters=("_wakeup_mis_schedule",),
-    reference=mis_as_wakeup_strategy_reference,
     accepts="none",
     cli=CLISpec(
         help="MIS-as-wake-up reduction on a k-clique",
@@ -597,9 +554,7 @@ def _execute_wakeup(target, rng, config, policy):
     name="broadcast",
     title="Broadcast via Compete (Theorem 7)",
     config_cls=BroadcastConfig,
-    result_cls=BroadcastResult,
     emitters=(),
-    reference=None,
     accepts="graph",
     cli=CLISpec(
         help="broadcast via Compete (Thm 7)",
@@ -679,9 +634,7 @@ def _execute_broadcast(graph, rng, config, policy):
     name="leader",
     title="Leader election (Algorithm 3, Theorem 8)",
     config_cls=LeaderConfig,
-    result_cls=LeaderElectionResult,
     emitters=(),
-    reference=None,
     accepts="graph",
     cli=CLISpec(
         help="leader election (Algorithm 3)",
@@ -743,9 +696,7 @@ def _execute_leader(graph, rng, config, policy):
     name="leader_uptime",
     title="Uptime-threshold leader election (robustness variant)",
     config_cls=UptimeLeaderConfig,
-    result_cls=UptimeElectionResult,
     emitters=(),
-    reference=uptime_threshold_election_reference,
     accepts="network",
     cli=CLISpec(
         help="elect the highest-ID node whose uptime clears a threshold",
@@ -803,9 +754,7 @@ def _execute_leader_uptime(network, rng, config, policy):
     name="partition",
     title="Partition(beta, MIS) clustering draw (Theorem 2)",
     config_cls=PartitionConfig,
-    result_cls=Clustering,
     emitters=(),
-    reference=partition_reference,
     accepts="graph",
     cli=CLISpec(
         help="one Partition(beta, MIS) clustering draw",

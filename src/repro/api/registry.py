@@ -1,9 +1,8 @@
 """The protocol registry: every runnable protocol, declared once.
 
 A :class:`ProtocolSpec` is the registry's unit: a protocol's name, its
-config dataclass, the schedule emitters it owns, its reference twin,
-and its result type — plus the hook that actually executes it and
-optional CLI metadata from which
+config dataclass and the schedule emitters it owns — plus the hook
+that actually executes it and optional CLI metadata from which
 :mod:`repro.cli` generates the protocol's subcommand. Specs register
 through :func:`register_protocol` at import of
 :mod:`repro.api.protocols`, so ``import repro.api`` is all discovery
@@ -95,16 +94,10 @@ class ProtocolSpec:
     config_cls:
         The protocol's config dataclass (``None`` for config-free
         protocols).
-    result_cls:
-        Type of the protocol result carried by the
-        :class:`~repro.api.report.RunReport`.
     emitters:
         Names of the schedule-emitter generator functions this
         protocol owns — the registry side of the AST-pinned emitter
         inventory (see module docstring).
-    reference:
-        The retained step-wise twin entry point (``None`` when the
-        protocol has no packet-level reference).
     execute:
         ``execute(target, rng, config, policy) -> (result, network)``
         — the actual run. ``target`` is the graph or network
@@ -127,9 +120,7 @@ class ProtocolSpec:
     name: str
     title: str
     config_cls: type | None
-    result_cls: type
     emitters: tuple[str, ...]
-    reference: Callable[..., Any] | None
     execute: Callable[..., Any]
     accepts: str = "network"
     cli: CLISpec | None = None
@@ -146,8 +137,7 @@ def register_protocol(**spec_kwargs: Any) -> Callable[[Callable], Callable]:
 
         @register_protocol(
             name="mis", title="Radio MIS (Algorithm 7)",
-            config_cls=MISConfig, result_cls=MISResult,
-            emitters=("mis_schedule",), reference=compute_mis_reference,
+            config_cls=MISConfig, emitters=("mis_schedule",),
         )
         def _execute_mis(network, rng, config, policy): ...
 

@@ -207,7 +207,6 @@ def compete_packet(
         network,
         informed,
         rng,
-        messages=[int(k) for k in knowledge],
         iterations=config.final_sweep_iterations,
         policy=policy,
     )

@@ -9,9 +9,13 @@ the sweep. Iterating the sweep ``O(log n)`` times amplifies this to high
 probability (paper Claim 10).
 
 This module provides the vectorized :class:`Decay` protocol (all of ``S``
-decaying concurrently), its schedule emitter :func:`decay_block` (and
-:func:`decay_block_schedule`, which returns the block's
-:class:`DecayResult`), and the convenience :func:`run_decay` wrapper.
+decaying concurrently), its schedule emitter :func:`decay_block`, and
+the convenience :func:`run_decay` wrapper.
+
+A block reports *who* each listener heard (``heard_from``), never what
+was said: what a transmitter says is its own state, which the caller
+already holds in its own arrays and indexes by ``heard_from`` — radio
+Partition reads its announcers' cluster id and wave that way.
 
 Performance: a Decay block is *oblivious* — the transmit mask of every
 step depends only on the fixed active set and the block's randomness,
@@ -30,7 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any
 
 import numpy as np
 
@@ -84,14 +87,10 @@ class DecayResult(ArrayEqMixin):
     heard_from:
         For each hearing node, the index of one transmitter it heard
         (the first); ``NO_SENDER`` elsewhere.
-    messages:
-        For each hearing node, the message of that first-heard
-        transmitter; ``None`` elsewhere.
     """
 
     heard: np.ndarray
     heard_from: np.ndarray
-    messages: list[Any]
 
 
 class Decay(Protocol):
@@ -103,9 +102,6 @@ class Decay(Protocol):
         The radio network.
     active:
         Boolean mask of the transmitting set ``S``. Nodes outside listen.
-    messages:
-        Optional per-node payloads for members of ``S`` (length-``n``
-        list); defaults to each node's own index.
     iterations:
         Number of sweeps (Claim 10 amplification).
     n_estimate:
@@ -120,7 +116,6 @@ class Decay(Protocol):
         self,
         network: RadioNetwork,
         active: np.ndarray,
-        messages: list[Any] | None = None,
         iterations: int = 1,
         n_estimate: int | None = None,
     ) -> None:
@@ -131,12 +126,6 @@ class Decay(Protocol):
                 f"active mask has shape {active.shape}, expected ({self.n},)"
             )
         self.active = active.copy()
-        if messages is not None and len(messages) != self.n:
-            raise ValueError(
-                f"messages has length {len(messages)}, expected {self.n}"
-            )
-        #: Per-node payloads; ``None`` means each node's own index.
-        self.messages = None if messages is None else list(messages)
         self.span = decay_span(n_estimate if n_estimate is not None else self.n)
         self.total_steps = iterations * self.span
         self._step = 0
@@ -208,14 +197,8 @@ class Decay(Protocol):
             self._finished = True
 
     def result(self) -> DecayResult:
-        payloads: list[Any] = [None] * self.n
-        messages = self.messages or range(self.n)
-        for v in np.nonzero(self.heard)[0]:
-            payloads[v] = messages[self.heard_from[v]]
         return DecayResult(
-            heard=self.heard.copy(),
-            heard_from=self.heard_from.copy(),
-            messages=payloads,
+            heard=self.heard.copy(), heard_from=self.heard_from.copy()
         )
 
 
@@ -223,7 +206,6 @@ def decay_block(
     network: RadioNetwork,
     active: np.ndarray,
     rng: np.random.Generator,
-    messages: list[Any] | None = None,
     iterations: int = 1,
     n_estimate: int | None = None,
 ) -> ProtocolSchedule:
@@ -238,15 +220,11 @@ def decay_block(
     :class:`Decay` draws it at its first step, and every row is a pure
     function of it, so any chunking reproduces the per-step rows;
     receptions fold in step order through :meth:`Decay._absorb_coo`.
-    Returns the folded :class:`Decay` itself: Radio MIS reads only its
-    ``heard`` mask and skips :meth:`Decay.result`'s payload list.
+    Returns the folded :class:`Decay` itself: Radio MIS reads its
+    ``heard`` mask, :func:`run_decay` its :meth:`Decay.result`.
     """
     protocol = Decay(
-        network,
-        active,
-        messages=messages,
-        iterations=iterations,
-        n_estimate=n_estimate,
+        network, active, iterations=iterations, n_estimate=n_estimate
     )
     total = protocol.total_steps
     if total:
@@ -258,31 +236,10 @@ def decay_block(
     return protocol
 
 
-def decay_block_schedule(
-    network: RadioNetwork,
-    active: np.ndarray,
-    rng: np.random.Generator,
-    messages: list[Any] | None = None,
-    iterations: int = 1,
-    n_estimate: int | None = None,
-) -> ProtocolSchedule:
-    """:func:`decay_block`, returning the block's :class:`DecayResult`."""
-    protocol = yield from decay_block(
-        network,
-        active,
-        rng,
-        messages=messages,
-        iterations=iterations,
-        n_estimate=n_estimate,
-    )
-    return protocol.result()
-
-
 def run_decay(
     network: RadioNetwork,
     active: np.ndarray,
     rng: np.random.Generator,
-    messages: list[Any] | None = None,
     iterations: int = 1,
     n_estimate: int | None = None,
     *,
@@ -295,8 +252,8 @@ def run_decay(
     iterations=claim10_iterations(n))`` run alone (MIS itself yields
     it through :func:`decay_block`).
 
-    The block executes :func:`decay_block_schedule` under ``policy``
-    (see the module docstring) — ``engine="reference"`` dispatches to
+    The block executes :func:`decay_block` under ``policy`` (see the
+    module docstring) — ``engine="reference"`` dispatches to
     :func:`run_decay_reference`; results and rng consumption are
     identical either way, the engine path just much faster.
     """
@@ -307,27 +264,21 @@ def run_decay(
     if policy.engine == "reference":
         return run_decay_reference(
             network, active, rng,
-            messages=messages, iterations=iterations,
-            n_estimate=n_estimate,
+            iterations=iterations, n_estimate=n_estimate,
         )
     return policy.run_schedule(
         network,
-        decay_block_schedule(
-            network,
-            active,
-            rng,
-            messages=messages,
-            iterations=iterations,
-            n_estimate=n_estimate,
+        decay_block(
+            network, active, rng,
+            iterations=iterations, n_estimate=n_estimate,
         ),
-    )
+    ).result()
 
 
 def run_decay_reference(
     network: RadioNetwork,
     active: np.ndarray,
     rng: np.random.Generator,
-    messages: list[Any] | None = None,
     iterations: int = 1,
     n_estimate: int | None = None,
 ) -> DecayResult:
@@ -340,11 +291,7 @@ def run_decay_reference(
     totals, and post-call rng state against the windowed path.
     """
     protocol = Decay(
-        network,
-        active,
-        messages=messages,
-        iterations=iterations,
-        n_estimate=n_estimate,
+        network, active, iterations=iterations, n_estimate=n_estimate
     )
     run_steps(protocol, rng, protocol.total_steps)
     return protocol.result()

@@ -9,8 +9,8 @@ full collision fidelity:
   shift = earlier start), provided no other cluster captured it first;
 * time advances in *epochs*; in each epoch, every already-assigned node
   announces its cluster id with a Decay block (Claim 10), and every
-  unassigned node that hears an announcement joins that cluster, at hop
-  distance one more than the sender's;
+  unassigned node that hears an announcement joins the cluster of the
+  announcer it heard, at hop distance one more than that sender's;
 * a node therefore joins the first shifted BFS front to reach it —
   ``argmin_c (dist(u, c) - floor(delta_c))`` up to Decay failures, which
   is the MPX rule with integer shifts.
@@ -112,22 +112,18 @@ def partition_radio(
         announcers = assignment != -1
         if not announcers.any():
             continue
-        # Message: (cluster id, sender's wave). Only the sender's *own*
-        # state is used — ad-hoc discipline.
-        messages = [
-            (int(assignment[v]), int(wave[v])) if announcers[v] else None
-            for v in range(n)
-        ]
         network.trace.enter_phase("partition/announce")
         echo = run_decay(
-            network, announcers, rng, messages=messages,
-            iterations=decay_iters, policy=policy,
+            network, announcers, rng, iterations=decay_iters, policy=policy
         )
-        joiners = (assignment == -1) & echo.heard
-        for v in np.nonzero(joiners)[0]:
-            cluster_id, sender_wave = echo.messages[v]
-            assignment[v] = cluster_id
-            wave[v] = sender_wave + 1
+        # A joiner adopts what its heard announcer said: that sender's
+        # *own* (cluster id, wave) — ad-hoc discipline. Both arrays are
+        # written only here, after the block, so they hold what every
+        # announcer said during it.
+        joiners = np.flatnonzero(~announcers & echo.heard)
+        senders = echo.heard_from[joiners]
+        assignment[joiners] = assignment[senders]
+        wave[joiners] = wave[senders] + 1
     else:
         unassigned = int((assignment == -1).sum())
         raise BudgetExceededError(

@@ -37,11 +37,10 @@ import networkx as nx
 import numpy as np
 
 from ..engine.policy import ExecutionPolicy
-from ..engine.sampler import RowSampler, draw_block_key
 from ..engine.segments import StreamedWindow, TransmitterPlan
 from ..radio.errors import ProtocolError
 from ..radio.network import RadioNetwork
-from .decay import claim10_iterations, decay_span
+from .decay import Decay, claim10_iterations
 from .effective_degree import HIGH_GUARANTEE
 
 Schedule = Callable[[int], float]
@@ -128,18 +127,6 @@ def expected_steps(
     return float(np.mean([r.steps for r in results]))
 
 
-def _decay_rows(
-    n: int, marked: np.ndarray, rng: np.random.Generator
-) -> RowSampler:
-    """The keyed rows of one Decay block over ``marked`` (Claim 10's
-    iterations of the ladder for ``n`` believed nodes), as
-    :class:`~repro.core.decay.Decay` samples them."""
-    span = decay_span(n)  # the algorithm believes the network has n nodes
-    steps = np.arange(claim10_iterations(n) * span)
-    ladder = 2.0 ** -((steps % span) + 1.0)
-    return RowSampler(draw_block_key(rng), marked, ladder)
-
-
 def _next_desire(p: float, k: int) -> float:
     """Ghaffari's update after a round without success, on the clique's
     exact effective degree ``(k - 1) p`` (every node stays active and
@@ -150,26 +137,34 @@ def _next_desire(p: float, k: int) -> float:
     return min(2.0 * p, 0.5)
 
 
-def _wakeup_mis_schedule(n: int, k: int, rng: np.random.Generator):
-    """Schedule emitter for the MIS-as-wake-up reduction.
+def _wakeup_mis_schedule(
+    network: RadioNetwork, n: int, rng: np.random.Generator
+):
+    """Schedule emitter for the MIS-as-wake-up reduction on the
+    ``k``-clique ``network``.
 
     A Decay block's success event — its first row with exactly one
-    transmitter — is a property of its keyed rows alone
-    (:func:`_decay_rows`), so the emitter samples the block, trims it at
-    that row and streams it. The reference samples the same rows one
-    step at a time, so steps, result and final rng state agree.
+    transmitter — is a property of its keyed rows alone, so the emitter
+    samples the block, trims it at that row and streams it. The
+    reference samples the same rows one step at a time, so steps,
+    result and final rng state agree.
     """
+    k = network.n
     p = 0.5
     steps = 0
     for _ in range(max(1, math.ceil(10 * math.log2(max(2, n))))):
         marked = rng.random(k) < p
-        rows = _decay_rows(n, marked, rng)
-        block = rows.row_probs.size
-        row_of, _ = rows.sample(0, block)
-        singles = np.flatnonzero(np.bincount(row_of, minlength=block) == 1)
-        width = int(singles[0]) + 1 if singles.size else block
+        # Claim 10's iterations of the ladder for n believed nodes.
+        block = Decay(
+            network, marked, iterations=claim10_iterations(n), n_estimate=n
+        )
+        block.bind_key(rng)
+        total = block.total_steps
+        row_of, _ = block.transmitters(0, total)
+        singles = np.flatnonzero(np.bincount(row_of, minlength=total) == 1)
+        width = int(singles[0]) + 1 if singles.size else total
         yield StreamedWindow(
-            TransmitterPlan(width, rows.sample),
+            TransmitterPlan(width, block.transmitters),
             consume_coo=lambda *reception: None,  # only the rows matter
         )
         steps += width
@@ -215,9 +210,8 @@ def mis_as_wakeup_strategy(
         )
     if policy.engine == "reference":
         return mis_as_wakeup_strategy_reference(n, k, rng)
-    return policy.run_schedule(
-        RadioNetwork(nx.complete_graph(k)), _wakeup_mis_schedule(n, k, rng)
-    )
+    clique = RadioNetwork(nx.complete_graph(k))
+    return policy.run_schedule(clique, _wakeup_mis_schedule(clique, n, rng))
 
 
 def mis_as_wakeup_strategy_reference(
@@ -239,9 +233,12 @@ def mis_as_wakeup_strategy_reference(
     steps = 0
     for _ in range(max(1, math.ceil(10 * math.log2(max(2, n))))):
         marked = rng.random(k) < p
-        rows = _decay_rows(n, marked, rng)
-        for t in range(rows.row_probs.size):
-            _, nodes = rows.sample(t, t + 1)
+        block = Decay(
+            net, marked, iterations=claim10_iterations(n), n_estimate=n
+        )
+        block.bind_key(rng)
+        for t in range(block.total_steps):
+            _, nodes = block.transmitters(t, t + 1)
             transmit = np.zeros(k, dtype=bool)
             transmit[nodes] = True
             net.deliver(transmit)  # collision or silence unless one sent

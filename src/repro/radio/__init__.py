@@ -11,13 +11,11 @@ from .errors import (
     ProtocolError,
     RadioError,
 )
-from .messages import Message, highest
 from .network import NO_SENDER, RadioNetwork
 from .protocol import (
     Protocol,
     SilentProtocol,
     TimeMultiplexer,
-    run_protocol,
     run_steps,
 )
 from .trace import Charge, CostLedger, PhaseStats, StepTrace
@@ -28,7 +26,6 @@ __all__ = [
     "CostLedger",
     "GraphContractError",
     "InvalidActionError",
-    "Message",
     "NO_SENDER",
     "PhaseStats",
     "Protocol",
@@ -38,7 +35,5 @@ __all__ = [
     "SilentProtocol",
     "StepTrace",
     "TimeMultiplexer",
-    "highest",
-    "run_protocol",
     "run_steps",
 ]

@@ -45,7 +45,7 @@ the oracle the validating runner replays every window against.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Hashable, Iterable, Mapping
+from typing import Hashable, Iterable
 
 import networkx as nx
 import numpy as np
@@ -410,41 +410,6 @@ class RadioNetwork:
             transmissions=transmissions,
             receptions=receptions,
         )
-
-    def step(self, actions: Mapping[Hashable, Any]) -> dict[Hashable, Any]:
-        """Label-based convenience wrapper around :meth:`deliver`.
-
-        Parameters
-        ----------
-        actions:
-            Mapping from node label to the message it transmits this step.
-            Nodes absent from the mapping listen. Message values may be
-            anything except ``None`` (``None`` would be indistinguishable
-            from "heard nothing" in the return value).
-
-        Returns
-        -------
-        dict
-            Mapping from listener label to the message it heard; nodes
-            that heard nothing are absent.
-        """
-        transmit = np.zeros(self.n, dtype=bool)
-        messages: list[Any] = [None] * self.n
-        for label, message in actions.items():
-            if message is None:
-                raise InvalidActionError(
-                    f"node {label!r} tried to transmit None; use any other "
-                    "sentinel for contentless transmissions"
-                )
-            i = self._index[label]
-            transmit[i] = True
-            messages[i] = message
-
-        hear_from = self.deliver(transmit)
-        received: dict[Hashable, Any] = {}
-        for i in np.nonzero(hear_from != NO_SENDER)[0]:
-            received[self._labels[i]] = messages[hear_from[i]]
-        return received
 
     # ------------------------------------------------------------------
     # convenience graph facts (used by generators/tests, not protocols)

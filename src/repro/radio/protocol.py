@@ -12,8 +12,9 @@ contract:
 2. the driver executes the step on the network;
 3. :meth:`Protocol.observe` receives, for every node, the index of the
    unique neighbor it heard (or :data:`~repro.radio.network.NO_SENDER`)
-   and updates per-node state. What the heard neighbor *said* is looked
-   up in the protocol's own record of what it made each node transmit.
+   and updates per-node state. What the heard neighbor *said* is that
+   neighbor's own state, which the protocol already holds in its
+   arrays and indexes by sender; no payload travels with a step.
 
 :class:`TimeMultiplexer` interleaves a main and a background protocol on
 alternating steps, which is how the paper's algorithms run their
@@ -26,9 +27,8 @@ This module is the *step-wise* layer. Production protocol entry points
 run on the unified windowed engine instead: they describe themselves as
 schedules of windows (:mod:`repro.engine`) and the
 :class:`~repro.engine.runner.WindowedRunner` executes every window as
-one sparse product. The drivers here (:func:`run_protocol`,
-:func:`run_steps`) remain the executable specification the
-``*_reference`` twins use, and
+one sparse product. The driver here (:func:`run_steps`) remains the
+executable specification the ``*_reference`` twins use, and
 :func:`repro.engine.runner.protocol_schedule` lifts any
 :class:`Protocol` object — including :class:`TimeMultiplexer` stacks —
 onto the runner as one-row windows, with bit-identical behavior.
@@ -41,7 +41,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import BudgetExceededError, ProtocolError
+from .errors import ProtocolError
 from .network import NO_SENDER, RadioNetwork
 
 
@@ -75,46 +75,6 @@ class Protocol(abc.ABC):
     def result(self) -> Any:
         """Protocol output; only meaningful once :attr:`finished`."""
         raise ProtocolError(f"{type(self).__name__} does not define a result")
-
-
-def run_protocol(
-    protocol: Protocol,
-    rng: np.random.Generator,
-    max_steps: int | None = None,
-) -> Any:
-    """Drive ``protocol`` on its network until it finishes.
-
-    Parameters
-    ----------
-    protocol:
-        The protocol to run.
-    rng:
-        Randomness source shared by all nodes' coin flips. (Conceptually
-        each node has a private source; a single generator drawing
-        per-node vectors is statistically identical and much faster.)
-    max_steps:
-        Optional step budget. Randomized protocols only terminate with
-        high probability; exceeding the budget raises
-        :class:`~repro.radio.errors.BudgetExceededError` instead of
-        looping forever.
-
-    Returns
-    -------
-    Any
-        ``protocol.result()``.
-    """
-    steps = 0
-    while not protocol.finished:
-        if max_steps is not None and steps >= max_steps:
-            raise BudgetExceededError(
-                f"{type(protocol).__name__} did not finish within "
-                f"{max_steps} steps"
-            )
-        mask = protocol.transmit_mask(rng)
-        hear_from = protocol.network.deliver(mask)
-        protocol.observe(hear_from)
-        steps += 1
-    return protocol.result()
 
 
 class SilentProtocol(Protocol):
@@ -187,9 +147,17 @@ def run_steps(
 ) -> None:
     """Advance ``protocol`` by exactly ``steps`` steps (or until finished).
 
-    Unlike :func:`run_protocol` this never raises on budget exhaustion; it
-    is the building block for protocols that run sub-protocols for a fixed
-    number of steps (e.g. a Decay block inside Radio MIS).
+    Parameters
+    ----------
+    protocol:
+        The protocol to run.
+    rng:
+        Randomness source shared by all nodes' coin flips. (Conceptually
+        each node has a private source; a single generator drawing
+        per-node vectors is statistically identical and much faster.)
+    steps:
+        Steps to run; each caller knows its block's length (a Decay
+        block inside Radio MIS, one ICP phase).
     """
     for _ in range(steps):
         if protocol.finished:
@@ -204,6 +172,5 @@ __all__ = [
     "Protocol",
     "SilentProtocol",
     "TimeMultiplexer",
-    "run_protocol",
     "run_steps",
 ]

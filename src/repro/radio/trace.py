@@ -36,8 +36,8 @@ class PhaseStats:
 class StepTrace:
     """Mutable record of a packet-level simulation run.
 
-    The :class:`~repro.radio.network.RadioNetwork` updates the trace on
-    every :meth:`~repro.radio.network.RadioNetwork.step` call. Protocols
+    The :class:`~repro.radio.network.RadioNetwork` updates the trace for
+    every step it delivers, one at a time or a window at once. Protocols
     switch the current phase with :meth:`enter_phase`; steps are attributed
     to whichever phase is current when they execute.
     """

@@ -362,8 +362,7 @@ class TestRegistry:
     def test_duplicate_registration_refused(self):
         with pytest.raises(ProtocolError, match="already registered"):
             api.register_protocol(
-                name="mis", title="dup", config_cls=None, result_cls=object,
-                emitters=(), reference=None,
+                name="mis", title="dup", config_cls=None, emitters=()
             )(lambda *a: None)
 
     def test_wrong_config_type_refused(self):

@@ -48,15 +48,18 @@ class TestSingleTransmitter:
         assert all(result.heard_from[v] == hub for v in leaves)
 
     def test_messages_delivered(self, rng):
+        # The sender's message reaches both neighbors: a block reports
+        # who was heard, and what the sender said is its own state,
+        # which the caller indexes by heard_from.
         g = graphs.path(3)
         net = RadioNetwork(g)
+        sender = net.index_of(1)
         active = np.zeros(3, dtype=bool)
-        active[net.index_of(1)] = True
-        messages = [None] * 3
-        messages[net.index_of(1)] = "payload"
-        result = run_decay(net, active, rng, messages=messages, iterations=8)
-        assert result.messages[net.index_of(0)] == "payload"
-        assert result.messages[net.index_of(2)] == "payload"
+        active[sender] = True
+        result = run_decay(net, active, rng, iterations=8)
+        assert result.heard_from[net.index_of(0)] == sender
+        assert result.heard_from[net.index_of(2)] == sender
+        assert result.heard_from[sender] == NO_SENDER
 
     def test_non_neighbors_hear_nothing(self, rng):
         g = graphs.path(5)
@@ -66,7 +69,6 @@ class TestSingleTransmitter:
         result = run_decay(net, active, rng, iterations=8)
         assert not result.heard[net.index_of(3)]
         assert result.heard_from[net.index_of(3)] == NO_SENDER
-        assert result.messages[net.index_of(3)] is None
 
 
 class TestClaim10:
@@ -136,12 +138,6 @@ class TestProtocolMechanics:
         net = RadioNetwork(g)
         with pytest.raises(ValueError):
             Decay(net, np.ones(3, dtype=bool))
-
-    def test_rejects_bad_message_length(self):
-        g = graphs.path(4)
-        net = RadioNetwork(g)
-        with pytest.raises(ValueError):
-            Decay(net, np.ones(4, dtype=bool), messages=["x"])
 
     def test_transmit_probability_halves_within_sweep(self, rng):
         # Statistical check: step i transmits with probability 2^-i, so

@@ -155,7 +155,6 @@ class TestBatchedDecayEquivalence:
 
         assert (batched.heard == sequential.heard).all()
         assert (batched.heard_from == sequential.heard_from).all()
-        assert batched.messages == sequential.messages
         assert net_batch.steps_elapsed == net_seq.steps_elapsed
         # Identical downstream randomness: the batched path drew exactly
         # the same numbers in the same order.

@@ -141,7 +141,6 @@ class TestDecayEquivalence:
 
         assert (a.heard == b.heard).all()
         assert (a.heard_from == b.heard_from).all()
-        assert a.messages == b.messages
         _assert_trace_equal(net_w, net_r)
         assert rng_w.random() == rng_r.random()
 

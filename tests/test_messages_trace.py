@@ -1,4 +1,4 @@
-"""Tests for Message ordering and the accounting types."""
+"""Tests for the accounting types: the step trace and the cost ledger."""
 
 from __future__ import annotations
 
@@ -6,48 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.radio import Charge, CostLedger, Message, StepTrace, highest
-
-
-class TestMessageOrdering:
-    def test_priority_dominates(self):
-        assert Message(2, "a") > Message(1, "z")
-
-    def test_payload_breaks_ties(self):
-        low = Message(1, "a")
-        high = Message(1, "b")
-        assert low < high
-
-    def test_equality_and_hash(self):
-        assert Message(1, "x") == Message(1, "x")
-        assert hash(Message(1, "x")) == hash(Message(1, "x"))
-
-    def test_origin_does_not_affect_order(self):
-        assert Message(1, "x", origin=5) == Message(1, "x", origin=9)
-
-    def test_highest_of_empty_is_none(self):
-        assert highest([]) is None
-
-    def test_highest_picks_max(self):
-        msgs = [Message(1), Message(5), Message(3)]
-        assert highest(msgs) == Message(5)
-
-    def test_comparison_with_non_message(self):
-        with pytest.raises(TypeError):
-            _ = Message(1) < 5
-
-    @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1))
-    def test_highest_matches_priority_max(self, priorities):
-        msgs = [Message(p) for p in priorities]
-        assert highest(msgs).priority == max(priorities)
-
-    @given(
-        st.integers(min_value=0, max_value=100),
-        st.integers(min_value=0, max_value=100),
-    )
-    def test_order_is_total_and_consistent(self, a, b):
-        ma, mb = Message(a), Message(b)
-        assert (ma < mb) == (a < b) or a == b
+from repro.radio import Charge, CostLedger, StepTrace
 
 
 class TestStepTrace:

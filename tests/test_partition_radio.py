@@ -7,6 +7,7 @@ import pytest
 
 from repro import graphs
 from repro.core import draw_shifts, partition, partition_radio
+from repro.engine import ExecutionPolicy
 from repro.graphs import greedy_independent_set
 from repro.radio import RadioNetwork
 
@@ -102,3 +103,56 @@ class TestRadioPartition:
             cl = partition_radio(net, 0.3, mis, np.random.default_rng(17))
             results.append(cl.assignment.copy())
         assert (results[0] == results[1]).all()
+
+
+def _totals(net: RadioNetwork):
+    """Steps, trace totals and per-phase trace of one network."""
+    trace = net.trace
+    return (
+        net.steps_elapsed,
+        trace.total_steps,
+        trace.total_transmissions,
+        trace.total_receptions,
+        {
+            k: (s.steps, s.transmissions, s.receptions)
+            for k, s in trace.phase_stats().items()
+        },
+    )
+
+
+class TestEngineTwins:
+    """Standalone radio Partition is bit-identical under both engines,
+    not only inside the packet pipeline."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ["udg", "grid", "qudg"])
+    def test_reference_and_default_engine_agree(self, kind, seed):
+        setup = np.random.default_rng(seed)
+        g = {
+            "udg": lambda: graphs.random_udg(120, 5.0, setup),
+            "grid": lambda: graphs.grid_udg(5, 20, setup),
+            "qudg": lambda: graphs.random_qudg(100, 4.5, setup),
+        }[kind]()
+        mis = sorted(greedy_independent_set(g))
+        runs = []
+        for policy in (ExecutionPolicy(engine="reference"), None):
+            net = RadioNetwork(g)
+            rng = np.random.default_rng(40 + seed)
+            clustering = partition_radio(net, 0.3, mis, rng, policy=policy)
+            runs.append((clustering, _totals(net), rng.bit_generator.state))
+        (ref, ref_totals, ref_state), (eng, eng_totals, eng_state) = runs
+        np.testing.assert_array_equal(ref.assignment, eng.assignment)
+        np.testing.assert_array_equal(
+            ref.distance_to_center, eng.distance_to_center
+        )
+        assert ref_totals == eng_totals
+        assert ref_totals[0] > 0
+        assert ref_state == eng_state
+        # Each joiner took its cluster and wave from the neighbor it
+        # heard: some neighbor in its cluster sits one wave closer.
+        assignment, wave = eng.assignment, eng.distance_to_center
+        for v in np.flatnonzero(wave > 0):
+            assert any(
+                assignment[u] == assignment[v] and wave[u] == wave[v] - 1
+                for u in g.neighbors(v)
+            )

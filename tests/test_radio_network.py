@@ -145,24 +145,6 @@ class TestDeliverSemantics:
         assert net_path5.trace.total_receptions == 2  # both path neighbors
 
 
-class TestStepConvenience:
-    def test_step_returns_heard_messages(self, net_path5):
-        received = net_path5.step({2: "hello"})
-        assert received == {1: "hello", 3: "hello"}
-
-    def test_step_collision_returns_nothing(self, net_path5):
-        received = net_path5.step({1: "a", 3: "b"})
-        # Node 2 collides; 0 and 4 hear their unique neighbors.
-        assert received == {0: "a", 4: "b"}
-
-    def test_step_rejects_none_message(self, net_path5):
-        with pytest.raises(InvalidActionError):
-            net_path5.step({2: None})
-
-    def test_step_empty_actions_is_silence(self, net_path5):
-        assert net_path5.step({}) == {}
-
-
 class TestNeighborSum:
     def test_neighbor_sum_on_path(self, net_path5):
         values = np.array(

@@ -1,4 +1,4 @@
-"""Tests for the protocol driver, multiplexer, and budget handling."""
+"""Tests for the step-wise driver and the time multiplexer."""
 
 from __future__ import annotations
 
@@ -6,14 +6,10 @@ import numpy as np
 import pytest
 
 from repro.radio import (
-    BudgetExceededError,
-    NO_SENDER,
     Protocol,
     ProtocolError,
-    RadioNetwork,
     SilentProtocol,
     TimeMultiplexer,
-    run_protocol,
     run_steps,
 )
 
@@ -42,22 +38,17 @@ class CountdownProtocol(Protocol):
 
 
 class TestRunProtocol:
+    """Driving a protocol to its end: ``run_steps`` with its length."""
+
     def test_runs_to_completion(self, net_path5, rng):
         protocol = CountdownProtocol(net_path5, steps=7)
-        assert run_protocol(protocol, rng) == 7
-
-    def test_budget_exceeded_raises(self, net_path5, rng):
-        protocol = CountdownProtocol(net_path5, steps=100)
-        with pytest.raises(BudgetExceededError):
-            run_protocol(protocol, rng, max_steps=10)
-
-    def test_budget_exactly_sufficient(self, net_path5, rng):
-        protocol = CountdownProtocol(net_path5, steps=10)
-        assert run_protocol(protocol, rng, max_steps=10) == 10
+        run_steps(protocol, rng, 7)
+        assert protocol.finished
+        assert protocol.result() == 7
 
     def test_network_steps_advance(self, net_path5, rng):
         protocol = CountdownProtocol(net_path5, steps=4)
-        run_protocol(protocol, rng)
+        run_steps(protocol, rng, 4)
         assert net_path5.steps_elapsed == 4
 
     def test_default_result_raises(self, net_path5):
@@ -85,23 +76,25 @@ class TestTimeMultiplexer:
         main = CountdownProtocol(net_path5, steps=5)
         background = CountdownProtocol(net_path5, steps=1000)
         muxed = TimeMultiplexer(net_path5, main, background)
-        run_protocol(muxed, rng, max_steps=100)
-        assert main.finished
-        # Main saw 5 steps; background saw 4 or 5 (interleaved).
+        # Main's 5 steps take even slots 0..8; background gets 1..7.
+        run_steps(muxed, rng, 9)
+        assert main.finished and muxed.finished
         assert main.observed_steps == 5
-        assert background.observed_steps in (4, 5)
+        assert background.observed_steps == 4
 
     def test_multiplexer_result_is_mains(self, net_path5, rng):
         main = CountdownProtocol(net_path5, steps=3)
         muxed = TimeMultiplexer(net_path5, main, SilentProtocol(net_path5))
-        assert run_protocol(muxed, rng, max_steps=100) == 3
+        run_steps(muxed, rng, 5)
+        assert muxed.result() == 3
 
     def test_multiplexer_doubles_step_count(self, net_path5, rng):
         main = CountdownProtocol(net_path5, steps=5)
         muxed = TimeMultiplexer(net_path5, main, SilentProtocol(net_path5))
-        run_protocol(muxed, rng, max_steps=100)
-        # 5 main steps at even slots -> 9 or 10 total network steps.
-        assert net_path5.steps_elapsed in (9, 10)
+        run_steps(muxed, rng, 2 * 5)
+        # 5 main steps at even slots: the mux finishes after slot 8.
+        assert muxed.finished
+        assert net_path5.steps_elapsed == 9
 
     def test_rejects_foreign_network(self, net_path5, net_clique6):
         main = CountdownProtocol(net_path5, steps=1)
@@ -113,7 +106,7 @@ class TestTimeMultiplexer:
         main = CountdownProtocol(net_path5, steps=10)
         background = CountdownProtocol(net_path5, steps=1)
         muxed = TimeMultiplexer(net_path5, main, background)
-        run_protocol(muxed, rng, max_steps=100)
+        run_steps(muxed, rng, 2 * 10)
         assert background.observed_steps == 1
         assert main.observed_steps == 10
 

@@ -68,14 +68,15 @@ class TestResultEquality:
     def test_decay_result_array_fields(self):
         heard = np.array([True, False, True])
         heard_from = np.array([2, -1, 0])
-        a = DecayResult(heard, heard_from, [None, None, None])
-        b = DecayResult(heard.copy(), heard_from.copy(), [None, None, None])
+        a = DecayResult(heard, heard_from)
+        b = DecayResult(heard.copy(), heard_from.copy())
         assert a == b
-        assert a != DecayResult(~heard, heard_from, [None, None, None])
+        assert a != DecayResult(~heard, heard_from)
+        assert a != DecayResult(heard, heard_from[::-1])
 
     def test_shape_mismatch_is_unequal_not_an_error(self):
-        a = DecayResult(np.ones(3, bool), np.zeros(3, int), [])
-        b = DecayResult(np.ones(4, bool), np.zeros(4, int), [])
+        a = DecayResult(np.ones(3, bool), np.zeros(3, int))
+        b = DecayResult(np.ones(4, bool), np.zeros(4, int))
         assert a != b
 
 

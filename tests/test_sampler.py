@@ -26,7 +26,7 @@ from repro.core import (
     run_decay,
     run_decay_reference,
 )
-from repro.core.decay import decay_block_schedule
+from repro.core.decay import decay_block
 from repro.core.effective_degree import effective_degree_schedule
 from repro.engine.policy import ExecutionPolicy
 from repro.engine.runner import WindowedRunner
@@ -142,9 +142,9 @@ class TestEndToEndChunking:
             net = RadioNetwork(g, faults=_FAULTS if faulted else None)
             rng = np.random.default_rng(3)
             runner = _Recorder(net, chunk)
-            decay = runner.run(decay_block_schedule(
+            decay = runner.run(decay_block(
                 net, active, rng, iterations=3
-            ))
+            )).result()
             eed = runner.run(effective_degree_schedule(
                 net, p, active, rng, C=2
             ))

@@ -33,7 +33,7 @@ import repro
 from repro import graphs
 from repro.baselines.bgi_broadcast import bgi_schedule
 from repro.core import build_schedule, partition
-from repro.core.decay import decay_block_schedule
+from repro.core.decay import decay_block
 from repro.core.effective_degree import effective_degree_schedule
 from repro.core.intra_cluster import DecayBackground, ICPProtocol
 from repro.core.mis import MISConfig, mis_schedule
@@ -205,11 +205,11 @@ class TestEmitterContracts:
         active[0] = True
         runner = _validated(g)
         result = runner.run(
-            decay_block_schedule(
+            decay_block(
                 runner.network, active, np.random.default_rng(50 + seed),
                 iterations=5,
             )
-        )
+        ).result()
         assert runner.windows_checked > 0
         assert result.heard.shape == (n,)
 
@@ -286,7 +286,9 @@ class TestEmitterContracts:
         k = 24 + seed
         runner = _validated(nx.complete_graph(k))
         result = runner.run(
-            _wakeup_mis_schedule(400, k, np.random.default_rng(90 + seed))
+            _wakeup_mis_schedule(
+                runner.network, 400, np.random.default_rng(90 + seed)
+            )
         )
         assert runner.windows_checked > 0
         assert result.k == k

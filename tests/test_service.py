@@ -532,6 +532,12 @@ class TestCampaignSpec:
                 "protocol": "decay", "corpus": [digest], "n_trials": 1,
                 "config": {"not_a_decay_field": 1},
             }))
+        # DecayConfig carries no payload list: naming one is refused.
+        with pytest.raises(ProtocolError, match="messages"):
+            CampaignSpec.from_json(json.dumps({
+                "protocol": "decay", "corpus": [digest], "n_trials": 1,
+                "config": {"messages": None},
+            }))
         with pytest.raises(ProtocolError, match="policies must be"):
             CampaignSpec.from_json(json.dumps({
                 "protocol": "decay", "corpus": [digest], "n_trials": 1,
@@ -703,6 +709,46 @@ class TestCampaign:
             # Never read: a read would have quarantined the old entries.
             assert old_store.quarantined == 0
             assert len(old_store) == 4
+
+    def test_decay_entries_with_a_payload_list_are_not_served(
+        self, stores, tmp_path
+    ):
+        # A decay entry stored while DecayResult still carried its
+        # per-node payload list sits under today's JobKey. The
+        # closed-world decoder refuses the unknown field, so the read
+        # quarantines the entry and the job re-executes: the old
+        # document is never served.
+        corpus, digest, _ = stores
+        spec = CampaignSpec(protocol="decay", corpus=(digest,),
+                            n_trials=1, seed=23)
+        fresh_store = ReportStore(tmp_path / "fresh")
+        fresh = run_campaign(spec, fresh_store, corpus=corpus)
+        (job,) = fresh.jobs
+        (report,) = fresh.reports
+        entry = json.loads(fresh_store.path_for(job.key).read_text())
+        heard, senders = report.result.heard, report.result.heard_from
+        entry["report"]["fields"]["result"]["fields"]["messages"] = [
+            int(s) if h else None for h, s in zip(heard, senders)
+        ]
+        # What ServiceClient.fetch_report does with the verbatim
+        # document: refuse it, naming the field.
+        with pytest.raises(ProtocolError, match="messages"):
+            decode_value(entry["report"])
+        store = ReportStore(tmp_path / "old")
+        target = store.path_for(job.key)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(json.dumps(entry))
+        assert job.key in store
+        assert store.get(job.key) is None
+        assert store.quarantined == 1 and job.key not in store
+
+        target.write_text(json.dumps(entry))
+        again = run_campaign(spec, store, corpus=corpus)
+        status = again.status()
+        assert status["executed"] == 1 and status["cached"] == 0
+        assert status["failed"] == 0
+        assert store.quarantined == 2
+        assert store.get(job.key) == report
 
     def test_grid_naming_one_cell_twice_is_refused(self, tmp_path):
         # Two corpus entries for one graph (a digest and its prefix),

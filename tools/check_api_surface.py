@@ -150,7 +150,6 @@ EXPECTED_CORE_ALL = [
     "compute_mis_reference",
     "compute_restartable_mis",
     "build_icp_inputs",
-    "decay_block_schedule",
     "decay_schedule",
     "decay_span",
     "draw_shifts",
@@ -195,7 +194,6 @@ EXPECTED_RADIO_ALL = [
     "CostLedger",
     "GraphContractError",
     "InvalidActionError",
-    "Message",
     "NO_SENDER",
     "PhaseStats",
     "Protocol",
@@ -205,8 +203,6 @@ EXPECTED_RADIO_ALL = [
     "SilentProtocol",
     "StepTrace",
     "TimeMultiplexer",
-    "highest",
-    "run_protocol",
     "run_steps",
 ]
 
