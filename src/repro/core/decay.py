@@ -133,6 +133,9 @@ class Decay(Protocol):
         self.heard_from = np.full(self.n, NO_SENDER, dtype=np.int64)
         self._finished = self.total_steps == 0
         self._sampler: RowSampler | None = None
+        # Per node, the key of the reception the chunk fold picked
+        # (allocated at the first fold; step-wise runs never need it).
+        self._first: np.ndarray | None = None
 
     def bind_key(self, rng: np.random.Generator) -> None:
         """Draw the block key (once per block, at its first step)."""
@@ -179,19 +182,22 @@ class Decay(Protocol):
         ``(step, node, sender)`` triples arrive in arbitrary order, and
         among a node's receptions the earliest step wins (the radio
         model delivers at most one sender per node per step, so the
-        earliest step pins a unique sender).
+        earliest step pins a unique sender). One pass, no sort: each
+        not-yet-heard triple is keyed ``step * count + slot`` (distinct
+        per triple), ``np.minimum.at`` keeps every node's least key, and
+        the triple holding it wins. A node enters this scratch in one
+        fold only — it is heard from then on — so it is never reset.
         """
         fresh = ~self.heard[nodes]
         if fresh.any():
-            st = steps[fresh]
             nd = nodes[fresh]
-            sd = senders[fresh]
-            order = np.lexsort((st, nd))
-            nd = nd[order]
-            first = np.ones(nd.shape[0], dtype=bool)
-            first[1:] = nd[1:] != nd[:-1]
-            self.heard_from[nd[first]] = sd[order][first]
-            self.heard[nd[first]] = True
+            key = steps[fresh] * nd.size + np.arange(nd.size)
+            if self._first is None:
+                self._first = np.full(self.n, np.iinfo(np.int64).max)
+            np.minimum.at(self._first, nd, key)
+            won = self._first[nd] == key
+            self.heard_from[nd[won]] = senders[fresh][won]
+            self.heard[nd[won]] = True
         self._step += k
         if self._step >= self.total_steps:
             self._finished = True

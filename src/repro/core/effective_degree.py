@@ -170,14 +170,20 @@ class EstimateEffectiveDegree(Protocol):
         Equivalent to ``k`` sequential :meth:`observe` calls: each
         ``(step, node, sender)`` triple bumps the counter of its step's
         density level. Hear counts are order-independent sums, so
-        arbitrary triple order is fine; ``np.add.at`` accumulates
-        duplicates (the same node hearing on several steps of one
-        chunk) correctly.
+        arbitrary triple order is fine. One ``np.bincount`` over
+        ``(level - lo) * n + node`` counts the chunk's levels
+        ``lo .. hi - 1`` at once — duplicates (a node hearing on several
+        steps) included, and a chunk that spans levels too.
         """
         keep = self.active[nodes]
         if keep.any():
+            lo = self._step // self.steps_per_level
+            hi = (self._step + k - 1) // self.steps_per_level + 1
             lev = (self._step + steps[keep]) // self.steps_per_level
-            np.add.at(self.counts, (lev, nodes[keep]), 1)
+            cells = (lev - lo) * self.n + nodes[keep]
+            self.counts[lo:hi] += np.bincount(
+                cells, minlength=(hi - lo) * self.n
+            ).reshape(hi - lo, self.n)
         self._step += k
         if self._step >= self.total_steps:
             self._finished = True

@@ -33,9 +33,9 @@ import dataclasses
 import math
 from typing import Callable
 
-import networkx as nx
 import numpy as np
 
+from ..corpus.graph import CSRGraph
 from ..engine.policy import ExecutionPolicy
 from ..engine.segments import StreamedWindow, TransmitterPlan
 from ..radio.errors import ProtocolError
@@ -137,6 +137,17 @@ def _next_desire(p: float, k: int) -> float:
     return min(2.0 * p, 0.5)
 
 
+def _clique_network(k: int) -> RadioNetwork:
+    """The radio network of the ``k``-clique both drivers of the
+    reduction run on, over an identity-labeled CSR built with numpy
+    (row ``i`` lists every other node, ascending)."""
+    others = np.arange(k - 1, dtype=np.int32)
+    rows = np.arange(k, dtype=np.int32)[:, None]
+    indices = (others + (others >= rows)).ravel()
+    indptr = np.arange(k + 1, dtype=np.int32) * np.int32(k - 1)
+    return RadioNetwork(CSRGraph(indptr, indices))
+
+
 def _wakeup_mis_schedule(
     network: RadioNetwork, n: int, rng: np.random.Generator
 ):
@@ -210,7 +221,7 @@ def mis_as_wakeup_strategy(
         )
     if policy.engine == "reference":
         return mis_as_wakeup_strategy_reference(n, k, rng)
-    clique = RadioNetwork(nx.complete_graph(k))
+    clique = _clique_network(k)
     return policy.run_schedule(clique, _wakeup_mis_schedule(clique, n, rng))
 
 
@@ -227,7 +238,7 @@ def mis_as_wakeup_strategy_reference(
     """
     if not 1 <= k <= n:
         raise ProtocolError(f"need 1 <= k <= n, got k={k}, n={n}")
-    net = RadioNetwork(nx.complete_graph(k))
+    net = _clique_network(k)
 
     p = 0.5
     steps = 0

@@ -30,12 +30,13 @@ from ..radio.errors import ProtocolError
 #: Cost-model bytes per (window step, node) cell of a streamed chunk.
 #: Every chunk runs the one transmitter-pair product, whose output is
 #: at most one 12-byte entry per cell (capped at ``k * n`` entries
-#: whatever the degrees) next to a one-byte-per-cell half-duplex
-#: bitmap; reception triples exist only for clean cells, and the
-#: chunk's transmitters are 16-byte pairs, not masks. 64 bytes a cell
-#: keeps the memory-ceiling regressions' margin wide across numpy
-#: versions — the savings of the transmitter-pair form are banked as
-#: headroom rather than spent on taller chunks.
+#: whatever the degrees); half-duplex comes from the product's own
+#: ``A + 2I`` diagonal, so no per-cell array exists. Reception triples
+#: exist only for clean cells, and the chunk's transmitters are
+#: 16-byte pairs, not masks. ``A + 2I`` is per-graph storage, not chunk
+#: memory. 64 bytes a cell keeps the memory-ceiling regressions' margin
+#: wide across numpy versions — the savings of the transmitter-pair
+#: form are banked as headroom rather than spent on taller chunks.
 STREAM_CELL_BYTES = 64
 
 

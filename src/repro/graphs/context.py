@@ -18,7 +18,9 @@ per-trial by design, so caching never changes a distribution.
 The CSR arrays use int32 indices (the layout the vectorized hot paths
 in :mod:`repro.radio.network` and :mod:`repro.core.mpx` consume), and
 BFS-style queries are routed through :mod:`scipy.sparse.csgraph` instead
-of per-call networkx traversals.
+of per-call networkx traversals. The window product's matrix, the
+adjacency plus twice the identity (:func:`plus_2i`), is cached here too,
+so every network over one graph multiplies by the same copy.
 """
 
 from __future__ import annotations
@@ -40,6 +42,31 @@ _BFS_CHUNK = 256
 _CACHE: "weakref.WeakKeyDictionary[nx.Graph, GraphContext]" = (
     weakref.WeakKeyDictionary()
 )
+
+
+def plus_2i(indptr: np.ndarray, indices: np.ndarray, n: int) -> sp.csr_array:
+    """``A + 2I`` of the all-ones CSR adjacency ``(indptr, indices)``.
+
+    The matrix :meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`
+    multiplies transmitter rows by: row ``i`` holds ``A``'s row ``i``
+    (values 1) followed by the diagonal entry ``(i, i)`` valued 2, so a
+    transmitter's own cell carries twice its packed value and fails the
+    clean-reception test by itself. Built with numpy in one pass; the
+    index arrays are int32 unless ``nnz + n`` outgrows int32.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    total = int(indptr[-1]) + n
+    itype = np.int32 if total <= np.iinfo(np.int32).max else np.int64
+    out_indptr = (indptr + np.arange(n + 1)).astype(itype)
+    diagonal = out_indptr[1:] - 1
+    off = np.ones(total, dtype=bool)
+    off[diagonal] = False
+    out_indices = np.empty(total, dtype=itype)
+    out_indices[off] = indices
+    out_indices[diagonal] = np.arange(n, dtype=itype)
+    data = np.ones(total, dtype=np.float64)
+    data[diagonal] = 2.0
+    return sp.csr_array((data, out_indices, out_indptr), shape=(n, n))
 
 
 class GraphContext:
@@ -109,6 +136,7 @@ class GraphContext:
                 self._csr = sp.csr_array((0, 0), dtype=np.float64)
             self._identity_order = self.nodelist == list(range(self.n))
         self.degrees = np.diff(self.indptr).astype(np.int64)
+        self._plus_2i: sp.csr_array | None = None
         self._identity_csr: sp.csr_array | None = None
         self._edges: tuple[np.ndarray, np.ndarray] | None = None
         self._diameter: int | None = None
@@ -133,6 +161,17 @@ class GraphContext:
     def csr(self) -> sp.csr_array:
         """Binary float64 CSR adjacency in ``nodelist`` order."""
         return self._csr
+
+    def csr_plus_2i(self) -> sp.csr_array:
+        """``A + 2I`` over :attr:`csr` (:func:`plus_2i`), built once.
+
+        Graph storage like :attr:`csr`: ``(nnz + n) * 12 + (n + 1) * 4``
+        bytes with int32 indices. :class:`~repro.radio.network.RadioNetwork`
+        fetches it at construction, so it exists before any window runs.
+        """
+        if self._plus_2i is None:
+            self._plus_2i = plus_2i(self.indptr, self.indices, self.n)
+        return self._plus_2i
 
     @property
     def has_identity_labels(self) -> bool:
@@ -185,7 +224,10 @@ class GraphContext:
     def index_of(self, label: Hashable) -> int:
         """CSR row of the node with this label."""
         if self._index is None:  # array-native: labels are rows
-            row = int(label)
+            try:
+                row = int(label)
+            except (TypeError, ValueError, OverflowError):
+                raise KeyError(label) from None
             if row != label or not 0 <= row < self.n:
                 raise KeyError(label)
             return row
@@ -353,4 +395,4 @@ def distances_from(
     return {ctx.nodelist[i]: int(dist[i]) for i in reach}
 
 
-__all__ = ["GraphContext", "graph_context", "distances_from"]
+__all__ = ["GraphContext", "graph_context", "distances_from", "plus_2i"]

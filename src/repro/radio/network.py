@@ -27,7 +27,8 @@ step-wise ``*_reference`` twins drive. The engine's way in is
 :class:`~repro.engine.runner.WindowedRunner` hands it each chunk of a
 window's transmitters as ``(step, node)`` pairs, and it delivers them
 through the one exact sparse product of
-:meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`, at a cost
+:meth:`~repro.engine.kernels.DeliveryKernels.execute_coo` with the
+graph's cached ``A + 2I``, at a cost
 that follows the transmitters' degree sum; packet-level runs of
 hundreds of thousands of steps on graphs with thousands of nodes are
 practical.
@@ -99,18 +100,18 @@ class RadioNetwork:
 
         self.graph = graph
         self.n = graph.number_of_nodes()
-        # The binary float64 / int32-indexed CSR adjacency comes from the
+        # The binary float64 / int32-indexed CSR adjacency, the node
+        # labels and the window product's A + 2I all come from the
         # per-graph GraphContext cache: repeated RadioNetwork
         # constructions over one graph (Monte-Carlo trials) share one
-        # adjacency build instead of repeating it.
+        # build of each instead of repeating it.
         self._context = graph_context(graph)
         if self._context.csr.diagonal().any():
             raise GraphContractError("self-loops are not allowed")
-        self._labels: list[Hashable] = list(self._context.nodelist)
-        self._index: dict[Hashable, int] = {
-            label: i for i, label in enumerate(self._labels)
-        }
         self._adj: sp.csr_array = self._context.csr
+        # Fetched here, not at the first window: a window's memory
+        # budget covers its chunks, not the graph's storage.
+        self._plus_2i: sp.csr_array = self._context.csr_plus_2i()
         self._ids = np.arange(self.n, dtype=np.float64)
         # 1-based ids so id-sums of transmitting neighbors never vanish:
         # for a clean reception, sender = round(idsum1) - count = idsum1 - 1.
@@ -136,8 +137,8 @@ class RadioNetwork:
             "deliver": 0.0,
             "commit": 0.0,
         }
-        # Lazy DeliveryKernels view over this network's own CSR: the
-        # window product (repro.engine.kernels).
+        # Lazy DeliveryKernels view over the graph's A + 2I: the window
+        # product (repro.engine.kernels).
         self._kernels = None
         # Fault layer (repro.faults): None until a non-empty schedule is
         # installed — the disabled path is a single attribute check per
@@ -193,20 +194,22 @@ class RadioNetwork:
     # label <-> index conversion
     # ------------------------------------------------------------------
     def index_of(self, label: Hashable) -> int:
-        """Internal index of the node with this label."""
-        return self._index[label]
+        """Internal index of the node with this label (``KeyError`` if
+        the graph has no such node)."""
+        return self._context.index_of(label)
 
     def label_of(self, index: int) -> Hashable:
         """User-facing label of the node with this internal index."""
-        return self._labels[index]
+        return self._context.nodelist[index]
 
     def labels(self) -> list[Hashable]:
         """All node labels in internal index order."""
-        return list(self._labels)
+        return list(self._context.nodelist)
 
     def indices_of(self, labels: Iterable[Hashable]) -> np.ndarray:
         """Vectorized :meth:`index_of`."""
-        return np.array([self._index[label] for label in labels], dtype=np.int64)
+        index_of = self._context.index_of
+        return np.array([index_of(label) for label in labels], dtype=np.int64)
 
     def neighbors_of(self, index: int) -> np.ndarray:
         """Indices of the neighbors of node ``index``."""
@@ -384,19 +387,14 @@ class RadioNetwork:
         return rx_steps, rx_nodes, senders
 
     def _delivery_kernels(self):
-        """The window product bound to this network's own CSR (lazy)."""
+        """The window product bound to the graph's shared A + 2I (lazy;
+        the kernel holds no copy of the matrix)."""
         if self._kernels is None:
             from ..engine.kernels import DeliveryKernels
 
             self._kernels = DeliveryKernels(
-                self._adj.indptr, self._adj.indices, self.n
+                self._adj.indptr, self._adj.indices, self.n, self._plus_2i
             )
-            # Share the already-materialized adjacency (all-ones
-            # float64 data over the same indptr/indices) instead of
-            # letting the kernel lazily build a duplicate — at mean
-            # degree n/2 that copy alone is nnz * 8 bytes, enough to
-            # blow a tight streamed mem_budget.
-            self._kernels._adj = self._adj
         return self._kernels
 
     def _account_steps(

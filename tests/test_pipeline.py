@@ -31,10 +31,13 @@ from __future__ import annotations
 import numpy as np
 import networkx as nx
 import pytest
+import scipy.sparse as sp
 
 import repro.api as api
 from repro.api import DecayConfig
 from repro.core import (
+    Decay,
+    EstimateEffectiveDegree,
     MISConfig,
     compute_mis,
     compute_mis_reference,
@@ -43,7 +46,12 @@ from repro.core import (
     run_decay,
     run_decay_reference,
 )
-from repro.engine import STREAM_CELL_BYTES, WindowedRunner
+from repro.engine import (
+    STREAM_CELL_BYTES,
+    StreamedWindow,
+    TransmitterPlan,
+    WindowedRunner,
+)
 from repro.engine.kernels import DeliveryKernels, coo_pack_shift
 from repro.engine.sampler import (
     STREAM_VERSION,
@@ -52,8 +60,10 @@ from repro.engine.sampler import (
 )
 from repro.faults.schedule import FaultSchedule, Jam
 from repro.faults.state import FaultState
+from repro.graphs.context import graph_context
 from repro.radio.errors import ProtocolError
 from repro.radio.network import NO_SENDER, RadioNetwork
+from repro.radio.protocol import run_steps
 
 
 def _udg(n: int, seed: int) -> nx.Graph:
@@ -368,14 +378,35 @@ class TestCooKernels:
             assert (_slab(g, masks, mode, mask_window) == want).all(), mode
 
     def test_shares_the_network_adjacency(self):
-        """The network's kernels multiply by its own adjacency: no
-        per-network copy."""
-        net = RadioNetwork(_udg(90, 5))
-        kern = net._delivery_kernels()
-        assert kern._matrix() is net._adj
+        """Networks over one graph multiply by the graph's one A + 2I:
+        it exists right after construction, before any window runs,
+        every network's kernel holds it, and no kernel holds another
+        copy of the adjacency."""
+        g = _udg(90, 5)
+        net = RadioNetwork(g)
+        matrix = graph_context(g)._plus_2i
+        assert matrix is not None
+        other = RadioNetwork(g)
+        assert net._plus_2i is other._plus_2i is matrix
+        want = net._adj.toarray() + 2.0 * np.eye(net.n)
+        assert (matrix.toarray() == want).all()
         masks = np.random.default_rng(2).random((9, net.n)) < 0.2
-        _product(kern, masks)
-        assert kern._matrix() is net._adj
+        for network in (net, other):
+            kern = network._delivery_kernels()
+            assert kern.matrix is matrix
+            _product(kern, masks)
+            assert kern.matrix is matrix
+            held = [
+                value
+                for value in vars(kern).values()
+                if isinstance(value, (np.ndarray, sp.sparray))
+                and value is not matrix
+            ]
+            # Per-node vectors only: degrees and packed ids.
+            assert held and all(
+                isinstance(value, np.ndarray) and value.size == net.n
+                for value in held
+            )
 
     def test_coo_triples_are_int64_and_clean(self):
         g = _udg(90, 5)
@@ -413,16 +444,18 @@ class TestCooKernels:
 class TestPackingBound:
     @pytest.mark.parametrize("degree", [0, 1, 2**20, 2**25, 2**26 - 2])
     def test_holds_below_two_to_the_26_nodes(self, degree):
-        """n = 2^26 - 1 packs with K = 26 at any degree below n:
-        degree * 2^27 < 2^53."""
+        """n = 2^26 - 1 packs with K = 26 at any degree below n: the
+        largest, 2^26 - 2, sits exactly on (degree + 2) * 2^27 = 2^53."""
         assert coo_pack_shift(2**26 - 1, degree) == 26
 
     def test_edge_of_the_bound(self):
-        # 2^26 nodes need K = 27: degree 2^25 sits exactly on
-        # max_degree * 2^28 = 2^53, one more breaks it.
-        assert coo_pack_shift(2**26, 2**25) == 27
-        with pytest.raises(ProtocolError, match="coo-spmm"):
-            coo_pack_shift(2**26, 2**25 + 1)
+        # 2^26 nodes need K = 27: degree 2^25 - 2 sits exactly on
+        # (max_degree + 2) * 2^28 = 2^53, one more breaks it.
+        assert coo_pack_shift(2**26, 2**25 - 2) == 27
+        for degree in (2**25 - 1, 2**25):
+            with pytest.raises(ProtocolError, match="coo-spmm") as err:
+                coo_pack_shift(2**26, degree)
+            assert "(max_degree + 2) * 2^28 <= 2^53" in str(err.value)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 1000, 1023, 1024])
     def test_shift_exceeds_node_count(self, n):
@@ -512,6 +545,58 @@ def _reference_mis(g, key, seed, faults=None):
     return _REFERENCE_RUNS[key]
 
 
+class TestChunkFolds:
+    @staticmethod
+    def _block(case, net):
+        n = net.n
+        if case == "decay-shuffled":
+            return Decay(net, np.arange(n) % 2 == 0, iterations=3)
+        return EstimateEffectiveDegree(
+            net, np.full(n, 0.5), np.ones(n, dtype=bool), C=2
+        )
+
+    @pytest.mark.parametrize("case", ["decay-shuffled", "eed-across-levels"])
+    def test_fold_equals_step_wise_observe(self, case):
+        """A block's chunk fold equals its step-wise ``observe`` in
+        chunk shapes the emitters never produce: Decay's with every
+        chunk's triples shuffled (the earliest step must win whatever
+        the order), EED's run as one window whose 9-row chunks cross
+        its 14-step density levels."""
+        g = _udg(120, 29)
+        stepped = self._block(case, RadioNetwork(g))
+        run_steps(stepped, np.random.default_rng(5), stepped.total_steps)
+
+        net = RadioNetwork(g)
+        block = self._block(case, net)
+        block.bind_key(np.random.default_rng(5))
+        shuffle = np.random.default_rng(1)
+        shapes = []
+
+        def fold(k, steps, nodes, senders):
+            if case == "decay-shuffled":
+                order = shuffle.permutation(steps.size)
+                steps, nodes = steps[order], nodes[order]
+                senders = senders[order]
+                fresh = nodes[~block.heard[nodes]]
+                shapes.append(np.unique(fresh).size < fresh.size)
+            else:
+                first, last = block._step, block._step + k - 1
+                level = block.steps_per_level
+                shapes.append(first // level != last // level)
+            block._absorb_coo(k, steps, nodes, senders)
+
+        def schedule():
+            yield StreamedWindow(
+                TransmitterPlan(block.total_steps, block.transmitters),
+                consume_coo=fold,
+            )
+
+        WindowedRunner(net, 9).run(schedule())
+        assert block.result() == stepped.result()
+        # The chunk shape under test did occur.
+        assert any(shapes)
+
+
 class TestEndToEndEquivalence:
     @pytest.mark.parametrize("chunk_steps", [1, 3, 7, 64, 65])
     def test_decay_chunk_boundary_invariance(self, chunk_steps):
@@ -539,7 +624,9 @@ class TestEndToEndEquivalence:
     def test_eed_equivalence_across_restriction(self, restrict):
         """EED over a live set of any size — every node (``off``), a
         fifth missing (``auto``), or three nodes (``force``) — equals
-        its step-wise reference in chunks that straddle levels."""
+        its step-wise reference in 6-row chunks. The emitter yields one
+        window per level, so no chunk here crosses a level;
+        :class:`TestChunkFolds` pins the fold on chunks that do."""
         n = 140
         g = _udg(n, 17)
         p = np.where(np.arange(n) % 2 == 0, 0.5, 0.125)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro import graphs
+from repro.corpus import CSRGraph
 from repro.radio import (
     GraphContractError,
     InvalidActionError,
@@ -43,9 +44,24 @@ class TestConstruction:
         assert sorted(net.degrees) == [1] * 7 + [7]
 
     def test_label_index_roundtrip(self, small_udg):
-        net = RadioNetwork(small_udg)
-        for v in small_udg.nodes:
-            assert net.label_of(net.index_of(v)) == v
+        # Integer labels, string labels in an order unlike any integer
+        # range, and an array-native graph whose labels are its rows:
+        # the network reads all three off its graph context.
+        named = nx.relabel_nodes(
+            graphs.path(6), {i: f"n{5 - i}" for i in range(6)}
+        )
+        rows = CSRGraph(
+            np.array([0, 1, 3, 4], dtype=np.int32),
+            np.array([1, 0, 2, 1], dtype=np.int32),
+        )
+        for graph in (small_udg, named, rows):
+            net = RadioNetwork(graph)
+            for v in graph.nodes:
+                assert net.label_of(net.index_of(v)) == v
+            assert net.labels() == list(graph.nodes)
+            for missing in ("missing", net.n, 0.5, None):
+                with pytest.raises(KeyError):
+                    net.index_of(missing)
 
     def test_labels_in_index_order(self, path5):
         net = RadioNetwork(path5)
