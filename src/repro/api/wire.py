@@ -12,10 +12,12 @@ tuples, and nested frozen dataclasses (the
 
 The codec here round-trips all of them through *tagged objects*: any
 value JSON cannot express natively encodes as a dict carrying the
-reserved :data:`TAG` key naming its kind. Decoding is closed-world —
-dataclasses are reconstructed only from modules inside this package
-(``repro.*``), so a wire document can never instantiate arbitrary
-classes. The contract, pinned by ``tests/test_service.py``, is::
+reserved :data:`TAG` key naming its kind: ``ndarray``, ``bytes``,
+``set``, ``frozenset``, ``tuple``, ``rows``, ``dict`` or
+``dataclass``. Decoding is closed-world — dataclasses are
+reconstructed only from modules inside this package (``repro.*``), so
+a wire document can never instantiate arbitrary classes. The
+contract, pinned by ``tests/test_service.py``, is::
 
     values_equal(decode_value(json.loads(json.dumps(encode_value(v)))), v)
 
@@ -25,12 +27,17 @@ cache-hit check.
 
 ndarrays travel as base64 of their contiguous bytes plus dtype and
 shape — exact for every dtype, including float payloads (no decimal
-round-trip is involved). Scalars stay native JSON: Python floats
-round-trip exactly through ``json`` (shortest-repr), and numpy scalar
-types flatten to their Python equivalents (``values_equal`` compares
-them equal, which is the pinned contract — the wire format does not
-promise to preserve *scalar* numpy types, only values and array
-payloads).
+round-trip is involved). A *table* — a non-empty tuple of equal-length,
+non-empty tuples whose every column holds only Python ints (within
+int64) or only Python floats, like a fault schedule's event lists —
+travels as ``"rows"`` with one int64 or float64 array per column and
+decodes to the identical tuple. Every other tuple travels item-wise as
+``"tuple"``, the form older documents wrote tables in, which still
+decodes. Scalars stay native JSON: Python floats round-trip exactly
+through ``json`` (shortest-repr), and numpy scalar types flatten to
+their Python equivalents (``values_equal`` compares them equal, which
+is the pinned contract — the wire format does not promise to preserve
+*scalar* numpy types, only values and array payloads).
 """
 
 from __future__ import annotations
@@ -63,9 +70,9 @@ def encode_value(value: Any) -> Any:
     """Encode ``value`` into a JSON-serializable structure.
 
     Natively JSON-able scalars pass through (numpy scalars flatten to
-    Python ones); ndarrays, sets, frozensets, tuples, bytes, and
-    dataclass instances become tagged objects; lists and string-keyed
-    dicts recurse. Anything else refuses with
+    Python ones); ndarrays, sets, frozensets, tuples (a table as
+    ``"rows"``), bytes, and dataclass instances become tagged objects;
+    lists and string-keyed dicts recurse. Anything else refuses with
     :class:`~repro.radio.errors.ProtocolError` naming the type — a
     silent ``str()`` fallback would decode into a different value.
     """
@@ -96,6 +103,9 @@ def encode_value(value: Any) -> Any:
             "items": items,
         }
     if isinstance(value, tuple):
+        columns = _table_columns(value)
+        if columns is not None:
+            return {TAG: "rows", "columns": [encode_value(c) for c in columns]}
         return {TAG: "tuple", "items": [encode_value(v) for v in value]}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         cls = type(value)
@@ -129,6 +139,24 @@ def encode_value(value: Any) -> Any:
         f"(supported: JSON scalars, numpy scalars/arrays, bytes, "
         f"set/frozenset/tuple/list/dict, repro.* dataclasses)"
     )
+
+
+def _table_columns(rows: tuple) -> list[np.ndarray] | None:
+    """A table's columns (module doc) by C-level passes, else ``None``."""
+    if type(rows) is not tuple or set(map(type, rows)) != {tuple} \
+            or set(map(len, rows)) != {len(rows[0])} or not rows[0]:
+        return None
+    columns = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if kinds == {float}:
+            columns.append(np.array(column, dtype=np.float64))
+        elif kinds == {int} and -(1 << 63) <= min(column) \
+                and max(column) < 1 << 63:
+            columns.append(np.array(column, dtype=np.int64))
+        else:
+            return None
+    return columns
 
 
 def _resolve_dataclass(spec: str) -> type:
@@ -188,6 +216,20 @@ def decode_value(value: Any) -> Any:
         return frozenset(decode_value(v) for v in value["items"])
     if kind == "tuple":
         return tuple(decode_value(v) for v in value["items"])
+    if kind == "rows":
+        columns = value.get("columns")
+        columns = columns if isinstance(columns, list) else []
+        arrays = [decode_value(c) for c in columns]
+        if not arrays or not all(
+            isinstance(a, np.ndarray) and a.ndim == 1
+            and a.dtype.kind in "if" and a.dtype.itemsize == 8
+            for a in arrays
+        ) or len({a.size for a in arrays}) != 1:
+            raise ProtocolError(
+                "a rows object holds 1-d int64 or float64 columns of "
+                "one length"
+            )
+        return tuple(zip(*(a.tolist() for a in arrays)))
     if kind == "dict":
         return {
             decode_value(k): decode_value(v) for k, v in value["items"]

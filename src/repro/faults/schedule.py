@@ -45,6 +45,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
+import operator
 
 import numpy as np
 
@@ -99,8 +101,11 @@ class Jam:
 
 
 def _rate(value, what: str) -> float:
-    """A probability/rate in [0, 1], refused by name otherwise."""
+    """A probability/rate in [0, 1], refused by name otherwise — bools
+    and strings too, which ``float()`` would quietly read as numbers."""
     try:
+        if isinstance(value, (bool, np.bool_, str, bytes)):
+            raise TypeError
         rate = float(value)
     except (TypeError, ValueError):
         raise ProtocolError(
@@ -111,6 +116,60 @@ def _rate(value, what: str) -> float:
             f"{what} must be in [0, 1], got {value!r}"
         )
     return rate
+
+
+#: The event tables: field, noun of its refusals, columns, bounds.
+_TABLES = (
+    ("crashes", "crash", ("node", "step"), "node >= 0 and step >= 0"),
+    ("sleeps", "sleep", ("node", "start", "stop"),
+     "node >= 0 and 0 <= start < stop"),
+    ("joins", "join", ("node", "step"), "node >= 0 and step >= 0"),
+    ("tx_prob", "tx_prob", ("node", "probability"), "node >= 0"),
+    ("energy", "energy", ("node", "budget"),
+     "node >= 0 and budget >= 0 transmissions"),
+)
+
+
+def _canonical(table, columns: tuple[str, ...]) -> bool:
+    """Whether ``table`` is a tuple of tuples of exact ints (a float
+    probability) in bounds, in C-level passes per column."""
+    if type(table) is not tuple or set(map(type, table)) - {tuple} \
+            or set(map(len, table)) - {len(columns)}:
+        return False
+    cols = dict(zip(columns, zip(*table)))
+    for name, column in cols.items():
+        if name == "probability":
+            if set(map(type, column)) != {float} or min(column) < 0.0 \
+                    or max(column) > 1.0 or any(map(math.isnan, column)):
+                return False
+        elif set(map(type, column)) != {int} or min(column) < 0:
+            return False
+    return "stop" not in cols or all(
+        map(operator.lt, cols["start"], cols["stop"])
+    )
+
+
+def _table(table, noun: str, columns: tuple[str, ...], bounds: str):
+    """A canonical table as it is; anything else coerced entry by
+    entry, so a refusal names the bad value (or the table's form)."""
+    if _canonical(table, columns):
+        return table
+    rows = tuple(map(tuple, table))
+    if not set(map(len, rows)) - {len(columns)}:
+        rows = tuple(
+            tuple(
+                _rate(v, f"{noun} {c}") if c == "probability"
+                else _as_int(v, f"{noun} {c}")
+                for v, c in zip(row, columns)
+            )
+            for row in rows
+        )
+        if _canonical(rows, columns):
+            return rows
+    raise ProtocolError(
+        f"{noun} entries are ({', '.join(columns)}) with {bounds}; "
+        f"got {table!r}"
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,43 +210,10 @@ class FaultSchedule:
                 )
             object.__setattr__(self, "horizon", horizon)
 
-        crashes = tuple(
-            (_as_int(n, "crash node"), _as_int(s, "crash step"))
-            for n, s in self.crashes
-        )
-        if any(n < 0 or s < 0 for n, s in crashes):
-            raise ProtocolError(
-                f"crash entries are (node, step) with node >= 0 and "
-                f"step >= 0; got {self.crashes!r}"
-            )
-        object.__setattr__(self, "crashes", crashes)
-
-        sleeps = tuple(
-            (
-                _as_int(n, "sleep node"),
-                _as_int(a, "sleep start"),
-                _as_int(b, "sleep stop"),
-            )
-            for n, a, b in self.sleeps
-        )
-        if any(n < 0 or a < 0 or b <= a for n, a, b in sleeps):
-            raise ProtocolError(
-                f"sleep entries are (node, start, stop) with node >= 0 "
-                f"and 0 <= start < stop; got {self.sleeps!r}"
-            )
-        object.__setattr__(self, "sleeps", sleeps)
-
-        joins = tuple(
-            (_as_int(n, "join node"), _as_int(s, "join step"))
-            for n, s in self.joins
-        )
-        if any(n < 0 or s < 0 for n, s in joins):
-            raise ProtocolError(
-                f"join entries are (node, step) with node >= 0 and "
-                f"step >= 0; got {self.joins!r}"
-            )
-        object.__setattr__(self, "joins", joins)
-
+        for field, noun, columns, bounds in _TABLES:
+            object.__setattr__(self, field, _table(
+                getattr(self, field), noun, columns, bounds
+            ))
         jams = tuple(
             jam if isinstance(jam, Jam) else Jam(*jam) for jam in self.jams
         )
@@ -201,35 +227,13 @@ class FaultSchedule:
                     )
         object.__setattr__(self, "jams", jams)
 
-        tx_prob = tuple(
-            (_as_int(n, "tx_prob node"), _rate(p, "tx_prob probability"))
-            for n, p in self.tx_prob
-        )
-        if any(n < 0 for n, _ in tx_prob):
-            raise ProtocolError(
-                f"tx_prob entries are (node, probability) with node >= 0; "
-                f"got {self.tx_prob!r}"
-            )
-        object.__setattr__(self, "tx_prob", tx_prob)
-
-        energy = tuple(
-            (_as_int(n, "energy node"), _as_int(b, "energy budget"))
-            for n, b in self.energy
-        )
-        if any(n < 0 or b < 0 for n, b in energy):
-            raise ProtocolError(
-                f"energy entries are (node, budget) with node >= 0 and "
-                f"budget >= 0 transmissions; got {self.energy!r}"
-            )
-        object.__setattr__(self, "energy", energy)
-
         # Lifetime consistency: a node cannot crash at or before the
         # step it joins — the overlap describes a node that was never
         # up, which is a spec contradiction, not a fault.
         join_of = {}
-        for node, step in joins:
+        for node, step in self.joins:
             join_of[node] = max(join_of.get(node, 0), step)
-        for node, step in crashes:
+        for node, step in self.crashes:
             if node in join_of and step <= join_of[node]:
                 raise ProtocolError(
                     f"node {node} crashes at step {step} but joins at "
@@ -254,16 +258,12 @@ class FaultSchedule:
 
     def max_node(self) -> int:
         """Largest node index any entry names (-1 when empty)."""
-        best = -1
-        for node, *_ in (
-            self.crashes + self.sleeps + self.joins
-            + self.tx_prob + self.energy
-        ):
-            best = max(best, node)
-        for jam in self.jams:
-            if jam.nodes:
-                best = max(best, max(jam.nodes))
-        return best
+        tables = [getattr(self, field) for field, *_ in _TABLES]
+        return max(
+            [max(next(zip(*table))) for table in tables if table]
+            + [max(jam.nodes) for jam in self.jams if jam.nodes],
+            default=-1,
+        )
 
     def event_counts(self) -> dict[str, int]:
         """Configured event counts, for provenance records."""
@@ -282,7 +282,11 @@ class FaultSchedule:
         Canonical-repr SHA-256, truncated: equal schedules share a
         digest across processes and versions of this package (the repr
         of a frozen dataclass of ints/floats/tuples is canonical).
+        Computed once and kept in ``__dict__``, outside the fields (so
+        equality and the wire form ignore it); a pickle carries it.
         """
+        if "_digest" in self.__dict__:
+            return self.__dict__["_digest"]
         payload = repr(
             (
                 self.crashes,
@@ -295,7 +299,8 @@ class FaultSchedule:
                 self.horizon,
             )
         ).encode()
-        return hashlib.sha256(payload).hexdigest()[:16]
+        self.__dict__["_digest"] = hashlib.sha256(payload).hexdigest()[:16]
+        return self.__dict__["_digest"]
 
     # ------------------------------------------------------------------
     @classmethod

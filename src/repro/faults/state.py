@@ -72,6 +72,12 @@ def _hash_uniform(
     return (key >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
+def _columns(table, *dtypes) -> list[np.ndarray]:
+    """An event table's columns as arrays (empty for an empty table)."""
+    columns = tuple(zip(*table)) or ((),) * len(dtypes)
+    return [np.array(c, dtype=d) for c, d in zip(columns, dtypes)]
+
+
 class FaultState:
     """Mutable realization of a :class:`FaultSchedule` on ``n`` nodes.
 
@@ -95,39 +101,36 @@ class FaultState:
         self.schedule = schedule
         self.n = int(n)
 
-        crash = np.full(n, NEVER, dtype=np.int64)
-        for node, step in schedule.crashes:
-            crash[node] = min(crash[node], step)
-        self.crash_step = crash
+        # Per column, duplicates included: earliest crash, latest
+        # join, lowest probability, lowest budget.
+        nodes, steps = _columns(schedule.crashes, np.int64, np.int64)
+        self.crash_step = np.full(n, NEVER, dtype=np.int64)
+        np.minimum.at(self.crash_step, nodes, steps)
 
-        join = np.zeros(n, dtype=np.int64)
-        for node, step in schedule.joins:
-            join[node] = max(join[node], step)
-        self.join_step = join
+        nodes, steps = _columns(schedule.joins, np.int64, np.int64)
+        self.join_step = np.zeros(n, dtype=np.int64)
+        np.maximum.at(self.join_step, nodes, steps)
 
         self.sleeps = tuple(schedule.sleeps)
         self.jams = tuple(schedule.jams)
 
-        tx_scale = np.ones(n, dtype=np.float64)
-        for node, prob in schedule.tx_prob:
-            tx_scale[node] = min(tx_scale[node], prob)
-        self.tx_scale = tx_scale
-        self._scaled = np.nonzero(tx_scale < 1.0)[0]
+        nodes, probs = _columns(schedule.tx_prob, np.int64, np.float64)
+        self.tx_scale = np.ones(n, dtype=np.float64)
+        np.minimum.at(self.tx_scale, nodes, probs)
+        self._scaled = np.nonzero(self.tx_scale < 1.0)[0]
 
+        nodes, budgets = _columns(schedule.energy, np.int64, np.int64)
         energy = np.full(n, -1, dtype=np.int64)
-        for node, budget in schedule.energy:
-            energy[node] = budget if energy[node] < 0 else min(
-                energy[node], budget
-            )
+        energy[nodes] = np.iinfo(np.int64).max
+        np.minimum.at(energy, nodes, budgets)
         self._energy_init = energy
         self.energy_remaining = energy.copy()
         self._budgeted = np.nonzero(energy >= 0)[0]
         # Sleep intervals sorted by node, for the point-wise lookups of
         # the transmitter-list forms (filter_coo, deaf_at).
-        sleeps = sorted(self.sleeps)
-        self._sleep_node = np.array([s[0] for s in sleeps], dtype=np.int64)
-        self._sleep_start = np.array([s[1] for s in sleeps], dtype=np.int64)
-        self._sleep_stop = np.array([s[2] for s in sleeps], dtype=np.int64)
+        self._sleep_node, self._sleep_start, self._sleep_stop = _columns(
+            sorted(self.sleeps), np.int64, np.int64, np.int64
+        )
 
         self.realized = {
             "steps_faulted": 0,

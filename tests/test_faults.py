@@ -20,6 +20,8 @@ Four layers of pinning:
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import pickle
 
 import numpy as np
@@ -29,6 +31,7 @@ import repro.api as api
 from repro import graphs
 from repro.analysis import run_report_trials
 from repro.api import ExecutionPolicy, FaultSchedule, Jam, RunReport
+from repro.api.wire import encode_value
 from repro.baselines import uptime_threshold_election
 from repro.cli import main as cli_main
 from repro.core import compute_restartable_mis, mis_as_wakeup_strategy
@@ -37,6 +40,7 @@ from repro.faults import (
     node_uptime_fractions,
     validate_faults,
 )
+from repro.faults.schedule import NEVER
 from repro.faults.state import _hash_uniform
 from repro.radio import RadioNetwork
 from repro.radio.errors import ProtocolError
@@ -55,32 +59,97 @@ def _sample(n: int = 60, horizon: int = 2000, seed: int = 11, **rates):
 # ---------------------------------------------------------------------------
 
 
+#: Every malformed spec and the refusal it meets.
+MALFORMED = [
+    ({"crashes": ((0, -1),)}, r"crash entries are \(node, step\)"),
+    ({"crashes": ((-2, 5),)}, r"crash entries are \(node, step\)"),
+    ({"sleeps": ((0, 5, 5),)}, r"0 <= start < stop"),
+    ({"sleeps": ((-1, 0, 4),)}, r"sleep entries are"),
+    ({"joins": ((-1, 3),)}, r"join entries are"),
+    ({"tx_prob": ((0, 1.5),)}, r"tx_prob probability must be in \[0, 1\]"),
+    ({"tx_prob": ((0, -0.1),)}, r"tx_prob probability must be in \[0, 1\]"),
+    ({"tx_prob": ((-1, 0.5),)}, r"tx_prob entries are"),
+    ({"energy": ((0, -2),)}, r"energy entries are \(node, budget\)"),
+    ({"energy": ((-1, 2),)}, r"energy entries are \(node, budget\)"),
+    ({"horizon": 0}, r"fault horizon must be >= 1 step"),
+    ({"seed": "zero"}, r"fault seed must be an integer"),
+    ({"crashes": ((0, 1.5),)}, r"crash step must be an integer"),
+    # bool is not an acceptable int-like (it would silently mean 0/1)
+    ({"seed": True}, r"fault seed must be an integer"),
+    ({"crashes": ((True, 5),)}, r"crash node must be an integer"),
+    # nor an acceptable probability, and nor is a string
+    ({"tx_prob": ((0, True),)},
+     r"tx_prob probability must be a number in \[0, 1\]"),
+    ({"tx_prob": ((0, "0.5"),)},
+     r"tx_prob probability must be a number in \[0, 1\]"),
+    ({"crashes": ((0, 5, 7),)}, r"crash entries are \(node, step\)"),
+    ({"sleeps": ((0, 5),)}, r"sleep entries are"),
+]
+
+#: The event-table fields of a schedule.
+TABLES = ("crashes", "sleeps", "joins", "tx_prob", "energy")
+
+
+def _as_lists(kwargs):
+    """The same spec with every event table as a list of lists."""
+    return {
+        k: [list(entry) for entry in v] if k in TABLES else v
+        for k, v in kwargs.items()
+    }
+
+
+def _as_numpy(kwargs):
+    """The same spec with every Python int of a table a numpy int."""
+    return {
+        k: tuple(
+            tuple(np.int64(x) if type(x) is int else x for x in entry)
+            for entry in v
+        ) if k in TABLES else v
+        for k, v in kwargs.items()
+    }
+
+
 class TestScheduleValidation:
     """Every malformed spec refuses by name, before anything runs."""
 
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [
-            ({"crashes": ((0, -1),)}, r"crash entries are \(node, step\)"),
-            ({"crashes": ((-2, 5),)}, r"crash entries are \(node, step\)"),
-            ({"sleeps": ((0, 5, 5),)}, r"0 <= start < stop"),
-            ({"sleeps": ((-1, 0, 4),)}, r"sleep entries are"),
-            ({"joins": ((-1, 3),)}, r"join entries are"),
-            ({"tx_prob": ((0, 1.5),)}, r"tx_prob probability must be in \[0, 1\]"),
-            ({"tx_prob": ((0, -0.1),)}, r"tx_prob probability must be in \[0, 1\]"),
-            ({"tx_prob": ((-1, 0.5),)}, r"tx_prob entries are"),
-            ({"energy": ((0, -2),)}, r"energy entries are \(node, budget\)"),
-            ({"energy": ((-1, 2),)}, r"energy entries are \(node, budget\)"),
-            ({"horizon": 0}, r"fault horizon must be >= 1 step"),
-            ({"seed": "zero"}, r"fault seed must be an integer"),
-            ({"crashes": ((0, 1.5),)}, r"crash step must be an integer"),
-            # bool is not an acceptable int-like (it would silently mean 0/1)
-            ({"seed": True}, r"fault seed must be an integer"),
-        ],
-    )
+    @pytest.mark.parametrize("kwargs, message", MALFORMED)
     def test_malformed_schedules_refuse(self, kwargs, message):
         with pytest.raises(ProtocolError, match=message):
             FaultSchedule(**kwargs)
+
+    @pytest.mark.parametrize("form", [_as_lists, _as_numpy])
+    @pytest.mark.parametrize(
+        "kwargs, message", [m for m in MALFORMED if set(m[0]) & set(TABLES)]
+    )
+    def test_malformed_tables_refuse_in_every_form(
+        self, kwargs, message, form
+    ):
+        # Lists and numpy ints take the entry-wise path, which must
+        # refuse exactly like the canonical tuples do.
+        with pytest.raises(ProtocolError, match=message):
+            FaultSchedule(**form(kwargs))
+
+    @pytest.mark.parametrize("form", [_as_lists, _as_numpy])
+    def test_other_forms_coerce_to_python_numbers(self, form):
+        kwargs = {
+            "crashes": ((0, 5), (2, 7)),
+            "sleeps": ((1, 2, 6),),
+            "joins": ((2, 1),),
+            "tx_prob": ((3, 0.5), (0, 1)),
+            "energy": ((4, 9),),
+        }
+        canonical = FaultSchedule(**kwargs)
+        coerced = FaultSchedule(**form(kwargs))
+        assert coerced == canonical
+        assert coerced.digest() == canonical.digest()
+        for table in TABLES:
+            for entry in getattr(coerced, table):
+                assert type(entry) is tuple
+                assert [type(v) for v in entry] == [
+                    type(v) for v in getattr(canonical, table)[0]
+                ]
+        assert canonical.tx_prob == ((3, 0.5), (0, 1.0))
+        assert type(canonical.tx_prob[1][1]) is float
 
     def test_jam_window_form(self):
         with pytest.raises(ProtocolError, match=r"jam windows are \[start, stop\)"):
@@ -121,8 +190,12 @@ class TestScheduleValidation:
             FaultSchedule.sample(20, 100, **{knob: bad})
 
     def test_sample_rate_non_number_refuses(self):
-        with pytest.raises(ProtocolError, match=r"must be a number in \[0, 1\]"):
-            FaultSchedule.sample(20, 100, jam="lots")
+        for rates in ({"jam": "lots"}, {"crash_rate": True},
+                      {"hetero": "0.5"}):
+            with pytest.raises(
+                ProtocolError, match=r"must be a number in \[0, 1\]"
+            ):
+                FaultSchedule.sample(20, 100, **rates)
 
     def test_sample_size_refusals(self):
         with pytest.raises(ProtocolError, match="n >= 1 and horizon >= 1"):
@@ -193,6 +266,32 @@ class TestScheduleValue:
         assert twin == schedule
         assert twin.digest() == schedule.digest()
 
+    def test_digests_are_pinned(self):
+        # Store keys digest the schedule: these values must not move.
+        assert FaultSchedule.sample(
+            2000, 32, seed=1000, crash_rate=0.1, hetero=0.2
+        ).digest() == "8e9bddae33bee450"
+        assert _sample(
+            crash_rate=0.2, churn=0.3, jam=0.1, hetero=0.4
+        ).digest() == "5db4da3bb6e81bf6"
+
+    def test_digest_is_computed_once_outside_the_fields(self):
+        schedule = _sample(crash_rate=0.3, churn=0.2, jam=0.1, hetero=0.3)
+        fresh = dataclasses.replace(schedule)
+        digest = schedule.digest()
+        assert schedule.__dict__["_digest"] == digest
+        assert "_digest" not in fresh.__dict__
+        # No part in equality, hashing, asdict or the wire form.
+        assert fresh == schedule and hash(fresh) == hash(schedule)
+        assert dataclasses.asdict(fresh) == dataclasses.asdict(schedule)
+        wire = json.dumps(encode_value(schedule))
+        assert wire == json.dumps(encode_value(fresh))
+        assert digest not in wire
+        # A pickle carries it (campaign pool workers reuse it).
+        twin = pickle.loads(pickle.dumps(schedule))
+        assert twin.__dict__["_digest"] == digest
+        assert twin.digest() == fresh.digest() == digest
+
     def test_sample_families_and_bounds(self):
         horizon = 640
         crashy = _sample(horizon=horizon, crash_rate=0.5)
@@ -223,6 +322,73 @@ class TestScheduleValue:
 
 
 class TestFaultState:
+    def test_duplicate_entries_fold_per_node(self):
+        # One node named twice in every table: earliest crash, latest
+        # join, lowest probability, lowest budget.
+        schedule = FaultSchedule(
+            crashes=((1, 9), (3, 12), (1, 6)),
+            sleeps=((2, 5, 8), (0, 1, 3), (2, 0, 2)),
+            joins=((1, 2), (2, 4), (1, 3)),
+            tx_prob=((0, 0.7), (3, 0.4), (0, 0.5)),
+            energy=((2, 6), (3, 0), (2, 4)),
+        )
+        state = FaultState(schedule, 5)
+        assert state.crash_step.dtype == state.join_step.dtype == np.int64
+        assert state.crash_step.tolist() == [NEVER, 6, NEVER, 12, NEVER]
+        assert state.join_step.tolist() == [0, 3, 4, 0, 0]
+        assert state.tx_scale.tolist() == [0.5, 1.0, 1.0, 0.4, 1.0]
+        assert state._scaled.tolist() == [0, 3]
+        assert state._energy_init.tolist() == [-1, -1, 4, 0, -1]
+        assert state.energy_remaining.tolist() == [-1, -1, 4, 0, -1]
+        assert state._budgeted.tolist() == [2, 3]
+        assert state._sleep_node.tolist() == [0, 2, 2]
+        assert state._sleep_start.tolist() == [1, 0, 5]
+        assert state._sleep_stop.tolist() == [3, 2, 8]
+
+    def test_column_build_matches_the_entry_loop(self):
+        # The per-column build against the per-entry loop it replaced,
+        # on random schedules that name nodes repeatedly.
+        rng = np.random.default_rng(0)
+
+        def table(n, lo, hi, draw=None):
+            return tuple(
+                (int(rng.integers(n)),
+                 draw() if draw else int(rng.integers(lo, hi)))
+                for _ in range(int(rng.integers(0, 8)))
+            )
+
+        for _ in range(50):
+            n = int(rng.integers(1, 20))
+            schedule = FaultSchedule(
+                crashes=table(n, 10, 50), joins=table(n, 0, 10),
+                tx_prob=table(n, 0, 0, lambda: float(rng.random())),
+                energy=table(n, 0, 9),
+            )
+            crash = np.full(n, NEVER, dtype=np.int64)
+            join = np.zeros(n, dtype=np.int64)
+            scale = np.ones(n)
+            energy = np.full(n, -1, dtype=np.int64)
+            for node, step in schedule.crashes:
+                crash[node] = min(crash[node], step)
+            for node, step in schedule.joins:
+                join[node] = max(join[node], step)
+            for node, prob in schedule.tx_prob:
+                scale[node] = min(scale[node], prob)
+            for node, budget in schedule.energy:
+                energy[node] = budget if energy[node] < 0 else min(
+                    energy[node], budget
+                )
+            state = FaultState(schedule, n)
+            assert state.crash_step.tolist() == crash.tolist()
+            assert state.join_step.tolist() == join.tolist()
+            assert state.tx_scale.tolist() == scale.tolist()
+            assert state._energy_init.tolist() == energy.tolist()
+            assert schedule.max_node() == max(
+                (entry[0] for name in TABLES
+                 for entry in getattr(schedule, name)),
+                default=-1,
+            )
+
     def test_needs_a_schedule(self):
         with pytest.raises(ProtocolError, match="FaultState needs a FaultSchedule"):
             FaultState({"crashes": []}, 5)

@@ -22,9 +22,11 @@ The load-bearing contracts:
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from repro.analysis.experiments import (
 )
 from repro.api.report import RunReport
 from repro.api.wire import (
+    TAG,
     decode_value,
     encode_value,
     report_from_json,
@@ -63,6 +66,32 @@ from repro.service import (
     run_campaign,
     start_in_thread,
 )
+
+
+_Pair = collections.namedtuple("_Pair", "a b")
+
+
+def _bits(value):
+    """A float by its IEEE bits (NaN payloads and -0.0 included)."""
+    return struct.pack("<d", value) if type(value) is float else value
+
+
+def _item_wise(document):
+    """A wire document as written before the ``rows`` form existed:
+    every table spelled item by item, as nested ``tuple`` objects."""
+    if isinstance(document, list):
+        return [_item_wise(v) for v in document]
+    if not isinstance(document, dict):
+        return document
+    if document.get(TAG) == "rows":
+        return {
+            TAG: "tuple",
+            "items": [
+                {TAG: "tuple", "items": list(row)}
+                for row in decode_value(document)
+            ],
+        }
+    return {k: _item_wise(v) for k, v in document.items()}
 
 
 def _chunked(rows: int, n: int = 60) -> ExecutionPolicy:
@@ -106,6 +135,77 @@ class TestWire:
         assert again == report
         assert again.provenance["faults"]["digest"] == \
             report.provenance["faults"]["digest"]
+        # The schedule's event tables travel as columns; only its
+        # empty tables remain (empty) item-wise tuples.
+        text = report.to_json()
+        assert text.count('"rows"') == 1  # crashes
+        assert text.count('"tuple"') == text.count('"tuple", "items": []')
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            ((0, 5), (3, 1), (7, 2)),  # int columns
+            ((0.5, 0.25), (1.0, 0.0)),  # float columns
+            ((4, 0.5), (9, 0.75)),  # an (int, float) table
+            ((-3, -(1 << 63)), ((1 << 63) - 1, -1)),  # negative, int64 ends
+            ((1, -0.0), (2, math.inf), (3, -math.inf)),
+            ((1, math.nan), (2, -math.nan)),
+            ((7, 8, 9),),  # one row
+            ((1,), (2,), (3,)),  # one column
+        ],
+    )
+    def test_tables_travel_as_rows_exactly(self, table):
+        wire = encode_value(table)
+        assert wire[TAG] == "rows" and len(wire["columns"]) == len(table[0])
+        again = decode_value(json.loads(json.dumps(wire)))
+        assert type(again) is tuple and len(again) == len(table)
+        for got, want in zip(again, table):
+            assert type(got) is tuple
+            assert [type(v) for v in got] == [type(v) for v in want]
+            assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            ((True, 1), (False, 2)),  # bools
+            ((np.int64(1), 2), (np.int64(3), 4)),  # numpy scalars
+            ((1 << 63, 1), (2, 3)),  # outside int64
+            ((1, 2), (1.5, 3)),  # a column mixing int and float
+            ((1, 2), (3,)),  # ragged rows
+            (((1, 2), 3), ((4, 5), 6)),  # nested tuples
+            ((), ()),  # empty rows
+            (),
+            _Pair((1, 2), (3, 4)),  # a namedtuple of rows
+            (_Pair(1, 2), _Pair(3, 4)),  # namedtuple rows
+        ],
+    )
+    def test_other_tuples_travel_item_wise(self, value):
+        wire = encode_value(value)
+        assert wire[TAG] == "tuple"
+        again = decode_value(json.loads(json.dumps(wire)))
+        assert type(again) is tuple and again == value
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {TAG: "rows", "columns": [
+                encode_value(np.arange(2, dtype=np.int64)),
+                encode_value(np.arange(3, dtype=np.int64)),
+            ]},  # unequal column lengths
+            {TAG: "rows", "columns": [
+                encode_value(np.zeros((2, 2), dtype=np.int64)),
+            ]},  # a 2-d column
+            {TAG: "rows", "columns": [[1, 2]]},  # not an array
+            {TAG: "rows", "columns": [
+                encode_value(np.arange(2, dtype=np.int32)),
+            ]},  # another dtype
+            {TAG: "rows", "columns": []},  # no columns
+            {TAG: "rows"},
+        ],
+    )
+    def test_malformed_rows_refuse(self, document):
+        with pytest.raises(ProtocolError, match="rows object"):
+            decode_value(document)
 
     @pytest.mark.parametrize("name", ["broadcast", "leader"])
     def test_round_accounted_reports_are_values(self, name):
@@ -358,7 +458,9 @@ class TestStore:
         with pytest.raises(ProtocolError, match="64 lowercase hex"):
             store.get(key.digest[:63])
 
-    @pytest.mark.parametrize("damage", ["truncate", "garble", "not-object"])
+    @pytest.mark.parametrize(
+        "damage", ["truncate", "garble", "not-object", "rows"]
+    )
     def test_unreadable_entry_is_quarantined_and_missed(
         self, tmp_path, damage
     ):
@@ -373,6 +475,15 @@ class TestStore:
         elif damage == "garble":  # parses, does not decode to a report
             document = json.loads(good)
             document["report"]["fields"]["steps"] = {"__repro__": "bogus"}
+            path.write_text(json.dumps(document))
+        elif damage == "rows":  # a fault table whose columns disagree
+            document = json.loads(good)
+            faults = encode_value(FaultSchedule(crashes=((0, 5), (1, 6))))
+            faults["fields"]["crashes"]["columns"][1] = encode_value(
+                np.arange(3, dtype=np.int64)
+            )
+            document["report"]["fields"]["policy"]["fields"]["faults"] = \
+                faults
             path.write_text(json.dumps(document))
         else:
             path.write_text("[1, 2]")
@@ -389,6 +500,34 @@ class TestStore:
         store.put(key, report)
         assert path.read_bytes() == good
         assert store.get(key) == report
+
+    def test_item_wise_faulted_entry_is_a_hit(self, tmp_path):
+        # An entry written before fault tables travelled as columns
+        # (every event pair a tagged tuple) still decodes: a hit equal
+        # to a fresh run, nothing quarantined.
+        graph = graphs.random_udg(30, 4.0, np.random.default_rng(1))
+        faults = FaultSchedule.sample(
+            30, 32, seed=4, crash_rate=0.2, churn=0.3, jam=0.1, hetero=0.4
+        )
+        policy = ExecutionPolicy(faults=faults)
+        store = ReportStore(tmp_path / "reports")
+        key = self._key(faults=faults_digest(policy))
+        path = store.put(key, api.run(
+            "decay", graph, rng=np.random.default_rng(0), policy=policy
+        ))
+        document = json.loads(path.read_text())
+        document["report"] = _item_wise(document["report"])
+        text = json.dumps(document)
+        assert '"rows"' not in text
+        assert text.count('"tuple"') > len(faults.crashes) + len(
+            faults.tx_prob
+        )
+        path.write_text(text)
+        fresh = api.run(
+            "decay", graph, rng=np.random.default_rng(0), policy=policy
+        )
+        assert store.get(key) == fresh
+        assert store.hits == 1 and store.quarantined == 0
 
     def test_counters_survive_concurrent_campaigns(self, tmp_path):
         # Concurrent campaigns count their jobs' writes into one shared
