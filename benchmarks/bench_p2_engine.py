@@ -2,11 +2,12 @@
 
 PR 1 batched the *oblivious* primitives (Decay blocks, round-robin
 rotations). PR 2 migrated every step-at-a-time protocol onto the
-:mod:`repro.engine` scheduler layer; this benchmark measures the two
+:mod:`repro.engine` windowed engine; this benchmark measures the two
 protocols the ROADMAP named as still step-wise — Radio MIS and
 EstimateEffectiveDegree — against their retained ``*_reference``
-step-wise twins, which execute the identical schedule (bit-identical
-seeded results, pinned by ``tests/test_engine_windowed.py``):
+step-wise twins, which run the identical loop under the reference
+engine (bit-identical seeded results, pinned by
+``tests/test_engine_windowed.py``):
 
 * **Radio MIS** at ``n >= 2000`` on a dense UDG: every round's two
   Decay blocks and its EstimateEffectiveDegree block run as oblivious

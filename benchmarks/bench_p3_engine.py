@@ -4,8 +4,8 @@ Two workloads the PR 3 issue names, both bit-identity-asserted inside
 the bench before any timing is reported:
 
 * **ICP** at ``n >= 2000`` on a dense UDG, under the default engine:
-  the per-step lift (``repro.engine.protocol_schedule``) runs the slot
-  passes' ``TimeMultiplexer`` stack with the Decay background one
+  the runner's step driver (``WindowedRunner.run_steps``) runs the
+  slot passes' ``TimeMultiplexer`` stack with the Decay background one
   one-row window per step, replacing one dense matvec per step with a
   product over that step's few transmitters. Measured against
   ``run_steps`` over the same stack, the step-wise reference, summed

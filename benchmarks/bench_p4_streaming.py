@@ -2,7 +2,7 @@
 
 The PR 4 tentpole turned window execution into a streaming plan/commit
 pipeline: protocol blocks go out as lazy
-:class:`~repro.engine.segments.StreamedWindow` plans and the runner
+:class:`~repro.engine.runner.StreamedWindow` windows and the runner
 executes them in ``(chunk_steps, n)`` slabs picked from a peak-memory
 budget, so the dense ``(w, n)`` hear-window — the piece that stalled
 every experiment beyond ``n = 10^4`` — never materializes. This bench

@@ -10,11 +10,10 @@ Three pieces, one surface:
   :class:`FaultSchedule` of crash/sleep/join/jam events and per-node
   capabilities injected into every delivery.
 * the **protocol registry** — every runnable protocol declared as a
-  :class:`ProtocolSpec` (name, config dataclass, schedule emitters,
-  execute hook, CLI metadata) and discoverable through
-  :func:`protocol_names` / :func:`list_protocols`. The CLI's
-  subcommands are generated from it; the contract suite pins the
-  emitter inventory against it.
+  :class:`ProtocolSpec` (name, config dataclass, execute hook, CLI
+  metadata) and discoverable through :func:`protocol_names` /
+  :func:`list_protocols`. The CLI's subcommands are generated from it;
+  the contract suite replays every registered protocol's radio steps.
 * :func:`run` — execute any registered protocol on a graph (or
   prebuilt network) and get a :class:`RunReport`: the protocol result
   (bit-identical to the legacy entry point on a shared seed) plus

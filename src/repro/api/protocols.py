@@ -5,10 +5,8 @@ registry with one :class:`~repro.api.registry.ProtocolSpec` per
 protocol — packet-level algorithms (``mis``, ``decay``, ``eed``,
 ``icp``, ``bgi``, ``wakeup``), the round-accounted pipelines
 (``broadcast``, ``leader``, both with packet variants behind a config
-flag), and the clustering draw (``partition``). Each spec names the
-schedule emitters it owns (the inventory contract pinned by
-``tests/test_schedule_contract.py``) and the CLI metadata its
-subcommand is generated from.
+flag), and the clustering draw (``partition``). Each spec carries the
+CLI metadata its subcommand is generated from.
 
 Execute hooks delegate to the protocols' own entry points with the
 policy threaded through — :func:`repro.api.run` is accounting around
@@ -234,7 +232,6 @@ def _refuse_inert_accounted_knobs(name: str, policy: Any) -> None:
     name="mis",
     title="Radio MIS (Algorithm 7, Theorem 14)",
     config_cls=MISConfig,
-    emitters=("mis_schedule",),
     accepts="network",
     cli=CLISpec(
         help="run Radio MIS (Algorithm 7)",
@@ -269,7 +266,6 @@ def _execute_mis(network, rng, config, policy):
     name="mis_restart",
     title="Restartable Radio MIS (robustness variant, epoch restarts)",
     config_cls=RestartableMISConfig,
-    emitters=("restartable_mis_schedule",),
     accepts="network",
     cli=CLISpec(
         help="restartable Radio MIS (re-admits woken nodes per epoch)",
@@ -313,7 +309,6 @@ def _execute_mis_restart(network, rng, config, policy):
     name="decay",
     title="One Decay block (Algorithm 5 / Claim 10)",
     config_cls=DecayConfig,
-    emitters=("decay_block",),
     accepts="network",
     cli=CLISpec(
         help="one Decay block over an active set",
@@ -357,7 +352,6 @@ def _execute_decay(network, rng, config, policy):
     name="eed",
     title="EstimateEffectiveDegree (Algorithm 6, Lemma 11)",
     config_cls=EEDConfig,
-    emitters=("effective_degree_schedule",),
     accepts="network",
     cli=CLISpec(
         help="one EstimateEffectiveDegree block",
@@ -407,7 +401,6 @@ def _execute_eed(network, rng, config, policy):
     name="icp",
     title="Intra-Cluster Propagation phase (Algorithms 9-10)",
     config_cls=ICPConfig,
-    emitters=(),
     accepts="network",
     cli=CLISpec(
         help="one Intra-Cluster Propagation phase (Algorithms 9-10)",
@@ -473,7 +466,6 @@ def _execute_icp(network, rng, config, policy):
     name="bgi",
     title="BGI Decay broadcast baseline (packet level)",
     config_cls=BGIConfig,
-    emitters=("bgi_schedule",),
     accepts="network",
     cli=CLISpec(
         help="BGI Decay-broadcast baseline, every step simulated",
@@ -512,7 +504,6 @@ def _execute_bgi(network, rng, config, policy):
     name="wakeup",
     title="MIS-as-wake-up reduction (Section 1.5.1)",
     config_cls=WakeupConfig,
-    emitters=("_wakeup_mis_schedule",),
     accepts="none",
     cli=CLISpec(
         help="MIS-as-wake-up reduction on a k-clique",
@@ -554,7 +545,6 @@ def _execute_wakeup(target, rng, config, policy):
     name="broadcast",
     title="Broadcast via Compete (Theorem 7)",
     config_cls=BroadcastConfig,
-    emitters=(),
     accepts="graph",
     cli=CLISpec(
         help="broadcast via Compete (Thm 7)",
@@ -634,7 +624,6 @@ def _execute_broadcast(graph, rng, config, policy):
     name="leader",
     title="Leader election (Algorithm 3, Theorem 8)",
     config_cls=LeaderConfig,
-    emitters=(),
     accepts="graph",
     cli=CLISpec(
         help="leader election (Algorithm 3)",
@@ -696,7 +685,6 @@ def _execute_leader(graph, rng, config, policy):
     name="leader_uptime",
     title="Uptime-threshold leader election (robustness variant)",
     config_cls=UptimeLeaderConfig,
-    emitters=(),
     accepts="network",
     cli=CLISpec(
         help="elect the highest-ID node whose uptime clears a threshold",
@@ -754,7 +742,6 @@ def _execute_leader_uptime(network, rng, config, policy):
     name="partition",
     title="Partition(beta, MIS) clustering draw (Theorem 2)",
     config_cls=PartitionConfig,
-    emitters=(),
     accepts="graph",
     cli=CLISpec(
         help="one Partition(beta, MIS) clustering draw",

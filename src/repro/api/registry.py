@@ -1,23 +1,21 @@
 """The protocol registry: every runnable protocol, declared once.
 
-A :class:`ProtocolSpec` is the registry's unit: a protocol's name, its
-config dataclass and the schedule emitters it owns — plus the hook
-that actually executes it and optional CLI metadata from which
-:mod:`repro.cli` generates the protocol's subcommand. Specs register
-through :func:`register_protocol` at import of
-:mod:`repro.api.protocols`, so ``import repro.api`` is all discovery
+A :class:`ProtocolSpec` is the registry's unit: a protocol's name and
+config dataclass, the hook that actually executes it, and optional CLI
+metadata from which :mod:`repro.cli` generates the protocol's
+subcommand. Specs register through :func:`register_protocol` at import
+of :mod:`repro.api.protocols`, so ``import repro.api`` is all discovery
 takes::
 
     >>> import repro.api as api
     >>> sorted(api.protocol_names())        # doctest: +ELLIPSIS
     ['bgi', 'broadcast', 'decay', 'eed', ...]
 
-The registry is also a *completeness contract*: every schedule emitter
-in the tree must be claimed by exactly the spec that owns it (or be
-the engine-layer lift in :data:`ADAPTER_EMITTERS`), and
-``tests/test_schedule_contract.py`` pins the AST-scanned emitter
-inventory against exactly that union — a new emitter that forgets
-``@register_protocol`` fails CI.
+The registry is also what the contract suite iterates:
+``tests/test_schedule_contract.py`` runs every registered protocol that
+simulates radio steps under ``ExecutionPolicy(validate=True)`` and
+checks that every step was replayed, so a protocol registered later is
+covered by construction.
 """
 
 from __future__ import annotations
@@ -26,13 +24,6 @@ import dataclasses
 from typing import Any, Callable
 
 from ..radio.errors import ProtocolError
-
-#: Schedule emitters that belong to the engine layer itself — the
-#: generic lift every step-wise protocol may ride — rather than to any
-#: one registered protocol. The inventory test unions these with the
-#: specs' claimed emitters.
-ADAPTER_EMITTERS = frozenset({"protocol_schedule"})
-
 
 def _exit_ok(report: Any, fields: dict[str, Any]) -> int:
     """Default CLI exit code: every finished run is a success."""
@@ -94,10 +85,6 @@ class ProtocolSpec:
     config_cls:
         The protocol's config dataclass (``None`` for config-free
         protocols).
-    emitters:
-        Names of the schedule-emitter generator functions this
-        protocol owns — the registry side of the AST-pinned emitter
-        inventory (see module docstring).
     execute:
         ``execute(target, rng, config, policy) -> (result, network)``
         — the actual run. ``target`` is the graph or network
@@ -120,7 +107,6 @@ class ProtocolSpec:
     name: str
     title: str
     config_cls: type | None
-    emitters: tuple[str, ...]
     execute: Callable[..., Any]
     accepts: str = "network"
     cli: CLISpec | None = None
@@ -137,7 +123,7 @@ def register_protocol(**spec_kwargs: Any) -> Callable[[Callable], Callable]:
 
         @register_protocol(
             name="mis", title="Radio MIS (Algorithm 7)",
-            config_cls=MISConfig, emitters=("mis_schedule",),
+            config_cls=MISConfig,
         )
         def _execute_mis(network, rng, config, policy): ...
 
@@ -181,25 +167,11 @@ def list_protocols() -> tuple[ProtocolSpec, ...]:
     return tuple(_REGISTRY.values())
 
 
-def registered_emitters() -> frozenset[str]:
-    """Every emitter name claimed by a registered protocol.
-
-    The inventory test asserts the AST-scanned emitter set equals this
-    union plus :data:`ADAPTER_EMITTERS`.
-    """
-    names: set[str] = set()
-    for spec in _REGISTRY.values():
-        names.update(spec.emitters)
-    return frozenset(names)
-
-
 __all__ = [
-    "ADAPTER_EMITTERS",
     "CLISpec",
     "ProtocolSpec",
     "get_protocol",
     "list_protocols",
     "protocol_names",
     "register_protocol",
-    "registered_emitters",
 ]

@@ -212,11 +212,13 @@ def run(
         # Per-run accounting: kernel_use and phase_timing describe
         # THIS run. On a reused network they would otherwise
         # accumulate across runs (mixing kernel counts and timing
-        # buckets); steps/trace are different — they are lifetime
-        # counters the report deltas.
+        # buckets, and charging the gap since the previous run's last
+        # window to "plan"); steps/trace are different — they are
+        # lifetime counters the report deltas.
         network.kernel_use.clear()
         for key in network.phase_timing:
             network.phase_timing[key] = 0.0
+        network._window_end = None
 
     steps_before = network.steps_elapsed if network is not None else 0
     trace_before = (

@@ -15,7 +15,6 @@ from .bgi_broadcast import (
     BGIBroadcastResult,
     bgi_broadcast,
     bgi_broadcast_reference,
-    bgi_schedule,
 )
 from .cd_broadcast import CDBroadcastResult, cd_broadcast
 from .leader_binary_search import (
@@ -43,7 +42,6 @@ __all__ = [
     "bgi_bound",
     "bgi_broadcast",
     "bgi_broadcast_reference",
-    "bgi_schedule",
     "binary_search_election",
     "binary_search_election_reference",
     "broadcast_lower_bound",

@@ -14,14 +14,16 @@ every scale we benchmark, it anchors the E6 comparison: our pipeline's
 *charged* rounds versus BGI's *actually simulated* steps, both against
 their respective claimed shapes.
 
-Engine migration: sweep synchronization makes each sweep one Decay
-iteration over the frozen informed set — an *oblivious window* of
-``log n`` keyed transmitter rows, one block key per sweep — and the
-informed-set update at the sweep boundary is the decision point.
-:func:`bgi_schedule` streams each sweep's rows through the windowed
-engine, and :func:`bgi_broadcast_reference` drives the same
-:class:`~repro.core.decay.Decay` step by step. Seeded runs of the two
-are bit-identical — results, step counts, trace totals, and rng stream.
+Engine: sweep synchronization makes each sweep one Decay iteration
+over the frozen informed set — an *oblivious window* of ``log n``
+keyed transmitter rows, one block key per sweep — and the informed-set
+update at the sweep boundary is the decision point. :func:`bgi_broadcast`
+is one sweep loop whose only engine branch is the sweep: one window on
+the windowed engine, or, under ``engine="reference"``
+(:func:`bgi_broadcast_reference`), the same
+:class:`~repro.core.decay.Decay` driven step by step. Seeded runs of
+the two are bit-identical — results, step counts, trace totals, and
+rng stream.
 """
 
 from __future__ import annotations
@@ -33,12 +35,7 @@ import numpy as np
 
 from ..core.decay import Decay
 from ..engine.policy import ExecutionPolicy
-from ..engine.segments import (
-    ProtocolSchedule,
-    StreamedWindow,
-    TracePhase,
-    TransmitterPlan,
-)
+from ..engine.runner import StreamedWindow
 from ..radio.errors import (
     BudgetExceededError,
     GraphContractError,
@@ -79,60 +76,6 @@ def _initial_informed(
     if max_sweeps is None:
         max_sweeps = 8 * n + 16 * max(1, math.ceil(math.log2(max(2, n))))
     return informed, max_sweeps
-
-
-def bgi_schedule(
-    network: RadioNetwork,
-    source: int,
-    rng: np.random.Generator,
-    sources: list[int] | None = None,
-    max_sweeps: int | None = None,
-    best_effort: bool = False,
-) -> ProtocolSchedule:
-    """Schedule emitter for BGI broadcast.
-
-    One :class:`~repro.engine.segments.StreamedWindow` per sweep: the
-    keyed rows of a :class:`~repro.core.decay.Decay` over the frozen
-    informed set; one informed-set update per sweep boundary. Returns
-    the :class:`BGIBroadcastResult`.
-    """
-    informed, max_sweeps = _initial_informed(
-        network, source, sources, max_sweeps
-    )
-
-    steps_before = network.steps_elapsed
-    yield TracePhase("bgi-broadcast")
-    history = [int(informed.sum())]
-    sweeps = 0
-    while not informed.all():
-        if sweeps >= max_sweeps:
-            if best_effort:
-                break
-            raise BudgetExceededError(
-                f"BGI broadcast did not complete within {max_sweeps} sweeps"
-            )
-        sweep = Decay(network, informed)
-        sweep.bind_key(rng)
-
-        def fold(k, steps, nodes, senders) -> None:
-            sweep.heard[nodes] = True  # all a sweep boundary reads
-
-        yield StreamedWindow(
-            TransmitterPlan(sweep.total_steps, sweep.transmitters),
-            consume_coo=fold,
-        )
-        informed |= sweep.heard
-        sweeps += 1
-        history.append(int(informed.sum()))
-    yield TracePhase("default")
-
-    return BGIBroadcastResult(
-        source=source,
-        delivered=bool(informed.all()),
-        steps=network.steps_elapsed - steps_before,
-        sweeps=sweeps,
-        informed_history=history,
-    )
 
 
 def bgi_broadcast(
@@ -177,35 +120,6 @@ def bgi_broadcast(
     """
     policy = policy or ExecutionPolicy()
     policy.bind(network)
-    if policy.engine == "reference":
-        return bgi_broadcast_reference(
-            network, source, rng, sources=sources, max_sweeps=max_sweeps,
-            best_effort=best_effort,
-        )
-    return policy.run_schedule(
-        network,
-        bgi_schedule(
-            network, source, rng, sources=sources, max_sweeps=max_sweeps,
-            best_effort=best_effort,
-        ),
-    )
-
-
-def bgi_broadcast_reference(
-    network: RadioNetwork,
-    source: int,
-    rng: np.random.Generator,
-    sources: list[int] | None = None,
-    max_sweeps: int | None = None,
-    best_effort: bool = False,
-) -> BGIBroadcastResult:
-    """Step-wise BGI broadcast: the executable specification.
-
-    Same sweep-synchronized semantics as :func:`bgi_schedule` — the
-    informed set is frozen per sweep, updated at sweep boundaries — with
-    each sweep's :class:`~repro.core.decay.Decay` driven one
-    :meth:`~repro.radio.network.RadioNetwork.deliver` call per step.
-    """
     informed, max_sweeps = _initial_informed(
         network, source, sources, max_sweeps
     )
@@ -222,7 +136,17 @@ def bgi_broadcast_reference(
                 f"BGI broadcast did not complete within {max_sweeps} sweeps"
             )
         sweep = Decay(network, informed)
-        run_steps(sweep, rng, sweep.total_steps)
+        if policy.engine == "reference":
+            run_steps(sweep, rng, sweep.total_steps)
+        else:
+            sweep.bind_key(rng)
+
+            def fold(k, steps, nodes, senders) -> None:
+                sweep.heard[nodes] = True  # all a sweep boundary reads
+
+            policy.runner(network).run(
+                StreamedWindow(sweep.total_steps, sweep.transmitters, fold)
+            )
         informed |= sweep.heard
         sweeps += 1
         history.append(int(informed.sum()))
@@ -234,4 +158,26 @@ def bgi_broadcast_reference(
         steps=network.steps_elapsed - steps_before,
         sweeps=sweeps,
         informed_history=history,
+    )
+
+
+def bgi_broadcast_reference(
+    network: RadioNetwork,
+    source: int,
+    rng: np.random.Generator,
+    sources: list[int] | None = None,
+    max_sweeps: int | None = None,
+    best_effort: bool = False,
+) -> BGIBroadcastResult:
+    """Step-wise BGI broadcast: the executable specification.
+
+    :func:`bgi_broadcast` under ``ExecutionPolicy(engine="reference")``:
+    the same sweep-synchronized loop — the informed set is frozen per
+    sweep, updated at sweep boundaries — with each sweep's
+    :class:`~repro.core.decay.Decay` driven one
+    :meth:`~repro.radio.network.RadioNetwork.deliver` call per step.
+    """
+    return bgi_broadcast(
+        network, source, rng, sources=sources, max_sweeps=max_sweeps,
+        best_effort=best_effort, policy=ExecutionPolicy(engine="reference"),
     )

@@ -25,7 +25,6 @@ import dataclasses
 import numpy as np
 
 from ..engine.policy import ExecutionPolicy
-from ..engine.runner import protocol_schedule
 from ..radio.errors import BudgetExceededError, GraphContractError
 from ..radio.network import NO_SENDER, RadioNetwork
 from ..radio.protocol import Protocol
@@ -105,7 +104,7 @@ def round_robin_broadcast(
                 f"round-robin broadcast incomplete after {max_rotations} "
                 "rotations — is the graph connected?"
             )
-        runner.run(protocol_schedule(protocol, None, n))
+        runner.run_steps(protocol, None, n)
         rotations += 1
     network.trace.enter_phase("default")
     return RoundRobinResult(

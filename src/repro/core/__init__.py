@@ -44,7 +44,6 @@ from .decay import (
 from .effective_degree import (
     EffectiveDegreeResult,
     EstimateEffectiveDegree,
-    effective_degree_schedule,
     estimate_effective_degree,
     estimate_effective_degree_reference,
     exact_effective_degree,
@@ -71,7 +70,6 @@ from .mis import (
     compute_mis,
     compute_mis_reference,
     mis_round_budget,
-    mis_schedule,
 )
 from .mis_restart import (
     RestartableMISConfig,
@@ -79,7 +77,6 @@ from .mis_restart import (
     RestartEpochRecord,
     compute_restartable_mis,
     restartable_mis_reference,
-    restartable_mis_schedule,
 )
 from .mpx import (
     beta_of_j,
@@ -155,7 +152,6 @@ __all__ = [
     "decay_schedule",
     "decay_span",
     "draw_shifts",
-    "effective_degree_schedule",
     "elect_leader",
     "elect_leader_packet",
     "expected_steps",
@@ -171,7 +167,6 @@ __all__ = [
     "mis_as_wakeup_strategy",
     "mis_as_wakeup_strategy_reference",
     "mis_round_budget",
-    "mis_schedule",
     "partition",
     "partition_csr",
     "partition_radio",
@@ -179,7 +174,6 @@ __all__ = [
     "prefix_counts",
     "propagation_length",
     "restartable_mis_reference",
-    "restartable_mis_schedule",
     "run_decay",
     "run_decay_reference",
     "run_wakeup",

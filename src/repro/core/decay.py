@@ -9,8 +9,8 @@ the sweep. Iterating the sweep ``O(log n)`` times amplifies this to high
 probability (paper Claim 10).
 
 This module provides the vectorized :class:`Decay` protocol (all of ``S``
-decaying concurrently), its schedule emitter :func:`decay_block`, and
-the convenience :func:`run_decay` wrapper.
+decaying concurrently) and :func:`run_decay`, which runs one block of
+it.
 
 A block reports *who* each listener heard (``heard_from``), never what
 was said: what a transmitter says is its own state, which the caller
@@ -19,15 +19,16 @@ Partition reads its announcers' cluster id and wave that way.
 
 Performance: a Decay block is *oblivious* — the transmit mask of every
 step depends only on the fixed active set and the block's randomness,
-never on what was heard — so :func:`decay_block` emits the
-whole block as one streamed window whose rows are sampled transmitter
-lists (:class:`~repro.engine.sampler.RowSampler`, keyed by one block
-key drawn from the protocol rng): the engine's cost follows the
+never on what was heard — so :func:`run_decay` runs the whole block as
+one window whose rows are sampled transmitter lists
+(:class:`~repro.engine.sampler.RowSampler`, keyed by one block key
+drawn from the protocol rng): the engine's cost follows the
 transmissions, not ``n`` times the steps. The :class:`Decay` protocol
 samples its rows from the same key, one step at a time, so results,
 trace totals, and the post-call rng state are all bit-identical to
-driving it step by step — which :func:`run_decay_reference` still does,
-as the executable specification the equivalence suite compares against.
+driving it step by step — which :func:`run_decay` does under
+``engine="reference"`` (:func:`run_decay_reference`), as the executable
+specification the equivalence suite compares against.
 """
 
 from __future__ import annotations
@@ -38,12 +39,8 @@ import math
 import numpy as np
 
 from ..engine.policy import ExecutionPolicy
+from ..engine.runner import StreamedWindow
 from ..engine.sampler import RowSampler, draw_block_key
-from ..engine.segments import (
-    ProtocolSchedule,
-    StreamedWindow,
-    TransmitterPlan,
-)
 from ..radio.errors import ProtocolError
 from ..radio.network import NO_SENDER, RadioNetwork
 from ..radio.protocol import Protocol, run_steps
@@ -208,40 +205,6 @@ class Decay(Protocol):
         )
 
 
-def decay_block(
-    network: RadioNetwork,
-    active: np.ndarray,
-    rng: np.random.Generator,
-    iterations: int = 1,
-    n_estimate: int | None = None,
-) -> ProtocolSchedule:
-    """Schedule emitter for one full Decay block.
-
-    Emits the block as a single
-    :class:`~repro.engine.segments.StreamedWindow` over a
-    :class:`~repro.engine.segments.TransmitterPlan` — every row is the
-    fixed active set thinned by the ladder probability, so the whole
-    block is oblivious, and the runner executes it in bounded chunks
-    (its memory knob). The block key is drawn here, where the step-wise
-    :class:`Decay` draws it at its first step, and every row is a pure
-    function of it, so any chunking reproduces the per-step rows;
-    receptions fold in step order through :meth:`Decay._absorb_coo`.
-    Returns the folded :class:`Decay` itself: Radio MIS reads its
-    ``heard`` mask, :func:`run_decay` its :meth:`Decay.result`.
-    """
-    protocol = Decay(
-        network, active, iterations=iterations, n_estimate=n_estimate
-    )
-    total = protocol.total_steps
-    if total:
-        protocol.bind_key(rng)
-        yield StreamedWindow(
-            TransmitterPlan(total, protocol.transmitters),
-            consume_coo=protocol._absorb_coo,
-        )
-    return protocol
-
-
 def run_decay(
     network: RadioNetwork,
     active: np.ndarray,
@@ -255,30 +218,38 @@ def run_decay(
 
     Radio MIS's "marked nodes perform ``O(log n)`` iterations of Decay"
     is one such block, ``run_decay(network, marked, rng,
-    iterations=claim10_iterations(n))`` run alone (MIS itself yields
-    it through :func:`decay_block`).
+    iterations=claim10_iterations(n))``.
 
-    The block executes :func:`decay_block` under ``policy`` (see the
-    module docstring) — ``engine="reference"`` dispatches to
-    :func:`run_decay_reference`; results and rng consumption are
-    identical either way, the engine path just much faster.
+    Under ``policy`` (see the module docstring): ``engine="reference"``
+    drives the :class:`Decay` protocol one
+    :meth:`~repro.radio.network.RadioNetwork.deliver` call at a time;
+    the windowed engine draws the block key, where the step-wise
+    protocol draws it at its first step, and runs the block as one
+    window whose receptions fold in step order through
+    :meth:`Decay._absorb_coo`. Every row is a pure function of the key,
+    so any chunking reproduces the per-step rows: results and rng
+    consumption are identical either way, the engine path just much
+    faster.
     """
     if iterations < 0:
         raise ProtocolError(f"iterations must be >= 0, got {iterations}")
     policy = policy or ExecutionPolicy()
     policy.bind(network)
+    protocol = Decay(
+        network, active, iterations=iterations, n_estimate=n_estimate
+    )
     if policy.engine == "reference":
-        return run_decay_reference(
-            network, active, rng,
-            iterations=iterations, n_estimate=n_estimate,
+        run_steps(protocol, rng, protocol.total_steps)
+    elif protocol.total_steps:
+        protocol.bind_key(rng)
+        policy.runner(network).run(
+            StreamedWindow(
+                protocol.total_steps,
+                protocol.transmitters,
+                protocol._absorb_coo,
+            )
         )
-    return policy.run_schedule(
-        network,
-        decay_block(
-            network, active, rng,
-            iterations=iterations, n_estimate=n_estimate,
-        ),
-    ).result()
+    return protocol.result()
 
 
 def run_decay_reference(
@@ -289,15 +260,13 @@ def run_decay_reference(
     n_estimate: int | None = None,
 ) -> DecayResult:
     """Step-wise Decay block: the executable specification of
-    :func:`run_decay`.
+    :func:`run_decay`, which it is under
+    ``ExecutionPolicy(engine="reference")``.
 
-    Drives the :class:`Decay` protocol one
-    :meth:`~repro.radio.network.RadioNetwork.deliver` call at a time.
     ``tests/test_engine_windowed.py`` pins bit-identical results, trace
     totals, and post-call rng state against the windowed path.
     """
-    protocol = Decay(
-        network, active, iterations=iterations, n_estimate=n_estimate
+    return run_decay(
+        network, active, rng, iterations=iterations, n_estimate=n_estimate,
+        policy=ExecutionPolicy(engine="reference"),
     )
-    run_steps(protocol, rng, protocol.total_steps)
-    return protocol.result()

@@ -18,12 +18,13 @@ algorithm) and a listener counting its own hears.
 Performance: Algorithm 6 is *fully oblivious* — every transmit mask
 depends only on the fixed desire levels, the step's density guess, and
 the block's randomness, never on what was heard (receptions only
-update counters). :func:`effective_degree_schedule` therefore emits the
-``O(log^2 n)``-step block as one streamed window per density level, all
-rows sampled from one keyed :class:`~repro.engine.sampler.RowSampler`
-(with the desire levels as column factors), so the engine's cost
-follows the transmissions. The step-wise drive is retained as
-:func:`estimate_effective_degree_reference`; it samples the same rows
+update counters). :func:`estimate_effective_degree` therefore runs the
+``O(log^2 n)``-step block as one window per density level, all rows
+sampled from one keyed :class:`~repro.engine.sampler.RowSampler` (with
+the desire levels as column factors), so the engine's cost follows the
+transmissions. The step-wise drive is retained as its
+``engine="reference"`` branch
+(:func:`estimate_effective_degree_reference`); it samples the same rows
 from the same block key, so results, trace totals, and rng consumption
 are bit-identical.
 """
@@ -36,12 +37,8 @@ import math
 import numpy as np
 
 from ..engine.policy import ExecutionPolicy
+from ..engine.runner import StreamedWindow
 from ..engine.sampler import RowSampler, draw_block_key
-from ..engine.segments import (
-    ProtocolSchedule,
-    StreamedWindow,
-    TransmitterPlan,
-)
 from ..radio.errors import ProtocolError
 from ..radio.network import NO_SENDER, RadioNetwork
 from ..radio.protocol import Protocol, run_steps
@@ -198,46 +195,6 @@ class EstimateEffectiveDegree(Protocol):
         )
 
 
-def effective_degree_schedule(
-    network: RadioNetwork,
-    p: np.ndarray,
-    active: np.ndarray,
-    rng: np.random.Generator,
-    C: int = 24,
-    n_estimate: int | None = None,
-) -> ProtocolSchedule:
-    """Schedule emitter for one full EstimateEffectiveDegree block.
-
-    Step ``t`` of the block transmits with probability
-    ``p(v) / 2^(t // steps_per_level)``; each density level goes out as
-    one :class:`~repro.engine.segments.StreamedWindow` whose rows are
-    sampled from the block's one key (drawn here, where the step-wise
-    protocol draws it at its first step), so any chunking reproduces
-    the protocol's per-step rows. Receptions fold per chunk through
-    :meth:`EstimateEffectiveDegree._absorb_coo`. Returns the block's
-    :class:`EffectiveDegreeResult`.
-    """
-    protocol = EstimateEffectiveDegree(
-        network, p, active, C=C, n_estimate=n_estimate
-    )
-    if protocol.total_steps:
-        protocol.bind_key(rng)
-        width = protocol.steps_per_level
-        # One window per density level, each offset into the block's
-        # one sampler: a chunk never spans two levels, which bounds its
-        # working set by one level's rows.
-        for level in range(protocol.levels):
-
-            def rows(start: int, stop: int, base: int = level * width):
-                return protocol.transmitters(base + start, base + stop)
-
-            yield StreamedWindow(
-                TransmitterPlan(width, rows),
-                consume_coo=protocol._absorb_coo,
-            )
-    return protocol.result()
-
-
 def estimate_effective_degree(
     network: RadioNetwork,
     p: np.ndarray,
@@ -250,25 +207,41 @@ def estimate_effective_degree(
 ) -> EffectiveDegreeResult:
     """Run one full EstimateEffectiveDegree block under ``policy``.
 
+    Step ``t`` of the block transmits with probability
+    ``p(v) / 2^(t // steps_per_level)``. ``engine="reference"`` drives
+    the :class:`EstimateEffectiveDegree` protocol one step at a time;
+    the windowed engine draws the block's one key (where the step-wise
+    protocol draws it, at its first step) and runs each density level
+    as one window of rows sampled from it, so any chunking reproduces
+    the protocol's per-step rows. Receptions fold per chunk through
+    :meth:`EstimateEffectiveDegree._absorb_coo`.
+
     The policy's ``mem_budget`` bounds the streamed chunk height (a
-    memory knob only — bit-identical at any setting);
-    this block is the canonical out-of-core workload, since its
-    ``O(log^2 n)`` steps are what stalled ``n >= 10^5`` runs when
-    materialized whole. ``engine="reference"`` dispatches to
-    :func:`estimate_effective_degree_reference`.
+    memory knob only — bit-identical at any setting); this block is
+    the canonical out-of-core workload, since its ``O(log^2 n)`` steps
+    are what stalled ``n >= 10^5`` runs when materialized whole.
     """
     policy = policy or ExecutionPolicy()
     policy.bind(network)
-    if policy.engine == "reference":
-        return estimate_effective_degree_reference(
-            network, p, active, rng, C=C, n_estimate=n_estimate
-        )
-    return policy.run_schedule(
-        network,
-        effective_degree_schedule(
-            network, p, active, rng, C=C, n_estimate=n_estimate
-        ),
+    protocol = EstimateEffectiveDegree(
+        network, p, active, C=C, n_estimate=n_estimate
     )
+    if policy.engine == "reference":
+        run_steps(protocol, rng, protocol.total_steps)
+        return protocol.result()
+    protocol.bind_key(rng)
+    runner = policy.runner(network)
+    width = protocol.steps_per_level
+    # One window per density level, each offset into the block's one
+    # sampler: a chunk never spans two levels, which bounds its working
+    # set by one level's rows.
+    for level in range(protocol.levels):
+
+        def rows(start: int, stop: int, base: int = level * width):
+            return protocol.transmitters(base + start, base + stop)
+
+        runner.run(StreamedWindow(width, rows, protocol._absorb_coo))
+    return protocol.result()
 
 
 def estimate_effective_degree_reference(
@@ -279,16 +252,15 @@ def estimate_effective_degree_reference(
     C: int = 24,
     n_estimate: int | None = None,
 ) -> EffectiveDegreeResult:
-    """Step-wise EstimateEffectiveDegree: the executable specification.
-
-    Drives the :class:`EstimateEffectiveDegree` protocol one step at a
-    time; the equivalence suite pins the windowed path against it.
+    """Step-wise EstimateEffectiveDegree: the executable specification,
+    :func:`estimate_effective_degree` under
+    ``ExecutionPolicy(engine="reference")``; the equivalence suite pins
+    the windowed path against it.
     """
-    protocol = EstimateEffectiveDegree(
-        network, p, active, C=C, n_estimate=n_estimate
+    return estimate_effective_degree(
+        network, p, active, rng, C=C, n_estimate=n_estimate,
+        policy=ExecutionPolicy(engine="reference"),
     )
-    run_steps(protocol, rng, protocol.total_steps)
-    return protocol.result()
 
 
 def exact_effective_degree(

@@ -27,7 +27,7 @@ builds one step-wise stack — :class:`ICPProtocol`, time-multiplexed
 with the background by a :class:`~repro.radio.protocol.TimeMultiplexer`
 (or alone, without one) — and hands it to one of two drivers:
 :func:`~repro.radio.protocol.run_steps` under ``engine="reference"``,
-or the engine's :func:`~repro.engine.runner.protocol_schedule` lift,
+or the engine's :meth:`~repro.engine.runner.WindowedRunner.run_steps`,
 which runs every step as a one-row window through the transmitter-pair
 product. The slot passes are adaptive (each slot's mask depends on
 knowledge received in earlier slots), so a step is the widest window
@@ -43,7 +43,6 @@ import math
 import numpy as np
 
 from ..engine.policy import ExecutionPolicy
-from ..engine.runner import protocol_schedule
 from ..engine.sampler import RowSampler, draw_block_key
 from ..radio.errors import ProtocolError
 from ..radio.network import NO_SENDER, RadioNetwork
@@ -326,8 +325,9 @@ def intra_cluster_propagation(
     one of two drivers, bit-identically on a shared seed:
 
     * the engine (``"windowed"``, the default):
-      :func:`~repro.engine.runner.protocol_schedule` lifts each step
-      into a one-row window delivered by the transmitter-pair product;
+      :meth:`~repro.engine.runner.WindowedRunner.run_steps` runs each
+      step as a one-row window delivered by the transmitter-pair
+      product;
     * ``engine="reference"``: the step-wise executable specification,
       :func:`~repro.radio.protocol.run_steps`.
 
@@ -352,7 +352,7 @@ def intra_cluster_propagation(
     if policy.engine == "reference":
         run_steps(stack, rng, steps)
     else:
-        policy.run_schedule(network, protocol_schedule(stack, rng, steps))
+        policy.runner(network).run_steps(stack, rng, steps)
     network.trace.enter_phase("default")
     return ICPResult(
         knowledge=knowledge, steps=network.steps_elapsed - steps_before

@@ -13,7 +13,12 @@ communication needs realized by radio primitives:
 
 Each of ``O(log n)`` rounds costs ``O(log^2 n)`` radio steps, for the
 ``O(log^3 n)`` total of Theorem 14, a ``log n`` factor from the
-``Omega(log^2 n)`` lower bound.
+``Omega(log^2 n)`` lower bound. :func:`compute_mis` is that round loop
+once: a round is two :func:`~repro.core.decay.run_decay` calls and one
+:func:`~repro.core.effective_degree.estimate_effective_degree` call,
+each under the caller's policy, so the same loop runs on the windowed
+engine or, under ``engine="reference"``, step by step
+(:func:`compute_mis_reference`).
 
 Instrumentation for the analysis (Lemmas 12-13) is built in: golden
 rounds of both types are tracked per node using oracle effective degrees
@@ -30,14 +35,12 @@ from typing import Hashable
 import numpy as np
 
 from ..engine.policy import ExecutionPolicy
-from ..engine.segments import ProtocolSchedule, TracePhase
 from ..radio.network import RadioNetwork
-from .decay import claim10_iterations, decay_block, run_decay_reference
+from .decay import claim10_iterations, run_decay
 from .resulteq import ArrayEqMixin
 from .effective_degree import (
     HIGH_GUARANTEE,
-    effective_degree_schedule,
-    estimate_effective_degree_reference,
+    estimate_effective_degree,
     exact_effective_degree,
 )
 
@@ -134,23 +137,46 @@ def mis_round_budget(n_estimate: int, round_factor: float) -> int:
     return max(1, math.ceil(round_factor * math.log2(max(2, n_estimate))))
 
 
-def mis_schedule(
+def compute_mis(
     network: RadioNetwork,
     rng: np.random.Generator,
     config: MISConfig | None = None,
     n_estimate: int | None = None,
-) -> ProtocolSchedule:
-    """Schedule emitter for Radio MIS (Algorithm 7).
+    *,
+    policy: ExecutionPolicy | None = None,
+) -> MISResult:
+    """Run Radio MIS (Algorithm 7) on ``network``.
 
-    Each round is three sub-schedules punctuated by decision points that
-    cost no radio steps (marking coins, the desire-level update): two
-    Decay blocks, one window each, and — unless the ``oracle_degree``
-    knob is on — one EstimateEffectiveDegree block, one window per
-    density level. Each block is entered under its trace phase, line
-    for line as in :func:`compute_mis_reference`, and the rng draw
-    order is exactly that of the step-wise loop, so both paths are
-    seeded bit-identical. Returns the :class:`MISResult`.
+    Parameters
+    ----------
+    network:
+        The radio network. Connectivity is *not* required (MIS is a local
+        problem, paper Section 1.2).
+    rng:
+        Randomness source for all nodes' coins.
+    config:
+        Constants; see :class:`MISConfig`.
+    n_estimate:
+        The network-size estimate nodes are assumed to know; defaults to
+        the exact ``n``.
+    policy:
+        The :class:`~repro.engine.policy.ExecutionPolicy` every block
+        of the round loop runs under. ``engine="windowed"`` (the
+        default) runs each block on the batched engine, ``"reference"``
+        step by step — bit-identical seeded results; ``mem_budget``
+        streams the engine path's windows (a memory knob only — peak
+        memory is bounded by the chunk instead of growing with
+        ``log^2 n * n``).
+
+    Returns
+    -------
+    MISResult
+        With high probability (for default constants) ``mis`` is a
+        maximal independent set and ``all_removed`` is true; tests
+        validate both via :func:`repro.graphs.is_maximal_independent_set`.
     """
+    policy = policy or ExecutionPolicy()
+    policy.bind(network)
     config = config or MISConfig()
     n = network.n
     n_est = n_estimate if n_estimate is not None else n
@@ -181,13 +207,11 @@ def mis_schedule(
         # --- marking ---------------------------------------------------
         marked = active & (rng.random(n) < p)
 
-        # --- both Decay blocks, one window each --------------------------
-        # Each block draws its key where the step-wise twin's block
-        # does, at its first step; no draw lies between the first
-        # window's fold and the second block's key.
-        yield TracePhase("mis/decay-marked")
-        marked_echo = yield from decay_block(
-            network, marked, rng, iterations=decay_iters, n_estimate=n_est
+        # --- both Decay blocks -------------------------------------------
+        network.trace.enter_phase("mis/decay-marked")
+        marked_echo = run_decay(
+            network, marked, rng, iterations=decay_iters, n_estimate=n_est,
+            policy=policy,
         )
         # A node v heard during block 1 iff some marked neighbor's
         # transmission reached it cleanly; Claim 10 makes this whp exact.
@@ -195,9 +219,10 @@ def mis_schedule(
 
         in_mis |= joined
 
-        yield TracePhase("mis/decay-mis")
-        mis_echo = yield from decay_block(
-            network, joined, rng, iterations=decay_iters, n_estimate=n_est
+        network.trace.enter_phase("mis/decay-mis")
+        mis_echo = run_decay(
+            network, joined, rng, iterations=decay_iters, n_estimate=n_est,
+            policy=policy,
         )
         removed = joined | (mis_echo.heard & active)
         active &= ~removed
@@ -207,155 +232,14 @@ def mis_schedule(
             d_exact = exact_effective_degree(network, p, active)
             high = active & (d_exact >= HIGH_GUARANTEE)
         else:
-            yield TracePhase("mis/eed")
-            eed = yield from effective_degree_schedule(
-                network, p, active, rng, C=config.eed_C, n_estimate=n_est
+            network.trace.enter_phase("mis/eed")
+            eed = estimate_effective_degree(
+                network, p, active, rng, C=config.eed_C, n_estimate=n_est,
+                policy=policy,
             )
             high = eed.high
 
         # --- desire-level update -----------------------------------------
-        p = np.where(high, p / 2.0, np.minimum(2.0 * p, 0.5))
-
-        history.append(
-            MISRoundRecord(
-                round_index=t,
-                active_before=active_before,
-                marked=int(marked.sum()),
-                joined=int(joined.sum()),
-                removed=int(removed.sum()),
-                golden_type1=g1,
-                golden_type2=g2,
-            )
-        )
-
-    yield TracePhase("default")
-    mis_labels = {network.label_of(int(i)) for i in np.nonzero(in_mis)[0]}
-    return MISResult(
-        mis=mis_labels,
-        mis_mask=in_mis,
-        rounds_used=rounds_used,
-        steps_used=network.steps_elapsed - steps_before,
-        all_removed=not bool(active.any()),
-        history=history,
-        golden_type1=golden1,
-        golden_type2=golden2,
-    )
-
-
-def compute_mis(
-    network: RadioNetwork,
-    rng: np.random.Generator,
-    config: MISConfig | None = None,
-    n_estimate: int | None = None,
-    *,
-    policy: ExecutionPolicy | None = None,
-) -> MISResult:
-    """Run Radio MIS (Algorithm 7) on ``network``.
-
-    Parameters
-    ----------
-    network:
-        The radio network. Connectivity is *not* required (MIS is a local
-        problem, paper Section 1.2).
-    rng:
-        Randomness source for all nodes' coins.
-    config:
-        Constants; see :class:`MISConfig`.
-    n_estimate:
-        The network-size estimate nodes are assumed to know; defaults to
-        the exact ``n``.
-    policy:
-        The :class:`~repro.engine.policy.ExecutionPolicy` to run under.
-        ``engine="windowed"`` (the default) runs :func:`mis_schedule`
-        on the batched engine, ``"reference"`` the retained step-wise
-        loop — bit-identical seeded results; ``mem_budget`` streams
-        the engine path's windows (a memory knob only — the whole
-        round loop streams, so peak memory is bounded by the chunk
-        instead of growing with ``log^2 n * n``).
-
-    Returns
-    -------
-    MISResult
-        With high probability (for default constants) ``mis`` is a
-        maximal independent set and ``all_removed`` is true; tests
-        validate both via :func:`repro.graphs.is_maximal_independent_set`.
-    """
-    policy = policy or ExecutionPolicy()
-    policy.bind(network)
-    if policy.engine == "reference":
-        return compute_mis_reference(network, rng, config, n_estimate)
-    return policy.run_schedule(
-        network, mis_schedule(network, rng, config, n_estimate)
-    )
-
-
-def compute_mis_reference(
-    network: RadioNetwork,
-    rng: np.random.Generator,
-    config: MISConfig | None = None,
-    n_estimate: int | None = None,
-) -> MISResult:
-    """Step-wise Radio MIS: the executable specification.
-
-    The pre-engine round loop, retained verbatim with its sub-protocols
-    driven one :meth:`~repro.radio.network.RadioNetwork.deliver` call at
-    a time. The equivalence suite pins :func:`compute_mis` against it
-    bit-for-bit (results, step counts, trace totals, rng stream).
-    """
-    config = config or MISConfig()
-    n = network.n
-    n_est = n_estimate if n_estimate is not None else n
-    decay_iters = claim10_iterations(n_est, config.decay_amplification)
-    budget = mis_round_budget(n_est, config.round_factor)
-
-    active = np.ones(n, dtype=bool)
-    p = np.full(n, 0.5, dtype=np.float64)
-    in_mis = np.zeros(n, dtype=bool)
-    golden1 = np.zeros(n, dtype=np.int64)
-    golden2 = np.zeros(n, dtype=np.int64)
-    history: list[MISRoundRecord] = []
-    steps_before = network.steps_elapsed
-
-    rounds_used = 0
-    for t in range(budget):
-        if config.stop_when_done and not active.any():
-            break
-        rounds_used = t + 1
-        active_before = int(active.sum())
-
-        g1 = g2 = 0
-        if config.record_golden:
-            g1, g2 = _record_golden_rounds(
-                network, p, active, golden1, golden2
-            )
-
-        marked = active & (rng.random(n) < p)
-
-        network.trace.enter_phase("mis/decay-marked")
-        marked_echo = run_decay_reference(
-            network, marked, rng, iterations=decay_iters, n_estimate=n_est
-        )
-        joined = marked & ~marked_echo.heard
-
-        in_mis |= joined
-
-        network.trace.enter_phase("mis/decay-mis")
-        mis_echo = run_decay_reference(
-            network, joined, rng, iterations=decay_iters, n_estimate=n_est
-        )
-        removed = joined | (mis_echo.heard & active)
-        active &= ~removed
-
-        if config.oracle_degree:
-            d_exact = exact_effective_degree(network, p, active)
-            high = active & (d_exact >= HIGH_GUARANTEE)
-        else:
-            network.trace.enter_phase("mis/eed")
-            eed = estimate_effective_degree_reference(
-                network, p, active, rng, C=config.eed_C, n_estimate=n_est
-            )
-            high = eed.high
-
         p = np.where(high, p / 2.0, np.minimum(2.0 * p, 0.5))
 
         history.append(
@@ -381,6 +265,26 @@ def compute_mis_reference(
         history=history,
         golden_type1=golden1,
         golden_type2=golden2,
+    )
+
+
+def compute_mis_reference(
+    network: RadioNetwork,
+    rng: np.random.Generator,
+    config: MISConfig | None = None,
+    n_estimate: int | None = None,
+) -> MISResult:
+    """Step-wise Radio MIS: the executable specification.
+
+    :func:`compute_mis` under ``ExecutionPolicy(engine="reference")``:
+    the same round loop with its sub-protocols driven one
+    :meth:`~repro.radio.network.RadioNetwork.deliver` call at a time.
+    The equivalence suite pins the windowed run against it bit-for-bit
+    (results, step counts, trace totals, rng stream).
+    """
+    return compute_mis(
+        network, rng, config, n_estimate,
+        policy=ExecutionPolicy(engine="reference"),
     )
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..corpus.graph import CSRGraph
 from ..engine.policy import ExecutionPolicy
-from ..engine.segments import StreamedWindow, TransmitterPlan
+from ..engine.runner import StreamedWindow
 from ..radio.errors import ProtocolError
 from ..radio.network import RadioNetwork
 from .decay import Decay, claim10_iterations
@@ -138,51 +138,14 @@ def _next_desire(p: float, k: int) -> float:
 
 
 def _clique_network(k: int) -> RadioNetwork:
-    """The radio network of the ``k``-clique both drivers of the
-    reduction run on, over an identity-labeled CSR built with numpy
-    (row ``i`` lists every other node, ascending)."""
+    """The radio network of the ``k``-clique the reduction runs on,
+    over an identity-labeled CSR built with numpy (row ``i`` lists
+    every other node, ascending)."""
     others = np.arange(k - 1, dtype=np.int32)
     rows = np.arange(k, dtype=np.int32)[:, None]
     indices = (others + (others >= rows)).ravel()
     indptr = np.arange(k + 1, dtype=np.int32) * np.int32(k - 1)
     return RadioNetwork(CSRGraph(indptr, indices))
-
-
-def _wakeup_mis_schedule(
-    network: RadioNetwork, n: int, rng: np.random.Generator
-):
-    """Schedule emitter for the MIS-as-wake-up reduction on the
-    ``k``-clique ``network``.
-
-    A Decay block's success event — its first row with exactly one
-    transmitter — is a property of its keyed rows alone, so the emitter
-    samples the block, trims it at that row and streams it. The
-    reference samples the same rows one step at a time, so steps,
-    result and final rng state agree.
-    """
-    k = network.n
-    p = 0.5
-    steps = 0
-    for _ in range(max(1, math.ceil(10 * math.log2(max(2, n))))):
-        marked = rng.random(k) < p
-        # Claim 10's iterations of the ladder for n believed nodes.
-        block = Decay(
-            network, marked, iterations=claim10_iterations(n), n_estimate=n
-        )
-        block.bind_key(rng)
-        total = block.total_steps
-        row_of, _ = block.transmitters(0, total)
-        singles = np.flatnonzero(np.bincount(row_of, minlength=total) == 1)
-        width = int(singles[0]) + 1 if singles.size else total
-        yield StreamedWindow(
-            TransmitterPlan(width, block.transmitters),
-            consume_coo=lambda *reception: None,  # only the rows matter
-        )
-        steps += width
-        if singles.size:
-            return WakeupResult(succeeded=True, steps=steps, k=k)
-        p = _next_desire(p, k)
-    return WakeupResult(succeeded=False, steps=steps, k=k)
 
 
 def mis_as_wakeup_strategy(
@@ -204,9 +167,13 @@ def mis_as_wakeup_strategy(
     one updates the desire level by Ghaffari's rule on the clique's
     exact effective degree (:func:`_next_desire`).
 
-    ``engine="windowed"`` (default) streams the Decay blocks through
-    the windowed engine; ``"reference"`` is the retained step-wise
-    loop. Seeded results and the final rng state are bit-identical.
+    Each round draws its marks and one Decay block's key. The block's
+    success event — its first row with exactly one transmitter — is a
+    property of its keyed rows alone, so ``engine="windowed"``
+    (default) samples the block, trims it at that row and runs it as
+    one window; ``"reference"`` (:func:`mis_as_wakeup_strategy_reference`)
+    delivers the same rows one step at a time and stops at that row.
+    Seeded results and the final rng state are bit-identical.
     """
     if not 1 <= k <= n:
         raise ProtocolError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -219,10 +186,44 @@ def mis_as_wakeup_strategy(
             "apply; run the reduction fault-free (faults=None or an "
             "empty FaultSchedule)"
         )
-    if policy.engine == "reference":
-        return mis_as_wakeup_strategy_reference(n, k, rng)
     clique = _clique_network(k)
-    return policy.run_schedule(clique, _wakeup_mis_schedule(clique, n, rng))
+    p = 0.5
+    steps = 0
+    for _ in range(max(1, math.ceil(10 * math.log2(max(2, n))))):
+        marked = rng.random(k) < p
+        # Claim 10's iterations of the ladder for n believed nodes.
+        block = Decay(
+            clique, marked, iterations=claim10_iterations(n), n_estimate=n
+        )
+        block.bind_key(rng)
+        total = block.total_steps
+        if policy.engine == "reference":
+            width = 0
+            succeeded = False
+            while width < total and not succeeded:
+                _, nodes = block.transmitters(width, width + 1)
+                transmit = np.zeros(k, dtype=bool)
+                transmit[nodes] = True
+                clique.deliver(transmit)  # collision or silence unless one
+                width += 1
+                succeeded = nodes.size == 1
+        else:
+            row_of, _ = block.transmitters(0, total)
+            singles = np.flatnonzero(np.bincount(row_of, minlength=total) == 1)
+            succeeded = bool(singles.size)
+            width = int(singles[0]) + 1 if succeeded else total
+            policy.runner(clique).run(
+                StreamedWindow(
+                    width,
+                    block.transmitters,
+                    lambda *reception: None,  # only the rows matter
+                )
+            )
+        steps += width
+        if succeeded:
+            return WakeupResult(succeeded=True, steps=steps, k=k)
+        p = _next_desire(p, k)
+    return WakeupResult(succeeded=False, steps=steps, k=k)
 
 
 def mis_as_wakeup_strategy_reference(
@@ -232,29 +233,12 @@ def mis_as_wakeup_strategy_reference(
 ) -> WakeupResult:
     """Step-wise MIS-as-wake-up: the executable specification.
 
-    One :meth:`~repro.radio.network.RadioNetwork.deliver` call per step,
+    :func:`mis_as_wakeup_strategy` under
+    ``ExecutionPolicy(engine="reference")``: one
+    :meth:`~repro.radio.network.RadioNetwork.deliver` call per step,
     each step's transmitters sampled alone from the block's rows,
     stopping at the first single-transmitter step.
     """
-    if not 1 <= k <= n:
-        raise ProtocolError(f"need 1 <= k <= n, got k={k}, n={n}")
-    net = _clique_network(k)
-
-    p = 0.5
-    steps = 0
-    for _ in range(max(1, math.ceil(10 * math.log2(max(2, n))))):
-        marked = rng.random(k) < p
-        block = Decay(
-            net, marked, iterations=claim10_iterations(n), n_estimate=n
-        )
-        block.bind_key(rng)
-        for t in range(block.total_steps):
-            _, nodes = block.transmitters(t, t + 1)
-            transmit = np.zeros(k, dtype=bool)
-            transmit[nodes] = True
-            net.deliver(transmit)  # collision or silence unless one sent
-            steps += 1
-            if nodes.size == 1:
-                return WakeupResult(succeeded=True, steps=steps, k=k)
-        p = _next_desire(p, k)
-    return WakeupResult(succeeded=False, steps=steps, k=k)
+    return mis_as_wakeup_strategy(
+        n, k, rng, policy=ExecutionPolicy(engine="reference")
+    )

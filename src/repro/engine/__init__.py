@@ -1,32 +1,23 @@
-"""The unified windowed protocol engine (the scheduler layer).
+"""The windowed protocol engine.
 
-Packet-level protocols in this package no longer drive
+Packet-level protocols in this package do not drive
 :meth:`repro.radio.network.RadioNetwork.deliver` one step at a time.
-Instead each protocol is a *schedule emitter*: a generator that yields a
-stream of :mod:`segments <repro.engine.segments>` of two kinds —
+Each protocol keeps one loop, and every block of radio steps whose
+transmitters are all fixed before the first of them executes — a Decay
+block, one EED level, a BGI sweep, a wake-up block — it hands to the
+:class:`~repro.engine.runner.WindowedRunner` as one
+:class:`~repro.engine.runner.StreamedWindow`: a lazy source of
+transmitter pairs plus one per-chunk fold. The runner executes every
+window through the one exact sparse product of
+:meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`, preserving
+the exact rng stream, ``steps_elapsed`` count, and trace totals of the
+step-wise loop — the contract every ``*_reference`` twin (the same
+loop under ``ExecutionPolicy(engine="reference")``),
+``tests/test_engine_windowed.py``, and the :mod:`repro.engine.validate`
+harness pin down (see DESIGN.md, "The engine layer").
 
-* :class:`~repro.engine.segments.StreamedWindow` — a block of radio
-  steps whose transmitters are all fixed before the first of them
-  executes (Decay, one EED level, a BGI sweep, a wake-up block),
-  carried as a lazily sampled
-  :class:`~repro.engine.segments.TransmitterPlan` plus one per-chunk
-  fold; an adaptive step, whose transmitters depend on everything
-  heard so far, is a one-row window;
-* :class:`~repro.engine.segments.TracePhase` — a trace-attribution
-  switch (no radio step).
-
-and the :class:`~repro.engine.runner.WindowedRunner` executes the
-stream: every window as transmitter pairs through the one exact sparse
-product of
-:meth:`~repro.engine.kernels.DeliveryKernels.execute_coo`. The runner
-preserves the exact rng stream, ``steps_elapsed`` count, and trace
-totals of the step-wise loops it replaces — the contract every
-``*_reference`` implementation, ``tests/test_engine_windowed.py``, and
-the :mod:`repro.engine.validate` harness pin down (see DESIGN.md, "The
-engine layer").
-
-Step-wise :class:`~repro.radio.protocol.Protocol` objects enter through
-one lift, :func:`~repro.engine.runner.protocol_schedule`, one one-row
+Step-wise :class:`~repro.radio.protocol.Protocol` objects run through
+:meth:`~repro.engine.runner.WindowedRunner.run_steps`, one one-row
 window per protocol step. Intra-Cluster Propagation rides it with its
 whole :class:`~repro.radio.protocol.TimeMultiplexer` stack — the slot
 passes and their time-multiplexed Decay background — the same stack
@@ -42,15 +33,8 @@ windows" and "The rng-stream contract").
 
 from .kernels import DeliveryKernels
 from .policy import ENGINE_MODES, ExecutionPolicy, parse_mem_budget
-from .runner import WindowedRunner, protocol_schedule
+from .runner import StreamedWindow, WindowedRunner
 from .sampler import STREAM_VERSION, RowSampler
-from .segments import (
-    ProtocolSchedule,
-    Segment,
-    StreamedWindow,
-    TracePhase,
-    TransmitterPlan,
-)
 from .streaming import STREAM_CELL_BYTES, chunk_steps_for_budget
 from .validate import ObliviousnessViolationError, ValidatingRunner
 
@@ -61,15 +45,10 @@ __all__ = [
     "RowSampler",
     "STREAM_VERSION",
     "ObliviousnessViolationError",
-    "ProtocolSchedule",
     "STREAM_CELL_BYTES",
-    "Segment",
     "StreamedWindow",
-    "TracePhase",
-    "TransmitterPlan",
     "ValidatingRunner",
     "WindowedRunner",
     "chunk_steps_for_budget",
     "parse_mem_budget",
-    "protocol_schedule",
 ]

@@ -221,10 +221,6 @@ class ExecutionPolicy:
             network, chunk_steps_for_budget(network.n, self.mem_budget)
         )
 
-    def run_schedule(self, network: RadioNetwork, schedule):
-        """Execute a schedule under this policy (one-shot runner)."""
-        return self.runner(network).run(schedule)
-
 
 #: The policy's field names, in declaration order — the accepted set
 #: every refusal of an unknown field names.

@@ -31,8 +31,8 @@ chunking of a block, the chunk-wide vectorized pass and the step-wise
 ``*_reference`` twins (which sample one row at a time) produce the same
 sets by construction. The key is the only thing drawn from the
 protocol generator, once per block, through :func:`draw_block_key`, at
-the same point in an emitter and its twin — which keeps their final
-rng states equal too.
+the same point on the windowed engine and in the step-wise twin —
+which keeps their final rng states equal too.
 
 Changing anything here changes seeded outputs: bump
 :data:`STREAM_VERSION`, which names the stream in every ``RunReport``

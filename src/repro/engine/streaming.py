@@ -5,9 +5,9 @@ hear-window: a protocol block of ``w`` oblivious steps materialized
 ``w * n`` masks, coins, and ``hear_from`` cells at once, so experiments
 stalled around ``n = 10^4`` however fast the kernels were. This module
 is the policy layer of the fix (the mechanism is the
-:class:`~repro.engine.runner.WindowedRunner` chunk loop over the
-:class:`~repro.engine.segments.StreamedWindow`'s sampled
-:class:`~repro.engine.segments.TransmitterPlan`): a **cost model**
+:class:`~repro.engine.runner.WindowedRunner` chunk loop over a
+:class:`~repro.engine.runner.StreamedWindow`'s sampled transmitter
+rows): a **cost model**
 turning a target peak-byte budget into the ``chunk_steps`` height the
 runner executes every window at (:func:`chunk_steps_for_budget`). The
 budget is one explicit :class:`~repro.engine.policy.ExecutionPolicy`

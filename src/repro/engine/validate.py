@@ -4,23 +4,27 @@ The engine's speed rests on one promise: delivering a window through
 the transmitter-pair product returns exactly what ``w`` sequential
 :meth:`~repro.radio.network.RadioNetwork.deliver` calls would have.
 :class:`ValidatingRunner` turns that promise into a runtime assertion:
-it executes schedules normally on its primary network while
-*replaying* every delivered chunk step-by-step through ``deliver`` on a
-shadow network over the same graph. Every window — a sampled plan or a
-lifted protocol step — reaches the product through the runner's one
-``_deliver_coo`` hook, which is where the replay sits. ``deliver``'s
-fused ``(n, 2)`` matvec shares no code with the product, so the replay
-is an independent executable specification, not the engine checking
-itself.
+it runs windows normally on its primary network while *replaying*
+every delivered chunk step-by-step through ``deliver`` on a shadow
+network over the same graph. Every window — a sampled block or a
+step of :meth:`~repro.engine.runner.WindowedRunner.run_steps` —
+reaches the product through the runner's one ``_deliver_coo`` hook,
+which is where the replay sits. ``deliver``'s fused ``(n, 2)`` matvec
+shares no code with the product, so the replay is an independent
+executable specification, not the engine checking itself.
 Any disagreement — a single ``hear_from`` bit — raises
 :class:`ObliviousnessViolationError` naming the first divergent step.
 
-``tests/test_schedule_contract.py`` drives every in-tree schedule
-emitter through this runner across the pipeline's graph families, so
-the windows being checked are the ones real protocols actually emit
-(transmitter rows from Decay ladders, slot schedules, density
-guesses), not synthetic ones. The harness is shipped, not test-only:
-wrap any run in it when debugging a suspected engine/emitter mismatch.
+``ExecutionPolicy(validate=True)`` puts this runner under every window
+a protocol runs: :meth:`~repro.engine.policy.ExecutionPolicy.runner`
+builds one per call, so a composite protocol builds one per block.
+``tests/test_schedule_contract.py`` runs every registered protocol that
+way across the pipeline's graph families and checks that the replayed
+steps add up to the run's steps, so the windows being checked are the
+ones real protocols actually run (transmitter rows from Decay ladders,
+slot schedules, density guesses), not synthetic ones. The harness is
+shipped, not test-only: run any protocol under ``validate=True`` when
+debugging a suspected engine mismatch.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ class ValidatingRunner(WindowedRunner):
     Attributes
     ----------
     windows_checked, steps_checked:
-        Running totals of validated window segments and radio steps,
-        so tests can assert the harness actually exercised something.
+        Running totals of validated windows and radio steps, so tests
+        can assert the harness actually exercised something.
     """
 
     def __init__(self, network: RadioNetwork, chunk_steps: int) -> None:
@@ -108,8 +112,8 @@ class ValidatingRunner(WindowedRunner):
         self._compare(slab, masks)
         consume_coo(k, rx_steps, rx_nodes, senders)
 
-    def _run_chunks(self, window) -> None:
-        super()._run_chunks(window)
+    def run(self, window) -> None:
+        super().run(window)
         self.windows_checked += 1
 
 

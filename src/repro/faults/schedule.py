@@ -2,7 +2,7 @@
 
 The paper's model is static and fault-free; this package makes the
 reproduction's *executions* face the failures every deployed radio/P2P
-network sees — without touching a single protocol emitter. A
+network sees — without touching a single protocol loop. A
 :class:`FaultSchedule` is a frozen, seeded description of what goes
 wrong and when, in **global radio steps** (the network's
 ``steps_elapsed`` clock):

@@ -141,6 +141,7 @@ class GraphContext:
         self._edges: tuple[np.ndarray, np.ndarray] | None = None
         self._diameter: int | None = None
         self._connected: bool | None = None
+        self._self_loops: bool | None = None
         self._mis: list[Hashable] | None = None
         if self._from_arrays:
             # Stored invariants (corpus entries cache them alongside
@@ -272,6 +273,17 @@ class GraphContext:
     # ------------------------------------------------------------------
     # cached graph facts
     # ------------------------------------------------------------------
+    @property
+    def has_self_loops(self) -> bool:
+        """Whether any node is its own neighbor (scanned once, cached).
+
+        :class:`~repro.radio.network.RadioNetwork` refuses such graphs;
+        round-accounted protocols, which only read the context, do not.
+        """
+        if self._self_loops is None:
+            self._self_loops = bool(self._csr.diagonal().any())
+        return self._self_loops
+
     def is_connected(self) -> bool:
         """Whether the graph is connected (cached)."""
         if self._connected is None:

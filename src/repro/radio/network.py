@@ -33,10 +33,12 @@ that follows the transmitters' degree sum; packet-level runs of
 hundreds of thousands of steps on graphs with thousands of nodes are
 practical.
 
-Protocols do not call either entry point directly: they emit
-:mod:`repro.engine` schedules of windows (an adaptive step is a one-row
-window), and the runner delivers every window through the
-transmitter-pair product. The product is bit-identical per step to
+Protocols do not call either entry point directly: they hand their
+windows to the :mod:`repro.engine` runner (an adaptive step is a
+one-row window), and the runner delivers every window through the
+transmitter-pair product — or, under ``engine="reference"``, drive
+their step-wise twins through :func:`~repro.radio.protocol.run_steps`,
+one :meth:`deliver` per step. The product is bit-identical per step to
 :meth:`RadioNetwork.deliver` here, which is what makes the engine's
 windowed execution exactly equivalent to the step-wise reference
 loops — and :meth:`deliver`, which shares no code with the product, is
@@ -106,16 +108,15 @@ class RadioNetwork:
         # constructions over one graph (Monte-Carlo trials) share one
         # build of each instead of repeating it.
         self._context = graph_context(graph)
-        if self._context.csr.diagonal().any():
+        if self._context.has_self_loops:
             raise GraphContractError("self-loops are not allowed")
         self._adj: sp.csr_array = self._context.csr
         # Fetched here, not at the first window: a window's memory
         # budget covers its chunks, not the graph's storage.
         self._plus_2i: sp.csr_array = self._context.csr_plus_2i()
-        self._ids = np.arange(self.n, dtype=np.float64)
         # 1-based ids so id-sums of transmitting neighbors never vanish:
         # for a clean reception, sender = round(idsum1) - count = idsum1 - 1.
-        self._ids1 = self._ids + 1.0
+        self._ids1 = np.arange(1, self.n + 1, dtype=np.float64)
         # Preallocated (n, 2) right-hand side for the fused per-step
         # product: column 0 the transmit indicator, column 1 id-weighted.
         self._rhs2 = np.empty((self.n, 2), dtype=np.float64)
@@ -126,10 +127,10 @@ class RadioNetwork:
         # by the window product, surfaced through RunReport.
         self.kernel_use: dict[str, int] = {}
         # Per-phase wall-clock buckets (seconds), filled by the
-        # windowed runner: planning/emitter time, coin generation,
-        # fault transforms, delivery kernels, and reception folds.
-        # Surfaced as RunReport.provenance["timing"]; reset per run()
-        # alongside the counters above.
+        # windowed runner: the protocol's own time between windows,
+        # coin generation, fault transforms, delivery kernels, and
+        # reception folds. Surfaced as RunReport.provenance["timing"];
+        # reset per run() alongside the counters above.
         self.phase_timing: dict[str, float] = {
             "plan": 0.0,
             "coins": 0.0,
@@ -137,6 +138,9 @@ class RadioNetwork:
             "deliver": 0.0,
             "commit": 0.0,
         }
+        # perf_counter() instant the previous window ended (None before
+        # the first): the runner charges the time since to "plan".
+        self._window_end: float | None = None
         # Lazy DeliveryKernels view over the graph's A + 2I: the window
         # product (repro.engine.kernels).
         self._kernels = None
@@ -221,8 +225,8 @@ class RadioNetwork:
     # ------------------------------------------------------------------
     def _validate_mask(self, transmit: np.ndarray) -> np.ndarray:
         """Shared transmit-mask validation: :meth:`deliver`,
-        :meth:`deliver_detect`, and the engine's step lift
-        (:func:`~repro.engine.runner.protocol_schedule`)."""
+        :meth:`deliver_detect`, and the engine's step driver
+        (:meth:`~repro.engine.runner.WindowedRunner.run_steps`)."""
         transmit = np.asarray(transmit)
         if transmit.shape != (self.n,):
             raise InvalidActionError(

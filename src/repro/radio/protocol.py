@@ -21,17 +21,19 @@ alternating steps, which is how the paper's algorithms run their
 background processes ("conducted concurrently via time multiplexing",
 Appendix A). Intra-Cluster Propagation builds one such stack and hands
 it to either driver: :func:`run_steps` here (its step-wise reference)
-or :func:`repro.engine.runner.protocol_schedule` (its engine path).
+or :meth:`repro.engine.runner.WindowedRunner.run_steps` (its engine
+path).
 
 This module is the *step-wise* layer. Production protocol entry points
-run on the unified windowed engine instead: they describe themselves as
-schedules of windows (:mod:`repro.engine`) and the
-:class:`~repro.engine.runner.WindowedRunner` executes every window as
-one sparse product. The driver here (:func:`run_steps`) remains the
-executable specification the ``*_reference`` twins use, and
-:func:`repro.engine.runner.protocol_schedule` lifts any
+run on the windowed engine instead: they hand their blocks of steps to
+the :class:`~repro.engine.runner.WindowedRunner` as windows
+(:mod:`repro.engine`), each executed as one sparse product. The driver
+here (:func:`run_steps`) is what those entry points run under
+``engine="reference"`` — the executable specification the
+``*_reference`` twins are — and
+:meth:`~repro.engine.runner.WindowedRunner.run_steps` runs any
 :class:`Protocol` object — including :class:`TimeMultiplexer` stacks —
-onto the runner as one-row windows, with bit-identical behavior.
+on the runner as one-row windows, with bit-identical behavior.
 """
 
 from __future__ import annotations

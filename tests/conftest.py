@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import graphs
-from repro.engine import StreamedWindow, TransmitterPlan
+from repro.engine import StreamedWindow
 from repro.radio import NO_SENDER, RadioNetwork
 
 
@@ -87,13 +87,13 @@ def net_clique6(clique6) -> RadioNetwork:
     return RadioNetwork(clique6)
 
 
-def _mask_window(masks: np.ndarray):
-    """Emit ``masks`` as one runner window; return its ``(w, n)`` reply.
+def _mask_window(masks: np.ndarray) -> tuple[StreamedWindow, np.ndarray]:
+    """``masks`` as one runner window, plus the ``(w, n)`` reply it fills.
 
-    The window's plan reads each chunk's transmitters off the masks
-    with ``np.nonzero`` and its fold writes the chunk's receptions into
-    one ``hear_from`` matrix, so row ``t`` is what
-    ``RadioNetwork.deliver(masks[t])`` returns.
+    The window reads each chunk's transmitters off the masks with
+    ``np.nonzero`` and its fold writes the chunk's receptions into one
+    ``hear_from`` matrix, so once ``runner.run(window)`` returns, row
+    ``t`` is what ``RadioNetwork.deliver(masks[t])`` returns.
     """
     hear = np.full(masks.shape, NO_SENDER, dtype=np.int64)
     done = 0
@@ -103,17 +103,16 @@ def _mask_window(masks: np.ndarray):
         hear[steps + done, nodes] = senders
         done += k
 
-    yield StreamedWindow(
-        TransmitterPlan(
-            masks.shape[0], lambda start, stop: np.nonzero(masks[start:stop])
-        ),
-        consume_coo=fold,
+    window = StreamedWindow(
+        masks.shape[0],
+        lambda start, stop: np.nonzero(masks[start:stop]),
+        fold,
     )
-    return hear
+    return window, hear
 
 
 @pytest.fixture
 def mask_window():
-    """The mask-window emitter: ``runner.run(mask_window(masks))``, or
-    ``hear = yield from mask_window(masks)`` inside a schedule."""
+    """The mask window: ``window, hear = mask_window(masks)``, then
+    ``runner.run(window)`` fills ``hear``."""
     return _mask_window

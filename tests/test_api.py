@@ -362,7 +362,7 @@ class TestRegistry:
     def test_duplicate_registration_refused(self):
         with pytest.raises(ProtocolError, match="already registered"):
             api.register_protocol(
-                name="mis", title="dup", config_cls=None, emitters=()
+                name="mis", title="dup", config_cls=None
             )(lambda *a: None)
 
     def test_wrong_config_type_refused(self):
@@ -407,6 +407,22 @@ class TestUniformRefusals:
         # apart from it, and "no" would run the validator.
         with pytest.raises(ProtocolError, match="validate"):
             ExecutionPolicy(validate=value)
+
+    @pytest.mark.parametrize("epochs", [0, -3, True, 2.0, "3", None])
+    def test_restartable_mis_needs_an_epoch(self, epochs):
+        # With no epoch nobody is decided, and the empty set — which
+        # has no conflict edges — would report as a success.
+        with pytest.raises(ProtocolError, match="epochs"):
+            api.RestartableMISConfig(epochs=epochs)
+        with pytest.raises(ProtocolError, match="epochs"):
+            dataclasses.replace(api.RestartableMISConfig(), epochs=epochs)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            api.RestartableMISConfig().epochs = epochs
+        report = api.run(
+            "mis_restart", _udg(30, 26), seed=2,
+            config=api.RestartableMISConfig(epochs=1),
+        )
+        assert report.result.epochs_used == 1 and report.result.size > 0
 
     @pytest.mark.parametrize("text", ["", "12Q", "fast", "-5M"])
     def test_parse_mem_budget_malformed(self, text):

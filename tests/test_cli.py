@@ -116,6 +116,8 @@ class TestOutOfRangeRefusals:
             ["eed", "--n", "30", "--eed-c", "0"],
             ["eed", "--n", "30", "--desire", "2"],
             ["mis", "--n", "30", "--eed-c", "0"],
+            ["mis_restart", "--n", "30", "--epochs", "0"],
+            ["mis_restart", "--n", "30", "--epochs", "-3"],
             ["wakeup", "--k", "0"],
             ["leader_uptime", "--n", "30", "--threshold", "2"],
             ["decay", "--n", "30", "--iterations", "-1"],

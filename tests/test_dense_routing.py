@@ -20,7 +20,7 @@ import pytest
 from repro import graphs
 from repro.analysis.experiments import measure_peak
 from repro.api import EEDConfig, ExecutionPolicy, run
-from repro.engine import StreamedWindow, TransmitterPlan, WindowedRunner
+from repro.engine import StreamedWindow, WindowedRunner
 from repro.engine.streaming import chunk_steps_for_budget
 from repro.radio.network import NO_SENDER, RadioNetwork
 
@@ -57,7 +57,8 @@ class TestOutputSizeRouting:
         # step replay.
         masks = _sparse_popcount_masks(N_DENSE, 16, 2, seed=4)
         net = RadioNetwork(dense_net.graph)
-        hear = WindowedRunner(net, 16).run(mask_window(masks))
+        window, hear = mask_window(masks)
+        WindowedRunner(net, 16).run(window)
         assert net.kernel_use == {"coo-spmm": 16}
         assert (hear == _step_replay(dense_net.graph, masks)).all()
 
@@ -78,19 +79,22 @@ class TestOutputSizeRouting:
         direct[step, node] = sender
         assert (direct == want).all()
         for chunk_steps in (24, 7, 5):
-            runner = WindowedRunner(RadioNetwork(graph), chunk_steps)
-            assert (runner.run(mask_window(masks)) == want).all()
+            window, hear = mask_window(masks)
+            WindowedRunner(RadioNetwork(graph), chunk_steps).run(window)
+            assert (hear == want).all()
 
     def test_empty_and_allzero_windows_still_work(
         self, dense_net, mask_window
     ):
         net = RadioNetwork(dense_net.graph)
         runner = WindowedRunner(net, 4)
-        empty = np.zeros((0, N_DENSE), dtype=bool)
-        assert runner.run(mask_window(empty)).shape == (0, N_DENSE)
+        window, hear = mask_window(np.zeros((0, N_DENSE), dtype=bool))
+        runner.run(window)
+        assert hear.shape == (0, N_DENSE)
         assert net.steps_elapsed == 0 and not net.kernel_use
-        quiet = np.zeros((4, N_DENSE), dtype=bool)
-        assert (runner.run(mask_window(quiet)) == NO_SENDER).all()
+        window, hear = mask_window(np.zeros((4, N_DENSE), dtype=bool))
+        runner.run(window)
+        assert (hear == NO_SENDER).all()
         assert net.steps_elapsed == 4
         assert net.kernel_use == {"skip-empty": 4}
 
@@ -141,23 +145,21 @@ class TestMemBudgetRegression:
         budget = 512 << 10
         chunk = chunk_steps_for_budget(N_DENSE, budget)
         rows = 8 * chunk
-        plan = TransmitterPlan(
-            rows,
-            lambda start, stop: np.nonzero(
-                _sparse_popcount_masks(N_DENSE, stop - start, 16, seed=start)
-            ),
-        )
         net = RadioNetwork(dense_net.graph)
         heard = [0]
 
         def consume(k, steps, nodes, senders) -> None:
             heard[0] += int(senders.size)
 
-        def schedule():
-            yield StreamedWindow(plan, consume_coo=consume)
-
+        window = StreamedWindow(
+            rows,
+            lambda start, stop: np.nonzero(
+                _sparse_popcount_masks(N_DENSE, stop - start, 16, seed=start)
+            ),
+            consume,
+        )
         runner = ExecutionPolicy(mem_budget=budget).runner(net)
-        _, peak = measure_peak(lambda: runner.run(schedule()))
+        _, peak = measure_peak(lambda: runner.run(window))
         assert peak <= 3 * budget, (
             f"streamed mask peak {peak} bytes blew the {budget}-byte "
             "budget's margin; the mask path's chunk loop regressed?"

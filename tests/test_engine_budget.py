@@ -1,11 +1,12 @@
 """Step accounting across every engine execution strategy.
 
-The runner must account ICP's lifted time-multiplexed stack and dense
-and sparse windows exactly as the step-wise drivers count steps — one
-step per radio step, whatever the chunking — and the lift's own step
-bound must end the stack exactly where the step-wise driver would,
-plus the documented edge cases: the chunk height at ``n = 0`` and the
-empty (``w = 0``) window.
+The runner must account ICP's time-multiplexed stack, run step by step
+through ``WindowedRunner.run_steps``, and dense and sparse windows
+exactly as the step-wise drivers count steps — one step per radio
+step, whatever the chunking — and the step bound of ``run_steps`` must
+end the stack exactly where the step-wise driver would, plus the
+documented edge cases: the chunk height at ``n = 0`` and the empty
+(``w = 0``) window.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from repro.engine import (
     STREAM_CELL_BYTES,
     ExecutionPolicy,
     StreamedWindow,
-    TransmitterPlan,
     WindowedRunner,
     chunk_steps_for_budget,
-    protocol_schedule,
 )
 from repro.graphs import greedy_independent_set
 from repro.radio import RadioNetwork, TimeMultiplexer
@@ -44,20 +43,19 @@ def _icp_fixture(seed: int = 0):
     return g, clustering, schedule, know
 
 
-def _lifted_icp(net, clustering, schedule, know, rng, steps=None):
+def _icp_stack(net, clustering, schedule, know):
+    """ICP's multiplexed stack and its main protocol's slot count."""
     main = ICPProtocol(net, schedule, know, 3)
     total = sum(len(p.slots) for p in main._passes)
     background = DecayBackground(net, clustering, know)
-    return total, protocol_schedule(
-        TimeMultiplexer(net, main, background), rng, steps=steps
-    )
+    return total, TimeMultiplexer(net, main, background)
 
 
 class TestMultiplexedBudget:
     def test_charges_match_stepwise_drivers(self):
-        # The lifted stack must execute exactly the steps the reference
-        # executes: 2 * slots - 1 (the reference stops at the finished
-        # check after main's last observe).
+        # The stack on the runner must execute exactly the steps the
+        # reference executes: 2 * slots - 1 (the reference stops at the
+        # finished check after main's last observe).
         g, clustering, schedule, know = _icp_fixture()
         ref = intra_cluster_propagation(
             RadioNetwork(g), clustering, schedule, know.copy(), 3,
@@ -65,25 +63,23 @@ class TestMultiplexedBudget:
             policy=ExecutionPolicy(engine="reference"),
         )
         net = RadioNetwork(g)
-        total, lifted = _lifted_icp(
-            net, clustering, schedule, know.copy(), np.random.default_rng(5)
+        total, stack = _icp_stack(net, clustering, schedule, know.copy())
+        ExecutionPolicy().runner(net).run_steps(
+            stack, np.random.default_rng(5), 2 * total
         )
-        ExecutionPolicy().run_schedule(net, lifted)
         assert net.steps_elapsed == ref.steps == 2 * total - 1
         assert net.trace.total_steps == ref.steps
 
     def test_exact_budget_completes(self):
-        # The lift's own step bound, set to the stack's exact length,
-        # lets it finish and return its result.
+        # A step bound set to the stack's exact length lets it finish.
         g, clustering, schedule, know = _icp_fixture()
         net = RadioNetwork(g)
-        main = ICPProtocol(net, schedule, know, 3)
-        budget = 2 * sum(len(p.slots) for p in main._passes) - 1
-        _, lifted = _lifted_icp(
-            net, clustering, schedule, know, np.random.default_rng(5),
-            steps=budget,
+        total, stack = _icp_stack(net, clustering, schedule, know)
+        budget = 2 * total - 1
+        ExecutionPolicy().runner(net).run_steps(
+            stack, np.random.default_rng(5), budget
         )
-        assert ExecutionPolicy().run_schedule(net, lifted) is not None
+        assert stack.finished
         assert net.steps_elapsed == budget
 
 
@@ -104,12 +100,8 @@ class TestDeliveryPathBudget:
         net = RadioNetwork(graphs.path(30))
         runner = ExecutionPolicy().runner(net)
         masks = _regime_masks(delivery, 12, 30)
-
-        def emit():
-            yield from mask_window(masks[:5])
-            yield from mask_window(masks[5:])
-
-        runner.run(emit())
+        runner.run(mask_window(masks[:5])[0])
+        runner.run(mask_window(masks[5:])[0])
         assert net.steps_elapsed == 12
         assert net.trace.total_steps == 12
 
@@ -120,7 +112,7 @@ class TestDeliveryPathBudget:
         with pytest.raises(TypeError, match="delivery"):
             WindowedRunner(net, 4, delivery="gpu")
         with pytest.raises(TypeError, match="delivery"):
-            ExecutionPolicy().run_schedule(net, iter(()), delivery="bogus")
+            ExecutionPolicy().runner(net, delivery="bogus")
 
 
 class TestEdgeCases:
@@ -138,19 +130,11 @@ class TestEdgeCases:
     def test_empty_window_charges_nothing(self, mask_window):
         net = RadioNetwork(graphs.path(6))
         runner = ExecutionPolicy().runner(net)
-
-        collected = {}
-
-        def emit():
-            collected["reply"] = yield from mask_window(
-                np.zeros((0, 6), dtype=bool)
-            )
-            return "done"
-
-        assert runner.run(emit()) == "done"
+        window, hear = mask_window(np.zeros((0, 6), dtype=bool))
+        runner.run(window)
         assert net.steps_elapsed == 0
         assert net.trace.total_steps == 0
-        assert collected["reply"].shape == (0, 6)
+        assert hear.shape == (0, 6)
 
     def test_empty_window_all_modes(self):
         # Every entry into the product: the kernel called directly, and
@@ -164,13 +148,12 @@ class TestEdgeCases:
             net = RadioNetwork(graphs.path(6))
             runner = WindowedRunner(net, chunk_steps)
             folded = []
-
-            def emit():
-                yield StreamedWindow(
-                    TransmitterPlan(0, lambda s, e: (empty, empty)),
-                    consume_coo=lambda *triple: folded.append(triple),
+            runner.run(
+                StreamedWindow(
+                    0,
+                    lambda s, e: (empty, empty),
+                    lambda *triple: folded.append(triple),
                 )
-
-            runner.run(emit())
+            )
             assert folded == []
             assert net.steps_elapsed == 0 and not net.kernel_use

@@ -3,7 +3,7 @@
 ICP builds one step-wise protocol stack — the slot passes, under a
 ``TimeMultiplexer`` with the Decay background or alone — and runs it
 through ``run_steps`` (the reference) or the engine's
-``protocol_schedule`` lift (every step a width-1 window through the
+``WindowedRunner.run_steps`` (every step a width-1 window through the
 transmitter-pair product). Everything here is pinned against the
 step-wise drivers:
 
@@ -11,7 +11,7 @@ step-wise drivers:
   reference, bit-for-bit across the graph-family matrix, with and
   without the background: knowledge, step counts, trace totals (per
   phase), and the post-run rng stream;
-* time-multiplexing semantics through the lift: the stack ends before
+* time-multiplexing semantics on the runner: the stack ends before
   the row that would follow the main protocol's last step, a finished
   background falls silent, and a step bound can stop it inside a
   background sweep, which is then never committed.
@@ -30,7 +30,7 @@ from repro.core.intra_cluster import (
     ICPProtocol,
     intra_cluster_propagation,
 )
-from repro.engine import ExecutionPolicy, protocol_schedule
+from repro.engine import ExecutionPolicy
 from repro.graphs import greedy_independent_set
 from repro.radio import (
     NO_SENDER,
@@ -241,37 +241,31 @@ class TestMuxPatterns:
 
         main_a = _RotorProtocol(net_a, 40)
         bg_a = _BeepProtocol(net_a, 7)
-        result = ExecutionPolicy().run_schedule(
-            net_a,
-            protocol_schedule(
-                TimeMultiplexer(net_a, main_a, bg_a), rng_a, steps=80
-            ),
+        ExecutionPolicy().runner(net_a).run_steps(
+            TimeMultiplexer(net_a, main_a, bg_a), rng_a, steps=80
         )
 
         main_b = _RotorProtocol(net_b, 40)
         bg_b = _BeepProtocol(net_b, 7)
         steps = _run_alternating_reference(net_b, main_b, bg_b, rng_b)
 
-        assert result == main_b.result()
+        assert main_a.finished and main_a.result() == main_b.result()
         assert bg_a.heard == bg_b.heard
         assert net_a.steps_elapsed == steps == 79  # 2 * 40 - 1
         _assert_trace_equal(net_a, net_b)
 
     def test_stops_before_row_after_mains_last(self):
         # The step-wise drivers re-check main.finished before every
-        # step; the lifted stack must not execute the background row
-        # that would follow main's final step.
+        # step; so must the runner, which must not execute the
+        # background row that would follow main's final step.
         g = graphs.path(9)
         net = RadioNetwork(g)
         main = _RotorProtocol(net, 5)
         bg = _BeepProtocol(net, 1000)
-        ExecutionPolicy().run_schedule(
-            net,
-            protocol_schedule(
-                TimeMultiplexer(net, main, bg),
-                np.random.default_rng(0),
-                steps=10,
-            ),
+        ExecutionPolicy().runner(net).run_steps(
+            TimeMultiplexer(net, main, bg),
+            np.random.default_rng(0),
+            steps=10,
         )
         assert net.steps_elapsed == 9  # 2 * 5 - 1, not 10
 
@@ -289,11 +283,8 @@ class TestMuxPatterns:
         main_a = ICPProtocol(net_a, schedule, know_a, 3)
         assert sum(len(p.slots) for p in main_a._passes) > cap // 2 + 1
         bg_a = DecayBackground(net_a, clustering, know_a)
-        ExecutionPolicy().run_schedule(
-            net_a,
-            protocol_schedule(
-                TimeMultiplexer(net_a, main_a, bg_a), rng_a, steps=cap
-            ),
+        ExecutionPolicy().runner(net_a).run_steps(
+            TimeMultiplexer(net_a, main_a, bg_a), rng_a, steps=cap
         )
 
         main_b = ICPProtocol(net_b, schedule, know_b, 3)
@@ -307,15 +298,13 @@ class TestMuxPatterns:
 
 
 class TestRunnerEdgeCases:
-    def test_protocol_schedule_negative_steps(self):
+    def test_run_steps_negative_steps(self):
         net = RadioNetwork(graphs.path(4))
         with pytest.raises(ProtocolError, match="steps"):
-            list(
-                protocol_schedule(
-                    _RotorProtocol(net, 2), np.random.default_rng(0),
-                    steps=-1,
-                )
+            ExecutionPolicy().runner(net).run_steps(
+                _RotorProtocol(net, 2), np.random.default_rng(0), steps=-1
             )
+        assert net.steps_elapsed == 0
 
     def test_validating_runner_empty_window(self, mask_window):
         from repro.engine import ValidatingRunner
@@ -324,10 +313,8 @@ class TestRunnerEdgeCases:
         runner = ExecutionPolicy(validate=True).runner(net)
         assert isinstance(runner, ValidatingRunner)
 
-        def emit():
-            yield from mask_window(np.zeros((0, 4), dtype=bool))
-            return "ok"
-
-        assert runner.run(emit()) == "ok"
+        window, hear = mask_window(np.zeros((0, 4), dtype=bool))
+        runner.run(window)
+        assert hear.shape == (0, 4)
         assert runner.windows_checked == 1
         assert runner.steps_checked == 0

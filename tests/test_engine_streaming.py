@@ -33,10 +33,8 @@ from repro.core.mis import MISConfig, compute_mis, compute_mis_reference
 from repro.engine import (
     ExecutionPolicy,
     StreamedWindow,
-    TransmitterPlan,
     WindowedRunner,
     chunk_steps_for_budget,
-    protocol_schedule,
 )
 from repro.engine.streaming import STREAM_CELL_BYTES
 from repro.radio import (
@@ -66,13 +64,12 @@ def _rows(k: int, n: int) -> ExecutionPolicy:
 
 
 # ---------------------------------------------------------------------------
-# The runner's chunk loop over transmitter plans.
+# The runner's chunk loop over a window's transmitter rows.
 # ---------------------------------------------------------------------------
-def _mask_plan(masks: np.ndarray) -> TransmitterPlan:
-    """A transmitter plan whose rows are read off fixed masks."""
-    return TransmitterPlan(
-        masks.shape[0], lambda start, stop: np.nonzero(masks[start:stop])
-    )
+def _mask_rows(masks: np.ndarray):
+    """``(total_steps, transmitters)`` of a window whose rows are read
+    off fixed masks."""
+    return masks.shape[0], lambda start, stop: np.nonzero(masks[start:stop])
 
 
 def _slab_fold(n: int, slabs: list):
@@ -86,18 +83,16 @@ def _slab_fold(n: int, slabs: list):
     return fold
 
 
-def _stream_slabs(net: RadioNetwork, plan, chunk_steps: int) -> list:
-    """Run a transmitter plan (or a mask matrix read off as one) as one
-    streamed window through the runner's chunk loop; return the hear
-    slabs in step order."""
-    if isinstance(plan, np.ndarray):
-        plan = _mask_plan(plan)
+def _stream_slabs(net: RadioNetwork, rows, chunk_steps: int) -> list:
+    """Run ``rows`` — ``(total_steps, transmitters)``, or a mask matrix
+    read off as such — as one window through the runner's chunk loop;
+    return the hear slabs in step order."""
+    if isinstance(rows, np.ndarray):
+        rows = _mask_rows(rows)
     slabs: list[np.ndarray] = []
-
-    def schedule():
-        yield StreamedWindow(plan, consume_coo=_slab_fold(net.n, slabs))
-
-    WindowedRunner(net, chunk_steps).run(schedule())
+    WindowedRunner(net, chunk_steps).run(
+        StreamedWindow(*rows, _slab_fold(net.n, slabs))
+    )
     return slabs
 
 
@@ -131,32 +126,29 @@ class TestDeliverWindowChunks:
             return np.nonzero(masks[start:stop])
 
         net = RadioNetwork(g)
-        out = np.vstack(
-            _stream_slabs(net, TransmitterPlan(10, produce), 4)
-        )
+        out = np.vstack(_stream_slabs(net, (10, produce), 4))
         assert calls == [(0, 4), (4, 8), (8, 10)]
         step_net = RadioNetwork(g)
         assert (out == np.stack([step_net.deliver(m) for m in masks])).all()
 
     def test_empty_plan_yields_nothing(self):
         net = RadioNetwork(_graph())
-        plan = _mask_plan(np.zeros((0, 60), dtype=bool))
-        assert _stream_slabs(net, plan, 3) == []
+        assert _stream_slabs(net, np.zeros((0, 60), dtype=bool), 3) == []
         assert net.steps_elapsed == 0
         assert net.trace.total_steps == 0
 
     def test_validation(self):
-        # The chunk height, a plan's length and its transmitter ids are
-        # checked; a lifted step's mask is checked for shape and dtype
-        # before it runs.
+        # The chunk height, a window's length and its transmitter ids
+        # are checked; a protocol step's mask is checked for shape and
+        # dtype before it runs.
         net = RadioNetwork(_graph())
         masks = np.zeros((4, 60), dtype=bool)
         with pytest.raises(ProtocolError, match="chunk_steps"):
             _stream_slabs(net, masks, 0)
-        negative = TransmitterPlan(-1, lambda s, e: np.nonzero(masks[s:e]))
+        negative = (-1, lambda s, e: np.nonzero(masks[s:e]))
         with pytest.raises(InvalidActionError, match="negative"):
             _stream_slabs(net, negative, 2)
-        stray = TransmitterPlan(
+        stray = (
             4,
             lambda s, e: (np.zeros(1, dtype=np.int64), np.full(1, 60)),
         )
@@ -171,16 +163,15 @@ class TestDeliverWindowChunks:
                 def transmit_mask(self, rng):
                     return bad
 
-            lifted = protocol_schedule(
-                Malformed(net), np.random.default_rng(0), steps=1
-            )
             with pytest.raises(InvalidActionError, match=match):
-                WindowedRunner(net, 2).run(lifted)
+                WindowedRunner(net, 2).run_steps(
+                    Malformed(net), np.random.default_rng(0), steps=1
+                )
         assert net.steps_elapsed == 0
 
 
 # ---------------------------------------------------------------------------
-# Streamed emitters: bit-identity across chunk boundaries.
+# Streamed blocks: bit-identity across chunk boundaries.
 # ---------------------------------------------------------------------------
 class TestStreamedEmitterEquivalence:
     def _eed_width(self, net, C=3):
@@ -292,16 +283,12 @@ class TestStreamedEmitterEquivalence:
         # fold is never called.
         net = RadioNetwork(_graph(40, 8))
         folded = []
-
-        def emit():
-            yield StreamedWindow(
-                _mask_plan(np.zeros((0, 40), dtype=bool)),
-                consume_coo=lambda *triple: folded.append(triple),
+        WindowedRunner(net, 1).run(
+            StreamedWindow(
+                *_mask_rows(np.zeros((0, 40), dtype=bool)),
+                lambda *triple: folded.append(triple),
             )
-            return "ok"
-
-        runner = WindowedRunner(net, 1)
-        assert runner.run(emit()) == "ok"
+        )
         assert folded == []
         assert net.steps_elapsed == 0
 
@@ -312,8 +299,10 @@ class TestStreamedEmitterEquivalence:
         masks = np.random.default_rng(14).random((40, 60)) < 0.25
 
         mono_net, stream_net = RadioNetwork(g), RadioNetwork(g)
-        a = WindowedRunner(mono_net, 40).run(mask_window(masks))
-        b = WindowedRunner(stream_net, 7).run(mask_window(masks))
+        mono, a = mask_window(masks)
+        streamed, b = mask_window(masks)
+        WindowedRunner(mono_net, 40).run(mono)
+        WindowedRunner(stream_net, 7).run(streamed)
         assert (a == b).all()
         _assert_trace_equal(mono_net, stream_net)
 
@@ -323,16 +312,10 @@ class TestStreamedEmitterEquivalence:
 # ---------------------------------------------------------------------------
 class TestStreamedBudget:
     def test_consumerless_stream_rejected_in_generator_form(self):
-        # A window without a fold fails when it is built, inside the
-        # emitter, before the runner sees it.
-        net = RadioNetwork(_graph())
-
-        def emit():
-            yield StreamedWindow(_mask_plan(np.zeros((2, 60), bool)))
-
+        # A window without a fold fails when it is built, before the
+        # runner sees it.
         with pytest.raises(TypeError, match="consume_coo"):
-            ExecutionPolicy().runner(net).run(emit())
-        assert net.steps_elapsed == 0
+            StreamedWindow(*_mask_rows(np.zeros((2, 60), bool)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.core.decay import Decay, run_decay
 from repro.core.mpx import draw_shifts, partition, partition_reference
 from repro.core.schedule import build_schedule
 from repro.graphs.context import GraphContext, distances_from, graph_context
-from repro.engine import ExecutionPolicy, protocol_schedule
+from repro.engine import ExecutionPolicy
 from repro.radio import (
     InvalidActionError,
     NO_SENDER,
@@ -63,7 +63,8 @@ class TestDeliverWindowEquivalence:
         masks = rng.random((w, net_seq.n)) < density
 
         sequential = np.stack([net_seq.deliver(m) for m in masks])
-        windowed = ExecutionPolicy().run_schedule(net_win, mask_window(masks))
+        window, windowed = mask_window(masks)
+        ExecutionPolicy().runner(net_win).run(window)
 
         assert (sequential == windowed).all()
         assert net_seq.steps_elapsed == net_win.steps_elapsed == w
@@ -78,23 +79,22 @@ class TestDeliverWindowEquivalence:
 
     def test_empty_window(self, mask_window):
         net = RadioNetwork(graphs.path(5))
-        out = ExecutionPolicy().run_schedule(
-            net, mask_window(np.zeros((0, 5), dtype=bool))
-        )
+        window, out = mask_window(np.zeros((0, 5), dtype=bool))
+        ExecutionPolicy().runner(net).run(window)
         assert out.shape == (0, 5)
         assert net.steps_elapsed == 0
 
     def test_all_silent_window(self, mask_window):
         net = RadioNetwork(graphs.path(5))
-        out = ExecutionPolicy().run_schedule(
-            net, mask_window(np.zeros((4, 5), dtype=bool))
-        )
+        window, out = mask_window(np.zeros((4, 5), dtype=bool))
+        ExecutionPolicy().runner(net).run(window)
         assert (out == NO_SENDER).all()
         assert net.steps_elapsed == 4
 
     def test_rejects_bad_shape_and_dtype(self):
-        # Masks reach the engine only through the step lift, which
-        # refuses the masks deliver refuses, with deliver's message.
+        # Masks reach the engine only through the runner's step
+        # driver, which refuses the masks deliver refuses, with
+        # deliver's message.
         net = RadioNetwork(graphs.path(5))
         for bad in (np.zeros(4, dtype=bool), np.zeros(5, dtype=np.int64)):
 
@@ -105,11 +105,8 @@ class TestDeliverWindowEquivalence:
             with pytest.raises(InvalidActionError) as stepwise:
                 net.deliver(bad)
             with pytest.raises(InvalidActionError) as lifted:
-                ExecutionPolicy().run_schedule(
-                    net,
-                    protocol_schedule(
-                        Malformed(net), np.random.default_rng(0), steps=1
-                    ),
+                ExecutionPolicy().runner(net).run_steps(
+                    Malformed(net), np.random.default_rng(0), steps=1
                 )
             assert str(lifted.value) == str(stepwise.value)
 

@@ -12,11 +12,11 @@ G(n,p)):
   Compete / broadcast / leader election);
 * matching **step counts and trace totals** (the windowed paths record
   through ``record_window`` what the step-wise paths record per step);
-* matching **rng streams** after the run (the emitters draw the same
+* matching **rng streams** after the run (both engines draw the same
   numbers in the same order), wherever the protocol completes its
-  schedule;
-* runner behavior: step accounting, trace-phase segments, the
-  step-wise protocol lift.
+  loop;
+* runner behavior: step accounting and the step-wise protocol
+  driver.
 
 Plus the satellite engines: the CSR distance-2 coloring against the
 networkx reference (valid colorings, identical layers) and the
@@ -70,15 +70,12 @@ from repro.core.wakeup import (
 from repro.engine import (
     STREAM_CELL_BYTES,
     ExecutionPolicy,
-    TracePhase,
     WindowedRunner,
-    protocol_schedule,
 )
 from repro.graphs import greedy_independent_set
 from repro.graphs.context import graph_context
 from repro.radio import (
     InvalidActionError,
-    ProtocolError,
     RadioNetwork,
     SilentProtocol,
 )
@@ -388,63 +385,32 @@ class TestPacketPipelineEquivalence:
 
 
 class TestRunnerProperties:
-    def test_trace_phase_segments(self, mask_window):
-        net = RadioNetwork(graphs.path(6))
-
-        def schedule():
-            yield TracePhase("warmup")
-            yield from mask_window(np.zeros((3, 6), dtype=bool))
-            yield TracePhase("main")
-            yield from mask_window(np.zeros((1, 6), dtype=bool))
-            yield TracePhase("default")
-
-        ExecutionPolicy().run_schedule(net, schedule())
-        assert net.trace.steps_in_phase("warmup") == 3
-        assert net.trace.steps_in_phase("main") == 1
-
-    def test_rejects_non_segment(self):
-        net = RadioNetwork(graphs.path(4))
-
-        def schedule():
-            yield "not a segment"
-
-        with pytest.raises(ProtocolError):
-            ExecutionPolicy().run_schedule(net, schedule())
-
-    def test_returns_emitter_result(self, mask_window):
-        net = RadioNetwork(graphs.path(4))
-
-        def schedule():
-            reply = yield TracePhase("default")
-            hear = yield from mask_window(np.zeros((1, 4), dtype=bool))
-            return ("done", reply, hear.shape)
-
-        result = ExecutionPolicy().run_schedule(net, schedule())
-        assert result == ("done", None, (1, 4))
-
     def test_window_reply_matches_sequential(self, mask_window):
         g = graphs.path(9)
         net_w, net_r = _twin_networks(g)
         masks = np.random.default_rng(3).random((11, 9)) < 0.3
 
-        hear = ExecutionPolicy().run_schedule(net_w, mask_window(masks))
+        window, hear = mask_window(masks)
+        assert ExecutionPolicy().runner(net_w).run(window) is None
         sequential = np.stack([net_r.deliver(m) for m in masks])
         assert (hear == sequential).all()
 
     def test_legacy_protocol_adapter(self):
+        # A step-wise protocol runs on the runner one one-row window per
+        # step, for the steps asked when it never finishes.
         g = graphs.path(8)
         net = RadioNetwork(g)
         protocol = SilentProtocol(net)
-        result = ExecutionPolicy().run_schedule(
-            net, protocol_schedule(protocol, np.random.default_rng(0), steps=5)
+        ExecutionPolicy().runner(net).run_steps(
+            protocol, np.random.default_rng(0), steps=5
         )
-        assert result is None  # SilentProtocol never finishes
+        assert not protocol.finished
         assert net.steps_elapsed == 5
 
     def test_lifted_protocol_mask_is_checked(self):
-        # The lift checks every step's mask with deliver's own shape
-        # and dtype check, so a malformed mask refuses on the engine
-        # path before any step executes.
+        # The step driver checks every step's mask with deliver's own
+        # shape and dtype check, so a malformed mask refuses on the
+        # engine path before any step executes.
         net = RadioNetwork(graphs.path(8))
         for bad in (
             np.zeros(7, dtype=bool),
@@ -457,22 +423,17 @@ class TestRunnerProperties:
                 def transmit_mask(self, rng):
                     return bad
 
-            lifted = protocol_schedule(
-                Malformed(net), np.random.default_rng(0), steps=3
-            )
             with pytest.raises(InvalidActionError, match="transmit mask"):
-                ExecutionPolicy().run_schedule(net, lifted)
+                ExecutionPolicy().runner(net).run_steps(
+                    Malformed(net), np.random.default_rng(0), steps=3
+                )
         assert net.steps_elapsed == 0
 
     def test_runner_counts_steps(self, mask_window):
         net = RadioNetwork(graphs.path(5))
         runner = WindowedRunner(net, 2)
-
-        def schedule():
-            yield from mask_window(np.zeros((2, 5), dtype=bool))
-            yield from mask_window(np.zeros((1, 5), dtype=bool))
-
-        runner.run(schedule())
+        runner.run(mask_window(np.zeros((2, 5), dtype=bool))[0])
+        runner.run(mask_window(np.zeros((1, 5), dtype=bool))[0])
         assert net.steps_elapsed == 3
         assert net.trace.total_steps == 3
 

@@ -1,7 +1,7 @@
 """The transmitter-list chunk path: fault filter, product kernel, end to end.
 
 Decay, EstimateEffectiveDegree and Radio MIS blocks execute as
-:class:`~repro.engine.segments.TransmitterPlan` chunks: sampled
+:class:`~repro.engine.runner.StreamedWindow` chunks: sampled
 transmitter pairs, filtered by the fault layer, delivered by one
 sparse product, folded as reception triples. Every surface is pinned
 against a mask-materializing twin:
@@ -28,6 +28,8 @@ against a mask-materializing twin:
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import networkx as nx
 import pytest
@@ -49,7 +51,6 @@ from repro.core import (
 from repro.engine import (
     STREAM_CELL_BYTES,
     StreamedWindow,
-    TransmitterPlan,
     WindowedRunner,
 )
 from repro.engine.kernels import DeliveryKernels, coo_pack_shift
@@ -228,8 +229,9 @@ def _slab(g, masks, slab_mode, mask_window):
     own route for a window read off masks, the runner's chunk loop."""
     w, n = masks.shape
     if slab_mode == "auto":
-        runner = api.ExecutionPolicy().runner(RadioNetwork(g))
-        return runner.run(mask_window(masks))
+        window, hear = mask_window(masks)
+        api.ExecutionPolicy().runner(RadioNetwork(g)).run(window)
+        return hear
     adj = nx.to_scipy_sparse_array(g, nodelist=range(n), format="csr")
     if slab_mode == "dense":
         tx = masks.astype(np.int64)
@@ -475,7 +477,7 @@ class TestPackingBound:
         masks = np.zeros((2, 10), dtype=bool)
         masks[1, 3] = True
         with pytest.raises(ProtocolError, match="coo-spmm"):
-            WindowedRunner(net, 2).run(mask_window(masks))
+            WindowedRunner(net, 2).run(mask_window(masks)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +560,7 @@ class TestChunkFolds:
     @pytest.mark.parametrize("case", ["decay-shuffled", "eed-across-levels"])
     def test_fold_equals_step_wise_observe(self, case):
         """A block's chunk fold equals its step-wise ``observe`` in
-        chunk shapes the emitters never produce: Decay's with every
+        chunk shapes the protocols never produce: Decay's with every
         chunk's triples shuffled (the earliest step must win whatever
         the order), EED's run as one window whose 9-row chunks cross
         its 14-step density levels."""
@@ -585,13 +587,9 @@ class TestChunkFolds:
                 shapes.append(first // level != last // level)
             block._absorb_coo(k, steps, nodes, senders)
 
-        def schedule():
-            yield StreamedWindow(
-                TransmitterPlan(block.total_steps, block.transmitters),
-                consume_coo=fold,
-            )
-
-        WindowedRunner(net, 9).run(schedule())
+        WindowedRunner(net, 9).run(
+            StreamedWindow(block.total_steps, block.transmitters, fold)
+        )
         assert block.result() == stepped.result()
         # The chunk shape under test did occur.
         assert any(shapes)
@@ -624,7 +622,7 @@ class TestEndToEndEquivalence:
     def test_eed_equivalence_across_restriction(self, restrict):
         """EED over a live set of any size — every node (``off``), a
         fifth missing (``auto``), or three nodes (``force``) — equals
-        its step-wise reference in 6-row chunks. The emitter yields one
+        its step-wise reference in 6-row chunks. The engine runs one
         window per level, so no chunk here crosses a level;
         :class:`TestChunkFolds` pins the fold on chunks that do."""
         n = 140
@@ -731,6 +729,16 @@ class TestProvenanceCounters:
         assert all(v >= 0.0 for v in timing.values())
         assert timing["deliver"] > 0.0
         assert timing["coins"] > 0.0
+
+    def test_plan_is_the_time_between_windows(self):
+        """``plan`` is charged as each window starts, for the protocol's
+        own time since the network's previous window ended; ``api.run``
+        starts that clock afresh, so an instant left over from before
+        the run is never charged."""
+        net = RadioNetwork(_udg(120, 81))
+        net._window_end = time.perf_counter() - 1000.0
+        report = api.run("mis", net, seed=6)
+        assert 0.0 < report.provenance["timing"]["plan"] < 1000.0
 
     def test_counters_reset_per_run_on_reused_network(self):
         """kernel_use and timing describe one run — a second run on the

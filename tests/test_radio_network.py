@@ -8,6 +8,7 @@ import pytest
 
 from repro import graphs
 from repro.corpus import CSRGraph
+from repro.graphs.context import graph_context
 from repro.radio import (
     GraphContractError,
     InvalidActionError,
@@ -30,6 +31,28 @@ class TestConstruction:
         g.add_edge(1, 1)
         with pytest.raises(GraphContractError):
             RadioNetwork(g)
+
+    def test_rejects_self_loops_in_csr_graphs(self):
+        # Node 1 lists itself. The graph's context records the fact
+        # without refusing (round-accounted protocols only read the
+        # context); the radio layer refuses.
+        graph = CSRGraph(
+            np.array([0, 1, 3], dtype=np.int32),
+            np.array([1, 0, 1], dtype=np.int32),
+        )
+        assert graph_context(graph).has_self_loops
+        with pytest.raises(GraphContractError, match="self-loops"):
+            RadioNetwork(graph)
+
+    def test_self_loop_scan_runs_once_per_graph(self, monkeypatch):
+        g = graphs.path(6)
+        RadioNetwork(g)
+
+        def rescan(*args, **kwargs):
+            raise AssertionError("the diagonal was scanned again")
+
+        monkeypatch.setattr(graph_context(g).csr, "diagonal", rescan)
+        assert RadioNetwork(g).n == 6
 
     def test_single_node_graph_is_allowed(self):
         g = nx.Graph()

@@ -42,11 +42,11 @@ from repro.core import (
     run_decay,
     run_decay_reference,
 )
+from repro.engine import StreamedWindow
 from repro.engine.kernels import DeliveryKernels
 from repro.engine.policy import POLICY_FIELDS, ExecutionPolicy
 from repro.engine.streaming import STREAM_CELL_BYTES
 from repro.engine.sampler import RowSampler, draw_block_key
-from repro.engine.segments import StreamedWindow, TransmitterPlan
 from repro.radio import RadioNetwork
 from repro.radio.errors import ProtocolError
 from repro.radio.network import NO_SENDER
@@ -525,19 +525,9 @@ class TestRestrictedEquivalence:
 
 
 class TestPlanContracts:
-    @staticmethod
-    def _silent_plan(total: int) -> TransmitterPlan:
-        empty = np.empty(0, dtype=np.int64)
-        return TransmitterPlan(total, lambda s, e: (empty, empty))
-
     def test_window_without_consume_surface_refused(self):
         # The fold is a required field: a window without one fails
-        # where it is built, inside the emitter, before any chunk runs.
-        net = RadioNetwork(nx.path_graph(4))
-
-        def schedule():
-            yield StreamedWindow(self._silent_plan(2))
-
+        # where it is built, before any chunk runs.
+        empty = np.empty(0, dtype=np.int64)
         with pytest.raises(TypeError, match="consume_coo"):
-            ExecutionPolicy().run_schedule(net, schedule())
-        assert net.steps_elapsed == 0
+            StreamedWindow(2, lambda s, e: (empty, empty))

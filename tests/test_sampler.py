@@ -26,12 +26,10 @@ from repro.core import (
     run_decay,
     run_decay_reference,
 )
-from repro.core.decay import decay_block
-from repro.core.effective_degree import effective_degree_schedule
 from repro.engine.policy import ExecutionPolicy
 from repro.engine.runner import WindowedRunner
 from repro.engine.sampler import RowSampler, draw_block_key
-from repro.engine.streaming import chunk_steps_for_budget
+from repro.engine.streaming import STREAM_CELL_BYTES
 from repro.faults.schedule import FaultSchedule, Jam
 from repro.faults.state import FaultState
 from repro.radio import RadioNetwork
@@ -104,17 +102,25 @@ class TestChunkInvariance:
         assert np.all(np.diff(keys) > 0)
 
 
-class _Recorder(WindowedRunner):
-    """Records the intended transmitter pairs of every executed chunk
-    (global steps), before the fault filter."""
+@pytest.fixture
+def recorded(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The intended transmitter pairs of every chunk any runner
+    delivers (global steps), before the fault filter."""
+    pairs: list[tuple[np.ndarray, np.ndarray]] = []
+    deliver = WindowedRunner._deliver_coo
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
+    def record(self, k, steps, nodes, consume_coo) -> None:
+        pairs.append((steps + self.network.steps_elapsed, nodes))
+        deliver(self, k, steps, nodes, consume_coo)
 
-    def _deliver_coo(self, k, steps, nodes, consume_coo) -> None:
-        self.pairs.append((steps + self.network.steps_elapsed, nodes))
-        super()._deliver_coo(k, steps, nodes, consume_coo)
+    monkeypatch.setattr(WindowedRunner, "_deliver_coo", record)
+    return pairs
+
+
+def _rows(k: int, n: int) -> ExecutionPolicy:
+    """The policy whose budget buys exactly ``k``-row chunks over ``n``
+    nodes."""
+    return ExecutionPolicy(mem_budget=k * n * STREAM_CELL_BYTES)
 
 
 #: Every fault kind, with windows that straddle the chunk splits.
@@ -131,26 +137,28 @@ _FAULTS = FaultSchedule(
 
 class TestEndToEndChunking:
     @pytest.mark.parametrize("faulted", [False, True])
-    def test_executed_pairs_independent_of_chunk_steps(self, faulted):
+    def test_executed_pairs_independent_of_chunk_steps(
+        self, faulted, recorded
+    ):
         g = nx.gnp_random_graph(60, 0.1, seed=4)
         n = g.number_of_nodes()
         active = np.arange(n) % 3 != 0
         p = np.array([0.5, 0.25, 0.1])[np.arange(n) % 3]
-        default = chunk_steps_for_budget(n, ExecutionPolicy().mem_budget)
         runs = []
-        for chunk in (1, SPAN, SPAN + 1, 17, default):
+        for policy in (
+            _rows(1, n), _rows(SPAN, n), _rows(SPAN + 1, n), _rows(17, n),
+            ExecutionPolicy(),
+        ):
             net = RadioNetwork(g, faults=_FAULTS if faulted else None)
             rng = np.random.default_rng(3)
-            runner = _Recorder(net, chunk)
-            decay = runner.run(decay_block(
-                net, active, rng, iterations=3
-            )).result()
-            eed = runner.run(effective_degree_schedule(
-                net, p, active, rng, C=2
-            ))
+            recorded.clear()
+            decay = run_decay(net, active, rng, iterations=3, policy=policy)
+            eed = estimate_effective_degree(
+                net, p, active, rng, C=2, policy=policy
+            )
             pairs = (
-                np.concatenate([s for s, _ in runner.pairs]),
-                np.concatenate([v for _, v in runner.pairs]),
+                np.concatenate([s for s, _ in recorded]),
+                np.concatenate([v for _, v in recorded]),
             )
             realized = (
                 dict(net._fault_state.realized) if faulted else None
@@ -254,27 +262,17 @@ class TestDegenerateBlocks:
         )
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
-    def test_probability_zero_columns_never_transmit(self):
+    def test_probability_zero_columns_never_transmit(self, recorded):
         g = nx.cycle_graph(30)
         p = np.where(np.arange(30) % 2 == 0, 0.5, 0.0)
         active = np.ones(30, dtype=bool)
         nets = [RadioNetwork(g) for _ in range(2)]
         rngs = [np.random.default_rng(2) for _ in range(2)]
-        runner = _Recorder(
-            nets[0], chunk_steps_for_budget(30, ExecutionPolicy().mem_budget)
-        )
-        a = runner.run(effective_degree_schedule(
-            nets[0], p, active, rngs[0], C=2
-        ))
+        a = estimate_effective_degree(nets[0], p, active, rngs[0], C=2)
         b = estimate_effective_degree_reference(
             nets[1], p, active, rngs[1], C=2
         )
         assert a == b
-        nodes = np.concatenate([v for _, v in runner.pairs])
+        nodes = np.concatenate([v for _, v in recorded])
         assert nodes.size and not np.any(nodes % 2)
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-        # And through the public front door.
-        c = estimate_effective_degree(
-            RadioNetwork(g), p, active, np.random.default_rng(2), C=2
-        )
-        assert c == a

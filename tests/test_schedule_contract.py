@@ -1,171 +1,74 @@
-"""The obliviousness-contract suite: every emitter, every window, replayed.
+"""The obliviousness-contract suite: every protocol, every window, replayed.
 
-Two layers of enforcement:
+Two layers of enforcement, both on
+:class:`repro.engine.validate.ValidatingRunner`, which replays every
+chunk the transmitter-pair product delivers — sampled windows and
+single protocol steps alike — step-by-step through
+:meth:`~repro.radio.network.RadioNetwork.deliver` on a shadow network,
+asserting bit-identical ``hear_from`` everywhere:
 
-1. **Inventory** — an AST scan of ``src/repro`` finds every generator
-   function that yields engine segments (the *schedule emitters*). The
-   meta-test pins that set: adding an emitter without registering it in
-   ``EMITTER_RUNS`` below fails the suite, which is what makes "the
-   contract harness covers 100% of in-tree schedule emitters" a durable
-   property instead of a point-in-time audit.
+1. **Registry** — every protocol in :func:`repro.api.list_protocols`
+   runs under ``ExecutionPolicy(validate=True)`` on the suite's graph
+   kinds (UDG, quasi-UDG, hard instances) and seeds. The steps checked
+   by all the validating runners it built must add up to the report's
+   steps, and its result must equal the unvalidated run's. Protocols
+   that simulate no radio step are listed in :data:`NO_RADIO_STEPS`
+   and must refuse ``validate=True``. A protocol registered later is
+   covered by construction.
 
-2. **Replay** — each registered emitter runs under
-   :class:`repro.engine.validate.ValidatingRunner`, which replays every
-   chunk the transmitter-pair product delivers — sampled transmitter
-   plans and lifted protocol steps alike —
-   step-by-step through :meth:`~repro.radio.network.RadioNetwork.deliver`
-   on a shadow network, asserting bit-identical ``hear_from``
-   everywhere. The windows checked are the ones the real protocols emit
-   on the pipeline's graph families (UDG, quasi-UDG, hard instances),
-   across seeds.
+2. **Replay** — per primitive (Decay, EED, MIS, restartable MIS under
+   faults, BGI, wake-up, ICP's step driver), through its entry point
+   under the validating policy, with every step replayed; plus the
+   harness catching a corrupted product, and the step-wise
+   ``*_reference`` twins never entering the runner.
 """
 
 from __future__ import annotations
-
-import ast
-import pathlib
 
 import networkx as nx
 import numpy as np
 import pytest
 
-import repro
+import repro.api as api
 from repro import graphs
-from repro.baselines.bgi_broadcast import bgi_schedule
-from repro.core import build_schedule, partition
-from repro.core.decay import decay_block
-from repro.core.effective_degree import effective_degree_schedule
-from repro.core.intra_cluster import DecayBackground, ICPProtocol
-from repro.core.mis import MISConfig, mis_schedule
+from repro.baselines import (
+    bgi_broadcast,
+    bgi_broadcast_reference,
+    binary_search_election_reference,
+    uptime_threshold_election_reference,
+)
+from repro.core import (
+    build_schedule,
+    compute_mis_reference,
+    estimate_effective_degree,
+    estimate_effective_degree_reference,
+    intra_cluster_propagation,
+    mis_as_wakeup_strategy,
+    mis_as_wakeup_strategy_reference,
+    partition,
+    restartable_mis_reference,
+    run_decay,
+    run_decay_reference,
+)
+from repro.core.mis import MISConfig, compute_mis
 from repro.core.mis_restart import (
     RestartableMISConfig,
-    restartable_mis_schedule,
+    compute_restartable_mis,
 )
-from repro.core.wakeup import _wakeup_mis_schedule
-from repro.faults import FaultSchedule
-from repro.engine import ExecutionPolicy, ValidatingRunner, protocol_schedule
+from repro.engine import (
+    ExecutionPolicy,
+    StreamedWindow,
+    ValidatingRunner,
+    WindowedRunner,
+)
 from repro.engine.validate import ObliviousnessViolationError
+from repro.faults import FaultSchedule
 from repro.graphs import greedy_independent_set
-from repro.radio import RadioNetwork
-from repro.radio.protocol import TimeMultiplexer
+from repro.radio import Protocol, ProtocolError, RadioNetwork
 
-SRC_ROOT = pathlib.Path(repro.__file__).resolve().parent
-SEGMENT_NAMES = {
-    "StreamedWindow",
-    "TracePhase",
-}
+VALIDATE = ExecutionPolicy(validate=True)
 
 
-# ---------------------------------------------------------------------------
-# Emitter inventory (AST scan).
-# ---------------------------------------------------------------------------
-def _own_nodes(func: ast.FunctionDef):
-    """Nodes of ``func``'s own body, not descending into nested defs."""
-    stack = list(func.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def find_schedule_emitters() -> set[str]:
-    """Names of all in-tree generator functions that emit segments."""
-    emitters: set[str] = set()
-    for path in sorted(SRC_ROOT.rglob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            own = list(_own_nodes(node))
-            has_yield = any(
-                isinstance(x, (ast.Yield, ast.YieldFrom)) for x in own
-            )
-            touches_segments = any(
-                isinstance(x, ast.Name) and x.id in SEGMENT_NAMES
-                for x in own
-            )
-            if has_yield and touches_segments:
-                emitters.add(node.name)
-    return emitters
-
-
-#: Every schedule emitter in the tree, each mapped to the runner in
-#: this file that drives it through the ValidatingRunner. Adding an
-#: emitter to src/repro without registering it here fails
-#: test_inventory_is_complete.
-EMITTER_RUNS = {
-    "decay_block": "test_decay_block",
-    "effective_degree_schedule": "test_effective_degree",
-    "mis_schedule": "test_mis",
-    "restartable_mis_schedule": "test_mis_restart",
-    "bgi_schedule": "test_bgi",
-    "_wakeup_mis_schedule": "test_wakeup",
-    "protocol_schedule": "test_legacy_protocol_adapter",
-}
-
-
-def test_inventory_is_complete():
-    found = find_schedule_emitters()
-    registered = set(EMITTER_RUNS)
-    assert found == registered, (
-        "schedule emitters changed: "
-        f"unregistered={sorted(found - registered)}, "
-        f"stale={sorted(registered - found)} — every emitter must run "
-        "under the ValidatingRunner in this suite"
-    )
-    for test_name in EMITTER_RUNS.values():
-        assert test_name in globals() or any(
-            hasattr(obj, test_name)
-            for obj in globals().values()
-            if isinstance(obj, type)
-        ), f"runner {test_name} missing"
-
-
-def test_inventory_matches_protocol_registry():
-    """The AST-pinned emitter inventory must equal the registry's claims.
-
-    Every emitter belongs either to exactly one registered
-    :class:`repro.api.registry.ProtocolSpec` (its ``emitters`` tuple)
-    or to the engine layer's generic adapter set — so a new emitter
-    whose protocol forgets ``@register_protocol`` (or forgets to claim
-    the emitter in its spec) fails here, keeping the registry a
-    complete catalog rather than a point-in-time list.
-    """
-    import repro.api  # noqa: F401  (imports register the specs)
-    from repro.api.registry import ADAPTER_EMITTERS, registered_emitters
-
-    found = find_schedule_emitters()
-    claimed = set(registered_emitters()) | set(ADAPTER_EMITTERS)
-    assert found == claimed, (
-        "registry out of sync with the emitter inventory: "
-        f"unclaimed={sorted(found - claimed)}, "
-        f"phantom={sorted(claimed - found)} — every emitter must be "
-        "claimed by a @register_protocol spec (or be an engine adapter)"
-    )
-    # And no emitter is claimed twice: specs own their emitters.
-    from repro.api import list_protocols
-
-    seen: dict[str, str] = {}
-    for spec in list_protocols():
-        for emitter in spec.emitters:
-            assert emitter not in seen, (
-                f"emitter {emitter!r} claimed by both {seen[emitter]!r} "
-                f"and {spec.name!r}"
-            )
-            assert emitter not in ADAPTER_EMITTERS, (
-                f"emitter {emitter!r} is an engine adapter; a protocol "
-                "spec cannot claim it"
-            )
-            seen[emitter] = spec.name
-
-
-# ---------------------------------------------------------------------------
-# Replay runs.
-# ---------------------------------------------------------------------------
 def _contract_graph(kind: str, seed: int) -> nx.Graph:
     rng = np.random.default_rng(3000 + seed)
     if kind == "udg":
@@ -181,10 +84,89 @@ GRAPH_KINDS = ["udg", "qudg", "hard"]
 SEEDS = [0, 1]
 
 
-def _validated(graph: nx.Graph) -> ValidatingRunner:
-    return ExecutionPolicy(validate=True).runner(RadioNetwork(graph))
+@pytest.fixture
+def validating_runners(monkeypatch) -> list[ValidatingRunner]:
+    """Every :class:`ValidatingRunner` built while the test runs."""
+    runners: list[ValidatingRunner] = []
+    init = ValidatingRunner.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        runners.append(self)
+
+    monkeypatch.setattr(ValidatingRunner, "__init__", record)
+    return runners
 
 
+def _steps_checked(runners: list[ValidatingRunner]) -> int:
+    return sum(r.steps_checked for r in runners)
+
+
+# ---------------------------------------------------------------------------
+# Registry: every registered protocol, validated.
+# ---------------------------------------------------------------------------
+
+#: Protocols that simulate no radio step: validate=True refuses.
+NO_RADIO_STEPS = {"broadcast", "leader", "partition"}
+
+#: Small configs that keep the validated replays quick; the packet
+#: pipelines behind ``broadcast`` and ``leader`` run as extra cases.
+CONFIGS = {
+    "mis": MISConfig(eed_C=3, record_golden=False),
+    "mis_restart": RestartableMISConfig(epochs=2, eed_C=3),
+    "decay": api.DecayConfig(iterations=3),
+    "eed": api.EEDConfig(C=3),
+    "wakeup": api.WakeupConfig(n=400, k=24),
+    "broadcast": api.BroadcastConfig(packet=True),
+    "leader": api.LeaderConfig(packet=True),
+}
+
+REGISTERED = [spec.name for spec in api.list_protocols()]
+
+#: ``(protocol, graph kind, seed)`` per validated run; a protocol that
+#: builds its own topology runs once per seed.
+REPLAY_CASES = [
+    (name, kind, seed)
+    for name in [n for n in REGISTERED if n not in NO_RADIO_STEPS]
+    + ["broadcast", "leader"]
+    for kind in (
+        ["own"] if api.get_protocol(name).accepts == "none" else GRAPH_KINDS
+    )
+    for seed in SEEDS
+]
+
+
+def test_no_radio_step_list_is_registered():
+    assert NO_RADIO_STEPS <= set(REGISTERED)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", GRAPH_KINDS)
+@pytest.mark.parametrize("name", sorted(NO_RADIO_STEPS))
+def test_protocols_without_radio_steps_refuse_validation(name, kind, seed):
+    with pytest.raises(ProtocolError, match="validate"):
+        api.run(
+            name, _contract_graph(kind, seed), seed=seed, policy=VALIDATE
+        )
+
+
+@pytest.mark.parametrize("name,kind,seed", REPLAY_CASES)
+def test_every_registered_protocol_replays_every_step(
+    name, kind, seed, validating_runners
+):
+    graph = None if kind == "own" else _contract_graph(kind, seed)
+    config = CONFIGS.get(name)
+    report = api.run(name, graph, seed=50 + seed, config=config,
+                     policy=VALIDATE)
+    plain = api.run(name, graph, seed=50 + seed, config=config)
+    assert report.steps > 0
+    assert _steps_checked(validating_runners) == report.steps
+    assert report.result == plain.result
+
+
+# ---------------------------------------------------------------------------
+# Replay runs, per primitive.
+# ---------------------------------------------------------------------------
 def _icp_fixture(g: nx.Graph, seed: int):
     setup = np.random.default_rng(40 + seed)
     mis = sorted(greedy_independent_set(g, setup, "random"))
@@ -196,118 +178,115 @@ def _icp_fixture(g: nx.Graph, seed: int):
 
 
 class TestEmitterContracts:
+    """Each primitive through its entry point under the validating
+    policy: every step the network took was replayed."""
+
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("kind", GRAPH_KINDS)
-    def test_decay_block(self, kind, seed):
+    def test_decay(self, kind, seed, validating_runners):
         g = _contract_graph(kind, seed)
         n = g.number_of_nodes()
         active = np.random.default_rng(seed).random(n) < 0.4
         active[0] = True
-        runner = _validated(g)
-        result = runner.run(
-            decay_block(
-                runner.network, active, np.random.default_rng(50 + seed),
-                iterations=5,
-            )
-        ).result()
-        assert runner.windows_checked > 0
+        net = RadioNetwork(g)
+        result = run_decay(
+            net, active, np.random.default_rng(50 + seed), iterations=5,
+            policy=VALIDATE,
+        )
+        assert [r.windows_checked for r in validating_runners] == [1]
+        assert _steps_checked(validating_runners) == net.steps_elapsed > 0
         assert result.heard.shape == (n,)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("kind", GRAPH_KINDS)
-    def test_effective_degree(self, kind, seed):
+    def test_effective_degree(self, kind, seed, validating_runners):
         g = _contract_graph(kind, seed)
         n = g.number_of_nodes()
         setup = np.random.default_rng(seed)
-        # p ~ 0.5 pushes the low levels into the dense regime, so the
-        # replay exercises the dense path through "auto" routing too.
+        # p ~ 0.5 pushes the low levels into the dense regime.
         p = np.full(n, 0.5)
         active = setup.random(n) < 0.9
-        runner = _validated(g)
-        result = runner.run(
-            effective_degree_schedule(
-                runner.network, p, active,
-                np.random.default_rng(60 + seed), C=4,
-            )
+        net = RadioNetwork(g)
+        result = estimate_effective_degree(
+            net, p, active, np.random.default_rng(60 + seed), C=4,
+            policy=VALIDATE,
         )
-        assert runner.windows_checked > 0
+        # One window per density level, all on the block's one runner.
+        assert [r.windows_checked for r in validating_runners] == [
+            result.counts.shape[0]
+        ]
+        assert _steps_checked(validating_runners) == net.steps_elapsed
         assert result.counts.shape[1] == n
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("kind", GRAPH_KINDS)
-    def test_mis(self, kind, seed):
+    def test_mis(self, kind, seed, validating_runners):
         g = _contract_graph(kind, seed)
-        runner = _validated(g)
-        result = runner.run(
-            mis_schedule(
-                runner.network, np.random.default_rng(70 + seed),
-                MISConfig(eed_C=3, record_golden=False),
-            )
+        net = RadioNetwork(g)
+        result = compute_mis(
+            net, np.random.default_rng(70 + seed),
+            MISConfig(eed_C=3, record_golden=False), policy=VALIDATE,
         )
-        assert runner.windows_checked > 0
+        # Two Decay blocks and one EED block a round, one runner each.
+        assert len(validating_runners) == 3 * result.rounds_used
+        assert _steps_checked(validating_runners) == result.steps_used
         assert graphs.is_maximal_independent_set(g, result.mis)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("kind", GRAPH_KINDS)
-    def test_mis_restart(self, kind, seed):
-        # Driven under a non-empty fault schedule: the replay then also
-        # exercises the validator's faulted shadow paths (cloned fault
-        # state, per-window transforms on all three shadows).
+    def test_mis_restart(self, kind, seed, validating_runners):
+        # Under a non-empty fault schedule: the replay then also
+        # exercises the validator's faulted shadows (each runner's
+        # shadow starts from a clone of the fault state at its block).
         g = _contract_graph(kind, seed)
         n = g.number_of_nodes()
         schedule = FaultSchedule.sample(
             n, 2000, seed=seed, crash_rate=0.1, churn=0.2, jam=0.05,
         )
-        runner = ExecutionPolicy(validate=True).runner(
-            RadioNetwork(g, faults=schedule)
+        net = RadioNetwork(g, faults=schedule)
+        result = compute_restartable_mis(
+            net, np.random.default_rng(75 + seed),
+            RestartableMISConfig(epochs=2, eed_C=3), policy=VALIDATE,
         )
-        result = runner.run(
-            restartable_mis_schedule(
-                runner.network, np.random.default_rng(75 + seed),
-                RestartableMISConfig(epochs=2, eed_C=3),
-            )
-        )
-        assert runner.windows_checked > 0
+        assert validating_runners
+        assert _steps_checked(validating_runners) == result.steps_used
         assert 0.0 <= result.dominated_fraction <= 1.0
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("kind", GRAPH_KINDS)
-    def test_bgi(self, kind, seed):
+    def test_bgi(self, kind, seed, validating_runners):
         g = _contract_graph(kind, seed)
-        runner = _validated(g)
-        result = runner.run(
-            bgi_schedule(runner.network, 0, np.random.default_rng(80 + seed))
+        result = bgi_broadcast(
+            RadioNetwork(g), 0, np.random.default_rng(80 + seed),
+            policy=VALIDATE,
         )
-        assert runner.windows_checked > 0
+        # One window per sweep.
+        assert len(validating_runners) == result.sweeps
+        assert _steps_checked(validating_runners) == result.steps
         assert result.delivered
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_wakeup(self, seed):
+    def test_wakeup(self, seed, validating_runners):
         k = 24 + seed
-        runner = _validated(nx.complete_graph(k))
-        result = runner.run(
-            _wakeup_mis_schedule(
-                runner.network, 400, np.random.default_rng(90 + seed)
-            )
+        result = mis_as_wakeup_strategy(
+            400, k, np.random.default_rng(90 + seed), policy=VALIDATE
         )
-        assert runner.windows_checked > 0
+        assert validating_runners
+        assert _steps_checked(validating_runners) == result.steps
         assert result.k == k
 
     @pytest.mark.parametrize("kind", GRAPH_KINDS)
-    def test_legacy_protocol_adapter(self, kind):
-        # protocol_schedule over the time-multiplexed ICP stack — ICP's
-        # engine path — validated one width-1 window per step.
+    def test_legacy_protocol_adapter(self, kind, validating_runners):
+        # ICP's time-multiplexed stack on the runner's step driver,
+        # validated one width-1 window per step.
         g = _contract_graph(kind, 2)
         clustering, schedule, know = _icp_fixture(g, 2)
-        runner = _validated(g)
-        main = ICPProtocol(runner.network, schedule, know, 3)
-        background = DecayBackground(runner.network, clustering, know)
-        muxed = TimeMultiplexer(runner.network, main, background)
-        total = 2 * sum(len(p.slots) for p in main._passes) + 2
-        runner.run(
-            protocol_schedule(muxed, np.random.default_rng(3), steps=total)
+        result = intra_cluster_propagation(
+            RadioNetwork(g), clustering, schedule, know, 3,
+            np.random.default_rng(3), policy=VALIDATE,
         )
-        assert runner.steps_checked > 0
+        (runner,) = validating_runners
+        assert runner.steps_checked == result.steps > 0
         assert runner.windows_checked == runner.steps_checked
 
 
@@ -331,25 +310,21 @@ class TestValidatingRunnerDetectsViolations:
         # Corrupt the primary's window product: a violated promise
         # must raise, proving the harness is not vacuous.
         g = graphs.path(8)
-        runner = _validated(g)
+        runner = VALIDATE.runner(RadioNetwork(g))
         self._corrupt_product(runner)
         masks = np.zeros((3, 8), dtype=bool)
         masks[1, 2] = True
 
         with pytest.raises(ObliviousnessViolationError, match="diverged"):
-            runner.run(mask_window(masks))
+            runner.run(mask_window(masks)[0])
 
     @pytest.mark.parametrize("form", ["transmitter-plan", "lifted-step"])
     def test_catches_divergence_on_streamed_plans(self, form):
-        # The same corruption on both window sources, a sampled plan
-        # and a lifted protocol step: every window reaches the product
-        # through the one checked hook.
-        from repro.engine import StreamedWindow
-        from repro.engine.segments import TransmitterPlan
-        from repro.radio import Protocol
-
+        # The same corruption on both window sources, a sampled window
+        # and a protocol step: every window reaches the product through
+        # the one checked hook.
         g = graphs.path(8)
-        runner = _validated(g)
+        runner = VALIDATE.runner(RadioNetwork(g))
         self._corrupt_product(runner)
         masks = np.zeros((3, 8), dtype=bool)
         masks[1, 2] = True
@@ -361,17 +336,83 @@ class TestValidatingRunnerDetectsViolations:
             def observe(self, hear_from):
                 return None
 
-        def emit():
-            yield StreamedWindow(
-                TransmitterPlan(3, lambda s, e: np.nonzero(masks[s:e])),
-                consume_coo=lambda *triple: None,
-            )
-
-        if form == "transmitter-plan":
-            schedule = emit()
-        else:
-            schedule = protocol_schedule(
-                Replay(runner.network), np.random.default_rng(0), steps=3
-            )
         with pytest.raises(ObliviousnessViolationError, match="diverged"):
-            runner.run(schedule)
+            if form == "transmitter-plan":
+                runner.run(
+                    StreamedWindow(
+                        3,
+                        lambda s, e: np.nonzero(masks[s:e]),
+                        lambda *triple: None,
+                    )
+                )
+            else:
+                runner.run_steps(
+                    Replay(runner.network), np.random.default_rng(0), 3
+                )
+
+
+# ---------------------------------------------------------------------------
+# The step-wise twins: every step through deliver, never the runner.
+# ---------------------------------------------------------------------------
+def _every_third(net: RadioNetwork) -> np.ndarray:
+    return np.arange(net.n) % 3 == 0
+
+
+#: Every step-wise twin, run on a network (the wake-up twin builds its
+#: own clique).
+TWINS = {
+    "run_decay_reference": lambda net: run_decay_reference(
+        net, _every_third(net), np.random.default_rng(1), iterations=3
+    ),
+    "estimate_effective_degree_reference": (
+        lambda net: estimate_effective_degree_reference(
+            net, np.full(net.n, 0.5), _every_third(net),
+            np.random.default_rng(2), C=2,
+        )
+    ),
+    "compute_mis_reference": lambda net: compute_mis_reference(
+        net, np.random.default_rng(3), MISConfig(eed_C=2)
+    ),
+    "restartable_mis_reference": lambda net: restartable_mis_reference(
+        net, np.random.default_rng(4),
+        RestartableMISConfig(epochs=1, eed_C=2),
+    ),
+    "bgi_broadcast_reference": lambda net: bgi_broadcast_reference(
+        net, 0, np.random.default_rng(5)
+    ),
+    "binary_search_election_reference": (
+        lambda net: binary_search_election_reference(
+            net, np.random.default_rng(6), id_bits=4
+        )
+    ),
+    "uptime_threshold_election_reference": (
+        lambda net: uptime_threshold_election_reference(
+            net, np.random.default_rng(7)
+        )
+    ),
+    "mis_as_wakeup_strategy_reference": (
+        lambda net: mis_as_wakeup_strategy_reference(
+            64, 6, np.random.default_rng(8)
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("twin", sorted(TWINS))
+def test_reference_twins_deliver_every_step(twin, monkeypatch):
+    def refuse(self, window):
+        raise AssertionError(f"{twin} entered the windowed runner")
+
+    delivered = []
+    deliver = RadioNetwork.deliver
+
+    def count(self, transmit):
+        delivered.append(self)
+        return deliver(self, transmit)
+
+    monkeypatch.setattr(WindowedRunner, "run", refuse)
+    monkeypatch.setattr(RadioNetwork, "deliver", count)
+    TWINS[twin](RadioNetwork(_contract_graph("udg", 0)))
+    assert delivered
+    for network in set(delivered):
+        assert delivered.count(network) == network.steps_elapsed

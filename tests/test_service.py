@@ -1446,6 +1446,18 @@ class TestService:
             service._request("DELETE", "/campaigns")
         assert e.value.status == 405
 
+    def test_plain_config_refusal_is_a_400(self, service, stores):
+        # A config its protocol refuses is the submitter's error:
+        # restartable MIS with no epoch would report the empty set as a
+        # success.
+        _corpus, digest, _ = stores
+        with pytest.raises(ServiceError, match="epochs") as e:
+            service.submit(json.dumps({
+                "protocol": "mis_restart", "corpus": [digest],
+                "n_trials": 1, "config": {"epochs": 0},
+            }))
+        assert e.value.status == 400
+
     def test_malformed_content_length_is_a_client_refusal(self, service):
         import http.client
 

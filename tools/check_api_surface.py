@@ -90,17 +90,12 @@ EXPECTED_ENGINE_ALL = [
     "RowSampler",
     "STREAM_VERSION",
     "ObliviousnessViolationError",
-    "ProtocolSchedule",
     "STREAM_CELL_BYTES",
-    "Segment",
     "StreamedWindow",
-    "TracePhase",
-    "TransmitterPlan",
     "ValidatingRunner",
     "WindowedRunner",
     "chunk_steps_for_budget",
     "parse_mem_budget",
-    "protocol_schedule",
 ]
 
 #: The pinned public surface of repro.core — the paper's algorithms.
@@ -153,7 +148,6 @@ EXPECTED_CORE_ALL = [
     "decay_schedule",
     "decay_span",
     "draw_shifts",
-    "effective_degree_schedule",
     "elect_leader",
     "elect_leader_packet",
     "expected_steps",
@@ -169,7 +163,6 @@ EXPECTED_CORE_ALL = [
     "mis_as_wakeup_strategy",
     "mis_as_wakeup_strategy_reference",
     "mis_round_budget",
-    "mis_schedule",
     "partition",
     "partition_csr",
     "partition_radio",
@@ -177,7 +170,6 @@ EXPECTED_CORE_ALL = [
     "prefix_counts",
     "propagation_length",
     "restartable_mis_reference",
-    "restartable_mis_schedule",
     "run_decay",
     "run_decay_reference",
     "run_wakeup",
