@@ -1,13 +1,13 @@
 """P8 — the graph corpus at scale: cell-grid CSR generation, the mmap
-store, and zero-copy shared-memory trial workers.
+store, and zero-copy trial workers that map corpus entries.
 
 PR 8 made the graph *input* side scale to ``n = 10^6``: array-native
 cell-grid UDG generation emitting ``(indptr, indices)`` directly
 (bit-compatible with the networkx reference generators), a
 content-digest-keyed on-disk format loaded zero-copy via
-``np.load(mmap_mode="r")``, and pooled trials that publish the CSR
-slabs to ``multiprocessing.shared_memory`` once instead of pickling
-the graph into every worker. Four claims to pin:
+``np.load(mmap_mode="r")``, and pooled trials whose workers map the
+graph's corpus entry instead of unpickling the graph. Four claims to
+pin:
 
 * **Bit-compatibility first.** The cell-grid generator consumes the
   same rng stream and emits the same edge set as
@@ -18,8 +18,8 @@ the graph into every worker. Four claims to pin:
   same points by at least **10x** at the benchmark scale.
 * **Loading is metadata-only.** An mmap load stays under **250 ms**
   whatever the entry size — nothing is read until pages are touched.
-* **Workers are zero-copy.** The per-worker payload is a segment
-  handle of a few hundred bytes (not the pickled arrays), pooled
+* **Workers are zero-copy.** The per-worker graph payload is the
+  entry's path, about a hundred bytes (not the pickled arrays), pooled
   trials match serial ones bit-for-bit, and per-worker RSS stays flat
   as the pool grows.
 
@@ -55,9 +55,9 @@ GEN_SPEEDUP_FLOOR = 10.0
 #: independent of graph size.
 LOAD_CEILING_S = 0.25
 
-#: A worker payload (the shm handle) must be at least this many times
-#: smaller than pickling the CSR arrays themselves would be.
-HANDLE_RATIO_FLOOR = 100.0
+#: A worker's graph payload (the entry path) must be at least this
+#: many times smaller than pickling the CSR arrays themselves would be.
+PAYLOAD_RATIO_FLOOR = 100.0
 
 #: Largest tolerated growth of per-worker RSS from a 1-worker pool to
 #: the widest measured pool (flat = the graph is genuinely shared).
@@ -194,30 +194,37 @@ def bench_store(n: int, seed: int = 83) -> dict:
     }
 
 
-def bench_shm(n: int, seed: int = 84, trials: int = 4) -> dict:
-    """Zero-copy fan-out: tiny handles, flat RSS, serial bit-identity."""
+def bench_fan_out(n: int, seed: int = 84, trials: int = 4) -> dict:
+    """Zero-copy fan-out: tiny payloads, flat RSS, serial bit-identity."""
     from repro import corpus
-    from repro.analysis.experiments import run_report_trials, run_trials
-    from repro.corpus.shm import SharedGraph
+    from repro.analysis.experiments import (
+        _Entry,
+        run_report_trials,
+        run_trials,
+    )
 
     side = float(np.sqrt(n * np.pi / 9.0))
     g = corpus.random_udg_csr(
         n, side, np.random.default_rng(seed), connected=False
     )
-    with SharedGraph.publish(g) as shared:
-        handle_bytes = len(pickle.dumps(shared.handle))
     array_bytes = len(pickle.dumps((g.indptr, g.indices, g.positions)))
+    with tempfile.TemporaryDirectory() as tmp:
+        entry = pathlib.Path(tmp) / "entry"
+        corpus.save_graph(g, entry, invariants=False)
+        stored = corpus.load_graph(entry)
+        # What a pooled job on the stored entry carries for its graph.
+        payload_bytes = len(pickle.dumps(_Entry(stored.entry)))
 
-    rss_by_workers = {}
-    for workers in RSS_WORKER_COUNTS:
-        stats = run_trials(
-            _worker_rss_probe,
-            max(trials, workers),
-            seed=seed,
-            processes=workers,
-            corpus=g,
-        )
-        rss_by_workers[workers] = stats.maximum
+        rss_by_workers = {}
+        for workers in RSS_WORKER_COUNTS:
+            stats = run_trials(
+                _worker_rss_probe,
+                max(trials, workers),
+                seed=seed,
+                processes=workers,
+                corpus=stored,
+            )
+            rss_by_workers[workers] = stats.maximum
     rss_measured = all(v > 0 for v in rss_by_workers.values())
     rss_ratio = (
         rss_by_workers[max(RSS_WORKER_COUNTS)]
@@ -227,7 +234,8 @@ def bench_shm(n: int, seed: int = 84, trials: int = 4) -> dict:
     )
 
     # Pooled front-door trials equal serial ones, outcome for outcome
-    # (a small-n leg: this is a semantics gate, not a timing).
+    # (a small-n leg: this is a semantics gate, not a timing). The
+    # graph is no stored entry, so the pool maps a temporary one.
     g_small = corpus.random_udg_csr(
         200, side=8.0, rng=np.random.default_rng(seed + 1),
         connected=False,
@@ -244,10 +252,10 @@ def bench_shm(n: int, seed: int = 84, trials: int = 4) -> dict:
     )
     return {
         "n": n,
-        "handle_bytes": handle_bytes,
+        "payload_bytes": payload_bytes,
         "array_pickle_bytes": array_bytes,
-        "handle_ratio": array_bytes / handle_bytes,
-        "handle_ratio_floor": HANDLE_RATIO_FLOOR,
+        "payload_ratio": array_bytes / payload_bytes,
+        "payload_ratio_floor": PAYLOAD_RATIO_FLOOR,
         "worker_rss_kb": rss_by_workers,
         "rss_measured": rss_measured,
         "rss_ratio": rss_ratio,
@@ -261,16 +269,18 @@ def run_bench(n: int = 100000, identity_n: int = 1500) -> dict:
     identity = check_bit_identity(n=identity_n)
     generation = bench_generation(n=n)
     store = bench_store(n=n)
-    shm = bench_shm(n=n)
+    fan_out = bench_fan_out(n=n)
     passes = (
         identity["identical"]
         and generation["speedup"] >= generation["speedup_floor"]
         and store["mmap_load_s"] <= store["load_ceiling_s"]
-        and shm["handle_ratio"] >= shm["handle_ratio_floor"]
-        and shm["pool_matches_serial"]
+        and fan_out["payload_ratio"] >= fan_out["payload_ratio_floor"]
+        and fan_out["pool_matches_serial"]
     )
-    if shm["rss_ratio"] is not None:
-        passes = passes and shm["rss_ratio"] <= shm["rss_flat_ceiling"]
+    if fan_out["rss_ratio"] is not None:
+        passes = passes and (
+            fan_out["rss_ratio"] <= fan_out["rss_flat_ceiling"]
+        )
     return {
         "bench": "p8_corpus",
         "generated": datetime.now(timezone.utc).isoformat(),
@@ -279,7 +289,7 @@ def run_bench(n: int = 100000, identity_n: int = 1500) -> dict:
         "bit_identity": identity,
         "generation": generation,
         "store": store,
-        "shm": shm,
+        "fan_out": fan_out,
         "passes_floors": bool(passes),
     }
 

@@ -23,9 +23,9 @@ degradation curves for the robustness protocol variants — persisted
 to ``BENCH_PR6.json``), and the
 ``bench_p8_corpus`` pass (PR 8: the graph corpus layer — cell-grid
 CSR generation bit-compatible with the reference generators and at
-least 10x faster, metadata-only mmap loads, and zero-copy
-shared-memory trial workers with flat per-worker RSS — persisted to
-``BENCH_PR8.json``), and the
+least 10x faster, metadata-only mmap loads, and zero-copy trial
+workers that map corpus entries, with flat per-worker RSS — persisted
+to ``BENCH_PR8.json``), and the
 ``bench_p10_service`` pass (the
 experiment service — resubmitting a completed MIS campaign at least
 50x faster than its cold run via the content-addressed report store,
@@ -302,15 +302,17 @@ def main(argv: list[str] | None = None) -> int:
             p8["tier1"] = tier1
         bench_p8_corpus.write_results(p8)
 
-        gen, store, shm = p8["generation"], p8["store"], p8["shm"]
+        gen, store, fan_out = (
+            p8["generation"], p8["store"], p8["fan_out"]
+        )
         print(
             f"corpus n={gen['n']}: generation "
             f"{gen['speedup']:.1f}x (floor {gen['speedup_floor']}x); "
             f"mmap load {store['mmap_load_s'] * 1000:.1f}ms "
             f"(ceiling {store['load_ceiling_s'] * 1000:.0f}ms); "
-            f"worker handle {shm['handle_bytes']}B "
-            f"({shm['handle_ratio']:.0f}x under the pickled arrays); "
-            f"pool==serial: {shm['pool_matches_serial']}"
+            f"worker payload {fan_out['payload_bytes']}B "
+            f"({fan_out['payload_ratio']:.0f}x under the pickled arrays); "
+            f"pool==serial: {fan_out['pool_matches_serial']}"
         )
         print(f"persisted to {bench_p8_corpus.RESULT_PATH}")
         ok = ok and p8["passes_floors"]

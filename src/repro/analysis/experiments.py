@@ -29,9 +29,13 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import itertools
 import math
+import os
 import pickle
+import shutil
+import tempfile
 import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -40,7 +44,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..corpus.shm import SharedGraph, SharedGraphHandle, attach
+from ..corpus.store import load_graph, save_graph
 from ..engine.policy import ExecutionPolicy
 from ..radio.errors import ProtocolError
 
@@ -49,8 +53,6 @@ def _resolve_corpus(corpus: Any) -> Any:
     """The ``corpus=`` knob's graph: a CSRGraph as-is, a path mmap-loaded."""
     if hasattr(corpus, "csr_arrays"):
         return corpus
-    from ..corpus.store import load_graph
-
     return load_graph(corpus)
 
 
@@ -79,11 +81,26 @@ def _warn_serial(runner: str, reason: str, exc: BaseException) -> None:
     )
 
 
+@dataclasses.dataclass(frozen=True)
+class _Entry:
+    """A pooled job's graph as it travels: the absolute path of the
+    corpus entry directory the worker maps, in place of the arrays."""
+
+    path: str
+
+
+#: The worker side of :class:`_Entry`: one mapped ``CSRGraph`` (and so
+#: one memoized ``GraphContext``) per entry per process. It holds its
+#: graphs for the life of the process, which for a pool worker is one
+#: fan-out.
+_map_entry = functools.cache(load_graph)
+
+
 def _run_job(job: Callable[..., Any], target: Any, args: tuple) -> Any:
-    """Pool-worker body (module-level for pickling): attach a shared
-    graph handle — zero-copy, cached per process — and run one job."""
-    if isinstance(target, SharedGraphHandle):
-        target = attach(target)
+    """Pool-worker body (module-level for pickling): map an entry
+    payload's graph, once per process, and run one job."""
+    if isinstance(target, _Entry):
+        target = _map_entry(target.path)
     return job(target, *args)
 
 
@@ -114,9 +131,13 @@ def _fan_out(
       unpicklable job (a closure, a lambda measure) runs serially with
       a ``RuntimeWarning`` naming the failure;
     * every distinct array-native target
-      (:class:`~repro.corpus.graph.CSRGraph`) is published to shared
-      memory once, so payloads carry a segment handle, never the
-      arrays; the segments are unlinked however the fan-out ends;
+      (:class:`~repro.corpus.graph.CSRGraph`) travels as the absolute
+      path of a corpus entry, never as arrays, and each worker maps it
+      once. A graph :func:`~repro.corpus.store.load_graph` mapped sends
+      its own entry, which must outlive the fan-out. Any other one is
+      written once to a temporary entry, removed however the fan-out
+      ends, so its pooled reports name ``"mmap"`` and that entry's
+      digest;
     * at most ``max(4 x workers, 8)`` jobs are in flight, so a 10^6-job
       fan-out never materializes 10^6 futures;
     * a pool that cannot start or breaks (``BrokenProcessPool``,
@@ -148,7 +169,8 @@ def _fan_out(
             _warn_serial(runner, "the job payload is not picklable", exc)
             pooled = False
     if pooled:
-        shared: dict[int, SharedGraph] = {}
+        entries: dict[int, _Entry] = {}
+        scratch: str | None = None
         futures: dict[concurrent.futures.Future, int] = {}
         workers = min(processes, len(tasks))
         queue = iter(range(len(tasks)))
@@ -159,8 +181,7 @@ def _fan_out(
             room = max(4 * workers, 8) - len(futures)
             for index in itertools.islice(queue, room):
                 target, args = tasks[index]
-                segment = shared.get(id(target))
-                payload = target if segment is None else segment.handle
+                payload = entries.get(id(target), target)
                 futures[pool.submit(_run_job, job, payload, args)] = index
 
         def settle(every: bool) -> BaseException | None:
@@ -188,8 +209,15 @@ def _fan_out(
 
         try:
             for target, _ in tasks:
-                if id(target) not in shared and hasattr(target, "csr_arrays"):
-                    shared[id(target)] = SharedGraph.publish(target)
+                if id(target) in entries or not hasattr(target, "csr_arrays"):
+                    continue
+                path = getattr(target, "entry", None)
+                if path is None:
+                    if scratch is None:
+                        scratch = tempfile.mkdtemp(prefix="repro-fan-out-")
+                    path = os.path.join(scratch, str(len(entries)))
+                    save_graph(target, path, invariants=False)
+                entries[id(target)] = _Entry(path)
             pool = ProcessPoolExecutor(max_workers=workers)
             try:
                 submit(pool)
@@ -211,9 +239,8 @@ def _fan_out(
             _warn_serial(runner, "the process pool failed", exc)
             pooled = False
         finally:
-            for segment in shared.values():
-                segment.close()
-                segment.unlink()
+            if scratch is not None:
+                shutil.rmtree(scratch)
     if not pooled:
         for index, (target, args) in enumerate(tasks):
             if landed[index]:
@@ -366,9 +393,9 @@ def run_trials(
     corpus:
         A :class:`~repro.corpus.graph.CSRGraph` (or corpus entry path,
         mmap-loaded) every trial runs on; ``measure`` then takes
-        ``(rng, graph)``. Pooled, the CSR slabs are published to shared
-        memory once and each payload carries only the segment handle,
-        so per-worker graph memory is independent of worker count — the
+        ``(rng, graph)``. Pooled, each payload carries only the path of
+        the graph's corpus entry and each worker maps it once, so the
+        page cache holds one copy whatever the worker count — the
         zero-copy path for ``n = 10^6`` Monte-Carlo sweeps.
     """
     children = _seed_children(n_trials, seed, processes)
@@ -482,10 +509,11 @@ def run_report_trials(
 
     ``corpus`` (a :class:`~repro.corpus.graph.CSRGraph` or corpus
     entry path; exclusive with ``target``) is the zero-copy fan-out
-    path: the parent publishes the CSR slabs to shared memory once and
-    worker payloads carry only the segment handle — per-worker graph
-    memory independent of worker count. Array-native targets passed
-    via ``target=`` take the same shared-memory path when pooled.
+    path: worker payloads carry only the path of the graph's corpus
+    entry, which every worker maps, so the page cache holds one copy
+    whatever the worker count. Array-native targets passed via
+    ``target=`` take the same path when pooled. On a stored entry a
+    pooled report equals a serial one in full, provenance included.
     """
     processes = 1 if processes is None else processes
     children = _seed_children(n_trials, seed, processes)

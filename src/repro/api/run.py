@@ -69,8 +69,9 @@ def _corpus_facts(graph: Any) -> dict[str, Any] | None:
 
     ``None`` for ordinary networkx targets; for array-native
     :class:`~repro.corpus.graph.CSRGraph` targets it names the content
-    digest (when the entry carries one) and how the arrays arrived
-    (``"mmap"``, ``"shm"``, or ``"memory"``).
+    digest (when the entry carries one) and where the arrays live
+    (``"mmap"`` or ``"memory"``). A pooled job maps its graph's corpus
+    entry, so it records what a serial run on that entry records.
     """
     if graph is None or not hasattr(graph, "csr_arrays"):
         return None

@@ -24,10 +24,9 @@ import dataclasses
 
 import numpy as np
 
-from ..engine.policy import ExecutionPolicy
 from ..radio.errors import BudgetExceededError, GraphContractError
 from ..radio.network import NO_SENDER, RadioNetwork
-from ..radio.protocol import Protocol
+from ..radio.protocol import Protocol, run_steps
 
 
 @dataclasses.dataclass
@@ -48,8 +47,10 @@ class RoundRobin(Protocol):
     elapses whether or not its node has anything to say: deterministic
     schedules cannot skip silent turns (nobody else knows the turn went
     unused). The protocol never finishes on its own; the driver runs
-    whole rotations of ``n`` steps, each step a one-row window whose
-    product reads only the lone transmitter's neighbors.
+    whole rotations of ``n`` steps through
+    :func:`~repro.radio.protocol.run_steps`, each step one
+    :meth:`~repro.radio.network.RadioNetwork.deliver` of the lone
+    transmitter.
     """
 
     def __init__(self, network: RadioNetwork, source: int) -> None:
@@ -94,7 +95,6 @@ def round_robin_broadcast(
         max_rotations = n + 1
 
     protocol = RoundRobin(network, source)
-    runner = ExecutionPolicy().runner(network)
     steps_before = network.steps_elapsed
     network.trace.enter_phase("round-robin")
     rotations = 0
@@ -104,7 +104,7 @@ def round_robin_broadcast(
                 f"round-robin broadcast incomplete after {max_rotations} "
                 "rotations — is the graph connected?"
             )
-        runner.run_steps(protocol, None, n)
+        run_steps(protocol, None, n)
         rotations += 1
     network.trace.enter_phase("default")
     return RoundRobinResult(

@@ -33,7 +33,6 @@ and the guarantees of Theorem 14 carry over unchanged.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Hashable
 
 import numpy as np
@@ -44,6 +43,7 @@ from ..radio.network import RadioNetwork
 from .decay import claim10_iterations, run_decay
 from .resulteq import ArrayEqMixin
 from .effective_degree import estimate_effective_degree
+from .mis import mis_round_budget
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,10 +130,6 @@ def _awake_mask(network: RadioNetwork) -> np.ndarray:
     return state.alive_window(network.steps_elapsed, 1)[0]
 
 
-def _epoch_round_budget(n_estimate: int, round_factor: float) -> int:
-    return max(1, math.ceil(round_factor * math.log2(max(2, n_estimate))))
-
-
 def _finish(
     network: RadioNetwork,
     in_mis: np.ndarray,
@@ -186,7 +182,7 @@ def compute_restartable_mis(
     n = network.n
     n_est = n_estimate if n_estimate is not None else n
     decay_iters = claim10_iterations(n_est, config.decay_amplification)
-    budget = _epoch_round_budget(n_est, config.round_factor)
+    budget = mis_round_budget(n_est, config.round_factor)
 
     in_mis = np.zeros(n, dtype=bool)
     decided = np.zeros(n, dtype=bool)

@@ -14,18 +14,18 @@ radio implementation, and tests check the two agree in distribution. The
 radio round cost of constructing a clustering is charged by
 :mod:`repro.core.costmodel` in the round-accounted pipeline.
 
-Performance: the default engine is a CSR-native multi-source frontier
-relaxation (:func:`partition` with ``engine="frontier"``) — a Dial-style
-unit-weight wave over numpy arrays that settles whole frontiers per
-sweep instead of popping one ``(key, center, node)`` tuple at a time
-from a Python heap. Shift keys are accumulated as the same sequential
-``+1.0`` float additions the heap performed, and the exact
-``(key, center)`` lexicographic tiebreak is realized by a per-frontier
-``lexsort``; assignments, hop counts, and keys are bit-identical to the
-reference multi-source Dijkstra, which remains available as
-:func:`partition_reference` for equivalence tests and benchmarking.
-Compete redraws clusterings many times per run, so this is one of the
-two hottest paths in the repository (the other is radio delivery).
+Performance: :func:`partition` runs a CSR-native multi-source
+frontier relaxation — a Dial-style unit-weight wave over numpy arrays
+that settles whole frontiers per sweep instead of popping one ``(key,
+center, node)`` tuple at a time from a Python heap. Shift keys are
+accumulated as the same sequential ``+1.0`` float additions the heap
+performed, and the exact ``(key, center)`` lexicographic tiebreak is
+realized by a per-frontier ``lexsort``; assignments, hop counts, and
+keys are bit-identical to the reference multi-source Dijkstra, which
+remains available as :func:`partition_reference` for equivalence
+tests and benchmarking. Compete redraws clusterings many times per
+run, so this is one of the two hottest paths in the repository (the
+other is radio delivery).
 """
 
 from __future__ import annotations
@@ -113,7 +113,6 @@ def partition(
     centers: Iterable[int],
     rng: np.random.Generator,
     shifts: dict[int, float] | None = None,
-    engine: str = "frontier",
 ) -> Clustering:
     """``Partition(beta, centers)`` — one MPX clustering draw.
 
@@ -135,10 +134,6 @@ def partition(
     shifts:
         Pre-drawn shifts (for paired comparisons across center sets or
         for the radio implementation to reuse); drawn fresh if omitted.
-    engine:
-        ``"frontier"`` (default) — the vectorized CSR frontier
-        relaxation; ``"dijkstra"`` — the reference Python heap. Both
-        produce the same clustering (see the module docstring).
 
     Returns
     -------
@@ -147,18 +142,13 @@ def partition(
         ``dist(u, v) - delta_v``, ties broken by center index (the
         consistent tiebreak that keeps clusters connected).
     """
-    if engine not in ("frontier", "dijkstra"):
-        raise ValueError(f"unknown partition engine: {engine!r}")
     n, centers, shifts = _validate_partition_inputs(
         graph, beta, centers, rng, shifts
     )
-    if engine == "dijkstra":
-        best_center, hops = _relax_dijkstra(graph, n, centers, shifts)
-    else:
-        csr = graph_context(graph).identity_csr()
-        best_center, hops = _relax_frontier(
-            csr.indptr, csr.indices, n, centers, shifts
-        )
+    csr = graph_context(graph).identity_csr()
+    best_center, hops = _relax_frontier(
+        csr.indptr, csr.indices, n, centers, shifts
+    )
     return _finish_partition(beta, centers, shifts, best_center, hops)
 
 
@@ -207,7 +197,11 @@ def partition_reference(
     assignments and hop counts bit-for-bit under shared shifts, and
     ``benchmarks/bench_p1_engine.py`` measures the speedup against it.
     """
-    return partition(graph, beta, centers, rng, shifts, engine="dijkstra")
+    n, centers, shifts = _validate_partition_inputs(
+        graph, beta, centers, rng, shifts
+    )
+    best_center, hops = _relax_dijkstra(graph, n, centers, shifts)
+    return _finish_partition(beta, centers, shifts, best_center, hops)
 
 
 def _relax_dijkstra(

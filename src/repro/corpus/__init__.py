@@ -1,6 +1,6 @@
-"""The graph corpus layer: generate at scale, persist, share.
+"""The graph corpus layer: generate at scale, persist, map.
 
-Three pieces, one pipeline (ROADMAP item 4):
+Two pieces, one pipeline (ROADMAP item 4):
 
 - :mod:`repro.corpus.generate` — array-native UDG / quasi-UDG
   generation via a cell-grid neighbor search, emitting ``(indptr,
@@ -9,9 +9,9 @@ Three pieces, one pipeline (ROADMAP item 4):
   :mod:`repro.graphs`;
 - :mod:`repro.corpus.store` — the on-disk entry format (flat ``.npy``
   + ``meta.json``, content-digest keyed, cached invariants), loaded
-  zero-copy via ``np.load(mmap_mode="r")``;
-- :mod:`repro.corpus.shm` — shared-memory publication so pool workers
-  attach the same slabs instead of unpickling copies.
+  zero-copy via ``np.load(mmap_mode="r")``. Pool workers map the same
+  entry by its directory, so the page cache shares one copy among
+  them.
 
 The in-memory common coin is :class:`~repro.corpus.graph.CSRGraph`,
 which the rest of the repo (``GraphContext``, ``RadioNetwork``,
@@ -37,15 +37,11 @@ from .generate import (
     udg_csr_graph,
 )
 from .graph import CSRGraph
-from .shm import SharedGraph, SharedGraphHandle, attach
 from .store import CorpusStore, graph_digest, load_graph, save_graph
 
 __all__ = [
     "CSRGraph",
     "CorpusStore",
-    "SharedGraph",
-    "SharedGraphHandle",
-    "attach",
     "graph_digest",
     "grid_udg_csr",
     "load_graph",

@@ -4,9 +4,9 @@ The corpus layer's in-memory form: a symmetric int32 CSR adjacency
 (``indptr``/``indices``), optional point positions, the same metadata
 dict networkx graphs carry (``graph.graph["family"]`` etc.), and any
 cached invariants that came with it from the store. The arrays may be
-plain ndarrays, ``np.memmap`` views over a corpus entry, or views over
-``multiprocessing.shared_memory`` segments — a ``CSRGraph`` never
-copies them.
+plain ndarrays or read-only ``np.memmap`` views over a corpus entry —
+a ``CSRGraph`` never copies them. A mapped graph records its entry
+directory, which is all a pool worker needs to map the same pages.
 
 The class duck-types exactly the slice of the networkx surface the
 pipeline consumes (``number_of_nodes``, ``number_of_edges``,
@@ -34,7 +34,7 @@ class CSRGraph:
     ----------
     indptr, indices:
         Symmetric CSR adjacency, int32, ``len(indptr) == n + 1``. Held
-        by reference — memmap and shared-memory views stay zero-copy.
+        by reference — memmap views stay zero-copy.
     positions:
         Optional ``(n, 2)`` float64 point coordinates (UDG families).
     meta:
@@ -46,9 +46,14 @@ class CSRGraph:
         ``mis``); :class:`~repro.graphs.context.GraphContext` seeds its
         lazy caches from these instead of recomputing.
     source:
-        Where the arrays live: ``"memory"`` (freshly generated),
-        ``"mmap"`` (corpus entry on disk), or ``"shm"`` (attached
-        shared-memory segments) — recorded in run provenance.
+        Where the arrays live: ``"memory"`` (generated, or loaded with
+        ``mmap=False``) or ``"mmap"`` (mapped from a corpus entry on
+        disk) — recorded in run provenance.
+    entry:
+        The absolute path of the corpus entry directory the arrays are
+        mapped from, set by :func:`~repro.corpus.store.load_graph` when
+        it maps; ``None`` otherwise. The arrays are then read-only
+        views of that entry's files, so the path alone names the graph.
     """
 
     def __init__(
@@ -59,6 +64,7 @@ class CSRGraph:
         meta: dict[str, Any] | None = None,
         invariants: dict[str, Any] | None = None,
         source: str = "memory",
+        entry: str | None = None,
     ) -> None:
         indptr = np.asarray(indptr)
         indices = np.asarray(indices)
@@ -80,6 +86,7 @@ class CSRGraph:
         self.graph: dict[str, Any] = dict(meta or {})
         self.invariants: dict[str, Any] = dict(invariants or {})
         self.source = source
+        self.entry = entry
         self._n = len(indptr) - 1
 
     # -- the networkx slice the pipeline consumes -----------------------

@@ -199,7 +199,8 @@ def load_graph(path: str | os.PathLike, mmap: bool = True) -> CSRGraph:
 
     With ``mmap`` (default) every array is an ``np.load(...,
     mmap_mode="r")`` view — load time is metadata-only and independent
-    of graph size; pages fault in as consumers touch them. ``mmap=
+    of graph size; pages fault in as consumers touch them — and the
+    graph records the entry's absolute path as ``entry``. ``mmap=
     False`` materializes plain in-memory copies instead.
     """
     path = pathlib.Path(path)
@@ -239,6 +240,7 @@ def load_graph(path: str | os.PathLike, mmap: bool = True) -> CSRGraph:
         meta=graph_meta,
         invariants=invariants,
         source="mmap" if mmap else "memory",
+        entry=str(path.resolve()) if mmap else None,
     )
 
 

@@ -9,13 +9,15 @@ execution policies (each optionally carrying a
 report store** (a previously-served job is a cache hit, never
 re-executed — which is also what makes a killed campaign resumable),
 and fans the remainder out through the trial harness's one pool
-driver (:func:`~repro.analysis.experiments._fan_out`): each distinct
-graph's CSR slabs are published to ``multiprocessing.shared_memory``
-once, worker payloads carry only segment handles, and in-flight jobs
-are bounded so a 10^6-trial submission does not materialize 10^6
-futures. A job is the harness's report job plus its
-:meth:`ReportStore.put` (:func:`_execute_job`, in the worker that ran
-it), so the campaign thread only records outcomes: a refusal
+driver (:func:`~repro.analysis.experiments._fan_out`): worker
+payloads carry only the path of each job's corpus entry, which every
+worker maps once, and in-flight jobs are bounded so a 10^6-trial
+submission does not materialize 10^6 futures. A campaign's graphs are
+stored entries, so it writes nothing outside its report store, and a
+pooled job's report equals a serial one in full. A job is the
+harness's report job plus its :meth:`ReportStore.put`
+(:func:`_execute_job`, in the worker that ran it), so the campaign
+thread only records outcomes: a refusal
 (:class:`~repro.radio.errors.ProtocolError`) fails the whole campaign
 at every worker count, any other error counts one failed job, and
 every job counts once — also when a broken pool sends the rest to the

@@ -1,5 +1,6 @@
 """Tests for the corpus layer (repro.corpus): array-native generation,
-the mmap store, shared-memory workers, and the front-door integration.
+the mmap store, pool workers that map entries, and the front-door
+integration.
 
 The load-bearing contracts:
 
@@ -10,15 +11,18 @@ The load-bearing contracts:
 2. **Round-trip fidelity** — generate, persist, mmap-load, run: the
    result, steps, trace totals, and final rng state are bit-identical
    to running on the in-memory original (and on the networkx twin).
-3. **Zero-copy fan-out** — pooled trials receive the graph through
-   shared memory; worker payloads carry a handle of a few hundred
-   bytes, and parallel trials match serial ones bit-for-bit.
+3. **Zero-copy fan-out** — pooled trials receive the graph as the
+   path of its corpus entry, a payload of about a hundred bytes that
+   each worker maps once, and parallel trials match serial ones
+   bit-for-bit.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import pickle
+import tempfile
 
 import networkx as nx
 import numpy as np
@@ -26,6 +30,7 @@ import pytest
 
 import repro.api as api
 from repro import corpus, graphs
+from repro.analysis import experiments
 from repro.analysis.experiments import (
     run_report_trials,
     run_trials,
@@ -33,7 +38,6 @@ from repro.analysis.experiments import (
 from repro.corpus import generate
 from repro.corpus.generate import udg_csr
 from repro.corpus.graph import CSRGraph
-from repro.corpus.shm import SharedGraph, attach
 from repro.graphs.quasi_udg import distance_threshold_rule, parity_rule
 from repro.radio.errors import ProtocolError
 
@@ -338,34 +342,190 @@ class TestRunOnCorpus:
 
 
 # ---------------------------------------------------------------------------
-# 5. Shared memory: publish/attach, tiny handles, cleanup.
+# 5. Pool payloads: a corpus entry's path, mapped once per worker.
 # ---------------------------------------------------------------------------
 
 
-class TestSharedMemory:
-    def test_publish_attach_round_trip(self):
-        g = corpus.random_udg_csr(
-            50, side=4.0, rng=np.random.default_rng(8)
-        )
-        with SharedGraph.publish(g) as shared:
-            attached = attach(shared.handle)
-            assert attached.source == "shm"
-            assert np.array_equal(attached.indptr, g.indptr)
-            assert np.array_equal(attached.indices, g.indices)
-            assert np.array_equal(attached.positions, g.positions)
-            assert attached.graph["family"] == "udg"
-            # per-process attach cache: same handle, same object
-            assert attach(shared.handle) is attached
+class _InlinePool:
+    """``ProcessPoolExecutor`` stand-in: runs each job in this process
+    and keeps every graph payload the fan-out submitted."""
 
-    def test_handle_is_tiny_whatever_the_graph(self):
-        g = corpus.random_udg_csr(
-            400, side=11.0, rng=np.random.default_rng(8)
+    payloads: list = []
+
+    def __init__(self, max_workers: int) -> None:
+        pass
+
+    def submit(self, fn, job, target, args):
+        self.payloads.append(target)
+        future = concurrent.futures.Future()
+        future.set_result(fn(job, target, args))
+        return future
+
+    def shutdown(self, cancel_futures: bool = False) -> None:
+        pass
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run pooled fan-outs in-process; yield the submitted payloads."""
+    _InlinePool.payloads = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
+    yield _InlinePool.payloads
+    experiments._map_entry.cache_clear()
+
+
+def _graph_of(graph):
+    return graph
+
+
+def _fan_out_graphs(target, count: int = 2) -> list:
+    """The graph each of ``count`` pooled jobs on ``target`` ran on."""
+    ran: list = [None] * count
+
+    def land(index, value, exc):
+        ran[index] = value
+
+    experiments._fan_out(
+        "test", _graph_of, [(target, ())] * count, 2, land
+    )
+    return ran
+
+
+class TestFanOutEntries:
+    def test_stored_payload_is_tiny_whatever_the_graph(
+        self, tmp_path, inline_pool
+    ):
+        for n, side in ((40, 3.0), (4000, 38.0)):
+            g = corpus.random_udg_csr(
+                n, side=side, rng=np.random.default_rng(8),
+                connected=False,
+            )
+            corpus.save_graph(g, tmp_path / str(n))
+            _fan_out_graphs(corpus.load_graph(tmp_path / str(n)))
+            arrays = len(pickle.dumps((g.indptr, g.indices, g.positions)))
+        sizes = [len(pickle.dumps(p)) for p in inline_pool]
+        assert len(sizes) == 4
+        assert max(sizes) < 1024
+        assert max(sizes) * 100 < arrays
+
+    def test_worker_maps_one_graph_per_entry(self, tmp_path, inline_pool):
+        entry = tmp_path / "entry"
+        corpus.save_graph(
+            corpus.random_udg_csr(
+                50, side=4.0, rng=np.random.default_rng(8)
+            ),
+            entry,
         )
-        with SharedGraph.publish(g) as shared:
-            handle_bytes = len(pickle.dumps(shared.handle))
-            graph_bytes = len(pickle.dumps((g.indptr, g.indices)))
-            assert handle_bytes < 1024
-            assert handle_bytes * 10 < graph_bytes
+        first, second = _fan_out_graphs(corpus.load_graph(entry))
+        assert first is second
+        assert first.source == "mmap"
+        assert first.entry == str(entry.resolve())
+        assert [p.path for p in inline_pool] == [first.entry] * 2
+
+    def test_report_trials_on_an_entry_pooled_equal_serial(self, tmp_path):
+        entry = tmp_path / "entry"
+        corpus.save_graph(
+            corpus.random_udg_csr(
+                60, side=4.0, rng=np.random.default_rng(13)
+            ),
+            entry,
+        )
+        pooled = run_report_trials(
+            "mis", n_trials=3, seed=5, processes=2, corpus=entry
+        )
+        serial = run_report_trials(
+            "mis", n_trials=3, seed=5, processes=1, corpus=entry
+        )
+        assert pooled == serial
+        assert {r.provenance["corpus"]["source"] for r in pooled} == {
+            "mmap"
+        }
+
+    def test_mmap_false_graph_travels_as_a_temporary_entry(
+        self, tmp_path, monkeypatch, inline_pool
+    ):
+        # Its arrays are writable copies: the entry on disk may no
+        # longer hold what the caller holds, so the fan-out writes them.
+        entry = tmp_path / "entry"
+        digest = corpus.save_graph(
+            corpus.random_udg_csr(
+                50, side=4.0, rng=np.random.default_rng(8)
+            ),
+            entry,
+        )
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        graph = corpus.load_graph(entry, mmap=False)
+        assert graph.entry is None
+        mapped, _ = _fan_out_graphs(graph)
+        assert mapped.source == "mmap"
+        assert mapped.graph["digest"] == digest
+        assert inline_pool[0].path.startswith(str(scratch))
+        assert not list(scratch.iterdir())
+
+
+def _mapped_mis_size(rng: np.random.Generator, graph) -> float:
+    assert graph.source == "mmap", "a pooled trial maps its graph"
+    return float(api.run("mis", corpus=graph, rng=rng).result.size)
+
+
+def _mapped_then_fail(rng: np.random.Generator, graph) -> float:
+    assert graph.source == "mmap", "a pooled trial maps its graph"
+    raise ValueError("trial fell over")
+
+
+class TestTemporaryEntries:
+    """A pooled fan-out over a graph that is no stored entry writes one
+    temporary entry and removes it however the fan-out ends."""
+
+    def _scratch(self, tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        graph = corpus.random_udg_csr(
+            60, side=4.0, rng=np.random.default_rng(13)
+        )
+        return scratch, graph
+
+    def test_removed_after_success(self, tmp_path, monkeypatch):
+        scratch, graph = self._scratch(tmp_path, monkeypatch)
+        pooled = run_trials(
+            _mapped_mis_size, 4, seed=5, processes=2, corpus=graph
+        )
+        assert pooled == run_trials(
+            _mis_size_measure, 4, seed=5, processes=1, corpus=graph
+        )
+        assert not list(scratch.iterdir())
+
+    def test_removed_when_a_job_raises(self, tmp_path, monkeypatch):
+        scratch, graph = self._scratch(tmp_path, monkeypatch)
+        with pytest.raises(ValueError, match="fell over"):
+            run_trials(
+                _mapped_then_fail, 4, seed=5, processes=2, corpus=graph
+            )
+        assert not list(scratch.iterdir())
+
+    def test_removed_when_the_pool_cannot_start(
+        self, tmp_path, monkeypatch
+    ):
+        scratch, graph = self._scratch(tmp_path, monkeypatch)
+        written = []
+
+        def no_pool(max_workers):
+            written.extend(scratch.rglob("meta.json"))
+            raise PermissionError("no process pool here")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        with pytest.warns(RuntimeWarning, match="PermissionError"):
+            fallback = run_trials(
+                _mis_size_measure, 4, seed=5, processes=2, corpus=graph
+            )
+        assert fallback == run_trials(
+            _mis_size_measure, 4, seed=5, processes=1, corpus=graph
+        )
+        assert len(written) == 1
+        assert not list(scratch.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +577,13 @@ class TestParallelCorpusTrials:
             assert a.result == b.result
             assert a.steps == b.steps
             assert a.trace == b.trace
-        # provenance names the transport faithfully
-        assert {r.provenance["corpus"]["source"] for r in pooled} <= {
-            "shm", "memory"
+        # Pooled workers map the graph's temporary entry; the serial
+        # trials run on the caller's in-memory arrays.
+        assert {r.provenance["corpus"]["source"] for r in pooled} == {
+            "mmap"
+        }
+        assert {r.provenance["corpus"]["source"] for r in serial} == {
+            "memory"
         }
 
     def test_report_trials_refuse_target_plus_corpus(self):

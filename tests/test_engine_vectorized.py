@@ -186,11 +186,6 @@ class TestPartitionEngineEquivalence:
         with pytest.raises(ValueError, match="unreachable"):
             partition(g, 0.5, [0], rng)
 
-    def test_unknown_engine_rejected(self):
-        g = graphs.path(4)
-        with pytest.raises(ValueError, match="engine"):
-            partition(g, 0.5, [0], np.random.default_rng(0), engine="gpu")
-
 
 class TestCsgraphGraphFacts:
     @pytest.mark.parametrize("kind", [0, 1, 2, 3])

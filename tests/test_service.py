@@ -35,6 +35,7 @@ import repro.api as api
 from repro import graphs
 from repro.analysis.experiments import (
     TrialStats,
+    _run_one_report,
     run_report_trials,
     summarize_reports,
 )
@@ -953,22 +954,22 @@ class TestCampaign:
 
     def test_pooled_matches_serial(self, stores, tmp_path):
         corpus, digest, _ = stores
+        faults = FaultSchedule.sample(
+            60, 32, seed=3, crash_rate=0.2, hetero=0.2
+        )
         spec = CampaignSpec(
             protocol="decay", corpus=(digest,), n_trials=4, seed=3,
-            policies=(ExecutionPolicy(), _chunked(8)),
+            policies=(
+                ExecutionPolicy(), _chunked(8),
+                ExecutionPolicy(faults=faults),
+            ),
         )
         pooled = run_campaign(spec, ReportStore(tmp_path / "pool"),
                               corpus=corpus, workers=2)
         serial = run_campaign(spec, ReportStore(tmp_path / "serial"),
                               corpus=corpus, workers=1)
         assert pooled.status()["state"] == "completed"
-        # Outcome fields are bit-identical; provenance names the
-        # transport faithfully (shm vs mmap), so whole-report equality
-        # is deliberately not asserted across pool boundaries.
-        for a, b in zip(pooled.reports, serial.reports):
-            assert a.result == b.result
-            assert a.steps == b.steps
-            assert a.trace == b.trace
+        assert pooled.reports == serial.reports
         assert pooled.final_summary()["steps"] == \
             serial.final_summary()["steps"]
 
@@ -1075,32 +1076,34 @@ class TestCampaign:
                                 corpus=str(corpus.directory))
         assert campaign.status()["state"] == "completed"
 
-    def test_worker_attaches_shared_handles(self, stores, tmp_path):
-        """The pool worker body, exercised in-process with a handle."""
-        from repro.analysis.experiments import _run_job
-        from repro.corpus.shm import SharedGraph
+    def test_worker_maps_an_entry(self, stores, tmp_path):
+        """The pool worker body, exercised in-process with an entry."""
+        from repro.analysis.experiments import _Entry, _map_entry, _run_job
         from repro.service.campaign import _execute_job
 
         corpus, digest, _ = stores
-        graph = corpus.load(digest)
-        shared = SharedGraph.publish(graph)
+        entry = _Entry(str(corpus.path(digest).resolve()))
+        child = np.random.SeedSequence(5).spawn(1)[0]
         key = JobKey(protocol="decay", graph=digest, seed=5, trial=0,
                      policy=policy_digest(ExecutionPolicy(), 60))
         args = (
-            "decay", np.random.SeedSequence(5).spawn(1)[0], None,
-            ExecutionPolicy(), tmp_path / "r", key,
+            "decay", child, None, ExecutionPolicy(), tmp_path / "r", key,
         )
         try:
-            report, wrote = _run_job(_execute_job, shared.handle, args)
-            assert report.protocol == "decay"
-            assert report.provenance["corpus"]["source"] == "shm"
+            report, wrote = _run_job(_execute_job, entry, args)
+            # The mapped entry runs as the caller's own load of it does,
+            # provenance included.
+            assert report == _run_one_report(
+                corpus.load(digest), "decay", child, None,
+                ExecutionPolicy(),
+            )
+            assert report.provenance["corpus"]["source"] == "mmap"
             # The job persisted its own entry; a rerun finds it there.
             assert wrote is True
             assert ReportStore(tmp_path / "r").get(key) == report
-            assert _run_job(_execute_job, shared.handle, args)[1] is False
+            assert _run_job(_execute_job, entry, args)[1] is False
         finally:
-            shared.close()
-            shared.unlink()
+            _map_entry.cache_clear()
 
     def test_graphs_without_digest_refused(self, stores, tmp_path,
                                            monkeypatch):
@@ -1274,9 +1277,8 @@ class TestCampaign:
         status = campaign.status()
         assert status["state"] == "completed"
         assert status["executed"] == spec.total_jobs
-        if workers > 1:  # the pool ran it, not the serial fallback
-            assert {r.provenance["corpus"]["source"]
-                    for r in campaign.reports} == {"shm"}
+        assert {r.provenance["corpus"]["source"]
+                for r in campaign.reports} == {"mmap"}
         assert all(job.key in store for job in campaign.jobs)
         assert store.writes == status["executed"]
         assert len(store) == spec.total_jobs

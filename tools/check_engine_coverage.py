@@ -71,8 +71,8 @@ TEST_FILES = [
     # The transmitter sampler's contract (chunking, rates, degenerate
     # blocks).
     "tests/test_sampler.py",
-    # The corpus layer (cell-grid generation, the mmap store, shm
-    # fan-out) and the result-equality mixin it leans on — ISSUE 8.
+    # The corpus layer (cell-grid generation, the mmap store, the
+    # entry-path fan-out) and the result-equality mixin it leans on.
     "tests/test_corpus.py",
     "tests/test_result_equality.py",
     # The transmitter-list chunk path (fault filter, product kernel,
