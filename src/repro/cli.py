@@ -429,6 +429,25 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0 if status.get("state") != "failed" else 1
 
 
+def _cmd_store_verify(args: argparse.Namespace) -> int:
+    """Audit a report store: check every entry the way a read does."""
+    from .service import ReportStore
+
+    store = ReportStore(args.reports)
+    if not store.directory.is_dir():
+        print(f"error: no report store at {args.reports}", file=sys.stderr)
+        return 2
+    verdicts = store.verify(quarantine=args.quarantine)
+    for digest in verdicts["bad"]:
+        moved = " (quarantined)" if args.quarantine else ""
+        print(f"bad: {digest}{moved}")
+    print(
+        f"{len(verdicts['ok'])} ok, {len(verdicts['legacy'])} legacy, "
+        f"{len(verdicts['bad'])} bad"
+    )
+    return 1 if verdicts["bad"] else 0
+
+
 def _cmd_classes(args: argparse.Namespace) -> int:
     """Summarize the paper's graph classes (not a protocol run)."""
     rng = np.random.default_rng(args.seed)
@@ -559,6 +578,22 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             ap.add_argument("id", help="campaign id (from submit)")
         ap.set_defaults(func=_cmd_campaign)
+
+    store = sub.add_parser("store", help="maintain a report store")
+    store_sub = store.add_subparsers(dest="action", required=True)
+    verify = store_sub.add_parser(
+        "verify",
+        help="check every entry the way a read does (the checksum, or "
+        "a full decode of a legacy entry); exit 1 if any is bad",
+    )
+    verify.add_argument("reports", metavar="DIR", help="report store")
+    verify.add_argument(
+        "--quarantine",
+        action="store_true",
+        help="move bad entries into the store's .quarantine/ "
+        "(without it, nothing is written)",
+    )
+    verify.set_defaults(func=_cmd_store_verify)
 
     return parser
 

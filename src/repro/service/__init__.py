@@ -8,8 +8,7 @@ Four layers, bottom up:
   digest). Run once, serve forever.
 - :mod:`repro.service.campaign` — :class:`CampaignSpec` (the
   declarative grid) and :class:`Campaign` (expand, dedupe against the
-  store, fan out across the shared-memory worker pool, stream
-  aggregates).
+  store, fan out across the worker pool, stream aggregates).
 - :mod:`repro.service.http` — :class:`ExperimentService`, the
   stdlib-asyncio HTTP front end (``repro serve``).
 - :mod:`repro.service.client` — :class:`ServiceClient`, the thin

@@ -30,12 +30,14 @@ trials — so a store-backed campaign over one cell is bit-identical,
 report for report, to the serial harness baseline (pinned in
 ``tests/test_service.py`` and gated in ``BENCH_PR10.json``).
 
-Aggregates stream: every landing report folds into the running
-:class:`~repro.analysis.experiments.TrialStats` via ``merge`` (no
-re-walk of the report list per update); once a campaign settles, the
-summary is recomputed canonically over the jobs in expansion order, so
-final aggregates are independent of worker scheduling and identical
-across resumed and uninterrupted runs.
+Aggregates stream: the three numbers a campaign records of every
+landed job (its steps, wall time and peak memory, which a store hit
+reads from the entry header without decoding the report) fold into
+the running :class:`~repro.analysis.experiments.TrialStats` via
+``merge`` (no re-walk of the report list per update); once a campaign
+settles, the summary is recomputed canonically over the jobs in
+expansion order, so final aggregates are independent of worker
+scheduling and identical across resumed and uninterrupted runs.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .store import (
     config_digest,
     faults_digest,
     policy_digest,
+    report_scalars,
 )
 
 __all__ = ["Campaign", "CampaignJob", "CampaignSpec", "run_campaign"]
@@ -338,6 +341,15 @@ def _resolve_corpus_entries(
     return graphs
 
 
+def _single(value: float) -> TrialStats:
+    """``TrialStats.from_values([value])`` without the array round trip:
+    the mean, minimum and maximum of one value are that value."""
+    value = float(value)
+    return TrialStats(
+        mean=value, std=0.0, minimum=value, maximum=value, count=1
+    )
+
+
 def _execute_job(
     target: Any,
     protocol: str,
@@ -473,28 +485,31 @@ class Campaign:
 
     # -- bookkeeping --------------------------------------------------
 
-    def _record(self, job: CampaignJob, report: Any, cached: bool) -> None:
+    def _record(
+        self,
+        job: CampaignJob,
+        scalars: tuple[int, float, int | None],
+        cached: bool,
+        report: Any = None,
+    ) -> None:
+        """Record one landed job: its :func:`report_scalars`, plus its
+        report when the campaign keeps reports. Cold landings and both
+        kinds of store hit come through here."""
+        steps, wall, peak = scalars
         with self._lock:
             self._done[job.index] = True
             self._cached[job.index] = cached
-            self._steps[job.index] = report.steps
-            self._walls[job.index] = report.wall_time_s
-            self._peaks[job.index] = report.peak_mem_bytes
+            self._steps[job.index] = steps
+            self._walls[job.index] = wall
+            self._peaks[job.index] = peak
             if self.keep_reports:
                 self.reports[job.index] = report
-            update = {
-                "steps": TrialStats.from_values([float(report.steps)]),
-                "wall_time_s": TrialStats.from_values(
-                    [report.wall_time_s]
-                ),
-            }
-            if report.peak_mem_bytes is None:
+            update = {"steps": _single(steps), "wall_time_s": _single(wall)}
+            if peak is None:
                 self._stream_peaks_ok = False
                 self._stream.pop("peak_mem_bytes", None)
             elif self._stream_peaks_ok:
-                update["peak_mem_bytes"] = TrialStats.from_values(
-                    [float(report.peak_mem_bytes)]
-                )
+                update["peak_mem_bytes"] = _single(peak)
             for name, stats in update.items():
                 prior = self._stream.get(name)
                 self._stream[name] = (
@@ -558,16 +573,28 @@ class Campaign:
         should_stop: Callable[[], bool] | None,
         notify: Callable[[], None],
     ) -> list[CampaignJob]:
-        """The dedupe sweep: serve every stored job as a cache hit."""
+        """The dedupe sweep: serve every stored job as a cache hit.
+
+        A campaign that keeps reports decodes each hit in full
+        (:meth:`ReportStore.get`); one that does not, as the service's
+        do, reads only the scalars it records
+        (:meth:`ReportStore.get_scalars`: the entry's checksum and
+        header, the report left unparsed).
+        """
         pending = []
         for i, job in enumerate(self.jobs):
             if i % STOP_PROBE_EVERY == 0 and self._stopped(should_stop):
                 break
-            report = self.store.get(job.key)
-            if report is None:
+            report = None
+            if self.keep_reports:
+                report = self.store.get(job.key)
+                scalars = None if report is None else report_scalars(report)
+            else:
+                scalars = self.store.get_scalars(job.key)
+            if scalars is None:
                 pending.append(job)
             else:
-                self._record(job, report, cached=True)
+                self._record(job, scalars, cached=True, report=report)
                 notify()
         return pending
 
@@ -607,7 +634,9 @@ class Campaign:
                 report, wrote = outcome
                 if wrote:
                     self.store.record_write()
-                self._record(job, report, cached=False)
+                self._record(
+                    job, report_scalars(report), cached=False, report=report
+                )
             else:
                 with self._lock:
                     self.failed += 1

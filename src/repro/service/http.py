@@ -4,9 +4,13 @@ A deliberately small HTTP/1.1 server on ``asyncio.start_server`` —
 stdlib only, one JSON request/response per connection, chunked
 transfer for the aggregate stream. The event loop owns the sockets;
 campaigns execute on a bounded thread pool (each campaign then fans
-its jobs across the process pool), signalling the loop per landed job
-via ``call_soon_threadsafe`` so stream subscribers wake without
-polling the campaign.
+its jobs across the process pool). A landed job wakes the loop via
+``call_soon_threadsafe`` only when no wake-up is pending, so stream
+subscribers wake without polling the campaign, and a stream writes at
+most one progress line per :data:`STREAM_INTERVAL_S`: a campaign
+landing hundreds of cached jobs costs a few lines, not one loop and
+client wake-up per job. The line sent on subscribe and the settled
+line go out at once.
 
 Endpoints (all JSON)::
 
@@ -60,6 +64,10 @@ READ_DEADLINE_S = 30.0
 #: Campaign states that stop a status stream.
 SETTLED = ("completed", "cancelled", "failed")
 
+#: Least seconds between two progress lines of one status stream; a
+#: settle ends the pause early, so the settled line is never held.
+STREAM_INTERVAL_S = 0.05
+
 _STATUS_TEXT = {
     200: "OK",
     202: "Accepted",
@@ -87,6 +95,10 @@ class _CampaignRecord:
         self.id = ident
         self.campaign = campaign
         self.updated = asyncio.Event()
+        self.settled = asyncio.Event()
+        #: A wake-up is scheduled and no stream has read the status
+        #: since; further landed jobs schedule none.
+        self.wake_pending = False
         self.error: str | None = None
 
     def status(self) -> dict[str, Any]:
@@ -170,10 +182,16 @@ class ExperimentService:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop listening, cancel running campaigns, drain the pool."""
+        """Stop listening, cancel running campaigns, drain the pool.
+
+        The server is dropped: its protocol factory holds this service,
+        so keeping it would leave every campaign, job key and mapped
+        graph of a stopped service to the cyclic garbage collector.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+            self._server = None
         for record in self._records.values():
             record.campaign.cancel()
         await asyncio.get_running_loop().run_in_executor(
@@ -389,7 +407,16 @@ class ExperimentService:
         loop = self._loop
 
         def notify() -> None:
-            loop.call_soon_threadsafe(record.updated.set)
+            # Unlocked: racing a stream's re-arm costs at most one
+            # extra wake-up, never a lost one (the stream re-arms
+            # before it reads the status).
+            if not record.wake_pending:
+                record.wake_pending = True
+                loop.call_soon_threadsafe(record.updated.set)
+
+        def settle() -> None:
+            record.settled.set()
+            record.updated.set()
 
         def drive() -> None:
             try:
@@ -399,7 +426,7 @@ class ExperimentService:
             except Exception as exc:  # pragma: no cover - defensive
                 record.error = f"{type(exc).__name__}: {exc}"
             finally:
-                notify()
+                loop.call_soon_threadsafe(settle)
 
         self._executor.submit(drive)
         return 202, record.status()
@@ -407,7 +434,11 @@ class ExperimentService:
     async def _stream(
         self, record: _CampaignRecord, writer: asyncio.StreamWriter
     ) -> None:
-        """Chunked NDJSON: one status line per change, until settled."""
+        """Chunked NDJSON: one status line per change, until settled.
+
+        Lines are at least :data:`STREAM_INTERVAL_S` apart, except the
+        settled one: a settle cuts the pause short.
+        """
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
@@ -416,6 +447,10 @@ class ExperimentService:
         )
         last: tuple | None = None
         while True:
+            # Re-arm the wake-up before reading, so a job landing after
+            # this read wakes the next one.
+            record.wake_pending = False
+            record.updated.clear()
             status = record.status()
             fingerprint = (
                 status["state"],
@@ -432,13 +467,18 @@ class ExperimentService:
                 await writer.drain()
             if status["state"] in SETTLED or status.get("error"):
                 break
-            record.updated.clear()
-            try:
-                await asyncio.wait_for(record.updated.wait(), timeout=0.25)
-            except asyncio.TimeoutError:
-                pass
+            await _wait(record.settled, STREAM_INTERVAL_S)
+            await _wait(record.updated, 0.25)
         writer.write(b"0\r\n\r\n")
         await writer.drain()
+
+
+async def _wait(event: asyncio.Event, timeout: float) -> None:
+    """Wait until ``event`` is set or ``timeout`` seconds pass."""
+    try:
+        await asyncio.wait_for(event.wait(), timeout)
+    except asyncio.TimeoutError:
+        pass
 
 
 class ServiceThread:

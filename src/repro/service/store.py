@@ -12,20 +12,31 @@ content digests) and a
 repeated request is a cache hit — no re-execution, and a campaign
 killed mid-flight resumes from whatever its first life persisted.
 
-Entries are one JSON document each (the :mod:`repro.api.wire` tagged
-format plus the key's own fields for listing), written atomically via
-tempfile + ``os.replace`` exactly like
-:class:`~repro.corpus.store.CorpusStore` entries: two processes
+An entry is one file of three lines (format 2): the sha256 hex of
+every byte after the first line; a header JSON object with the key's
+own fields (for listing) and the report's three campaign scalars
+(``steps``, ``wall_time_s``, ``peak_mem_bytes``); and the report in
+the :mod:`repro.api.wire` tagged format. Every read checks the
+checksum first, so a changed byte anywhere after it — in the report
+or in a scalar — is never served, and :meth:`ReportStore.get_scalars`
+serves a hit from the header without parsing the report at all. A
+file whose first line is not a checksum is a format-1 entry (one JSON
+document, written before the checksum existed): it is checked by a
+full decode on every read, and stays a hit.
+
+Entries are written atomically via tempfile + ``os.replace`` exactly
+like :class:`~repro.corpus.store.CorpusStore` entries: two processes
 racing to persist the same job write the same bytes, and a crash
-never leaves a half-readable entry. Documents are sharded into
+never leaves a half-readable entry. Entries are sharded into
 two-hex-character subdirectories so a million-report store does not
 put a million files in one directory.
 
 Dot-named files and directories are never entries: in-flight and
 crash-orphaned ``.tmp-*`` files are not listed or counted, and an
-entry that no longer parses or decodes (a truncated file, a bad disk)
-is moved into ``.quarantine/`` by the read that finds it and served
-as a miss, so the job runs again and writes a good entry.
+entry that fails its checksum or no longer parses or decodes (a
+truncated file, a bad disk, a flipped bit) is moved into
+``.quarantine/`` by the read that finds it and served as a miss, so
+the job runs again and writes a good entry.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ import re
 import tempfile
 import threading
 import time
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from ..api.report import RunReport
 from ..api.wire import decode_value, encode_value
@@ -53,6 +64,7 @@ __all__ = [
     "config_digest",
     "faults_digest",
     "policy_digest",
+    "report_scalars",
 ]
 
 #: Digest value standing for "no fault schedule" (or an empty one —
@@ -68,12 +80,90 @@ NO_CONFIG = "none"
 #: never listed as entries).
 QUARANTINE = ".quarantine"
 
-#: The form of an entry address (:attr:`JobKey.digest`).
+#: The form of an entry address (:attr:`JobKey.digest`), and of a
+#: format-2 entry's first line (the checksum of the rest).
 _DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 def _is_digest(value: object) -> bool:
     return isinstance(value, str) and _DIGEST.fullmatch(value) is not None
+
+
+def report_scalars(report: RunReport) -> tuple[int, float, int | None]:
+    """The three numbers a campaign records of a report, as a stored
+    entry gives them back: ``(steps, wall_time_s, peak_mem_bytes)``."""
+    peak = report.peak_mem_bytes
+    return (
+        int(report.steps),
+        float(report.wall_time_s),
+        None if peak is None else int(peak),
+    )
+
+
+def _split(raw: bytes) -> tuple[dict[str, Any], bytes | None]:
+    """An entry's header and its report line, unparsed.
+
+    Format 2: the first line must be the sha256 hex of every byte after
+    it; the second parses to the header. Format 1 (a first line that is
+    no checksum): the whole file parses to one document, returned with
+    ``None``; its ``"report"`` is the tagged report. Raises
+    ``ValueError`` for an entry that fails its checksum or does not
+    parse to an object.
+    """
+    checksum = raw[:64].decode("latin-1")
+    if raw[64:65] == b"\n" and _is_digest(checksum):
+        if hashlib.sha256(memoryview(raw)[65:]).hexdigest() != checksum:
+            raise ValueError("entry fails its checksum")
+        cut = raw.find(b"\n", 65)
+        if cut < 0:
+            raise ValueError("entry has no report line")
+        header, report = json.loads(raw[65:cut]), raw[cut + 1:]
+    else:
+        header, report = json.loads(raw), None
+    if not isinstance(header, dict):
+        raise ValueError("entry is not a JSON object")
+    return header, report
+
+
+def _decode(header: dict[str, Any], report: bytes | None) -> RunReport:
+    """The entry's report, decoded in full (the check of format 1)."""
+    value = decode_value(
+        header["report"] if report is None else json.loads(report)
+    )
+    if not isinstance(value, RunReport):
+        raise ValueError(f"entry holds a {type(value).__name__}")
+    return value
+
+
+def _scalars(
+    header: dict[str, Any], report: bytes | None
+) -> tuple[int, float, int | None]:
+    """The entry's :func:`report_scalars`: read from a format-2 header,
+    the report left unparsed; a format-1 entry is decoded in full."""
+    if report is None:
+        return report_scalars(_decode(header, None))
+    scalars = header["scalars"]
+    return (
+        scalars["steps"], scalars["wall_time_s"], scalars["peak_mem_bytes"]
+    )
+
+
+def _document(
+    header: dict[str, Any], report: bytes | None
+) -> dict[str, Any]:
+    """The entry as one document: key fields, scalars, tagged report."""
+    if report is None:
+        return header
+    return {**header, "report": json.loads(report)}
+
+
+def _verdict(header: dict[str, Any], report: bytes | None) -> str:
+    """``"ok"`` for a format-2 entry (its checksum held), ``"legacy"``
+    for a format-1 entry that decodes in full."""
+    if report is None:
+        _decode(header, None)
+        return "legacy"
+    return "ok"
 
 
 def policy_digest(policy: ExecutionPolicy, n: int | None = None) -> str:
@@ -169,17 +259,27 @@ class JobKey:
         (:data:`~repro.engine.sampler.STREAM_VERSION`): the same
         coordinates run on another stream give other numbers, so a
         store written under one stream must miss, never answer, under
-        the next.
+        the next. Computed once and kept in ``__dict__``, outside the
+        fields (so equality, hashing and :meth:`asdict` ignore it); a
+        pickle carries it.
         """
-        doc = json.dumps(
-            {**dataclasses.asdict(self), "stream": STREAM_VERSION},
-            sort_keys=True,
-        )
-        return hashlib.sha256(doc.encode()).hexdigest()
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            doc = json.dumps(
+                {**self.asdict(), "stream": STREAM_VERSION}, sort_keys=True
+            )
+            digest = hashlib.sha256(doc.encode()).hexdigest()
+            self.__dict__["_digest"] = digest
+        return digest
 
     def asdict(self) -> dict[str, Any]:
-        """Plain-JSON form (stored beside the report for listing)."""
-        return dataclasses.asdict(self)
+        """Plain-JSON form (stored beside the report for listing): the
+        fields, which are plain strings and integers, so this equals
+        :func:`dataclasses.asdict` without its recursive copy."""
+        return {
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(self)
+        }
 
 
 class ReportStore:
@@ -237,48 +337,77 @@ class ReportStore:
             return  # a concurrent reader moved it first
         self._count("quarantined")
 
-    def _load(self, path: pathlib.Path) -> dict[str, Any] | None:
-        """The parsed document at ``path``; ``None`` when there is none
-        or it does not parse (then it is quarantined)."""
+    def _open(
+        self,
+        path: pathlib.Path,
+        read: Callable[[dict[str, Any], bytes | None], Any],
+        quarantine: bool = True,
+    ) -> Any:
+        """``read(header, report line)`` of the entry at ``path``
+        (:func:`_split`); ``None`` when there is none, or when it fails
+        its checksum or ``read`` (then it is quarantined, unless
+        ``quarantine`` is false)."""
         try:
-            document = json.loads(path.read_text())
+            raw = path.read_bytes()
         except FileNotFoundError:
             return None
-        except ValueError:  # truncated or garbled bytes
-            document = None
-        if isinstance(document, dict):
-            return document
-        self._quarantine(path)
-        return None
+        try:
+            return read(*_split(raw))
+        except (AttributeError, KeyError, TypeError, ValueError):
+            if quarantine:
+                self._quarantine(path)
+            return None
 
     def get(self, key: "JobKey | str") -> RunReport | None:
         """The stored report of ``key``, or ``None`` (counted) on a miss.
 
-        An entry that does not parse or decode to a
-        :class:`~repro.api.report.RunReport` is quarantined and missed.
+        An entry that fails its checksum, or does not parse or decode
+        to a :class:`~repro.api.report.RunReport`, is quarantined and
+        missed.
         """
-        path = self.path_for(key)
-        document = self._load(path)
-        report = None
-        if document is not None:
-            try:
-                report = decode_value(document["report"])
-            except (AttributeError, KeyError, TypeError, ValueError):
-                pass
-            if not isinstance(report, RunReport):
-                self._quarantine(path)
-                report = None
+        report = self._open(self.path_for(key), _decode)
         self._count("misses" if report is None else "hits")
         return report
 
+    def get_scalars(
+        self, key: "JobKey | str"
+    ) -> tuple[int, float, int | None] | None:
+        """The stored :func:`report_scalars` of ``key``, or ``None``
+        (counted) on a miss: what a campaign records of a hit.
+
+        A format-2 entry is served from its header once its checksum
+        holds, without parsing the report; a format-1 entry is decoded
+        in full, as :meth:`get` does. Damaged entries are quarantined
+        and missed, as by :meth:`get`.
+        """
+        scalars = self._open(self.path_for(key), _scalars)
+        self._count("misses" if scalars is None else "hits")
+        return scalars
+
     def get_document(self, digest: str) -> dict[str, Any] | None:
-        """The raw stored document (key fields + tagged report) of a
-        digest — what the fetch-report HTTP endpoint serves verbatim.
+        """The stored document of a digest — key fields, scalars and
+        the tagged report, what the fetch-report HTTP endpoint serves.
         ``None`` for a string that is not a digest, a missing entry,
-        or one that does not parse (quarantined)."""
+        or one that fails its checksum or does not parse
+        (quarantined)."""
         if not _is_digest(digest):
             return None
-        return self._load(self.path_for(digest))
+        return self._open(self.path_for(digest), _document)
+
+    def verify(self, quarantine: bool = False) -> dict[str, list[str]]:
+        """Check every entry the way a read does: the checksum of a
+        format-2 entry, a full decode of a format-1 one.
+
+        Returns the digests by verdict: ``ok`` (format 2), ``legacy``
+        (format 1) and ``bad``. With ``quarantine`` each bad entry is
+        moved into :data:`QUARANTINE`, as a read would move it;
+        without, nothing is written. Audits count no hits or misses.
+        """
+        verdicts: dict[str, list[str]] = {"ok": [], "legacy": [], "bad": []}
+        for digest in list(self.digests()):
+            verdict = self._open(self.path_for(digest), _verdict, quarantine)
+            verdicts[verdict or "bad"].append(digest)
+        return verdicts
 
     def put(self, key: JobKey, report: RunReport) -> pathlib.Path:
         """Persist ``report`` under ``key`` atomically; return the path.
@@ -287,9 +416,11 @@ class ReportStore:
         outcome); the write is tempfile + ``os.replace`` in the entry's
         own shard directory, so readers never observe a partial file
         and a crashed writer leaves only an orphaned dotfile. The
-        document is encoded by one ``json.dumps`` call (CPython's C
-        encoder; ``json.dump`` to a file runs the pure-Python one) and
-        written at once.
+        report line is encoded by one ``json.dumps`` call (CPython's C
+        encoder; ``json.dump`` to a file runs the pure-Python one);
+        the header carries the key and :func:`report_scalars`, and the
+        first line the sha256 hex of both. All three go out in one
+        write.
         """
         if not isinstance(report, RunReport):
             raise ProtocolError(
@@ -300,20 +431,25 @@ class ReportStore:
         if path.is_file():
             return path
         path.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(
-            {
-                "format": 1,
-                "key": key.asdict(),
-                "digest": key.digest,
-                "report": encode_value(report),
-            }
-        )
+        steps, wall, peak = report_scalars(report)
+        header = {
+            "format": 2,
+            "key": key.asdict(),
+            "digest": key.digest,
+            "scalars": {
+                "steps": steps, "wall_time_s": wall, "peak_mem_bytes": peak,
+            },
+        }
+        body = (
+            json.dumps(header) + "\n" + json.dumps(encode_value(report))
+        ).encode()
+        checksum = hashlib.sha256(body).hexdigest().encode()
         fd, tmp = tempfile.mkstemp(
             prefix=".tmp-", suffix=".json", dir=path.parent
         )
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(checksum + b"\n" + body)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):  # pragma: no cover - crash path

@@ -9,7 +9,9 @@ The load-bearing contracts:
    name.
 2. **Pure-function store** — a job is determined by its
    :class:`~repro.service.JobKey`; the store serves repeats as cache
-   hits, writes atomically, and two racing writers of one key are
+   hits, writes atomically, checks each entry's checksum on every read
+   (a damaged entry is quarantined and missed, by the full read and
+   the scalar read alike), and two racing writers of one key are
    benign.
 3. **Campaign = harness** — a store-backed campaign over one cell is
    bit-identical, report for report and aggregate for aggregate, to
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import hashlib
 import json
 import math
 import struct
@@ -67,6 +70,7 @@ from repro.service import (
     run_campaign,
     start_in_thread,
 )
+from repro.service.store import report_scalars
 
 
 _Pair = collections.namedtuple("_Pair", "a b")
@@ -93,6 +97,29 @@ def _item_wise(document):
             ],
         }
     return {k: _item_wise(v) for k, v in document.items()}
+
+
+def _format_1(key: JobKey, tagged) -> str:
+    """A store entry as written before entries carried a checksum
+    (format 1): one JSON document of the key fields and a tagged
+    report."""
+    return json.dumps({
+        "format": 1,
+        "key": key.asdict(),
+        "digest": key.digest,
+        "report": tagged,
+    })
+
+
+def _bump_digit(line: bytes, after: bytes) -> bytes:
+    """``line`` with the last digit of the number after ``after``
+    changed: the line stays valid JSON, its number does not."""
+    start = end = line.index(after) + len(after)
+    while line[end:end + 1].isdigit():
+        end += 1
+    assert end > start, line[start:start + 16]
+    digit = (int(line[end - 1:end]) + 1) % 10
+    return line[:end - 1] + str(digit).encode() + line[end:]
 
 
 def _chunked(rows: int, n: int = 60) -> ExecutionPolicy:
@@ -330,6 +357,30 @@ class TestStore:
         assert a.digest != self._key(faults="f" * 16).digest
         assert a.digest != self._key(config="c" * 16).digest
 
+    def test_key_digest_is_computed_once_outside_the_fields(self):
+        # Literals read before the digest was cached: the addresses
+        # did not move.
+        a = self._key()
+        b = self._key(protocol="mis", seed=7, trial=5,
+                      faults="f" * 16, config="c" * 16)
+        assert a.digest == (
+            "69869ee4c2d76c0326fed6c59b900a81b864927d47cba192576b299e3366c48f"
+        )
+        assert b.digest == (
+            "aefdc5cd38c3913e162a61762b9dd0ba0e99797be5d96135db3971c99fd60c6a"
+        )
+        assert a.__dict__["_digest"] == a.digest
+        # Equality, hashing and the key fields ignore the cached value.
+        fresh = self._key()
+        assert "_digest" not in fresh.__dict__
+        assert a == fresh and hash(a) == hash(fresh)
+        assert a.asdict() == fresh.asdict() == dataclasses.asdict(fresh)
+        # A pickle (what pool workers receive) carries it.
+        import pickle
+
+        clone = pickle.loads(pickle.dumps(a))
+        assert clone == a and clone.__dict__["_digest"] == a.digest
+
     def test_config_digest_separates_configs(self):
         assert config_digest(None) == "none"
         one = config_digest(api.DecayConfig(iterations=1))
@@ -406,6 +457,8 @@ class TestStore:
     def test_put_writes_the_one_shot_encoding(self, tmp_path):
         # One json.dumps call writes exactly the bytes json.dump would
         # stream, so the entry format does not depend on the encoder.
+        # The entry is format 2: the sha256 hex of the rest, the header
+        # (key fields and scalars), the one-shot report.
         store = ReportStore(tmp_path / "reports")
         faults = FaultSchedule.sample(30, 16, seed=2, crash_rate=0.2)
         report = api.run(
@@ -415,16 +468,24 @@ class TestStore:
         )
         key = self._key()
         path = store.put(key, report)
-        document = {
-            "format": 1,
+        header = {
+            "format": 2,
             "key": key.asdict(),
             "digest": key.digest,
-            "report": encode_value(report),
+            "scalars": {
+                "steps": report.steps,
+                "wall_time_s": report.wall_time_s,
+                "peak_mem_bytes": report.peak_mem_bytes,
+            },
         }
         streamed = tmp_path / "streamed.json"
         with open(streamed, "w") as handle:
-            json.dump(document, handle)
-        assert path.read_bytes() == streamed.read_bytes()
+            json.dump(header, handle)
+            handle.write("\n")
+            json.dump(encode_value(report), handle)
+        rest = streamed.read_bytes()
+        checksum = hashlib.sha256(rest).hexdigest().encode()
+        assert path.read_bytes() == checksum + b"\n" + rest
         assert [p.name for p in path.parent.iterdir()] == [path.name]
 
     def test_listing_skips_dotfiles(self, tmp_path):
@@ -474,18 +535,17 @@ class TestStore:
         if damage == "truncate":
             path.write_bytes(good[: len(good) // 2])
         elif damage == "garble":  # parses, does not decode to a report
-            document = json.loads(good)
-            document["report"]["fields"]["steps"] = {"__repro__": "bogus"}
-            path.write_text(json.dumps(document))
+            tagged = encode_value(report)
+            tagged["fields"]["steps"] = {"__repro__": "bogus"}
+            path.write_text(_format_1(key, tagged))
         elif damage == "rows":  # a fault table whose columns disagree
-            document = json.loads(good)
+            tagged = encode_value(report)
             faults = encode_value(FaultSchedule(crashes=((0, 5), (1, 6))))
             faults["fields"]["crashes"]["columns"][1] = encode_value(
                 np.arange(3, dtype=np.int64)
             )
-            document["report"]["fields"]["policy"]["fields"]["faults"] = \
-                faults
-            path.write_text(json.dumps(document))
+            tagged["fields"]["policy"]["fields"]["faults"] = faults
+            path.write_text(_format_1(key, tagged))
         else:
             path.write_text("[1, 2]")
         damaged = path.read_bytes()
@@ -502,6 +562,89 @@ class TestStore:
         assert path.read_bytes() == good
         assert store.get(key) == report
 
+    @pytest.mark.parametrize("read", ["get", "get_scalars", "get_document"])
+    @pytest.mark.parametrize("damage", [
+        "report-digit", "scalar-digit", "checksum", "truncate",
+        "no-checksum",
+    ])
+    def test_damaged_entry_is_quarantined_by_every_read(
+        self, tmp_path, damage, read
+    ):
+        store = ReportStore(tmp_path / "reports")
+        report = api.run("decay", graphs.random_udg(30, 4.0, np.random.default_rng(1)),
+                         rng=np.random.default_rng(0))
+        key = self._key()
+        path = store.put(key, report)
+        good = path.read_bytes()
+        checksum, header, tagged = good.split(b"\n")
+        if damage == "report-digit":
+            # Valid JSON that decodes to a report with other numbers:
+            # served as a hit before entries carried a checksum.
+            tagged = _bump_digit(tagged, b'"transmissions": ')
+            assert isinstance(decode_value(json.loads(tagged)), RunReport)
+        elif damage == "scalar-digit":
+            header = _bump_digit(header, b'"steps": ')
+            assert json.loads(header)["scalars"]["steps"] != report.steps
+        elif damage == "checksum":
+            checksum = (b"1" if checksum[:1] == b"0" else b"0") + checksum[1:]
+        damaged = b"\n".join((checksum, header, tagged))
+        if damage == "truncate":
+            damaged = good[: len(good) // 2]
+        elif damage == "no-checksum":
+            damaged = b"\n".join((header, tagged))
+        assert damaged != good
+        path.write_bytes(damaged)
+        assert getattr(store, read)(
+            key.digest if read == "get_document" else key
+        ) is None
+        assert not path.exists()
+        quarantine = tmp_path / "reports" / ".quarantine"
+        moved = list(quarantine.iterdir())
+        assert len(moved) == 1 and moved[0].read_bytes() == damaged
+        assert store.stats()["quarantined"] == 1
+        assert store.hits == 0
+        assert store.misses == (0 if read == "get_document" else 1)
+        assert len(store) == 0
+        # The cell is not poisoned: the next put writes a good entry.
+        store.put(key, report)
+        assert path.read_bytes() == good
+        assert store.get(key) == report
+
+    @pytest.mark.parametrize("protocol, faulted, measured", [
+        ("decay", False, False),
+        ("decay", True, True),
+        ("mis", False, False),
+        ("mis", False, True),
+    ], ids=["decay", "decay-faulted-peak", "mis", "mis-peak"])
+    def test_scalar_read_matches_the_full_read(
+        self, tmp_path, protocol, faulted, measured
+    ):
+        graph = graphs.random_udg(30, 4.0, np.random.default_rng(1))
+        policy = ExecutionPolicy(faults=FaultSchedule.sample(
+            30, 32, seed=4, crash_rate=0.2, hetero=0.4
+        )) if faulted else ExecutionPolicy()
+        report = api.run(protocol, graph, rng=np.random.default_rng(0),
+                         policy=policy, measure_memory=measured)
+        assert (report.peak_mem_bytes is not None) == measured
+        store = ReportStore(tmp_path / "reports")
+        key = self._key(protocol=protocol, faults=faults_digest(policy))
+        store.put(key, report)
+        full = store.get(key)
+        scalars = store.get_scalars(key)
+        assert scalars == (
+            full.steps, full.wall_time_s, full.peak_mem_bytes
+        )
+        assert scalars == report_scalars(report)
+        assert [type(v) for v in scalars] == [
+            int, float, int if measured else type(None)
+        ]
+        assert store.hits == 2 and store.misses == 0
+        # A format-1 entry is decoded in full and reads the same.
+        store.path_for(key).write_text(_format_1(key, encode_value(report)))
+        assert store.get_scalars(key) == scalars
+        assert store.get_document(key.digest)["format"] == 1
+        assert store.hits == 3 and store.quarantined == 0
+
     def test_item_wise_faulted_entry_is_a_hit(self, tmp_path):
         # An entry written before fault tables travelled as columns
         # (every event pair a tagged tuple) still decodes: a hit equal
@@ -513,10 +656,11 @@ class TestStore:
         policy = ExecutionPolicy(faults=faults)
         store = ReportStore(tmp_path / "reports")
         key = self._key(faults=faults_digest(policy))
-        path = store.put(key, api.run(
+        report = api.run(
             "decay", graph, rng=np.random.default_rng(0), policy=policy
-        ))
-        document = json.loads(path.read_text())
+        )
+        path = store.put(key, report)
+        document = json.loads(_format_1(key, encode_value(report)))
         document["report"] = _item_wise(document["report"])
         text = json.dumps(document)
         assert '"rows"' not in text
@@ -577,6 +721,9 @@ class TestStore:
         document = store.get_document(key.digest)
         assert document["key"] == key.asdict()
         assert document["digest"] == key.digest
+        assert document["format"] == 2
+        assert document["scalars"]["steps"] == report.steps
+        assert decode_value(document["report"]) == report
         assert store.get_document("ff" * 32) is None
 
     def test_put_refuses_non_reports(self, tmp_path):
@@ -734,6 +881,50 @@ class TestCampaign:
         assert again.final_summary() == first.final_summary()
         assert all(a == b for a, b in zip(again.reports, first.reports))
 
+    def test_resubmits_agree_whether_or_not_reports_are_kept(
+        self, stores, tmp_path
+    ):
+        # Kept reports are served by the full read, dropped ones by the
+        # scalar read: the recorded numbers are the same.
+        corpus, digest, _ = stores
+        faults = FaultSchedule.sample(60, 32, seed=3, crash_rate=0.1,
+                                      hetero=0.2)
+        spec = CampaignSpec(
+            protocol="decay", corpus=(digest,), n_trials=5, seed=19,
+            policies=(ExecutionPolicy(), ExecutionPolicy(faults=faults)),
+        )
+        store = ReportStore(tmp_path / "r")
+        cold = run_campaign(spec, store, corpus=corpus, keep_reports=False)
+        kept = run_campaign(spec, store, corpus=corpus)
+        dropped = run_campaign(spec, store, corpus=corpus,
+                               keep_reports=False)
+        assert dropped.status()["cached"] == spec.total_jobs
+        assert kept.status() == dropped.status()
+        assert kept.final_summary() == dropped.final_summary()
+        assert dropped.final_summary() == cold.final_summary()
+        assert len(kept.reports) == spec.total_jobs
+        assert dropped.reports == []
+
+    def test_changed_entry_reexecutes_under_the_scalar_probe(
+        self, stores, tmp_path
+    ):
+        corpus, digest, _ = stores
+        spec = CampaignSpec(protocol="decay", corpus=(digest,),
+                            n_trials=4, seed=41)
+        store = ReportStore(tmp_path / "r")
+        first = run_campaign(spec, store, corpus=corpus)
+        victim = store.path_for(first.jobs[2].key)
+        checksum, header, tagged = victim.read_bytes().split(b"\n")
+        tagged = _bump_digit(tagged, b'"transmissions": ')
+        victim.write_bytes(b"\n".join((checksum, header, tagged)))
+        again = run_campaign(spec, store, corpus=corpus, keep_reports=False)
+        status = again.status()
+        assert status["executed"] == 1 and status["cached"] == 3
+        assert store.quarantined == 1
+        assert again.final_summary()["steps"] == \
+            first.final_summary()["steps"]
+        assert store.get(first.jobs[2].key) == first.reports[2]
+
     def test_round_accounted_broadcast_campaign(self, stores, tmp_path):
         # Protocols that take the bare graph run as campaigns too, and
         # their reports are served from the store on resubmit.
@@ -825,11 +1016,9 @@ class TestCampaign:
             for job in fresh.jobs:
                 assert old_policy != job.key.policy
                 old_key = dataclasses.replace(job.key, policy=old_policy)
-                entry = json.loads(
-                    fresh_store.path_for(job.key).read_text()
-                )
-                entry["key"] = old_key.asdict()
-                entry["digest"] = old_key.digest
+                entry = json.loads(_format_1(
+                    old_key, encode_value(fresh.reports[job.index])
+                ))
                 entry["report"]["fields"]["policy"]["fields"] = dict(
                     fields
                 )
@@ -865,7 +1054,7 @@ class TestCampaign:
         fresh = run_campaign(spec, fresh_store, corpus=corpus)
         (job,) = fresh.jobs
         (report,) = fresh.reports
-        entry = json.loads(fresh_store.path_for(job.key).read_text())
+        entry = json.loads(_format_1(job.key, encode_value(report)))
         heard, senders = report.result.heard, report.result.heard_from
         entry["report"]["fields"]["result"]["fields"]["messages"] = [
             int(s) if h else None for h, s in zip(heard, senders)
@@ -1359,8 +1548,7 @@ class TestCampaign:
                          rng=np.random.default_rng(0))
         for job, peak in zip(campaign.jobs, (1024, 2048)):
             campaign._record(
-                job, dataclasses.replace(report, peak_mem_bytes=peak),
-                cached=False,
+                job, (report.steps, report.wall_time_s, peak), cached=False
             )
         assert campaign.streaming_summary()["peak_mem_bytes"].count == 2
         summary = campaign.final_summary()
@@ -1410,6 +1598,68 @@ class TestService:
         again = service.wait(service.submit(spec)["id"], timeout=120)
         assert again["cached"] == 6 and again["executed"] == 0
         assert again["summary"] == final["summary"]
+
+    def test_stream_of_a_cached_campaign_is_coalesced(
+        self, service, stores
+    ):
+        # 300 store hits land within milliseconds: the stream sends the
+        # line on subscribe, at most one line per interval, and the
+        # settled line at once, not one line per landed job.
+        import time
+
+        from repro.service.http import STREAM_INTERVAL_S
+
+        _corpus, _d1, digest = stores
+        spec = CampaignSpec(protocol="decay", corpus=(digest,),
+                            n_trials=300, seed=83)
+        cold = service.wait(service.submit(spec)["id"], timeout=300)
+        assert cold["executed"] == 300
+        started = time.perf_counter()
+        lines = list(service.stream(service.submit(spec)["id"]))
+        elapsed = time.perf_counter() - started
+        final = service.status(lines[-1]["id"])
+        assert lines[-1] == final
+        assert final["state"] == "completed" and final["cached"] == 300
+        assert final["summary"] == cold["summary"]
+        assert len(lines) < 300
+        assert len(lines) <= 2 + elapsed / STREAM_INTERVAL_S
+
+    def test_concurrent_streams_each_end_settled(self, service, stores):
+        # Several subscribers re-arm one campaign's wake-up flag while
+        # its thread lands jobs unlocked; with a tiny switch interval
+        # every stream still ends on the settled status, and its
+        # progress never goes backwards.
+        import sys
+        import threading
+
+        _corpus, digest, _ = stores
+        spec = CampaignSpec(protocol="decay", corpus=(digest,),
+                            n_trials=120, seed=97)
+        ident = service.submit(spec)["id"]
+        streams = [[] for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda lines: lines.extend(service.stream(ident)),
+                    args=(lines,),
+                )
+                for lines in streams
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        final = service.status(ident)
+        assert final["state"] == "completed" and final["completed"] == 120
+        for lines in streams:
+            assert lines[-1] == final
+            done = [line["completed"] for line in lines]
+            assert done == sorted(done)
 
     def test_identical_inflight_spec_deduplicates(self, service, stores):
         _corpus, _d1, digest = stores
@@ -1624,6 +1874,54 @@ class TestCLI:
                 "--port", str(handle.port),
             ]) == 0
             assert "3/3" in capsys.readouterr().out
+
+    def test_store_verify_audits_every_entry(self, tmp_path, capsys):
+        from repro.cli import main
+
+        reports = tmp_path / "reports"
+        store = ReportStore(reports)
+        report = api.run("decay", graphs.random_udg(30, 4.0, np.random.default_rng(1)),
+                         rng=np.random.default_rng(0))
+        good, legacy, flipped = (
+            JobKey(protocol="decay", graph="ab" * 8, seed=0, trial=trial,
+                   policy=policy_digest(ExecutionPolicy()))
+            for trial in range(3)
+        )
+        for key in (good, legacy, flipped):
+            store.put(key, report)
+        store.path_for(legacy).write_text(
+            _format_1(legacy, encode_value(report))
+        )
+        path = store.path_for(flipped)
+        raw = bytearray(path.read_bytes())
+        raw[-10] ^= 1
+        path.write_bytes(bytes(raw))
+
+        def tree():
+            return sorted(
+                (str(p.relative_to(reports)), p.read_bytes())
+                for p in reports.rglob("*") if p.is_file()
+            )
+
+        before = tree()
+        assert main(["store", "verify", str(reports)]) == 1
+        out = capsys.readouterr().out
+        assert f"bad: {flipped.digest}\n" in out
+        assert "1 ok, 1 legacy, 1 bad" in out
+        assert tree() == before  # an audit alone writes nothing
+
+        assert main(["store", "verify", str(reports), "--quarantine"]) == 1
+        assert f"bad: {flipped.digest} (quarantined)" in \
+            capsys.readouterr().out
+        assert not path.exists()
+        assert len(list((reports / ".quarantine").iterdir())) == 1
+
+        assert main(["store", "verify", str(reports)]) == 0
+        assert "1 ok, 1 legacy, 0 bad" in capsys.readouterr().out
+        assert store.get(legacy) == report and store.get(good) == report
+
+        assert main(["store", "verify", str(tmp_path / "nowhere")]) == 2
+        assert "no report store" in capsys.readouterr().err
 
     def test_campaign_refusals_exit_2(self, tmp_path, capsys):
         from repro.cli import main
