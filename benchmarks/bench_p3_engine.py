@@ -153,7 +153,7 @@ def bench_dense_window(n: int = 2000, seed: int = 505) -> dict:
     """The EstimateEffectiveDegree ``p ~ 0.5`` dense regime.
 
     Block leg: the block's sampled rows, drawn from its block key and
-    chunked per density level as a run executes them, delivered as
+    chunked per level group as a run executes them, delivered as
     transmitter pairs through ``DeliveryKernels.execute_coo`` against
     the step-wise replay of the same rows. Window leg: a single
     level-0 window's mask pairs through ``execute_coo`` against its
@@ -171,12 +171,11 @@ def bench_dense_window(n: int = 2000, seed: int = 505) -> dict:
     )
     eed.bind_key(np.random.default_rng(seed + 1))
     chunk_steps = ExecutionPolicy().runner(net).chunk_steps
-    height = min(eed.steps_per_level, chunk_steps)
     chunks = []
-    for level in range(eed.levels):
-        start = level * eed.steps_per_level
-        for lo in range(start, start + eed.steps_per_level, height):
-            w = min(height, start + eed.steps_per_level - lo)
+    for first, stop in eed.level_groups():
+        start, end = first * eed.steps_per_level, stop * eed.steps_per_level
+        for lo in range(start, end, chunk_steps):
+            w = min(chunk_steps, end - lo)
             steps, nodes = eed.transmitters(lo, lo + w)
             masks = np.zeros((w, n), dtype=bool)
             masks[steps, nodes] = True

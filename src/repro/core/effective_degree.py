@@ -19,9 +19,10 @@ Performance: Algorithm 6 is *fully oblivious* — every transmit mask
 depends only on the fixed desire levels, the step's density guess, and
 the block's randomness, never on what was heard (receptions only
 update counters). :func:`estimate_effective_degree` therefore runs the
-``O(log^2 n)``-step block as one window per density level, all rows
-sampled from one keyed :class:`~repro.engine.sampler.RowSampler` (with
-the desire levels as column factors), so the engine's cost follows the
+``O(log^2 n)``-step block as a few windows of consecutive density
+levels (:meth:`EstimateEffectiveDegree.level_groups`), all rows sampled
+from one keyed :class:`~repro.engine.sampler.RowSampler` (with the
+desire levels as column factors), so the engine's cost follows the
 transmissions. The step-wise drive is retained as its
 ``engine="reference"`` branch
 (:func:`estimate_effective_degree_reference`); it samples the same rows
@@ -133,6 +134,28 @@ class EstimateEffectiveDegree(Protocol):
                 draw_block_key(rng), self.active, guess, self.p
             )
 
+    def level_groups(self) -> list[tuple[int, int]]:
+        """The block's windows, as ``[first, stop)`` level ranges.
+
+        Level ``i``'s expected product size is ``width * 2^-i * sum_v
+        p_v (deg_v + 1)`` entries, at most ``width * n``: consecutive
+        levels share a window while their summed size stays within the
+        largest single level's, so the sparse tail shares one.
+        """
+        width = self.steps_per_level
+        load = self.p @ (self.network.degrees + 1)
+        sizes = np.minimum(
+            width * load * 0.5 ** np.arange(self.levels), width * self.n
+        )
+        groups, first, total = [], 0, 0.0
+        for level, size in enumerate(sizes):
+            if level > first and total + size > sizes[0]:
+                groups.append((first, level))
+                first, total = level, 0.0
+            total += size
+        groups.append((first, self.levels))
+        return groups
+
     def transmitters(
         self, start: int, stop: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +234,7 @@ def estimate_effective_degree(
     ``p(v) / 2^(t // steps_per_level)``. ``engine="reference"`` drives
     the :class:`EstimateEffectiveDegree` protocol one step at a time;
     the windowed engine draws the block's one key (where the step-wise
-    protocol draws it, at its first step) and runs each density level
+    protocol draws it, at its first step) and runs each level group
     as one window of rows sampled from it, so any chunking reproduces
     the protocol's per-step rows. Receptions fold per chunk through
     :meth:`EstimateEffectiveDegree._absorb_coo`.
@@ -232,15 +255,16 @@ def estimate_effective_degree(
     protocol.bind_key(rng)
     runner = policy.runner(network)
     width = protocol.steps_per_level
-    # One window per density level, each offset into the block's one
-    # sampler: a chunk never spans two levels, which bounds its working
-    # set by one level's rows.
-    for level in range(protocol.levels):
+    # One window per level group, each offset into the block's one
+    # sampler: no group's expected product outgrows the densest level's.
+    for lo, hi in protocol.level_groups():
 
-        def rows(start: int, stop: int, base: int = level * width):
+        def rows(start: int, stop: int, base: int = lo * width):
             return protocol.transmitters(base + start, base + stop)
 
-        runner.run(StreamedWindow(width, rows, protocol._absorb_coo))
+        runner.run(
+            StreamedWindow((hi - lo) * width, rows, protocol._absorb_coo)
+        )
     return protocol.result()
 
 

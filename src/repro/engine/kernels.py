@@ -181,7 +181,11 @@ class DeliveryKernels:
         )
         data = out_data[: out_indptr[w]]
         heard = np.flatnonzero(data < 2.0 * base)
-        step = np.searchsorted(out_indptr[1:], heard, side="right")
+        # Each row's clean-cell count from its bounds: w + 1 searches,
+        # not one per clean cell.
+        step = np.repeat(
+            np.arange(w), np.diff(np.searchsorted(heard, out_indptr))
+        )
         node = out_indices[heard].astype(np.int64)
         sender = data[heard].astype(np.int64) - ((1 << shift) + 1)
         return step, node, sender

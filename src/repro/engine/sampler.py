@@ -13,7 +13,8 @@ cells transmit. :class:`RowSampler` draws the transmitters directly:
 * **Geometric gaps.** Within one row, the distance to the next
   transmitter in a sorted member list is geometric, so the sampler
   walks the list gap by gap — one uniform per *transmitter* (plus one
-  overshooting gap per row), never one per cell.
+  overshooting gap per row), never one per cell; a walk whose first
+  gap overshoots (most, in sparse rows) is dropped before the walk loop.
 * **Classes for column factors that are not 0/1.** Members are grouped
   by the power of two just above their factor (``2^e >= c_v > 2^(e-1)``,
   or ``c_v`` itself when it is a power of two); each class is walked at
@@ -193,10 +194,6 @@ class RowSampler:
         rate = np.minimum(
             self.row_probs[start + row] * self.caps[cls], 1.0
         )
-        live = rate > 0.0
-        row, cls, rate = row[live], cls[live], rate[live]
-        if not rate.size:
-            return empty, empty
         cells = self.sizes[cls]
         counter = (start + row).astype(np.uint64)
         counter *= _CLASS_SLOTS
@@ -206,6 +203,16 @@ class RowSampler:
         seeds = _mix(counter)
         with np.errstate(divide="ignore"):
             inv_log = 1.0 / np.log1p(-rate)
+        # Every walk's first gap, by the loop's own float operations: a
+        # walk it carries past its class draws nothing (most, if sparse;
+        # every walk at rate 0, whose gaps are infinite) and never enters
+        # the loop. ``gap < cells`` is the loop's ``int(fmin(gap, n)) <
+        # cells`` for every gap, inf and NaN included.
+        first = np.log(_unit(seeds + _GOLDEN))
+        first *= inv_log
+        walks = np.flatnonzero(first < cells)
+        if not walks.size:
+            return empty, empty
         # First batch: the expected transmitter count plus two standard
         # deviations, plus the overshooting gap; walks that run out
         # continue in doubling batches.
@@ -214,7 +221,6 @@ class RowSampler:
             (mean + 2.0 * np.sqrt(mean)).astype(np.int64) + 1, cells + 1
         )
 
-        walks = np.arange(rate.size)
         last_pos = np.full(rate.size, -1, dtype=np.int64)
         next_gap = np.ones(rate.size, dtype=np.int64)
         found_walk, found_pos, found_gap = [], [], []

@@ -358,19 +358,23 @@ def _execute_job(
     policy: ExecutionPolicy,
     directory: pathlib.Path,
     key: JobKey,
-) -> tuple[Any, bool]:
+    keep_report: bool,
+) -> tuple[tuple[int, float, int | None], Any, bool]:
     """One campaign job: the harness's report job, persisted.
 
     Runs in a pool worker or on the serial path alike. The job writes
     its own store entry through :meth:`ReportStore.put` (so encoding
     and writing run in parallel across the pool, not on the campaign
-    thread) and returns the report with whether that put wrote it —
-    an existing entry wins. A failing put fails the job.
+    thread) and returns the report's :func:`report_scalars`, the
+    report only when ``keep_report`` (else ``None``), and whether that
+    put wrote the entry — an existing entry wins. A failing put fails
+    the job.
     """
     report = _run_one_report(target, protocol, child, config, policy)
     store = ReportStore(directory)
     store.put(key, report)
-    return report, store.writes == 1  # a fresh handle: this put's count
+    wrote = store.writes == 1  # a fresh handle: this put's count
+    return report_scalars(report), report if keep_report else None, wrote
 
 
 class Campaign:
@@ -623,6 +627,7 @@ class Campaign:
                     spec.policies[job.policy_index],
                     self.store.directory,
                     job.key,
+                    self.keep_reports,
                 ),
             )
             for job in pending
@@ -631,12 +636,10 @@ class Campaign:
         def land(index: int, outcome: Any, exc: Exception | None) -> None:
             job = pending[index]
             if exc is None:
-                report, wrote = outcome
+                scalars, report, wrote = outcome
                 if wrote:
                     self.store.record_write()
-                self._record(
-                    job, report_scalars(report), cached=False, report=report
-                )
+                self._record(job, scalars, cached=False, report=report)
             else:
                 with self._lock:
                     self.failed += 1

@@ -10,7 +10,8 @@ Four pinned properties:
 * **Memory ceiling** — streamed EstimateEffectiveDegree and Radio MIS
   at ``n = 20000`` stay under their configured byte budget
   (tracemalloc), while the monolithic ``(w, n)`` footprint alone would
-  exceed it severalfold.
+  exceed it severalfold; one EED block at ``n = 2000``, whose sparse
+  levels share windows, stays near its one-window-per-level peak.
 * **One knob** — the chunk height is the policy's ``mem_budget``
   through the cost model, and the default budget's height equals the
   pre-budget coin granularity ``max(1, 2**22 // n)`` at every ``n``.
@@ -422,4 +423,57 @@ class TestMemoryCeiling:
         assert peak < self.BUDGET, (
             f"streamed MIS peaked at {peak / 2**20:.0f} MiB, over the "
             f"{self.BUDGET >> 20} MiB budget"
+        )
+
+
+# ---------------------------------------------------------------------------
+# One EED block at n = 2000: level groups stay within the densest level.
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def udg_2k():
+    n = 2000
+    # Average degree ~9, the perfbench MIS workload's density.
+    side = float(np.sqrt(n * np.pi / 9.0))
+    return graphs.random_udg(
+        n, side, np.random.default_rng(5), connected=False
+    )
+
+
+class TestEEDBlockCeiling:
+    """The tracemalloc peak of one EED block at ``n = 2000`` under the
+    default budget, for three desire-level shapes. The block's sparse
+    levels share windows whose expected product stays within the
+    densest level's, so its peak stays near the one-window-per-level
+    peak. Each ceiling is that peak, measured before levels shared
+    windows (21.0, 14.3 and 5.4 MiB), plus 25%. Never raise one."""
+
+    CEILING_MIB = {"all": 26.3, "half": 17.9, "tenth": 6.8}
+
+    @staticmethod
+    def _shape(name: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+        nodes = np.arange(n)
+        if name == "all":
+            return np.full(n, 0.5), np.ones(n, dtype=bool)
+        if name == "half":
+            return np.full(n, 0.5), nodes % 2 == 0
+        p = np.array([0.5, 0.25, 0.125, 0.0625, 0.3])[(nodes // 10) % 5]
+        return p, nodes % 10 == 3
+
+    @pytest.mark.parametrize("shape", sorted(CEILING_MIB))
+    def test_block_peak(self, udg_2k, shape):
+        n = udg_2k.number_of_nodes()
+        p, active = self._shape(shape, n)
+        net = RadioNetwork(udg_2k)
+
+        def workload():
+            return estimate_effective_degree(
+                net, p, active, np.random.default_rng(1),
+                policy=ExecutionPolicy(),
+            )
+
+        result, peak = measure_peak(workload)
+        assert result.high.shape == (n,)
+        assert peak < self.CEILING_MIB[shape] * 2**20, (
+            f"EED block ({shape}) peaked at {peak / 2**20:.1f} MiB, over "
+            f"its {self.CEILING_MIB[shape]} MiB ceiling"
         )

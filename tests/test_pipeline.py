@@ -562,8 +562,9 @@ class TestChunkFolds:
         """A block's chunk fold equals its step-wise ``observe`` in
         chunk shapes the protocols never produce: Decay's with every
         chunk's triples shuffled (the earliest step must win whatever
-        the order), EED's run as one window whose 9-row chunks cross
-        its 14-step density levels."""
+        the order), EED's run as one window over every level, dense
+        ones included, whose 9-row chunks cross its 14-step density
+        levels."""
         g = _udg(120, 29)
         stepped = self._block(case, RadioNetwork(g))
         run_steps(stepped, np.random.default_rng(5), stepped.total_steps)
@@ -622,9 +623,9 @@ class TestEndToEndEquivalence:
     def test_eed_equivalence_across_restriction(self, restrict):
         """EED over a live set of any size — every node (``off``), a
         fifth missing (``auto``), or three nodes (``force``) — equals
-        its step-wise reference in 6-row chunks. The engine runs one
-        window per level, so no chunk here crosses a level;
-        :class:`TestChunkFolds` pins the fold on chunks that do."""
+        its step-wise reference in 6-row chunks. The engine runs the
+        sparse levels as one shared window, so chunks here also cross
+        levels; :class:`TestChunkFolds` pins the fold on such chunks."""
         n = 140
         g = _udg(n, 17)
         p = np.where(np.arange(n) % 2 == 0, 0.5, 0.125)

@@ -47,6 +47,7 @@ from repro.engine.kernels import DeliveryKernels
 from repro.engine.policy import POLICY_FIELDS, ExecutionPolicy
 from repro.engine.streaming import STREAM_CELL_BYTES
 from repro.engine.sampler import RowSampler, draw_block_key
+from repro.engine.validate import ValidatingRunner
 from repro.radio import RadioNetwork
 from repro.radio.errors import ProtocolError
 from repro.radio.network import NO_SENDER
@@ -295,6 +296,40 @@ class TestDeliveryKernels:
         hear, got_rx = _execute(kern, masks)
         np.testing.assert_array_equal(hear, want)
         assert got_rx == want_rx
+
+    @pytest.mark.parametrize(
+        "case", ["leading", "trailing", "middle", "no-clean", "one-row"]
+    )
+    def test_step_mapping_edge_rows(self, case, mask_window):
+        # Each clean cell's step comes from the output rows' bounds:
+        # empty rows at either end or inside a chunk, rows whose output
+        # holds no clean cell, and a one-row chunk, each replayed step
+        # by step through ``deliver`` by the validating runner.
+        g = nx.gnp_random_graph(40, 0.15, seed=6)
+        net = RadioNetwork(g)
+        masks = np.random.default_rng(12).random((9, net.n)) < 0.08
+        silent = {
+            "leading": [0, 1, 2], "trailing": [6, 7, 8],
+            "middle": [3, 4, 5], "no-clean": [], "one-row": [],
+        }[case]
+        masks[silent] = False
+        if case == "no-clean":
+            # Every node transmits: each output cell is a transmitter's
+            # own, so these rows' outputs hold no clean reception.
+            masks[[0, 4, 8]] = True
+        if case == "one-row":
+            masks = masks[4:5]
+        runner = ValidatingRunner(net, chunk_steps=masks.shape[0])
+        window, hear = mask_window(masks)
+        runner.run(window)
+        assert runner.steps_checked == masks.shape[0]
+        want, _ = _reference_delivery(
+            net._context.csr.toarray().astype(np.int64), masks
+        )
+        np.testing.assert_array_equal(hear, want)
+        heard_rows = set(np.flatnonzero((hear != NO_SENDER).any(axis=1)))
+        deaf = set(silent) | ({0, 4, 8} if case == "no-clean" else set())
+        assert heard_rows == set(range(masks.shape[0])) - deaf
 
     def test_empty_masks_counted_as_skip(self):
         g = nx.path_graph(10)

@@ -11,9 +11,16 @@
   through thinning), and for the fault layer's ``tx_prob`` thinning.
 * **Degenerate blocks.** An empty member set, a single member and
   probability-0 columns behave exactly like the step-wise references.
+* **Pinned output.** Digests of :meth:`RowSampler.sample` over a grid
+  of sparse configurations (thinned classes, all-empty chunks, rate-1
+  rows, vanishing rates, one-member classes, intervals that start
+  mid-block) stay what the stream-version-3 sampler drew: an
+  optimisation of the walk must not move a single pair.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import networkx as nx
 import numpy as np
@@ -26,6 +33,7 @@ from repro.core import (
     run_decay,
     run_decay_reference,
 )
+from repro.engine import sampler as sampler_module
 from repro.engine.policy import ExecutionPolicy
 from repro.engine.runner import WindowedRunner
 from repro.engine.sampler import RowSampler, draw_block_key
@@ -276,3 +284,112 @@ class TestDegenerateBlocks:
         nodes = np.concatenate([v for _, v in recorded])
         assert nodes.size and not np.any(nodes % 2)
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# Pinned output
+# ---------------------------------------------------------------------------
+
+
+def _pin_grid() -> dict:
+    """Sparse sampler configurations: ``(n, members, row_probs,
+    weights, intervals)`` by name."""
+    grid = {}
+    n = 300
+    grid["decay-sparse"] = (
+        n, np.arange(n) % 3 == 0, _ladder(48, 8), None,
+        [(0, 48), (5, 23), (23, 48)],
+    )
+    n = 200
+    grid["thinned"] = (
+        n, np.arange(n) % 4 != 1, 2.0 ** -(np.arange(60) // 10),
+        np.array([0.3, 0.05, 0.7, 0.11, 0.0])[np.arange(n) % 5],
+        [(0, 60), (13, 37), (37, 60)],
+    )
+    # Classes of one member each (two of them thinned) and one of two.
+    n = 64
+    weights = np.zeros(n)
+    weights[[3, 17, 40, 41, 63]] = [1.0, 0.375, 0.2, 2.0**-7, 0.5]
+    grid["one-member"] = (
+        n, np.ones(n, dtype=bool), 2.0 ** -(np.arange(40) // 5), weights,
+        [(0, 40), (7, 8), (8, 31)],
+    )
+    # Three members at rate 2^-20: every walk of every chunk is empty.
+    n = 500
+    members = np.zeros(n, dtype=bool)
+    members[[11, 250, 499]] = True
+    grid["all-empty"] = (
+        n, members, np.full(30, 2.0**-20), None, [(0, 30), (3, 9), (9, 10)]
+    )
+    grid["rate-one"] = (
+        120, np.arange(120) % 7 != 3,
+        np.array([1.0, 0.5, 1.0, 0.0, 1.0])[np.arange(25) % 5],
+        np.array([1.0, 0.5, 0.75, 1.0])[np.arange(120) % 4],
+        [(0, 25), (2, 11), (11, 25)],
+    )
+    # Subnormal row factors: 1 / log1p(-rate) overflows, every gap of
+    # those rows is infinite.
+    grid["vanishing"] = (
+        150, np.ones(150, dtype=bool),
+        np.where(np.arange(30) % 3 == 0, 1e-320, 2.0 ** -(np.arange(30) % 4)),
+        np.array([0.5, 0.3, 1.0])[np.arange(150) % 3],
+        [(0, 30), (1, 14), (14, 30)],
+    )
+    n = 4000
+    grid["large-sparse"] = (
+        n, np.arange(n) % 50 == 7, 2.0 ** -(np.arange(72) // 6),
+        np.array([0.5, 0.25, 0.4, 2.0**-6])[np.arange(n) % 4],
+        [(0, 72), (30, 41), (41, 72)],
+    )
+    return grid
+
+
+def _pin_digest(n, members, row_probs, weights, intervals) -> str:
+    digest = hashlib.sha256()
+    sampler = RowSampler(2026, members, row_probs, weights)
+    for start, stop in intervals:
+        steps, nodes = sampler.sample(start, stop)
+        assert steps.dtype == nodes.dtype == np.int64
+        digest.update(np.array([start, stop, steps.size]).tobytes())
+        digest.update(steps.tobytes())
+        digest.update(nodes.tobytes())
+    return digest.hexdigest()[:20]
+
+
+#: ``_pin_digest`` of every ``_pin_grid`` configuration, as drawn by
+#: the stream-version-3 sampler before the walks' first gaps were
+#: screened in one pass. ``nan-gap`` is ``vanishing`` with every
+#: uniform forced to 1: ``log(1) * -inf`` is NaN on the vanishing rows
+#: (no transmitter) and every cell transmits on the others.
+PINNED = {
+    "decay-sparse": "6fdc225a9f95e2106248",
+    "thinned": "5f732925872a3842d6e3",
+    "one-member": "2decc82ac8c9528c2043",
+    "all-empty": "dd065356d6b2c16c3b1b",
+    "rate-one": "da5e5c720bdc94fa08b2",
+    "vanishing": "b3e15c19d19a4e48021a",
+    "large-sparse": "9126d2c360213267ec9b",
+    "nan-gap": "bb42f4bbb02a94b3cd1f",
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name", sorted(set(PINNED) - {"nan-gap"}))
+    def test_digest(self, name):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _pin_digest(*_pin_grid()[name]) == PINNED[name]
+
+    def test_nan_gaps(self, monkeypatch):
+        monkeypatch.setattr(
+            sampler_module, "_unit", lambda h: np.ones(h.shape)
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _pin_digest(*_pin_grid()["vanishing"])
+        assert got == PINNED["nan-gap"]
+
+    def test_all_empty_chunks_draw_nothing(self):
+        n, members, row_probs, weights, intervals = _pin_grid()["all-empty"]
+        sampler = RowSampler(2026, members, row_probs, weights)
+        for start, stop in intervals:
+            steps, nodes = sampler.sample(start, stop)
+            assert steps.size == nodes.size == 0

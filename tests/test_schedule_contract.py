@@ -177,6 +177,21 @@ def _icp_fixture(g: nx.Graph, seed: int):
     return clustering, schedule, know
 
 
+def _eed_windows(p, degrees, width, levels, n) -> int:
+    """How many windows an EED block runs: consecutive levels share one
+    while their summed expected product size (``width * 2^-i * sum_v
+    p_v (deg_v + 1)`` at level ``i``, at most ``width * n``) stays
+    within level 0's."""
+    load = float(np.dot(p, degrees + 1))
+    sizes = [min(width * load / 2**i, width * n) for i in range(levels)]
+    windows, total = 1, sizes[0]
+    for size in sizes[1:]:
+        if total + size > sizes[0]:
+            windows, total = windows + 1, 0.0
+        total += size
+    return windows
+
+
 class TestEmitterContracts:
     """Each primitive through its entry point under the validating
     policy: every step the network took was replayed."""
@@ -211,9 +226,13 @@ class TestEmitterContracts:
             net, p, active, np.random.default_rng(60 + seed), C=4,
             policy=VALIDATE,
         )
-        # One window per density level, all on the block's one runner.
+        # One window per level group, all on the block's one runner.
+        levels = result.counts.shape[0]
         assert [r.windows_checked for r in validating_runners] == [
-            result.counts.shape[0]
+            _eed_windows(
+                np.where(active, p, 0.0), net.degrees,
+                result.steps_per_level, levels, n,
+            )
         ]
         assert _steps_checked(validating_runners) == net.steps_elapsed
         assert result.counts.shape[1] == n

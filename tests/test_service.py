@@ -1162,6 +1162,39 @@ class TestCampaign:
         assert pooled.final_summary()["steps"] == \
             serial.final_summary()["steps"]
 
+    def test_pooled_campaign_without_reports_lands_scalars(
+        self, stores, tmp_path, monkeypatch
+    ):
+        # A pooled job of a campaign that keeps no reports sends back
+        # its three scalars, never the report; the numbers are the ones
+        # a report-keeping resubmit reads from the store.
+        corpus, digest, _ = stores
+        faults = FaultSchedule.sample(
+            60, 32, seed=3, crash_rate=0.2, hetero=0.2
+        )
+        spec = CampaignSpec(
+            protocol="decay", corpus=(digest,), n_trials=4, seed=23,
+            policies=(ExecutionPolicy(), ExecutionPolicy(faults=faults)),
+        )
+        landed = []
+        record = Campaign._record
+
+        def spy(self, job, scalars, cached, report=None):
+            landed.append((cached, report))
+            record(self, job, scalars, cached, report=report)
+
+        monkeypatch.setattr(Campaign, "_record", spy)
+        store = ReportStore(tmp_path / "r")
+        dropped = run_campaign(spec, store, corpus=corpus, workers=2,
+                               keep_reports=False)
+        assert dropped.status()["executed"] == spec.total_jobs
+        assert landed == [(False, None)] * spec.total_jobs
+        landed.clear()
+        kept = run_campaign(spec, store, corpus=corpus, workers=2)
+        assert kept.status()["cached"] == spec.total_jobs
+        assert all(isinstance(r, RunReport) for _, r in landed)
+        assert kept.final_summary() == dropped.final_summary()
+
     def test_kill_and_resume_bit_identical(self, stores, tmp_path):
         """The issue's resume contract: kill mid-campaign, restart,
         completed jobs are store hits, aggregates bit-identical."""
@@ -1277,9 +1310,11 @@ class TestCampaign:
                      policy=policy_digest(ExecutionPolicy(), 60))
         args = (
             "decay", child, None, ExecutionPolicy(), tmp_path / "r", key,
+            True,
         )
         try:
-            report, wrote = _run_job(_execute_job, entry, args)
+            scalars, report, wrote = _run_job(_execute_job, entry, args)
+            assert scalars == report_scalars(report)
             # The mapped entry runs as the caller's own load of it does,
             # provenance included.
             assert report == _run_one_report(
@@ -1290,7 +1325,11 @@ class TestCampaign:
             # The job persisted its own entry; a rerun finds it there.
             assert wrote is True
             assert ReportStore(tmp_path / "r").get(key) == report
-            assert _run_job(_execute_job, entry, args)[1] is False
+            assert _run_job(_execute_job, entry, args)[2] is False
+            # A job for a campaign that keeps no reports returns only
+            # the scalars (its wall time is its own).
+            bare, none, _ = _run_job(_execute_job, entry, (*args[:-1], False))
+            assert none is None and bare[::2] == scalars[::2]
         finally:
             _map_entry.cache_clear()
 
