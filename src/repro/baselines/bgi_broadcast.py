@@ -18,12 +18,12 @@ Engine: sweep synchronization makes each sweep one Decay iteration
 over the frozen informed set — an *oblivious window* of ``log n``
 keyed transmitter rows, one block key per sweep — and the informed-set
 update at the sweep boundary is the decision point. :func:`bgi_broadcast`
-is one sweep loop whose only engine branch is the sweep: one window on
-the windowed engine, or, under ``engine="reference"``
-(:func:`bgi_broadcast_reference`), the same
-:class:`~repro.core.decay.Decay` driven step by step. Seeded runs of
-the two are bit-identical — results, step counts, trace totals, and
-rng stream.
+is one sweep loop; each sweep is a :class:`~repro.core.decay.Decay`
+block run by :meth:`~repro.engine.runner.SampledBlock.run` — one window
+on the windowed engine, folding only who heard, or, under
+``engine="reference"`` (:func:`bgi_broadcast_reference`), step by step.
+Seeded runs of the two are bit-identical — results, step counts, trace
+totals, and rng stream.
 """
 
 from __future__ import annotations
@@ -35,14 +35,12 @@ import numpy as np
 
 from ..core.decay import Decay
 from ..engine.policy import ExecutionPolicy
-from ..engine.runner import StreamedWindow
 from ..radio.errors import (
     BudgetExceededError,
     GraphContractError,
     ProtocolError,
 )
 from ..radio.network import RadioNetwork
-from ..radio.protocol import run_steps
 
 
 @dataclasses.dataclass
@@ -136,20 +134,11 @@ def bgi_broadcast(
                 f"BGI broadcast did not complete within {max_sweeps} sweeps"
             )
         sweep = Decay(network, informed)
-        if policy.engine == "reference":
-            run_steps(sweep, rng, sweep.total_steps)
-        else:
-            sweep.bind_key(rng)
 
-            def fold(k, steps, nodes, senders) -> None:
-                sweep.heard[nodes] = True  # all a sweep boundary reads
+        def fold(k, steps, nodes, senders) -> None:
+            sweep.heard[nodes] = True  # all a sweep boundary reads
 
-            policy.runner(network).run(
-                StreamedWindow(
-                    sweep.total_steps, sweep.transmitters, fold,
-                    sweep.row_work(),
-                )
-            )
+        sweep.run(rng, policy, fold)
         informed |= sweep.heard
         sweeps += 1
         history.append(int(informed.sum()))

@@ -77,7 +77,35 @@ def binary_search_election(
     if id_bits is None:
         id_bits = 3 * max(2, int(np.ceil(np.log2(max(2, n)))))
     ids = rng.integers(0, 2**id_bits, size=n)
+    leader_id, phases, steps = search_highest_id(
+        network, ids, id_bits, rng, policy
+    )
+    winners = np.nonzero(ids == leader_id)[0]
+    return BinarySearchElectionResult(
+        leader=int(winners[0]),
+        leader_id=leader_id,
+        phases=phases,
+        steps=steps,
+        elected=len(winners) == 1,
+    )
 
+
+def search_highest_id(
+    network: RadioNetwork,
+    ids: np.ndarray,
+    id_bits: int,
+    rng: np.random.Generator,
+    policy: ExecutionPolicy,
+    flood_sweeps: int | None = None,
+) -> tuple[int, int, int]:
+    """Binary-search the highest of ``ids`` in ``[0, 2^id_bits)``.
+
+    Each phase floods from the nodes at or above the range's midpoint
+    (multi-source BGI under ``policy``) and halves the range; an empty
+    upper half floods nothing. Floods run to completion without
+    ``flood_sweeps``, and best-effort within that many sweeps with it.
+    Returns the highest id, the phases and the radio steps taken.
+    """
     lo, hi = 0, 2**id_bits - 1
     steps_before = network.steps_elapsed
     phases = 0
@@ -87,21 +115,15 @@ def binary_search_election(
         phases += 1
         if upper:
             bgi_broadcast(
-                network, upper[0], rng, sources=upper, policy=policy
+                network, upper[0], rng, sources=upper,
+                max_sweeps=flood_sweeps,
+                best_effort=flood_sweeps is not None,
+                policy=policy,
             )
             lo = mid
         else:
             hi = mid - 1
-
-    winners = np.nonzero(ids == lo)[0]
-    leader = int(winners[0])
-    return BinarySearchElectionResult(
-        leader=leader,
-        leader_id=int(lo),
-        phases=phases,
-        steps=network.steps_elapsed - steps_before,
-        elected=len(winners) == 1,
-    )
+    return lo, phases, network.steps_elapsed - steps_before
 
 
 def binary_search_election_reference(

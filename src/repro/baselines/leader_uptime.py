@@ -9,7 +9,9 @@ local state, exactly like its own coin flips — the vectorized read via
 :func:`repro.faults.node_uptime_fractions` is simulator convenience)
 and only nodes with uptime fraction at or above ``threshold``
 self-select as candidates. The highest-ID *candidate* then wins the
-usual binary search, each phase a packet-level multi-source BGI flood.
+usual binary search — the plain baseline's own search loop
+(:func:`~repro.baselines.leader_binary_search.search_highest_id`),
+each phase a packet-level multi-source BGI flood.
 
 IDs are drawn for **all** nodes before masking the non-candidates, so
 the rng stream — and therefore every downstream coin — is independent
@@ -30,7 +32,7 @@ from ..engine.policy import ExecutionPolicy
 from ..faults import node_uptime_fractions
 from ..radio.errors import GraphContractError, ProtocolError
 from ..radio.network import RadioNetwork
-from .bgi_broadcast import bgi_broadcast
+from .leader_binary_search import search_highest_id
 
 
 @dataclasses.dataclass
@@ -122,32 +124,16 @@ def uptime_threshold_election(
             phases=0, steps=0, elected=False,
         )
 
-    lo, hi = 0, 2**id_bits - 1
-    steps_before = network.steps_elapsed
-    phases = 0
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        upper = [int(v) for v in np.nonzero(ids >= mid)[0]]
-        phases += 1
-        if upper:
-            bgi_broadcast(
-                network, upper[0], rng, sources=upper,
-                max_sweeps=flood_sweeps,
-                best_effort=flood_sweeps is not None,
-                policy=policy,
-            )
-            lo = mid
-        else:
-            hi = mid - 1
-
-    winners = np.nonzero(ids == lo)[0]
-    leader = int(winners[0])
+    leader_id, phases, steps = search_highest_id(
+        network, ids, id_bits, rng, policy, flood_sweeps
+    )
+    winners = np.nonzero(ids == leader_id)[0]
     return UptimeElectionResult(
-        leader=leader,
-        leader_id=int(lo),
+        leader=int(winners[0]),
+        leader_id=leader_id,
         candidates=n_candidates,
         phases=phases,
-        steps=network.steps_elapsed - steps_before,
+        steps=steps,
         elected=len(winners) == 1,
     )
 

@@ -441,10 +441,7 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
     for digest in verdicts["bad"]:
         moved = " (quarantined)" if args.quarantine else ""
         print(f"bad: {digest}{moved}")
-    print(
-        f"{len(verdicts['ok'])} ok, {len(verdicts['legacy'])} legacy, "
-        f"{len(verdicts['bad'])} bad"
-    )
+    print(f"{len(verdicts['ok'])} ok, {len(verdicts['bad'])} bad")
     return 1 if verdicts["bad"] else 0
 
 
@@ -583,8 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = store.add_subparsers(dest="action", required=True)
     verify = store_sub.add_parser(
         "verify",
-        help="check every entry the way a read does (the checksum, or "
-        "a full decode of a legacy entry); exit 1 if any is bad",
+        help="check every entry's checksum the way a read does; exit 1 "
+        "if any is bad",
     )
     verify.add_argument("reports", metavar="DIR", help="report store")
     verify.add_argument(

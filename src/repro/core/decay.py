@@ -19,16 +19,15 @@ Partition reads its announcers' cluster id and wave that way.
 
 Performance: a Decay block is *oblivious* — the transmit mask of every
 step depends only on the fixed active set and the block's randomness,
-never on what was heard — so :func:`run_decay` runs the whole block as
-one window whose rows are sampled transmitter lists
-(:class:`~repro.engine.sampler.RowSampler`, keyed by one block key
-drawn from the protocol rng): the engine's cost follows the
-transmissions, not ``n`` times the steps. The :class:`Decay` protocol
-samples its rows from the same key, one step at a time, so results,
-trace totals, and the post-call rng state are all bit-identical to
-driving it step by step — which :func:`run_decay` does under
-``engine="reference"`` (:func:`run_decay_reference`), as the executable
-specification the equivalence suite compares against.
+never on what was heard — so :class:`Decay` is a
+:class:`~repro.engine.runner.SampledBlock`: its rows are transmitter
+lists sampled from one block key drawn from the protocol rng, and
+:func:`run_decay` runs the whole block as one window, at an engine cost
+that follows the transmissions, not ``n`` times the steps. Under
+``engine="reference"`` (:func:`run_decay_reference`) the same rows are
+delivered one step at a time, as the executable specification the
+equivalence suite compares against; results, trace totals, and the
+post-call rng state are bit-identical.
 """
 
 from __future__ import annotations
@@ -39,11 +38,8 @@ import math
 import numpy as np
 
 from ..engine.policy import ExecutionPolicy
-from ..engine.runner import StreamedWindow
-from ..engine.sampler import RowSampler, draw_block_key
-from ..radio.errors import ProtocolError
+from ..engine.runner import SampledBlock
 from ..radio.network import NO_SENDER, RadioNetwork
-from ..radio.protocol import Protocol, run_steps
 from .resulteq import ArrayEqMixin
 
 
@@ -90,7 +86,7 @@ class DecayResult(ArrayEqMixin):
     heard_from: np.ndarray
 
 
-class Decay(Protocol):
+class Decay(SampledBlock):
     """Vectorized concurrent Decay over a transmitting set.
 
     Parameters
@@ -100,10 +96,11 @@ class Decay(Protocol):
     active:
         Boolean mask of the transmitting set ``S``. Nodes outside listen.
     iterations:
-        Number of sweeps (Claim 10 amplification).
+        Number of sweeps (Claim 10 amplification), an integer >= 0.
     n_estimate:
-        Size estimate defining the sweep length; defaults to the true
-        ``n`` (the strongest version of the known-``n`` assumption).
+        Size estimate defining the sweep length, an integer >= 1;
+        defaults to the true ``n`` (the strongest version of the
+        known-``n`` assumption).
 
     The protocol finishes after ``iterations * decay_span`` steps and its
     :meth:`result` is a :class:`DecayResult`.
@@ -116,60 +113,31 @@ class Decay(Protocol):
         iterations: int = 1,
         n_estimate: int | None = None,
     ) -> None:
-        super().__init__(network)
+        iterations = self.count("iterations", iterations, 0)
+        n_est = network.n if n_estimate is None else n_estimate
+        self.span = decay_span(self.count("n_estimate", n_est, 1))
         active = np.asarray(active, dtype=bool)
-        if active.shape != (self.n,):
+        if active.shape != (network.n,):
             raise ValueError(
-                f"active mask has shape {active.shape}, expected ({self.n},)"
+                f"active mask has shape {active.shape}, "
+                f"expected ({network.n},)"
             )
-        self.active = active.copy()
-        self.span = decay_span(n_estimate if n_estimate is not None else self.n)
-        self.total_steps = iterations * self.span
-        self._step = 0
+        # Step t transmits with probability 2^-i, i = (t mod span) + 1.
+        steps = np.arange(iterations * self.span)
+        super().__init__(
+            network, active.copy(), 2.0 ** -((steps % self.span) + 1.0)
+        )
         self.heard = np.zeros(self.n, dtype=bool)
         self.heard_from = np.full(self.n, NO_SENDER, dtype=np.int64)
-        self._finished = self.total_steps == 0
-        self._sampler: RowSampler | None = None
         # Per node, the key of the reception the chunk fold picked
         # (allocated at the first fold; step-wise runs never need it).
         self._first: np.ndarray | None = None
-
-    def bind_key(self, rng: np.random.Generator) -> None:
-        """Draw the block key (once per block, at its first step)."""
-        if self._sampler is None:
-            # Step t transmits with probability 2^-i, i = (t mod span) + 1.
-            steps = np.arange(self.total_steps)
-            ladder = 2.0 ** -((steps % self.span) + 1.0)
-            self._sampler = RowSampler(
-                draw_block_key(rng), self.active, ladder
-            )
-
-    def transmitters(
-        self, start: int, stop: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Transmitter pairs of block steps ``[start, stop)`` (see
-        :meth:`RowSampler.sample`). Needs :meth:`bind_key` first."""
-        return self._sampler.sample(start, stop)
-
-    def row_work(self) -> np.ndarray:
-        """Expected product work of every block step (see
-        :meth:`RowSampler.row_work`). Needs :meth:`bind_key` first."""
-        return self._sampler.row_work(self.network.degrees)
-
-    def transmit_mask(self, rng: np.random.Generator) -> np.ndarray:
-        self.bind_key(rng)
-        _, nodes = self.transmitters(self._step, self._step + 1)
-        mask = np.zeros(self.n, dtype=bool)
-        mask[nodes] = True
-        return mask
 
     def observe(self, hear_from: np.ndarray) -> None:
         new = (hear_from != NO_SENDER) & ~self.heard
         self.heard_from[new] = hear_from[new]
         self.heard |= new
-        self._step += 1
-        if self._step >= self.total_steps:
-            self._finished = True
+        self._advance(1)
 
     def _absorb_coo(
         self,
@@ -200,9 +168,7 @@ class Decay(Protocol):
             won = self._first[nd] == key
             self.heard_from[nd[won]] = senders[fresh][won]
             self.heard[nd[won]] = True
-        self._step += k
-        if self._step >= self.total_steps:
-            self._finished = True
+        self._advance(k)
 
     def result(self) -> DecayResult:
         return DecayResult(
@@ -225,37 +191,20 @@ def run_decay(
     is one such block, ``run_decay(network, marked, rng,
     iterations=claim10_iterations(n))``.
 
-    Under ``policy`` (see the module docstring): ``engine="reference"``
-    drives the :class:`Decay` protocol one
-    :meth:`~repro.radio.network.RadioNetwork.deliver` call at a time;
-    the windowed engine draws the block key, where the step-wise
-    protocol draws it at its first step, and runs the block as one
-    window whose receptions fold in step order through
-    :meth:`Decay._absorb_coo`. Every row is a pure function of the key,
-    so any chunking reproduces the per-step rows: results and rng
+    Under ``policy`` (see the module docstring) the block runs through
+    :meth:`~repro.engine.runner.SampledBlock.run`: step by step under
+    ``engine="reference"``, else as one window whose receptions fold in
+    step order through :meth:`Decay._absorb_coo`. Results and rng
     consumption are identical either way, the engine path just much
     faster.
     """
-    if iterations < 0:
-        raise ProtocolError(f"iterations must be >= 0, got {iterations}")
     policy = policy or ExecutionPolicy()
     policy.bind(network)
-    protocol = Decay(
+    block = Decay(
         network, active, iterations=iterations, n_estimate=n_estimate
     )
-    if policy.engine == "reference":
-        run_steps(protocol, rng, protocol.total_steps)
-    elif protocol.total_steps:
-        protocol.bind_key(rng)
-        policy.runner(network).run(
-            StreamedWindow(
-                protocol.total_steps,
-                protocol.transmitters,
-                protocol._absorb_coo,
-                protocol.row_work(),
-            )
-        )
-    return protocol.result()
+    block.run(rng, policy)
+    return block.result()
 
 
 def run_decay_reference(

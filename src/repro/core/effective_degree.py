@@ -18,12 +18,13 @@ algorithm) and a listener counting its own hears.
 Performance: Algorithm 6 is *fully oblivious* — every transmit mask
 depends only on the fixed desire levels, the step's density guess, and
 the block's randomness, never on what was heard (receptions only
-update counters). :func:`estimate_effective_degree` therefore runs the
-``O(log^2 n)``-step block as one window, all rows sampled from one
-keyed :class:`~repro.engine.sampler.RowSampler` (with the desire levels
-as column factors), whose expected work per row lets the runner cut
-the dense levels fine and the sparse tail coarse, so the engine's cost
-follows the transmissions. The step-wise drive is retained as its
+update counters). :class:`EstimateEffectiveDegree` is therefore a
+:class:`~repro.engine.runner.SampledBlock`, all rows sampled from one
+block key (with the desire levels as column factors), and
+:func:`estimate_effective_degree` runs the ``O(log^2 n)``-step block as
+one window, whose expected work per row lets the runner cut the dense
+levels fine and the sparse tail coarse, so the engine's cost follows
+the transmissions. The step-wise drive is retained as its
 ``engine="reference"`` branch
 (:func:`estimate_effective_degree_reference`); it samples the same rows
 from the same block key, so results, trace totals, and rng consumption
@@ -38,11 +39,9 @@ import math
 import numpy as np
 
 from ..engine.policy import ExecutionPolicy
-from ..engine.runner import StreamedWindow
-from ..engine.sampler import RowSampler, draw_block_key
+from ..engine.runner import SampledBlock
 from ..radio.errors import ProtocolError
 from ..radio.network import NO_SENDER, RadioNetwork
-from ..radio.protocol import Protocol, run_steps
 from .resulteq import ArrayEqMixin
 
 #: Lemma 11's hearing-rate threshold: High iff some round-``i`` hear count
@@ -70,7 +69,7 @@ class EffectiveDegreeResult(ArrayEqMixin):
     steps_per_level: int
 
 
-class EstimateEffectiveDegree(Protocol):
+class EstimateEffectiveDegree(SampledBlock):
     """Vectorized Algorithm 6 over the active node set.
 
     Parameters
@@ -83,11 +82,13 @@ class EstimateEffectiveDegree(Protocol):
         Mask of nodes still in the (MIS-residual) graph. Inactive nodes
         neither transmit nor produce a verdict.
     C:
-        The "sufficiently large constant": each density level runs for
-        ``C * ceil(log2 n)`` steps. Larger ``C`` sharpens Lemma 11's
-        guarantee at linear cost in steps; the E2 benchmark sweeps it.
+        The "sufficiently large constant", an integer >= 1: each
+        density level runs for ``C * ceil(log2 n)`` steps. Larger ``C``
+        sharpens Lemma 11's guarantee at linear cost in steps; the E2
+        benchmark sweeps it.
     n_estimate:
-        Network-size estimate; defaults to the true ``n``.
+        Network-size estimate, an integer >= 1; defaults to the true
+        ``n``.
     """
 
     def __init__(
@@ -98,68 +99,32 @@ class EstimateEffectiveDegree(Protocol):
         C: int = 24,
         n_estimate: int | None = None,
     ) -> None:
-        super().__init__(network)
+        C = self.count("C", C, 1)
+        n_est = network.n if n_estimate is None else n_estimate
+        n_est = self.count("n_estimate", n_est, 1)
         p = np.asarray(p, dtype=np.float64)
         active = np.asarray(active, dtype=bool)
-        if p.shape != (self.n,) or active.shape != (self.n,):
+        if p.shape != (network.n,) or active.shape != (network.n,):
             raise ValueError("p and active must be length-n arrays")
         if np.any((p < 0) | (p > 1)):
             raise ProtocolError("desire levels must lie in [0, 1]")
-        if C < 1:
-            raise ProtocolError(f"C must be >= 1, got {C}")
-        n_est = n_estimate if n_estimate is not None else self.n
         log_n = max(1, math.ceil(math.log2(max(2, n_est))))
-
-        self.p = np.where(active, p, 0.0)
-        self.active = active.copy()
         self.levels = log_n + 1  # i = 0 .. log n inclusive
         self.steps_per_level = C * log_n
-        self.total_steps = self.levels * self.steps_per_level
+        self.p = np.where(active, p, 0.0)
+        # Step t transmits with probability p(v) / 2^i,
+        # i = t // steps_per_level.
+        steps = np.arange(self.levels * self.steps_per_level)
+        super().__init__(
+            network, active.copy(), 2.0 ** -(steps // self.steps_per_level),
+            self.p,
+        )
         self.counts = np.zeros((self.levels, self.n), dtype=np.int64)
-        self._step = 0
-        self._finished = self.total_steps == 0
-        self._sampler: RowSampler | None = None
-
-    def _level(self) -> int:
-        return self._step // self.steps_per_level
-
-    def bind_key(self, rng: np.random.Generator) -> None:
-        """Draw the block key (once per block, at its first step)."""
-        if self._sampler is None:
-            # Step t transmits with probability p(v) / 2^i,
-            # i = t // steps_per_level.
-            steps = np.arange(self.total_steps)
-            guess = 2.0 ** -(steps // self.steps_per_level)
-            self._sampler = RowSampler(
-                draw_block_key(rng), self.active, guess, self.p
-            )
-
-    def row_work(self) -> np.ndarray:
-        """Expected product work of every block step (see
-        :meth:`RowSampler.row_work`). Needs :meth:`bind_key` first."""
-        return self._sampler.row_work(self.network.degrees)
-
-    def transmitters(
-        self, start: int, stop: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Transmitter pairs of block steps ``[start, stop)`` (see
-        :meth:`RowSampler.sample`). Needs :meth:`bind_key` first."""
-        return self._sampler.sample(start, stop)
-
-    def transmit_mask(self, rng: np.random.Generator) -> np.ndarray:
-        self.bind_key(rng)
-        _, nodes = self.transmitters(self._step, self._step + 1)
-        mask = np.zeros(self.n, dtype=bool)
-        mask[nodes] = True
-        return mask
 
     def observe(self, hear_from: np.ndarray) -> None:
-        i = self._level()
         heard = (hear_from != NO_SENDER) & self.active
-        self.counts[i, heard] += 1
-        self._step += 1
-        if self._step >= self.total_steps:
-            self._finished = True
+        self.counts[self._step // self.steps_per_level, heard] += 1
+        self._advance(1)
 
     def _absorb_coo(
         self,
@@ -187,9 +152,7 @@ class EstimateEffectiveDegree(Protocol):
             self.counts[lo:hi] += np.bincount(
                 cells, minlength=(hi - lo) * self.n
             ).reshape(hi - lo, self.n)
-        self._step += k
-        if self._step >= self.total_steps:
-            self._finished = True
+        self._advance(k)
 
     def result(self) -> EffectiveDegreeResult:
         threshold = self.steps_per_level / THRESHOLD_DIVISOR
@@ -214,12 +177,10 @@ def estimate_effective_degree(
     """Run one full EstimateEffectiveDegree block under ``policy``.
 
     Step ``t`` of the block transmits with probability
-    ``p(v) / 2^(t // steps_per_level)``. ``engine="reference"`` drives
-    the :class:`EstimateEffectiveDegree` protocol one step at a time;
-    the windowed engine draws the block's one key (where the step-wise
-    protocol draws it, at its first step) and runs the block as one
-    window of rows sampled from it, so any chunking reproduces the
-    protocol's per-step rows. Receptions fold per chunk through
+    ``p(v) / 2^(t // steps_per_level)``. The block runs through
+    :meth:`~repro.engine.runner.SampledBlock.run`: one step at a time
+    under ``engine="reference"``, else as one window of rows sampled
+    from the block's key, whose receptions fold per chunk through
     :meth:`EstimateEffectiveDegree._absorb_coo`, which counts every
     level a chunk spans.
 
@@ -231,22 +192,11 @@ def estimate_effective_degree(
     """
     policy = policy or ExecutionPolicy()
     policy.bind(network)
-    protocol = EstimateEffectiveDegree(
+    block = EstimateEffectiveDegree(
         network, p, active, C=C, n_estimate=n_estimate
     )
-    if policy.engine == "reference":
-        run_steps(protocol, rng, protocol.total_steps)
-        return protocol.result()
-    protocol.bind_key(rng)
-    policy.runner(network).run(
-        StreamedWindow(
-            protocol.total_steps,
-            protocol.transmitters,
-            protocol._absorb_coo,
-            protocol.row_work(),
-        )
-    )
-    return protocol.result()
+    block.run(rng, policy)
+    return block.result()
 
 
 def estimate_effective_degree_reference(

@@ -38,16 +38,15 @@ the stack can promise. Both drivers are bit-identical on a shared seed
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from ..engine.policy import ExecutionPolicy
-from ..engine.sampler import RowSampler, draw_block_key
 from ..radio.errors import ProtocolError
 from ..radio.network import NO_SENDER, RadioNetwork
 from ..radio.protocol import Protocol, TimeMultiplexer, run_steps
 from .cluster import Clustering
+from .decay import Decay, decay_span
 from .resulteq import ArrayEqMixin
 from .schedule import ClusterSchedule
 
@@ -136,8 +135,8 @@ class DecayBackground(Protocol):
         super().__init__(network)
         self.clustering = clustering
         self.knowledge = knowledge  # shared, mutated in place
-        n_est = n_estimate if n_estimate is not None else self.n
-        self.span = max(1, math.ceil(math.log2(max(2, n_est))))
+        self._n_estimate = n_estimate
+        self.span = decay_span(self.n if n_estimate is None else n_estimate)
         self._i = 1
         self._step_in_block = 0
         self._block_masks: np.ndarray | None = None
@@ -155,7 +154,6 @@ class DecayBackground(Protocol):
             [center_pos.get(int(c), -1) for c in clustering.assignment],
             dtype=np.int64,
         )
-        self._probs = 2.0 ** -(np.arange(self.span) + 1.0)
         self._on_padded: np.ndarray | None = None
 
     @property
@@ -178,8 +176,8 @@ class DecayBackground(Protocol):
         transmitters.
 
         Draw order: the per-center coins in ``used_centers`` order (one
-        vectorized draw), then the sweep's block key; the whole sweep is
-        sampled at once.
+        vectorized draw), then the key of the sweep, a one-iteration
+        :class:`~repro.core.decay.Decay` block sampled at once.
         """
         coins = rng.random(self._centers.size) < 2.0**-self._i
         # A trailing False lets assignment positions of -1 (no used
@@ -188,9 +186,10 @@ class DecayBackground(Protocol):
         participants = self._on_padded[self._assign_pos] & (
             self.knowledge >= 0
         )
-        sampler = RowSampler(draw_block_key(rng), participants, self._probs)
+        sweep = Decay(self.network, participants, n_estimate=self._n_estimate)
+        sweep.bind_key(rng)
         self._block_masks = np.zeros((self.span, self.n), dtype=bool)
-        self._block_masks[sampler.sample(0, self.span)] = True
+        self._block_masks[sweep.transmitters(0, self.span)] = True
         self._block_payload = self.knowledge.copy()
         self._block_incoming = np.full(self.n, -1, dtype=np.int64)
 

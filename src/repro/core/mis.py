@@ -13,8 +13,10 @@ communication needs realized by radio primitives:
 
 Each of ``O(log n)`` rounds costs ``O(log^2 n)`` radio steps, for the
 ``O(log^3 n)`` total of Theorem 14, a ``log n`` factor from the
-``Omega(log^2 n)`` lower bound. :func:`compute_mis` is that round loop
-once: a round is two :func:`~repro.core.decay.run_decay` calls and one
+``Omega(log^2 n)`` lower bound. :func:`mis_rounds` is that round loop;
+:func:`compute_mis` runs it once, and restartable MIS
+(:mod:`repro.core.mis_restart`) once per epoch. A round is two
+:func:`~repro.core.decay.run_decay` calls and one
 :func:`~repro.core.effective_degree.estimate_effective_degree` call,
 each under the caller's policy, so the same loop runs on the windowed
 engine or, under ``engine="reference"``, step by step
@@ -178,21 +180,57 @@ def compute_mis(
     policy = policy or ExecutionPolicy()
     policy.bind(network)
     config = config or MISConfig()
-    n = network.n
-    n_est = n_estimate if n_estimate is not None else n
-    decay_iters = claim10_iterations(n_est, config.decay_amplification)
-    budget = mis_round_budget(n_est, config.round_factor)
+    n_est = n_estimate if n_estimate is not None else network.n
+    active = np.ones(network.n, dtype=bool)
+    steps_before = network.steps_elapsed
+    in_mis, rounds_used, history, golden1, golden2 = mis_rounds(
+        network, rng, active, config, n_est, policy, "mis"
+    )
+    network.trace.enter_phase("default")
+    mis_labels = {network.label_of(int(i)) for i in np.nonzero(in_mis)[0]}
+    return MISResult(
+        mis=mis_labels,
+        mis_mask=in_mis,
+        rounds_used=rounds_used,
+        steps_used=network.steps_elapsed - steps_before,
+        all_removed=not bool(active.any()),
+        history=history,
+        golden_type1=golden1,
+        golden_type2=golden2,
+    )
 
-    active = np.ones(n, dtype=bool)
+
+def mis_rounds(
+    network: RadioNetwork,
+    rng: np.random.Generator,
+    active: np.ndarray,
+    config: MISConfig,
+    n_est: int,
+    policy: ExecutionPolicy,
+    phase: str,
+) -> tuple[np.ndarray, int, list[MISRoundRecord], np.ndarray, np.ndarray]:
+    """Algorithm 7's round loop over the nodes of ``active``.
+
+    Up to :func:`mis_round_budget` rounds, each: mark, the marked-echo
+    and MIS-announce Decay blocks, the effective-degree test (EED, or
+    the oracle under ``config.oracle_degree``) and the desire update,
+    every block under ``policy`` in the trace phases
+    ``<phase>/decay-marked``, ``<phase>/decay-mis`` and ``<phase>/eed``.
+    Joiners and their dominated neighbors are cleared from ``active``
+    in place. Returns the joiners' mask, the rounds used, the per-round
+    history and the per-node golden-round counts of both types (zero
+    without ``config.record_golden``).
+    """
+    n = network.n
+    decay_iters = claim10_iterations(n_est, config.decay_amplification)
     p = np.full(n, 0.5, dtype=np.float64)
     in_mis = np.zeros(n, dtype=bool)
     golden1 = np.zeros(n, dtype=np.int64)
     golden2 = np.zeros(n, dtype=np.int64)
     history: list[MISRoundRecord] = []
-    steps_before = network.steps_elapsed
 
     rounds_used = 0
-    for t in range(budget):
+    for t in range(mis_round_budget(n_est, config.round_factor)):
         if config.stop_when_done and not active.any():
             break
         rounds_used = t + 1
@@ -208,7 +246,7 @@ def compute_mis(
         marked = active & (rng.random(n) < p)
 
         # --- both Decay blocks -------------------------------------------
-        network.trace.enter_phase("mis/decay-marked")
+        network.trace.enter_phase(f"{phase}/decay-marked")
         marked_echo = run_decay(
             network, marked, rng, iterations=decay_iters, n_estimate=n_est,
             policy=policy,
@@ -219,7 +257,7 @@ def compute_mis(
 
         in_mis |= joined
 
-        network.trace.enter_phase("mis/decay-mis")
+        network.trace.enter_phase(f"{phase}/decay-mis")
         mis_echo = run_decay(
             network, joined, rng, iterations=decay_iters, n_estimate=n_est,
             policy=policy,
@@ -232,7 +270,7 @@ def compute_mis(
             d_exact = exact_effective_degree(network, p, active)
             high = active & (d_exact >= HIGH_GUARANTEE)
         else:
-            network.trace.enter_phase("mis/eed")
+            network.trace.enter_phase(f"{phase}/eed")
             eed = estimate_effective_degree(
                 network, p, active, rng, C=config.eed_C, n_estimate=n_est,
                 policy=policy,
@@ -253,19 +291,7 @@ def compute_mis(
                 golden_type2=g2,
             )
         )
-
-    network.trace.enter_phase("default")
-    mis_labels = {network.label_of(int(i)) for i in np.nonzero(in_mis)[0]}
-    return MISResult(
-        mis=mis_labels,
-        mis_mask=in_mis,
-        rounds_used=rounds_used,
-        steps_used=network.steps_elapsed - steps_before,
-        all_removed=not bool(active.any()),
-        history=history,
-        golden_type1=golden1,
-        golden_type2=golden2,
-    )
+    return in_mis, rounds_used, history, golden1, golden2
 
 
 def compute_mis_reference(

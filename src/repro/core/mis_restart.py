@@ -10,16 +10,16 @@ first re-announcing the existing MIS (so woken nodes adjacent to an
 MIS member get dominated instead of competing), then running compact
 MIS rounds among the remainder.
 
-Every radio step goes through the same primitives as the base
-algorithm — :func:`~repro.core.decay.run_decay` and
-:func:`~repro.core.effective_degree.estimate_effective_degree` under
-the caller's policy, so one loop serves the windowed engine and the
-step-wise reference alike. The loop is fault-agnostic; crashes, sleep,
-jamming, and capability faults apply inside the delivery layer. The
-only fault awareness is each node's *own* up/down status (its own
-local state, exactly as legitimate as its own coin flips), read
-through :func:`_awake_mask` — global mask assembly is simulator
-convenience, like the protocols' batched coin draws.
+Every epoch runs the base algorithm's own round loop
+(:func:`~repro.core.mis.mis_rounds`) after its re-announcing Decay
+block, every block under the caller's policy, so one loop serves the
+windowed engine and the step-wise reference alike. The loop is
+fault-agnostic; crashes, sleep, jamming, and capability faults apply
+inside the delivery layer. The only fault awareness is each node's
+*own* up/down status (its own local state, exactly as legitimate as
+its own coin flips), read through :func:`_awake_mask` — global mask
+assembly is simulator convenience, like the protocols' batched coin
+draws.
 
 Under a non-empty schedule the MIS guarantee degrades measurably
 (jamming can suppress the "did a neighbor mark?" echo, letting two
@@ -41,9 +41,8 @@ from ..engine.policy import ExecutionPolicy
 from ..radio.errors import ProtocolError
 from ..radio.network import RadioNetwork
 from .decay import claim10_iterations, run_decay
+from .mis import MISConfig, mis_rounds
 from .resulteq import ArrayEqMixin
-from .effective_degree import estimate_effective_degree
-from .mis import mis_round_budget
 
 
 @dataclasses.dataclass(frozen=True)
@@ -181,8 +180,14 @@ def compute_restartable_mis(
     config = config or RestartableMISConfig()
     n = network.n
     n_est = n_estimate if n_estimate is not None else n
+    round_config = MISConfig(
+        round_factor=config.round_factor,
+        decay_amplification=config.decay_amplification,
+        eed_C=config.eed_C,
+        stop_when_done=config.stop_when_done,
+        record_golden=False,
+    )
     decay_iters = claim10_iterations(n_est, config.decay_amplification)
-    budget = mis_round_budget(n_est, config.round_factor)
 
     in_mis = np.zeros(n, dtype=bool)
     decided = np.zeros(n, dtype=bool)
@@ -209,40 +214,14 @@ def compute_restartable_mis(
         )
         decided |= announce_echo.heard & awake
 
-        active = awake & ~decided
-        p = np.full(n, 0.5, dtype=np.float64)
-        epoch_rounds = 0
-        for _ in range(budget):
-            if config.stop_when_done and not active.any():
-                break
-            epoch_rounds += 1
-
-            marked = active & (rng.random(n) < p)
-
-            network.trace.enter_phase("mis-restart/decay-marked")
-            marked_echo = run_decay(
-                network, marked, rng,
-                iterations=decay_iters, n_estimate=n_est, policy=policy,
-            )
-            joined = marked & ~marked_echo.heard
-            in_mis |= joined
-            decided |= joined
-
-            network.trace.enter_phase("mis-restart/decay-mis")
-            mis_echo = run_decay(
-                network, joined, rng,
-                iterations=decay_iters, n_estimate=n_est, policy=policy,
-            )
-            removed = joined | (mis_echo.heard & active)
-            decided |= mis_echo.heard & active
-            active &= ~removed
-
-            network.trace.enter_phase("mis-restart/eed")
-            eed = estimate_effective_degree(
-                network, p, active, rng,
-                C=config.eed_C, n_estimate=n_est, policy=policy,
-            )
-            p = np.where(eed.high, p / 2.0, np.minimum(2.0 * p, 0.5))
+        # --- compact MIS rounds among the awake undecided ----------------
+        competing = awake & ~decided
+        active = competing.copy()
+        joined, epoch_rounds, _, _, _ = mis_rounds(
+            network, rng, active, round_config, n_est, policy, "mis-restart"
+        )
+        in_mis |= joined
+        decided |= competing & ~active
 
         rounds_used += epoch_rounds
         history.append(

@@ -14,7 +14,9 @@ the exact rng stream, ``steps_elapsed`` count, and trace totals of the
 step-wise loop — the contract every ``*_reference`` twin (the same
 loop under ``ExecutionPolicy(engine="reference")``),
 ``tests/test_engine_windowed.py``, and the :mod:`repro.engine.validate`
-harness pin down (see DESIGN.md, "The engine layer").
+harness pin down (see DESIGN.md, "The engine layer"). A keyed block
+is a :class:`~repro.engine.runner.SampledBlock`, the one class that
+draws a block key and forks between the engines.
 
 Step-wise :class:`~repro.radio.protocol.Protocol` objects run through
 :meth:`~repro.engine.runner.WindowedRunner.run_steps`, one one-row
@@ -34,7 +36,7 @@ windows" and "The rng-stream contract").
 
 from .kernels import DeliveryKernels
 from .policy import ENGINE_MODES, ExecutionPolicy, parse_mem_budget
-from .runner import StreamedWindow, WindowedRunner
+from .runner import SampledBlock, StreamedWindow, WindowedRunner
 from .sampler import STREAM_VERSION, RowSampler
 from .streaming import STREAM_CELL_BYTES, chunk_steps_for_budget
 from .validate import ObliviousnessViolationError, ValidatingRunner
@@ -47,6 +49,7 @@ __all__ = [
     "STREAM_VERSION",
     "ObliviousnessViolationError",
     "STREAM_CELL_BYTES",
+    "SampledBlock",
     "StreamedWindow",
     "ValidatingRunner",
     "WindowedRunner",

@@ -27,7 +27,9 @@ run, and on randomness drawn while building the window. A protocol
 draws its randomness in the order of its step-wise twin — every
 oblivious block draws one key, at the block's first step
 (:mod:`repro.engine.sampler`) — which is what keeps engine and
-reference runs on one seed bit-identical. An adaptive step, whose
+reference runs on one seed bit-identical. A keyed block is a
+:class:`SampledBlock`: the one class that draws a block key and the
+one place a block forks between the engines. An adaptive step, whose
 transmitters depend on everything heard so far, is a one-row window:
 :meth:`WindowedRunner.run_steps` runs a step-wise
 :class:`~repro.radio.protocol.Protocol` object (a
@@ -46,6 +48,8 @@ import numpy as np
 
 from ..radio.errors import InvalidActionError, ProtocolError
 from ..radio.network import NO_SENDER, RadioNetwork
+from ..radio.protocol import Protocol, run_steps
+from .sampler import RowSampler, draw_block_key
 from .streaming import chunk_bounds, chunk_work_target
 
 
@@ -198,4 +202,107 @@ class WindowedRunner:
             protocol.observe(hear_from)
 
 
-__all__ = ["StreamedWindow", "WindowedRunner"]
+class SampledBlock(Protocol):
+    """An oblivious block of keyed transmitter rows.
+
+    Row ``t`` transmits each member ``v`` independently with
+    probability ``row_probs[t] * weights[v]`` (``weights`` default 1),
+    sampled by a :class:`~repro.engine.sampler.RowSampler` under one
+    block key. :meth:`bind_key` draws the key at the block's first
+    step, the only place any block draws one, so the block run
+    step-wise and as one window samples the same rows and leaves the
+    generator in the same state. :meth:`run` is the one engine fork of
+    a keyed block. A subclass passes its ladder and weights and folds
+    receptions in ``observe`` (a step) and ``_absorb_coo`` (a chunk),
+    both ending in :meth:`_advance`.
+    """
+
+    def __init__(
+        self,
+        network: RadioNetwork,
+        members: np.ndarray,
+        row_probs: np.ndarray,
+        weights: np.ndarray | None = None,
+    ) -> None:
+        super().__init__(network)
+        self.active = members
+        self.total_steps = len(row_probs)
+        self._row_probs = row_probs
+        self._weights = weights
+        self._step = 0
+        self._finished = self.total_steps == 0
+        self._sampler: RowSampler | None = None
+
+    @staticmethod
+    def count(name: str, value: Any, least: int) -> int:
+        """``value`` as an ``int``: a boolean, a non-integer or a value
+        below ``least`` is refused, naming ``name``."""
+        if isinstance(value, bool) or not isinstance(
+            value, (int, np.integer)
+        ) or value < least:
+            raise ProtocolError(
+                f"{name} must be an integer >= {least}, got {value!r}"
+            )
+        return int(value)
+
+    def bind_key(self, rng: np.random.Generator) -> None:
+        """Draw the block key (once per block, at its first step)."""
+        if self._sampler is None:
+            self._sampler = RowSampler(
+                draw_block_key(rng), self.active, self._row_probs,
+                self._weights,
+            )
+
+    def transmitters(
+        self, start: int, stop: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Transmitter pairs of block steps ``[start, stop)`` (see
+        :meth:`RowSampler.sample`). Needs :meth:`bind_key` first."""
+        return self._sampler.sample(start, stop)
+
+    def row_work(self) -> np.ndarray:
+        """Expected product work of every block step (see
+        :meth:`RowSampler.row_work`). Needs :meth:`bind_key` first."""
+        return self._sampler.row_work(self.network.degrees)
+
+    def transmit_mask(self, rng: np.random.Generator) -> np.ndarray:
+        self.bind_key(rng)
+        _, nodes = self.transmitters(self._step, self._step + 1)
+        mask = np.zeros(self.n, dtype=bool)
+        mask[nodes] = True
+        return mask
+
+    def _advance(self, k: int) -> None:
+        """Count ``k`` folded steps; the block finishes after its last."""
+        self._step += k
+        if self._step >= self.total_steps:
+            self._finished = True
+
+    def run(
+        self,
+        rng: np.random.Generator,
+        policy: Any,
+        fold: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
+        | None = None,
+    ) -> None:
+        """Run the whole block under ``policy`` (an
+        :class:`~repro.engine.policy.ExecutionPolicy`): step by step
+        through :func:`~repro.radio.protocol.run_steps` under
+        ``engine="reference"``, else as one :class:`StreamedWindow` cut
+        by the rows' work, its receptions folded by ``fold`` (default
+        ``_absorb_coo``)."""
+        if policy.engine == "reference":
+            run_steps(self, rng, self.total_steps)
+        elif self.total_steps:
+            self.bind_key(rng)
+            policy.runner(self.network).run(
+                StreamedWindow(
+                    self.total_steps,
+                    self.transmitters,
+                    fold or self._absorb_coo,
+                    self.row_work(),
+                )
+            )
+
+
+__all__ = ["SampledBlock", "StreamedWindow", "WindowedRunner"]

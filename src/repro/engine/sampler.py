@@ -31,7 +31,8 @@ index, its row factor and the block's fixed member weights: any
 chunking of a block, the chunk-wide vectorized pass and the step-wise
 ``*_reference`` twins (which sample one row at a time) produce the same
 sets by construction. The key is the only thing drawn from the
-protocol generator, once per block, through :func:`draw_block_key`, at
+protocol generator, once per block, through :func:`draw_block_key`
+(called only by :meth:`~repro.engine.runner.SampledBlock.bind_key`), at
 the same point on the windowed engine and in the step-wise twin —
 which keeps their final rng states equal too.
 

@@ -20,9 +20,8 @@ the :mod:`repro.api.wire` tagged format. Every read checks the
 checksum first, so a changed byte anywhere after it — in the report
 or in a scalar — is never served, and :meth:`ReportStore.get_scalars`
 serves a hit from the header without parsing the report at all. A
-file whose first line is not a checksum is a format-1 entry (one JSON
-document, written before the checksum existed): it is checked by a
-full decode on every read, and stays a hit.
+file whose first line is not a checksum is refused like one whose
+checksum fails.
 
 Entries are written atomically via tempfile + ``os.replace`` exactly
 like :class:`~repro.corpus.store.CorpusStore` entries: two processes
@@ -80,8 +79,8 @@ NO_CONFIG = "none"
 #: never listed as entries).
 QUARANTINE = ".quarantine"
 
-#: The form of an entry address (:attr:`JobKey.digest`), and of a
-#: format-2 entry's first line (the checksum of the rest).
+#: The form of an entry address (:attr:`JobKey.digest`), and of an
+#: entry's first line (the checksum of the rest).
 _DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
@@ -100,70 +99,50 @@ def report_scalars(report: RunReport) -> tuple[int, float, int | None]:
     )
 
 
-def _split(raw: bytes) -> tuple[dict[str, Any], bytes | None]:
+def _split(raw: bytes) -> tuple[dict[str, Any], bytes]:
     """An entry's header and its report line, unparsed.
 
-    Format 2: the first line must be the sha256 hex of every byte after
-    it; the second parses to the header. Format 1 (a first line that is
-    no checksum): the whole file parses to one document, returned with
-    ``None``; its ``"report"`` is the tagged report. Raises
-    ``ValueError`` for an entry that fails its checksum or does not
-    parse to an object.
+    The first line must be the sha256 hex of every byte after it; the
+    second parses to the header. Raises ``ValueError`` for an entry
+    without that first line, one that fails its checksum, or one whose
+    header is not a JSON object.
     """
     checksum = raw[:64].decode("latin-1")
-    if raw[64:65] == b"\n" and _is_digest(checksum):
-        if hashlib.sha256(memoryview(raw)[65:]).hexdigest() != checksum:
-            raise ValueError("entry fails its checksum")
-        cut = raw.find(b"\n", 65)
-        if cut < 0:
-            raise ValueError("entry has no report line")
-        header, report = json.loads(raw[65:cut]), raw[cut + 1:]
-    else:
-        header, report = json.loads(raw), None
+    if raw[64:65] != b"\n" or not _is_digest(checksum):
+        raise ValueError("entry has no checksum line")
+    if hashlib.sha256(memoryview(raw)[65:]).hexdigest() != checksum:
+        raise ValueError("entry fails its checksum")
+    cut = raw.find(b"\n", 65)
+    if cut < 0:
+        raise ValueError("entry has no report line")
+    header = json.loads(raw[65:cut])
     if not isinstance(header, dict):
-        raise ValueError("entry is not a JSON object")
-    return header, report
+        raise ValueError("entry header is not a JSON object")
+    return header, raw[cut + 1:]
 
 
-def _decode(header: dict[str, Any], report: bytes | None) -> RunReport:
-    """The entry's report, decoded in full (the check of format 1)."""
-    value = decode_value(
-        header["report"] if report is None else json.loads(report)
-    )
+def _decode(header: dict[str, Any], report: bytes) -> RunReport:
+    """The entry's report, decoded in full."""
+    value = decode_value(json.loads(report))
     if not isinstance(value, RunReport):
         raise ValueError(f"entry holds a {type(value).__name__}")
     return value
 
 
 def _scalars(
-    header: dict[str, Any], report: bytes | None
+    header: dict[str, Any], report: bytes
 ) -> tuple[int, float, int | None]:
-    """The entry's :func:`report_scalars`: read from a format-2 header,
-    the report left unparsed; a format-1 entry is decoded in full."""
-    if report is None:
-        return report_scalars(_decode(header, None))
+    """The entry's :func:`report_scalars`, read from its header, the
+    report left unparsed."""
     scalars = header["scalars"]
     return (
         scalars["steps"], scalars["wall_time_s"], scalars["peak_mem_bytes"]
     )
 
 
-def _document(
-    header: dict[str, Any], report: bytes | None
-) -> dict[str, Any]:
+def _document(header: dict[str, Any], report: bytes) -> dict[str, Any]:
     """The entry as one document: key fields, scalars, tagged report."""
-    if report is None:
-        return header
     return {**header, "report": json.loads(report)}
-
-
-def _verdict(header: dict[str, Any], report: bytes | None) -> str:
-    """``"ok"`` for a format-2 entry (its checksum held), ``"legacy"``
-    for a format-1 entry that decodes in full."""
-    if report is None:
-        _decode(header, None)
-        return "legacy"
-    return "ok"
 
 
 def policy_digest(policy: ExecutionPolicy, n: int | None = None) -> str:
@@ -340,7 +319,7 @@ class ReportStore:
     def _open(
         self,
         path: pathlib.Path,
-        read: Callable[[dict[str, Any], bytes | None], Any],
+        read: Callable[[dict[str, Any], bytes], Any],
         quarantine: bool = True,
     ) -> Any:
         """``read(header, report line)`` of the entry at ``path``
@@ -375,10 +354,9 @@ class ReportStore:
         """The stored :func:`report_scalars` of ``key``, or ``None``
         (counted) on a miss: what a campaign records of a hit.
 
-        A format-2 entry is served from its header once its checksum
-        holds, without parsing the report; a format-1 entry is decoded
-        in full, as :meth:`get` does. Damaged entries are quarantined
-        and missed, as by :meth:`get`.
+        The entry is served from its header once its checksum holds,
+        without parsing the report. Damaged entries are quarantined and
+        missed, as by :meth:`get`.
         """
         scalars = self._open(self.path_for(key), _scalars)
         self._count("misses" if scalars is None else "hits")
@@ -395,17 +373,19 @@ class ReportStore:
         return self._open(self.path_for(digest), _document)
 
     def verify(self, quarantine: bool = False) -> dict[str, list[str]]:
-        """Check every entry the way a read does: the checksum of a
-        format-2 entry, a full decode of a format-1 one.
+        """Check every entry's checksum, the way a read does.
 
-        Returns the digests by verdict: ``ok`` (format 2), ``legacy``
-        (format 1) and ``bad``. With ``quarantine`` each bad entry is
-        moved into :data:`QUARANTINE`, as a read would move it;
-        without, nothing is written. Audits count no hits or misses.
+        Returns the digests by verdict, ``ok`` and ``bad``. With
+        ``quarantine`` each bad entry is moved into :data:`QUARANTINE`,
+        as a read would move it; without, nothing is written. Audits
+        count no hits or misses.
         """
-        verdicts: dict[str, list[str]] = {"ok": [], "legacy": [], "bad": []}
+        verdicts: dict[str, list[str]] = {"ok": [], "bad": []}
         for digest in list(self.digests()):
-            verdict = self._open(self.path_for(digest), _verdict, quarantine)
+            verdict = self._open(
+                self.path_for(digest), lambda header, report: "ok",
+                quarantine,
+            )
             verdicts[verdict or "bad"].append(digest)
         return verdicts
 

@@ -408,6 +408,30 @@ class TestUniformRefusals:
         with pytest.raises(ProtocolError, match="validate"):
             ExecutionPolicy(validate=value)
 
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", 2.5), ("iterations", True), ("iterations", -1),
+        ("n_estimate", 0), ("n_estimate", -5),
+    ])
+    @pytest.mark.parametrize("engine", ["windowed", "reference"])
+    def test_decay_refuses_malformed_sizes_by_name(
+        self, field, value, engine
+    ):
+        config = api.DecayConfig(**{field: value})
+        with pytest.raises(ProtocolError, match=f"^{field} must be"):
+            api.run("decay", _udg(30, 25), seed=1, config=config,
+                    policy=ExecutionPolicy(engine=engine))
+
+    @pytest.mark.parametrize("field, value", [
+        ("C", 2.5), ("C", True), ("C", 0), ("n_estimate", 0),
+        ("n_estimate", -5),
+    ])
+    @pytest.mark.parametrize("engine", ["windowed", "reference"])
+    def test_eed_refuses_malformed_sizes_by_name(self, field, value, engine):
+        config = api.EEDConfig(**{field: value})
+        with pytest.raises(ProtocolError, match=f"^{field} must be"):
+            api.run("eed", _udg(30, 25), seed=1, config=config,
+                    policy=ExecutionPolicy(engine=engine))
+
     @pytest.mark.parametrize("epochs", [0, -3, True, 2.0, "3", None])
     def test_restartable_mis_needs_an_epoch(self, epochs):
         # With no epoch nobody is decided, and the empty set — which

@@ -12,7 +12,7 @@ from repro.core.decay import (
     decay_span,
     run_decay,
 )
-from repro.radio import NO_SENDER, RadioNetwork
+from repro.radio import NO_SENDER, ProtocolError, RadioNetwork
 
 
 class TestSpanAndIterations:
@@ -138,6 +138,24 @@ class TestProtocolMechanics:
         net = RadioNetwork(g)
         with pytest.raises(ValueError):
             Decay(net, np.ones(3, dtype=bool))
+
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", -1), ("iterations", 2.5), ("iterations", True),
+        ("iterations", "3"), ("n_estimate", 0), ("n_estimate", -5),
+        ("n_estimate", 64.0), ("n_estimate", False),
+    ])
+    def test_rejects_malformed_sizes_by_name(self, field, value):
+        net = RadioNetwork(graphs.path(4))
+        with pytest.raises(ProtocolError, match=f"^{field} must be"):
+            Decay(net, np.ones(4, dtype=bool), **{field: value})
+
+    def test_accepts_numpy_integer_sizes(self):
+        net = RadioNetwork(graphs.path(4))
+        block = Decay(
+            net, np.ones(4, dtype=bool), iterations=np.int64(2),
+            n_estimate=np.int32(16),
+        )
+        assert block.total_steps == 2 * decay_span(16)
 
     def test_transmit_probability_halves_within_sweep(self, rng):
         # Statistical check: step i transmits with probability 2^-i, so

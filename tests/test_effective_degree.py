@@ -19,7 +19,7 @@ from repro.engine.streaming import (
     chunk_bounds,
     chunk_work_target,
 )
-from repro.radio import RadioNetwork
+from repro.radio import ProtocolError, RadioNetwork
 
 
 class TestExactOracle:
@@ -150,6 +150,18 @@ class TestProtocolMechanics:
         with pytest.raises(ValueError):
             EstimateEffectiveDegree(
                 net, np.full(4, 0.5), np.ones(4, dtype=bool), C=0
+            )
+
+    @pytest.mark.parametrize("field, value", [
+        ("C", -2), ("C", 2.5), ("C", True), ("n_estimate", 0),
+        ("n_estimate", -5), ("n_estimate", 100.0),
+    ])
+    def test_rejects_malformed_sizes_by_name(self, field, value):
+        net = RadioNetwork(graphs.path(4))
+        with pytest.raises(ProtocolError, match=f"^{field} must be"):
+            EstimateEffectiveDegree(
+                net, np.full(4, 0.5), np.ones(4, dtype=bool),
+                **{field: value},
             )
 
     def test_rejects_bad_shapes(self):

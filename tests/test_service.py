@@ -102,13 +102,35 @@ def _item_wise(document):
 def _format_1(key: JobKey, tagged) -> str:
     """A store entry as written before entries carried a checksum
     (format 1): one JSON document of the key fields and a tagged
-    report."""
+    report. Every read now quarantines one."""
     return json.dumps({
         "format": 1,
         "key": key.asdict(),
         "digest": key.digest,
         "report": tagged,
     })
+
+
+def _entry(key: JobKey, report: RunReport, tagged=None) -> bytes:
+    """A store entry laid out as :meth:`ReportStore.put` writes one —
+    checksum line, header with the report's scalars, tagged report —
+    around ``tagged`` (default: ``report``'s own tagged form)."""
+    steps, wall, peak = report_scalars(report)
+    header = {
+        "format": 2, "key": key.asdict(), "digest": key.digest,
+        "scalars": {
+            "steps": steps, "wall_time_s": wall, "peak_mem_bytes": peak,
+        },
+    }
+    return _checksummed((
+        json.dumps(header) + "\n"
+        + json.dumps(encode_value(report) if tagged is None else tagged)
+    ).encode())
+
+
+def _checksummed(body: bytes) -> bytes:
+    """``body`` under the checksum line every store entry starts with."""
+    return hashlib.sha256(body).hexdigest().encode() + b"\n" + body
 
 
 def _bump_digit(line: bytes, after: bytes) -> bytes:
@@ -520,9 +542,10 @@ class TestStore:
         with pytest.raises(ProtocolError, match="64 lowercase hex"):
             store.get(key.digest[:63])
 
-    @pytest.mark.parametrize(
-        "damage", ["truncate", "garble", "not-object", "rows"]
-    )
+    @pytest.mark.parametrize("damage", [
+        "truncate", "garble", "not-object", "rows", "header-list",
+        "one-line",
+    ])
     def test_unreadable_entry_is_quarantined_and_missed(
         self, tmp_path, damage
     ):
@@ -537,7 +560,7 @@ class TestStore:
         elif damage == "garble":  # parses, does not decode to a report
             tagged = encode_value(report)
             tagged["fields"]["steps"] = {"__repro__": "bogus"}
-            path.write_text(_format_1(key, tagged))
+            path.write_bytes(_entry(key, report, tagged))
         elif damage == "rows":  # a fault table whose columns disagree
             tagged = encode_value(report)
             faults = encode_value(FaultSchedule(crashes=((0, 5), (1, 6))))
@@ -545,9 +568,13 @@ class TestStore:
                 np.arange(3, dtype=np.int64)
             )
             tagged["fields"]["policy"]["fields"]["faults"] = faults
-            path.write_text(_format_1(key, tagged))
-        else:
-            path.write_text("[1, 2]")
+            path.write_bytes(_entry(key, report, tagged))
+        elif damage == "not-object":  # checksum holds, report is a list
+            path.write_bytes(_entry(key, report, [1, 2]))
+        elif damage == "header-list":
+            path.write_bytes(_checksummed(b"[1, 2]\n" + good.split(b"\n")[2]))
+        else:  # checksum holds, no report line
+            path.write_bytes(_checksummed(b"{}"))
         damaged = path.read_bytes()
         assert store.get(key) is None
         assert not path.exists()
@@ -565,7 +592,7 @@ class TestStore:
     @pytest.mark.parametrize("read", ["get", "get_scalars", "get_document"])
     @pytest.mark.parametrize("damage", [
         "report-digit", "scalar-digit", "checksum", "truncate",
-        "no-checksum",
+        "no-checksum", "format-1",
     ])
     def test_damaged_entry_is_quarantined_by_every_read(
         self, tmp_path, damage, read
@@ -592,6 +619,12 @@ class TestStore:
             damaged = good[: len(good) // 2]
         elif damage == "no-checksum":
             damaged = b"\n".join((header, tagged))
+        elif damage == "format-1":
+            # A checksum-less entry of the retired layout, one digit
+            # changed: served as a hit while that layout was read.
+            damaged = _format_1(key, json.loads(
+                _bump_digit(tagged, b'"transmissions": ')
+            )).encode()
         assert damaged != good
         path.write_bytes(damaged)
         assert getattr(store, read)(
@@ -639,11 +672,14 @@ class TestStore:
             int, float, int if measured else type(None)
         ]
         assert store.hits == 2 and store.misses == 0
-        # A format-1 entry is decoded in full and reads the same.
-        store.path_for(key).write_text(_format_1(key, encode_value(report)))
-        assert store.get_scalars(key) == scalars
-        assert store.get_document(key.digest)["format"] == 1
-        assert store.hits == 3 and store.quarantined == 0
+        # A format-1 entry (no checksum line) is quarantined and missed.
+        legacy = _format_1(key, encode_value(report))
+        store.path_for(key).write_text(legacy)
+        assert store.get_scalars(key) is None
+        store.path_for(key).write_text(legacy)
+        assert store.get_document(key.digest) is None
+        assert store.hits == 2 and store.misses == 1
+        assert store.quarantined == 2 and key not in store
 
     def test_item_wise_faulted_entry_is_a_hit(self, tmp_path):
         # An entry written before fault tables travelled as columns
@@ -660,14 +696,12 @@ class TestStore:
             "decay", graph, rng=np.random.default_rng(0), policy=policy
         )
         path = store.put(key, report)
-        document = json.loads(_format_1(key, encode_value(report)))
-        document["report"] = _item_wise(document["report"])
-        text = json.dumps(document)
-        assert '"rows"' not in text
-        assert text.count('"tuple"') > len(faults.crashes) + len(
+        entry = _entry(key, report, _item_wise(encode_value(report)))
+        assert b'"rows"' not in entry
+        assert entry.count(b'"tuple"') > len(faults.crashes) + len(
             faults.tx_prob
         )
-        path.write_text(text)
+        path.write_bytes(entry)
         fresh = api.run(
             "decay", graph, rng=np.random.default_rng(0), policy=policy
         )
@@ -1016,18 +1050,15 @@ class TestCampaign:
             for job in fresh.jobs:
                 assert old_policy != job.key.policy
                 old_key = dataclasses.replace(job.key, policy=old_policy)
-                entry = json.loads(_format_1(
-                    old_key, encode_value(fresh.reports[job.index])
-                ))
-                entry["report"]["fields"]["policy"]["fields"] = dict(
-                    fields
-                )
+                report = fresh.reports[job.index]
+                tagged = encode_value(report)
+                tagged["fields"]["policy"]["fields"] = dict(fields)
                 target = old_store.path_for(old_key)
                 target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_text(json.dumps(entry))
+                target.write_bytes(_entry(old_key, report, tagged))
                 assert old_key in old_store and job.key not in old_store
                 with pytest.raises(ProtocolError, match=era):
-                    decode_value(entry["report"])
+                    decode_value(tagged)
             again = run_campaign(spec, old_store, corpus=corpus)
             status = again.status()
             assert status["cached"] == 0 and status["executed"] == 2
@@ -1042,11 +1073,11 @@ class TestCampaign:
     def test_decay_entries_with_a_payload_list_are_not_served(
         self, stores, tmp_path
     ):
-        # A decay entry stored while DecayResult still carried its
-        # per-node payload list sits under today's JobKey. The
-        # closed-world decoder refuses the unknown field, so the read
-        # quarantines the entry and the job re-executes: the old
-        # document is never served.
+        # A decay entry whose report still carries DecayResult's old
+        # per-node payload list sits under today's JobKey. Its checksum
+        # holds, but the closed-world decoder refuses the unknown field,
+        # so the read quarantines the entry and the job re-executes:
+        # the old document is never served.
         corpus, digest, _ = stores
         spec = CampaignSpec(protocol="decay", corpus=(digest,),
                             n_trials=1, seed=23)
@@ -1054,24 +1085,25 @@ class TestCampaign:
         fresh = run_campaign(spec, fresh_store, corpus=corpus)
         (job,) = fresh.jobs
         (report,) = fresh.reports
-        entry = json.loads(_format_1(job.key, encode_value(report)))
+        tagged = encode_value(report)
         heard, senders = report.result.heard, report.result.heard_from
-        entry["report"]["fields"]["result"]["fields"]["messages"] = [
+        tagged["fields"]["result"]["fields"]["messages"] = [
             int(s) if h else None for h, s in zip(heard, senders)
         ]
         # What ServiceClient.fetch_report does with the verbatim
         # document: refuse it, naming the field.
         with pytest.raises(ProtocolError, match="messages"):
-            decode_value(entry["report"])
+            decode_value(tagged)
+        entry = _entry(job.key, report, tagged)
         store = ReportStore(tmp_path / "old")
         target = store.path_for(job.key)
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(entry))
+        target.write_bytes(entry)
         assert job.key in store
         assert store.get(job.key) is None
         assert store.quarantined == 1 and job.key not in store
 
-        target.write_text(json.dumps(entry))
+        target.write_bytes(entry)
         again = run_campaign(spec, store, corpus=corpus)
         status = again.status()
         assert status["executed"] == 1 and status["cached"] == 0
@@ -1399,6 +1431,27 @@ class TestCampaign:
         campaign = Campaign(spec, ReportStore(tmp_path / "r"),
                             corpus=corpus, workers=workers)
         with pytest.raises(ProtocolError, match=refused):
+            campaign.run()
+        status = campaign.status()
+        assert status["state"] == "failed"
+        assert status["failed"] == 0 and status["errors"] == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_malformed_plain_json_size_fails_the_campaign(
+        self, stores, tmp_path, workers
+    ):
+        # A plain-JSON config reaches DecayConfig as typed. Decay
+        # refuses a fractional iteration count by name when the job
+        # runs, which fails the campaign as a refusal at every worker
+        # count, not as one failure per job.
+        corpus, digest, _ = stores
+        spec = CampaignSpec.from_json(json.dumps({
+            "protocol": "decay", "corpus": [digest], "n_trials": 3,
+            "config": {"iterations": 2.5},
+        }))
+        campaign = Campaign(spec, ReportStore(tmp_path / "r"),
+                            corpus=corpus, workers=workers)
+        with pytest.raises(ProtocolError, match="iterations must be"):
             campaign.run()
         status = campaign.status()
         assert status["state"] == "failed"
@@ -1928,6 +1981,7 @@ class TestCLI:
         )
         for key in (good, legacy, flipped):
             store.put(key, report)
+        # A format-1 entry has no checksum line: bad, like a flipped bit.
         store.path_for(legacy).write_text(
             _format_1(legacy, encode_value(report))
         )
@@ -1946,18 +2000,20 @@ class TestCLI:
         assert main(["store", "verify", str(reports)]) == 1
         out = capsys.readouterr().out
         assert f"bad: {flipped.digest}\n" in out
-        assert "1 ok, 1 legacy, 1 bad" in out
+        assert f"bad: {legacy.digest}\n" in out
+        assert "1 ok, 2 bad" in out
         assert tree() == before  # an audit alone writes nothing
 
         assert main(["store", "verify", str(reports), "--quarantine"]) == 1
-        assert f"bad: {flipped.digest} (quarantined)" in \
-            capsys.readouterr().out
-        assert not path.exists()
-        assert len(list((reports / ".quarantine").iterdir())) == 1
+        out = capsys.readouterr().out
+        assert f"bad: {flipped.digest} (quarantined)" in out
+        assert f"bad: {legacy.digest} (quarantined)" in out
+        assert not path.exists() and legacy not in store
+        assert len(list((reports / ".quarantine").iterdir())) == 2
 
         assert main(["store", "verify", str(reports)]) == 0
-        assert "1 ok, 1 legacy, 0 bad" in capsys.readouterr().out
-        assert store.get(legacy) == report and store.get(good) == report
+        assert "1 ok, 0 bad" in capsys.readouterr().out
+        assert store.get(legacy) is None and store.get(good) == report
 
         assert main(["store", "verify", str(tmp_path / "nowhere")]) == 2
         assert "no report store" in capsys.readouterr().err

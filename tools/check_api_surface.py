@@ -91,6 +91,7 @@ EXPECTED_ENGINE_ALL = [
     "STREAM_VERSION",
     "ObliviousnessViolationError",
     "STREAM_CELL_BYTES",
+    "SampledBlock",
     "StreamedWindow",
     "ValidatingRunner",
     "WindowedRunner",
